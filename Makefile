@@ -6,20 +6,19 @@
 #   make test        - tier-1 test suite only
 #   make smoke       - smoke-benchmark guard only (CI uploads its output)
 #   make lint        - ruff over the whole tree (config in pyproject.toml)
-#   make chaos       - fault-injection parity check: worker kills, a
-#                      coordinator crash, and a stateful-session kill with
-#                      snapshot restore must all leave verdicts byte-identical
-#                      to the serial engine (CI's chaos-smoke)
+#   make chaos       - fault-injection parity check: a worker kill
+#                      mid-campaign and a coordinator crash with journal
+#                      resume must both leave verdicts byte-identical to
+#                      the serial engine (CI's chaos-smoke)
 #   make serve-smoke - verification-service end-to-end smoke: real server
 #                      subprocess + CLI client; verdict byte-parity with
 #                      the serial engine, warm store hits, campaign
 #                      submit/tail/await (CI's service-smoke)
 #   make bench       - full engine benchmark; rewrites BENCH_engine.json
-#                      (seed-vs-engine, cold-vs-cached-vs-sharded, cross-size
-#                      cache reuse, pooled reuse, reduction quotients,
-#                      distributed-vs-pooled, stateless-vs-stateful wave
-#                      bytes, verdict-store warm hits, HTTP service warm-hit
-#                      latency)
+#                      (seed-vs-engine, cold-vs-cached, cross-size cache
+#                      reuse, pooled reuse, reduction quotients,
+#                      distributed-vs-pooled campaigns, verdict-store warm
+#                      hits, HTTP service warm-hit latency)
 
 PYTHON ?= python
 export PYTHONPATH := src

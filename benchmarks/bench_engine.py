@@ -1,4 +1,4 @@
-"""Benchmark: engine exploration throughput, caches and sharding.
+"""Benchmark: engine exploration throughput, caches and campaign backends.
 
 Tracks the perf trajectory of the exhaustive checker across PRs in a
 machine-readable ledger, ``BENCH_engine.json`` at the repo root:
@@ -9,15 +9,12 @@ machine-readable ledger, ``BENCH_engine.json`` at the repo root:
   suites;
 * **4x4 FSYNC exhaustive check** (PR 2 trajectory) — the cold public path
   (fresh transition system and matcher per check) against the persistent
-  :class:`~repro.engine.matcher.MatcherCache` fast path and against the
-  sharded explorer with ``workers=4``;
+  :class:`~repro.engine.matcher.MatcherCache` fast path;
 * **cross-size cache reuse** — hit rates of one shared cache swept across
   a family of grid sizes (the matcher's keys are grid-size independent);
 * **pooled reuse** (PR 3 trajectory) — two consecutive small-grid checks on
-  one persistent :class:`~repro.engine.pool.ExplorationPool` against two
-  cold ``explore_sharded`` calls that each pay pool startup; the pooled
-  case must be faster and its second check must hit the worker caches
-  warmed by the first;
+  one persistent :class:`~repro.engine.pool.ExplorationPool`; the second
+  check must hit the pool cache warmed by the first;
 * **reduction quotients** (PR 4 trajectory) — the suite ASYNC case
   (:data:`repro.engine.suites.REDUCTION_BENCH_CASE`) checked unreduced,
   under ``reduction="grid"`` and under ``reduction="grid+color+por"``:
@@ -29,13 +26,6 @@ machine-readable ledger, ``BENCH_engine.json`` at the repo root:
   (:class:`~repro.engine.distributed.DistributedBackend`); reports must be
   identical to the serial engine's both ways, and the pooled-vs-distributed
   ratio is recorded honestly (on one core the TCP hop is pure overhead);
-* **stateful waves** (PR 8 trajectory) — the suite ASYNC case explored
-  through the same two TCP daemons on the stateless ``map_shards`` route
-  and on the stateful session route
-  (``DistributedBackend.open_exploration``); both merges are
-  parity-enforced against the serial explorer, and the session route must
-  move strictly fewer bytes on the wire per wave (resident frontiers +
-  delta-only exchange), with the bytes-per-wave ratio in the ledger;
 * **verdict store** (PR 9 trajectory) — the same exhaustive sweep run
   twice against one on-disk :class:`~repro.engine.store.VerdictStore`:
   the cold pass computes and durably records every verdict, the warm pass
@@ -91,7 +81,6 @@ from repro.engine import (
     WorkerDaemon,
     exhaustive_check_tasks,
     explore,
-    explore_sharded,
     initial_state,
 )
 from repro.engine.packed import PackedTransitionSystem
@@ -250,13 +239,12 @@ def bench_seed_vs_engine(name: str, model: str, repetitions: int) -> List[dict]:
     ]
 
 
-def bench_fsync_4x4(repetitions: int, workers: int) -> List[dict]:
-    """The PR-2 trajectory: the 4x4 FSYNC exhaustive check, three ways.
+def bench_fsync_4x4(repetitions: int) -> List[dict]:
+    """The PR-2 trajectory: the 4x4 FSYNC exhaustive check, two ways.
 
     *cold* rebuilds the transition system and matcher per check (the public
     default), *cached* threads one persistent :class:`MatcherCache` through
-    repeated checks (the campaign/sweep fast path), *sharded* fans the
-    frontier over a ``workers``-process pool.
+    repeated checks (the campaign/sweep fast path).
     """
     algorithm = get("fsync_phi2_l2_chir_k2")
     grid = Grid(4, 4)
@@ -276,21 +264,9 @@ def bench_fsync_4x4(repetitions: int, workers: int) -> List[dict]:
 
     cached_s, _ = _measure(cached_check, repetitions)
     hit_rate = cache.stats.hit_rate
-
-    # One sharded pass (pool startup dominates repetition timing; a single
-    # timed run is how the checker is actually invoked).
-    start = time.perf_counter()
-    sharded_states = explore_sharded(algorithm, grid, "FSYNC", workers=workers).num_states
-    sharded_s = time.perf_counter() - start
-    # RuntimeError, not assert: parity must hold even under ``python -O``,
-    # or a diverging run could be recorded as a passing baseline.
-    if sharded_states != states:
-        raise RuntimeError("sharded explorer diverged from the serial check")
-
     return [
         _case(f"{label} cold", cold_s, states),
         _case(f"{label} cached", cached_s, states, cache_hit_rate=hit_rate),
-        _case(f"{label} sharded", sharded_s, states, workers=workers),
     ]
 
 
@@ -325,16 +301,12 @@ def bench_cross_size_cache() -> Tuple[List[dict], float]:
     return rows, final_rate
 
 
-def bench_pooled_reuse(workers: int) -> Tuple[List[dict], float, float]:
-    """The PR-3 trajectory: two consecutive checks, pooled vs cold sharded.
+def bench_pooled_reuse() -> Tuple[List[dict], float]:
+    """The PR-3 trajectory: two consecutive checks on one persistent pool.
 
-    The cold case runs ``explore_sharded`` twice, each call spawning and
-    tearing down its own process pool — the regime where pool startup
-    dominates small grids.  The pooled case runs the same two checks on one
-    persistent :class:`ExplorationPool` (``serial_threshold=0`` so the
-    workers are actually exercised): startup is paid once and the second
-    check hits the worker caches warmed by the first.  Returns the rows
-    plus the pooled-vs-cold speedup and the second check's hit rate.
+    Both checks run in the calling process on the pool's persistent
+    coordinator cache, so the second one hits the patterns the first one
+    memoized.  Returns the row plus the second check's hit rate.
     """
     algorithm = get("fsync_phi2_l2_chir_k2")
     grid = Grid(3, 3)
@@ -343,33 +315,17 @@ def bench_pooled_reuse(workers: int) -> Tuple[List[dict], float, float]:
     states = serial_check.states_explored
 
     start = time.perf_counter()
-    for _ in range(2):
-        explore_sharded(algorithm, grid, "FSYNC", workers=workers)
-    cold_s = time.perf_counter() - start
-
-    start = time.perf_counter()
-    with ExplorationPool(workers=workers, serial_threshold=0) as pool:
+    with ExplorationPool() as pool:
         first = check_terminating_exploration(algorithm, grid, model="FSYNC", pool=pool)
         second = check_terminating_exploration(algorithm, grid, model="FSYNC", pool=pool)
     pooled_s = time.perf_counter() - start
+    # RuntimeError, not assert: parity must hold even under ``python -O``,
+    # or a diverging run could be recorded as a passing baseline.
     if first != serial_check or second != serial_check:
         raise RuntimeError("pooled check diverged from the serial check")
 
     reuse_rate = second.matcher_stats["hit_rate"]
-    return (
-        [
-            _case(f"{label} 2x cold sharded", cold_s, 2 * states, workers=workers),
-            _case(
-                f"{label} 2x pooled",
-                pooled_s,
-                2 * states,
-                cache_hit_rate=reuse_rate,
-                workers=workers,
-            ),
-        ],
-        cold_s / pooled_s if pooled_s else float("inf"),
-        reuse_rate,
-    )
+    return [_case(f"{label} 2x pooled", pooled_s, 2 * states, cache_hit_rate=reuse_rate)], reuse_rate
 
 
 def _reduction_case(repetitions: int = 1) -> Dict[str, Tuple[float, "object"]]:
@@ -473,69 +429,6 @@ def bench_distributed(daemon_workers: int = 2) -> Tuple[List[dict], float]:
         ],
         pooled_s / distributed_s if distributed_s else float("inf"),
     )
-
-
-def bench_stateful_waves(daemon_workers: int = 2) -> Tuple[List[dict], float, dict]:
-    """The PR-8 trajectory: bytes on the wire, stateless jobs vs sessions.
-
-    Explores :data:`REDUCTION_BENCH_CASE` under the grid quotient through
-    the same two TCP daemons twice — once on the stateless ``map_shards``
-    route (every wave re-ships the shard payloads in full) and once on the
-    stateful session route (frontiers stay resident worker-side; waves
-    exchange intern-table references and only never-seen states travel
-    whole).  Both merges are parity-enforced against the serial explorer
-    before any number is recorded.  Returns the rows, the bytes-per-wave
-    ratio (> 1 means the session route moved strictly fewer bytes), and
-    the session's raw ``wire_stats``.
-    """
-    name, m, n, model = REDUCTION_BENCH_CASE
-    algorithm = get(name)
-    grid = Grid(m, n)
-    label = f"{name} {m}x{n} [{model}] waves"
-    serial = explore_sharded(algorithm, grid, model, workers=1, reduction="grid")
-
-    start = time.perf_counter()
-    with DistributedBackend(min_workers=daemon_workers, sessions=False) as backend:
-        with WorkerDaemon(backend.host, backend.port, workers=daemon_workers).start():
-            stateless = explore_sharded(algorithm, grid, model, backend=backend, reduction="grid")
-        stateless_bytes = backend.stats["bytes_sent"] + backend.stats["bytes_received"]
-    stateless_s = time.perf_counter() - start
-
-    start = time.perf_counter()
-    with DistributedBackend(min_workers=daemon_workers) as backend:
-        with WorkerDaemon(backend.host, backend.port, workers=daemon_workers).start():
-            stateful = explore_sharded(algorithm, grid, model, backend=backend, reduction="grid")
-        stateful_bytes = backend.stats["bytes_sent"] + backend.stats["bytes_received"]
-    stateful_s = time.perf_counter() - start
-
-    # RuntimeError, not assert: parity must hold even under ``python -O``.
-    # matcher_stats aggregates the remote workers' cache counters and is
-    # the one documented difference between the routes; the graph fields
-    # must be byte-identical.
-    from dataclasses import replace
-
-    if replace(stateless, matcher_stats=None) != replace(serial, matcher_stats=None):
-        raise RuntimeError("stateless wave exploration diverged from the serial explorer")
-    if replace(stateful, matcher_stats=None) != replace(serial, matcher_stats=None):
-        raise RuntimeError("stateful wave exploration diverged from the serial explorer")
-    wire = stateful.wire_stats
-    if not wire or wire["waves"] < 1:
-        raise RuntimeError("the stateful route recorded no session wire stats")
-
-    # Both routes run the identical wave loop, so per-wave bytes compare on
-    # the same denominator; the heartbeat traffic both routes carry rides
-    # in the totals and only dilutes the ratio.
-    waves = wire["waves"]
-    rows = [
-        _case(f"{label} stateless", stateless_s, stateless.num_states, workers=daemon_workers),
-        _case(f"{label} stateful", stateful_s, stateful.num_states, workers=daemon_workers),
-    ]
-    rows[0]["bytes_on_wire"] = stateless_bytes
-    rows[0]["bytes_per_wave"] = stateless_bytes / waves
-    rows[1]["bytes_on_wire"] = stateful_bytes
-    rows[1]["bytes_per_wave"] = stateful_bytes / waves
-    ratio = stateless_bytes / stateful_bytes if stateful_bytes else float("inf")
-    return rows, ratio, dict(wire)
 
 
 def _store_sweep(store_path: Path) -> Tuple[int, int, float, float, dict]:
@@ -738,28 +631,6 @@ def bench_from_records(repetitions: int) -> Tuple[List[dict], float]:
     )
 
 
-def bench_sharded_wide(workers: int) -> List[dict]:
-    """Serial vs sharded on the widest shared workload (8x8 SSYNC, k=3)."""
-    algorithm = get("fsync_phi2_l2_nochir_k3")
-    grid = Grid(8, 8)
-    label = "fsync_phi2_l2_nochir_k3 8x8 [SSYNC]"
-
-    start = time.perf_counter()
-    serial = explore(AlgorithmTransitionSystem(algorithm, grid, "SSYNC")).num_states
-    serial_s = time.perf_counter() - start
-
-    start = time.perf_counter()
-    sharded = explore_sharded(algorithm, grid, "SSYNC", workers=workers).num_states
-    sharded_s = time.perf_counter() - start
-    if sharded != serial:
-        raise RuntimeError("sharded explorer diverged from the serial exploration")
-
-    return [
-        _case(f"{label} serial", serial_s, serial),
-        _case(f"{label} sharded", sharded_s, sharded, workers=workers),
-    ]
-
-
 # ---------------------------------------------------------------------------
 # Reporting
 # ---------------------------------------------------------------------------
@@ -779,23 +650,20 @@ def _print_table(rows: List[dict]) -> None:
         )
 
 
-def run_full(repetitions: int, workers: int, output: Path) -> int:
+def run_full(repetitions: int, output: Path) -> int:
     rows: List[dict] = []
     rows += bench_seed_vs_engine("fsync_phi2_l2_chir_k2", "FSYNC", repetitions)
     rows += bench_seed_vs_engine("fsync_phi2_l2_chir_k2", "SSYNC", repetitions)
     rows += bench_seed_vs_engine("fsync_phi1_l2_chir_k3", "SSYNC", repetitions)
-    rows += bench_fsync_4x4(repetitions, workers)
+    rows += bench_fsync_4x4(repetitions)
     cross_rows, cross_rate = bench_cross_size_cache()
     rows += cross_rows
-    pooled_rows, pooled_x, pooled_reuse_rate = bench_pooled_reuse(workers)
+    pooled_rows, pooled_reuse_rate = bench_pooled_reuse()
     rows += pooled_rows
-    rows += bench_sharded_wide(workers)
     reduction_rows, grid_quotient_x, por_quotient_x = bench_reduction(max(1, repetitions // 10))
     rows += reduction_rows
     distributed_rows, distributed_x = bench_distributed()
     rows += distributed_rows
-    stateful_rows, stateful_wire_x, session_wire = bench_stateful_waves()
-    rows += stateful_rows
     store_rows, store_x, store_stats = bench_store()
     rows += store_rows
     service_rows, service_warm_s, service_cold_s, service_store_stats = bench_service()
@@ -814,23 +682,12 @@ def run_full(repetitions: int, workers: int, output: Path) -> int:
         by_case["fsync_phi2_l2_chir_k2 4x4 [FSYNC] cold"]["wall_s"]
         / by_case["fsync_phi2_l2_chir_k2 4x4 [FSYNC] cached"]["wall_s"]
     )
-    sharded_x = (
-        by_case["fsync_phi2_l2_nochir_k3 8x8 [SSYNC] serial"]["wall_s"]
-        / by_case["fsync_phi2_l2_nochir_k3 8x8 [SSYNC] sharded"]["wall_s"]
-    )
 
     _print_table(rows)
     print(f"\n3x3 FSYNC: engine kernel is {engine_x:.2f}x the seed checker")
     print(f"4x4 FSYNC exhaustive check: persistent-cache fast path is {fsync44_x:.2f}x the cold path")
-    print(
-        f"8x8 SSYNC: sharded (workers={workers}) is {sharded_x:.2f}x serial"
-        f" on {os.cpu_count()} CPU core(s)"
-    )
     print(f"cross-size matcher-cache hit rate on the final sweep size: {cross_rate:.0%}")
-    print(
-        f"3x3 FSYNC twice: persistent pool is {pooled_x:.2f}x two cold sharded calls"
-        f" ({pooled_reuse_rate:.0%} cache hits on the second check)"
-    )
+    print(f"3x3 FSYNC twice on one pool: {pooled_reuse_rate:.0%} cache hits on the second check")
     reduction_label = "{} {}x{} [{}]".format(*REDUCTION_BENCH_CASE)
     print(
         f"{reduction_label}: grid+color+por explores {por_quotient_x:.2f}x fewer states"
@@ -839,11 +696,6 @@ def run_full(repetitions: int, workers: int, output: Path) -> int:
     print(
         f"exhaustive sweep over 2 TCP worker daemons: {distributed_x:.2f}x the pooled"
         " engine (identical reports; <1 means the TCP hop cost more than it bought)"
-    )
-    print(
-        f"{reduction_label} over 2 TCP daemons: stateful sessions moved"
-        f" {stateful_wire_x:.2f}x fewer bytes per wave than stateless jobs"
-        f" ({session_wire['waves']} waves, {session_wire['rows_exchanged']} rows exchanged)"
     )
     print(
         f"exhaustive sweep against the verdict store: warm hits are {store_x:.2f}x"
@@ -874,12 +726,6 @@ def run_full(repetitions: int, workers: int, output: Path) -> int:
     if cross_rate <= 0.0:
         print("FAIL: expected a nonzero cross-size matcher-cache hit rate", file=sys.stderr)
         ok = False
-    if pooled_x <= 1.0:
-        print(
-            "FAIL: expected two pooled checks to beat two cold sharded calls on 3x3 FSYNC",
-            file=sys.stderr,
-        )
-        ok = False
     if pooled_reuse_rate <= 0.0:
         print(
             "FAIL: expected a nonzero cross-exploration hit rate on the second pooled check",
@@ -890,13 +736,6 @@ def run_full(repetitions: int, workers: int, output: Path) -> int:
         print(
             "FAIL: expected grid+color+por to explore strictly fewer states than the"
             " grid quotient on the reduction bench case",
-            file=sys.stderr,
-        )
-        ok = False
-    if stateful_wire_x <= 1.0:
-        print(
-            "FAIL: expected the stateful session route to move strictly fewer bytes"
-            " per wave than the stateless route on the reduction bench case",
             file=sys.stderr,
         )
         ok = False
@@ -940,22 +779,17 @@ def run_full(repetitions: int, workers: int, output: Path) -> int:
         "generated_unix": int(time.time()),
         "python": platform.python_version(),
         "cpus": os.cpu_count(),
-        "workers": workers,
         "repetitions": repetitions,
         "cases": rows,
         "headline": {
             "engine_vs_seed_3x3_fsync": engine_x,
             "fsync_4x4_exhaustive_speedup": fsync44_x,
-            "sharded_vs_serial_8x8_ssync": sharded_x,
             "cross_size_cache_hit_rate": cross_rate,
-            "pooled_vs_cold_sharded_3x3_fsync_x2": pooled_x,
             "pooled_cross_exploration_hit_rate": pooled_reuse_rate,
             "reduction_bench_case": reduction_label,
             "reduction_grid_quotient_vs_unreduced": grid_quotient_x,
             "reduction_grid_color_por_vs_grid": por_quotient_x,
             "distributed_2daemons_vs_pooled_sweep": distributed_x,
-            "stateful_vs_stateless_bytes_per_wave": stateful_wire_x,
-            "stateful_session_wire": session_wire,
             "store_warm_vs_cold_sweep": store_x,
             "store_stats": store_stats,
             "service_warm_hit_latency_s": service_warm_s,
@@ -1118,7 +952,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--smoke", action="store_true", help="quick regression guard only")
     parser.add_argument("--repetitions", type=int, default=None, help="explicit repetition count")
-    parser.add_argument("--workers", type=int, default=4, help="shard count for the sharded cases")
     parser.add_argument(
         "--output", type=Path, default=BENCH_PATH, help="where to write BENCH_engine.json"
     )
@@ -1128,7 +961,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         repetitions = args.repetitions if args.repetitions is not None else 20
         return run_smoke(repetitions, args.output)
     repetitions = args.repetitions if args.repetitions is not None else 100
-    return run_full(repetitions, args.workers, args.output)
+    return run_full(repetitions, args.output)
 
 
 if __name__ == "__main__":

@@ -14,10 +14,11 @@ from typing import TYPE_CHECKING, Iterable, List, Optional, Tuple
 from ..core.algorithm import Algorithm
 from ..core.errors import VerificationError
 from ..core.grid import Grid
+from ..engine.backend import backend_cache
+from ..engine.explorer import explore_sharded
 from ..engine.matcher import MatcherCache
 from ..engine.pool import ExplorationPool, registered
 from ..engine.reduction import ReductionSpec, normalize_reduction
-from ..engine.sharded import explore_sharded
 from ..engine.suites import scaling_suite
 from ..engine.walk import TieBreak, run_fsync
 
@@ -178,47 +179,41 @@ def state_space_sweep(
     under (``symmetry_reduction=True`` stays as the deprecated alias for
     ``reduction="grid"``); the per-size quotient ratios land on the points.
 
-    Each size is explored exhaustively.  With ``pool`` the sweep runs
-    through the persistent :class:`~repro.engine.pool.ExplorationPool`:
-    small sizes route serially on its warm coordinator cache, large ones
-    shard over its long-lived workers, and every size after the first
-    benefits from the patterns already memoized — without the pool, each
-    size runs serially on one sweep-local cache.  The counts are identical
-    either way (routing and caching never change exploration results).
-    ``backend`` supersedes ``pool``: each size's exploration fans its BFS
-    waves out through ``backend.map_shards`` instead (see
-    :mod:`repro.engine.backend`) — counts still identical.
-    ``store`` memoizes each size's exploration in a
+    Each size is explored exhaustively in this process, on one matcher
+    cache for the whole sweep: the coordinator cache of ``pool`` (a
+    persistent :class:`~repro.engine.pool.ExplorationPool`, so the sweep
+    shares warmth with every other workload threaded through it), else
+    the in-process cache of ``backend``, else a sweep-local one.  Every
+    size after the first benefits from the patterns already memoized; the
+    counts are identical either way (caching never changes exploration
+    results).  ``store`` memoizes each size's exploration in a
     :class:`~repro.engine.store.VerdictStore`, so repeated sweeps (and any
     other store consumer asking for the same exploration) skip the BFS.
     """
     if sizes is None:
         sizes = scaling_suite(algorithm)
     spec = normalize_reduction(reduction, symmetry_reduction)
-    pool = pool if pool is not None else ExplorationPool(workers=1)
+    if pool is not None:
+        cache = pool.cache
+    elif backend is not None:
+        cache = backend_cache(backend)
+    else:
+        cache = None
+    if cache is None:
+        cache = MatcherCache()
     points = []
     for m, n in sizes:
         if not algorithm.supports_grid(m, n):
             continue
-        if backend is not None:
-            exploration = explore_sharded(
-                algorithm,
-                Grid(m, n),
-                model,
-                reduction=spec,
-                max_states=max_states,
-                backend=backend,
-                store=store,
-            )
-        else:
-            exploration = pool.explore(
-                algorithm,
-                Grid(m, n),
-                model,
-                reduction=spec,
-                max_states=max_states,
-                store=store,
-            )
+        exploration = explore_sharded(
+            algorithm,
+            Grid(m, n),
+            model,
+            reduction=spec,
+            max_states=max_states,
+            cache=cache,
+            store=store,
+        )
         stats = exploration.matcher_stats or {}
         points.append(
             StateSpacePoint(

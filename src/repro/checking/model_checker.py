@@ -48,11 +48,10 @@ from typing import TYPE_CHECKING, Dict, List, Optional
 
 from ..core.algorithm import Algorithm
 from ..core.grid import Grid
-from ..engine.explorer import Exploration, guaranteed_nodes, has_cycle
+from ..engine.explorer import Exploration, explore_sharded, guaranteed_nodes, has_cycle
 from ..engine.matcher import MatcherCache
 from ..engine.pool import ExplorationPool
-from ..engine.reduction import ReductionSpec, normalize_reduction
-from ..engine.sharded import explore_sharded
+from ..engine.reduction import ReductionSpec
 from ..engine.states import SchedulerState
 from ..engine.transition import AlgorithmTransitionSystem
 
@@ -82,8 +81,8 @@ class CheckResult:
     #: Matcher-cache counters accumulated by this check (``hits`` /
     #: ``misses`` / ``hit_rate``); ``None`` for results built by hand.
     #: Excluded from equality: the counters depend on how warm the matcher
-    #: happened to be, and results are promised identical across the
-    #: serial/sharded/cached execution modes.
+    #: happened to be, and results are promised identical however warm it
+    #: was.
     matcher_stats: Optional[Dict[str, float]] = field(default=None, compare=False)
     #: The active reduction spec the check ran under (``"none"``,
     #: ``"grid"``, ``"grid+color+por"``, ...).
@@ -92,11 +91,6 @@ class CheckResult:
     #: pruned); deterministic for a given check, but excluded from equality
     #: like the matcher counters — observability, not part of the verdict.
     reduction_stats: Optional[Dict[str, Dict[str, float]]] = field(default=None, compare=False)
-    #: Wire accounting when the exploration ran over a stateful shard
-    #: session (``bytes_sent`` / ``bytes_received`` / ``rows_exchanged`` /
-    #: ``waves``; see :mod:`repro.engine.distributed`).  Transport
-    #: observability, excluded from equality like the matcher counters.
-    wire_stats: Optional[Dict[str, int]] = field(default=None, compare=False)
     #: Verdict-store counters when the check was requested through a
     #: :class:`~repro.engine.store.VerdictStore` (``hits`` / ``misses`` /
     #: ``coalesced`` / ``outcome``).  Cache observability, excluded from
@@ -143,73 +137,33 @@ def _explore(
     start: Optional[SchedulerState] = None,
     symmetry_reduction: bool,
     reduction: ReductionSpec,
-    workers: Optional[int],
     cache: Optional[MatcherCache],
     pool: Optional[ExplorationPool],
     backend: Optional["ExecutionBackend"] = None,
     kernel: Optional[str] = None,
     store=None,
 ) -> Exploration:
-    """Route one exploration through the pool, the sharded or the serial explorer.
+    """Run one exploration in this process on the warmest cache at hand.
 
-    ``pool`` — a persistent :class:`~repro.engine.pool.ExplorationPool` —
-    takes precedence: the pool routes adaptively (serial below its
-    estimated-state-count threshold, sharded on its long-lived workers
-    above) and keeps both its coordinator-side and its per-worker matcher
-    caches warm across the checks threaded through it.  Otherwise
-    ``workers > 1`` fans the frontier over an ephemeral process pool (see
-    :mod:`repro.engine.sharded`), and the serial path optionally runs on a
-    matcher backed by a shared :class:`MatcherCache` so repeated checks of
-    the same algorithm — at any grid size — start warm.  Every route
-    produces the identical ``Exploration``.
-
-    ``kernel`` selects the successor kernel (``"object"`` / ``"packed"`` /
-    ``"auto"``; see :mod:`repro.engine.packed`) on every route — it rides
-    in the ``ExploreKey``, so sharded and backend workers rebuild the
-    matching transition system.  Verdicts are kernel-independent.
+    The cache is ``cache``, else the coordinator cache of ``pool`` (a
+    persistent :class:`~repro.engine.pool.ExplorationPool`), else the
+    in-process cache of ``backend``, else a fresh one; none of them
+    changes the result.  ``kernel`` selects the successor kernel
+    (``"object"`` / ``"packed"`` / ``"auto"``; see
+    :mod:`repro.engine.packed`).  Verdicts are kernel-independent.
     """
-    if model not in ("FSYNC", "SSYNC", "ASYNC"):
-        raise ValueError(f"unknown model {model!r}")
-    spec = normalize_reduction(reduction, symmetry_reduction)
-    if backend is not None:
-        # An ExecutionBackend supersedes pool/workers/cache: the wave loop
-        # advances a stateful shard session when the backend offers one,
-        # else fans shards out through backend.map_shards (possibly over
-        # TCP worker daemons) — byte-identical to the serial path either way.
-        return explore_sharded(
-            algorithm,
-            grid,
-            model,
-            reduction=spec,
-            max_states=max_states,
-            start=start,
-            cache=cache,
-            backend=backend,
-            kernel=kernel,
-            store=store,
-        )
-    if pool is not None:
-        return pool.explore(
-            algorithm,
-            grid,
-            model,
-            reduction=spec,
-            max_states=max_states,
-            start=start,
-            kernel=kernel,
-            store=store,
-        )
-    # explore_sharded owns both remaining routes: workers > 1 shards over an
-    # ephemeral pool, workers <= 1 is the serial explorer on ``cache``.
+    if cache is None and pool is not None:
+        cache = pool.cache
     return explore_sharded(
         algorithm,
         grid,
         model,
-        workers=workers if workers is not None else 1,
-        reduction=spec,
+        reduction=reduction,
+        symmetry_reduction=symmetry_reduction,
         max_states=max_states,
         start=start,
         cache=cache,
+        backend=backend,
         kernel=kernel,
         store=store,
     )
@@ -222,7 +176,6 @@ def explore_state_space(
     max_states: int = 200_000,
     start: Optional[SchedulerState] = None,
     symmetry_reduction: bool = False,
-    workers: Optional[int] = None,
     cache: Optional[MatcherCache] = None,
     pool: Optional[ExplorationPool] = None,
     reduction: ReductionSpec = None,
@@ -239,14 +192,13 @@ def explore_state_space(
     ASYNC interleavings instead of quotienting.  ``symmetry_reduction=True``
     is the deprecated alias for ``reduction="grid"``.
 
-    ``workers > 1`` shards the frontier across a process pool; ``cache``
-    reuses snapshot/match memo tables across repeated (serial) checks;
-    ``pool`` runs the exploration on a persistent
-    :class:`~repro.engine.pool.ExplorationPool` (superseding ``workers``
-    and ``cache``, which the pool manages itself); ``store`` serves the
-    exploration from a persistent
-    :class:`~repro.engine.store.VerdictStore` when it was computed
-    before.  All four leave the result unchanged.
+    ``cache`` reuses snapshot/match memo tables across repeated checks;
+    ``pool`` (a persistent :class:`~repro.engine.pool.ExplorationPool`)
+    and ``backend`` lend their in-process cache when ``cache`` is not
+    given; ``store`` serves the exploration from a persistent
+    :class:`~repro.engine.store.VerdictStore` when it was computed before.
+    The exploration always runs in this process, and none of the four
+    changes the result.
     """
     exploration = _explore(
         algorithm,
@@ -256,7 +208,6 @@ def explore_state_space(
         start=start,
         symmetry_reduction=symmetry_reduction,
         reduction=reduction,
-        workers=workers,
         cache=cache,
         pool=pool,
         backend=backend,
@@ -272,7 +223,6 @@ def enumerate_reachable(
     model: str = "SSYNC",
     max_states: int = 200_000,
     symmetry_reduction: bool = False,
-    workers: Optional[int] = None,
     cache: Optional[MatcherCache] = None,
     pool: Optional[ExplorationPool] = None,
     reduction: ReductionSpec = None,
@@ -288,7 +238,6 @@ def enumerate_reachable(
         max_states=max_states,
         symmetry_reduction=symmetry_reduction,
         reduction=reduction,
-        workers=workers,
         cache=cache,
         pool=pool,
         backend=backend,
@@ -303,7 +252,6 @@ def check_terminating_exploration(
     model: str = "SSYNC",
     max_states: int = 200_000,
     symmetry_reduction: bool = False,
-    workers: Optional[int] = None,
     cache: Optional[MatcherCache] = None,
     pool: Optional[ExplorationPool] = None,
     reduction: ReductionSpec = None,
@@ -322,14 +270,11 @@ def check_terminating_exploration(
     verdict-preserving; see :mod:`repro.engine.reduction`).
     ``symmetry_reduction=True`` remains the deprecated alias for
     ``reduction="grid"``.  The verdict is likewise identical with and
-    without ``workers`` (sharded exploration merges into the serial graph
-    exactly), with and without ``cache`` (memoization only skips
-    recomputation), and with and without ``pool`` (a persistent
-    :class:`~repro.engine.pool.ExplorationPool`, which routes adaptively
-    between those two mechanisms and supersedes both arguments).  It is
-    also identical under every ``kernel`` (``"object"`` / ``"packed"`` /
-    ``"auto"``): the packed successor kernel only changes how fast states
-    are expanded, never which states exist.
+    without ``cache``, ``pool`` or ``backend`` (they only lend a warm
+    matcher cache; the exploration runs in this process either way), and
+    under every ``kernel`` (``"object"`` / ``"packed"`` / ``"auto"``): the
+    packed successor kernel only changes how fast states are expanded,
+    never which states exist.
 
     ``store`` — a :class:`~repro.engine.store.VerdictStore` — caches the
     whole :class:`CheckResult` under a content key that includes the
@@ -352,14 +297,14 @@ def check_terminating_exploration(
                 lambda: _run_check(
                     algorithm, grid, model,
                     max_states=max_states, symmetry_reduction=symmetry_reduction,
-                    workers=workers, cache=cache, pool=pool, reduction=reduction,
+                    cache=cache, pool=pool, reduction=reduction,
                     backend=backend, kernel=kernel, store=store,
                 ),
             )
     return _run_check(
         algorithm, grid, model,
         max_states=max_states, symmetry_reduction=symmetry_reduction,
-        workers=workers, cache=cache, pool=pool, reduction=reduction,
+        cache=cache, pool=pool, reduction=reduction,
         backend=backend, kernel=kernel, store=store,
     )
 
@@ -371,7 +316,6 @@ def _run_check(
     *,
     max_states: int,
     symmetry_reduction: bool,
-    workers: Optional[int],
     cache: Optional[MatcherCache],
     pool: Optional[ExplorationPool],
     reduction: ReductionSpec,
@@ -387,7 +331,6 @@ def _run_check(
         max_states=max_states,
         symmetry_reduction=symmetry_reduction,
         reduction=reduction,
-        workers=workers,
         cache=cache,
         pool=pool,
         backend=backend,
@@ -411,7 +354,6 @@ def _run_check(
             matcher_stats=exploration.matcher_stats,
             reduction=exploration.reduction,
             reduction_stats=exploration.reduction_stats,
-            wire_stats=exploration.wire_stats,
         )
 
     all_nodes = frozenset(grid.nodes())
@@ -441,5 +383,4 @@ def _run_check(
         matcher_stats=exploration.matcher_stats,
         reduction=exploration.reduction,
         reduction_stats=exploration.reduction_stats,
-        wire_stats=exploration.wire_stats,
     )

@@ -19,25 +19,22 @@ paper are implemented; every other layer consumes it:
   grid-symmetry quotient x detected color-permutation symmetry x ASYNC
   partial-order reduction, selected by a ``reduction=`` spec;
 * :mod:`repro.engine.explorer` — frontier search, interning, cycle and
-  coverage analyses (the model checker's substrate);
-* :mod:`repro.engine.sharded` — hash-partitioned parallel exploration over
-  a process pool, merge-identical to the serial explorer;
+  coverage analyses (the model checker's substrate), and
+  :func:`explore_sharded`, the registry-level entry point that explores
+  an ``(algorithm, grid, model)`` triple in the calling process;
 * :mod:`repro.engine.pool` — the persistent :class:`ExplorationPool`:
-  long-lived workers with surviving matcher caches, adaptive
-  serial/sharded routing;
+  long-lived workers with surviving matcher caches, plus the
+  coordinator-side cache explorations run on;
 * :mod:`repro.engine.backend` — the :class:`ExecutionBackend` protocol
-  (serial / pooled / distributed execution of campaign tasks and
-  exploration shards, all result-identical);
+  (serial / pooled / distributed execution of campaign task lists, all
+  result-identical);
 * :mod:`repro.engine.distributed` — TCP worker daemons and the
   length-prefixed-pickle coordinator (:class:`DistributedBackend`) that
-  fans the same payloads out beyond one machine, including stateful
-  shard sessions (:class:`ShardSession`) with resident worker frontiers
-  and delta-only wave exchange;
+  fans the same task lists out beyond one machine;
 * :mod:`repro.engine.faults` — deterministic, seeded fault injection
   (:class:`FaultPlan`) for chaos-testing the distributed stack;
 * :mod:`repro.engine.journal` — the durable, resumable campaign verdict
-  journal (:class:`CampaignJournal`) and the checkpointed shard-snapshot
-  store (:class:`ShardSnapshotStore`) session recovery restores from;
+  journal (:class:`CampaignJournal`);
 * :mod:`repro.engine.store` — the persistent content-addressed
   :class:`VerdictStore`: explorations, check results and campaign
   reports cached on disk by content hash, with in-flight request
@@ -49,7 +46,9 @@ paper are implemented; every other layer consumes it:
 * :mod:`repro.engine.suites` — shared grid-size suites;
 * :mod:`repro.engine.campaign` — batched serial/parallel campaign runner.
 
-See ``docs/architecture.md`` for the full layering diagram.
+One rule governs execution: explorations run in the calling process on
+the backend's cache, and task lists fan out.  See ``docs/architecture.md``
+for the full layering diagram.
 """
 
 from .campaign import (
@@ -72,15 +71,20 @@ from .backend import (
     FallbackBackend,
     FleetLostError,
     NoWorkersError,
-    PoisonedItemError,
     PoolBackend,
     SerialBackend,
-    ShardSession,
     backend_cache,
 )
-from .explorer import Exploration, explore, guaranteed_nodes, has_cycle, topological_order
+from .explorer import (
+    Exploration,
+    explore,
+    explore_sharded,
+    guaranteed_nodes,
+    has_cycle,
+    topological_order,
+)
 from .faults import Fault, FaultInjected, FaultPlan
-from .journal import CampaignJournal, ShardSnapshotStore
+from .journal import CampaignJournal
 from .matcher import LocalMatcher, MatcherCache, MatcherStats
 from .packed import (
     HAS_NUMPY,
@@ -90,27 +94,18 @@ from .packed import (
     build_transition_system,
     normalize_kernel,
 )
-from .pool import (
-    PACKED_SERIAL_FACTOR,
-    SERIAL_THRESHOLD,
-    ExplorationPool,
-    default_workers,
-    estimate_states,
-    process_cache,
-)
+from .pool import ExplorationPool, default_workers, process_cache
 from .profile import PROFILE_ENV, KernelProfile, profiling_enabled
 from .reduction import (
     ColorPermutation,
     ProductWitness,
     Reduction,
     ReductionPipeline,
-    apriori_reduction_factor,
     detect_color_permutations,
     normalize_reduction,
     resolve_reduction,
     transform_state_colors,
 )
-from .sharded import explore_sharded
 from .spec import (
     CheckSpec,
     SpecError,
@@ -189,7 +184,6 @@ __all__ = [
     "transform_state_colors",
     "normalize_reduction",
     "resolve_reduction",
-    "apriori_reduction_factor",
     # packed kernel
     "KERNELS",
     "HAS_NUMPY",
@@ -207,10 +201,7 @@ __all__ = [
     "explore_sharded",
     # pool
     "ExplorationPool",
-    "SERIAL_THRESHOLD",
-    "PACKED_SERIAL_FACTOR",
     "default_workers",
-    "estimate_states",
     "process_cache",
     # backends
     "ExecutionBackend",
@@ -218,7 +209,6 @@ __all__ = [
     "PoolBackend",
     "DistributedBackend",
     "FallbackBackend",
-    "ShardSession",
     "WorkerDaemon",
     "WorkerStatus",
     "backend_cache",
@@ -230,11 +220,9 @@ __all__ = [
     "FaultInjected",
     "FaultPlan",
     "CampaignJournal",
-    "ShardSnapshotStore",
     "VerdictStore",
     "FleetLostError",
     "NoWorkersError",
-    "PoisonedItemError",
     "has_cycle",
     "topological_order",
     "guaranteed_nodes",

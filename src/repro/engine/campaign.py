@@ -424,10 +424,9 @@ def run_task(task: CampaignTask) -> VerificationReport:
     This is the worker entry point of the parallel engine; it must stay a
     module-level function so ``multiprocessing`` can pickle it.  Matching
     runs against the worker's persistent
-    :func:`~repro.engine.pool.process_cache` — the very cache the sharded
-    explorer warms in the same worker, so on a long-lived
-    :class:`~repro.engine.pool.ExplorationPool` campaign tasks and
-    explorations keep each other warm across an entire session.
+    :func:`~repro.engine.pool.process_cache`, so on a long-lived
+    :class:`~repro.engine.pool.ExplorationPool` each task starts as warm as
+    every earlier task on the same worker left it.
     """
     from ..algorithms import registry  # local import: avoids a layering cycle
 
@@ -623,9 +622,9 @@ class ParallelCampaignEngine:
     makes the engine execute its task lists on those long-lived workers
     instead of spawning an ephemeral pool per call: startup is amortised
     across campaigns, and the workers' matcher caches stay warm from one
-    task list (and from any sharded exploration run on the same pool) to
-    the next.  ``workers`` defaults to the pool's worker count, else to
-    the affinity-aware :func:`~repro.engine.pool.default_workers`.
+    task list to the next.  ``workers`` defaults to the pool's worker
+    count, else to the affinity-aware
+    :func:`~repro.engine.pool.default_workers`.
 
     ``backend`` — any :class:`~repro.engine.backend.ExecutionBackend` —
     supersedes both: task lists go to ``backend.run_tasks`` verbatim, so

@@ -8,15 +8,14 @@ listens on a TCP port, accepts connections from worker daemons started as
 
     python -m repro.engine.distributed worker --connect HOST:PORT --workers N
 
-and feeds them the same two payload shapes every other backend evaluates —
-:class:`~repro.engine.campaign.CampaignTask` work items and
-``(ExploreKey, [states])`` exploration shards.  Workers rebuild transition
-systems and reduction pipelines from the specs inside the payloads
-(exactly like :data:`~repro.engine.pool.ExploreKey` rebuilding works for
-pool workers today), evaluate them with the battle-tested worker functions
-(:func:`~repro.engine.campaign.run_task`,
-:func:`~repro.engine.pool.expand_shard`) against their process-persistent
-:func:`~repro.engine.pool.process_cache`, and stream the results back.
+and feeds them the payload shape every other backend evaluates:
+:class:`~repro.engine.campaign.CampaignTask` work items.  Workers evaluate
+them with the worker function every backend shares
+(:func:`~repro.engine.campaign.run_task`) against their process-persistent
+:func:`~repro.engine.pool.process_cache`, and stream the reports back.
+Explorations never cross the wire: a check or exploration handed a
+:class:`DistributedBackend` runs the serial explorer in the calling
+process, and only campaign task lists fan out to the daemons.
 
 Wire protocol
 =============
@@ -34,42 +33,17 @@ worker -> coordinator                      coordinator -> worker
 =========================================  =======================================
 ``("hello", info_dict)``                   ``("work", item_id, kind, payload)``
 ``("result", item_id, value)``             ``("shutdown",)``
-``("error", item_id, traceback)``          ``("open", sid, key)``
-``("heartbeat", item_id)``                 ``("wave", sid, wave, shard, entries)``
-``("wave_result", sid, wave, shard,        ``("snapshot", sid, shard, table)``
-rows, hm, red, watermark)``                ``("close", sid)``
+``("error", item_id, traceback)``
+``("heartbeat", item_id)``
 =========================================  =======================================
 
-``kind`` is ``"task"`` (evaluate with ``run_task``) or ``"shard"``
-(evaluate with ``expand_shard``).  ``heartbeat`` frames are streamed while
-a worker is evaluating a long item (every ``heartbeat_interval`` seconds),
-so a coordinator running with a per-item deadline can tell *slow but
-alive* from *wedged*.  Both the coordinator and the daemons are expected
-to live inside one trust domain (pickle executes arbitrary code by design
-— never expose the port to untrusted peers).
-
-Stateful shard sessions
-=======================
-The ``open`` / ``snapshot`` / ``wave`` / ``close`` frames implement the
-**stateful session** route behind
-:meth:`DistributedBackend.open_exploration`.  One exploration opens a
-session; each enrolled worker connection keeps a
-:class:`~repro.engine.pool.ResidentShard` per logical shard it owns — the
-shard's append-only intern table of every state it has ever exchanged —
-mirrored coordinator-side by a :class:`_ShardMirror`.  Wave frames then
-carry table *references* instead of full states wherever a state has been
-exchanged before, so per-wave wire bytes track the cross-shard frontier
-delta rather than the explored set.  ``snapshot`` frames (re)install a
-shard's table on a worker: at session open (empty table), on worker
-**join** (elastic rebalancing moves shards to the newcomer), and on
-worker **leave** — where the shard is *restored* when the
-:class:`~repro.engine.journal.ShardSnapshotStore` checkpoint is current
-(its watermark, the table length, equals the mirror's) or
-*re-partitioned* from the stale checkpoint prefix otherwise.  Either way
-the exploration resumes mid-wave instead of restarting, and the merged
-``Exploration`` stays byte-identical to the serial engine's (the
-``advance_wave`` API speaks full states; compression is wire-internal).
-See ``docs/architecture.md`` for the full protocol walk-through.
+``kind`` is ``"task"`` (evaluate with ``run_task``); a worker answers any
+other kind with an ``error`` frame.  ``heartbeat`` frames are streamed
+while a worker is evaluating a long item (every ``heartbeat_interval``
+seconds), so a coordinator running with a per-item deadline can tell
+*slow but alive* from *wedged*.  Both the coordinator and the daemons are
+expected to live inside one trust domain (pickle executes arbitrary code
+by design — never expose the port to untrusted peers).
 
 Scheduling, retries and determinism
 ===================================
@@ -83,10 +57,10 @@ for more.
 Workers may join at any time (new connections start pulling from the
 current queue) and die at any time: when a connection breaks with an item
 in flight, the coordinator requeues that item for the next available
-worker and drops the connection.  This is safe because both payload kinds
-are **pure functions of their payload** — re-evaluating a task or a shard
-on another worker yields the identical value, so at-least-once delivery
-still produces exactly-once results.
+worker and drops the connection.  This is safe because tasks are **pure
+functions of their payload** — re-evaluating a task on another worker
+yields the identical report, so at-least-once delivery still produces
+exactly-once results.
 
 Failure containment (PR 7)
 ==========================
@@ -102,11 +76,9 @@ propagate:
   requeue records an attempt (which worker, how it died).  An item whose
   attempts exhaust the budget is *quarantined* instead of requeued — a
   payload that deterministically kills its worker stops after N workers
-  rather than cycling through the whole fleet.  Quarantined campaign
-  tasks become structured failure reports naming the attempts (the rest
-  of the job is unaffected); quarantined shards raise
-  :class:`~repro.engine.backend.PoisonedItemError` (an exploration cannot
-  proceed without its rows).
+  rather than cycling through the whole fleet.  Quarantined tasks become
+  structured failure reports naming the attempts (the rest of the job is
+  unaffected).
 * **Structured fleet loss**: losing every worker mid-job raises
   :class:`~repro.engine.backend.FleetLostError` carrying the completed
   results and outstanding item ids, which is what lets the opt-in
@@ -120,11 +92,9 @@ subcommand drive it.
 
 Results are stored by item id and handed back in submission order, which
 is the whole determinism story: the campaign engine's reports come back
-in task order (identical to the serial engine's, because each report is a
-pure function of its task), and the sharded explorer's rows come back in
-shard order, after which the coordinator-side merge replays serial BFS
-order exactly as it does for the in-process pool.  Which daemon evaluated
-what, and in which order, is unobservable in the output.
+in task order, identical to the serial engine's because each report is a
+pure function of its task.  Which daemon evaluated what, and in which
+order, is unobservable in the output.
 """
 
 from __future__ import annotations
@@ -145,15 +115,11 @@ from collections import deque
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence, Tuple
 
-from .backend import FleetLostError, NoWorkersError, PoisonedItemError
+from .backend import FleetLostError, NoWorkersError
 from .campaign import CampaignTask, VerificationReport, run_task
-from .journal import ShardSnapshotStore
-from .pool import ExploreKey, ResidentShard, expand_shard
 from .reduction import normalize_reduction
-from .states import SchedulerState
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from .backend import ShardFrontier, ShardResult
     from .faults import FaultPlan
 
 __all__ = [
@@ -271,8 +237,7 @@ def recv_message_sized(sock: socket.socket) -> Tuple[object, int]:
 class _Job:
     """One in-flight batch: payloads out, results (by item id) back in."""
 
-    def __init__(self, kind: str, payloads: Sequence[object]) -> None:
-        self.kind = kind
+    def __init__(self, payloads: Sequence[object]) -> None:
         self.payloads = list(payloads)
         self.results: List[object] = [None] * len(self.payloads)
         self.remaining = len(self.payloads)
@@ -285,8 +250,6 @@ class _Job:
         self.attempts: List[List[str]] = [[] for _ in self.payloads]
         #: Items with a collected result (drives FleetLostError.completed).
         self.done: List[bool] = [False] * len(self.payloads)
-        #: Items quarantined after exhausting the retry budget.
-        self.poisoned: List[int] = []
 
 
 def _poison_report(task: CampaignTask, attempts: Sequence[str]) -> VerificationReport:
@@ -310,433 +273,21 @@ def _poison_report(task: CampaignTask, attempts: Sequence[str]) -> VerificationR
     )
 
 
-# ---------------------------------------------------------------------------
-# Stateful shard sessions (coordinator side)
-# ---------------------------------------------------------------------------
-class _ShardMirror:
-    """Coordinator-side mirror of one shard's worker-resident intern table.
-
-    The mirror and the owning worker's
-    :class:`~repro.engine.pool.ResidentShard` append states in the same
-    deterministic order — per wave: every downlink full-state entry, in
-    entry order, then every uplink new-state reference, in report order —
-    so the two tables stay identical without ever being compared.
-
-    Downlink appends are *two-phase*: :meth:`encode_entry` stages them in a
-    pending overlay that :meth:`commit` folds into the table only when the
-    shard's wave result is delivered.  A worker that dies mid-wave never
-    delivered, so :meth:`rollback` discards the overlay and the mirror
-    still equals the table as of the last *delivered* wave — which makes
-    "is the snapshot current?" a plain watermark (length) comparison, and
-    re-encoding the in-flight wave against the mirror reproduce the exact
-    frame the dead worker would have processed.
-    """
-
-    def __init__(self, table: Optional[List[SchedulerState]] = None) -> None:
-        self.table: List[SchedulerState] = list(table) if table else []
-        self.seen: Dict[SchedulerState, int] = {s: i for i, s in enumerate(self.table)}
-        self._pending: List[SchedulerState] = []
-        self._pending_seen: Dict[SchedulerState, int] = {}
-
-    def encode_entry(self, state: SchedulerState) -> object:
-        """The downlink wire entry for one frontier state: ref or full."""
-        ref = self.seen.get(state)
-        if ref is None:
-            ref = self._pending_seen.get(state)
-        if ref is not None:
-            return ref
-        self._pending_seen[state] = len(self.table) + len(self._pending)
-        self._pending.append(state)
-        return ("f", state)
-
-    def commit(self) -> None:
-        """Fold staged downlink appends in: the wave result was delivered."""
-        for state in self._pending:
-            self.seen[state] = len(self.table)
-            self.table.append(state)
-        self._pending = []
-        self._pending_seen = {}
-
-    def rollback(self) -> None:
-        """Discard staged appends: the in-flight wave was never delivered."""
-        self._pending = []
-        self._pending_seen = {}
-
-    def append(self, state: SchedulerState) -> None:
-        """One uplink ``("n", state)`` intern, replayed at decode time."""
-        self.seen[state] = len(self.table)
-        self.table.append(state)
-
-
-class _SessionMember:
-    """One worker connection enrolled in a session.
-
-    The connection's serve thread drains :attr:`outbox` — ``(frame,
-    expects_reply)`` pairs, appended and popped under the backend lock —
-    and feeds replies back through :meth:`_CoordSession.deliver`.
-    """
-
-    def __init__(self, conn: socket.socket, peer: str) -> None:
-        self.conn = conn
-        self.peer = peer
-        self.outbox: deque = deque()
-        self.shards: set = set()
-        self.lost = False
-
-
-class _CoordSession:
-    """Coordinator end of one stateful shard session (a ``ShardSession``).
-
-    Owns the fixed logical shard count, the per-shard
-    :class:`_ShardMirror`\\ s, the shard-to-member assignment, and the
-    elastic recovery policy: a lost member's shards are **restored** onto
-    survivors when the :class:`~repro.engine.journal.ShardSnapshotStore`
-    checkpoint is current, **re-partitioned** from the stale checkpoint
-    prefix otherwise; a joining member is given shards from the most
-    loaded members (never one with a wave in flight).  All mutable state
-    is guarded by the owning backend's condition lock.
-    """
-
-    def __init__(
-        self,
-        backend: "DistributedBackend",
-        session_id: str,
-        key: ExploreKey,
-        n_shards: int,
-        store: ShardSnapshotStore,
-        snapshot_every: int,
-    ) -> None:
-        self._backend = backend
-        self.session_id = session_id
-        self.key = key
-        self.n_shards = n_shards
-        self._store = store
-        self._snapshot_every = snapshot_every
-        self._mirrors = [_ShardMirror() for _ in range(n_shards)]
-        self._owner: List[Optional[_SessionMember]] = [None] * n_shards
-        self._members: List[_SessionMember] = []
-        self._started = False
-        self._wave_index = -1
-        #: The in-flight wave's frontier (shard -> full states), kept so a
-        #: reassigned shard's slice can be re-encoded and re-sent.
-        self._current: Optional[Dict[int, List[SchedulerState]]] = None
-        self._delivered: Dict[int, "ShardResult"] = {}
-        #: Shards whose current-wave frame has been encoded and enqueued.
-        #: Each slice must be encoded exactly once per mirror state — the
-        #: encode stages mirror appends — so dispatch and recovery re-sends
-        #: coordinate through this set instead of racing.
-        self._dispatched: set = set()
-        #: Per-shard attempt log for the current wave ("peer: how it
-        #: died"); feeds the same ``max_item_attempts`` retry budget the
-        #: stateless route enforces, so a poison wave raises a structured
-        #: :class:`~repro.engine.backend.PoisonedItemError` instead of
-        #: burning through the whole fleet.
-        self._attempts: Dict[int, List[str]] = {}
-        self._poisoned: Optional[PoisonedItemError] = None
-        self._failure: Optional[str] = None
-        self._closed = False
-        # Per-session wire counters (the backend accumulates its own).
-        self.bytes_sent = 0
-        self.bytes_received = 0
-        #: What ``bytes_sent`` would have been without frame compression.
-        self.bytes_sent_raw = 0
-        #: Outbound frames whose bodies actually shipped zlib-compressed.
-        self.frames_compressed = 0
-        self.rows_exchanged = 0
-        self.waves = 0
-
-    # -- membership (backend lock held unless noted) --------------------
-    def _enroll_locked(self, conn: socket.socket, peer: str) -> _SessionMember:
-        member = _SessionMember(conn, peer)
-        self._members.append(member)
-        member.outbox.append((("open", self.session_id, self.key), False))
-        if self._started:
-            orphans = [s for s in range(self.n_shards) if self._owner[s] is None]
-            if orphans:
-                # The whole fleet died with these shards outstanding; the
-                # newcomer picks them up through the recovery path.
-                for shard in orphans:
-                    self._assign_locked(shard, member, cause="lost")
-            else:
-                self._rebalance_locked(member)
-        self._backend._lock.notify_all()
-        return member
-
-    def _rebalance_locked(self, member: _SessionMember) -> None:
-        """Move shards from the most loaded members to a fresh joiner.
-
-        Only shards with no wave in flight move (their mirrors are exactly
-        the owner's table, so the move is a snapshot send, not a recovery).
-        """
-        fair = max(1, self.n_shards // len(self._members))
-        while len(member.shards) < fair:
-            donor = max(
-                (m for m in self._members if m is not member),
-                key=lambda m: len(m.shards),
-                default=None,
-            )
-            if donor is None or len(donor.shards) <= len(member.shards) + 1:
-                return
-            movable = [s for s in sorted(donor.shards) if not self._in_flight_locked(s)]
-            if not movable:
-                return
-            self._assign_locked(movable[0], member, cause="join")
-            self._backend.shards_moved += 1
-
-    def _in_flight_locked(self, shard: int) -> bool:
-        return (
-            self._current is not None
-            and shard in self._current
-            and shard not in self._delivered
-        )
-
-    def _assign_locked(self, shard: int, member: _SessionMember, *, cause: str) -> None:
-        """Give ``shard`` to ``member``; re-send its in-flight wave slice.
-
-        ``cause`` is ``"open"`` (initial distribution), ``"join"`` (a
-        voluntary rebalancing move — the mirror is authoritative and
-        current) or ``"lost"`` (recovery — restore from a current
-        checkpoint, or re-partition from the stale prefix).
-        """
-        backend = self._backend
-        mirror = self._mirrors[shard]
-        if cause == "lost":
-            mirror.rollback()
-            if self._store.watermark(self.session_id, shard) == len(mirror.table):
-                backend.snapshots_restored += 1
-            else:
-                # The checkpoint lags the shard's delivered state (a sparse
-                # or disabled snapshot cadence): fall back to the
-                # checkpointed prefix — worker and mirror restart the
-                # shard's compression from there.  Only wire savings are
-                # lost; re-shipped states re-intern identically.
-                table = self._store.restore(self.session_id, shard) or []
-                mirror = self._mirrors[shard] = _ShardMirror(table)
-                backend.shards_repartitioned += 1
-        previous = self._owner[shard]
-        if previous is not None and previous is not member:
-            previous.shards.discard(shard)
-            if not previous.lost:
-                previous.outbox.append((("snapshot", self.session_id, shard, None), False))
-        self._owner[shard] = member
-        member.shards.add(shard)
-        member.outbox.append(
-            (("snapshot", self.session_id, shard, list(mirror.table)), False)
-        )
-        if self._in_flight_locked(shard):
-            entries = [mirror.encode_entry(s) for s in self._current[shard]]
-            member.outbox.append(
-                (("wave", self.session_id, self._wave_index, shard, entries), True)
-            )
-            self._dispatched.add(shard)
-
-    def member_lost(self, member: _SessionMember, reason: str) -> None:
-        """A member's connection died: recover its shards onto survivors."""
-        backend = self._backend
-        with backend._lock:
-            if member.lost:
-                return
-            member.lost = True
-            if member in self._members:
-                self._members.remove(member)
-            if self._closed:
-                return
-            shards = sorted(member.shards)
-            member.shards = set()
-            for shard in shards:
-                self._owner[shard] = None
-                if self._in_flight_locked(shard):
-                    log = self._attempts.setdefault(shard, [])
-                    log.append(f"{member.peer}: {reason}")
-                    if self._poisoned is None and len(log) >= backend.max_item_attempts:
-                        self._poisoned = PoisonedItemError(self._wave_index, log)
-            if self._members and self._poisoned is None:
-                for shard in shards:
-                    target = min(self._members, key=lambda m: len(m.shards))
-                    self._assign_locked(shard, target, cause="lost")
-            # No survivors: the shards stay orphaned; the next enrolling
-            # connection (or advance_wave's fleet-loss deadline) resolves it.
-            backend._lock.notify_all()
-
-    # -- wave delivery (called without the lock) -------------------------
-    def deliver(self, member: _SessionMember, reply: object) -> None:
-        backend = self._backend
-        with backend._lock:
-            if self._closed:
-                return
-            if isinstance(reply, tuple) and reply and reply[0] == "error":
-                self._failure = f"worker failed on a session wave:\n{reply[2]}"
-                backend._lock.notify_all()
-                return
-            if not (isinstance(reply, tuple) and len(reply) == 8 and reply[0] == "wave_result"):
-                self._failure = f"malformed session reply: {reply!r}"
-                backend._lock.notify_all()
-                return
-            _tag, sid, wave_index, shard, rows_wire, hit_miss, red_delta, watermark = reply
-            if (
-                sid != self.session_id
-                or wave_index != self._wave_index
-                or not self._in_flight_locked(shard)
-                or self._owner[shard] is not member
-            ):
-                return  # stale reply from a retired assignment
-            mirror = self._mirrors[shard]
-            mirror.commit()
-            rows: list = []
-            exchanged = 0
-            for row_wire in rows_wire:
-                row = []
-                for ref, token in row_wire:
-                    if isinstance(ref, int):
-                        state = mirror.table[ref]
-                    else:
-                        state = ref[1]
-                        mirror.append(state)
-                    row.append((state, token))
-                exchanged += len(row)
-                rows.append(row)
-            if watermark != len(mirror.table):
-                self._failure = (
-                    f"shard {shard} watermark skew: worker reports {watermark},"
-                    f" coordinator mirror has {len(mirror.table)}"
-                )
-                backend._lock.notify_all()
-                return
-            self._delivered[shard] = (rows, tuple(hit_miss), red_delta)
-            self.rows_exchanged += exchanged
-            backend.rows_exchanged += exchanged
-            if self._snapshot_every and (wave_index + 1) % self._snapshot_every == 0:
-                start = self._store.watermark(self.session_id, shard)
-                if len(mirror.table) > start:
-                    self._store.append(
-                        self.session_id, shard, start, mirror.table[start:]
-                    )
-            backend._lock.notify_all()
-
-    # -- ShardSession API (called by the sharded coordinator) ------------
-    def advance_wave(self, frontier: "ShardFrontier") -> List["ShardResult"]:
-        """Expand one BFS wave on the resident shards; results in order."""
-        backend = self._backend
-        frontier = [(shard, list(states)) for shard, states in frontier]
-        with backend._lock:
-            if self._closed:
-                raise RuntimeError("ShardSession is closed")
-            if self._poisoned is not None:
-                raise self._poisoned
-            if self._failure is not None:
-                raise RuntimeError(f"stateful session failed: {self._failure}")
-            self._wave_index += 1
-            self.waves += 1
-            self._current = {shard: states for shard, states in frontier}
-            self._delivered = {}
-            self._dispatched = set()
-            self._attempts = {}
-            deadline = time.monotonic() + backend.start_timeout
-            while not self._members:
-                if backend._closed:
-                    raise RuntimeError("DistributedBackend closed mid-session")
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    self._current = None
-                    raise FleetLostError(
-                        f"all worker daemons left the session at {backend.address}"
-                        f" and none rejoined within {backend.start_timeout:.0f}s",
-                        kind="session",
-                        completed={},
-                        pending=list(range(len(frontier))),
-                    )
-                backend._lock.wait(timeout=remaining)
-            for shard, states in frontier:
-                if shard in self._dispatched:
-                    continue  # a recovery/enroll path already (re-)sent it
-                member = self._owner[shard]
-                assert member is not None  # members nonempty => no orphans
-                entries = [self._mirrors[shard].encode_entry(s) for s in states]
-                member.outbox.append(
-                    (("wave", self.session_id, self._wave_index, shard, entries), True)
-                )
-                self._dispatched.add(shard)
-            backend._lock.notify_all()
-            while len(self._delivered) < len(self._current):
-                if backend._closed:
-                    raise RuntimeError("DistributedBackend closed mid-session")
-                if self._poisoned is not None:
-                    raise self._poisoned
-                if self._failure is not None:
-                    raise RuntimeError(f"stateful session failed: {self._failure}")
-                if not self._members:
-                    if not backend._lock.wait(timeout=backend.start_timeout):
-                        if not self._members:
-                            delivered = dict(self._delivered)
-                            self._current = None
-                            raise FleetLostError(
-                                f"all worker daemons left the session at"
-                                f" {backend.address} mid-wave and none rejoined"
-                                f" within {backend.start_timeout:.0f}s",
-                                kind="session",
-                                completed={
-                                    position: delivered[shard]
-                                    for position, (shard, _) in enumerate(frontier)
-                                    if shard in delivered
-                                },
-                                pending=[
-                                    position
-                                    for position, (shard, _) in enumerate(frontier)
-                                    if shard not in delivered
-                                ],
-                            )
-                else:
-                    backend._lock.wait()
-            results = [self._delivered[shard] for shard, _ in frontier]
-            self._current = None
-            self._delivered = {}
-            return results
-
-    def wire_stats(self) -> Dict[str, int]:
-        with self._backend._lock:
-            return {
-                "bytes_sent": self.bytes_sent,
-                "bytes_received": self.bytes_received,
-                "bytes_sent_raw": self.bytes_sent_raw,
-                "frames_compressed": self.frames_compressed,
-                "rows_exchanged": self.rows_exchanged,
-                "waves": self.waves,
-            }
-
-    def close(self) -> None:
-        backend = self._backend
-        with backend._lock:
-            if self._closed:
-                return
-            self._closed = True
-            self._current = None
-            for member in self._members:
-                if not member.lost:
-                    member.outbox.append((("close", self.session_id), False))
-            if backend._session is self:
-                backend._session = None
-            backend._lock.notify_all()
-        # The durable log (when configured) keeps history; the in-memory
-        # tables of a finished session are dead weight.
-        self._store.drop_session(self.session_id)
-
-
 class DistributedBackend:
     """Coordinator end of the TCP worker protocol; an ``ExecutionBackend``.
 
     Binds ``host:port`` (``port=0`` picks an ephemeral port, published as
     :attr:`port`) and accepts worker-daemon connections in the background.
-    ``min_workers`` is how many connections :meth:`run_tasks` /
-    :meth:`map_shards` wait for before shipping work (daemons may be
-    launched before or after the backend — workers retry connecting, the
-    backend waits for registrations), and ``start_timeout`` bounds that
-    wait plus any mid-job window in which every worker has died and no
-    replacement joins.
+    ``min_workers`` is how many connections :meth:`run_tasks` waits for
+    before shipping work (daemons may be launched before or after the
+    backend — workers retry connecting, the backend waits for
+    registrations), and ``start_timeout`` bounds that wait plus any mid-job
+    window in which every worker has died and no replacement joins.
 
-    One job (one batch of tasks or one wave of shards) runs at a time;
-    results return in submission order.  Items in flight on a connection
-    that breaks are requeued for the remaining workers — see the module
-    docstring for why retries cannot change results.
+    One job (one batch of tasks) runs at a time; results return in
+    submission order.  Items in flight on a connection that breaks are
+    requeued for the remaining workers — see the module docstring for why
+    retries cannot change results.
 
     ``item_timeout`` (seconds; ``None`` disables) is the per-item silence
     deadline: an in-flight item whose connection produces neither a
@@ -747,18 +298,6 @@ class DistributedBackend:
     that many workers instead of consuming the fleet.  ``faults`` installs
     a :class:`~repro.engine.faults.FaultPlan` on the coordinator's frame
     path (test/chaos machinery; ``None`` in production).
-
-    ``sessions`` enables the stateful shard-session route behind
-    :meth:`open_exploration` (on by default; ``False`` pins every
-    exploration to the stateless ``map_shards`` path, which the parity
-    tests and benchmarks use as the comparison baseline).
-    ``snapshot_store`` checkpoints each session shard's intern table — a
-    :class:`~repro.engine.journal.ShardSnapshotStore`, a path (opens a
-    durable store in the journal record format), or ``None`` for a fresh
-    in-memory store — and ``snapshot_every`` is the checkpoint cadence in
-    delivered waves (``1`` keeps every shard restorable at its latest
-    watermark; ``0`` disables checkpointing, so a lost shard is always
-    re-partitioned from scratch).
     """
 
     def __init__(
@@ -771,34 +310,19 @@ class DistributedBackend:
         item_timeout: Optional[float] = None,
         max_item_attempts: int = 3,
         faults: Optional["FaultPlan"] = None,
-        sessions: bool = True,
-        snapshot_store=None,
-        snapshot_every: int = 1,
     ) -> None:
         if min_workers < 1:
             raise ValueError("min_workers must be >= 1")
         if max_item_attempts < 1:
             raise ValueError("max_item_attempts must be >= 1")
-        if snapshot_every < 0:
-            raise ValueError("snapshot_every must be >= 0")
         self.min_workers = min_workers
         self.start_timeout = start_timeout
         self.item_timeout = item_timeout
         self.max_item_attempts = max_item_attempts
-        self.snapshot_every = snapshot_every
-        self._sessions_enabled = bool(sessions)
-        if isinstance(snapshot_store, ShardSnapshotStore):
-            self._snapshot_store = snapshot_store
-            self._owns_snapshot_store = False
-        else:
-            self._snapshot_store = ShardSnapshotStore(snapshot_store)
-            self._owns_snapshot_store = True
         self._faults = faults
         self._lock = threading.Condition()
         self._queue: deque = deque()  # (job, item_id) pairs
         self._job: Optional[_Job] = None
-        self._session: Optional[_CoordSession] = None
-        self._session_counter = 0
         self._closed = False
         self._live_workers = 0
         self._workers_ever = 0
@@ -810,9 +334,8 @@ class DistributedBackend:
         self.hung_retired = 0
         #: Items quarantined after exhausting ``max_item_attempts``.
         self.poisoned_total = 0
-        #: Wire-level accounting, both routes (stateless jobs and stateful
-        #: sessions): bytes actually written to / read from worker sockets,
-        #: and successor-row entries exchanged in shard results.
+        #: Wire-level accounting: bytes actually written to / read from
+        #: worker sockets.
         self.bytes_sent = 0
         self.bytes_received = 0
         #: What ``bytes_sent`` would have been without frame compression,
@@ -820,14 +343,6 @@ class DistributedBackend:
         #: put a number on what the zlib layer saves.
         self.bytes_sent_raw = 0
         self.frames_compressed = 0
-        self.rows_exchanged = 0
-        #: Session lifecycle counters: shards restored from a current
-        #: checkpoint, re-partitioned from a stale one, and voluntarily
-        #: moved to a joining worker.
-        self.sessions_opened = 0
-        self.snapshots_restored = 0
-        self.shards_repartitioned = 0
-        self.shards_moved = 0
         self._threads: List[threading.Thread] = []
         self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         try:
@@ -852,18 +367,13 @@ class DistributedBackend:
 
     @property
     def parallelism(self) -> int:
-        """The backend's shard/fan-out width.
+        """The backend's fan-out width.
 
         At least ``min_workers`` even before any daemon has registered:
-        stateless consumers read this *before* the first job ships (the
-        sharded explorer's fallback route freezes its shard count up
-        front, while the worker wait happens inside the first
-        ``map_shards`` call), and partitioning for fewer shards than the
-        promised workers would silently serialize the whole workload onto
-        one connection.  The stateful route does not have that freeze:
-        :meth:`open_exploration` re-reads the live connection count
-        *after* its worker wait, so late-joining daemons are visible to
-        session partitioning.
+        the campaign engine sizes its dispatch waves from this *before*
+        the first job ships (the worker wait happens inside
+        :meth:`run_tasks`), and sizing for fewer workers than promised
+        would under-fill the fleet.
         """
         with self._lock:
             return max(1, self.min_workers, self._live_workers)
@@ -876,7 +386,7 @@ class DistributedBackend:
 
     @property
     def stats(self) -> Dict[str, int]:
-        """Resilience + wire counters: retries, quarantines, bytes, shards."""
+        """Resilience + wire counters: retries, quarantines, bytes."""
         with self._lock:
             return {
                 "retries_total": self.retries_total,
@@ -888,11 +398,6 @@ class DistributedBackend:
                 "bytes_received": self.bytes_received,
                 "bytes_sent_raw": self.bytes_sent_raw,
                 "frames_compressed": self.frames_compressed,
-                "rows_exchanged": self.rows_exchanged,
-                "sessions_opened": self.sessions_opened,
-                "snapshots_restored": self.snapshots_restored,
-                "shards_repartitioned": self.shards_repartitioned,
-                "shards_moved": self.shards_moved,
             }
 
     # -- connection handling -------------------------------------------
@@ -955,7 +460,7 @@ class DistributedBackend:
         conn.settimeout(self.item_timeout)
         while True:
             with self._lock:
-                while not self._queue and self._session is None and not self._closed:
+                while not self._queue and not self._closed:
                     self._lock.wait()
                 if self._closed:
                     try:
@@ -963,25 +468,13 @@ class DistributedBackend:
                     except OSError:
                         pass
                     return
-                session = self._session
-                if session is not None:
-                    # A stateful session is active: this connection enrolls
-                    # as a member and serves session frames until the
-                    # session ends (then resumes pulling ordinary items).
-                    member = session._enroll_locked(conn, peer)
-                else:
-                    job, item_id = self._queue.popleft()
-            if session is not None:
-                self._session_serve(session, member, conn)
-                if member.lost:
-                    return  # the connection died inside the session
-                continue
+                job, item_id = self._queue.popleft()
             try:
                 # Serialize before touching the socket: an unpicklable
                 # payload is a deterministic caller error, and requeueing
                 # it would just kill every worker in turn.
                 frame, raw_bytes, _, compressed = encode_frame_info(
-                    ("work", item_id, job.kind, job.payloads[item_id])
+                    ("work", item_id, "task", job.payloads[item_id])
                 )
             except Exception:  # noqa: BLE001 - reported as the job's failure
                 self._record_reply(
@@ -1028,59 +521,6 @@ class DistributedBackend:
                 return
             self._record_reply(job, item_id, reply)
 
-    def _session_serve(self, session: _CoordSession, member: _SessionMember, conn: socket.socket) -> None:
-        """Serve one enrolled connection's session frames until the end.
-
-        Drains the member's outbox (open / snapshot / wave / close frames,
-        enqueued under the backend lock), waits for one reply per wave
-        frame (heartbeats only re-arm the silence deadline), and feeds
-        deliveries back into the session.  Any transport failure — or
-        per-item-deadline silence — marks the member lost, which triggers
-        the session's shard recovery.
-        """
-        try:
-            while True:
-                with self._lock:
-                    while True:
-                        if member.outbox:
-                            frame_obj, expects_reply = member.outbox.popleft()
-                            break
-                        if member.lost or self._closed or session._closed:
-                            return
-                        self._lock.wait()
-                frame, raw_bytes, _, compressed = encode_frame_info(frame_obj)
-                if self._faults is not None and expects_reply:
-                    # Wave frames count as coordinator.send events, keyed
-                    # by wave index, so chaos plans target them the same
-                    # way they target stateless work frames.
-                    frame = self._faults.frame_out("coordinator.send", frame, item=frame_obj[2])
-                conn.sendall(frame)
-                with self._lock:
-                    self.bytes_sent += len(frame)
-                    self.bytes_sent_raw += raw_bytes
-                    self.frames_compressed += int(compressed)
-                    session.bytes_sent += len(frame)
-                    session.bytes_sent_raw += raw_bytes
-                    session.frames_compressed += int(compressed)
-                if not expects_reply:
-                    continue
-                while True:
-                    reply, frame_bytes = recv_message_sized(conn)
-                    with self._lock:
-                        self.bytes_received += frame_bytes
-                        session.bytes_received += frame_bytes
-                    if isinstance(reply, tuple) and reply and reply[0] == "heartbeat":
-                        continue
-                    break
-                session.deliver(member, reply)
-        except TimeoutError:
-            with self._lock:
-                self.hung_retired += 1
-            session.member_lost(member, f"no heartbeat within {self.item_timeout}s")
-        except Exception:  # noqa: BLE001 - any transport/decode failure
-            reason = traceback.format_exception_only(*sys.exc_info()[:2])[-1].strip()
-            session.member_lost(member, reason)
-
     def _retire_in_flight(self, job: _Job, item_id: int, peer: str, reason: str, *, hung: bool) -> None:
         """An in-flight item lost its connection: requeue or quarantine.
 
@@ -1096,16 +536,11 @@ class DistributedBackend:
                 self.hung_retired += 1
             if len(job.attempts[item_id]) >= self.max_item_attempts:
                 # Retry budget exhausted: quarantine the item instead of
-                # feeding it to yet another worker.
+                # feeding it to yet another worker.  The job survives — the
+                # item fails alone, with a structured report naming every
+                # attempt.
                 self.poisoned_total += 1
-                job.poisoned.append(item_id)
-                if job.kind == "task":
-                    # A campaign job survives a poison task — the item
-                    # fails alone, with a structured report naming every
-                    # attempt (shard jobs fail at _run_job instead).
-                    job.results[item_id] = _poison_report(
-                        job.payloads[item_id], job.attempts[item_id]
-                    )
+                job.results[item_id] = _poison_report(job.payloads[item_id], job.attempts[item_id])
                 job.done[item_id] = True
                 job.remaining -= 1
             else:
@@ -1123,10 +558,6 @@ class DistributedBackend:
             elif reply[0] == "result":
                 job.results[item_id] = reply[2]
                 job.done[item_id] = True
-                if job.kind == "shard" and isinstance(reply[2], tuple) and reply[2]:
-                    # Successor-row entries exchanged on the stateless
-                    # route, for stateless-vs-stateful wire comparisons.
-                    self.rows_exchanged += sum(len(row) for row in reply[2][0])
             else:
                 job.failure = f"unknown reply tag {reply[0]!r} for item {item_id}"
             job.remaining -= 1
@@ -1147,20 +578,21 @@ class DistributedBackend:
                     )
                 self._lock.wait(timeout=timeout)
 
-    def _run_job(self, kind: str, payloads: Sequence[object]) -> List[object]:
+    def run_tasks(self, tasks: Sequence[CampaignTask]) -> List[VerificationReport]:
+        """Evaluate campaign tasks on the worker daemons, in task order."""
         if self._closed:
             raise RuntimeError("DistributedBackend is closed")
-        payloads = list(payloads)
-        if not payloads:
+        tasks = list(tasks)
+        if not tasks:
             return []
         deadline = time.monotonic() + self.start_timeout
         self._wait_for_workers(deadline)
-        job = _Job(kind, payloads)
+        job = _Job(tasks)
         with self._lock:
             if self._job is not None:
                 raise RuntimeError("DistributedBackend runs one job at a time")
             self._job = job
-            self._queue.extend((job, item_id) for item_id in range(len(payloads)))
+            self._queue.extend((job, item_id) for item_id in range(len(tasks)))
             self._lock.notify_all()
             try:
                 while job.remaining and job.failure is None:
@@ -1171,26 +603,21 @@ class DistributedBackend:
                         # the (re)connect window before declaring failure.
                         if not self._lock.wait(timeout=self.start_timeout):
                             if self._live_workers == 0:
-                                # Quarantined campaign tasks carry a usable
-                                # (synthesized) report and count as done;
-                                # quarantined shards have no usable result,
-                                # so they go back in pending for whoever
-                                # finishes the job (FallbackBackend).
-                                unusable = set() if kind == "task" else set(job.poisoned)
+                                # Quarantined tasks carry a usable
+                                # (synthesized) report and count as done.
                                 raise FleetLostError(
                                     f"all worker daemons disconnected from {self.address}"
                                     f" with {job.remaining} item(s) outstanding and none"
                                     f" rejoined within {self.start_timeout:.0f}s",
-                                    kind=kind,
                                     completed={
                                         item_id: job.results[item_id]
-                                        for item_id in range(len(payloads))
-                                        if job.done[item_id] and item_id not in unusable
+                                        for item_id in range(len(tasks))
+                                        if job.done[item_id]
                                     },
                                     pending=[
                                         item_id
-                                        for item_id in range(len(payloads))
-                                        if not job.done[item_id] or item_id in unusable
+                                        for item_id in range(len(tasks))
+                                        if not job.done[item_id]
                                     ],
                                 )
                     else:
@@ -1201,73 +628,8 @@ class DistributedBackend:
                 # job's queue starts clean.
                 self._queue = deque(entry for entry in self._queue if entry[0] is not job)
         if job.failure is not None:
-            raise RuntimeError(f"distributed {kind} execution failed: {job.failure}")
-        if job.poisoned and kind != "task":
-            # An exploration cannot proceed without its rows; campaign jobs
-            # carry the quarantine inline as structured failure reports.
-            item_id = job.poisoned[0]
-            raise PoisonedItemError(item_id, job.attempts[item_id])
-        return job.results
-
-    # -- ExecutionBackend ----------------------------------------------
-    def run_tasks(self, tasks: Sequence[CampaignTask]) -> List[VerificationReport]:
-        """Evaluate campaign tasks on the worker daemons, in task order."""
-        return self._run_job("task", tasks)  # type: ignore[return-value]
-
-    def map_shards(self, payloads: Sequence[object]) -> List[object]:
-        """Expand one BFS wave's shards on the worker daemons, in order."""
-        return self._run_job("shard", payloads)
-
-    def open_exploration(self, key: ExploreKey, n_shards: Optional[int] = None):
-        """Open a stateful shard session for ``key`` on the live fleet.
-
-        Waits for ``min_workers`` registrations (like the first job of the
-        stateless route would), then fixes the logical shard count at
-        ``max(n_shards, min_workers, live connections)`` — parallelism is
-        re-read *here*, after the wait, so daemons that joined since the
-        backend was constructed are visible to partitioning (the freeze
-        footgun the stateless route's up-front ``parallelism`` read has).
-        Idle connections enroll as session members and the shards are
-        distributed round-robin; returns the session, or ``None`` when
-        sessions are disabled (``sessions=False``).
-        """
-        if self._closed:
-            raise RuntimeError("DistributedBackend is closed")
-        if not self._sessions_enabled:
-            return None
-        self._wait_for_workers(time.monotonic() + self.start_timeout)
-        with self._lock:
-            if self._job is not None or self._session is not None:
-                raise RuntimeError("DistributedBackend runs one job at a time")
-            shards = max(1, n_shards or 1, self.min_workers, self._live_workers)
-            self._session_counter += 1
-            session_id = f"{self.host}:{self.port}/{os.getpid()}#{self._session_counter}"
-            session = _CoordSession(
-                self, session_id, key, shards, self._snapshot_store, self.snapshot_every
-            )
-            self._session = session
-            self.sessions_opened += 1
-            self._lock.notify_all()  # wake idle pull loops to enroll
-            # Enrollment is just thread wakeup; wait briefly for the idle
-            # connections so the initial distribution spans the fleet
-            # (latecomers still join elastically mid-exploration).
-            deadline = time.monotonic() + min(5.0, self.start_timeout)
-            while len(session._members) < min(shards, self._live_workers):
-                remaining = deadline - time.monotonic()
-                if remaining <= 0 or self._closed:
-                    break
-                self._lock.wait(timeout=remaining)
-            if not session._members:
-                self._session = None
-                raise NoWorkersError(
-                    f"no worker connection enrolled in the session at {self.address}"
-                )
-            members = list(session._members)
-            for shard in range(shards):
-                session._assign_locked(shard, members[shard % len(members)], cause="open")
-            session._started = True
-            self._lock.notify_all()
-        return session
+            raise RuntimeError(f"distributed task execution failed: {job.failure}")
+        return job.results  # type: ignore[return-value]
 
     # -- lifecycle -----------------------------------------------------
     def close(self) -> None:
@@ -1286,8 +648,6 @@ class DistributedBackend:
         # daemons receive their shutdown frame before we return.
         for thread in list(self._threads):
             thread.join(timeout=1.0)
-        if self._owns_snapshot_store:
-            self._snapshot_store.close()
 
     def __enter__(self) -> "DistributedBackend":
         if self._closed:
@@ -1373,8 +733,8 @@ def worker_connection_loop(
 
     Runs in its own process (one per ``--workers`` slot), so the matcher
     tables :func:`~repro.engine.pool.process_cache` accumulates survive
-    across every task and shard this connection ever evaluates — the
-    distributed analogue of a pool worker's cache persistence.
+    across every task this connection ever evaluates — the distributed
+    analogue of a pool worker's cache persistence.
 
     ``heartbeat_interval`` (seconds; ``None`` disables) streams
     ``heartbeat`` frames while an item is being evaluated.  ``faults`` and
@@ -1389,10 +749,6 @@ def worker_connection_loop(
     sock = _connect_with_retry(host, port, connect_timeout)
     send_lock = threading.Lock()
     evaluated = 0
-    #: Resident session state: session id -> (ExploreKey, {shard: ResidentShard}).
-    #: This is the whole point of the stateful route — the tables (and the
-    #: process's matcher/system caches behind them) survive across waves.
-    sessions: Dict[str, Tuple[ExploreKey, Dict[int, ResidentShard]]] = {}
     try:
         send_message(sock, ("hello", {"pid": os.getpid(), "host": socket.gethostname()}))
         while True:
@@ -1404,82 +760,6 @@ def worker_connection_loop(
                 continue
             if message[0] == "shutdown":
                 return evaluated, True
-            if message[0] == "open":
-                sessions[message[1]] = (message[2], {})
-                continue
-            if message[0] == "snapshot":
-                _tag, session_id, shard, table = message
-                entry = sessions.get(session_id)
-                if entry is not None:
-                    if table is None:  # the shard moved away: drop it
-                        entry[1].pop(shard, None)
-                    else:
-                        entry[1][shard] = ResidentShard(entry[0], table)
-                continue
-            if message[0] == "close":
-                sessions.pop(message[1], None)
-                continue
-            if message[0] == "wave":
-                _tag, session_id, wave_index, shard, entries = message
-                fault = (
-                    faults.fire("worker.item", item=wave_index, worker=worker_index)
-                    if faults is not None
-                    else None
-                )
-                if fault is not None and fault.action == "kill":
-                    os._exit(17)  # the resident shard dies with the process
-                if fault is not None and fault.action == "hang":
-                    time.sleep(fault.seconds)
-                    return evaluated, False
-                stop = threading.Event()
-                beat = None
-                if heartbeat_interval is not None:
-                    beat = threading.Thread(
-                        target=_heartbeat_loop,
-                        args=(sock, send_lock, wave_index, heartbeat_interval, stop),
-                        name="worker-heartbeat",
-                        daemon=True,
-                    )
-                    beat.start()
-                try:
-                    if fault is not None and fault.action == "delay":
-                        time.sleep(fault.seconds)
-                    try:
-                        entry = sessions.get(session_id)
-                        if entry is None:
-                            raise ValueError(f"wave for unknown session {session_id!r}")
-                        resident = entry[1].get(shard)
-                        if resident is None:
-                            raise ValueError(
-                                f"wave for shard {shard} never installed by a snapshot frame"
-                            )
-                        rows, hit_miss, red_delta = resident.expand_wave(entries)
-                    except Exception:  # noqa: BLE001 - shipped back, not swallowed
-                        reply = ("error", wave_index, traceback.format_exc())
-                    else:
-                        reply = (
-                            "wave_result",
-                            session_id,
-                            wave_index,
-                            shard,
-                            rows,
-                            hit_miss,
-                            red_delta,
-                            resident.watermark,
-                        )
-                        evaluated += 1
-                finally:
-                    stop.set()
-                    if beat is not None:
-                        beat.join()
-                frame = encode_frame(reply)
-                if faults is not None:
-                    frame = faults.frame_out(
-                        "worker.result", frame, item=wave_index, worker=worker_index
-                    )
-                with send_lock:
-                    sock.sendall(frame)
-                continue
             if message[0] != "work":
                 continue
             _tag, item_id, kind, payload = message
@@ -1511,12 +791,9 @@ def worker_connection_loop(
                     # sleep, so a deadline-aware coordinator must wait.
                     time.sleep(fault.seconds)
                 try:
-                    if kind == "task":
-                        value = run_task(payload)
-                    elif kind == "shard":
-                        value = expand_shard(payload)
-                    else:
+                    if kind != "task":
                         raise ValueError(f"unknown work kind {kind!r}")
+                    value = run_task(payload)
                 except Exception:  # noqa: BLE001 - shipped back, not swallowed
                     reply = ("error", item_id, traceback.format_exc())
                 else:
@@ -1788,7 +1065,7 @@ def _smoke(daemons: int, workers_per_daemon: int, verbose: bool) -> int:
 def _chaos(verbose: bool) -> int:
     """The CI chaos check: verdict parity under injected faults.
 
-    Three scenarios, each compared against a serial baseline:
+    Two scenarios, each compared against a serial baseline:
 
     1. **Worker kill mid-wave** — a 2-worker in-process daemon whose
        worker 0 hard-exits on the first item it pulls; the coordinator
@@ -1798,11 +1075,6 @@ def _chaos(verbose: bool) -> int:
        coordinator is killed after two durable appends; a second engine
        pointed at the same journal must resume and produce byte-identical
        reports without recomputing the journaled verdicts.
-    3. **Session kill + restore from snapshot** — a stateful shard
-       session whose worker 0 hard-exits on a wave frame; the dead
-       worker's shard must be restored from its checkpointed snapshot
-       onto the survivor mid-wave, and the merged exploration must stay
-       byte-identical to the serial explorer's.
     """
     import tempfile
 
@@ -1867,44 +1139,6 @@ def _chaos(verbose: bool) -> int:
     if not report_parity("journal-resume", campaign):
         return 1
     print(f"OK [journal-resume]: resumed from {survived} journaled verdict(s)")
-
-    # Scenario 3: stateful session — worker 0 dies on a wave frame; its
-    # shard is restored from the checkpointed snapshot onto the survivor.
-    from ..core.grid import Grid
-    from .sharded import explore_sharded
-
-    grid = Grid(4, 4)
-    baseline = explore_sharded(algorithm, grid, "FSYNC", workers=1)
-    plan = FaultPlan(seed=11).kill_worker(index=1, worker=0)
-    with DistributedBackend(min_workers=2, item_timeout=30.0) as backend:
-        with WorkerDaemon(
-            backend.host, backend.port, workers=2, heartbeat_interval=0.5, faults=plan
-        ).start():
-            exploration = explore_sharded(algorithm, grid, "FSYNC", backend=backend)
-        stats = backend.stats
-    if (
-        exploration.states != baseline.states
-        or exploration.succ != baseline.succ
-        or exploration.index != baseline.index
-    ):
-        print(
-            "FAIL [session-restore]: stateful exploration diverged from the serial engine",
-            file=sys.stderr,
-        )
-        return 1
-    if stats["sessions_opened"] < 1:
-        print("FAIL [session-restore]: the stateful session route never engaged", file=sys.stderr)
-        return 1
-    if stats["snapshots_restored"] + stats["shards_repartitioned"] < 1:
-        print(
-            "FAIL [session-restore]: the injected kill never triggered shard recovery",
-            file=sys.stderr,
-        )
-        return 1
-    print(
-        f"OK [session-restore]: {exploration.num_states} states identical to the serial"
-        f" engine after shard recovery; backend stats {stats}"
-    )
     return 0
 
 

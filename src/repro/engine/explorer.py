@@ -19,6 +19,13 @@ computed exactly by pushing guaranteed-node sets through the edge labels.
 Partial-order reduction prunes interleavings *before* canonicalization;
 see :mod:`repro.engine.reduction` for why every combination preserves both
 verdicts.
+
+:func:`explore_sharded` is the registry-level entry point the checking
+layer calls: it builds the transition system for an ``(algorithm, grid,
+model)`` triple on a warm matcher cache and explores it here, in the
+calling process.  No exploration is split across processes; parallelism
+lives one level up, in campaign task lists
+(:mod:`repro.engine.backend`).
 """
 
 from __future__ import annotations
@@ -26,16 +33,29 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import Dict, FrozenSet, List, Optional
+from typing import TYPE_CHECKING, Dict, FrozenSet, List, Optional
 
+from ..core.algorithm import Algorithm
 from ..core.errors import StateSpaceLimitExceeded
-from ..core.grid import Node
+from ..core.grid import Grid, Node
+from .matcher import MatcherCache
 from .profile import KernelProfile, profiling_enabled
 from .reduction import ReductionSpec, resolve_reduction
 from .states import SchedulerState
-from .transition import TransitionSystem
+from .transition import MODELS, TransitionSystem
 
-__all__ = ["Exploration", "explore", "has_cycle", "topological_order", "guaranteed_nodes"]
+if TYPE_CHECKING:  # pragma: no cover - typing only (avoids a module cycle)
+    from .backend import ExecutionBackend
+    from .store import VerdictStore
+
+__all__ = [
+    "Exploration",
+    "explore",
+    "explore_sharded",
+    "has_cycle",
+    "topological_order",
+    "guaranteed_nodes",
+]
 
 
 @dataclass
@@ -65,9 +85,8 @@ class Exploration:
     root_sym: Optional[object] = field(default=None)
     #: Matcher cache counters accumulated *during this exploration* —
     #: ``{"hits", "misses", "hit_rate"}`` — observability for the
-    #: snapshot/match memo layer (aggregated across workers when the
-    #: exploration was sharded).  ``None`` when the transition system does
-    #: not expose a matcher.
+    #: snapshot/match memo layer.  ``None`` when the transition system
+    #: does not expose a matcher.
     matcher_stats: Optional[Dict[str, float]] = field(default=None)
     #: The *active* reduction spec the graph was built under (``"none"``,
     #: ``"grid"``, ``"grid+color+por"``, ...); inert components (e.g. POR
@@ -75,21 +94,14 @@ class Exploration:
     reduction: str = field(default="none")
     #: Per-component reduction statistics accumulated during this
     #: exploration — orbit collapses for the quotients, ample states and
-    #: interleavings pruned for POR.  Deterministic (identical across the
-    #: serial, sharded and pooled routes); ``None`` when no component is
-    #: active.
+    #: interleavings pruned for POR.  Deterministic; ``None`` when no
+    #: component is active.
     reduction_stats: Optional[Dict[str, Dict[str, float]]] = field(default=None)
     #: Opt-in per-phase wall-clock split (``REPRO_PROFILE=1``; see
     #: :mod:`repro.engine.profile`) — ``{"kernel", "match_s",
     #: "canonicalise_s", "dedup_s", "inflate_s", "total_s"}``.  Timing is
     #: observability, not a result: excluded from equality.
     profile: Optional[Dict[str, object]] = field(default=None, compare=False)
-    #: Wire accounting when the exploration ran over a stateful shard
-    #: session (:mod:`repro.engine.distributed`) — ``{"bytes_sent",
-    #: "bytes_received", "rows_exchanged", "waves"}``.  Transport
-    #: observability, not a result: excluded from equality (the session
-    #: route's graph is byte-identical to the serial one regardless).
-    wire_stats: Optional[Dict[str, int]] = field(default=None, compare=False)
     #: Verdict-store counters when the exploration was requested through a
     #: :class:`~repro.engine.store.VerdictStore` — ``{"hits", "misses",
     #: "coalesced", "outcome"}``.  Cache observability, not a result:
@@ -137,11 +149,11 @@ def explore(
     system's table-driven ``successors``.
 
     ``store`` — a :class:`~repro.engine.store.VerdictStore` — serves the
-    exploration from the verdict cache (or records a miss) under the same
-    content key the sharded/pooled routes use, so all routes share
-    entries.  Only registered algorithms on the stock kernels, from the
-    default initial state, are cacheable; anything else computes as if no
-    store were given.
+    exploration from the verdict cache (or records a miss) under
+    :func:`~repro.engine.spec.explore_store_key`, the key every route
+    (library and HTTP) shares.  Only registered algorithms on the stock
+    kernels, from the default initial state, are cacheable; anything else
+    computes as if no store were given.
 
     Raises :class:`~repro.core.errors.StateSpaceLimitExceeded` — with the
     exploration context attached — as soon as more than ``max_states``
@@ -267,18 +279,17 @@ def _store_key(
     kernel: Optional[str],
     max_states: int,
 ):
-    """The shared explore-route content key, or ``None`` when uncacheable.
+    """The explore-route content key, or ``None`` when uncacheable.
 
-    Exactly the key ``explore_sharded`` derives — ``("explore",)`` +
-    ``ExploreKey`` + budget — so the serial and sharded routes address the
-    same store entries.  Custom transition systems (anything other than
-    the two stock kernels) and unregistered algorithms carry semantics the
-    key cannot see and are never cached.
+    Spelled by :func:`~repro.engine.spec.explore_store_key`, so the library
+    and HTTP routes address the same store entries.  Custom transition
+    systems (anything other than the two stock kernels) and unregistered
+    algorithms carry semantics the key cannot see and are never cached.
     """
-    # Local imports: packed/pool import this module at load time.
-    from .packed import PackedTransitionSystem, normalize_kernel
+    # Local imports: the explorer sits below these modules in the layering.
+    from .packed import PackedTransitionSystem
     from .pool import registered
-    from .reduction import normalize_reduction
+    from .spec import explore_store_key
     from .transition import AlgorithmTransitionSystem
 
     if type(ts) is PackedTransitionSystem:
@@ -289,17 +300,64 @@ def _store_key(
         return None
     if not registered(ts.algorithm):
         return None
-    spec = normalize_reduction(reduction, symmetry_reduction)
-    knorm = normalize_kernel(kernel) if kernel is not None else implied
-    return (
-        "explore",
+    return explore_store_key(
         ts.algorithm.name,
         ts.grid.m,
         ts.grid.n,
         ts.model,
-        spec,
-        knorm,
+        reduction,
+        kernel if kernel is not None else implied,
         max_states,
+        symmetry_reduction,
+    )
+
+
+def explore_sharded(
+    algorithm: Algorithm,
+    grid: Grid,
+    model: str,
+    *,
+    reduction: ReductionSpec = None,
+    symmetry_reduction: bool = False,
+    max_states: int = 200_000,
+    start: Optional[SchedulerState] = None,
+    cache: Optional[MatcherCache] = None,
+    backend: Optional["ExecutionBackend"] = None,
+    kernel: Optional[str] = None,
+    store: Optional["VerdictStore"] = None,
+) -> Exploration:
+    """Explore ``algorithm`` on ``grid`` under ``model`` in this process.
+
+    Builds the transition system for ``kernel`` (``"object"``,
+    ``"packed"`` or ``"auto"``; see :mod:`repro.engine.packed`) and runs
+    :func:`explore` on it with the remaining keyword arguments.  Matching
+    runs on ``cache`` when given, else on the in-process cache of
+    ``backend`` (:func:`~repro.engine.backend.backend_cache`), else on a
+    fresh matcher; none of them changes the result, only how warm the
+    exploration starts.  A backend never receives the exploration itself.
+
+    ``store`` serves the exploration from a
+    :class:`~repro.engine.store.VerdictStore` when it was computed before
+    (see :func:`explore`).  The name is historical: explorations are no
+    longer split across processes.
+    """
+    if model not in MODELS:
+        raise ValueError(f"unknown model {model!r}")
+    # Local imports: the explorer sits below these modules in the layering.
+    from .backend import backend_cache
+    from .packed import build_transition_system
+
+    if cache is None and backend is not None:
+        cache = backend_cache(backend)
+    matcher = cache.matcher_for(algorithm, grid) if cache is not None else None
+    ts = build_transition_system(algorithm, grid, model, kernel, matcher=matcher)
+    return explore(
+        ts,
+        reduction=reduction,
+        symmetry_reduction=symmetry_reduction,
+        max_states=max_states,
+        start=start,
+        store=store,
     )
 
 

@@ -20,9 +20,10 @@ The journal is a flat sequence of self-delimiting binary records::
     +----------------+----------------+----------------------------------+
 
 ``key`` is a hex content hash of the work-item spec (see :meth:`task_key`
-— any spec with a deterministic ``repr`` works, so ``ExploreKey``-shaped
-tuples key :class:`~repro.checking.model_checker.CheckResult`\\ s the same
-way), and ``value`` is the completed report object.  Appends are
+— any spec with a deterministic ``repr`` works, so the store-key tuples
+of :mod:`repro.engine.spec` key
+:class:`~repro.checking.model_checker.CheckResult`\\ s the same way), and
+``value`` is the completed report object.  Appends are
 ``flush`` + ``fsync`` — the write-ahead property — and a crash can
 therefore only ever produce a *torn tail*: on open, records are replayed
 until the first short/corrupt one, the tail is truncated away, and the
@@ -47,14 +48,13 @@ import pickle
 import struct
 import zlib
 from pathlib import Path
-from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Iterator, Optional, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (avoids a module cycle)
     from .faults import FaultPlan
 
 __all__ = [
     "CampaignJournal",
-    "ShardSnapshotStore",
     "RECORD_HEADER",
     "content_key",
     "iter_records",
@@ -71,8 +71,8 @@ def content_key(spec: object) -> str:
 
     SHA-256 over ``repr(spec)`` — dataclass reprs
     (:class:`~repro.engine.campaign.CampaignTask`) and primitive tuples
-    (``ExploreKey``) are both deterministic functions of their field
-    values, so equal specs key identically across processes and runs.
+    (the store keys of :mod:`repro.engine.spec`) are both deterministic
+    functions of their field values, so equal specs key identically across processes and runs.
     Shared by :class:`CampaignJournal` and the verdict store
     (:mod:`repro.engine.store`), so a spec addresses the same record in
     both.
@@ -204,95 +204,3 @@ class CampaignJournal:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging nicety
         return f"CampaignJournal({str(self.path)!r}, entries={len(self._entries)})"
-
-
-class ShardSnapshotStore:
-    """Checkpointed shard snapshots in the :class:`CampaignJournal` record format.
-
-    A stateful exploration session (:mod:`repro.engine.distributed`) keeps
-    one append-only *intern table* per logical shard — the states that shard
-    has ever exchanged, in exchange order — mirrored on the coordinator and
-    the owning worker.  The table *is* the shard's resident state: restoring
-    it on a fresh worker resumes the session's reference compression exactly
-    where the dead worker left off.  This store checkpoints those tables.
-
-    Snapshots are **incremental**: because tables are append-only and their
-    contents are a deterministic function of the exploration, a checkpoint
-    only needs the suffix since the previous one.  Each :meth:`append` call
-    records one contiguous suffix — in memory always, and durably (through
-    a :class:`CampaignJournal`, same length+CRC framed records, fsynced)
-    when the store was opened with a path.  Reopening a durable store
-    replays the suffix records in append order and reassembles the tables,
-    skipping any suffix that does not extend its shard contiguously (a
-    stale record from an abandoned session generation).
-
-    The per-shard **watermark** is simply the table length: two table
-    copies of the same session with equal length are equal element-wise
-    (append-only + deterministic), so "is this snapshot current?" is an
-    integer comparison.
-    """
-
-    def __init__(self, path=None, *, faults: Optional["FaultPlan"] = None) -> None:
-        self._journal: Optional[CampaignJournal] = (
-            CampaignJournal(path, faults=faults) if path is not None else None
-        )
-        self._tables: Dict[Tuple[str, int], List[object]] = {}
-        if self._journal is not None:
-            # CampaignJournal._entries preserves append order (insertion-
-            # ordered dict, unique key per suffix), so replay reassembles
-            # each table exactly as it was written.
-            for value in self._journal._entries.values():
-                session_id, shard, start, entries = value
-                table = self._tables.setdefault((session_id, shard), [])
-                if start == len(table):
-                    table.extend(entries)
-
-    @property
-    def path(self) -> Optional[Path]:
-        """The durable journal path, or ``None`` for an in-memory store."""
-        return self._journal.path if self._journal is not None else None
-
-    def append(self, session_id: str, shard: int, start: int, entries: List[object]) -> None:
-        """Checkpoint one contiguous table suffix ``[start:start+len(entries)]``.
-
-        ``start`` must equal the stored watermark — snapshots of an
-        append-only table can only ever grow it.
-        """
-        table = self._tables.setdefault((session_id, shard), [])
-        if start != len(table):
-            raise ValueError(
-                f"non-contiguous snapshot for {session_id!r} shard {shard}:"
-                f" suffix starts at {start}, stored watermark is {len(table)}"
-            )
-        table.extend(entries)
-        if self._journal is not None:
-            key = CampaignJournal.task_key((session_id, shard, start))
-            self._journal.put(key, (session_id, shard, start, list(entries)))
-
-    def watermark(self, session_id: str, shard: int) -> int:
-        """Checkpointed table length for the shard (0 when never snapshot)."""
-        return len(self._tables.get((session_id, shard), ()))
-
-    def restore(self, session_id: str, shard: int) -> Optional[List[object]]:
-        """A copy of the checkpointed table, or ``None`` when absent/empty."""
-        table = self._tables.get((session_id, shard))
-        return list(table) if table else None
-
-    def drop_session(self, session_id: str) -> None:
-        """Forget a closed session's tables (the durable log keeps history)."""
-        for key in [k for k in self._tables if k[0] == session_id]:
-            del self._tables[key]
-
-    def close(self) -> None:
-        if self._journal is not None:
-            self._journal.close()
-
-    def __enter__(self) -> "ShardSnapshotStore":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.close()
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging nicety
-        where = str(self.path) if self.path is not None else "memory"
-        return f"ShardSnapshotStore({where!r}, shards={len(self._tables)})"

@@ -321,8 +321,8 @@ class MatcherCache:
     Sharing is keyed on algorithm *identity*, not name, so two distinct
     algorithm objects that happen to share a name never see each other's
     entries.  The cache is designed for reuse within one process; the
-    sharded explorer and the parallel campaign engine keep one per worker
-    process instead of shipping it across the boundary.
+    parallel campaign engine keeps one per worker process instead of
+    shipping it across the boundary.
 
     ``max_entries`` bounds the total memo entries across all algorithms
     and table layers.  The bound is enforced at :meth:`matcher_for` time

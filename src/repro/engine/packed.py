@@ -5,9 +5,8 @@ spends most of a serial exploration *shuffling objects*: every successor
 allocates ``k`` :class:`~repro.engine.states.AsyncRobotState` records, sorts
 them with tuple keys, hashes strings, and probes dictionaries keyed on nested
 tuples.  The matcher memo tables already made rule evaluation cheap, so object
-churn — not guard evaluation — is the serial states/s ceiling behind every
-backend built on top (sharded waves, pools, TCP daemons all multiply serial
-throughput).
+churn — not guard evaluation — is the serial states/s ceiling of every
+exploration, whichever backend its campaign fans out on.
 
 This module removes that ceiling while keeping the object kernel as the
 authoritative reference implementation:
@@ -25,7 +24,7 @@ authoritative reference implementation:
 * :class:`PackedTransitionSystem` exposes the compiled kernel both through
   the ordinary :class:`~repro.engine.transition.TransitionSystem` protocol
   (object states in, object states out — which is what the reduction
-  pipelines and the sharded workers consume) and through
+  pipelines consume) and through
   :meth:`PackedTransitionSystem.explore_packed`, a frontier-at-a-time BFS
   over packed codes that only inflates back to ``SchedulerState`` objects
   at the :class:`~repro.engine.explorer.Exploration` boundary;
@@ -171,7 +170,7 @@ def build_transition_system(
     kernel: str = "object",
     matcher: Optional[LocalMatcher] = None,
 ):
-    """The transition system for ``kernel`` (the worker-side rebuild hook)."""
+    """The transition system for ``kernel`` (``"object"`` or ``"packed"``)."""
     if normalize_kernel(kernel) == "packed":
         return PackedTransitionSystem(algorithm, grid, model, matcher=matcher)
     return AlgorithmTransitionSystem(algorithm, grid, model, matcher=matcher)
@@ -577,8 +576,8 @@ class PackedTransitionSystem:
     Drop-in compatible with
     :class:`~repro.engine.transition.AlgorithmTransitionSystem` — same
     constructor shape, same ``initial``/``successors`` contract, same
-    ``matcher`` attribute (so reduction pipelines, POR and the sharded
-    workers use it unchanged) — plus :meth:`explore_packed`, the wave BFS
+    ``matcher`` attribute (so reduction pipelines and POR use it
+    unchanged) — plus :meth:`explore_packed`, the wave BFS
     the serial explorer dispatches to for quotient-free pipelines.
     """
 

@@ -5,9 +5,8 @@ Before this module, "reduction" was a single hard-wired boolean
 automorphisms only.  This module turns reduction into a first-class,
 composable subsystem: a :class:`ReductionPipeline` built from pluggable
 components, selected by a spec string threaded through every exploration
-entry point (``explore``, ``explore_sharded``, ``ExplorationPool.explore``,
-the three ``repro.checking`` entry points, campaigns and the scaling
-sweeps)::
+entry point (``explore``, ``explore_sharded``, the three
+``repro.checking`` entry points, campaigns and the scaling sweeps)::
 
     reduction="grid"            # the old symmetry_reduction=True
     reduction="grid+color"      # + color-permutation symmetry
@@ -103,7 +102,6 @@ __all__ = [
     "ProductWitness",
     "Reduction",
     "ReductionPipeline",
-    "apriori_reduction_factor",
     "detect_color_permutations",
     "normalize_reduction",
     "resolve_reduction",
@@ -340,11 +338,9 @@ class ProductWitness:
         return f"ProductWitness({self.name})"
 
 
-#: The picklable wire form of a witness (the sharded explorer ships these):
-#: ``None`` for the identity, a plain string for a pure grid symmetry (the
-#: pre-pipeline format, kept so grid-only runs stay byte-compatible) or a
-#: ``(grid name | None, color image | None)`` pair for product witnesses.
-WitnessToken = Union[None, str, Tuple[Optional[str], Optional[Tuple[str, ...]]]]
+#: The interning key of a product witness: ``(grid name | None, color
+#: image | None)``.
+WitnessKey = Tuple[Optional[str], Optional[Tuple[str, ...]]]
 
 
 # ---------------------------------------------------------------------------
@@ -380,29 +376,6 @@ def normalize_reduction(
             )
         chosen.add(part)
     return "+".join(name for name in REDUCTION_COMPONENTS if name in chosen)
-
-
-def apriori_reduction_factor(
-    algorithm: Algorithm, grid: Grid, model: str, reduction: ReductionSpec
-) -> int:
-    """The a-priori state-count reduction factor of a spec.
-
-    The product of the group orders the quotient components divide by —
-    ``|grid group| * |detected color group|`` — used by
-    :func:`repro.engine.pool.estimate_states` to scale routing estimates
-    before comparing against the serial threshold.  POR has no a-priori
-    factor (its pruning depends on reachable phase overlaps).
-    """
-    spec = normalize_reduction(reduction)
-    if spec == "none":
-        return 1
-    parts = spec.split("+")
-    factor = 1
-    if "grid" in parts:
-        factor *= max(1, len(grid_symmetries(grid, algorithm.chirality)))
-    if "color" in parts:
-        factor *= max(1, len(detect_color_permutations(algorithm)))
-    return factor
 
 
 # ---------------------------------------------------------------------------
@@ -459,8 +432,8 @@ class AsyncPartialOrderReduction:
         Scans the (canonically ordered) records for the first robot with a
         pending private step and returns exactly the successor the kernel
         would produce for that step; the representative choice is a
-        deterministic function of the canonical state, so serial, sharded
-        and pooled explorations agree.
+        deterministic function of the canonical state, so every exploration
+        of the same state agrees.
         """
         records = state.robots
         matcher = ts.matcher
@@ -512,8 +485,7 @@ class ReductionPipeline:
 
     ``counters`` accumulates per-component reduction statistics (orbit
     collapses, ample states, interleavings pruned); they are deterministic
-    for a given exploration, identical across the serial, sharded and
-    pooled routes, and surfaced as ``Exploration.reduction_stats``.
+    for a given exploration and surfaced as ``Exploration.reduction_stats``.
     """
 
     def __init__(self, algorithm: Algorithm, grid: Grid, model: str, spec: str = "none") -> None:
@@ -547,17 +519,7 @@ class ReductionPipeline:
             "por_ample_states": 0,
             "por_interleavings_pruned": 0,
         }
-        self._witnesses: Dict[WitnessToken, ProductWitness] = {}
-        self._grid_by_name: Dict[str, GridSymmetry] = {}
-        if self._grid is not None:
-            # canonicalize labels edges with ``best.inverse()``; inverses are
-            # cached on the memoized group elements, so resolving names below
-            # reproduces the serial explorer's very instances.
-            self._grid_by_name = {
-                gs.inverse().name: gs.inverse()
-                for gs in self._grid.symmetries
-                if not gs.is_identity
-            }
+        self._witnesses: Dict[WitnessKey, ProductWitness] = {}
 
     # ------------------------------------------------------------------
     # Expansion (POR hook)
@@ -625,59 +587,18 @@ class ReductionPipeline:
             self.counters["color_orbit_collapses"] += 1
         grid_inverse = best_grid.inverse() if best_grid is not None else None
         color_inverse = best_color.inverse() if best_color is not None else None
-        token: WitnessToken = (
+        key: WitnessKey = (
             grid_inverse.name if grid_inverse is not None else None,
             color_inverse.image if color_inverse is not None else None,
         )
-        witness = self._witnesses.get(token)
+        witness = self._witnesses.get(key)
         if witness is None:
             witness = ProductWitness(grid_inverse, color_inverse)
-            self._witnesses[token] = witness
+            self._witnesses[key] = witness
         return best, witness
 
     # ------------------------------------------------------------------
-    # Wire format (the sharded explorer ships witnesses as tokens)
-    # ------------------------------------------------------------------
-    def witness_token(self, witness) -> WitnessToken:
-        """The picklable token of a witness returned by :meth:`canonicalize`."""
-        if witness is None:
-            return None
-        if isinstance(witness, GridSymmetry):
-            return witness.name
-        return (
-            witness.grid.name if witness.grid is not None else None,
-            witness.color.image if witness.color is not None else None,
-        )
-
-    def witness_from_token(self, token: WitnessToken):
-        """Resolve a shipped token back to the witness instance.
-
-        Pure grid tokens resolve to the same cached :class:`GridSymmetry`
-        instances the serial explorer labels edges with; product tokens
-        resolve to interned :class:`ProductWitness` instances (content
-        equality, shared within one exploration).
-        """
-        if token is None:
-            return None
-        if isinstance(token, str):
-            return self._grid_by_name[token]
-        witness = self._witnesses.get(token)
-        if witness is None:
-            grid_name, color_image = token
-            grid_part = self._grid_by_name[grid_name] if grid_name is not None else None
-            color_part = (
-                # ColorPermutation normalizes to a sorted domain, so the
-                # shipped image is relative to the sorted palette.
-                ColorPermutation(tuple(sorted(self.algorithm.colors)), color_image)
-                if color_image is not None
-                else None
-            )
-            witness = ProductWitness(grid_part, color_part)
-            self._witnesses[token] = witness
-        return witness
-
-    # ------------------------------------------------------------------
-    # Budget messages, statistics, routing
+    # Budget messages and statistics
     # ------------------------------------------------------------------
     @property
     def budget_note(self) -> str:
@@ -693,24 +614,11 @@ class ReductionPipeline:
             return ", symmetry reduction on"
         return f", reduction {self.active_spec} on"
 
-    def apriori_factor(self) -> int:
-        """``|grid group| * |color group|`` over the *active* quotients."""
-        factor = 1
-        if self._grid is not None and self._grid.active:
-            factor *= len(self._grid.symmetries)
-        if self._color is not None and self._color.active:
-            factor *= len(self._color.permutations)
-        return factor
-
     def counters_snapshot(self) -> Dict[str, int]:
         return dict(self.counters)
 
     def counters_delta(self, before: Dict[str, int]) -> Dict[str, int]:
         return {key: value - before.get(key, 0) for key, value in self.counters.items()}
-
-    def merge_counters(self, delta: Dict[str, int]) -> None:
-        for key, value in delta.items():
-            self.counters[key] = self.counters.get(key, 0) + value
 
     def stats_report(
         self, counters: Optional[Dict[str, int]] = None

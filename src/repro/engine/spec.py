@@ -14,7 +14,7 @@ This module is therefore the single place store keys are spelled:
 * :func:`check_store_key` / :func:`explore_store_key` — the
   ``("check", ...)`` / ``("explore", ...)`` tuples of the checking entry
   points (:mod:`repro.checking.model_checker` and
-  :mod:`repro.engine.sharded` build their keys here);
+  :mod:`repro.engine.explorer` build their keys here);
 * :func:`walk_task_key` / :func:`check_task_key` — the ``("task", ...)``
   tuples of campaign work items
   (:func:`repro.engine.campaign.task_store_key` delegates here).
@@ -29,7 +29,7 @@ On top of the keys it owns the *wire* forms the HTTP service exchanges:
   into its ``verdict`` (the ``compare=True`` fields — a pure function of
   the spec, byte-identical however the work was routed or cached) and its
   ``observability`` (the ``compare=False`` channels: ``store_stats``,
-  ``matcher_stats``, ``wire_stats``, ...), so clients can byte-compare
+  ``matcher_stats``, ``reduction_stats``, ...), so clients can byte-compare
   verdicts without scrubbing cache-warmth noise themselves;
 * :func:`canonical_json` — the deterministic byte encoding (sorted keys,
   no whitespace) those comparisons use.
@@ -122,8 +122,8 @@ def explore_store_key(
 ) -> Tuple[object, ...]:
     """The verdict-store spec of one exploration.
 
-    ``("explore",) + ExploreKey + (max_states,)`` — exactly the key
-    :func:`repro.engine.sharded.explore_sharded` caches the
+    ``("explore", algorithm, m, n, model, reduction, kernel, max_states)``
+    — exactly the key :func:`repro.engine.explorer.explore` caches the
     :class:`~repro.engine.explorer.Exploration` under (it builds the key
     here), so an exploration cached by the library route is a warm hit for
     ``POST /v1/explore`` and vice versa.
@@ -477,8 +477,8 @@ def result_payload(result) -> Dict[str, object]:
     computed ``ok`` flag) — the part promised byte-identical across
     routes, kernels, reductions, caches and restarts.  ``observability``
     carries the ``compare=False`` channels (``store_stats``,
-    ``matcher_stats``, ``reduction_stats``, ``wire_stats``, ``profile``)
-    that legitimately vary with cache warmth and transport.
+    ``matcher_stats``, ``reduction_stats``, ``profile``) that legitimately
+    vary with cache warmth.
     """
     verdict: Dict[str, object] = {}
     observability: Dict[str, object] = {}
@@ -513,7 +513,6 @@ def exploration_payload(exploration) -> Dict[str, object]:
         "observability": {
             "matcher_stats": exploration.matcher_stats,
             "reduction_stats": exploration.reduction_stats,
-            "wire_stats": exploration.wire_stats,
             "store_stats": exploration.store_stats,
             "profile": exploration.profile,
         },

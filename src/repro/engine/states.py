@@ -167,8 +167,8 @@ class SchedulerState:
     the hash cache is deliberately *not* pickled — string hashing is
     randomized per process, so a cached value carried across a process
     boundary would corrupt any hash container mixing shipped and locally
-    built states (the sharded explorer does exactly that when it interns
-    successors received from several workers).
+    built states (say, a campaign report's state unpickled next to states
+    built in this process).
     """
 
     __slots__ = ("robots", "_hash")

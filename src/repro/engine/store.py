@@ -10,14 +10,15 @@ completed :class:`~repro.engine.explorer.Exploration`\\ s,
 :class:`~repro.checking.model_checker.CheckResult`\\ s and
 :class:`~repro.engine.campaign.VerificationReport`\\ s are cached on disk
 and served back byte-identical on every later request, on every route
-(serial / sharded / pooled / distributed / sessions).
+(library, campaign engine, HTTP service; serial, pooled or distributed).
 
 Content addressing
 ==================
 A verdict is keyed by :func:`~repro.engine.journal.content_key` — SHA-256
 over the ``repr`` of the *fully resolved* spec.  The spec is the same
-normalization that already makes work picklable (``ExploreKey`` tuples,
-:class:`~repro.engine.campaign.CampaignTask` dataclasses): registry
+normalization that already makes work picklable (the key tuples of
+:mod:`repro.engine.spec`, :class:`~repro.engine.campaign.CampaignTask`
+dataclasses): registry
 algorithm name, grid shape, synchrony model, the **normalized** reduction
 spec string and kernel spec — plus everything the result is a function
 of that is *not* part of the work's identity at first glance:
@@ -53,8 +54,8 @@ is fully thread-safe.
 
 Request coalescing
 ==================
-Campaign fan-out and the pool's adaptive routing frequently request the
-same key concurrently.  :meth:`VerdictStore.get_or_compute` implements
+Campaign fan-out and concurrent service requests frequently ask for the
+same key at once.  :meth:`VerdictStore.get_or_compute` implements
 singleflight: the first requester of a key becomes the *leader* and
 computes; every duplicate concurrent requester blocks on the leader and
 shares its result (or re-raises its exception) — duplicate concurrent
@@ -64,7 +65,7 @@ counts the duplicates that were served this way.
 Counters — ``hits`` / ``misses`` / ``coalesced`` (plus ``evictions`` and
 ``compactions``) — are surfaced per-request as ``store_stats`` on the
 returned objects, a ``compare=False`` observability field exactly like
-``wire_stats``: cached results stay equal to freshly computed ones.
+``matcher_stats``: cached results stay equal to freshly computed ones.
 """
 
 from __future__ import annotations

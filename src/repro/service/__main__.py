@@ -5,14 +5,16 @@ Binds the verification service and serves until interrupted::
     python -m repro.service --port 8421 --store /var/lib/repro/store \\
         --journal /var/lib/repro/journals --backend serial
 
-``--backend pool`` executes on a persistent in-process worker pool
-(``--workers``); ``--backend distributed`` binds a TCP coordinator at
-``--connect HOST:PORT`` and waits for worker daemons (launched separately
-with ``python -m repro.engine.distributed worker --connect HOST:PORT``) to
-enroll.  ``--store`` makes verdicts durable and warm-servable across
-restarts; ``--journal`` makes in-flight campaigns resumable across
-restarts (resubmit the same spec after a crash and only the remainder is
-computed).
+``--backend pool`` fans campaigns out over a persistent in-process worker
+pool (``--workers``); ``--backend distributed`` binds a TCP coordinator at
+``--connect HOST:PORT`` and fans campaigns out to the worker daemons
+(launched separately with ``python -m repro.engine.distributed worker
+--connect HOST:PORT``) that enroll.  Checks and explorations always run
+in the server process, on the backend's cache when it has one; only
+campaign task lists fan out.  ``--store`` makes verdicts durable and
+warm-servable across restarts; ``--journal`` makes in-flight campaigns
+resumable across restarts (resubmit the same spec after a crash and only
+the remainder is computed).
 
 The chosen HTTP endpoint is printed as ``service: listening on URL`` (and
 written to ``--port-file`` when given) so wrappers can discover an
@@ -22,7 +24,6 @@ ephemeral ``--port 0`` binding.
 from __future__ import annotations
 
 import argparse
-import sys
 from typing import List, Optional
 
 from .app import VerificationServer, VerificationService
@@ -46,7 +47,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--backend",
         choices=("serial", "pool", "distributed"),
         default="serial",
-        help="execution backend for fresh (uncached) work",
+        help="where fresh (uncached) campaign tasks run",
     )
     parser.add_argument(
         "--workers", type=int, default=None, help="worker processes for --backend pool"
@@ -102,7 +103,7 @@ def build_service(args) -> VerificationService:
 
         host, port = args.connect
         backend = DistributedBackend(host, port, min_workers=args.min_workers)
-        print(f"service: distributed coordinator on {backend.address[0]}:{backend.address[1]}")
+        print(f"service: distributed coordinator on {backend.address}")
     else:
         # SerialBackend (not bare in-process calls) so campaign waves and
         # explorations share the process-persistent matcher cache.

@@ -210,9 +210,10 @@ class VerificationService:
     """The framework-free core the HTTP handler dispatches into.
 
     ``store`` backs every check/explore/campaign request (may be ``None``
-    — the service still works, it just recomputes).  Exactly one of
-    ``pool`` / ``backend`` routes fresh explorations; both ``None`` runs
-    serial in-process.  ``journal_dir`` enables durable, resumable
+    — the service still works, it just recomputes).  At most one of
+    ``pool`` / ``backend`` fans fresh campaign tasks out; both ``None``
+    runs them serially in-process.  Checks and explorations always run in
+    this process, on the pool's or backend's cache when it has one.  ``journal_dir`` enables durable, resumable
     campaign runs.  ``wave_delay`` inserts a pause between campaign
     dispatch waves — a deterministic throttle the kill/resume tests (and
     nothing else) rely on.
@@ -259,13 +260,6 @@ class VerificationService:
         with self._lock:
             self.requests[endpoint] = self.requests.get(endpoint, 0) + 1
 
-    def _route_kwargs(self) -> Dict[str, object]:
-        if self.pool is not None:
-            return {"pool": self.pool}
-        if self.backend is not None:
-            return {"backend": self.backend}
-        return {}
-
     # -- single-shot endpoints -------------------------------------------
     def check(self, payload: object) -> Dict[str, object]:
         """``POST /v1/check``: one exhaustive check through the store."""
@@ -283,7 +277,8 @@ class VerificationService:
             reduction=spec.reduction,
             kernel=spec.kernel,
             store=self.store,
-            **self._route_kwargs(),
+            pool=self.pool,
+            backend=self.backend,
         )
         body = result_payload(result)
         body["spec"] = dataclasses.asdict(spec)
@@ -293,7 +288,7 @@ class VerificationService:
     def explore(self, payload: object) -> Dict[str, object]:
         """``POST /v1/explore``: one exploration, summary out."""
         from ..algorithms import registry
-        from ..engine.sharded import explore_sharded
+        from ..engine.explorer import explore_sharded
 
         spec = parse_check_spec(payload)
         algorithm = registry.get(spec.algorithm)
@@ -304,9 +299,10 @@ class VerificationService:
             spec.model,
             reduction=spec.reduction,
             max_states=spec.max_states,
+            cache=self.pool.cache if self.pool is not None else None,
+            backend=self.backend,
             kernel=spec.kernel,
             store=self.store,
-            **self._route_kwargs(),
         )
         body = exploration_payload(exploration)
         body["spec"] = dataclasses.asdict(spec)
@@ -490,7 +486,13 @@ class ServiceHandler(BaseHTTPRequestHandler):
         return False
 
     def _read_payload(self) -> object:
-        length = int(self.headers.get("Content-Length") or 0)
+        header = self.headers.get("Content-Length") or "0"
+        # ASCII digits only: a sign, a blank or any other numeral is refused
+        # (a negative length would make rfile.read() block until the client
+        # hangs up).
+        if not (header.isascii() and header.isdigit()):
+            raise SpecError("Content-Length", f"must be a non-negative integer, got {header!r}")
+        length = int(header)
         if length > MAX_BODY_BYTES:
             raise SpecError("body", f"request body exceeds {MAX_BODY_BYTES} bytes")
         raw = self.rfile.read(length) if length else b""

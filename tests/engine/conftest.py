@@ -1,15 +1,13 @@
 """Engine-test fixtures: process-global cache isolation.
 
-Several engine tests execute the worker-side functions
-(:func:`repro.engine.campaign.run_task`,
-:func:`repro.engine.pool.expand_shard`) directly in the pytest process —
-the serial backend runs them in-process by design, and the wire-protocol
-tests feed their real outputs through the framing layer.  That warms this
+Several engine tests execute the worker-side function
+:func:`repro.engine.campaign.run_task` directly in the pytest process —
+the serial backend runs it in-process by design.  That warms this
 process's persistent :func:`repro.engine.pool.process_cache`, which
 fork-started pool workers then inherit — harmless for results (memoization
 never changes them) but fatal for tests asserting *cold-start* cache
-counters.  Reset the process-global cache state around every engine test
-so cache-counter assertions stay order-independent.
+counters.  Reset the process-global cache around every engine test so
+cache-counter assertions stay order-independent.
 """
 
 from __future__ import annotations
@@ -21,14 +19,10 @@ import repro.engine.pool as pool_module
 
 @pytest.fixture(autouse=True)
 def reset_process_cache():
-    """Keep each test's view of the process-persistent caches pristine."""
+    """Keep each test's view of the process-persistent cache pristine."""
     saved_cache = pool_module._PROCESS_CACHE
-    saved_systems = dict(pool_module._SYSTEMS)
     pool_module._PROCESS_CACHE = None
-    pool_module._SYSTEMS.clear()
     try:
         yield
     finally:
         pool_module._PROCESS_CACHE = saved_cache
-        pool_module._SYSTEMS.clear()
-        pool_module._SYSTEMS.update(saved_systems)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import multiprocessing
 import time
+from functools import partial
 
 import pytest
 
@@ -12,11 +13,15 @@ from repro.checking import check_terminating_exploration, enumerate_reachable, e
 from repro.analysis.scaling import round_complexity_sweep, state_space_sweep
 from repro.engine import (
     AlgorithmTransitionSystem,
+    DistributedBackend,
     ExecutionBackend,
     ExplorationPool,
+    FallbackBackend,
     ParallelCampaignEngine,
     PoolBackend,
     SerialBackend,
+    VerdictStore,
+    WorkerDaemon,
     backend_cache,
     exhaustive_check_tasks,
     explore,
@@ -25,6 +30,8 @@ from repro.engine import (
     run_task,
 )
 from repro.core import Grid
+from repro.core.errors import StateSpaceLimitExceeded
+from repro.engine.store import HIT, MISS
 from repro.verification import exhaustive_sweep, grid_sweep, verify_algorithm
 
 
@@ -41,14 +48,26 @@ def _assert_same_exploration(actual, expected):
     assert actual.edge_syms == expected.edge_syms
 
 
-@pytest.fixture(params=["serial", "pool"])
+@pytest.fixture(params=["serial", "pool", "distributed", "fallback"])
 def backend(request):
-    """Each in-process backend implementation, freshly constructed."""
+    """Each backend implementation, freshly constructed.
+
+    ``distributed`` is a TCP coordinator with one connected worker daemon;
+    ``fallback`` wraps a coordinator no daemon ever joins, so every task
+    list degrades onto its local serial half.
+    """
     if request.param == "serial":
         with SerialBackend() as made:
             yield made
-    else:
+    elif request.param == "pool":
         with PoolBackend(workers=2) as made:
+            yield made
+    elif request.param == "distributed":
+        with DistributedBackend(min_workers=1, start_timeout=30) as made:
+            with WorkerDaemon(made.host, made.port, workers=1).start():
+                yield made
+    else:
+        with FallbackBackend(DistributedBackend(min_workers=1, start_timeout=0.2)) as made:
             yield made
 
 
@@ -68,7 +87,6 @@ class TestBackendContract:
 
     def test_empty_task_list(self, backend):
         assert backend.run_tasks([]) == []
-        assert backend.map_shards([]) == []
 
     def test_check_tasks_match_serial_engine(self, backend, algorithm1):
         tasks = exhaustive_check_tasks(algorithm1, sizes=[(2, 3), (3, 3)], reduction="grid")
@@ -82,14 +100,12 @@ class TestBackendContract:
         with pytest.raises(RuntimeError, match="closed"):
             backend.run_tasks(grid_sweep_tasks(algorithm1, sizes=[(3, 3)]))
         with pytest.raises(RuntimeError, match="closed"):
-            backend.map_shards([])
-        with pytest.raises(RuntimeError, match="closed"):
             with backend:
                 pass
 
 
 # ---------------------------------------------------------------------------
-# Exploration through map_shards
+# Explorations handed a backend run in this process
 # ---------------------------------------------------------------------------
 class TestBackendExploration:
     @pytest.mark.parametrize("reduction", [None, "grid", "grid+color+por"])
@@ -108,6 +124,64 @@ class TestBackendExploration:
         )
         graph = explore_state_space(algorithm1, grid, model="FSYNC", backend=backend)
         assert graph == explore_state_space(algorithm1, grid, model="FSYNC")
+
+    @pytest.mark.parametrize(
+        "name,m,n,model",
+        [
+            ("fsync_phi2_l2_chir_k2", 4, 4, "FSYNC"),
+            ("fsync_phi2_l2_chir_k2", 4, 4, "SSYNC"),
+            ("async_phi2_l3_chir_k2", 3, 4, "ASYNC"),
+        ],
+    )
+    def test_check_verdicts_match_serial_across_models(self, backend, name, m, n, model):
+        algorithm, grid = get(name), Grid(m, n)
+        expected = check_terminating_exploration(algorithm, grid, model=model, reduction="grid")
+        actual = check_terminating_exploration(
+            algorithm, grid, model=model, reduction="grid", backend=backend
+        )
+        assert actual == expected
+        assert actual.counterexample == expected.counterexample
+        assert actual.reduction_stats == expected.reduction_stats
+
+    def test_budget_trip_context_identical(self, backend):
+        algorithm = get("fsync_phi2_l2_nochir_k3")
+        grid = Grid(8, 8)
+        with pytest.raises(StateSpaceLimitExceeded) as serial_info:
+            _serial_exploration(algorithm, grid, "SSYNC", max_states=100)
+        with pytest.raises(StateSpaceLimitExceeded) as routed_info:
+            explore_sharded(algorithm, grid, "SSYNC", max_states=100, backend=backend)
+        serial, routed = serial_info.value, routed_info.value
+        assert str(routed) == str(serial)
+        assert (routed.states_explored, routed.frontier_size) == (
+            serial.states_explored,
+            serial.frontier_size,
+        )
+
+    def test_backend_never_receives_an_exploration(self, backend, algorithm1, monkeypatch):
+        def refuse(tasks):
+            raise AssertionError("an exploration was shipped to the backend")
+
+        monkeypatch.setattr(backend, "run_tasks", refuse)
+        grid = Grid(3, 4)
+        _assert_same_exploration(
+            explore_sharded(algorithm1, grid, "SSYNC", backend=backend),
+            _serial_exploration(algorithm1, grid, "SSYNC"),
+        )
+        assert check_terminating_exploration(algorithm1, grid, model="SSYNC", backend=backend) == (
+            check_terminating_exploration(algorithm1, grid, model="SSYNC")
+        )
+
+    def test_store_serves_explorations_handed_a_backend(self, backend, algorithm1):
+        store = VerdictStore()
+        grid = Grid(4, 4)
+        explore = partial(explore_sharded, algorithm1, grid, "FSYNC", reduction="grid", backend=backend)
+        recorded = explore(store=store)
+        cached = explore(store=store)
+        assert recorded.store_stats["outcome"] == MISS
+        assert cached.store_stats["outcome"] == HIT
+        expected = _serial_exploration(algorithm1, grid, "FSYNC", reduction="grid")
+        _assert_same_exploration(recorded, expected)
+        _assert_same_exploration(cached, expected)
 
 
 # ---------------------------------------------------------------------------
@@ -168,15 +242,15 @@ class TestPoolBackend:
                 assert backend_cache(backend) is pool.cache
             # The backend wrapped a shared pool: closing it must leave the
             # pool usable for other consumers.
-            exploration = pool.explore(algorithm1, Grid(3, 3), "FSYNC")
-            assert exploration.num_states > 0
+            tasks = grid_sweep_tasks(algorithm1, sizes=[(3, 3), (3, 4)])
+            assert pool.map(run_task, tasks) == [run_task(task) for task in tasks]
 
     def test_owned_pool_is_closed_with_the_backend(self):
         backend = PoolBackend(workers=2)
         pool = backend.pool
         backend.close()
         with pytest.raises(RuntimeError, match="closed"):
-            pool.explore(get("fsync_phi2_l2_chir_k2"), Grid(3, 3), "FSYNC")
+            pool.map(abs, [-1, -2])
 
     def test_pool_and_workers_are_mutually_exclusive(self):
         with ExplorationPool(workers=2) as pool:
@@ -221,12 +295,12 @@ class _FailingPoolContext:
 
 
 class TestSpawnFailureSafety:
-    def test_pool_spawn_failure_leaks_nothing(self, monkeypatch, algorithm1):
+    def test_pool_spawn_failure_leaks_nothing(self, monkeypatch):
         failing = _FailingPoolContext(multiprocessing.get_context())
         monkeypatch.setattr(multiprocessing, "get_context", lambda *a, **k: failing)
-        pool = ExplorationPool(workers=2, serial_threshold=0)
+        pool = ExplorationPool(workers=2)
         with pytest.raises(RuntimeError, match="simulated worker spawn failure"):
-            pool.explore(algorithm1, Grid(3, 3), "FSYNC")
+            pool.map(abs, [-1, -2])
         # The stranded child was reaped before the error propagated ...
         assert [p for p in failing.stranded if p.is_alive()] == []
         assert not pool.started
@@ -234,10 +308,10 @@ class TestSpawnFailureSafety:
         pool.close()
         pool.close()
 
-    def test_pool_exit_does_not_mask_spawn_failure(self, monkeypatch, algorithm1):
+    def test_pool_exit_does_not_mask_spawn_failure(self, monkeypatch):
         failing = _FailingPoolContext(multiprocessing.get_context())
         monkeypatch.setattr(multiprocessing, "get_context", lambda *a, **k: failing)
         with pytest.raises(RuntimeError, match="simulated worker spawn failure"):
-            with ExplorationPool(workers=2, serial_threshold=0) as pool:
-                pool.explore(algorithm1, Grid(3, 3), "FSYNC")
+            with ExplorationPool(workers=2) as pool:
+                pool.map(abs, [-1, -2])
         assert [p for p in failing.stranded if p.is_alive()] == []

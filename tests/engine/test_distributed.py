@@ -1,15 +1,13 @@
 """Tests for the TCP distributed backend: wire protocol, retries, parity.
 
-Everything here runs under a hang guard: a stuck socket or a deadlocked
-coordinator fails the test instead of hanging the suite (pytest-timeout
-enforces the same bound in CI; the SIGALRM fixture below covers
-environments without the plugin).
+Everything here runs under the suite-wide hang guard (``tests/conftest.py``):
+a stuck socket or a deadlocked coordinator fails the test instead of
+hanging the suite.
 """
 
 from __future__ import annotations
 
 import pickle
-import signal
 import socket
 import struct
 import threading
@@ -18,52 +16,30 @@ import time
 import pytest
 
 from repro.algorithms import get
-from repro.checking import check_terminating_exploration
+from repro.checking import check_terminating_exploration, enumerate_reachable, explore_state_space
 from repro.core import Grid
 from repro.engine import (
-    AlgorithmTransitionSystem,
     CampaignTask,
     DistributedBackend,
-    ReductionPipeline,
     TieBreak,
     WorkerDaemon,
     execute_tasks,
     exhaustive_check_tasks,
-    explore,
-    explore_sharded,
     grid_sweep_tasks,
-    initial_state,
     recv_message,
     run_task,
     send_message,
+    explore_sharded,
     stress_test_tasks,
 )
 from repro.engine.campaign import check_one
 from repro.engine.distributed import MAX_FRAME_BYTES, _parse_endpoint, main
-from repro.engine.pool import expand_shard
 from repro.verification import exhaustive_sweep
 
-#: Generous wall-clock bound for any single test in this module.
-HANG_GUARD_SECONDS = 120
 
-
-@pytest.fixture(autouse=True)
-def hang_guard():
-    """Fail (don't hang) if a test wedges on a socket or condition wait."""
-    if not hasattr(signal, "SIGALRM"):  # pragma: no cover - non-POSIX
-        yield
-        return
-
-    def _trip(signum, frame):
-        raise TimeoutError(f"test exceeded the {HANG_GUARD_SECONDS}s hang guard")
-
-    previous = signal.signal(signal.SIGALRM, _trip)
-    signal.alarm(HANG_GUARD_SECONDS)
-    try:
-        yield
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
+def explore_sharded_graph(algorithm, grid, *, model, backend=None):
+    """The registry-level explorer, reduced to its successor graph."""
+    return explore_sharded(algorithm, grid, model, backend=backend).graph()
 
 
 def _roundtrip(obj):
@@ -104,37 +80,6 @@ class TestWireProtocol:
         # compare=False fields still travel (equality just ignores them).
         assert shipped[2].cache_hits == report.cache_hits
         assert shipped[2].reduction_stats == report.reduction_stats
-
-    def test_shard_payload_round_trip(self):
-        algorithm = get("fsync_phi2_l2_chir_k2")
-        grid = Grid(3, 3)
-        key = (algorithm.name, 3, 3, "FSYNC", "grid")
-        states = [initial_state(algorithm, grid)]
-        assert _roundtrip((key, states)) == (key, states)
-
-    def test_shard_result_rows_and_stat_deltas_round_trip(self):
-        algorithm = get("fsync_phi2_l2_chir_k2")
-        grid = Grid(3, 3)
-        key = (algorithm.name, 3, 3, "FSYNC", "grid")
-        result = expand_shard((key, [initial_state(algorithm, grid)]))
-        rows, stats_delta, reduction_delta = result
-        shipped_rows, shipped_stats, shipped_reduction = _roundtrip(result)
-        assert shipped_rows == rows  # states and witness tokens, in order
-        assert shipped_stats == stats_delta
-        assert shipped_reduction == reduction_delta
-
-    def test_witness_tokens_resolve_after_the_wire(self):
-        """Shipped witness tokens resolve to the serial explorer's witnesses."""
-        algorithm = get("fsync_phi2_l2_chir_k2")
-        grid = Grid(3, 3)
-        pipeline = ReductionPipeline(algorithm, grid, "FSYNC", spec="grid")
-        key = (algorithm.name, 3, 3, "FSYNC", "grid")
-        rows, _, _ = _roundtrip(expand_shard((key, [initial_state(algorithm, grid)])))
-        serial = explore(
-            AlgorithmTransitionSystem(algorithm, grid, "FSYNC"), reduction="grid"
-        )
-        resolved = [pipeline.witness_from_token(token) for _, token in rows[0]]
-        assert resolved == serial.edge_syms[0]
 
     def test_worker_hello_and_error_frames_round_trip(self):
         hello = ("hello", {"pid": 1234, "host": "worker-1"})
@@ -214,9 +159,9 @@ class TestCoordinator:
         assert backend.retries_total >= 1
 
     def test_parallelism_honours_min_workers_before_daemons_connect(self):
-        # The sharded explorer freezes its shard count from `parallelism`
-        # before the first map_shards call waits for registrations; a
-        # pre-connection floor of 1 would silently serialize every wave.
+        # The campaign engine sizes its dispatch waves from `parallelism`
+        # before run_tasks waits for registrations; a pre-connection floor
+        # of 1 would under-fill the promised fleet.
         with DistributedBackend(min_workers=4, start_timeout=0.2) as backend:
             assert backend.parallelism == 4
 
@@ -346,20 +291,6 @@ class TestDistributedParity:
                 assert not runner.is_alive(), "sweep did not finish after the worker kill"
         assert outcome["reports"] == serial
 
-    def test_sharded_exploration_through_tcp_matches_serial(self, algorithm1):
-        grid = Grid(4, 4)
-        serial = explore(
-            AlgorithmTransitionSystem(algorithm1, grid, "SSYNC"), reduction="grid"
-        )
-        with DistributedBackend(min_workers=2, start_timeout=30) as backend:
-            with WorkerDaemon(backend.host, backend.port, workers=2).start():
-                shipped = explore_sharded(algorithm1, grid, "SSYNC", reduction="grid", backend=backend)
-        assert shipped.states == serial.states
-        assert shipped.succ == serial.succ
-        assert shipped.index == serial.index
-        assert shipped.edge_syms == serial.edge_syms
-        assert shipped.reduction_stats == serial.reduction_stats
-
     def test_check_through_tcp_matches_serial(self, algorithm1):
         grid = Grid(4, 4)
         serial = check_terminating_exploration(algorithm1, grid, model="FSYNC", reduction="grid+color")
@@ -370,6 +301,38 @@ class TestDistributedParity:
                 )
         assert shipped == serial
         assert shipped.reduction_stats == serial.reduction_stats
+
+    def test_check_runs_in_process_without_waiting_for_daemons(self, algorithm1):
+        grid = Grid(4, 4)
+        serial = check_terminating_exploration(algorithm1, grid, model="SSYNC", reduction="grid")
+        # No daemon ever connects; a check must not wait out start_timeout
+        # for one, because explorations never leave the calling process.
+        with DistributedBackend(min_workers=1, start_timeout=60) as backend:
+            started = time.monotonic()
+            local = check_terminating_exploration(
+                algorithm1, grid, model="SSYNC", reduction="grid", backend=backend
+            )
+            elapsed = time.monotonic() - started
+            assert backend.workers_ever == 0
+        assert local == serial
+        assert local.reduction_stats == serial.reduction_stats
+        assert elapsed < 30
+
+    @pytest.mark.parametrize(
+        "entry_point",
+        [explore_state_space, enumerate_reachable, explore_sharded_graph],
+        ids=lambda entry_point: entry_point.__name__,
+    )
+    def test_explorations_run_in_process_without_waiting_for_daemons(self, algorithm1, entry_point):
+        grid = Grid(3, 4)
+        serial = entry_point(algorithm1, grid, model="SSYNC")
+        with DistributedBackend(min_workers=1, start_timeout=60) as backend:
+            started = time.monotonic()
+            local = entry_point(algorithm1, grid, model="SSYNC", backend=backend)
+            elapsed = time.monotonic() - started
+            assert backend.workers_ever == 0
+        assert local == serial
+        assert elapsed < 30
 
 
 # ---------------------------------------------------------------------------

@@ -5,22 +5,21 @@ Every distributed scenario here injects a *deterministic* fault through a
 claims: the reports are byte-identical to the serial engine's.  Under
 seeded faults a parity failure is a bug, never flake.
 
-Like ``test_distributed.py``, everything runs under a SIGALRM hang guard
-so a wedged socket fails the test instead of the suite.
+Like everything else, these tests run under the suite-wide hang guard
+(``tests/conftest.py``), so a wedged socket fails the test instead of the
+suite.
 """
 
 from __future__ import annotations
 
 import pickle
 import random
-import signal
 import socket
 import threading
 import time
 
 import pytest
 
-from repro.core import Grid
 from repro.engine import (
     CampaignJournal,
     DistributedBackend,
@@ -37,31 +36,8 @@ from repro.engine import (
 )
 from repro.engine.distributed import _backoff_delays, encode_frame, run_worker
 from repro.engine.faults import _FRAME_HEADER_BYTES
-from repro.checking import check_terminating_exploration
-
-#: Generous wall-clock bound for any single test in this module.
-HANG_GUARD_SECONDS = 120
 
 SIZES = [(2, 3), (3, 3), (3, 4), (4, 3)]
-
-
-@pytest.fixture(autouse=True)
-def hang_guard():
-    """Fail (don't hang) if a test wedges on a socket or condition wait."""
-    if not hasattr(signal, "SIGALRM"):  # pragma: no cover - non-POSIX
-        yield
-        return
-
-    def _trip(signum, frame):
-        raise TimeoutError(f"test exceeded the {HANG_GUARD_SECONDS}s hang guard")
-
-    previous = signal.signal(signal.SIGALRM, _trip)
-    signal.alarm(HANG_GUARD_SECONDS)
-    try:
-        yield
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.fixture()
@@ -413,20 +389,6 @@ class TestDistributedChaos:
                 follow_up = backend.run_tasks(chaos_tasks[:2])
                 assert follow_up == serial_reports[:2]
 
-    def test_poisoned_shard_raises_a_structured_error(self, algorithm1):
-        from repro.engine.backend import PoisonedItemError
-
-        grid = Grid(4, 4)  # big enough that the check actually shards
-        plan = FaultPlan().kill_worker(item=0)  # shard jobs: wave item 0 is poison
-        with DistributedBackend(min_workers=1, start_timeout=30, max_item_attempts=2) as backend:
-            with WorkerDaemon(
-                backend.host, backend.port, workers=3, heartbeat_interval=0.1, faults=plan
-            ).start():
-                with pytest.raises(PoisonedItemError, match="retry budget"):
-                    check_terminating_exploration(
-                        algorithm1, grid, model="FSYNC", reduction="grid", backend=backend
-                    )
-
     def test_journalled_distributed_crash_and_resume(
         self, tmp_path, algorithm1, serial_reports
     ):
@@ -474,17 +436,6 @@ class TestFallbackBackend:
         assert reports == serial_reports
         assert backend.stats["fallback_jobs"] == 1
         assert backend.stats["fallback_items"] == len(chaos_tasks) - 1
-
-    def test_shard_jobs_degrade_too(self, algorithm1):
-        grid = Grid(4, 4)
-        serial = check_terminating_exploration(algorithm1, grid, model="FSYNC", reduction="grid")
-        primary = DistributedBackend(min_workers=2, start_timeout=0.2)
-        with FallbackBackend(primary) as backend:
-            degraded = check_terminating_exploration(
-                algorithm1, grid, model="FSYNC", reduction="grid", backend=backend
-            )
-            assert backend.stats["fallback_jobs"] >= 1
-        assert degraded == serial
 
     def test_parallelism_delegates_to_the_primary(self):
         primary = DistributedBackend(min_workers=3, start_timeout=0.2)

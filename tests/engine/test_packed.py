@@ -22,7 +22,6 @@ from repro.engine import (
     AlgorithmTransitionSystem,
     AsyncRobotState,
     CampaignTask,
-    ExplorationPool,
     SerialBackend,
     execute_tasks,
     exhaustive_check_tasks,
@@ -38,7 +37,6 @@ from repro.engine.packed import (
     build_transition_system,
     normalize_kernel,
 )
-from repro.engine.pool import expand_shard
 from repro.engine.profile import PROFILE_ENV
 from repro.engine.reduction import ReductionPipeline
 
@@ -184,7 +182,7 @@ class TestBudgetTripParity:
 
 
 # ---------------------------------------------------------------------------
-# Kernel selection across the parallel routes (the ExploreKey plumbing)
+# Kernel selection through the registry-level entry point
 # ---------------------------------------------------------------------------
 class TestRouteParity:
     CASE = ("async_phi2_l2_nochir_k4", 4, 4, "ASYNC")
@@ -193,68 +191,19 @@ class TestRouteParity:
         name, m, n, model = self.CASE
         return _object_exploration(get(name), Grid(m, n), model, reduction=reduction)
 
-    def test_serial_fallback_kernel(self):
-        name, m, n, model = self.CASE
-        candidate = explore_sharded(get(name), Grid(m, n), model, workers=1, kernel="packed")
-        assert_explorations_equal(self._reference(), candidate)
-
     @pytest.mark.parametrize("reduction", ["none", "grid+color+por"])
-    def test_sharded_workers_rebuild_packed_systems(self, reduction):
+    def test_explore_sharded_builds_the_packed_system(self, reduction):
         name, m, n, model = self.CASE
-        candidate = explore_sharded(
-            get(name), Grid(m, n), model, workers=2, reduction=reduction, kernel="packed"
-        )
+        candidate = explore_sharded(get(name), Grid(m, n), model, reduction=reduction, kernel="packed")
         assert_explorations_equal(self._reference(reduction), candidate)
 
-    def test_pooled_kernel_both_routes(self):
-        name, m, n, model = self.CASE
-        reference = self._reference()
-        # serial_threshold=0 forces the sharded route, a huge threshold the
-        # serial one — both must agree with the object run.
-        with ExplorationPool(workers=2, serial_threshold=0) as pool:
-            assert_explorations_equal(
-                reference, pool.explore(get(name), Grid(m, n), model, kernel="packed")
-            )
-        with ExplorationPool(workers=2, serial_threshold=10**9) as pool:
-            assert_explorations_equal(
-                reference, pool.explore(get(name), Grid(m, n), model, kernel="packed")
-            )
-            assert not pool.started  # routed serially: no workers spawned
-
-    def test_backend_shards_carry_kernel(self):
+    def test_backend_route_carries_kernel(self):
         name, m, n, model = self.CASE
         with SerialBackend() as backend:
             candidate = explore_sharded(
                 get(name), Grid(m, n), model, backend=backend, kernel="packed"
             )
         assert_explorations_equal(self._reference(), candidate)
-
-    def test_legacy_five_slot_key_still_expands(self):
-        """Pre-kernel coordinators ship 5-tuples; workers default to object."""
-        name, m, n, model = self.CASE
-        algorithm = get(name)
-        grid = Grid(m, n)
-        state = initial_state(algorithm, grid)
-        legacy = expand_shard(((name, m, n, model, "none"), [state]))
-        current = expand_shard(((name, m, n, model, "none", "packed"), [state]))
-        assert [[rep for rep, _ in row] for row in legacy[0]] == [
-            [rep for rep, _ in row] for row in current[0]
-        ]
-
-    def test_packed_serial_threshold_scaling(self):
-        from repro.engine.pool import PACKED_SERIAL_FACTOR, estimate_states
-
-        name, m, n, model = self.CASE
-        algorithm = get(name)
-        estimate = estimate_states(algorithm, Grid(m, n), model)
-        assert PACKED_SERIAL_FACTOR > 1
-        # A threshold just below the estimate shards the object kernel but
-        # keeps the (PACKED_SERIAL_FACTOR x faster) packed kernel serial.
-        with ExplorationPool(workers=2, serial_threshold=estimate) as pool:
-            pool.explore(algorithm, Grid(m, n), model, kernel="packed")
-            assert not pool.started
-            pool.explore(algorithm, Grid(m, n), model, kernel="object")
-            assert pool.started
 
 
 # ---------------------------------------------------------------------------

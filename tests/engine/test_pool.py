@@ -1,4 +1,4 @@
-"""Tests for the persistent exploration pool and the cache-plumbing fixes."""
+"""Tests for the persistent pool, the matcher caches and the cache plumbing."""
 
 from __future__ import annotations
 
@@ -17,7 +17,6 @@ from repro.engine import (
     MatcherCache,
     ParallelCampaignEngine,
     default_workers,
-    estimate_states,
     explore,
     explore_sharded,
     verify_one,
@@ -59,47 +58,30 @@ def _assert_same_exploration(actual, expected):
 
 
 # ---------------------------------------------------------------------------
-# Pooled exploration: parity and routing
+# Explorations handed a pool run in-process on its cache
 # ---------------------------------------------------------------------------
 class TestPooledParity:
-    """Acceptance: pooled explorations are byte-identical to serial ones."""
+    """Explorations handed a pool are byte-identical to serial ones."""
 
-    @pytest.mark.parametrize(
-        "name,m,n,model",
-        [
-            ("fsync_phi2_l2_chir_k2", 4, 4, "FSYNC"),
-            ("fsync_phi2_l2_chir_k2", 4, 4, "SSYNC"),
-            ("async_phi2_l3_chir_k2", 3, 4, "ASYNC"),
-        ],
-    )
-    @pytest.mark.parametrize("symmetry_reduction", [False, True])
-    def test_sharded_route_matches_serial(self, name, m, n, model, symmetry_reduction):
-        algorithm = get(name)
-        grid = Grid(m, n)
-        serial = _serial(algorithm, grid, model, symmetry_reduction=symmetry_reduction)
-        with ExplorationPool(workers=2, serial_threshold=0) as pool:
-            pooled = pool.explore(
-                algorithm, grid, model, symmetry_reduction=symmetry_reduction
-            )
-        _assert_same_exploration(pooled, serial)
-
-    def test_serial_route_matches_serial_without_spawning(self):
+    def test_explorations_run_in_process_on_the_pool_cache(self):
         algorithm = get("fsync_phi2_l2_chir_k2")
-        grid = Grid(3, 3)
-        serial = _serial(algorithm, grid, "FSYNC")
-        with ExplorationPool(workers=2) as pool:  # default threshold: 3x3 routes serial
-            pooled = pool.explore(algorithm, grid, "FSYNC")
+        grid = Grid(4, 4)
+        serial = _serial(algorithm, grid, "SSYNC")
+        with ExplorationPool(workers=2) as pool:
+            pooled = explore_state_space(algorithm, grid, model="SSYNC", pool=pool)
             assert not pool.started  # no worker processes were ever spawned
-        _assert_same_exploration(pooled, serial)
+            assert pool.cache.stats_for(algorithm).lookups > 0
+        assert pooled == serial.graph()
 
-    def test_budget_trip_context_identical_on_the_sharded_route(self):
+    def test_budget_trip_context_identical_through_the_pool(self):
         algorithm = get("fsync_phi2_l2_nochir_k3")
         grid = Grid(8, 8)
         with pytest.raises(StateSpaceLimitExceeded) as serial_info:
             _serial(algorithm, grid, "SSYNC", max_states=100)
-        with ExplorationPool(workers=2, serial_threshold=0) as pool:
+        with ExplorationPool(workers=2) as pool:
             with pytest.raises(StateSpaceLimitExceeded) as pooled_info:
-                pool.explore(algorithm, grid, "SSYNC", max_states=100)
+                explore_state_space(algorithm, grid, model="SSYNC", max_states=100, pool=pool)
+            assert not pool.started
         serial, pooled = serial_info.value, pooled_info.value
         assert str(pooled) == str(serial)
         assert pooled.algorithm == serial.algorithm
@@ -108,80 +90,45 @@ class TestPooledParity:
         assert pooled.states_explored == serial.states_explored
         assert pooled.frontier_size == serial.frontier_size
 
-    def test_budget_trip_context_identical_on_the_serial_route(self):
-        algorithm = get("fsync_phi2_l2_nochir_k3")
-        grid = Grid(8, 8)
-        with pytest.raises(StateSpaceLimitExceeded) as serial_info:
-            _serial(algorithm, grid, "SSYNC", max_states=100)
-        with ExplorationPool(workers=2, serial_threshold=10**12) as pool:
-            with pytest.raises(StateSpaceLimitExceeded) as pooled_info:
-                pool.explore(algorithm, grid, "SSYNC", max_states=100)
-            assert not pool.started
-        assert str(pooled_info.value) == str(serial_info.value)
-
     def test_checking_entry_points_accept_pool(self):
         algorithm = get("fsync_phi2_l2_chir_k2")
         grid = Grid(4, 4)
         serial_graph = explore_state_space(algorithm, grid, model="SSYNC")
         serial_check = check_terminating_exploration(algorithm, grid, model="SSYNC")
-        with ExplorationPool(workers=2, serial_threshold=0) as pool:
+        with ExplorationPool(workers=2) as pool:
             assert explore_state_space(algorithm, grid, model="SSYNC", pool=pool) == serial_graph
             assert enumerate_reachable(algorithm, grid, model="SSYNC", pool=pool) == len(serial_graph)
             pooled_check = check_terminating_exploration(algorithm, grid, model="SSYNC", pool=pool)
         assert pooled_check == serial_check  # CheckResult equality ignores matcher_stats
         assert pooled_check.matcher_stats is not None
 
-    def test_unregistered_algorithm_routes_serial_on_the_pool_cache(self):
+    def test_unregistered_algorithm_runs_on_the_pool_cache(self):
         adhoc = _adhoc_algorithm()
         grid = Grid(1, 3)
         serial = _serial(adhoc, grid, "FSYNC", max_states=500)
-        with ExplorationPool(workers=4, serial_threshold=0) as pool:
-            pooled = pool.explore(adhoc, grid, "FSYNC", max_states=500)
+        with ExplorationPool(workers=4) as pool:
+            pooled = explore_state_space(adhoc, grid, model="FSYNC", max_states=500, pool=pool)
             assert not pool.started  # cannot cross the process boundary
             assert pool.cache.stats_for(adhoc).lookups > 0  # ran on the pool's cache
-        _assert_same_exploration(pooled, serial)
-
-    def test_explicit_workers_clamped_to_pool_capacity(self):
-        """A one-worker pool routes serial — on its cache — even if the
-        caller asks for more shards than the pool has workers."""
-        algorithm = get("fsync_phi2_l2_chir_k2")
-        grid = Grid(3, 3)
-        with ExplorationPool(workers=1) as pool:
-            result = explore_sharded(algorithm, grid, "FSYNC", workers=4, pool=pool)
-            assert not pool.started
-            assert pool.cache.stats_for(algorithm).lookups > 0
-        _assert_same_exploration(result, _serial(algorithm, grid, "FSYNC"))
+        assert pooled == serial.graph()
 
     def test_closed_pool_refuses_work(self):
         pool = ExplorationPool(workers=2)
         pool.close()
         with pytest.raises(RuntimeError):
-            pool.explore(get("fsync_phi2_l2_chir_k2"), Grid(3, 3), "FSYNC")
+            pool.map(abs, [-1, -2])
         pool.close()  # idempotent
 
 
 class TestPoolCachePersistence:
-    """Acceptance: caches survive across explorations on one pool."""
+    """Acceptance: the pool's cache survives across explorations."""
 
-    def test_cross_exploration_reuse_on_the_sharded_route(self):
-        algorithm = get("fsync_phi2_l2_chir_k2")
-        grid = Grid(4, 4)
-        with ExplorationPool(workers=2, serial_threshold=0) as pool:
-            first = pool.explore(algorithm, grid, "FSYNC")
-            second = pool.explore(algorithm, grid, "FSYNC")
-        _assert_same_exploration(second, first)
-        assert first.matcher_stats["misses"] > 0  # cold workers evaluated guards
-        # The same workers serve the second exploration, so its lookups hit
-        # the patterns memoized during the first one.
-        assert second.matcher_stats["hits"] > 0
-        assert second.matcher_stats["misses"] < first.matcher_stats["misses"]
-
-    def test_cross_exploration_reuse_on_the_serial_route(self):
+    def test_cross_exploration_reuse(self):
         algorithm = get("fsync_phi2_l2_chir_k2")
         grid = Grid(3, 3)
-        with ExplorationPool(workers=2) as pool:  # 3x3 routes serial
-            first = pool.explore(algorithm, grid, "FSYNC")
-            second = pool.explore(algorithm, grid, "FSYNC")
+        with ExplorationPool(workers=2) as pool:
+            first = check_terminating_exploration(algorithm, grid, model="FSYNC", pool=pool)
+            second = check_terminating_exploration(algorithm, grid, model="FSYNC", pool=pool)
         assert first.matcher_stats["misses"] > 0
         # The coordinator cache persists deterministically: the re-run pays
         # zero guard evaluations.
@@ -191,9 +138,9 @@ class TestPoolCachePersistence:
     def test_cache_reuse_spans_grid_sizes_and_models(self):
         algorithm = get("fsync_phi2_l2_chir_k2")
         with ExplorationPool(workers=2) as pool:
-            pool.explore(algorithm, Grid(3, 3), "FSYNC")
-            pool.explore(algorithm, Grid(3, 4), "FSYNC")
-            third = pool.explore(algorithm, Grid(4, 4), "SSYNC")
+            check_terminating_exploration(algorithm, Grid(3, 3), model="FSYNC", pool=pool)
+            check_terminating_exploration(algorithm, Grid(3, 4), model="FSYNC", pool=pool)
+            third = check_terminating_exploration(algorithm, Grid(4, 4), model="SSYNC", pool=pool)
         # Patterns learned at other sizes (and under FSYNC) serve the new
         # size/model: the matcher keys are grid-size and model independent.
         assert third.matcher_stats["hits"] > 0
@@ -249,42 +196,59 @@ class TestCampaignsOnThePool:
         """One pool, interleaved workloads: both run and stay consistent."""
         algorithm = get("fsync_phi2_l2_chir_k2")
         grid = Grid(4, 4)
-        with ExplorationPool(workers=2, serial_threshold=0) as pool:
-            exploration = pool.explore(algorithm, grid, "FSYNC")
+        with ExplorationPool(workers=2) as pool:
+            exploration = explore_state_space(algorithm, grid, model="FSYNC", pool=pool)
             report = grid_sweep(algorithm, sizes=[(3, 3), (4, 4)], pool=pool)
-            again = pool.explore(algorithm, grid, "FSYNC")
+            again = explore_state_space(algorithm, grid, model="FSYNC", pool=pool)
         assert report.ok
-        _assert_same_exploration(again, exploration)
+        assert again == exploration
 
 
 # ---------------------------------------------------------------------------
 # Satellite regressions
 # ---------------------------------------------------------------------------
-class TestShardedFallbackCache:
-    """explore_sharded's serial fallback must honour the caller's cache."""
+class TestExploreShardedCache:
+    """explore_sharded must honour the caller's cache."""
 
-    def test_fallback_runs_on_the_supplied_cache(self):
+    def test_unregistered_algorithm_runs_on_the_supplied_cache(self):
         adhoc = _adhoc_algorithm("adhoc_fallback_cache")
         grid = Grid(1, 3)
         cache = MatcherCache()
-        warm = explore_sharded(adhoc, grid, "FSYNC", workers=4, max_states=500, cache=cache)
-        # The unregistered algorithm fell back to the serial explorer — on
-        # the supplied cache, not a cold ad-hoc matcher.
+        warm = explore_sharded(adhoc, grid, "FSYNC", max_states=500, cache=cache)
+        # The unregistered algorithm ran on the supplied cache, not a cold
+        # ad-hoc matcher.
         assert cache.stats_for(adhoc).lookups > 0
         assert cache.entry_count() > 0
         _assert_same_exploration(warm, _serial(adhoc, grid, "FSYNC", max_states=500))
-        # ...and a second fallback over the same cache starts warm.
-        rerun = explore_sharded(adhoc, grid, "FSYNC", workers=4, max_states=500, cache=cache)
+        # ...and a second run over the same cache starts warm.
+        rerun = explore_sharded(adhoc, grid, "FSYNC", max_states=500, cache=cache)
         assert rerun.matcher_stats["misses"] == 0
         _assert_same_exploration(rerun, warm)
 
-    def test_workers_one_fallback_also_uses_the_cache(self):
+    def test_registered_algorithm_uses_the_cache(self):
         algorithm = get("fsync_phi2_l2_chir_k2")
         grid = Grid(3, 3)
         cache = MatcherCache()
-        explore_sharded(algorithm, grid, "FSYNC", workers=1, cache=cache)
-        warm = explore_sharded(algorithm, grid, "FSYNC", workers=1, cache=cache)
+        explore_sharded(algorithm, grid, "FSYNC", cache=cache)
+        warm = explore_sharded(algorithm, grid, "FSYNC", cache=cache)
         assert warm.matcher_stats["misses"] == 0
+        _assert_same_exploration(warm, _serial(algorithm, grid, "FSYNC"))
+
+    @pytest.mark.parametrize(
+        "name,m,n,model",
+        [
+            ("fsync_phi2_l2_chir_k2", 4, 4, "SSYNC"),
+            ("async_phi2_l3_chir_k2", 3, 4, "ASYNC"),
+        ],
+    )
+    @pytest.mark.parametrize("reduction", ["none", "grid"])
+    def test_matches_the_serial_explorer(self, name, m, n, model, reduction):
+        algorithm = get(name)
+        grid = Grid(m, n)
+        _assert_same_exploration(
+            explore_sharded(algorithm, grid, model, reduction=reduction),
+            _serial(algorithm, grid, model, reduction=reduction),
+        )
 
 
 class TestSeedNormalization:
@@ -362,17 +326,123 @@ class TestDefaultWorkers:
         pool.close()
 
 
-class TestEstimateStates:
-    def test_monotone_in_grid_area(self):
+class TestMatcherCache:
+    def test_cross_size_reuse_has_nonzero_hits(self):
+        """Acceptance: a cache warmed at other sizes hits at a new size."""
         algorithm = get("fsync_phi2_l2_chir_k2")
-        small = estimate_states(algorithm, Grid(3, 3), "FSYNC")
-        large = estimate_states(algorithm, Grid(8, 8), "FSYNC")
-        assert small < large
+        cache = MatcherCache()
+        for size in [(3, 3), (3, 4), (3, 5)]:
+            check_terminating_exploration(algorithm, Grid(*size), model="FSYNC", cache=cache)
+        before = cache.stats.snapshot()
+        result = check_terminating_exploration(algorithm, Grid(4, 4), model="FSYNC", cache=cache)
+        delta = cache.stats.delta_since(before)
+        assert delta.hits > 0
+        assert result.matcher_stats is not None
+        assert result.matcher_stats["hits"] == delta.hits
 
-    def test_richer_models_estimate_higher(self):
+    def test_cache_does_not_change_verdicts(self):
+        algorithm = get("async_phi2_l3_chir_k2")
+        grid = Grid(3, 4)
+        plain = check_terminating_exploration(algorithm, grid, model="ASYNC")
+        cache = MatcherCache()
+        cached = check_terminating_exploration(algorithm, grid, model="ASYNC", cache=cache)
+        recheck = check_terminating_exploration(algorithm, grid, model="ASYNC", cache=cache)
+        for result in (cached, recheck):
+            assert result.ok == plain.ok
+            assert result.states_explored == plain.states_explored
+            assert result.terminal_states == plain.terminal_states
+        # The second run over the same cache is (almost) all hits.
+        assert recheck.matcher_stats["hit_rate"] > 0.9
+
+    def test_tables_are_shared_per_algorithm_identity(self):
+        first = get("fsync_phi2_l2_chir_k2")
+        second = get("fsync_phi1_l2_chir_k3")
+        cache = MatcherCache()
+        matcher_a = cache.matcher_for(first, Grid(3, 3))
+        matcher_b = cache.matcher_for(first, Grid(5, 5))
+        matcher_c = cache.matcher_for(second, Grid(3, 3))
+        assert matcher_a._matches is matcher_b._matches  # same algorithm: shared tables
+        assert matcher_a._matches is not matcher_c._matches  # different algorithm: isolated
+        assert matcher_a.stats is matcher_b.stats
+
+    def test_summary_surfaces_cache_stats(self):
         algorithm = get("fsync_phi2_l2_chir_k2")
-        grid = Grid(4, 4)
-        fsync = estimate_states(algorithm, grid, "FSYNC")
-        ssync = estimate_states(algorithm, grid, "SSYNC")
-        async_ = estimate_states(algorithm, grid, "ASYNC")
-        assert fsync < ssync < async_
+        cache = MatcherCache()
+        check_terminating_exploration(algorithm, Grid(3, 3), model="FSYNC", cache=cache)
+        result = check_terminating_exploration(algorithm, Grid(3, 3), model="FSYNC", cache=cache)
+        assert "match cache" in result.summary()
+
+
+class TestSlotsAndBatching:
+    def test_hot_state_classes_have_no_dict(self):
+        from repro.engine.states import AsyncRobotState, initial_state
+
+        algorithm = get("fsync_phi2_l2_chir_k2")
+        state = initial_state(algorithm, Grid(3, 3))
+        assert not hasattr(state, "__dict__")
+        assert not hasattr(state.robots[0], "__dict__")
+        record = AsyncRobotState(pos=(0, 0), color="W")
+        with pytest.raises((AttributeError, TypeError)):
+            object.__setattr__(record, "not_a_slot", 1)
+
+    def test_scheduler_state_hash_cache_not_pickled(self):
+        import pickle
+
+        from repro.engine.states import initial_state
+
+        algorithm = get("fsync_phi2_l2_chir_k2")
+        state = initial_state(algorithm, Grid(3, 3))
+        hash(state)  # populate the cache
+        clone = pickle.loads(pickle.dumps(state))
+        with pytest.raises(AttributeError):
+            object.__getattribute__(clone, "_hash")
+        assert clone == state and hash(clone) == hash(state)
+
+    def test_batched_matches_agree_with_per_robot_matches(self):
+        from repro.engine import LocalMatcher
+
+        for name in ("fsync_phi2_l2_chir_k2", "fsync_phi1_l2_nochir_k5"):
+            algorithm = get(name)
+            grid = Grid(4, 5)
+            matcher = LocalMatcher(algorithm, grid)
+            reference = LocalMatcher(algorithm, grid)
+            world = algorithm.initial_world(grid)
+            batch = matcher.batched_matches(world.robots)
+            assert [robot.rid for robot, _ in batch] == [robot.rid for robot in world.robots]
+            for robot, matches in batch:
+                assert matches == reference.matches(world.robots, robot.pos, robot.color)
+
+    def test_walk_results_unchanged_by_shared_matcher(self):
+        from repro.core import run_fsync
+        from repro.engine import MatcherCache
+
+        algorithm = get("fsync_phi2_l2_chir_k2")
+        grid = Grid(4, 5)
+        plain = run_fsync(algorithm, grid)
+        cache = MatcherCache()
+        warm = run_fsync(algorithm, grid, matcher=cache.matcher_for(algorithm, grid))
+        rewarm = run_fsync(algorithm, grid, matcher=cache.matcher_for(algorithm, grid))
+        for result in (warm, rewarm):
+            assert result.final == plain.final
+            assert result.events == plain.events
+            assert result.steps == plain.steps
+
+
+class TestCampaignCacheObservability:
+    def test_serial_campaign_reports_carry_cache_counters(self):
+        from repro.verification import grid_sweep
+
+        report = grid_sweep(get("fsync_phi2_l2_chir_k2"), sizes=[(3, 3), (3, 4), (4, 4)])
+        assert report.ok
+        assert all(r.cache_hits is not None for r in report.reports)
+        # Later sizes reuse patterns learned at earlier ones.
+        assert sum(r.cache_hits for r in report.reports[1:]) > 0
+        assert "match cache" in report.summary()
+
+    def test_cache_counters_do_not_break_parallel_parity(self):
+        from repro.engine.campaign import VerificationReport
+
+        first = VerificationReport("a", "FSYNC", 3, 3, None, True, 1, 1, "ok", cache_hits=10, cache_misses=1)
+        second = VerificationReport("a", "FSYNC", 3, 3, None, True, 1, 1, "ok", cache_hits=99, cache_misses=5)
+        assert first == second  # observability fields are compare=False
+        assert str(first) == str(second)

@@ -2,12 +2,9 @@
 
 from __future__ import annotations
 
-import multiprocessing
-
 import pytest
 
 from repro.algorithms import get
-from repro.algorithms import registry as algorithm_registry
 from repro.checking import check_terminating_exploration, enumerate_reachable
 from repro.core import Algorithm, B, G, Grid, Synchrony, W, occ
 from repro.core.errors import StateSpaceLimitExceeded
@@ -16,12 +13,11 @@ from repro.engine import (
     AlgorithmTransitionSystem,
     CampaignTask,
     ExplorationPool,
+    MatcherCache,
     ParallelCampaignEngine,
     ReductionPipeline,
-    apriori_reduction_factor,
     check_one,
     detect_color_permutations,
-    estimate_states,
     execute_tasks,
     explore,
     explore_sharded,
@@ -227,7 +223,7 @@ class TestVerdictParity:
 
 
 class TestRoutesAgreeOnTheQuotient:
-    """Serial, sharded and pooled explorations of one quotient are identical."""
+    """Cold and warm explorations of one quotient are identical."""
 
     @pytest.mark.parametrize("reduction", REDUCTIONS)
     def test_exploration_identical_across_routes(self, reduction):
@@ -235,10 +231,10 @@ class TestRoutesAgreeOnTheQuotient:
         algorithm = get(name)
         grid = Grid(m, n)
         serial = _serial(algorithm, grid, model, reduction=reduction)
-        sharded = explore_sharded(algorithm, grid, model, workers=2, reduction=reduction)
-        with ExplorationPool(workers=2, serial_threshold=0) as pool:
-            pooled = pool.explore(algorithm, grid, model, reduction=reduction)
-        for other in (sharded, pooled):
+        cache = MatcherCache()
+        cold = explore_sharded(algorithm, grid, model, reduction=reduction, cache=cache)
+        warm = explore_sharded(algorithm, grid, model, reduction=reduction, cache=cache)
+        for other in (cold, warm):
             assert other.states == serial.states
             assert other.succ == serial.succ
             assert other.index == serial.index
@@ -247,7 +243,7 @@ class TestRoutesAgreeOnTheQuotient:
             assert other.root_sym == serial.root_sym
             assert other.reduction == serial.reduction
             # Reduction statistics are deterministic — unlike the matcher
-            # counters they must agree across every route.
+            # counters they must not depend on how warm the cache was.
             assert other.reduction_stats == serial.reduction_stats
 
     def test_budget_trip_context_identical_under_reduction(self):
@@ -256,9 +252,7 @@ class TestRoutesAgreeOnTheQuotient:
         with pytest.raises(StateSpaceLimitExceeded) as serial_info:
             _serial(algorithm, grid, "ASYNC", reduction="grid+color+por", max_states=10)
         with pytest.raises(StateSpaceLimitExceeded) as sharded_info:
-            explore_sharded(
-                algorithm, grid, "ASYNC", workers=3, reduction="grid+color+por", max_states=10
-            )
+            explore_sharded(algorithm, grid, "ASYNC", reduction="grid+color+por", max_states=10)
         serial, sharded = serial_info.value, sharded_info.value
         assert str(sharded) == str(serial)
         assert "reduction grid+por on" in str(serial)  # color group is trivial
@@ -293,18 +287,15 @@ class TestStrictReduction:
             check_terminating_exploration(
                 algorithm, grid, model=model, reduction="grid+color+por"
             ),
-            check_terminating_exploration(
-                algorithm, grid, model=model, reduction="grid+color+por", workers=2
-            ),
         ]
-        with ExplorationPool(workers=2, serial_threshold=0) as pool:
+        with ExplorationPool(workers=2) as pool:
             results.append(
                 check_terminating_exploration(
                     algorithm, grid, model=model, reduction="grid+color+por", pool=pool
                 )
             )
-        serial, sharded, pooled = results
-        assert sharded == serial and pooled == serial  # byte-identical CheckResults
+        serial, pooled = results
+        assert pooled == serial  # byte-identical CheckResults
         assert serial.states_explored < baseline.states_explored
         assert (serial.terminates, serial.explores, serial.ok, serial.counterexample) == (
             baseline.terminates,
@@ -372,34 +363,8 @@ class TestStrictReduction:
         )
 
 
-class TestShardedProductWitnesses:
-    """The (grid, color) witness wire format across real worker processes."""
-
-    @pytest.mark.skipif(
-        multiprocessing.get_start_method() != "fork",
-        reason="registry patching only reaches fork-started workers",
-    )
-    def test_sharded_exploration_matches_serial_with_color_quotient(self, monkeypatch):
-        twin = _color_twin("color_twin_sharded")
-        algorithm_registry.all_algorithms()  # make sure the cache exists
-        monkeypatch.setitem(algorithm_registry._CACHE, twin.name, twin)
-        grid = Grid(2, 4)
-        serial = _serial(twin, grid, "SSYNC", reduction="grid+color")
-        sharded = explore_sharded(twin, grid, "SSYNC", workers=2, reduction="grid+color")
-        assert serial.reduced and serial.reduction == "grid+color"
-        assert sharded.states == serial.states
-        assert sharded.succ == serial.succ
-        assert sharded.edge_syms == serial.edge_syms  # ProductWitness equality
-        assert sharded.root_sym == serial.root_sym
-        assert sharded.reduction_stats == serial.reduction_stats
-        assert any(
-            isinstance(h, ProductWitness) and h.color is not None
-            for row in serial.edge_syms
-            for h in row
-        )
-
-    def test_witness_tokens_round_trip(self):
-        twin = _color_twin("color_twin_tokens")
+    def test_product_witnesses_undo_canonicalization(self):
+        twin = _color_twin("color_twin_witnesses")
         grid = Grid(2, 3)
         pipeline = ReductionPipeline(twin, grid, "SSYNC", spec="grid+color")
         ts = AlgorithmTransitionSystem(twin, grid, "SSYNC")
@@ -411,43 +376,10 @@ class TestShardedProductWitnesses:
                 witnesses.append((raw, rep, h))
                 if rep not in seen:
                     seen.append(rep)
-        resolver = ReductionPipeline(twin, grid, "SSYNC", spec="grid+color")
-        assert any(h is not None for _, _, h in witnesses)
+        assert any(isinstance(h, ProductWitness) for _, _, h in witnesses)
         for raw, rep, h in witnesses:
-            token = pipeline.witness_token(h)
-            resolved = resolver.witness_from_token(token)
-            assert resolved == h
-            if h is not None:
-                # The witness really undoes the canonicalization.
-                assert (h.apply(rep) if isinstance(h, ProductWitness) else None) in (raw, None)
-
-
-# ---------------------------------------------------------------------------
-# Routing estimates (satellite: pool.estimate_states respects reduction)
-# ---------------------------------------------------------------------------
-class TestReductionAwareEstimates:
-    def test_estimate_scaled_by_apriori_factor(self):
-        twin = _color_twin("color_twin_estimates")
-        grid = Grid(4, 4)
-        raw = estimate_states(twin, grid, "SSYNC")
-        factor = apriori_reduction_factor(twin, grid, "SSYNC", "grid+color")
-        # 4x4 chirality-true grid group has 4 elements, the color group 2.
-        assert factor == 8
-        assert estimate_states(twin, grid, "SSYNC", reduction="grid+color") == max(1, raw // 8)
-        assert estimate_states(twin, grid, "SSYNC", reduction="none") == raw
-        # POR contributes no a-priori factor.
-        assert apriori_reduction_factor(twin, grid, "ASYNC", "por") == 1
-
-    def test_quotiented_run_can_route_serial_where_raw_routes_sharded(self):
-        algorithm = get("fsync_phi2_l2_nochir_k3")
-        grid = Grid(5, 5)
-        raw = estimate_states(algorithm, grid, "SSYNC")
-        reduced = estimate_states(algorithm, grid, "SSYNC", reduction="grid")
-        threshold = (raw + reduced) // 2
-        assert reduced < threshold <= raw
-        with ExplorationPool(workers=2, serial_threshold=threshold) as pool:
-            pool.explore(algorithm, grid, "SSYNC", reduction="grid", max_states=200_000)
-            assert not pool.started  # the scaled estimate routed it serially
+            if isinstance(h, ProductWitness):
+                assert h.apply(rep) == raw
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,7 @@ import struct
 import threading
 import zlib
 from dataclasses import replace
+from functools import partial
 
 import pytest
 
@@ -53,7 +54,7 @@ def scrubbed(exploration):
     per route) but differs between a cold run and a cache-served copy of
     an earlier run, so parity tests compare the verdict-bearing rest.
     """
-    return replace(exploration, matcher_stats=None, store_stats=None, wire_stats=None)
+    return replace(exploration, matcher_stats=None, store_stats=None)
 
 
 # ---------------------------------------------------------------------------
@@ -254,19 +255,20 @@ class TestCoalescing:
 
     def test_concurrent_explorations_coalesce_to_one(self, monkeypatch):
         """Two racing ``explore_sharded(store=...)`` calls, one exploration."""
-        from repro.engine import sharded as sharded_module
+        from repro.engine import explorer as explorer_module
 
-        routed = sharded_module._route_exploration
+        explore = explorer_module.explore
         started, release = threading.Event(), threading.Event()
         calls = []
 
-        def gated_route(*args, **kwargs):
-            calls.append(1)
-            started.set()
-            assert release.wait(timeout=60)
-            return routed(*args, **kwargs)
+        def gated_explore(ts, **kwargs):
+            if kwargs.get("store") is None:  # the computation behind the store
+                calls.append(1)
+                started.set()
+                assert release.wait(timeout=60)
+            return explore(ts, **kwargs)
 
-        monkeypatch.setattr(sharded_module, "_route_exploration", gated_route)
+        monkeypatch.setattr(explorer_module, "explore", gated_explore)
         store = VerdictStore()
         algorithm, grid = get(ALGORITHM), Grid(3, 3)
         results = {}
@@ -301,13 +303,9 @@ class TestParity:
         store = VerdictStore()
         for name, m, n, model in reduction_parity_suite():
             algorithm, grid = get(name), Grid(m, n)
-            fresh = explore_sharded(algorithm, grid, model, reduction="grid", workers=1)
-            recorded = explore_sharded(
-                algorithm, grid, model, reduction="grid", workers=1, store=store
-            )
-            cached = explore_sharded(
-                algorithm, grid, model, reduction="grid", workers=1, store=store
-            )
+            fresh = explore_sharded(algorithm, grid, model, reduction="grid")
+            recorded = explore_sharded(algorithm, grid, model, reduction="grid", store=store)
+            cached = explore_sharded(algorithm, grid, model, reduction="grid", store=store)
             assert recorded.store_stats["outcome"] == MISS
             assert cached.store_stats["outcome"] == HIT
             assert scrubbed(cached) == scrubbed(recorded) == scrubbed(fresh)
@@ -318,9 +316,10 @@ class TestParity:
         with ExplorationPool(workers=2) as pool:
             for name, m, n, model in cases:
                 algorithm, grid = get(name), Grid(m, n)
-                fresh = pool.explore(algorithm, grid, model, reduction="grid")
-                recorded = pool.explore(algorithm, grid, model, reduction="grid", store=store)
-                cached = pool.explore(algorithm, grid, model, reduction="grid", store=store)
+                explore = partial(explore_sharded, algorithm, grid, model, reduction="grid", cache=pool.cache)
+                fresh = explore()
+                recorded = explore(store=store)
+                cached = explore(store=store)
                 assert cached.store_stats["outcome"] == HIT
                 assert scrubbed(cached) == scrubbed(recorded) == scrubbed(fresh)
 
@@ -504,21 +503,20 @@ class TestFrameCompression:
         with pytest.raises((zlib.error, pickle.UnpicklingError, EOFError, ValueError)):
             decode_frame_body(bytes(body))
 
-    def test_wire_stats_record_compression_savings(self, monkeypatch):
-        from repro.engine import DistributedBackend, WorkerDaemon
+    def test_frame_stats_record_compression_savings(self, monkeypatch):
+        from repro.engine import DistributedBackend, WorkerDaemon, run_task
         from repro.engine import distributed as distributed_module
 
-        # Small test grids send small frames; drop the threshold so the
-        # coordinator's work frames qualify (production-size frontiers
-        # clear the real 1 KiB bar on their own).
+        # Task frames are small; drop the threshold so the coordinator's
+        # work frames qualify (large frames clear the real 1 KiB bar on
+        # their own).
         monkeypatch.setattr(distributed_module, "COMPRESS_THRESHOLD", 64)
         algorithm = get(ALGORITHM)
+        tasks = exhaustive_check_tasks(algorithm, sizes=[(3, 3), (3, 4)], reduction="grid")
         with DistributedBackend(min_workers=1, start_timeout=30) as backend:
             with WorkerDaemon(backend.host, backend.port, workers=1).start():
-                exploration = explore_sharded(
-                    algorithm, Grid(4, 4), "FSYNC", reduction="grid", backend=backend
-                )
+                reports = backend.run_tasks(tasks)
                 stats = backend.stats
-        assert exploration.num_states > 0
+        assert reports == [run_task(task) for task in tasks]
         assert stats["frames_compressed"] >= 1
         assert stats["bytes_sent_raw"] > stats["bytes_sent"]  # savings were real

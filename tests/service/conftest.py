@@ -3,8 +3,8 @@
 The service tests exercise the real network boundary — actual loopback
 sockets, actual ``urllib`` requests — but keep the service object
 in-process so tests can inspect its store counters and monkeypatch engine
-internals (the coalescing test gates :func:`_route_exploration`, which
-only works when handler threads share this process's module state).
+internals (the coalescing test gates the checker's ``explore_sharded``,
+which only works when handler threads share this process's module state).
 """
 
 from __future__ import annotations
@@ -84,3 +84,28 @@ def harness_factory(tmp_path):
 def harness(harness_factory):
     """A served :class:`VerificationService` over a fresh store + journal."""
     return harness_factory()
+
+
+#: ``python -m repro.service`` argv per ``--backend`` kind.  No worker
+#: daemon ever joins the distributed coordinator these tests bind.
+BACKEND_ARGV = {
+    "serial": ["--backend", "serial"],
+    "pool": ["--backend", "pool", "--workers", "2"],
+    "distributed": ["--backend", "distributed", "--connect", "127.0.0.1:0"],
+}
+
+
+@pytest.fixture(params=sorted(BACKEND_ARGV))
+def cli_harness(request, tmp_path, capsys):
+    """A server built from the CLI's argv for each ``--backend`` kind."""
+    from repro.service.__main__ import build_parser, build_service
+
+    argv = BACKEND_ARGV[request.param] + ["--store", str(tmp_path / "store")]
+    service = build_service(build_parser().parse_args(argv))
+    capsys.readouterr()  # drop the start-up banner
+    server, _ = start_in_thread(service)
+    try:
+        yield ServiceHarness(service, server)
+    finally:
+        server.shutdown()
+        service.close()

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import os
 import signal
+import socket
 import subprocess
 import sys
 import threading
@@ -24,7 +25,8 @@ import pytest
 from repro.algorithms import registry
 from repro.checking.model_checker import check_terminating_exploration
 from repro.core.grid import Grid
-from repro.engine.spec import canonical_json, result_payload
+from repro.engine.explorer import explore_sharded
+from repro.engine.spec import canonical_json, exploration_payload, result_payload
 from repro.engine.store import VerdictStore
 
 ALGORITHM = "fsync_phi2_l2_chir_k2"
@@ -128,6 +130,31 @@ class TestValidationAndErrors:
         assert excinfo.value.code == 400
         assert json.loads(excinfo.value.read())["error"]["field"] == "body"
 
+    @pytest.mark.parametrize("length", ["abc", "-1", "+2", "1.5", "0x2", "\u00b2"])
+    def test_bad_content_length_is_a_400_naming_the_header(self, harness, length):
+        # urllib cannot send these headers, so speak HTTP over a raw socket.
+        # A negative length used to block the handler in rfile.read(-1)
+        # until the client hung up; the socket timeout turns that into a
+        # failure here instead of a hang.  "+2" and the superscript two
+        # (a Unicode digit that int() refuses) are spellings int() or
+        # str.isdigit() would let through: only ASCII digits are a length.
+        host, port = harness.server.server_address[:2]
+        request = (
+            f"POST /v1/check HTTP/1.0\r\nHost: {host}\r\n"
+            f"Content-Type: application/json\r\nContent-Length: {length}\r\n\r\n{{}}"
+        ).encode("latin-1")
+        with socket.create_connection((host, port), timeout=10) as sock:
+            sock.sendall(request)
+            chunks = []
+            while True:
+                chunk = sock.recv(65536)
+                if not chunk:
+                    break
+                chunks.append(chunk)
+        head, _, body = b"".join(chunks).partition(b"\r\n\r\n")
+        assert head.split()[1] == b"400"
+        assert json.loads(body)["error"]["field"] == "Content-Length"
+
     def test_unknown_endpoints_are_404s(self, harness):
         code, _, _ = harness.get("/v1/unknown")
         assert code == 404
@@ -170,19 +197,19 @@ class TestRateLimiting:
 class TestCoalescing:
     def test_simultaneous_checks_for_one_spec_compute_once(self, harness, monkeypatch):
         """Two concurrent HTTP requests rendezvous in the store's singleflight."""
-        from repro.engine import sharded as sharded_module
+        from repro.checking import model_checker
 
-        routed = sharded_module._route_exploration
+        explore = model_checker.explore_sharded
         started, release = threading.Event(), threading.Event()
         calls = []
 
-        def gated_route(*args, **kwargs):
+        def gated_explore(*args, **kwargs):
             calls.append(1)
             started.set()
             assert release.wait(timeout=60)
-            return routed(*args, **kwargs)
+            return explore(*args, **kwargs)
 
-        monkeypatch.setattr(sharded_module, "_route_exploration", gated_route)
+        monkeypatch.setattr(model_checker, "explore_sharded", gated_explore)
         responses = {}
 
         def post(slot):
@@ -294,6 +321,58 @@ class TestCampaigns:
         assert stats["store"]["misses"] >= 1
         assert stats["backend"]["kind"] == "serial"
         assert stats["rate_limiter"]["rate"] is None
+
+
+# ---------------------------------------------------------------------------
+# Server CLI
+# ---------------------------------------------------------------------------
+class TestServerCli:
+    def test_distributed_banner_names_the_bound_coordinator(self, capsys):
+        from repro.service.__main__ import build_parser, build_service
+
+        args = build_parser().parse_args(["--backend", "distributed", "--connect", "127.0.0.1:0"])
+        service = build_service(args)
+        try:
+            port = service.backend.port
+            out = capsys.readouterr().out
+        finally:
+            service.close()
+        assert port != 0
+        assert f"service: distributed coordinator on 127.0.0.1:{port}\n" in out
+
+
+class TestBackendKinds:
+    """Every ``--backend`` answers checks and explorations in the server.
+
+    Only campaigns fan out; a single-shot miss never waits for a worker.
+    """
+
+    @staticmethod
+    def assert_nothing_left_the_process(service):
+        if service.pool is not None:
+            assert not service.pool.started
+        assert getattr(service.backend, "workers_ever", 0) == 0
+
+    def test_check_misses_and_hits_match_the_library(self, cli_harness):
+        expected = library_verdict_json()
+        for outcome in ("miss", "hit"):
+            code, body, _ = cli_harness.post("/v1/check", SPEC, timeout=30)
+            assert code == 200
+            assert body["observability"]["store_stats"]["outcome"] == outcome
+            assert canonical_json(body["verdict"]) == expected
+        self.assert_nothing_left_the_process(cli_harness.service)
+
+    def test_explore_misses_and_hits_match_the_library(self, cli_harness):
+        exploration = explore_sharded(
+            registry.get(ALGORITHM), Grid(SPEC["m"], SPEC["n"]), SPEC["model"], reduction=SPEC["reduction"]
+        )
+        expected = canonical_json(exploration_payload(exploration)["verdict"])
+        for outcome in ("miss", "hit"):
+            code, body, _ = cli_harness.post("/v1/explore", SPEC, timeout=30)
+            assert code == 200
+            assert body["observability"]["store_stats"]["outcome"] == outcome
+            assert canonical_json(body["verdict"]) == expected
+        self.assert_nothing_left_the_process(cli_harness.service)
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from repro.engine.campaign import (
     task_store_key,
 )
 from repro.engine.journal import content_key
-from repro.engine.sharded import explore_sharded
+from repro.engine.explorer import explore_sharded
 from repro.engine.spec import (
     CheckSpec,
     SpecError,
