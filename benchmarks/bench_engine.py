@@ -33,12 +33,10 @@ machine-readable ledger, ``BENCH_engine.json`` at the repo root:
   parity-enforced against a store-less serial engine and the cold/warm
   wall ratio (the re-check speedup every later consumer inherits) lands
   in the ledger with a >= 10x gate;
-* **packed kernel** (PR 6 trajectory) — the packed successor kernel
-  (:mod:`repro.engine.packed`) against the object kernel on warm
-  FSYNC/SSYNC/ASYNC cases, parity-enforced field by field before any
-  number is recorded; plus the ``SchedulerState.from_records`` sort-key
-  cache micro-benchmark (re-sorting already-seen records, the kernel's
-  hottest object-path operation).
+* **sort-key cache** (PR 6 trajectory) — the
+  ``SchedulerState.from_records`` micro-benchmark (re-sorting
+  already-seen records, the kernel's hottest state-construction
+  operation).
 
 Run directly:
 
@@ -83,7 +81,6 @@ from repro.engine import (
     explore,
     initial_state,
 )
-from repro.engine.packed import PackedTransitionSystem
 from repro.engine.states import AsyncRobotState, world_from_state
 
 BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_engine.json"
@@ -98,16 +95,8 @@ SMOKE_REGRESSION_FACTOR = 3.0
 #: comparable across machines while absolute states/s are not.
 SMOKE_REFERENCE_CASE = "fsync_phi2_l2_chir_k2 3x3 [FSYNC] seed"
 
-#: Packed-vs-object kernel cases (warm-repetition protocol, one per model).
-PACKED_BENCH_CASES = (
-    ("fsync_phi1_l2_nochir_k5", 4, 4, "FSYNC"),
-    ("fsync_phi2_l1_nochir_k4", 5, 5, "SSYNC"),
-    ("async_phi2_l2_nochir_k4", 4, 4, "ASYNC"),
-)
-
-#: The packed-vs-object case the smoke guard re-measures (the FSYNC one —
-#: smallest, so the guard stays cheap).
-PACKED_SMOKE_CASE = PACKED_BENCH_CASES[0]
+#: The ASYNC exploration whose records the ``from_records`` bench re-sorts.
+FROM_RECORDS_CASE = ("async_phi2_l2_nochir_k4", 4, 4, "ASYNC")
 
 #: Warm verdict-store hits must beat the cold computing pass by at least
 #: this factor on the exhaustive sweep (a same-machine ratio, so the gate
@@ -554,43 +543,6 @@ def bench_service() -> Tuple[List[dict], float, float, dict]:
     return rows, warm_s, cold_s, stats
 
 
-def _require_kernel_parity(reference, candidate, label: str) -> None:
-    """RuntimeError (survives ``python -O``) unless the explorations match."""
-    for field in ("model", "reduced", "states", "index", "succ", "edge_syms",
-                  "root", "root_sym", "reduction", "reduction_stats"):
-        if getattr(candidate, field) != getattr(reference, field):
-            raise RuntimeError(f"packed kernel diverged from the object kernel on {label} ({field})")
-
-
-def bench_packed(repetitions: int) -> Tuple[List[dict], Dict[str, float]]:
-    """The PR-6 trajectory: packed vs object successor kernel, warm.
-
-    Both kernels are measured under the same warm-repetition protocol the
-    other "kernel" rows use (one warm-up run on a persistent transition
-    system, then timed repetitions — the pool/daemon/sweep regime both
-    kernels actually serve), and the packed exploration is parity-checked
-    field by field against the object one before any number is recorded.
-    Returns the rows plus the per-model speedup factors.
-    """
-    rows: List[dict] = []
-    speedups: Dict[str, float] = {}
-    for name, m, n, model in PACKED_BENCH_CASES:
-        algorithm = get(name)
-        grid = Grid(m, n)
-        label = f"{name} {m}x{n} [{model}]"
-        object_ts = AlgorithmTransitionSystem(algorithm, grid, model)
-        packed_ts = PackedTransitionSystem(algorithm, grid, model)
-        _require_kernel_parity(explore(object_ts), explore(packed_ts), label)
-        # The larger state spaces need fewer repetitions to amortize noise.
-        reps = repetitions if model == "FSYNC" else max(1, repetitions // 10)
-        object_s, states = _measure(lambda: explore(object_ts).num_states, reps)
-        packed_s, _ = _measure(lambda: explore(packed_ts).num_states, reps)
-        speedups[model] = object_s / packed_s if packed_s else float("inf")
-        rows.append(_case(f"{label} object kernel", object_s, states))
-        rows.append(_case(f"{label} packed kernel", packed_s, states))
-    return rows, speedups
-
-
 def bench_from_records(repetitions: int) -> Tuple[List[dict], float]:
     """The ``SchedulerState.from_records`` sort-key cache micro-benchmark.
 
@@ -601,7 +553,7 @@ def bench_from_records(repetitions: int) -> Tuple[List[dict], float]:
     caches, the pre-PR-6 cost).  Returns the rows plus warm-vs-cold
     speedup; "states" counts the states rebuilt per run.
     """
-    name, m, n, model = PACKED_BENCH_CASES[2]
+    name, m, n, model = FROM_RECORDS_CASE
     algorithm = get(name)
     exploration = explore(AlgorithmTransitionSystem(algorithm, Grid(m, n), model))
     record_sets = [state.robots for state in exploration.states]
@@ -668,8 +620,6 @@ def run_full(repetitions: int, output: Path) -> int:
     rows += store_rows
     service_rows, service_warm_s, service_cold_s, service_store_stats = bench_service()
     rows += service_rows
-    packed_rows, packed_x = bench_packed(repetitions)
-    rows += packed_rows
     records_rows, records_x = bench_from_records(max(1, repetitions // 10))
     rows += records_rows
 
@@ -706,10 +656,6 @@ def run_full(repetitions: int, output: Path) -> int:
         f"HTTP service: warm /v1/check hits answer in {service_warm_s * 1e3:.2f} ms"
         f" end-to-end ({service_cold_s / service_warm_s:.1f}x the cold request,"
         f" {service_store_stats['hits']} hits, verdicts byte-identical, engine never re-entered)"
-    )
-    print(
-        "packed kernel vs object kernel (warm): "
-        + ", ".join(f"{model} {factor:.1f}x" for model, factor in packed_x.items())
     )
     print(f"from_records with cached sort keys: {records_x:.2f}x fresh records")
 
@@ -754,14 +700,6 @@ def run_full(repetitions: int, output: Path) -> int:
             file=sys.stderr,
         )
         ok = False
-    for model in ("FSYNC", "SSYNC"):
-        if packed_x[model] < 10.0:
-            print(
-                f"FAIL: expected the packed kernel to beat the object kernel by >= 10x"
-                f" on the warm {model} bench case (measured {packed_x[model]:.1f}x)",
-                file=sys.stderr,
-            )
-            ok = False
     if records_x <= 1.0:
         print(
             "FAIL: expected cached sort keys to beat fresh records in from_records",
@@ -796,10 +734,6 @@ def run_full(repetitions: int, output: Path) -> int:
             "service_cold_check_s": service_cold_s,
             "service_warm_requests": SERVICE_WARM_REQUESTS,
             "service_store_stats": service_store_stats,
-            "packed_vs_object": {
-                "{} {}x{} [{}]".format(name, m, n, model): packed_x[model]
-                for name, m, n, model in PACKED_BENCH_CASES
-            },
             "from_records_cached_keys_vs_fresh": records_x,
         },
         # The guard compares the machine-independent *ratio* of the kernel
@@ -810,11 +744,6 @@ def run_full(repetitions: int, output: Path) -> int:
             "kernel_vs_seed": engine_x,
             "states_per_s": by_case[SMOKE_CASE]["states_per_s"],
             "max_regression_factor": SMOKE_REGRESSION_FACTOR,
-            # The packed-kernel floor the smoke guard re-measures: the
-            # packed/object ratio on the FSYNC bench case, same-machine
-            # normalized like kernel_vs_seed.
-            "packed_case": "{} {}x{} [{}]".format(*PACKED_SMOKE_CASE),
-            "packed_vs_object": packed_x["FSYNC"],
             # The verdict-store floor the smoke guard re-measures: warm
             # hits vs the cold computing pass on the exhaustive sweep,
             # gated on the absolute (machine-independent) ratio floor.
@@ -837,15 +766,11 @@ def run_smoke(repetitions: int, baseline_path: Path) -> int:
     The reduction guard then re-checks the suite ASYNC bench case: the
     ``grid+color+por`` pipeline must still explore strictly fewer states
     than the ``grid`` quotient with an unchanged verdict (the verdict
-    parity is enforced inside :func:`_reduction_case`).  Finally the
-    packed-kernel guard re-measures :data:`PACKED_SMOKE_CASE`: the packed
-    exploration must stay field-identical to the object one (hard failure)
-    and its warm speedup must stay within ``max_regression_factor`` of the
-    recorded ``packed_vs_object`` baseline.  Last the verdict-store guard
-    re-runs the exhaustive sweep cold and warm against a throwaway on-disk
-    store: warm hits must stay byte-identical to computed reports
-    (enforced inside :func:`_store_sweep`) and keep the absolute
-    :data:`STORE_WARM_SPEEDUP_FLOOR` speedup.
+    parity is enforced inside :func:`_reduction_case`).  Last the
+    verdict-store guard re-runs the exhaustive sweep cold and warm against
+    a throwaway on-disk store: warm hits must stay byte-identical to
+    computed reports (enforced inside :func:`_store_sweep`) and keep the
+    absolute :data:`STORE_WARM_SPEEDUP_FLOOR` speedup.
     """
     algorithm = get("fsync_phi2_l2_chir_k2")
     grid = Grid(3, 3)
@@ -872,23 +797,6 @@ def run_smoke(repetitions: int, baseline_path: Path) -> int:
             file=sys.stderr,
         )
         return 1
-
-    # Packed-kernel guard: parity is enforced unconditionally; the speed
-    # floor (below) additionally needs a recorded baseline.
-    packed_name, packed_m, packed_n, packed_model = PACKED_SMOKE_CASE
-    packed_algorithm = get(packed_name)
-    packed_grid = Grid(packed_m, packed_n)
-    packed_label = f"{packed_name} {packed_m}x{packed_n} [{packed_model}]"
-    object_ts = AlgorithmTransitionSystem(packed_algorithm, packed_grid, packed_model)
-    packed_ts = PackedTransitionSystem(packed_algorithm, packed_grid, packed_model)
-    _require_kernel_parity(explore(object_ts), explore(packed_ts), packed_label)
-    object_s, packed_states = _measure(lambda: explore(object_ts).num_states, repetitions)
-    packed_s, _ = _measure(lambda: explore(packed_ts).num_states, repetitions)
-    packed_ratio = object_s / packed_s if packed_s else float("inf")
-    print(
-        f"smoke: {packed_label} packed kernel: {packed_states / packed_s:.0f} states/s,"
-        f" {packed_ratio:.1f}x the object kernel (parity verified)"
-    )
 
     # Verdict-store guard: warm hits must stay byte-identical to computed
     # reports (enforced inside ``_store_sweep``) and keep the absolute
@@ -928,22 +836,6 @@ def run_smoke(repetitions: int, baseline_path: Path) -> int:
             file=sys.stderr,
         )
         return 1
-    recorded_packed = guard.get("packed_vs_object")
-    if recorded_packed:
-        packed_floor = recorded_packed / factor
-        print(
-            f"smoke: packed baseline {recorded_packed:.1f}x,"
-            f" regression floor {packed_floor:.1f}x"
-        )
-        if packed_ratio < packed_floor:
-            print(
-                f"FAIL: packed kernel regressed more than {factor:.0f}x against the"
-                f" recorded baseline ({packed_ratio:.1f}x < {packed_floor:.1f}x vs object)",
-                file=sys.stderr,
-            )
-            return 1
-    else:
-        print("smoke: baseline has no packed_vs_object entry; run `make bench` to refresh it")
     print("OK: within the regression budget")
     return 0
 

@@ -21,8 +21,9 @@ enumerated exactly:
 
 Successor generation is delegated to the unified transition-system kernel
 (:class:`repro.engine.transition.AlgorithmTransitionSystem`) — the same
-semantics the simulator walks — and the frontier search, state interning
-and graph analyses live in :mod:`repro.engine.explorer`.
+semantics the simulator walks, and the only successor kernel — and the
+frontier search, state interning and graph analyses live in
+:mod:`repro.engine.explorer`.
 
 ``reduction=`` selects a composable reduction pipeline
 (:mod:`repro.engine.reduction`): ``"grid"`` quotients the search by the
@@ -140,7 +141,6 @@ def _explore(
     cache: Optional[MatcherCache],
     pool: Optional[ExplorationPool],
     backend: Optional["ExecutionBackend"] = None,
-    kernel: Optional[str] = None,
     store=None,
 ) -> Exploration:
     """Run one exploration in this process on the warmest cache at hand.
@@ -148,9 +148,9 @@ def _explore(
     The cache is ``cache``, else the coordinator cache of ``pool`` (a
     persistent :class:`~repro.engine.pool.ExplorationPool`), else the
     in-process cache of ``backend``, else a fresh one; none of them
-    changes the result.  ``kernel`` selects the successor kernel
-    (``"object"`` / ``"packed"`` / ``"auto"``; see
-    :mod:`repro.engine.packed`).  Verdicts are kernel-independent.
+    changes the result.  The call goes through this module's
+    ``explore_sharded`` global, so wrapping that name observes every
+    exploration the checker runs.
     """
     if cache is None and pool is not None:
         cache = pool.cache
@@ -164,7 +164,6 @@ def _explore(
         start=start,
         cache=cache,
         backend=backend,
-        kernel=kernel,
         store=store,
     )
 
@@ -180,7 +179,6 @@ def explore_state_space(
     pool: Optional[ExplorationPool] = None,
     reduction: ReductionSpec = None,
     backend: Optional["ExecutionBackend"] = None,
-    kernel: Optional[str] = None,
     store=None,
 ) -> Dict[SchedulerState, List[SchedulerState]]:
     """Build the successor graph of all reachable scheduler states.
@@ -211,7 +209,6 @@ def explore_state_space(
         cache=cache,
         pool=pool,
         backend=backend,
-        kernel=kernel,
         store=store,
     )
     return exploration.graph()
@@ -227,7 +224,6 @@ def enumerate_reachable(
     pool: Optional[ExplorationPool] = None,
     reduction: ReductionSpec = None,
     backend: Optional["ExecutionBackend"] = None,
-    kernel: Optional[str] = None,
     store=None,
 ) -> int:
     """Number of reachable canonical states (convenience wrapper)."""
@@ -241,7 +237,6 @@ def enumerate_reachable(
         cache=cache,
         pool=pool,
         backend=backend,
-        kernel=kernel,
         store=store,
     ).num_states
 
@@ -256,7 +251,6 @@ def check_terminating_exploration(
     pool: Optional[ExplorationPool] = None,
     reduction: ReductionSpec = None,
     backend: Optional["ExecutionBackend"] = None,
-    kernel: Optional[str] = None,
     store=None,
 ) -> CheckResult:
     """Exhaustively decide Definition 1 over all scheduler behaviours.
@@ -271,14 +265,11 @@ def check_terminating_exploration(
     ``symmetry_reduction=True`` remains the deprecated alias for
     ``reduction="grid"``.  The verdict is likewise identical with and
     without ``cache``, ``pool`` or ``backend`` (they only lend a warm
-    matcher cache; the exploration runs in this process either way), and
-    under every ``kernel`` (``"object"`` / ``"packed"`` / ``"auto"``): the
-    packed successor kernel only changes how fast states are expanded,
-    never which states exist.
+    matcher cache; the exploration runs in this process either way).
 
     ``store`` — a :class:`~repro.engine.store.VerdictStore` — caches the
     whole :class:`CheckResult` under a content key that includes the
-    normalized reduction spec, kernel spec *and* ``max_states`` (so a
+    normalized reduction spec *and* ``max_states`` (so a
     budget-limited check can never answer for a roomier one); duplicate
     concurrent requests coalesce onto a single exploration.  Cached
     results are identical to computed ones.
@@ -290,7 +281,7 @@ def check_terminating_exploration(
         if registered(algorithm):
             key = check_store_key(
                 algorithm.name, grid.m, grid.n, model,
-                reduction, kernel, max_states, symmetry_reduction,
+                reduction, max_states, symmetry_reduction,
             )
             return store.fetch(
                 key,
@@ -298,14 +289,14 @@ def check_terminating_exploration(
                     algorithm, grid, model,
                     max_states=max_states, symmetry_reduction=symmetry_reduction,
                     cache=cache, pool=pool, reduction=reduction,
-                    backend=backend, kernel=kernel, store=store,
+                    backend=backend, store=store,
                 ),
             )
     return _run_check(
         algorithm, grid, model,
         max_states=max_states, symmetry_reduction=symmetry_reduction,
         cache=cache, pool=pool, reduction=reduction,
-        backend=backend, kernel=kernel, store=store,
+        backend=backend, store=store,
     )
 
 
@@ -320,7 +311,6 @@ def _run_check(
     pool: Optional[ExplorationPool],
     reduction: ReductionSpec,
     backend: Optional["ExecutionBackend"],
-    kernel: Optional[str],
     store=None,
 ) -> CheckResult:
     """Compute one exhaustive check (the uncached body of the entry point)."""
@@ -334,7 +324,6 @@ def _run_check(
         cache=cache,
         pool=pool,
         backend=backend,
-        kernel=kernel,
         store=store,
     )
     terminal_states = len(exploration.terminal_indices())

@@ -6,11 +6,8 @@ paper are implemented; every other layer consumes it:
 * :mod:`repro.engine.states` — canonical, hashable scheduler states;
 * :mod:`repro.engine.matcher` — memoized snapshot/rule-match computation;
 * :mod:`repro.engine.transition` — the :class:`TransitionSystem` protocol
-  and the authoritative FSYNC/SSYNC/ASYNC successor generator;
-* :mod:`repro.engine.packed` — the packed successor kernel: states as
-  flat integer tuples, table-driven expansion, an order of magnitude more
-  serial states/s, parity-gated against the object kernel (selected by a
-  ``kernel=`` spec on the exploration entry points);
+  and :class:`AlgorithmTransitionSystem`, the FSYNC/SSYNC/ASYNC successor
+  generator and the only successor kernel every exploration runs on;
 * :mod:`repro.engine.profile` — opt-in (``REPRO_PROFILE=1``) per-phase
   wall-clock split attached to ``Exploration.profile``;
 * :mod:`repro.engine.symmetry` — the grid-automorphism group (rotations
@@ -86,14 +83,6 @@ from .explorer import (
 from .faults import Fault, FaultInjected, FaultPlan
 from .journal import CampaignJournal
 from .matcher import LocalMatcher, MatcherCache, MatcherStats
-from .packed import (
-    HAS_NUMPY,
-    KERNELS,
-    PackedSpace,
-    PackedTransitionSystem,
-    build_transition_system,
-    normalize_kernel,
-)
 from .pool import ExplorationPool, default_workers, process_cache
 from .profile import PROFILE_ENV, KernelProfile, profiling_enabled
 from .reduction import (
@@ -184,13 +173,6 @@ __all__ = [
     "transform_state_colors",
     "normalize_reduction",
     "resolve_reduction",
-    # packed kernel
-    "KERNELS",
-    "HAS_NUMPY",
-    "PackedSpace",
-    "PackedTransitionSystem",
-    "build_transition_system",
-    "normalize_kernel",
     # profiling
     "PROFILE_ENV",
     "KernelProfile",

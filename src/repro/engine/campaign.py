@@ -290,7 +290,6 @@ def check_one(
     reduction: Optional[str] = "grid",
     max_states: int = 200_000,
     cache: Optional[MatcherCache] = None,
-    kernel: Optional[str] = None,
     store: Optional["VerdictStore"] = None,
 ) -> VerificationReport:
     """Exhaustively model-check one ``(algorithm, grid, model)`` triple.
@@ -302,6 +301,8 @@ def check_one(
     :class:`VerificationReport` with ``kind="check"``, so exhaustive checks
     ride the same serial/parallel campaign machinery as bounded walks.  A
     tripped state budget (or any other failure) is reported, not raised.
+    The exploration runs on the one successor kernel,
+    :class:`~repro.engine.transition.AlgorithmTransitionSystem`.
 
     ``store`` (a :class:`~repro.engine.store.VerdictStore`) memoizes the
     report for registered algorithms — ``max_states`` is part of the key,
@@ -313,12 +314,12 @@ def check_one(
     if store is not None and registered(algorithm):
         from .spec import check_task_key  # local import: spec imports this module
 
-        key = check_task_key(algorithm.name, m, n, model, reduction, max_states, kernel)
+        key = check_task_key(algorithm.name, m, n, model, reduction, max_states)
         return store.fetch(
             key,
-            lambda: _run_check_one(algorithm, m, n, model, reduction, max_states, cache, kernel, store),
+            lambda: _run_check_one(algorithm, m, n, model, reduction, max_states, cache, store),
         )
-    return _run_check_one(algorithm, m, n, model, reduction, max_states, cache, kernel, store)
+    return _run_check_one(algorithm, m, n, model, reduction, max_states, cache, store)
 
 
 def _run_check_one(
@@ -329,7 +330,6 @@ def _run_check_one(
     reduction: Optional[str],
     max_states: int,
     cache: Optional[MatcherCache],
-    kernel: Optional[str],
     store: Optional["VerdictStore"],
 ) -> VerificationReport:
     """The uncached body of :func:`check_one`."""
@@ -346,7 +346,6 @@ def _run_check_one(
             max_states=max_states,
             reduction=reduction,
             cache=cache,
-            kernel=kernel,
             store=store,
         )
     except Exception as exc:  # noqa: BLE001 - reported, not swallowed
@@ -396,6 +395,11 @@ class CampaignTask:
     exhaustive model checker (driven by ``reduction``/``max_states`` — both
     picklable primitives, so reduced exhaustive checks fan out across
     process pools like any other task).
+
+    The dataclass ``repr`` is part of every campaign id and journal key
+    (:func:`~repro.engine.spec.campaign_id`), so adding or removing a field
+    changes them: a campaign interrupted before such a change recomputes
+    on resume instead of replaying its journal.
     """
 
     algorithm: str
@@ -411,11 +415,6 @@ class CampaignTask:
     reduction: Optional[str] = "grid"
     #: ``kind="check"`` only: the exploration state budget.
     max_states: int = 200_000
-    #: ``kind="check"`` only: the successor kernel for the exploration
-    #: (``"object"`` / ``"packed"`` / ``"auto"``; see
-    #: :mod:`repro.engine.packed`).  Appended last so task tuples pickled
-    #: by pre-kernel coordinators keep unpickling.
-    kernel: str = "object"
 
 
 def run_task(task: CampaignTask) -> VerificationReport:
@@ -440,7 +439,6 @@ def run_task(task: CampaignTask) -> VerificationReport:
             reduction=task.reduction,
             max_states=task.max_states,
             cache=process_cache(),
-            kernel=task.kernel,
         )
     return verify_one(
         algorithm,
@@ -462,14 +460,14 @@ def task_store_key(task: CampaignTask) -> Tuple[object, ...]:
     payloads), so a report cached by any route is a hit for every other —
     the tuple spellings live in :mod:`repro.engine.spec`.  Normalizations
     mirror execution: a walk's ``seed=None`` runs as ``0``, a check's
-    reduction and kernel specs resolve through their canonical spellings.
+    reduction spec resolves through its canonical spelling.
     """
     from .spec import check_task_key, walk_task_key  # local import: spec imports this module
 
     if task.kind == "check":
         return check_task_key(
             task.algorithm, task.m, task.n, task.model,
-            task.reduction, task.max_states, task.kernel,
+            task.reduction, task.max_states,
         )
     return walk_task_key(
         task.algorithm, task.m, task.n, task.model,
@@ -508,7 +506,6 @@ def execute_tasks(
                     reduction=task.reduction,
                     max_states=task.max_states,
                     cache=cache,
-                    kernel=task.kernel,
                     store=store,
                 )
             )
@@ -569,7 +566,6 @@ def exhaustive_check_tasks(
     model: str = "FSYNC",
     reduction: Optional[str] = "grid",
     max_states: int = 200_000,
-    kernel: str = "object",
 ) -> List[CampaignTask]:
     """The task list of an exhaustive model-checking sweep.
 
@@ -589,7 +585,6 @@ def exhaustive_check_tasks(
             kind="check",
             reduction=reduction,
             max_states=max_states,
-            kernel=kernel,
         )
         for m, n in sizes
         if algorithm.supports_grid(m, n)
@@ -883,7 +878,6 @@ class ParallelCampaignEngine:
         model: str = "FSYNC",
         reduction: Optional[str] = "grid",
         max_states: int = 200_000,
-        kernel: str = "object",
         journal=None,
         resume: bool = True,
     ) -> GridSweepReport:
@@ -891,13 +885,11 @@ class ParallelCampaignEngine:
 
         Each task runs the full (reduced) state-space exploration; the
         reports carry the verdicts plus per-component reduction statistics.
-        ``kernel`` selects the successor kernel per task (reports are
-        kernel-independent).  ``journal``/``resume`` make the sweep
-        durable and resumable — see :meth:`run_tasks`.
+        ``journal``/``resume`` make the sweep durable and resumable — see
+        :meth:`run_tasks`.
         """
         tasks = exhaustive_check_tasks(
-            algorithm, sizes=sizes, model=model, reduction=reduction,
-            max_states=max_states, kernel=kernel,
+            algorithm, sizes=sizes, model=model, reduction=reduction, max_states=max_states,
         )
         return GridSweepReport(
             algorithm=algorithm.name,

@@ -21,11 +21,12 @@ see :mod:`repro.engine.reduction` for why every combination preserves both
 verdicts.
 
 :func:`explore_sharded` is the registry-level entry point the checking
-layer calls: it builds the transition system for an ``(algorithm, grid,
-model)`` triple on a warm matcher cache and explores it here, in the
-calling process.  No exploration is split across processes; parallelism
-lives one level up, in campaign task lists
-(:mod:`repro.engine.backend`).
+layer calls: it builds the
+:class:`~repro.engine.transition.AlgorithmTransitionSystem` for an
+``(algorithm, grid, model)`` triple on a warm matcher cache and explores
+it here, in the calling process.  That transition system is the only
+successor kernel.  No exploration is split across processes; parallelism
+lives one level up, in campaign task lists (:mod:`repro.engine.backend`).
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from .matcher import MatcherCache
 from .profile import KernelProfile, profiling_enabled
 from .reduction import ReductionSpec, resolve_reduction
 from .states import SchedulerState
-from .transition import MODELS, TransitionSystem
+from .transition import MODELS, AlgorithmTransitionSystem, TransitionSystem
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (avoids a module cycle)
     from .backend import ExecutionBackend
@@ -99,7 +100,7 @@ class Exploration:
     reduction_stats: Optional[Dict[str, Dict[str, float]]] = field(default=None)
     #: Opt-in per-phase wall-clock split (``REPRO_PROFILE=1``; see
     #: :mod:`repro.engine.profile`) — ``{"kernel", "match_s",
-    #: "canonicalise_s", "dedup_s", "inflate_s", "total_s"}``.  Timing is
+    #: "canonicalise_s", "dedup_s", "store_s", "total_s"}``.  Timing is
     #: observability, not a result: excluded from equality.
     profile: Optional[Dict[str, object]] = field(default=None, compare=False)
     #: Verdict-store counters when the exploration was requested through a
@@ -129,7 +130,6 @@ def explore(
     symmetry_reduction: bool = False,
     max_states: int = 200_000,
     start: Optional[SchedulerState] = None,
-    kernel: Optional[str] = None,
     store: Optional[object] = None,
 ) -> Exploration:
     """Build the (optionally reduced) reachable successor graph.
@@ -140,27 +140,20 @@ def explore(
     ``symmetry_reduction=True`` is the deprecated boolean alias for
     ``reduction="grid"`` (ignored when ``reduction`` is given).
 
-    ``kernel`` selects the successor kernel — ``"object"`` (the
-    authoritative reference), ``"packed"`` (the table-driven fast path of
-    :mod:`repro.engine.packed`) or ``"auto"``; ``None`` keeps whatever
-    transition system the caller built.  Results are kernel-independent.
-    Quotient-free pipelines over a packed system run the wave BFS
-    (``explore_packed``); quotient specs run this loop with the packed
-    system's table-driven ``successors``.
-
     ``store`` — a :class:`~repro.engine.store.VerdictStore` — serves the
     exploration from the verdict cache (or records a miss) under
     :func:`~repro.engine.spec.explore_store_key`, the key every route
-    (library and HTTP) shares.  Only registered algorithms on the stock
-    kernels, from the default initial state, are cacheable; anything else
-    computes as if no store were given.
+    (library and HTTP) shares.  Only registered algorithms on a stock
+    :class:`~repro.engine.transition.AlgorithmTransitionSystem`, from the
+    default initial state, are cacheable; anything else computes as if no
+    store were given.
 
     Raises :class:`~repro.core.errors.StateSpaceLimitExceeded` — with the
     exploration context attached — as soon as more than ``max_states``
     distinct states have been discovered.
     """
     if store is not None and start is None:
-        cache_key = _store_key(ts, reduction, symmetry_reduction, kernel, max_states)
+        cache_key = _store_key(ts, reduction, symmetry_reduction, max_states)
         if cache_key is not None:
             return store.fetch(
                 cache_key,
@@ -169,27 +162,11 @@ def explore(
                     reduction=reduction,
                     symmetry_reduction=symmetry_reduction,
                     max_states=max_states,
-                    kernel=kernel,
                 ),
             )
-    if kernel is not None:
-        # Local import: packed imports this module at load time.
-        from .packed import PackedTransitionSystem, normalize_kernel
-        from .transition import AlgorithmTransitionSystem
-
-        resolved = normalize_kernel(kernel)
-        if resolved == "packed" and not isinstance(ts, PackedTransitionSystem):
-            ts = PackedTransitionSystem(
-                ts.algorithm, ts.grid, ts.model, matcher=getattr(ts, "matcher", None)
-            )
-        elif resolved == "object" and isinstance(ts, PackedTransitionSystem):
-            ts = AlgorithmTransitionSystem(ts.algorithm, ts.grid, ts.model, matcher=ts.matcher)
 
     pipeline = resolve_reduction(reduction, symmetry_reduction, ts.algorithm, ts.grid, ts.model)
     reduce = pipeline.reduced
-
-    if not reduce and hasattr(ts, "explore_packed"):
-        return ts.explore_packed(pipeline, max_states=max_states, start=start)
 
     profile = KernelProfile("object") if profiling_enabled() else None
     matcher = getattr(ts, "matcher", None)
@@ -276,29 +253,21 @@ def _store_key(
     ts: TransitionSystem,
     reduction: ReductionSpec,
     symmetry_reduction: bool,
-    kernel: Optional[str],
     max_states: int,
 ):
     """The explore-route content key, or ``None`` when uncacheable.
 
     Spelled by :func:`~repro.engine.spec.explore_store_key`, so the library
     and HTTP routes address the same store entries.  Custom transition
-    systems (anything other than the two stock kernels) and unregistered
-    algorithms carry semantics the key cannot see and are never cached.
+    systems (anything but a plain :class:`AlgorithmTransitionSystem`) and
+    unregistered algorithms carry semantics the key cannot see and are
+    never cached.
     """
     # Local imports: the explorer sits below these modules in the layering.
-    from .packed import PackedTransitionSystem
     from .pool import registered
     from .spec import explore_store_key
-    from .transition import AlgorithmTransitionSystem
 
-    if type(ts) is PackedTransitionSystem:
-        implied = "packed"
-    elif type(ts) is AlgorithmTransitionSystem:
-        implied = "object"
-    else:
-        return None
-    if not registered(ts.algorithm):
+    if type(ts) is not AlgorithmTransitionSystem or not registered(ts.algorithm):
         return None
     return explore_store_key(
         ts.algorithm.name,
@@ -306,7 +275,6 @@ def _store_key(
         ts.grid.n,
         ts.model,
         reduction,
-        kernel if kernel is not None else implied,
         max_states,
         symmetry_reduction,
     )
@@ -323,15 +291,13 @@ def explore_sharded(
     start: Optional[SchedulerState] = None,
     cache: Optional[MatcherCache] = None,
     backend: Optional["ExecutionBackend"] = None,
-    kernel: Optional[str] = None,
     store: Optional["VerdictStore"] = None,
 ) -> Exploration:
     """Explore ``algorithm`` on ``grid`` under ``model`` in this process.
 
-    Builds the transition system for ``kernel`` (``"object"``,
-    ``"packed"`` or ``"auto"``; see :mod:`repro.engine.packed`) and runs
-    :func:`explore` on it with the remaining keyword arguments.  Matching
-    runs on ``cache`` when given, else on the in-process cache of
+    Builds the :class:`~repro.engine.transition.AlgorithmTransitionSystem`
+    and runs :func:`explore` on it with the remaining keyword arguments.
+    Matching runs on ``cache`` when given, else on the in-process cache of
     ``backend`` (:func:`~repro.engine.backend.backend_cache`), else on a
     fresh matcher; none of them changes the result, only how warm the
     exploration starts.  A backend never receives the exploration itself.
@@ -343,14 +309,13 @@ def explore_sharded(
     """
     if model not in MODELS:
         raise ValueError(f"unknown model {model!r}")
-    # Local imports: the explorer sits below these modules in the layering.
+    # Local import: the explorer sits below the backends in the layering.
     from .backend import backend_cache
-    from .packed import build_transition_system
 
     if cache is None and backend is not None:
         cache = backend_cache(backend)
     matcher = cache.matcher_for(algorithm, grid) if cache is not None else None
-    ts = build_transition_system(algorithm, grid, model, kernel, matcher=matcher)
+    ts = AlgorithmTransitionSystem(algorithm, grid, model, matcher=matcher)
     return explore(
         ts,
         reduction=reduction,

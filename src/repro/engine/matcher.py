@@ -232,13 +232,7 @@ class LocalMatcher:
         return self.actions_for_key(self.local_key(robots, center), color)
 
     def actions_for_key(self, key: LocalKey, color: str) -> Tuple[Action, ...]:
-        """Distinct actions for an already-computed local key.
-
-        The packed kernel (:mod:`repro.engine.packed`) compiles its action
-        tables through this entry point: it reconstructs the local key from
-        its own position index on a signature-table miss, so it never needs
-        the per-robot ``robots`` scan that :meth:`actions` performs.
-        """
+        """Distinct actions for an already-computed local key."""
         cache_key = (color, key)
         cached = self._actions.get(cache_key)
         if cached is None:
@@ -248,10 +242,6 @@ class LocalMatcher:
         else:
             self.stats.hits += 1
         return cached
-
-    def snapshot_for_key(self, key: LocalKey) -> Snapshot:
-        """The (shared, do-not-mutate) snapshot for an already-computed key."""
-        return self._snapshot_for(key)
 
     def matches_for_frozen(self, frozen, color: str) -> Tuple[Match, ...]:
         """Matches against a stored (frozen) ASYNC snapshot."""

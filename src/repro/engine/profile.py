@@ -1,25 +1,19 @@
-"""Opt-in per-phase time profiling for the exploration kernels.
+"""Opt-in per-phase time profiling for explorations.
 
-Set ``REPRO_PROFILE=1`` in the environment and every exploration —
-object-kernel or packed — attaches a wall-clock phase split to
-``Exploration.profile``::
+Set ``REPRO_PROFILE=1`` in the environment and every exploration
+attaches a wall-clock phase split to ``Exploration.profile``::
 
-    {"kernel": "packed", "match_s": ..., "canonicalise_s": ...,
-     "dedup_s": ..., "inflate_s": ..., "total_s": ...}
+    {"kernel": "object", "match_s": ..., "canonicalise_s": ...,
+     "dedup_s": ..., "store_s": ..., "total_s": ...}
 
-The phases are the four stages every explorer iterates:
+``kernel`` is ``"object"`` (the one successor kernel), or ``"store"`` on
+a verdict-store hit whose record carried no profile.  The phases are:
 
-* **match** — successor generation: guard evaluation / signature-table
-  lookups plus, for the packed kernel, materialising the successor codes
-  (table probing and code arithmetic are fused in its hot loop, so they
-  are reported as one number);
+* **match** — successor generation: guard evaluation and memoized
+  rule matching (:mod:`repro.engine.matcher`);
 * **canonicalise** — orbit-representative selection under the active
   reduction pipeline (zero when no quotient is active);
 * **dedup** — interning successors into the dense index;
-* **inflate** — converting packed codes back to
-  :class:`~repro.engine.states.SchedulerState` objects at the
-  ``Exploration`` boundary (zero for the object kernel, which never
-  leaves object representation);
 * **store** — verdict-store lookup and deserialization time
   (:mod:`repro.engine.store`): zero when no ``store=`` is threaded
   through, the full cost of the hit when one answers.
@@ -49,14 +43,13 @@ def profiling_enabled() -> bool:
 class KernelProfile:
     """Accumulates the per-phase wall-clock split of one exploration."""
 
-    __slots__ = ("kernel", "match_s", "canonicalise_s", "dedup_s", "inflate_s", "store_s")
+    __slots__ = ("kernel", "match_s", "canonicalise_s", "dedup_s", "store_s")
 
     def __init__(self, kernel: str) -> None:
         self.kernel = kernel
         self.match_s = 0.0
         self.canonicalise_s = 0.0
         self.dedup_s = 0.0
-        self.inflate_s = 0.0
         self.store_s = 0.0
 
     def as_dict(self) -> Dict[str, object]:
@@ -66,8 +59,6 @@ class KernelProfile:
             "match_s": self.match_s,
             "canonicalise_s": self.canonicalise_s,
             "dedup_s": self.dedup_s,
-            "inflate_s": self.inflate_s,
             "store_s": self.store_s,
-            "total_s": self.match_s + self.canonicalise_s + self.dedup_s
-            + self.inflate_s + self.store_s,
+            "total_s": self.match_s + self.canonicalise_s + self.dedup_s + self.store_s,
         }

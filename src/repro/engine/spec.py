@@ -41,7 +41,6 @@ import dataclasses
 from typing import Dict, List, Optional, Tuple
 
 from .journal import content_key
-from .packed import normalize_kernel
 from .reduction import normalize_reduction
 from .walk import TieBreak
 
@@ -87,7 +86,6 @@ def check_store_key(
     n: int,
     model: str,
     reduction=None,
-    kernel: Optional[str] = None,
     max_states: int = 200_000,
     symmetry_reduction: bool = False,
 ) -> Tuple[object, ...]:
@@ -105,7 +103,6 @@ def check_store_key(
         n,
         model,
         normalize_reduction(reduction, symmetry_reduction),
-        normalize_kernel(kernel),
         max_states,
     )
 
@@ -116,13 +113,12 @@ def explore_store_key(
     n: int,
     model: str,
     reduction=None,
-    kernel: Optional[str] = None,
     max_states: int = 200_000,
     symmetry_reduction: bool = False,
 ) -> Tuple[object, ...]:
     """The verdict-store spec of one exploration.
 
-    ``("explore", algorithm, m, n, model, reduction, kernel, max_states)``
+    ``("explore", algorithm, m, n, model, reduction, max_states)``
     — exactly the key :func:`repro.engine.explorer.explore` caches the
     :class:`~repro.engine.explorer.Exploration` under (it builds the key
     here), so an exploration cached by the library route is a warm hit for
@@ -135,7 +131,6 @@ def explore_store_key(
         n,
         model,
         normalize_reduction(reduction, symmetry_reduction),
-        normalize_kernel(kernel),
         max_states,
     )
 
@@ -175,7 +170,6 @@ def check_task_key(
     model: str,
     reduction=None,
     max_states: int = 200_000,
-    kernel: Optional[str] = None,
 ) -> Tuple[object, ...]:
     """The verdict-store spec of one exhaustive-check campaign task."""
     return (
@@ -187,7 +181,6 @@ def check_task_key(
         model,
         normalize_reduction(reduction),
         max_states,
-        normalize_kernel(kernel),
     )
 
 
@@ -243,14 +236,6 @@ def _reduction_field(payload: dict, default: Optional[str] = "grid") -> str:
         raise SpecError("reduction", str(exc)) from None
 
 
-def _kernel_field(payload: dict) -> str:
-    kernel = _field(payload, "kernel", None)
-    try:
-        return normalize_kernel(kernel)
-    except ValueError as exc:
-        raise SpecError("kernel", str(exc)) from None
-
-
 def _grid_fields(payload: dict, algorithm) -> Tuple[int, int]:
     m = _int_field(payload, "m", minimum=1)
     n = _int_field(payload, "n", minimum=1)
@@ -273,18 +258,15 @@ class CheckSpec:
     model: str
     reduction: str
     max_states: int
-    kernel: str
 
     def check_key(self) -> Tuple[object, ...]:
         return check_store_key(
-            self.algorithm, self.m, self.n, self.model,
-            self.reduction, self.kernel, self.max_states,
+            self.algorithm, self.m, self.n, self.model, self.reduction, self.max_states,
         )
 
     def explore_key(self) -> Tuple[object, ...]:
         return explore_store_key(
-            self.algorithm, self.m, self.n, self.model,
-            self.reduction, self.kernel, self.max_states,
+            self.algorithm, self.m, self.n, self.model, self.reduction, self.max_states,
         )
 
 
@@ -301,7 +283,6 @@ def parse_check_spec(payload: object, default_reduction: Optional[str] = "grid")
         model=_model_field(payload),
         reduction=_reduction_field(payload, default_reduction),
         max_states=_int_field(payload, "max_states", 200_000, minimum=1),
-        kernel=_kernel_field(payload),
     )
 
 
@@ -332,7 +313,6 @@ def parse_task(payload: object, algorithm: Optional[str] = None):
             kind="check",
             reduction=_reduction_field(payload, "grid"),
             max_states=_int_field(payload, "max_states", 200_000, minimum=1),
-            kernel=_kernel_field(payload),
         )
     tie_break = _field(payload, "tie_break", TieBreak.ERROR)
     if tie_break not in TieBreak.ALL:
@@ -436,7 +416,6 @@ def parse_campaign(payload: object) -> Tuple[str, List[object]]:
             model=_model_field(payload),
             reduction=_reduction_field(payload, "grid"),
             max_states=_int_field(payload, "max_states", 200_000, minimum=1),
-            kernel=_kernel_field(payload),
         )
     else:  # verify_algorithm
         tasks = grid_sweep_tasks(algorithm, sizes=sizes, model="FSYNC")
@@ -475,7 +454,7 @@ def result_payload(result) -> Dict[str, object]:
 
     ``verdict`` carries exactly the ``compare=True`` fields (plus the
     computed ``ok`` flag) — the part promised byte-identical across
-    routes, kernels, reductions, caches and restarts.  ``observability``
+    routes, reductions, caches and restarts.  ``observability``
     carries the ``compare=False`` channels (``store_stats``,
     ``matcher_stats``, ``reduction_stats``, ``profile``) that legitimately
     vary with cache warmth.

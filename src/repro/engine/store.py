@@ -1,8 +1,8 @@
 """Persistent content-addressed verdict store with request coalescing.
 
 ROADMAP item 2's "millions of users" bottleneck: every consumer pays full
-exploration cost even for an (algorithm, model, grid, reduction, kernel)
-tuple that has been checked a thousand times before.  A
+exploration cost even for an (algorithm, model, grid, reduction) tuple
+that has been checked a thousand times before.  A
 :class:`VerdictStore` is the memoization layer the resume journal
 (:mod:`repro.engine.journal`) seeded — the same content-hash keys and the
 same crash-safe record format, but *outliving* any single campaign:
@@ -19,9 +19,9 @@ over the ``repr`` of the *fully resolved* spec.  The spec is the same
 normalization that already makes work picklable (the key tuples of
 :mod:`repro.engine.spec`, :class:`~repro.engine.campaign.CampaignTask`
 dataclasses): registry
-algorithm name, grid shape, synchrony model, the **normalized** reduction
-spec string and kernel spec — plus everything the result is a function
-of that is *not* part of the work's identity at first glance:
+algorithm name, grid shape, synchrony model and the **normalized**
+reduction spec string — plus everything the result is a function of that
+is *not* part of the work's identity at first glance:
 
 * the **state budget** (``max_states``), so a verdict computed under a
   small budget can never masquerade as the verdict of a full exploration

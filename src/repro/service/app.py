@@ -1,7 +1,7 @@
 """Verification-as-a-service: the HTTP/JSON front end over the engine.
 
 ROADMAP item 2's always-on story: the library stack already serves a
-(algorithm, model, grid, reduction, kernel, budget, seed) tuple checked
+(algorithm, model, grid, reduction, budget, seed) tuple checked
 once from disk at memcache speed (:mod:`repro.engine.store`), fans fresh
 work across pools and TCP fleets (:mod:`repro.engine.backend`), and
 survives coordinator crashes via the resume journal
@@ -44,8 +44,11 @@ Cross-cutting semantics
   stored verdict, byte-identical modulo the ``compare=False``
   observability channels.
 * **Validation.**  Malformed specs are 400s whose body names the
-  offending field (:class:`~repro.engine.spec.SpecError`); a tripped
-  state budget is a 422 naming ``max_states``.
+  offending field (:class:`~repro.engine.spec.SpecError`); a body that
+  is not one JSON object (undecodable, too deeply nested, an integer
+  literal past the interpreter's digit limit, or a non-object value) is
+  a 400 naming ``body``; a tripped state budget is a 422 naming
+  ``max_states``.  Unrecognised spec keys are ignored.
 * **Rate limiting.**  A per-client token bucket
   (:mod:`repro.service.rate_limit`) guards every ``/v1`` endpoint; a
   rejected request gets 429 plus a ``Retry-After`` header.
@@ -275,7 +278,6 @@ class VerificationService:
             model=spec.model,
             max_states=spec.max_states,
             reduction=spec.reduction,
-            kernel=spec.kernel,
             store=self.store,
             pool=self.pool,
             backend=self.backend,
@@ -301,7 +303,6 @@ class VerificationService:
             max_states=spec.max_states,
             cache=self.pool.cache if self.pool is not None else None,
             backend=self.backend,
-            kernel=spec.kernel,
             store=self.store,
         )
         body = exploration_payload(exploration)
@@ -498,9 +499,12 @@ class ServiceHandler(BaseHTTPRequestHandler):
         raw = self.rfile.read(length) if length else b""
         if not raw:
             raise SpecError("body", "request body is empty; expected a JSON object")
+        # ValueError covers undecodable bytes, malformed JSON and integer
+        # literals past the interpreter's digit limit; RecursionError is
+        # nesting deeper than the decoder's stack.
         try:
             return json.loads(raw.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        except (ValueError, RecursionError) as exc:
             raise SpecError("body", f"request body is not valid JSON: {exc}") from None
 
     # -- routing ----------------------------------------------------------

@@ -184,11 +184,10 @@ def _spec_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--model", default="FSYNC", help="FSYNC | SSYNC | ASYNC")
     parser.add_argument("--reduction", default="grid", help="reduction spec (e.g. grid+color+por)")
     parser.add_argument("--max-states", type=int, default=200_000, help="state budget")
-    parser.add_argument("--kernel", default=None, help="object | packed | auto")
 
 
 def _check_spec(args) -> Dict[str, object]:
-    spec: Dict[str, object] = {
+    return {
         "algorithm": args.algorithm,
         "m": args.grid[0],
         "n": args.grid[1],
@@ -196,9 +195,6 @@ def _check_spec(args) -> Dict[str, object]:
         "reduction": args.reduction,
         "max_states": args.max_states,
     }
-    if args.kernel:
-        spec["kernel"] = args.kernel
-    return spec
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -232,7 +228,6 @@ def build_parser() -> argparse.ArgumentParser:
     submit.add_argument("--seeds", type=_parse_ints, default=None, metavar="N,N,...")
     submit.add_argument("--reduction", default=None)
     submit.add_argument("--max-states", type=int, default=None)
-    submit.add_argument("--kernel", default=None)
     submit.add_argument("--id-only", action="store_true", help="print just the campaign id")
 
     wait = commands.add_parser("await", help="poll a campaign until done (exit by verdict)")
@@ -271,8 +266,6 @@ def _submit_spec(args) -> dict:
         spec["reduction"] = args.reduction
     if args.max_states is not None:
         spec["max_states"] = args.max_states
-    if args.kernel is not None:
-        spec["kernel"] = args.kernel
     return spec
 
 

@@ -164,7 +164,6 @@ def exhaustive_sweep(
     max_states: int = 200_000,
     pool: Optional[ExplorationPool] = None,
     backend: Optional["ExecutionBackend"] = None,
-    kernel: str = "object",
     journal=None,
     resume: bool = True,
     store: Optional["VerdictStore"] = None,
@@ -177,12 +176,11 @@ def exhaustive_sweep(
     :mod:`repro.engine.reduction`); the verdicts are reduction-independent,
     only the explored state counts and wall time shrink.  Reports carry the
     per-component reduction statistics alongside the cache counters.
-    ``kernel="packed"`` runs each check on the packed successor kernel
-    (:mod:`repro.engine.packed`); verdicts are kernel-independent.
+    Every check explores on the one successor kernel,
+    :class:`~repro.engine.transition.AlgorithmTransitionSystem`.
     """
     tasks = exhaustive_check_tasks(
-        algorithm, sizes=sizes, model=model, reduction=reduction,
-        max_states=max_states, kernel=kernel,
+        algorithm, sizes=sizes, model=model, reduction=reduction, max_states=max_states,
     )
     return _run_campaign(algorithm, tasks, pool, backend, journal=journal, resume=resume, store=store)
 

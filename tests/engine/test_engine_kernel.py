@@ -1,6 +1,8 @@
-"""Tests for the engine kernel: matcher memoization, walk seeding, limits, suites."""
+"""Tests for the engine kernel: matching, walk seeding, limits, suites, profiling, state caching."""
 
 from __future__ import annotations
+
+import pickle
 
 import pytest
 
@@ -10,6 +12,7 @@ from repro.core import Grid, TieBreak, run_fsync, run_ssync
 from repro.core.errors import StateSpaceLimitExceeded
 from repro.engine import (
     AlgorithmTransitionSystem,
+    AsyncRobotState,
     LocalMatcher,
     TransitionSystem,
     default_grid_suite,
@@ -18,6 +21,7 @@ from repro.engine import (
     scaling_suite,
 )
 from repro.engine import suites as engine_suites
+from repro.engine.profile import PROFILE_ENV
 from repro.verification import campaigns
 
 
@@ -133,3 +137,77 @@ class TestSharedSuites:
             (base * 4, 3 if algorithm.min_n <= 3 else algorithm.min_n),
         ]
         assert scaling_suite(algorithm) == expected
+
+
+def _object_exploration(algorithm, grid, model, **kwargs):
+    return explore(AlgorithmTransitionSystem(algorithm, grid, model), **kwargs)
+
+
+# ---------------------------------------------------------------------------
+# Profiling hook
+# ---------------------------------------------------------------------------
+class TestProfileHook:
+    PROFILE_KEYS = {"kernel", "match_s", "canonicalise_s", "dedup_s", "store_s", "total_s"}
+
+    def test_off_by_default(self, monkeypatch):
+        monkeypatch.delenv(PROFILE_ENV, raising=False)
+        algorithm = get("fsync_phi1_l2_nochir_k5")
+        grid = Grid(4, 4)
+        assert _object_exploration(algorithm, grid, "FSYNC").profile is None
+
+    def test_reports_phase_split(self, monkeypatch):
+        monkeypatch.setenv(PROFILE_ENV, "1")
+        algorithm = get("fsync_phi1_l2_nochir_k5")
+        grid = Grid(4, 4)
+        profile = _object_exploration(algorithm, grid, "FSYNC").profile
+        assert profile is not None and set(profile) == self.PROFILE_KEYS
+        assert profile["kernel"] == "object"
+        assert profile["total_s"] >= 0.0
+
+    def test_profile_excluded_from_equality(self, monkeypatch):
+        algorithm = get("fsync_phi1_l2_nochir_k5")
+        grid = Grid(4, 4)
+        monkeypatch.setenv(PROFILE_ENV, "1")
+        profiled = _object_exploration(algorithm, grid, "FSYNC")
+        monkeypatch.delenv(PROFILE_ENV)
+        plain = _object_exploration(algorithm, grid, "FSYNC")
+        assert profiled == plain
+
+
+# ---------------------------------------------------------------------------
+# AsyncRobotState sort-key/hash caching (satellite)
+# ---------------------------------------------------------------------------
+class TestAsyncRobotStateCaching:
+    def test_key_and_hash_are_cached(self):
+        record = AsyncRobotState(pos=(1, 2), color="B")
+        assert record.key() is record.key()
+        assert hash(record) == hash(record)
+        assert record._hash == hash(record)
+
+    def test_still_frozen(self):
+        from dataclasses import FrozenInstanceError
+
+        record = AsyncRobotState(pos=(1, 2), color="B")
+        with pytest.raises(FrozenInstanceError):
+            record.pos = (0, 0)
+        with pytest.raises(FrozenInstanceError):
+            del record.color
+
+    def test_pickle_drops_caches(self):
+        record = AsyncRobotState(
+            pos=(1, 2), color="B", phase="computed", pending_color="W", pending_move=(0, 1)
+        )
+        record.key(), hash(record)  # populate both caches
+        clone = pickle.loads(pickle.dumps(record))
+        assert clone == record
+        assert not hasattr(clone, "_key") and not hasattr(clone, "_hash")
+        assert clone.key() == record.key()
+        assert hash(clone) == hash(record)
+
+    def test_equality_semantics_preserved(self):
+        a = AsyncRobotState(pos=(1, 2), color="B")
+        b = AsyncRobotState(pos=(1, 2), color="B")
+        c = AsyncRobotState(pos=(1, 2), color="W")
+        assert a == b and hash(a) == hash(b)
+        assert a != c
+        assert a.__eq__(object()) is NotImplemented

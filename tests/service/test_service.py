@@ -27,7 +27,6 @@ from repro.checking.model_checker import check_terminating_exploration
 from repro.core.grid import Grid
 from repro.engine.explorer import explore_sharded
 from repro.engine.spec import canonical_json, exploration_payload, result_payload
-from repro.engine.store import VerdictStore
 
 ALGORITHM = "fsync_phi2_l2_chir_k2"
 SPEC = {"algorithm": ALGORITHM, "m": 3, "n": 3, "model": "FSYNC", "reduction": "grid+color"}
@@ -121,9 +120,28 @@ class TestValidationAndErrors:
         assert code == 400
         assert body["error"]["field"] == field
 
-    def test_non_json_body_is_a_400(self, harness):
+    @pytest.mark.parametrize("path", ["/v1/check", "/v1/explore", "/v1/campaigns"])
+    @pytest.mark.parametrize(
+        "body",
+        [
+            b"not json",
+            b"\xff\xfe{}",  # not UTF-8
+            b"[" * 40_000,  # nests past the decoder's recursion limit
+            b'{"a":' * 8_000,
+            b"1" * 5_000,  # past the interpreter's int-conversion digit limit
+            b"[]",
+            b'"x"',
+            b"3",
+            b"null",
+        ],
+        ids=[
+            "not-json", "not-utf8", "nested-arrays", "nested-objects", "huge-int",
+            "array", "string", "number", "null",
+        ],
+    )
+    def test_non_json_body_is_a_400(self, harness, path, body):
         request = urllib.request.Request(
-            harness.url + "/v1/check", data=b"not json", headers={"Content-Type": "application/json"}
+            harness.url + path, data=body, headers={"Content-Type": "application/json"}
         )
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             urllib.request.urlopen(request, timeout=30)
@@ -339,6 +357,21 @@ class TestServerCli:
             service.close()
         assert port != 0
         assert f"service: distributed coordinator on 127.0.0.1:{port}\n" in out
+
+    def test_cold_import_leaves_numpy_out(self):
+        # The library and the server are pure Python; numpy on the import
+        # path costs every process its load time and resident memory.
+        src = Path(__file__).resolve().parents[2] / "src"
+        probe = "import sys, repro.service; print('numpy' in sys.modules)"
+        result = subprocess.run(
+            [sys.executable, "-c", probe],
+            env=dict(os.environ, PYTHONPATH=str(src)),
+            capture_output=True,
+            text=True,
+            timeout=60,
+            check=True,
+        )
+        assert result.stdout.strip() == "False"
 
 
 class TestBackendKinds:

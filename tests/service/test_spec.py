@@ -30,7 +30,6 @@ from repro.engine.spec import (
     canonical_json,
     check_store_key,
     check_task_key,
-    explore_store_key,
     parse_campaign,
     parse_check_spec,
     parse_task,
@@ -75,7 +74,6 @@ class TestKeyIdentity:
         """Spelling variants of one spec address one key."""
         canonical = check_store_key(ALGORITHM, 3, 3, "FSYNC", "grid+color")
         assert check_store_key(ALGORITHM, 3, 3, "FSYNC", "color+grid") == canonical
-        assert check_store_key(ALGORITHM, 3, 3, "FSYNC", "grid+color", "object") == canonical
         assert parse_check_spec(spec_payload(reduction="color+grid")).check_key() == canonical
 
     def test_task_store_key_delegates_to_the_shared_builders(self):
@@ -87,7 +85,7 @@ class TestKeyIdentity:
             algorithm=ALGORITHM, m=3, n=3, model="FSYNC", kind="check", reduction="grid"
         )
         assert task_store_key(check) == check_task_key(
-            ALGORITHM, 3, 3, "FSYNC", "grid", check.max_states, check.kernel
+            ALGORITHM, 3, 3, "FSYNC", "grid", check.max_states
         )
 
     def test_walk_key_normalizes_default_seed_like_execution(self):
@@ -117,7 +115,6 @@ class TestValidation:
             (spec_payload(m=1, n=1), "grid"),
             (spec_payload(model="WARP"), "model"),
             (spec_payload(reduction="grid+magic"), "reduction"),
-            (spec_payload(kernel="simd"), "kernel"),
             (spec_payload(max_states=0), "max_states"),
             (spec_payload(max_states=2.5), "max_states"),
         ],
@@ -133,6 +130,9 @@ class TestValidation:
         assert spec.model == "FSYNC"
         assert spec.reduction == "grid+color"
         assert spec.max_states == 200_000
+        # Unrecognised keys, such as the retired "kernel", are ignored.
+        retired = {**spec_payload(), "kernel": "packed"}
+        assert parse_check_spec(retired) == parse_check_spec(spec_payload())
         assert isinstance(spec, CheckSpec)
 
     @pytest.mark.parametrize(
