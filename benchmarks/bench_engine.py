@@ -16,11 +16,9 @@ machine-readable ledger, ``BENCH_engine.json`` at the repo root:
   one persistent :class:`~repro.engine.pool.ExplorationPool`; the second
   check must hit the pool cache warmed by the first;
 * **reduction quotients** (PR 4 trajectory) — the suite ASYNC case
-  (:data:`repro.engine.suites.REDUCTION_BENCH_CASE`) checked unreduced,
-  under ``reduction="grid"`` and under ``reduction="grid+color+por"``:
-  the composed pipeline must explore strictly fewer states than the grid
-  quotient alone with byte-identical verdicts, and the quotient ratios and
-  wall times land in the ledger;
+  (:data:`repro.engine.suites.REDUCTION_BENCH_CASE`) checked unreduced
+  and under ``reduction="grid"``: the verdicts must be byte-identical,
+  and the quotient ratio and wall times land in the ledger;
 * **distributed campaigns** (PR 5 trajectory) — one exhaustive sweep run
   through a persistent pool and through two local TCP worker daemons
   (:class:`~repro.engine.distributed.DistributedBackend`); reports must be
@@ -323,7 +321,7 @@ def _reduction_case(repetitions: int = 1) -> Dict[str, Tuple[float, "object"]]:
     algorithm = get(name)
     grid = Grid(m, n)
     outcomes: Dict[str, Tuple[float, object]] = {}
-    for spec in ("none", "grid", "grid+color+por"):
+    for spec in ("none", "grid"):
         # The verdict run is itself the first timed run, so the smoke guard
         # (repetitions=1) pays exactly one exploration per spec.
         start = time.perf_counter()
@@ -346,14 +344,12 @@ def _reduction_case(repetitions: int = 1) -> Dict[str, Tuple[float, "object"]]:
     return outcomes
 
 
-def bench_reduction(repetitions: int) -> Tuple[List[dict], float, float]:
-    """The PR-4 trajectory: the suite ASYNC case across reduction pipelines.
+def bench_reduction(repetitions: int) -> Tuple[List[dict], float]:
+    """The suite ASYNC case checked unreduced and under the grid quotient.
 
-    Checks :data:`REDUCTION_BENCH_CASE` unreduced, under the grid quotient
-    and under the full ``grid+color+por`` pipeline; verdicts must agree
-    (enforced) and the composed pipeline must explore strictly fewer states
-    than the grid quotient (gated by the caller).  Returns the rows plus
-    the state quotient ratios none/grid and grid/(grid+color+por).
+    Checks :data:`REDUCTION_BENCH_CASE` unreduced and under the grid
+    quotient; verdicts must agree (enforced).  Returns the rows plus the
+    state quotient ratio none/grid.
     """
     name, m, n, model = REDUCTION_BENCH_CASE
     label = f"{name} {m}x{n} [{model}]"
@@ -363,13 +359,8 @@ def bench_reduction(repetitions: int) -> Tuple[List[dict], float, float]:
         for spec, (wall, result) in outcomes.items()
     ]
     grid_states = outcomes["grid"][1].states_explored
-    full_states = outcomes["grid+color+por"][1].states_explored
     none_states = outcomes["none"][1].states_explored
-    return (
-        rows,
-        none_states / grid_states if grid_states else float("inf"),
-        grid_states / full_states if full_states else float("inf"),
-    )
+    return rows, none_states / grid_states if grid_states else float("inf")
 
 
 def bench_distributed(daemon_workers: int = 2) -> Tuple[List[dict], float]:
@@ -612,7 +603,7 @@ def run_full(repetitions: int, output: Path) -> int:
     rows += cross_rows
     pooled_rows, pooled_reuse_rate = bench_pooled_reuse()
     rows += pooled_rows
-    reduction_rows, grid_quotient_x, por_quotient_x = bench_reduction(max(1, repetitions // 10))
+    reduction_rows, grid_quotient_x = bench_reduction(max(1, repetitions // 10))
     rows += reduction_rows
     distributed_rows, distributed_x = bench_distributed()
     rows += distributed_rows
@@ -640,8 +631,8 @@ def run_full(repetitions: int, output: Path) -> int:
     print(f"3x3 FSYNC twice on one pool: {pooled_reuse_rate:.0%} cache hits on the second check")
     reduction_label = "{} {}x{} [{}]".format(*REDUCTION_BENCH_CASE)
     print(
-        f"{reduction_label}: grid+color+por explores {por_quotient_x:.2f}x fewer states"
-        f" than the grid quotient (grid is {grid_quotient_x:.2f}x vs unreduced)"
+        f"{reduction_label}: unreduced/grid-quotient state ratio {grid_quotient_x:.2f}"
+        " (verdicts identical)"
     )
     print(
         f"exhaustive sweep over 2 TCP worker daemons: {distributed_x:.2f}x the pooled"
@@ -675,13 +666,6 @@ def run_full(repetitions: int, output: Path) -> int:
     if pooled_reuse_rate <= 0.0:
         print(
             "FAIL: expected a nonzero cross-exploration hit rate on the second pooled check",
-            file=sys.stderr,
-        )
-        ok = False
-    if por_quotient_x <= 1.0:
-        print(
-            "FAIL: expected grid+color+por to explore strictly fewer states than the"
-            " grid quotient on the reduction bench case",
             file=sys.stderr,
         )
         ok = False
@@ -726,7 +710,6 @@ def run_full(repetitions: int, output: Path) -> int:
             "pooled_cross_exploration_hit_rate": pooled_reuse_rate,
             "reduction_bench_case": reduction_label,
             "reduction_grid_quotient_vs_unreduced": grid_quotient_x,
-            "reduction_grid_color_por_vs_grid": por_quotient_x,
             "distributed_2daemons_vs_pooled_sweep": distributed_x,
             "store_warm_vs_cold_sweep": store_x,
             "store_stats": store_stats,
@@ -764,9 +747,8 @@ def run_smoke(repetitions: int, baseline_path: Path) -> int:
     *current* machine and compared as a ratio against the recorded ratio,
     so the guard tracks code regressions rather than hardware differences.
     The reduction guard then re-checks the suite ASYNC bench case: the
-    ``grid+color+por`` pipeline must still explore strictly fewer states
-    than the ``grid`` quotient with an unchanged verdict (the verdict
-    parity is enforced inside :func:`_reduction_case`).  Last the
+    ``grid`` quotient must reach the unreduced verdict (the verdict parity
+    is enforced inside :func:`_reduction_case`).  Last the
     verdict-store guard re-runs the exhaustive sweep cold and warm against
     a throwaway on-disk store: warm hits must stay byte-identical to
     computed reports (enforced inside :func:`_store_sweep`) and keep the
@@ -784,19 +766,14 @@ def run_smoke(repetitions: int, baseline_path: Path) -> int:
     )
 
     outcomes = _reduction_case()  # raises on a verdict divergence
-    grid_states = outcomes["grid"][1].states_explored
-    full_states = outcomes["grid+color+por"][1].states_explored
     print(
-        "smoke: {} {}x{} [{}]: grid+color+por {} states vs grid {} states,"
-        " verdict unchanged".format(*REDUCTION_BENCH_CASE, full_states, grid_states)
-    )
-    if full_states >= grid_states:
-        print(
-            "FAIL: grid+color+por no longer explores strictly fewer states than the"
-            f" grid quotient on the reduction bench case ({full_states} >= {grid_states})",
-            file=sys.stderr,
+        "smoke: {} {}x{} [{}]: grid {} states vs none {} states,"
+        " verdict unchanged".format(
+            *REDUCTION_BENCH_CASE,
+            outcomes["grid"][1].states_explored,
+            outcomes["none"][1].states_explored,
         )
-        return 1
+    )
 
     # Verdict-store guard: warm hits must stay byte-identical to computed
     # reports (enforced inside ``_store_sweep``) and keep the absolute

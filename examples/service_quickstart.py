@@ -36,7 +36,7 @@ SPEC = {
     "m": 3,
     "n": 3,
     "model": "FSYNC",
-    "reduction": "grid+color",
+    "reduction": "grid",
 }
 
 CAMPAIGN = {

@@ -18,8 +18,8 @@ from ..engine.backend import backend_cache
 from ..engine.explorer import explore_sharded
 from ..engine.matcher import MatcherCache
 from ..engine.pool import ExplorationPool, registered
-from ..engine.reduction import ReductionSpec, normalize_reduction
 from ..engine.suites import scaling_suite
+from ..engine.symmetry import normalize_reduction
 from ..engine.walk import TieBreak, run_fsync
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -155,10 +155,10 @@ class StateSpacePoint:
     states: int
     #: Matcher-cache hit rate observed during this size's exploration.
     cache_hit_rate: float
-    #: The active reduction spec the size was explored under.
+    #: The reduction the size was explored under (``"none"`` or ``"grid"``).
     reduction: str = "none"
-    #: Per-component reduction statistics of this size's exploration
-    #: (``None`` when unreduced).
+    #: Quotient statistics of this size's exploration (``None`` when
+    #: unreduced).
     reduction_stats: Optional[dict] = None
 
 
@@ -166,18 +166,17 @@ def state_space_sweep(
     algorithm: Algorithm,
     sizes: Optional[Iterable[Tuple[int, int]]] = None,
     model: str = "FSYNC",
-    symmetry_reduction: bool = False,
     max_states: int = 200_000,
     pool: Optional[ExplorationPool] = None,
-    reduction: ReductionSpec = None,
+    reduction: Optional[str] = None,
     backend: Optional["ExecutionBackend"] = None,
     store: Optional["VerdictStore"] = None,
 ) -> List[StateSpacePoint]:
     """Measure reachable-state-space growth over a family of grid sizes.
 
-    ``reduction`` selects the reduction pipeline each size is explored
-    under (``symmetry_reduction=True`` stays as the deprecated alias for
-    ``reduction="grid"``); the per-size quotient ratios land on the points.
+    ``reduction`` (``"none"`` or ``"grid"``) selects whether each size is
+    explored under the grid quotient; the per-size quotient statistics land
+    on the points.
 
     Each size is explored exhaustively in this process, on one matcher
     cache for the whole sweep: the coordinator cache of ``pool`` (a
@@ -192,7 +191,7 @@ def state_space_sweep(
     """
     if sizes is None:
         sizes = scaling_suite(algorithm)
-    spec = normalize_reduction(reduction, symmetry_reduction)
+    spec = normalize_reduction(reduction)
     if pool is not None:
         cache = pool.cache
     elif backend is not None:

@@ -25,17 +25,12 @@ semantics the simulator walks, and the only successor kernel — and the
 frontier search, state interning and graph analyses live in
 :mod:`repro.engine.explorer`.
 
-``reduction=`` selects a composable reduction pipeline
-(:mod:`repro.engine.reduction`): ``"grid"`` quotients the search by the
-grid automorphisms the algorithm cannot distinguish (rotations, plus
-reflections for chirality-free algorithms; see
-:mod:`repro.engine.symmetry`), ``"grid+color"`` additionally quotients by
-the detected color-permutation symmetries of the rule set, and
-``"grid+color+por"`` adds ample-set partial-order reduction for the ASYNC
-micro-step interleavings.  Every combination shrinks the state space while
-preserving both the termination and the coverage verdicts exactly.
-``symmetry_reduction=True`` remains as the deprecated boolean alias for
-``reduction="grid"``.
+``reduction="grid"`` quotients the search by the grid automorphisms the
+algorithm cannot distinguish (rotations, plus reflections for
+chirality-free algorithms; see :mod:`repro.engine.symmetry`);
+``reduction="none"``, the default here, explores unreduced.  The quotient
+shrinks the state space while preserving both the termination and the
+coverage verdicts exactly.
 
 This is a strictly stronger check than any number of randomized
 simulations, and it is the tool used to validate the paper's ASYNC
@@ -52,7 +47,6 @@ from ..core.grid import Grid
 from ..engine.explorer import Exploration, explore_sharded, guaranteed_nodes, has_cycle
 from ..engine.matcher import MatcherCache
 from ..engine.pool import ExplorationPool
-from ..engine.reduction import ReductionSpec
 from ..engine.states import SchedulerState
 from ..engine.transition import AlgorithmTransitionSystem
 
@@ -75,22 +69,18 @@ class CheckResult:
     terminates: bool
     explores: bool
     counterexample: Optional[str] = None
-    #: Whether the counts above refer to a symmetry-reduced quotient (grid
-    #: and/or color).  Kept for backward compatibility; ``reduction`` names
-    #: the precise pipeline.
-    symmetry_reduction: bool = False
     #: Matcher-cache counters accumulated by this check (``hits`` /
     #: ``misses`` / ``hit_rate``); ``None`` for results built by hand.
     #: Excluded from equality: the counters depend on how warm the matcher
     #: happened to be, and results are promised identical however warm it
     #: was.
     matcher_stats: Optional[Dict[str, float]] = field(default=None, compare=False)
-    #: The active reduction spec the check ran under (``"none"``,
-    #: ``"grid"``, ``"grid+color+por"``, ...).
+    #: The reduction the check ran under: ``"grid"`` when the counts above
+    #: refer to the grid-automorphism quotient, else ``"none"``.
     reduction: str = "none"
-    #: Per-component reduction statistics (orbit collapses, interleavings
-    #: pruned); deterministic for a given check, but excluded from equality
-    #: like the matcher counters — observability, not part of the verdict.
+    #: Quotient statistics (group order, orbit collapses); deterministic
+    #: for a given check, but excluded from equality like the matcher
+    #: counters — observability, not part of the verdict.
     reduction_stats: Optional[Dict[str, Dict[str, float]]] = field(default=None, compare=False)
     #: Verdict-store counters when the check was requested through a
     #: :class:`~repro.engine.store.VerdictStore` (``hits`` / ``misses`` /
@@ -105,10 +95,7 @@ class CheckResult:
 
     def summary(self) -> str:
         status = "terminating exploration holds" if self.ok else f"FAILS ({self.counterexample})"
-        if self.reduction not in ("none", "grid"):
-            reduced = f", reduced [{self.reduction}]"
-        else:
-            reduced = ", symmetry-reduced" if self.symmetry_reduction else ""
+        reduced = ", symmetry-reduced" if self.reduction == "grid" else ""
         cache = ""
         if self.matcher_stats is not None:
             cache = f", match cache {self.matcher_stats['hit_rate']:.0%} hits"
@@ -136,8 +123,7 @@ def _explore(
     *,
     max_states: int,
     start: Optional[SchedulerState] = None,
-    symmetry_reduction: bool,
-    reduction: ReductionSpec,
+    reduction: Optional[str],
     cache: Optional[MatcherCache],
     pool: Optional[ExplorationPool],
     backend: Optional["ExecutionBackend"] = None,
@@ -159,7 +145,6 @@ def _explore(
         grid,
         model,
         reduction=reduction,
-        symmetry_reduction=symmetry_reduction,
         max_states=max_states,
         start=start,
         cache=cache,
@@ -174,21 +159,18 @@ def explore_state_space(
     model: str = "SSYNC",
     max_states: int = 200_000,
     start: Optional[SchedulerState] = None,
-    symmetry_reduction: bool = False,
     cache: Optional[MatcherCache] = None,
     pool: Optional[ExplorationPool] = None,
-    reduction: ReductionSpec = None,
+    reduction: Optional[str] = None,
     backend: Optional["ExecutionBackend"] = None,
     store=None,
 ) -> Dict[SchedulerState, List[SchedulerState]]:
     """Build the successor graph of all reachable scheduler states.
 
-    With a quotienting ``reduction`` (``"grid"``, ``"grid+color"``, ...)
-    the returned graph is the quotient by the selected symmetries: states
-    are orbit representatives, and a representative's successor list
-    contains the representatives of its raw successors; ``"por"`` prunes
-    ASYNC interleavings instead of quotienting.  ``symmetry_reduction=True``
-    is the deprecated alias for ``reduction="grid"``.
+    With ``reduction="grid"`` the returned graph is the quotient by the
+    grid automorphisms: states are orbit representatives, and a
+    representative's successor list contains the representatives of its
+    raw successors.
 
     ``cache`` reuses snapshot/match memo tables across repeated checks;
     ``pool`` (a persistent :class:`~repro.engine.pool.ExplorationPool`)
@@ -204,7 +186,6 @@ def explore_state_space(
         model,
         max_states=max_states,
         start=start,
-        symmetry_reduction=symmetry_reduction,
         reduction=reduction,
         cache=cache,
         pool=pool,
@@ -219,10 +200,9 @@ def enumerate_reachable(
     grid: Grid,
     model: str = "SSYNC",
     max_states: int = 200_000,
-    symmetry_reduction: bool = False,
     cache: Optional[MatcherCache] = None,
     pool: Optional[ExplorationPool] = None,
-    reduction: ReductionSpec = None,
+    reduction: Optional[str] = None,
     backend: Optional["ExecutionBackend"] = None,
     store=None,
 ) -> int:
@@ -232,7 +212,6 @@ def enumerate_reachable(
         grid,
         model,
         max_states=max_states,
-        symmetry_reduction=symmetry_reduction,
         reduction=reduction,
         cache=cache,
         pool=pool,
@@ -246,30 +225,25 @@ def check_terminating_exploration(
     grid: Grid,
     model: str = "SSYNC",
     max_states: int = 200_000,
-    symmetry_reduction: bool = False,
     cache: Optional[MatcherCache] = None,
     pool: Optional[ExplorationPool] = None,
-    reduction: ReductionSpec = None,
+    reduction: Optional[str] = None,
     backend: Optional["ExecutionBackend"] = None,
     store=None,
 ) -> CheckResult:
     """Exhaustively decide Definition 1 over all scheduler behaviours.
 
-    The verdict is identical under every ``reduction`` spec — ``"none"``,
-    ``"grid"``, ``"grid+color"``, ``"grid+color+por"`` and any other
-    combination; the reduced run only explores fewer states (a quotient
-    cycle lifts to an infinite raw execution and vice versa, coverage sets
-    are mapped exactly through the collapsing witnesses, and the ample-set
-    conditions plus cycle proviso make partial-order pruning
-    verdict-preserving; see :mod:`repro.engine.reduction`).
-    ``symmetry_reduction=True`` remains the deprecated alias for
-    ``reduction="grid"``.  The verdict is likewise identical with and
-    without ``cache``, ``pool`` or ``backend`` (they only lend a warm
+    The verdict is identical under ``reduction="none"`` and
+    ``reduction="grid"``; the quotient only explores fewer states (a
+    quotient cycle lifts to an infinite raw execution and vice versa, and
+    coverage sets are mapped exactly through the collapsing witnesses; see
+    :mod:`repro.engine.symmetry`).  The verdict is likewise identical with
+    and without ``cache``, ``pool`` or ``backend`` (they only lend a warm
     matcher cache; the exploration runs in this process either way).
 
     ``store`` — a :class:`~repro.engine.store.VerdictStore` — caches the
     whole :class:`CheckResult` under a content key that includes the
-    normalized reduction spec *and* ``max_states`` (so a
+    normalized reduction *and* ``max_states`` (so a
     budget-limited check can never answer for a roomier one); duplicate
     concurrent requests coalesce onto a single exploration.  Cached
     results are identical to computed ones.
@@ -279,23 +253,18 @@ def check_terminating_exploration(
         from ..engine.spec import check_store_key
 
         if registered(algorithm):
-            key = check_store_key(
-                algorithm.name, grid.m, grid.n, model,
-                reduction, max_states, symmetry_reduction,
-            )
+            key = check_store_key(algorithm.name, grid.m, grid.n, model, reduction, max_states)
             return store.fetch(
                 key,
                 lambda: _run_check(
                     algorithm, grid, model,
-                    max_states=max_states, symmetry_reduction=symmetry_reduction,
-                    cache=cache, pool=pool, reduction=reduction,
+                    max_states=max_states, cache=cache, pool=pool, reduction=reduction,
                     backend=backend, store=store,
                 ),
             )
     return _run_check(
         algorithm, grid, model,
-        max_states=max_states, symmetry_reduction=symmetry_reduction,
-        cache=cache, pool=pool, reduction=reduction,
+        max_states=max_states, cache=cache, pool=pool, reduction=reduction,
         backend=backend, store=store,
     )
 
@@ -306,10 +275,9 @@ def _run_check(
     model: str,
     *,
     max_states: int,
-    symmetry_reduction: bool,
     cache: Optional[MatcherCache],
     pool: Optional[ExplorationPool],
-    reduction: ReductionSpec,
+    reduction: Optional[str],
     backend: Optional["ExecutionBackend"],
     store=None,
 ) -> CheckResult:
@@ -319,7 +287,6 @@ def _run_check(
         grid,
         model,
         max_states=max_states,
-        symmetry_reduction=symmetry_reduction,
         reduction=reduction,
         cache=cache,
         pool=pool,
@@ -339,7 +306,6 @@ def _run_check(
             terminates=False,
             explores=False,
             counterexample="a scheduler can drive the system into an infinite execution (cycle reached)",
-            symmetry_reduction=exploration.reduced,
             matcher_stats=exploration.matcher_stats,
             reduction=exploration.reduction,
             reduction_stats=exploration.reduction_stats,
@@ -368,7 +334,6 @@ def _run_check(
         terminates=True,
         explores=explores,
         counterexample=counterexample,
-        symmetry_reduction=exploration.reduced,
         matcher_stats=exploration.matcher_stats,
         reduction=exploration.reduction,
         reduction_stats=exploration.reduction_stats,

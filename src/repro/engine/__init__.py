@@ -11,10 +11,9 @@ paper are implemented; every other layer consumes it:
 * :mod:`repro.engine.profile` — opt-in (``REPRO_PROFILE=1``) per-phase
   wall-clock split attached to ``Exploration.profile``;
 * :mod:`repro.engine.symmetry` — the grid-automorphism group (rotations
-  and, for chirality-free algorithms, reflections);
-* :mod:`repro.engine.reduction` — the composable reduction subsystem:
-  grid-symmetry quotient x detected color-permutation symmetry x ASYNC
-  partial-order reduction, selected by a ``reduction=`` spec;
+  and, for chirality-free algorithms, reflections) and its quotient, the
+  only state-space reduction (``reduction="grid"``; ``"none"`` explores
+  unreduced);
 * :mod:`repro.engine.explorer` — frontier search, interning, cycle and
   coverage analyses (the model checker's substrate), and
   :func:`explore_sharded`, the registry-level entry point that explores
@@ -85,16 +84,6 @@ from .journal import CampaignJournal
 from .matcher import LocalMatcher, MatcherCache, MatcherStats
 from .pool import ExplorationPool, default_workers, process_cache
 from .profile import PROFILE_ENV, KernelProfile, profiling_enabled
-from .reduction import (
-    ColorPermutation,
-    ProductWitness,
-    Reduction,
-    ReductionPipeline,
-    detect_color_permutations,
-    normalize_reduction,
-    resolve_reduction,
-    transform_state_colors,
-)
 from .spec import (
     CheckSpec,
     SpecError,
@@ -124,7 +113,13 @@ from .suites import (
     reduction_parity_suite,
     scaling_suite,
 )
-from .symmetry import GridSymmetry, canonicalize, grid_symmetries, transform_state
+from .symmetry import (
+    GridSymmetry,
+    canonicalize,
+    grid_symmetries,
+    normalize_reduction,
+    transform_state,
+)
 from .transition import MODELS, AlgorithmTransitionSystem, TransitionSystem
 from .walk import TieBreak, default_step_budget, run, run_async, run_fsync, run_ssync
 
@@ -164,15 +159,7 @@ __all__ = [
     "grid_symmetries",
     "transform_state",
     "canonicalize",
-    # reduction
-    "Reduction",
-    "ReductionPipeline",
-    "ColorPermutation",
-    "ProductWitness",
-    "detect_color_permutations",
-    "transform_state_colors",
     "normalize_reduction",
-    "resolve_reduction",
     # profiling
     "PROFILE_ENV",
     "KernelProfile",

@@ -4,8 +4,8 @@ A verification campaign is a flat list of independent work items
 (:class:`CampaignTask`).  A ``"walk"`` task runs one bounded execution
 through the walk engine (:mod:`repro.engine.walk`) and scores it against
 Definition 1; a ``"check"`` task runs the exhaustive model checker
-(:mod:`repro.checking.model_checker`) under a configurable reduction
-pipeline (``reduction=``, see :mod:`repro.engine.reduction`).  Because the
+(:mod:`repro.checking.model_checker`), by default under the grid quotient
+(``reduction="grid"``, see :mod:`repro.engine.symmetry`).  Because the
 items are independent and fully described by picklable primitives, the
 same list can be executed
 
@@ -33,8 +33,8 @@ from ..core.execution import ExecutionResult
 from ..core.grid import Grid
 from .matcher import LocalMatcher, MatcherCache
 from .pool import ExplorationPool, default_workers, process_cache, registered
-from .reduction import normalize_reduction
 from .suites import default_grid_suite
+from .symmetry import normalize_reduction
 from .walk import TieBreak, run_async, run_fsync, run_ssync
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (avoids a module cycle)
@@ -94,11 +94,12 @@ class VerificationReport:
     cache_misses: Optional[int] = field(default=None, compare=False)
     #: ``"walk"`` (bounded execution) or ``"check"`` (exhaustive check).
     kind: str = "walk"
-    #: For ``kind="check"``: the active reduction spec the check ran under.
+    #: For ``kind="check"``: the reduction the check ran under
+    #: (``"none"`` or ``"grid"``).
     reduction: Optional[str] = None
-    #: For ``kind="check"``: per-component reduction statistics (orbit
-    #: collapses, interleavings pruned).  Deterministic, but excluded from
-    #: equality like the cache counters — observability, not verdict.
+    #: For ``kind="check"``: quotient statistics (group order, orbit
+    #: collapses).  Deterministic, but excluded from equality like the
+    #: cache counters — observability, not verdict.
     reduction_stats: Optional[Dict[str, Dict[str, float]]] = field(default=None, compare=False)
     #: Verdict-store counters observed when this report was served through
     #: a :class:`~repro.engine.store.VerdictStore` (``None`` when no store
@@ -297,7 +298,7 @@ def check_one(
     The campaign-shaped wrapper around
     :func:`repro.checking.check_terminating_exploration`: the verdict (and
     its reason), the explored/terminal state counts, the matcher-cache
-    delta and the per-component reduction statistics all land on a
+    delta and the quotient statistics all land on a
     :class:`VerificationReport` with ``kind="check"``, so exhaustive checks
     ride the same serial/parallel campaign machinery as bounded walks.  A
     tripped state budget (or any other failure) is reported, not raised.
@@ -410,8 +411,8 @@ class CampaignTask:
     tie_break: str = TieBreak.ERROR
     max_steps: Optional[int] = None
     kind: str = "walk"
-    #: ``kind="check"`` only: the reduction spec string for the exhaustive
-    #: exploration (``None`` falls back to the checker's default quotient).
+    #: ``kind="check"`` only: the reduction for the exhaustive exploration,
+    #: ``"grid"`` or ``"none"`` (``None`` means ``"none"``).
     reduction: Optional[str] = "grid"
     #: ``kind="check"`` only: the exploration state budget.
     max_states: int = 200_000
@@ -884,7 +885,7 @@ class ParallelCampaignEngine:
         """Exhaustive model checks over a family of grid sizes.
 
         Each task runs the full (reduced) state-space exploration; the
-        reports carry the verdicts plus per-component reduction statistics.
+        reports carry the verdicts plus the quotient statistics.
         ``journal``/``resume`` make the sweep durable and resumable — see
         :meth:`run_tasks`.
         """

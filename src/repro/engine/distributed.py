@@ -117,7 +117,7 @@ from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence, Tupl
 
 from .backend import FleetLostError, NoWorkersError
 from .campaign import CampaignTask, VerificationReport, run_task
-from .reduction import normalize_reduction
+from .symmetry import normalize_reduction
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .faults import FaultPlan

@@ -4,21 +4,16 @@ The explorer is the checking half of the engine kernel: starting from the
 transition system's initial state it discovers every reachable canonical
 state with a breadth-first frontier, interning states into dense integer
 indices (so the graph algorithms below run on plain int lists instead of
-re-hashing dataclasses), and optionally reducing the search through a
-composable :class:`~repro.engine.reduction.ReductionPipeline` — the grid
-automorphism quotient, color-permutation symmetry and ASYNC partial-order
-reduction, selected by ``reduction=`` (``symmetry_reduction=True`` stays
-as a deprecated alias for ``reduction="grid"``).
+re-hashing dataclasses), and optionally quotienting the search by the grid
+automorphisms the algorithm cannot distinguish (``reduction="grid"``; see
+:mod:`repro.engine.symmetry`).
 
-When a quotient is active, every raw successor is replaced by its orbit
+Under the quotient, every raw successor is replaced by its orbit
 representative and the edge is labelled with the witness ``h`` mapping the
 representative's coordinates back to the raw successor's.  Termination is
 preserved by the quotient (a quotient cycle lifts to an infinite — hence,
 on a finite space, cyclic — raw execution and vice versa); coverage is
 computed exactly by pushing guaranteed-node sets through the edge labels.
-Partial-order reduction prunes interleavings *before* canonicalization;
-see :mod:`repro.engine.reduction` for why every combination preserves both
-verdicts.
 
 :func:`explore_sharded` is the registry-level entry point the checking
 layer calls: it builds the
@@ -41,8 +36,8 @@ from ..core.errors import StateSpaceLimitExceeded
 from ..core.grid import Grid, Node
 from .matcher import MatcherCache
 from .profile import KernelProfile, profiling_enabled
-from .reduction import ReductionSpec, resolve_reduction
 from .states import SchedulerState
+from .symmetry import GridSymmetry, canonicalize, grid_symmetries, normalize_reduction
 from .transition import MODELS, AlgorithmTransitionSystem, TransitionSystem
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (avoids a module cycle)
@@ -65,7 +60,7 @@ class Exploration:
 
     #: Synchrony model the graph was built under.
     model: str
-    #: Whether the graph is a symmetry-reduced quotient (grid and/or color).
+    #: Whether the graph is the grid-automorphism quotient.
     reduced: bool
     #: Index -> canonical state (orbit representatives when ``reduced``).
     states: List[SchedulerState]
@@ -73,30 +68,28 @@ class Exploration:
     index: Dict[SchedulerState, int]
     #: Index -> successor indices.
     succ: List[List[int]]
-    #: When ``reduced``: per-edge witness ``h`` with ``raw = h(rep)``
-    #: (``None`` entries mean the identity).  A witness is a
-    #: :class:`~repro.engine.symmetry.GridSymmetry` under the pure grid
-    #: quotient and a :class:`~repro.engine.reduction.ProductWitness` when
-    #: the color quotient participates.  ``None`` when not reduced.
-    edge_syms: Optional[List[List[Optional[object]]]]
+    #: When ``reduced``: per-edge witness ``h`` with ``raw = h(rep)``, a
+    #: :class:`~repro.engine.symmetry.GridSymmetry` (``None`` entries mean
+    #: the identity).  ``None`` when not reduced.
+    edge_syms: Optional[List[List[Optional[GridSymmetry]]]]
     #: Index of the (canonicalised) initial state.
     root: int
     #: Witness mapping the canonical root back to the raw initial state
     #: (``None`` for the identity or when not reduced).
-    root_sym: Optional[object] = field(default=None)
+    root_sym: Optional[GridSymmetry] = field(default=None)
     #: Matcher cache counters accumulated *during this exploration* —
     #: ``{"hits", "misses", "hit_rate"}`` — observability for the
     #: snapshot/match memo layer.  ``None`` when the transition system
     #: does not expose a matcher.
     matcher_stats: Optional[Dict[str, float]] = field(default=None)
-    #: The *active* reduction spec the graph was built under (``"none"``,
-    #: ``"grid"``, ``"grid+color+por"``, ...); inert components (e.g. POR
-    #: outside ASYNC, a trivial detected color group) drop out.
+    #: The reduction the graph was built under: ``"grid"`` when
+    #: ``reduced``, else ``"none"``.
     reduction: str = field(default="none")
-    #: Per-component reduction statistics accumulated during this
-    #: exploration — orbit collapses for the quotients, ample states and
-    #: interleavings pruned for POR.  Deterministic; ``None`` when no
-    #: component is active.
+    #: Quotient statistics of this exploration,
+    #: ``{"grid": {"group_order", "orbit_collapses"}}``, where
+    #: ``orbit_collapses`` counts the root and every successor that
+    #: canonicalised through a non-identity witness.  Deterministic;
+    #: ``None`` when not reduced.
     reduction_stats: Optional[Dict[str, Dict[str, float]]] = field(default=None)
     #: Opt-in per-phase wall-clock split (``REPRO_PROFILE=1``; see
     #: :mod:`repro.engine.profile`) — ``{"kernel", "match_s",
@@ -126,19 +119,16 @@ class Exploration:
 def explore(
     ts: TransitionSystem,
     *,
-    reduction: ReductionSpec = None,
-    symmetry_reduction: bool = False,
+    reduction: Optional[str] = None,
     max_states: int = 200_000,
     start: Optional[SchedulerState] = None,
     store: Optional[object] = None,
 ) -> Exploration:
     """Build the (optionally reduced) reachable successor graph.
 
-    ``reduction`` selects the reduction pipeline — a spec string such as
-    ``"grid"``, ``"grid+color"``, ``"grid+color+por"`` or ``"none"``, or a
-    pre-built :class:`~repro.engine.reduction.ReductionPipeline`.
-    ``symmetry_reduction=True`` is the deprecated boolean alias for
-    ``reduction="grid"`` (ignored when ``reduction`` is given).
+    ``reduction`` is ``"grid"`` for the grid-automorphism quotient or
+    ``"none"`` (``None``) for the unreduced graph; see
+    :func:`~repro.engine.symmetry.normalize_reduction`.
 
     ``store`` — a :class:`~repro.engine.store.VerdictStore` — serves the
     exploration from the verdict cache (or records a miss) under
@@ -153,33 +143,30 @@ def explore(
     distinct states have been discovered.
     """
     if store is not None and start is None:
-        cache_key = _store_key(ts, reduction, symmetry_reduction, max_states)
+        cache_key = _store_key(ts, reduction, max_states)
         if cache_key is not None:
             return store.fetch(
-                cache_key,
-                lambda: explore(
-                    ts,
-                    reduction=reduction,
-                    symmetry_reduction=symmetry_reduction,
-                    max_states=max_states,
-                ),
+                cache_key, lambda: explore(ts, reduction=reduction, max_states=max_states)
             )
 
-    pipeline = resolve_reduction(reduction, symmetry_reduction, ts.algorithm, ts.grid, ts.model)
-    reduce = pipeline.reduced
+    reduce = normalize_reduction(reduction) == "grid"
+    symmetries = grid_symmetries(ts.grid, ts.algorithm.chirality) if reduce else ()
 
     profile = KernelProfile("object") if profiling_enabled() else None
     matcher = getattr(ts, "matcher", None)
     stats_before = matcher.stats.snapshot() if matcher is not None else None
-    counters_before = pipeline.counters_snapshot()
 
     root_raw = start if start is not None else ts.initial()
-    root_state, root_sym = pipeline.canonicalize(root_raw)
+    if reduce:
+        root_state, root_sym = canonicalize(root_raw, symmetries)
+    else:
+        root_state, root_sym = root_raw, None
+    collapses = 0 if root_sym is None else 1
 
     states: List[SchedulerState] = [root_state]
     index: Dict[SchedulerState, int] = {root_state: 0}
     succ: List[List[int]] = []
-    edge_syms: Optional[List[List[Optional[object]]]] = [] if reduce else None
+    edge_syms: Optional[List[List[Optional[GridSymmetry]]]] = [] if reduce else None
     frontier = deque([0])
 
     while frontier:
@@ -187,19 +174,23 @@ def explore(
         # BFS discovers states in index order, so expansions align with succ.
         assert current == len(succ)
         row: List[int] = []
-        row_syms: List[Optional[object]] = []
+        row_syms: List[Optional[GridSymmetry]] = []
         if profile is None:
-            raws = pipeline.successors(ts, states[current])
+            raws = ts.successors(states[current])
         else:
             t0 = perf_counter()
-            raws = pipeline.successors(ts, states[current])
+            raws = ts.successors(states[current])
             profile.match_s += perf_counter() - t0
         for raw in raws:
-            if profile is None:
-                rep, h = pipeline.canonicalize(raw)
-            else:
+            if profile is not None:
                 t0 = perf_counter()
-                rep, h = pipeline.canonicalize(raw)
+            if reduce:
+                rep, h = canonicalize(raw, symmetries)
+                if h is not None:
+                    collapses += 1
+            else:
+                rep, h = raw, None
+            if profile is not None:
                 t1 = perf_counter()
                 profile.canonicalise_s += t1 - t0
             child = index.get(rep)
@@ -211,7 +202,7 @@ def explore(
                         f" state budget of {max_states} exceeded after expanding"
                         f" {len(succ)} states ({len(states)} discovered,"
                         f" frontier size {len(frontier)}"
-                        f"{pipeline.budget_note})",
+                        f"{', symmetry reduction on' if reduce else ''})",
                         algorithm=ts.algorithm.name,
                         model=ts.model,
                         max_states=max_states,
@@ -243,18 +234,17 @@ def explore(
         matcher_stats=(
             matcher.stats.delta_since(stats_before).as_dict() if matcher is not None else None
         ),
-        reduction=pipeline.active_spec,
-        reduction_stats=pipeline.stats_report(pipeline.counters_delta(counters_before)),
+        reduction="grid" if reduce else "none",
+        reduction_stats=(
+            {"grid": {"group_order": len(symmetries), "orbit_collapses": collapses}}
+            if reduce
+            else None
+        ),
         profile=profile.as_dict() if profile is not None else None,
     )
 
 
-def _store_key(
-    ts: TransitionSystem,
-    reduction: ReductionSpec,
-    symmetry_reduction: bool,
-    max_states: int,
-):
+def _store_key(ts: TransitionSystem, reduction: Optional[str], max_states: int):
     """The explore-route content key, or ``None`` when uncacheable.
 
     Spelled by :func:`~repro.engine.spec.explore_store_key`, so the library
@@ -270,13 +260,7 @@ def _store_key(
     if type(ts) is not AlgorithmTransitionSystem or not registered(ts.algorithm):
         return None
     return explore_store_key(
-        ts.algorithm.name,
-        ts.grid.m,
-        ts.grid.n,
-        ts.model,
-        reduction,
-        max_states,
-        symmetry_reduction,
+        ts.algorithm.name, ts.grid.m, ts.grid.n, ts.model, reduction, max_states
     )
 
 
@@ -285,8 +269,7 @@ def explore_sharded(
     grid: Grid,
     model: str,
     *,
-    reduction: ReductionSpec = None,
-    symmetry_reduction: bool = False,
+    reduction: Optional[str] = None,
     max_states: int = 200_000,
     start: Optional[SchedulerState] = None,
     cache: Optional[MatcherCache] = None,
@@ -316,14 +299,7 @@ def explore_sharded(
         cache = backend_cache(backend)
     matcher = cache.matcher_for(algorithm, grid) if cache is not None else None
     ts = AlgorithmTransitionSystem(algorithm, grid, model, matcher=matcher)
-    return explore(
-        ts,
-        reduction=reduction,
-        symmetry_reduction=symmetry_reduction,
-        max_states=max_states,
-        start=start,
-        store=store,
-    )
+    return explore(ts, reduction=reduction, max_states=max_states, start=start, store=store)
 
 
 # ---------------------------------------------------------------------------
@@ -386,9 +362,7 @@ def guaranteed_nodes(exploration: Exploration) -> List[FrozenSet[Node]]:
     occupied nodes; an inner state guarantees its occupied nodes plus the
     intersection of its successors' guarantees.  Across symmetry-collapsed
     edges the successor's guarantee is mapped through the edge label first
-    (``raw = h(rep)`` implies ``guaranteed(raw) = h(guaranteed(rep))``; the
-    color part of a product witness moves no nodes, so only the grid part
-    acts here).
+    (``raw = h(rep)`` implies ``guaranteed(raw) = h(guaranteed(rep))``).
     """
     states = exploration.states
     succ = exploration.succ

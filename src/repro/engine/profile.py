@@ -12,7 +12,7 @@ a verdict-store hit whose record carried no profile.  The phases are:
 * **match** — successor generation: guard evaluation and memoized
   rule matching (:mod:`repro.engine.matcher`);
 * **canonicalise** — orbit-representative selection under the active
-  reduction pipeline (zero when no quotient is active);
+  grid quotient (zero when the exploration is unreduced);
 * **dedup** — interning successors into the dense index;
 * **store** — verdict-store lookup and deserialization time
   (:mod:`repro.engine.store`): zero when no ``store=`` is threaded

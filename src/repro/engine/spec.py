@@ -41,7 +41,7 @@ import dataclasses
 from typing import Dict, List, Optional, Tuple
 
 from .journal import content_key
-from .reduction import normalize_reduction
+from .symmetry import normalize_reduction
 from .walk import TieBreak
 
 __all__ = [
@@ -87,7 +87,6 @@ def check_store_key(
     model: str,
     reduction=None,
     max_states: int = 200_000,
-    symmetry_reduction: bool = False,
 ) -> Tuple[object, ...]:
     """The verdict-store spec of one exhaustive check.
 
@@ -102,7 +101,7 @@ def check_store_key(
         m,
         n,
         model,
-        normalize_reduction(reduction, symmetry_reduction),
+        normalize_reduction(reduction),
         max_states,
     )
 
@@ -114,7 +113,6 @@ def explore_store_key(
     model: str,
     reduction=None,
     max_states: int = 200_000,
-    symmetry_reduction: bool = False,
 ) -> Tuple[object, ...]:
     """The verdict-store spec of one exploration.
 
@@ -130,7 +128,7 @@ def explore_store_key(
         m,
         n,
         model,
-        normalize_reduction(reduction, symmetry_reduction),
+        normalize_reduction(reduction),
         max_states,
     )
 

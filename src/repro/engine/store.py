@@ -20,8 +20,8 @@ normalization that already makes work picklable (the key tuples of
 :mod:`repro.engine.spec`, :class:`~repro.engine.campaign.CampaignTask`
 dataclasses): registry
 algorithm name, grid shape, synchrony model and the **normalized**
-reduction spec string — plus everything the result is a function of that
-is *not* part of the work's identity at first glance:
+reduction (``"none"`` or ``"grid"``) — plus everything the result is a
+function of that is *not* part of the work's identity at first glance:
 
 * the **state budget** (``max_states``), so a verdict computed under a
   small budget can never masquerade as the verdict of a full exploration
@@ -71,6 +71,7 @@ returned objects, a ``compare=False`` observability field exactly like
 from __future__ import annotations
 
 import os
+import re
 import threading
 from collections import OrderedDict
 from pathlib import Path
@@ -86,6 +87,9 @@ _MISSING = object()
 
 #: Outcome labels ``get_or_compute`` reports per request.
 HIT, MISS, COALESCED = "hit", "miss", "coalesced"
+
+#: Exactly the segment names ``_roll_segment`` writes (``seg-<n>.log``).
+_SEGMENT_NAME = re.compile(r"seg-(?:0|[1-9][0-9]*)\.log")
 
 
 class _InFlight:
@@ -148,10 +152,15 @@ class VerdictStore:
 
     # -- disk ------------------------------------------------------------
     def _segments(self) -> list:
-        """Segment paths in segment-number order."""
+        """Segment paths in segment-number order.
+
+        Only the names :meth:`_roll_segment` writes count: any other file in
+        the directory, such as ``seg-0.log.bak``, is never replayed,
+        truncated or unlinked.
+        """
         assert self.path is not None
         try:
-            names = [p for p in self.path.iterdir() if p.name.startswith("seg-")]
+            names = [p for p in self.path.iterdir() if _SEGMENT_NAME.fullmatch(p.name)]
         except FileNotFoundError:
             return []
         return sorted(names, key=lambda p: int(p.stem.split("-")[1]))

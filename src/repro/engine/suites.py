@@ -21,8 +21,7 @@ __all__ = [
 
 #: The suite ASYNC case the reduction benchmark and the ``make verify``
 #: smoke guard key on: several robots overlap Look/Compute/Move phases on
-#: this grid, so ``"grid+color+por"`` explores strictly fewer states than
-#: ``"grid"`` (with a byte-identical verdict).
+#: this grid, and ``"grid"`` must reach the unreduced verdict on it.
 REDUCTION_BENCH_CASE: Tuple[str, int, int, str] = ("async_phi2_l2_nochir_k4", 4, 4, "ASYNC")
 
 
@@ -49,16 +48,16 @@ def default_grid_suite(algorithm: Algorithm, max_side: int = 9) -> List[Tuple[in
 
 
 def reduction_parity_suite() -> List[Tuple[str, int, int, str]]:
-    """Exhaustive-check cases for the reduction verdict-parity tests.
+    """Exhaustive-check cases for the grid-quotient verdict-parity tests.
 
     Every registered algorithm at its minimum supported grid under each of
     FSYNC, SSYNC and ASYNC (all small enough to explore unreduced in
     milliseconds), plus a slightly larger ASYNC case per ASYNC-designed
     algorithm — the regime where several robots hold overlapping
-    Look/Compute/Move phases and partial-order reduction has interleavings
-    to prune — and :data:`REDUCTION_BENCH_CASE`.  The parity tests and the
-    reduction benchmark both draw from this list, so "the suite" means the
-    same thing everywhere.
+    Look/Compute/Move phases — and :data:`REDUCTION_BENCH_CASE`.  The
+    parity tests, the exploration-shape table and the reduction benchmark
+    all draw from this list, so "the suite" means the same thing
+    everywhere.
     """
     from ..algorithms import all_algorithms  # local import: avoids a layering cycle
 

@@ -25,6 +25,11 @@ if a raw successor ``u`` canonicalises to representative ``r`` via
 ``r = g(u)``, then the set of nodes guaranteed to be visited from ``u`` is
 ``h(guaranteed(r))`` with ``h = g^-1``.  :func:`canonicalize` returns that
 ``h`` so the explorer can label the quotient edge with it.
+
+The quotient is the only state-space reduction: ``reduction="grid"``
+selects it on every exploration entry point and ``"none"`` (the default of
+the checking layer) explores unreduced; :func:`normalize_reduction` is the
+one spelling of that argument.
 """
 
 from __future__ import annotations
@@ -36,7 +41,13 @@ from ..core.grid import Grid, Node
 from ..core.views import ALL_SYMMETRIES, Symmetry, symmetries_for
 from .states import AsyncRobotState, SchedulerState
 
-__all__ = ["GridSymmetry", "grid_symmetries", "transform_state", "canonicalize"]
+__all__ = [
+    "GridSymmetry",
+    "grid_symmetries",
+    "transform_state",
+    "canonicalize",
+    "normalize_reduction",
+]
 
 
 class GridSymmetry:
@@ -193,3 +204,22 @@ def canonicalize(
     if best_sym is None:
         return best, None
     return best, best_sym.inverse()
+
+
+def normalize_reduction(reduction: Optional[str]) -> str:
+    """The canonical spelling of a ``reduction=`` argument.
+
+    ``None``, ``""`` and ``"none"`` mean the unreduced exploration
+    (``"none"``); ``"grid"`` means the grid-automorphism quotient.  Case and
+    surrounding whitespace are ignored.  Any other string raises
+    :class:`ValueError`, anything but a string or ``None``
+    :class:`TypeError`.
+    """
+    if reduction is None:
+        return "none"
+    if not isinstance(reduction, str):
+        raise TypeError(f"reduction must be 'none', 'grid' or None, got {reduction!r}")
+    spec = reduction.strip().lower() or "none"
+    if spec not in ("none", "grid"):
+        raise ValueError(f"unknown reduction {reduction!r}; expected 'none' or 'grid'")
+    return spec

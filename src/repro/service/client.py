@@ -25,7 +25,7 @@ error, to a well-behaved client.
 Examples::
 
     python -m repro.service.client check --algorithm fsync_phi2_l2_chir_k2 \\
-        --grid 3x3 --model FSYNC --reduction grid+color
+        --grid 3x3 --model FSYNC --reduction grid
     id=$(python -m repro.service.client submit --algorithm fsync_phi2_l2_chir_k2 \\
         --campaign exhaustive_sweep --id-only)
     python -m repro.service.client tail "$id"
@@ -182,7 +182,7 @@ def _spec_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--algorithm", required=True, help="registry algorithm name")
     parser.add_argument("--grid", type=_parse_grid, default=(3, 3), metavar="MxN", help="grid size")
     parser.add_argument("--model", default="FSYNC", help="FSYNC | SSYNC | ASYNC")
-    parser.add_argument("--reduction", default="grid", help="reduction spec (e.g. grid+color+por)")
+    parser.add_argument("--reduction", default="grid", help="grid | none")
     parser.add_argument("--max-states", type=int, default=200_000, help="state budget")
 
 

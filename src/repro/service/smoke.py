@@ -31,7 +31,7 @@ from typing import List, Optional
 
 ALGORITHM = "fsync_phi2_l2_chir_k2"
 GRID = (3, 3)
-REDUCTION = "grid+color"
+REDUCTION = "grid"
 
 
 class SmokeFailure(Exception):

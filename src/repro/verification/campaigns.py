@@ -171,11 +171,11 @@ def exhaustive_sweep(
     """Exhaustive model checks over a family of (small) grid sizes.
 
     Each task decides Definition 1 over *every* scheduler behaviour by
-    exploring the full state space under the given ``reduction`` pipeline
-    (``"grid"``, ``"grid+color"``, ``"grid+color+por"``, ... — see
-    :mod:`repro.engine.reduction`); the verdicts are reduction-independent,
+    exploring the full state space, under the grid quotient by default
+    (``reduction="grid"``; ``"none"`` explores unreduced — see
+    :mod:`repro.engine.symmetry`); the verdicts are reduction-independent,
     only the explored state counts and wall time shrink.  Reports carry the
-    per-component reduction statistics alongside the cache counters.
+    quotient statistics alongside the cache counters.
     Every check explores on the one successor kernel,
     :class:`~repro.engine.transition.AlgorithmTransitionSystem`.
     """

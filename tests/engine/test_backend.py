@@ -108,7 +108,7 @@ class TestBackendContract:
 # Explorations handed a backend run in this process
 # ---------------------------------------------------------------------------
 class TestBackendExploration:
-    @pytest.mark.parametrize("reduction", [None, "grid", "grid+color+por"])
+    @pytest.mark.parametrize("reduction", [None, "grid"])
     def test_explore_sharded_backend_matches_serial(self, backend, algorithm1, reduction):
         grid = Grid(4, 4)
         expected = _serial_exploration(algorithm1, grid, "FSYNC", reduction=reduction)

@@ -67,7 +67,7 @@ class TestWireProtocol:
             n=4,
             model="ASYNC",
             kind="check",
-            reduction="grid+color+por",
+            reduction="grid",
             max_states=50_000,
         )
         assert _roundtrip(walk) == walk
@@ -293,11 +293,11 @@ class TestDistributedParity:
 
     def test_check_through_tcp_matches_serial(self, algorithm1):
         grid = Grid(4, 4)
-        serial = check_terminating_exploration(algorithm1, grid, model="FSYNC", reduction="grid+color")
+        serial = check_terminating_exploration(algorithm1, grid, model="FSYNC", reduction="grid")
         with DistributedBackend(min_workers=1, start_timeout=30) as backend:
             with WorkerDaemon(backend.host, backend.port, workers=1).start():
                 shipped = check_terminating_exploration(
-                    algorithm1, grid, model="FSYNC", reduction="grid+color", backend=backend
+                    algorithm1, grid, model="FSYNC", reduction="grid", backend=backend
                 )
         assert shipped == serial
         assert shipped.reduction_stats == serial.reduction_stats

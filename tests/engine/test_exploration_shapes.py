@@ -8,8 +8,10 @@ pins the graph itself, so a change that moves any exploration (a new
 successor kernel, a faster canonicaliser, a reworked reduction) fails here
 even when every verdict survives.
 
-The table is data, not a golden file to refresh: regenerate it only in a
-change that means to alter explorations, and say so in that change::
+The file holds one row per line between the brackets, and every row ends
+in a comma, so deleting rows never edits a surviving line.  The table is
+data, not a golden file to refresh: regenerate it only in a change that
+means to alter explorations, and say so in that change::
 
     PYTHONPATH=src python tests/engine/test_exploration_shapes.py \\
         > tests/engine/exploration_shapes.json
@@ -29,8 +31,8 @@ from repro.engine import AlgorithmTransitionSystem, explore, reduction_parity_su
 
 TABLE = Path(__file__).with_name("exploration_shapes.json")
 
-#: The reduction specs every suite case is explored under.
-SPECS = ("none", "grid", "grid+color", "grid+color+por", "por")
+#: The reductions every suite case is explored under.
+SPECS = ("none", "grid")
 
 
 def shape(name: str, m: int, n: int, model: str, spec: str) -> dict:
@@ -55,7 +57,7 @@ def shape(name: str, m: int, n: int, model: str, spec: str) -> dict:
 @lru_cache(maxsize=None)
 def recorded() -> dict:
     """The table, keyed by ``(algorithm, m, n, model, spec)``."""
-    rows = json.loads(TABLE.read_text())
+    rows = [json.loads(line.rstrip(",")) for line in TABLE.read_text().splitlines()[1:-1]]
     return {(r["algorithm"], r["m"], r["n"], r["model"], r["spec"]): r for r in rows}
 
 
@@ -72,4 +74,4 @@ def test_exploration_shapes_match_the_table(name, m, n, model):
 
 if __name__ == "__main__":
     rows = [shape(*case, spec) for case in reduction_parity_suite() for spec in SPECS]
-    print("[\n" + ",\n".join(json.dumps(row, sort_keys=True) for row in rows) + "\n]")
+    print("[\n" + "".join(json.dumps(row, sort_keys=True) + ",\n" for row in rows) + "]")

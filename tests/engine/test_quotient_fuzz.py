@@ -1,0 +1,126 @@
+"""Differential fuzz: the grid quotient against the unreduced explorer.
+
+The parity suite only runs the registry's thirteen hand-designed
+algorithms.  Random rule tables fail in many more ways: they loop
+forever, stall with nodes unvisited, stack robots and move them off in
+lockstep.  Each seed below draws one table
+and checks it unreduced and under ``reduction="grid"`` on 2x3 (FSYNC,
+SSYNC, ASYNC) and 3x3 (FSYNC, SSYNC); the quotient must reproduce the
+termination verdict, the coverage verdict and the counterexample text
+(which names unvisited nodes in the raw initial state's coordinates, so
+it also checks the root witness).
+
+The generator is bounded, not the seed list: a table whose unreduced
+exploration of any case exceeds :data:`STATE_CAP` states is redrawn from
+the same seeded stream, so every seed still yields a table and the whole
+set stays fast.
+"""
+
+from __future__ import annotations
+
+import random
+from typing import Dict, Tuple
+
+import pytest
+
+from repro.checking import CheckResult, check_terminating_exploration
+from repro.core import Algorithm, Grid
+from repro.core.errors import StateSpaceLimitExceeded
+from repro.core.rules import EMPTY, FREE, WALL, Guard, Rule, occ
+from repro.core.views import ball_offsets
+
+SEEDS = range(200)
+CASES = ((2, 3, "FSYNC"), (2, 3, "SSYNC"), (2, 3, "ASYNC"), (3, 3, "FSYNC"), (3, 3, "SSYNC"))
+PALETTE = ("G", "W", "B")
+MOVES = (None, "N", "S", "E", "W")
+#: Largest unreduced exploration a drawn table may need on any case.
+STATE_CAP = 1500
+#: Draws per seed before the generator gives up (none needs more than a few).
+MAX_DRAWS = 20
+
+Case = Tuple[int, int, str]
+
+
+def random_cell(rng: random.Random, colors):
+    """One guard cell: empty, off-grid, either, or an exact light multiset."""
+    kind = rng.randrange(4)
+    if kind == 3:
+        return occ(*rng.choices(colors, k=rng.randint(1, 2)))
+    return (EMPTY, WALL, FREE)[kind]
+
+
+def random_table(rng: random.Random, name: str) -> Algorithm:
+    """A random rule table: phi 1-2, 1-3 colors, either chirality, k 2-3, 1-5 rules.
+
+    Each rule constrains 0-3 random cells of the visibility ball (the rest
+    keep the guard default: no robot there) and picks a random new color
+    and move.  The initial placement puts the ``k`` robots on distinct
+    random nodes with random colors, seeded per grid so every call for
+    one grid returns the same placement.
+    """
+    phi = rng.choice((1, 2))
+    colors = PALETTE[: rng.randint(1, 3)]
+    chirality = rng.random() < 0.5
+    k = rng.choice((2, 3))
+    offsets = [offset for offset in ball_offsets(phi) if offset != (0, 0)]
+    rules = []
+    for index in range(rng.randint(1, 5)):
+        cells = {offset: random_cell(rng, colors) for offset in rng.sample(offsets, rng.randint(0, 3))}
+        rules.append(
+            Rule(
+                f"R{index}",
+                rng.choice(colors),
+                Guard.from_mapping(phi, cells),
+                rng.choice(colors),
+                rng.choice(MOVES),
+            )
+        )
+    placement_seed = rng.getrandbits(32)
+
+    def placement(m: int, n: int):
+        place = random.Random(placement_seed * 1000 + m * 10 + n)
+        nodes = place.sample([(i, j) for i in range(m) for j in range(n)], k)
+        return [(node, place.choice(colors)) for node in nodes]
+
+    return Algorithm(
+        name=name,
+        synchrony="ASYNC",
+        phi=phi,
+        colors=colors,
+        chirality=chirality,
+        k=k,
+        rules=tuple(rules),
+        initial_placement=placement,
+        min_m=2,
+        min_n=3,
+    )
+
+
+def bounded_table(seed: int) -> Tuple[Algorithm, Dict[Case, CheckResult]]:
+    """The first table of ``seed``'s stream within :data:`STATE_CAP`, with its unreduced checks."""
+    rng = random.Random(seed)
+    for _ in range(MAX_DRAWS):
+        algorithm = random_table(rng, f"fuzz_{seed}")
+        try:
+            plain = {
+                (m, n, model): check_terminating_exploration(
+                    algorithm, Grid(m, n), model=model, max_states=STATE_CAP, reduction="none"
+                )
+                for m, n, model in CASES
+            }
+        except StateSpaceLimitExceeded:
+            continue
+        return algorithm, plain
+    raise AssertionError(f"seed {seed}: no table within {STATE_CAP} states in {MAX_DRAWS} draws")
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_grid_quotient_matches_unreduced_on_random_tables(seed):
+    algorithm, plain = bounded_table(seed)
+    for (m, n, model), unreduced in plain.items():
+        quotient = check_terminating_exploration(algorithm, Grid(m, n), model=model, reduction="grid")
+        case = f"{m}x{n} {model}"
+        assert quotient.terminates == unreduced.terminates, case
+        assert quotient.explores == unreduced.explores, case
+        assert quotient.counterexample == unreduced.counterexample, case
+        assert quotient.states_explored <= unreduced.states_explored, case

@@ -135,6 +135,31 @@ class TestDurability:
         with VerdictStore(path) as again:
             assert again.get("casualty") == "rewritten"
 
+    def test_stray_segment_lookalikes_are_ignored_and_kept(self, tmp_path):
+        """Only ``seg-<n>.log`` is a segment; other ``seg-*`` files are not ours."""
+        path = tmp_path / "store"
+        with VerdictStore(path) as store:
+            store.put("key-1", "value-1")
+            store.put("key-2", "value-2")
+        strays = {
+            path / "seg-0.log.bak": b"a backup someone made",
+            path / "seg-notes.txt": b"notes",
+            path / "seg-.log": b"",
+        }
+        for stray, content in strays.items():
+            stray.write_bytes(content)
+        with VerdictStore(path, max_entries=2, segment_records=1) as reopened:
+            assert reopened.get("key-1") == "value-1"
+            assert reopened.get("key-2") == "value-2"
+            assert reopened.recovered_bytes == 0
+            for i in range(6):  # bloat the disk until compaction runs
+                reopened.put("key-1", i)
+            assert reopened.compactions > 0
+        for stray, content in strays.items():
+            assert stray.read_bytes() == content
+        with VerdictStore(path) as again:
+            assert again.get("key-1") == 5
+
     def test_in_memory_store_needs_no_disk(self):
         store = VerdictStore()
         store.put("key", "value")

@@ -92,11 +92,11 @@ class TestReductionSoundness:
         algorithm = get(name)
         grid = small_square(algorithm)
         full = enumerate_reachable(algorithm, grid, model="FSYNC")
-        reduced = enumerate_reachable(algorithm, grid, model="FSYNC", symmetry_reduction=True)
+        reduced = enumerate_reachable(algorithm, grid, model="FSYNC", reduction="grid")
         assert reduced <= full
         plain = check_terminating_exploration(algorithm, grid, model="FSYNC")
         quotient = check_terminating_exploration(
-            algorithm, grid, model="FSYNC", symmetry_reduction=True
+            algorithm, grid, model="FSYNC", reduction="grid"
         )
         assert (plain.terminates, plain.explores, plain.ok) == (
             quotient.terminates,
@@ -118,10 +118,10 @@ class TestReductionSoundness:
         algorithm = get(name)
         grid = Grid(m, n)
         full = enumerate_reachable(algorithm, grid, model=model)
-        reduced = enumerate_reachable(algorithm, grid, model=model, symmetry_reduction=True)
+        reduced = enumerate_reachable(algorithm, grid, model=model, reduction="grid")
         assert reduced < full
         plain = check_terminating_exploration(algorithm, grid, model=model)
-        quotient = check_terminating_exploration(algorithm, grid, model=model, symmetry_reduction=True)
+        quotient = check_terminating_exploration(algorithm, grid, model=model, reduction="grid")
         assert (plain.terminates, plain.explores) == (quotient.terminates, quotient.explores)
 
     @pytest.mark.parametrize("name", ["async_phi2_l3_chir_k2", "async_phi2_l2_chir_k3"])
@@ -130,7 +130,7 @@ class TestReductionSoundness:
         grid = Grid(3, 3)
         plain = check_terminating_exploration(algorithm, grid, model="ASYNC", max_states=500_000)
         quotient = check_terminating_exploration(
-            algorithm, grid, model="ASYNC", max_states=500_000, symmetry_reduction=True
+            algorithm, grid, model="ASYNC", max_states=500_000, reduction="grid"
         )
         assert (plain.terminates, plain.explores, plain.ok) == (
             quotient.terminates,
@@ -160,9 +160,9 @@ class TestReductionSoundness:
         )
         grid = Grid(1, 4)
         full = enumerate_reachable(oscillator, grid, model="SSYNC")
-        reduced = enumerate_reachable(oscillator, grid, model="SSYNC", symmetry_reduction=True)
+        reduced = enumerate_reachable(oscillator, grid, model="SSYNC", reduction="grid")
         assert reduced < full  # the ping-pong orbit folds onto itself
         plain = check_terminating_exploration(oscillator, grid, model="SSYNC")
-        quotient = check_terminating_exploration(oscillator, grid, model="SSYNC", symmetry_reduction=True)
+        quotient = check_terminating_exploration(oscillator, grid, model="SSYNC", reduction="grid")
         assert not plain.terminates and not quotient.terminates
         assert not plain.ok and not quotient.ok

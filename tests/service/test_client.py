@@ -30,7 +30,7 @@ def run_cli(harness, *argv: str) -> int:
 
 
 def check_args(*extra: str):
-    return ["check", "--algorithm", ALGORITHM, "--grid", "3x3", "--reduction", "grid+color", *extra]
+    return ["check", "--algorithm", ALGORITHM, "--grid", "3x3", "--reduction", "grid", *extra]
 
 
 class TestExitCodes:
@@ -102,7 +102,7 @@ class TestUtilityCommands:
         assert "store" in json.loads(capsys.readouterr().out)
 
     def test_explore_prints_the_summary(self, harness, capsys):
-        argv = ["explore", "--algorithm", ALGORITHM, "--grid", "3x3", "--reduction", "grid+color"]
+        argv = ["explore", "--algorithm", ALGORITHM, "--grid", "3x3", "--reduction", "grid"]
         assert run_cli(harness, *argv) == EXIT_OK
         assert json.loads(capsys.readouterr().out)["verdict"]["num_states"] > 0
 

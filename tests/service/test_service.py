@@ -29,7 +29,11 @@ from repro.engine.explorer import explore_sharded
 from repro.engine.spec import canonical_json, exploration_payload, result_payload
 
 ALGORITHM = "fsync_phi2_l2_chir_k2"
-SPEC = {"algorithm": ALGORITHM, "m": 3, "n": 3, "model": "FSYNC", "reduction": "grid+color"}
+SPEC = {"algorithm": ALGORITHM, "m": 3, "n": 3, "model": "FSYNC", "reduction": "grid"}
+
+#: Reduction spellings the retired color-symmetry and partial-order
+#: components accepted; the service must refuse every one of them.
+RETIRED_REDUCTIONS = ["color", "por", "grid+color", "grid+por", "grid+color+por"]
 
 
 def library_verdict_json(**overrides) -> str:
@@ -69,10 +73,10 @@ class TestCheck:
         assert canonical_json(body["verdict"]) == library_verdict_json(model="SSYNC")
 
     def test_response_echoes_the_normalized_spec(self, harness):
-        code, body, _ = harness.post("/v1/check", dict(SPEC, model="fsync", reduction="color+grid"))
+        code, body, _ = harness.post("/v1/check", dict(SPEC, model="fsync", reduction=" Grid "))
         assert code == 200
         assert body["spec"]["model"] == "FSYNC"
-        assert body["spec"]["reduction"] == "grid+color"
+        assert body["spec"]["reduction"] == "grid"
         assert body["elapsed_s"] >= 0
 
     def test_http_check_warms_the_library_route_and_vice_versa(self, harness):
@@ -82,7 +86,7 @@ class TestCheck:
             registry.get(ALGORITHM),
             Grid(3, 3),
             model="FSYNC",
-            reduction="grid+color",
+            reduction="grid",
             store=harness.service.store,
         )
         assert result.store_stats["outcome"] == "hit"
@@ -105,6 +109,7 @@ class TestExplore:
 
 
 class TestValidationAndErrors:
+    @pytest.mark.parametrize("path", ["/v1/check", "/v1/explore"])
     @pytest.mark.parametrize(
         ("payload", "field"),
         [
@@ -113,12 +118,34 @@ class TestValidationAndErrors:
             (dict(SPEC, model="WARP"), "model"),
             (dict(SPEC, m=0), "m"),
             (dict(SPEC, reduction="grid+magic"), "reduction"),
+            *[(dict(SPEC, reduction=retired), "reduction") for retired in RETIRED_REDUCTIONS],
         ],
     )
-    def test_bad_specs_are_400s_naming_the_field(self, harness, payload, field):
-        code, body, _ = harness.post("/v1/check", payload)
+    def test_bad_specs_are_400s_naming_the_field(self, harness, path, payload, field):
+        code, body, _ = harness.post(path, payload)
         assert code == 400
         assert body["error"]["field"] == field
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {
+                "algorithm": ALGORITHM,
+                "campaign": "exhaustive_sweep",
+                "sizes": [[3, 3]],
+                "reduction": "grid+color+por",
+            },
+            {
+                "algorithm": ALGORITHM,
+                "tasks": [{"m": 3, "n": 3, "kind": "check", "reduction": "grid+color+por"}],
+            },
+        ],
+        ids=["exhaustive-sweep", "check-task"],
+    )
+    def test_retired_reductions_are_400s_on_campaigns(self, harness, payload):
+        code, body, _ = harness.post("/v1/campaigns", payload)
+        assert code == 400
+        assert body["error"]["field"] == "reduction"
 
     @pytest.mark.parametrize("path", ["/v1/check", "/v1/explore", "/v1/campaigns"])
     @pytest.mark.parametrize(
@@ -320,7 +347,7 @@ class TestCampaigns:
         payload = {
             "algorithm": ALGORITHM,
             "tasks": [
-                {"m": 3, "n": 3, "model": "FSYNC", "kind": "check", "reduction": "grid+color"},
+                {"m": 3, "n": 3, "model": "FSYNC", "kind": "check", "reduction": "grid"},
                 {"m": 2, "n": 3, "model": "SSYNC", "seed": 3, "tie_break": "first"},
             ],
         }

@@ -30,6 +30,7 @@ from repro.engine.spec import (
     canonical_json,
     check_store_key,
     check_task_key,
+    explore_store_key,
     parse_campaign,
     parse_check_spec,
     parse_task,
@@ -42,7 +43,7 @@ ALGORITHM = "fsync_phi2_l2_chir_k2"
 
 
 def spec_payload(**overrides):
-    payload = {"algorithm": ALGORITHM, "m": 3, "n": 3, "model": "FSYNC", "reduction": "grid+color"}
+    payload = {"algorithm": ALGORITHM, "m": 3, "n": 3, "model": "FSYNC", "reduction": "grid"}
     payload.update(overrides)
     return payload
 
@@ -56,7 +57,7 @@ class TestKeyIdentity:
         store = VerdictStore()
         algorithm = registry.get(ALGORITHM)
         check_terminating_exploration(
-            algorithm, Grid(3, 3), model="FSYNC", reduction="grid+color", store=store
+            algorithm, Grid(3, 3), model="FSYNC", reduction="grid", store=store
         )
         assert store.stats["misses"] >= 1
         spec = parse_check_spec(spec_payload())
@@ -66,15 +67,18 @@ class TestKeyIdentity:
     def test_parsed_explore_key_is_a_store_hit_for_the_library_route(self):
         store = VerdictStore()
         algorithm = registry.get(ALGORITHM)
-        explore_sharded(algorithm, Grid(3, 3), "FSYNC", reduction="grid+color", store=store)
+        explore_sharded(algorithm, Grid(3, 3), "FSYNC", reduction="grid", store=store)
         spec = parse_check_spec(spec_payload())
         assert store.get(spec.explore_key()) is not None
 
     def test_key_builders_normalize_spec_spellings(self):
         """Spelling variants of one spec address one key."""
-        canonical = check_store_key(ALGORITHM, 3, 3, "FSYNC", "grid+color")
-        assert check_store_key(ALGORITHM, 3, 3, "FSYNC", "color+grid") == canonical
-        assert parse_check_spec(spec_payload(reduction="color+grid")).check_key() == canonical
+        canonical = check_store_key(ALGORITHM, 3, 3, "FSYNC", "grid")
+        assert check_store_key(ALGORITHM, 3, 3, "FSYNC", " GRID ") == canonical
+        assert parse_check_spec(spec_payload(reduction="Grid")).check_key() == canonical
+        unreduced = check_store_key(ALGORITHM, 3, 3, "FSYNC", "none")
+        assert check_store_key(ALGORITHM, 3, 3, "FSYNC", None) == unreduced
+        assert check_store_key(ALGORITHM, 3, 3, "FSYNC", "") == unreduced
 
     def test_task_store_key_delegates_to_the_shared_builders(self):
         walk = CampaignTask(algorithm=ALGORITHM, m=3, n=3, model="SSYNC", seed=7, tie_break="first")
@@ -98,6 +102,36 @@ class TestKeyIdentity:
         assert roomy != tight
 
 
+def test_store_keys_and_campaign_id_are_pinned():
+    """Full keys of one spec under both reductions, and one campaign id.
+
+    Warm verdict stores and campaign journals are addressed by these
+    hashes, so they may only move in a change that means to orphan every
+    stored record, and says so.
+    """
+    pinned = {
+        "grid": (
+            "868e81be382c654e506e25058d951c1f40aa40a92a4d399afc82649cab6506cf",
+            "239fe770f5387a677f651b7904c64a00a658d57d9bd4bd92a875d9b08fc6aa37",
+            "882de20ffe38b2983ebdccee8fc567e1ef5a7d58aea7921f4f8df205bff8a086",
+        ),
+        "none": (
+            "36527d347f1921425238c47c3d366eede2c6b01b61707a408a7f3a0a2473b4a0",
+            "f8a6c8867c7a76d84b98d1f3a0255f56c14d09878c4996752c54a35f423855f9",
+            "7d7c2feab60524a3d0e84ab93ffa0bf1e6a2a44a35e30cb55aad6b47893926d9",
+        ),
+    }
+    for reduction, (check_key, explore_key, task_key) in pinned.items():
+        case = (ALGORITHM, 3, 3, "FSYNC", reduction)
+        assert content_key(check_store_key(*case)) == check_key
+        assert content_key(explore_store_key(*case)) == explore_key
+        assert content_key(check_task_key(*case)) == task_key
+    name, tasks = parse_campaign(
+        {"algorithm": ALGORITHM, "campaign": "exhaustive_sweep", "sizes": [[3, 3], [3, 4]]}
+    )
+    assert campaign_id(name, tasks) == "76d75bd8ccb73d23"
+
+
 # ---------------------------------------------------------------------------
 # Validation: SpecError names the offending field
 # ---------------------------------------------------------------------------
@@ -115,6 +149,11 @@ class TestValidation:
             (spec_payload(m=1, n=1), "grid"),
             (spec_payload(model="WARP"), "model"),
             (spec_payload(reduction="grid+magic"), "reduction"),
+            (spec_payload(reduction="color"), "reduction"),
+            (spec_payload(reduction="por"), "reduction"),
+            (spec_payload(reduction="grid+color"), "reduction"),
+            (spec_payload(reduction="grid+por"), "reduction"),
+            (spec_payload(reduction="grid+color+por"), "reduction"),
             (spec_payload(max_states=0), "max_states"),
             (spec_payload(max_states=2.5), "max_states"),
         ],
@@ -126,9 +165,9 @@ class TestValidation:
         assert excinfo.value.as_dict()["field"] == field
 
     def test_valid_spec_is_normalized(self):
-        spec = parse_check_spec(spec_payload(model="fsync", reduction="color+grid"))
+        spec = parse_check_spec(spec_payload(model="fsync", reduction=" GRID "))
         assert spec.model == "FSYNC"
-        assert spec.reduction == "grid+color"
+        assert spec.reduction == "grid"
         assert spec.max_states == 200_000
         # Unrecognised keys, such as the retired "kernel", are ignored.
         retired = {**spec_payload(), "kernel": "packed"}
@@ -183,11 +222,11 @@ class TestCampaigns:
                 "algorithm": ALGORITHM,
                 "campaign": "exhaustive_sweep",
                 "sizes": [[3, 3]],
-                "reduction": "grid+color",
+                "reduction": "grid",
             }
         )
         assert tasks == exhaustive_check_tasks(
-            algorithm, sizes=[(3, 3)], model="FSYNC", reduction="grid+color"
+            algorithm, sizes=[(3, 3)], model="FSYNC", reduction="grid"
         )
 
     def test_campaign_id_is_content_addressed(self):
@@ -222,7 +261,7 @@ class TestWireForms:
         """Cold vs store-warm results serialize to identical verdict bytes."""
         store = VerdictStore()
         algorithm = registry.get(ALGORITHM)
-        kwargs = dict(model="FSYNC", reduction="grid+color")
+        kwargs = dict(model="FSYNC", reduction="grid")
         cold = check_terminating_exploration(algorithm, Grid(3, 3), store=store, **kwargs)
         warm = check_terminating_exploration(algorithm, Grid(3, 3), store=store, **kwargs)
         assert warm.store_stats["outcome"] == "hit"
