@@ -19,11 +19,8 @@ machine-readable ledger, ``BENCH_engine.json`` at the repo root:
   (:data:`repro.engine.suites.REDUCTION_BENCH_CASE`) checked unreduced
   and under ``reduction="grid"``: the verdicts must be byte-identical,
   and the quotient ratio and wall times land in the ledger;
-* **distributed campaigns** (PR 5 trajectory) — one exhaustive sweep run
-  through a persistent pool and through two local TCP worker daemons
-  (:class:`~repro.engine.distributed.DistributedBackend`); reports must be
-  identical to the serial engine's both ways, and the pooled-vs-distributed
-  ratio is recorded honestly (on one core the TCP hop is pure overhead);
+* **pooled campaigns** — one exhaustive sweep run through a persistent
+  two-worker pool; reports must be identical to the serial engine's;
 * **verdict store** (PR 9 trajectory) — the same exhaustive sweep run
   twice against one on-disk :class:`~repro.engine.store.VerdictStore`:
   the cold pass computes and durably records every verdict, the warm pass
@@ -68,13 +65,11 @@ from repro.core.algorithm import Algorithm
 from repro.engine import (
     REDUCTION_BENCH_CASE,
     AlgorithmTransitionSystem,
-    DistributedBackend,
     ExplorationPool,
     MatcherCache,
     ParallelCampaignEngine,
     SchedulerState,
     VerdictStore,
-    WorkerDaemon,
     exhaustive_check_tasks,
     explore,
     initial_state,
@@ -95,6 +90,10 @@ SMOKE_REFERENCE_CASE = "fsync_phi2_l2_chir_k2 3x3 [FSYNC] seed"
 
 #: The ASYNC exploration whose records the ``from_records`` bench re-sorts.
 FROM_RECORDS_CASE = ("async_phi2_l2_nochir_k4", 4, 4, "ASYNC")
+
+#: The grid sizes of the exhaustive sweep the pooled and verdict-store
+#: benches run (Algorithm 1, FSYNC, grid quotient).
+SWEEP_SIZES = [(3, 3), (3, 4), (4, 3), (4, 4)]
 
 #: Warm verdict-store hits must beat the cold computing pass by at least
 #: this factor on the exhaustive sweep (a same-machine ratio, so the gate
@@ -363,66 +362,42 @@ def bench_reduction(repetitions: int) -> Tuple[List[dict], float]:
     return rows, none_states / grid_states if grid_states else float("inf")
 
 
-def bench_distributed(daemon_workers: int = 2) -> Tuple[List[dict], float]:
-    """The PR-5 trajectory: one exhaustive sweep, pooled vs TCP daemons.
+def bench_pooled_sweep(workers: int = 2) -> List[dict]:
+    """One exhaustive sweep on a persistent pool.
 
-    Runs the identical ``kind="check"`` task list through a persistent
-    :class:`ExplorationPool` and through a :class:`DistributedBackend` fed
-    by ``daemon_workers`` local TCP worker daemons (the same worker loop
-    ``python -m repro.engine.distributed worker`` drives).  Both must
-    reproduce the serial engine's reports exactly (enforced); the recorded
-    ratio is honest — on a single-core container the TCP hop is pure
-    overhead, and the number says by how much.  Returns the rows plus the
-    pooled-vs-distributed wall ratio (> 1 means distributed was faster).
+    Runs the :data:`SWEEP_SIZES` ``kind="check"`` task list through a
+    ``workers``-process :class:`ExplorationPool`; the reports must
+    reproduce the serial engine's exactly (enforced).
     """
     algorithm = get("fsync_phi2_l2_chir_k2")
-    sizes = [(3, 3), (3, 4), (4, 3), (4, 4)]
-    tasks = exhaustive_check_tasks(algorithm, sizes=sizes, reduction="grid")
+    tasks = exhaustive_check_tasks(algorithm, sizes=SWEEP_SIZES, reduction="grid")
     label = f"fsync_phi2_l2_chir_k2 exhaustive sweep x{len(tasks)} [FSYNC]"
     serial_reports = ParallelCampaignEngine(workers=1).run_tasks(algorithm, tasks)
     states = sum(report.steps for report in serial_reports)
 
     start = time.perf_counter()
-    with ExplorationPool(workers=daemon_workers) as pool:
+    with ExplorationPool(workers=workers) as pool:
         pooled_reports = ParallelCampaignEngine(pool=pool).run_tasks(algorithm, tasks)
     pooled_s = time.perf_counter() - start
 
-    start = time.perf_counter()
-    with DistributedBackend(min_workers=daemon_workers) as backend:
-        with WorkerDaemon(backend.host, backend.port, workers=daemon_workers).start():
-            distributed_reports = ParallelCampaignEngine(backend=backend).run_tasks(
-                algorithm, tasks
-            )
-    distributed_s = time.perf_counter() - start
-
     # RuntimeError, not assert: parity must hold even under ``python -O``,
-    # or a diverging backend could be recorded as a passing baseline.
+    # or a diverging pool could be recorded as a passing baseline.
     if pooled_reports != serial_reports:
         raise RuntimeError("pooled campaign diverged from the serial engine")
-    if distributed_reports != serial_reports:
-        raise RuntimeError("distributed campaign diverged from the serial engine")
-
-    return (
-        [
-            _case(f"{label} pooled", pooled_s, states, workers=daemon_workers),
-            _case(f"{label} distributed", distributed_s, states, workers=daemon_workers),
-        ],
-        pooled_s / distributed_s if distributed_s else float("inf"),
-    )
+    return [_case(f"{label} pooled", pooled_s, states, workers=workers)]
 
 
 def _store_sweep(store_path: Path) -> Tuple[int, int, float, float, dict]:
     """One exhaustive sweep cold (computing) then warm (store hits only).
 
-    Runs the :func:`bench_distributed` task list through a serial engine
+    Runs the :data:`SWEEP_SIZES` task list through a serial engine
     backed by an on-disk :class:`VerdictStore` twice and returns
     ``(task_count, states, cold_s, warm_s, store_stats)``.  Both passes
     are parity-enforced against a store-less serial engine, and the warm
     pass must be answered entirely from the store.
     """
     algorithm = get("fsync_phi2_l2_chir_k2")
-    sizes = [(3, 3), (3, 4), (4, 3), (4, 4)]
-    tasks = exhaustive_check_tasks(algorithm, sizes=sizes, reduction="grid")
+    tasks = exhaustive_check_tasks(algorithm, sizes=SWEEP_SIZES, reduction="grid")
     serial_reports = ParallelCampaignEngine(workers=1).run_tasks(algorithm, tasks)
     states = sum(report.steps for report in serial_reports)
 
@@ -452,7 +427,7 @@ def bench_store() -> Tuple[List[dict], float, dict]:
     """The PR-9 trajectory: the exhaustive sweep, cold vs warm verdict store.
 
     The cold pass computes and durably records every verdict of the
-    :func:`bench_distributed` task list; the warm pass re-requests the
+    :data:`SWEEP_SIZES` task list; the warm pass re-requests the
     identical tasks and must be served entirely from the store with
     byte-identical reports (enforced inside :func:`_store_sweep`).  The
     cold/warm ratio is the re-check speedup every later consumer of an
@@ -605,8 +580,7 @@ def run_full(repetitions: int, output: Path) -> int:
     rows += pooled_rows
     reduction_rows, grid_quotient_x = bench_reduction(max(1, repetitions // 10))
     rows += reduction_rows
-    distributed_rows, distributed_x = bench_distributed()
-    rows += distributed_rows
+    rows += bench_pooled_sweep()
     store_rows, store_x, store_stats = bench_store()
     rows += store_rows
     service_rows, service_warm_s, service_cold_s, service_store_stats = bench_service()
@@ -633,10 +607,6 @@ def run_full(repetitions: int, output: Path) -> int:
     print(
         f"{reduction_label}: unreduced/grid-quotient state ratio {grid_quotient_x:.2f}"
         " (verdicts identical)"
-    )
-    print(
-        f"exhaustive sweep over 2 TCP worker daemons: {distributed_x:.2f}x the pooled"
-        " engine (identical reports; <1 means the TCP hop cost more than it bought)"
     )
     print(
         f"exhaustive sweep against the verdict store: warm hits are {store_x:.2f}x"
@@ -710,7 +680,6 @@ def run_full(repetitions: int, output: Path) -> int:
             "pooled_cross_exploration_hit_rate": pooled_reuse_rate,
             "reduction_bench_case": reduction_label,
             "reduction_grid_quotient_vs_unreduced": grid_quotient_x,
-            "distributed_2daemons_vs_pooled_sweep": distributed_x,
             "store_warm_vs_cold_sweep": store_x,
             "store_stats": store_stats,
             "service_warm_hit_latency_s": service_warm_s,

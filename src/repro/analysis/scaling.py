@@ -69,7 +69,7 @@ def round_complexity_sweep(
     :class:`~repro.engine.backend.ExecutionBackend` as ordinary walk
     tasks — each point is a pure function of ``(algorithm, grid)`` under
     the deterministic FSYNC schedule, so the measured steps/moves are
-    identical wherever the runs execute (TCP worker daemons included).
+    identical wherever the runs execute.
 
     ``store`` (a :class:`~repro.engine.store.VerdictStore`) memoizes each
     point's run as an ordinary walk verdict — sweeps re-run across

@@ -22,13 +22,8 @@ paper are implemented; every other layer consumes it:
   long-lived workers with surviving matcher caches, plus the
   coordinator-side cache explorations run on;
 * :mod:`repro.engine.backend` — the :class:`ExecutionBackend` protocol
-  (serial / pooled / distributed execution of campaign task lists, all
+  (serial or pooled execution of campaign task lists on one machine,
   result-identical);
-* :mod:`repro.engine.distributed` — TCP worker daemons and the
-  length-prefixed-pickle coordinator (:class:`DistributedBackend`) that
-  fans the same task lists out beyond one machine;
-* :mod:`repro.engine.faults` — deterministic, seeded fault injection
-  (:class:`FaultPlan`) for chaos-testing the distributed stack;
 * :mod:`repro.engine.journal` — the durable, resumable campaign verdict
   journal (:class:`CampaignJournal`);
 * :mod:`repro.engine.store` — the persistent content-addressed
@@ -62,15 +57,7 @@ from .campaign import (
     task_store_key,
     verify_one,
 )
-from .backend import (
-    ExecutionBackend,
-    FallbackBackend,
-    FleetLostError,
-    NoWorkersError,
-    PoolBackend,
-    SerialBackend,
-    backend_cache,
-)
+from .backend import ExecutionBackend, PoolBackend, SerialBackend, backend_cache
 from .explorer import (
     Exploration,
     explore,
@@ -79,7 +66,6 @@ from .explorer import (
     has_cycle,
     topological_order,
 )
-from .faults import Fault, FaultInjected, FaultPlan
 from .journal import CampaignJournal
 from .matcher import LocalMatcher, MatcherCache, MatcherStats
 from .pool import ExplorationPool, default_workers, process_cache
@@ -123,21 +109,6 @@ from .symmetry import (
 from .transition import MODELS, AlgorithmTransitionSystem, TransitionSystem
 from .walk import TieBreak, default_step_budget, run, run_async, run_fsync, run_ssync
 
-#: Lazily re-exported from :mod:`repro.engine.distributed` (PEP 562): the
-#: daemon CLI runs ``python -m repro.engine.distributed``, and importing
-#: that module eagerly here would make ``runpy`` execute it twice.
-_DISTRIBUTED_EXPORTS = frozenset(
-    {"DistributedBackend", "WorkerDaemon", "WorkerStatus", "run_worker", "send_message", "recv_message"}
-)
-
-
-def __getattr__(name):
-    if name in _DISTRIBUTED_EXPORTS:
-        from . import distributed
-
-        return getattr(distributed, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
 __all__ = [
     # states
     "AsyncRobotState",
@@ -176,22 +147,10 @@ __all__ = [
     "ExecutionBackend",
     "SerialBackend",
     "PoolBackend",
-    "DistributedBackend",
-    "FallbackBackend",
-    "WorkerDaemon",
-    "WorkerStatus",
     "backend_cache",
-    "run_worker",
-    "send_message",
-    "recv_message",
-    # resilience
-    "Fault",
-    "FaultInjected",
-    "FaultPlan",
+    # durability
     "CampaignJournal",
     "VerdictStore",
-    "FleetLostError",
-    "NoWorkersError",
     "has_cycle",
     "topological_order",
     "guaranteed_nodes",

@@ -7,15 +7,13 @@ of the task (algorithms travel by registry name, runs are driven by
 explicit seeds).
 
 An :class:`ExecutionBackend` is anything that can evaluate a task list and
-hand the reports back *in submission order*:
+hand the reports back *in submission order*.  Two ship, both on one
+machine:
 
 * :class:`SerialBackend` — in the calling process, on one persistent
   :class:`~repro.engine.matcher.MatcherCache`;
 * :class:`PoolBackend` — on a (possibly shared) long-lived
-  :class:`~repro.engine.pool.ExplorationPool`, one machine;
-* :class:`~repro.engine.distributed.DistributedBackend` — on TCP worker
-  daemons that may live on other machines (see
-  :mod:`repro.engine.distributed`).
+  :class:`~repro.engine.pool.ExplorationPool`.
 
 Because tasks are pure functions of their payloads and every backend
 returns results in submission order, swapping the backend never changes a
@@ -37,7 +35,7 @@ campaigns and the :mod:`repro.analysis.scaling` sweeps.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Protocol, Sequence, runtime_checkable
+from typing import List, Optional, Protocol, Sequence, runtime_checkable
 
 from .campaign import CampaignTask, VerificationReport, run_task
 from .matcher import MatcherCache
@@ -47,38 +45,8 @@ __all__ = [
     "ExecutionBackend",
     "SerialBackend",
     "PoolBackend",
-    "FallbackBackend",
-    "FleetLostError",
-    "NoWorkersError",
     "backend_cache",
 ]
-
-# ---------------------------------------------------------------------------
-# Structured execution failures (raised by the distributed backend, handled
-# by the fallback policy below)
-# ---------------------------------------------------------------------------
-class NoWorkersError(TimeoutError):
-    """No worker ever registered within the start timeout.
-
-    A :class:`TimeoutError` subclass (the exception this condition always
-    raised), but now a *named* one so a fallback policy can catch "the
-    fleet never showed up" without matching message strings.
-    """
-
-
-class FleetLostError(RuntimeError):
-    """Every worker died mid-job and none rejoined within the grace window.
-
-    Carries the partial progress so a fallback policy can *finish* the job
-    instead of recomputing it: ``completed`` maps item id to the result
-    already collected and ``pending`` lists the item ids still outstanding
-    (in submission order).
-    """
-
-    def __init__(self, message: str, *, completed: Dict[int, object], pending: List[int]) -> None:
-        super().__init__(message)
-        self.completed = dict(completed)
-        self.pending = list(pending)
 
 
 @runtime_checkable
@@ -197,77 +165,6 @@ class PoolBackend:
         self.close()
 
 
-class FallbackBackend:
-    """Finish a job locally when the primary backend loses its fleet.
-
-    The opt-in graceful-degradation policy: wraps a *primary* backend
-    (typically the TCP :class:`~repro.engine.distributed.DistributedBackend`)
-    and a local *fallback* (a fresh :class:`SerialBackend` by default; pass
-    a :class:`PoolBackend` to degrade onto the local pool instead).  When
-    the primary raises :class:`NoWorkersError` (the fleet never arrived) or
-    :class:`FleetLostError` (the fleet died mid-job), the fallback
-    evaluates only the *outstanding* tasks and the reports are merged with
-    whatever the primary completed — legal because tasks are pure
-    functions of their payloads, so where a task ran is unobservable in
-    the output.
-
-    Degradations are counted in :attr:`stats` (``fallback_jobs`` /
-    ``fallback_items``) rather than raised: a sweep that limps home on the
-    local machine reports *that it did so*, but still reports.
-    """
-
-    def __init__(self, primary, fallback=None) -> None:
-        self.primary = primary
-        self.fallback = fallback if fallback is not None else SerialBackend()
-        self.stats: Dict[str, int] = {"fallback_jobs": 0, "fallback_items": 0}
-        self._closed = False
-
-    @property
-    def parallelism(self) -> int:
-        return self.primary.parallelism
-
-    def run_tasks(self, tasks: Sequence[CampaignTask]) -> List[VerificationReport]:
-        self._check_open()
-        tasks = list(tasks)
-        try:
-            return self.primary.run_tasks(tasks)
-        except (NoWorkersError, FleetLostError) as exc:
-            completed = getattr(exc, "completed", {})
-            pending = getattr(exc, "pending", None)
-            if pending is None:  # NoWorkersError: nothing ever ran
-                pending = list(range(len(tasks)))
-            finished = self.fallback.run_tasks([tasks[item_id] for item_id in pending])
-            self.stats["fallback_jobs"] += 1
-            self.stats["fallback_items"] += len(pending)
-            reports: List[VerificationReport] = [None] * len(tasks)  # type: ignore[list-item]
-            for item_id, report in completed.items():
-                reports[item_id] = report
-            for item_id, report in zip(pending, finished):
-                reports[item_id] = report
-            return reports
-
-    # -- lifecycle -----------------------------------------------------
-    def _check_open(self) -> None:
-        if self._closed:
-            raise RuntimeError(f"{type(self).__name__} is closed")
-
-    def close(self) -> None:
-        if self._closed:
-            return
-        self._closed = True
-        try:
-            self.primary.close()
-        finally:
-            self.fallback.close()
-
-    def __enter__(self) -> "FallbackBackend":
-        self._check_open()
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.close()
-
-
 def backend_cache(backend) -> Optional[MatcherCache]:
     """The in-process cache of ``backend``, when it has one.
 
@@ -276,16 +173,11 @@ def backend_cache(backend) -> Optional[MatcherCache]:
     :class:`PoolBackend`, this process's
     :func:`~repro.engine.pool.process_cache` for :class:`SerialBackend`
     (whose "worker" *is* this process) — keeps them as warm as the
-    backend's task lists.  Backends without an in-process cache (TCP
-    daemons keep theirs remote) return ``None`` and the caller falls back
-    to a fresh/explicit cache.
+    backend's task lists.  Any other backend returns ``None`` and the
+    caller falls back to a fresh/explicit cache.
     """
     if isinstance(backend, SerialBackend):
         return process_cache()
-    if isinstance(backend, FallbackBackend):
-        # Explorations on a degradable backend should warm the cache its
-        # local half would use, not a throwaway one.
-        return backend_cache(backend.fallback)
     pool = getattr(backend, "pool", None)
     if isinstance(pool, ExplorationPool):
         return pool.cache

@@ -10,9 +10,9 @@ items are independent and fully described by picklable primitives, the
 same list can be executed
 
 * serially (:func:`execute_tasks` with an ``Algorithm`` in hand), or
-* fanned across a ``multiprocessing`` pool (:class:`ParallelCampaignEngine`),
-  with results returned in task order — so the two paths produce
-  **identical** reports for identical task lists.
+* fanned across a ``multiprocessing`` pool on the same machine
+  (:class:`ParallelCampaignEngine`), with results returned in task order —
+  so the two paths produce **identical** reports for identical task lists.
 
 Determinism: every randomized run is driven by the explicit seed carried in
 its task (never by shared RNG state), so a campaign's outcome is a pure
@@ -624,12 +624,12 @@ class ParallelCampaignEngine:
 
     ``backend`` — any :class:`~repro.engine.backend.ExecutionBackend` —
     supersedes both: task lists go to ``backend.run_tasks`` verbatim, so
-    the same engine drives the serial, pooled and TCP-distributed
-    (:class:`~repro.engine.distributed.DistributedBackend`) execution
-    paths.  Reports are identical whichever backend runs them (every
-    report is a pure function of its task and results return in task
-    order); unregistered ad-hoc algorithms still fall back to in-process
-    execution, since their rule sets cannot cross a process boundary.
+    the same engine drives the serial and pooled execution paths, and
+    ``workers`` defaults to the backend's ``parallelism``.  Reports are
+    identical whichever backend runs them (every report is a pure function
+    of its task and results return in task order); unregistered ad-hoc
+    algorithms still fall back to in-process execution, since their rule
+    sets cannot cross a process boundary.
     """
 
     def __init__(
@@ -640,13 +640,12 @@ class ParallelCampaignEngine:
         backend: Optional["ExecutionBackend"] = None,
         store: Optional["VerdictStore"] = None,
     ) -> None:
-        if workers is None and backend is None:
-            workers = pool.workers if pool is not None else default_workers()
-        # ``None`` with a backend means "the backend's current parallelism":
-        # re-read per use (see :attr:`workers`) instead of frozen here, so
-        # worker daemons that enroll after the engine is built still widen
-        # campaign waves.
-        self._workers = workers
+        if workers is None:
+            if backend is not None:
+                workers = max(1, backend.parallelism)
+            else:
+                workers = pool.workers if pool is not None else default_workers()
+        self.workers = workers
         self.chunksize = max(1, chunksize)
         self.pool = pool
         self.backend = backend
@@ -656,19 +655,6 @@ class ParallelCampaignEngine:
         #: back.  The store lives on the coordinator (it holds locks and
         #: file handles, so it never crosses a process boundary).
         self.store = store
-
-    @property
-    def workers(self) -> int:
-        """The engine's fan-out width.
-
-        Explicitly passed ``workers`` are fixed; when the width was left to
-        a backend, the backend's *live* ``parallelism`` is re-read on every
-        access — a :class:`~repro.engine.distributed.DistributedBackend`
-        whose daemons joined after construction reports them here.
-        """
-        if self._workers is not None:
-            return self._workers
-        return max(1, int(getattr(self.backend, "parallelism", 1) or 1))
 
     # -- execution -----------------------------------------------------
     def run_tasks(
@@ -697,9 +683,7 @@ class ParallelCampaignEngine:
         ``store`` (defaulting to the engine's own) prefilters the list
         against the verdict store: stored reports are returned directly
         (annotated with ``store_stats``), only the remainder is dispatched,
-        and every fresh report is recorded before the call returns —
-        except poisoned ones, whose outcome is fault-injected rather than
-        a function of the task.
+        and every fresh report is recorded before the call returns.
         """
         tasks = list(tasks)
         store = self.store if store is None else store
@@ -717,8 +701,7 @@ class ParallelCampaignEngine:
                     algorithm, [tasks[index] for index in pending], journal=journal, resume=resume
                 )
                 for index, report in zip(pending, fresh):
-                    if not report.reason.startswith("poison task: "):
-                        store.put(keys[index], report)
+                    store.put(keys[index], report)
                     results[index] = store.annotate(report, MISS)
             return results  # type: ignore[return-value]
         return self._run_tasks(algorithm, tasks, journal=journal, resume=resume)
@@ -809,7 +792,7 @@ class ParallelCampaignEngine:
 
     def _dispatch(self, algorithm: Algorithm, tasks: List[CampaignTask]) -> List[VerificationReport]:
         if self.backend is not None and tasks and registered(algorithm):
-            # Even a single task ships: a remote backend's workers are not
+            # Even a single task ships: a pool backend's workers are not
             # this process, and their caches are the ones worth warming.
             return self.backend.run_tasks(tasks)
         # A pool can never offer more parallelism than it has workers.

@@ -1,7 +1,7 @@
 """Append-only, content-hash-keyed write-ahead journal of campaign verdicts.
 
-A long fleet campaign that dies with its coordinator loses every verdict it
-computed; re-running from scratch is exactly the waste ROADMAP item 2's
+A long campaign whose process dies loses every verdict it computed;
+re-running from scratch is exactly the waste ROADMAP item 2's
 "incremental/resumable campaign log" names.  A :class:`CampaignJournal` is
 the durability layer: every completed report is appended — and fsynced —
 to a single journal file *before* the campaign engine hands it to the
@@ -26,18 +26,16 @@ of :mod:`repro.engine.spec` key
 ``value`` is the completed report object.  Appends are
 ``flush`` + ``fsync`` — the write-ahead property — and a crash can
 therefore only ever produce a *torn tail*: on open, records are replayed
-until the first short/corrupt one, the tail is truncated away, and the
-journal is immediately appendable again.  Duplicate keys are legal
-(last-written wins on load), which makes re-recording after a resume
-idempotent rather than an error.
+until framing is lost (a short header or body), the tail is truncated
+away, and the journal is immediately appendable again.  A record damaged
+in place — a CRC mismatch or a pickle that no longer loads — costs only
+itself: when the bytes after it are EOF or a record that passes its CRC,
+replay skips it (see :func:`iter_records`) and keeps every later record.
+Duplicate keys are legal (last-written wins on load), which makes
+re-recording after a resume idempotent rather than an error.
 
 The journal is a single-writer object (one campaign engine at a time);
 readers may load a copy at any time via a fresh :class:`CampaignJournal`.
-
-``faults=`` accepts a :class:`~repro.engine.faults.FaultPlan`; the plan's
-``journal.record`` site fires after each durable append, which is how the
-chaos suite kills a coordinator *between* committed verdicts and proves
-kill/resume parity.
 """
 
 from __future__ import annotations
@@ -48,10 +46,7 @@ import pickle
 import struct
 import zlib
 from pathlib import Path
-from typing import TYPE_CHECKING, Dict, Iterator, Optional, Tuple
-
-if TYPE_CHECKING:  # pragma: no cover - typing only (avoids a module cycle)
-    from .faults import FaultPlan
+from typing import Dict, Iterator, Optional, Tuple
 
 __all__ = [
     "CampaignJournal",
@@ -86,26 +81,48 @@ def pack_record(key: str, value: object) -> bytes:
     return RECORD_HEADER.pack(len(body), zlib.crc32(body)) + body
 
 
-def iter_records(data: bytes) -> Iterator[Tuple[str, object, int]]:
-    """Yield ``(key, value, end_offset)`` until the first bad record.
+def _framed(data: bytes, offset: int) -> Optional[Tuple[bytes, bool]]:
+    """``(body, crc_ok)`` of the record at ``offset``; ``None`` if it is short."""
+    if offset + RECORD_HEADER.size > len(data):
+        return None
+    length, crc = RECORD_HEADER.unpack_from(data, offset)
+    start = offset + RECORD_HEADER.size
+    body = data[start : start + length]
+    if len(body) < length:
+        return None
+    return body, zlib.crc32(body) == crc
 
-    A short header, a short body, a CRC mismatch or an undecodable pickle
-    all terminate iteration — everything from that point on is a torn or
-    corrupt tail the caller should truncate away.
+
+def iter_records(data: bytes) -> Iterator[Tuple[Optional[str], object, int]]:
+    """Yield ``(key, value, end_offset)`` per record, skipping damaged ones.
+
+    A record whose body fails its CRC or no longer unpickles yields
+    ``(None, None, end_offset)`` instead, so the caller can count it and
+    read on.  Iteration stops where framing is lost: a short header, a
+    short body, or a CRC failure whose following bytes are neither EOF nor
+    a record that passes its CRC (the failing length field may be the
+    damaged part, so nothing after it can be located).  Everything from
+    that point on is a torn or corrupt tail the caller truncates away.
     """
     offset = 0
-    header = RECORD_HEADER.size
-    while offset + header <= len(data):
-        length, crc = RECORD_HEADER.unpack_from(data, offset)
-        body = data[offset + header : offset + header + length]
-        if len(body) < length or zlib.crc32(body) != crc:
-            return  # torn or corrupt tail: everything after is dropped
-        try:
-            key, value = pickle.loads(body)
-        except Exception:  # noqa: BLE001 - undecodable == corrupt
-            return
-        offset += header + length
-        yield key, value, offset
+    while True:
+        framed = _framed(data, offset)
+        if framed is None:
+            return  # EOF, or a torn tail: everything after is dropped
+        body, crc_ok = framed
+        end = offset + RECORD_HEADER.size + len(body)
+        if not crc_ok and end < len(data):
+            following = _framed(data, end)
+            if following is None or not following[1]:
+                return  # framing lost at this record
+        key = value = None
+        if crc_ok:
+            try:
+                key, value = pickle.loads(body)
+            except Exception:  # noqa: BLE001 - undecodable == damaged
+                pass
+        offset = end
+        yield key, value, end
 
 
 class CampaignJournal:
@@ -113,26 +130,22 @@ class CampaignJournal:
 
     Opening loads every intact record into memory (the journal is a
     verdict log, not a bulk store — campaigns are thousands of reports,
-    not millions of states) and truncates any torn tail left by a crash
-    mid-append, so the file always ends on a record boundary.
+    not millions of states), skips records damaged in place and truncates
+    any torn tail left by a crash mid-append, so the file always ends on a
+    record boundary.
 
     ``fresh=True`` discards any existing contents instead of resuming
     from them.  Use as a context manager or :meth:`close` explicitly.
     """
 
-    def __init__(
-        self,
-        path,
-        *,
-        fresh: bool = False,
-        faults: Optional["FaultPlan"] = None,
-    ) -> None:
+    def __init__(self, path, *, fresh: bool = False) -> None:
         self.path = Path(path)
-        self._faults = faults
         self._entries: Dict[str, object] = {}
         #: Torn bytes discarded from the tail on open (observability: a
         #: nonzero value means the previous writer died mid-append).
         self.recovered_bytes = 0
+        #: Damaged records skipped on open (their bytes stay in the file).
+        self.corrupt_records = 0
         if fresh and self.path.exists():
             self.path.unlink()
         valid_end = self._load()
@@ -150,15 +163,12 @@ class CampaignJournal:
         except FileNotFoundError:
             return 0
         offset = 0
-        for key, value, end in self._records(data):
-            self._entries[key] = value
-            offset = end
+        for key, value, offset in iter_records(data):
+            if key is None:
+                self.corrupt_records += 1
+            else:
+                self._entries[key] = value
         return offset
-
-    @staticmethod
-    def _records(data: bytes) -> Iterator[Tuple[str, object, int]]:
-        """Yield ``(key, value, end_offset)`` until the first bad record."""
-        return iter_records(data)
 
     # -- keys ------------------------------------------------------------
     task_key = staticmethod(content_key)
@@ -178,9 +188,7 @@ class CampaignJournal:
         """Durably append one ``(key, value)`` record (flush + fsync).
 
         The record is on disk before this returns — the write-ahead
-        property resume parity rests on.  An installed fault plan's
-        ``journal.record`` site fires *after* the append, so an injected
-        coordinator crash always lands between committed verdicts.
+        property resume parity rests on.
         """
         if self._file.closed:
             raise RuntimeError("CampaignJournal is closed")
@@ -188,8 +196,6 @@ class CampaignJournal:
         self._file.flush()
         os.fsync(self._file.fileno())
         self._entries[key] = value
-        if self._faults is not None:
-            self._faults.check_crash("journal.record")
 
     # -- lifecycle -------------------------------------------------------
     def close(self) -> None:

@@ -149,7 +149,7 @@ class ExplorationPool:
             # object stays cleanly closeable/reusable.  Only processes with
             # a pool-worker name are candidates: active_children() is
             # process-global, and a thread concurrently starting unrelated
-            # workers (a WorkerDaemon, say) must not see them reaped.
+            # processes must not see them reaped.
             with _SPAWN_LOCK:
                 before = set(multiprocessing.active_children())
                 try:

@@ -10,7 +10,7 @@ completed :class:`~repro.engine.explorer.Exploration`\\ s,
 :class:`~repro.checking.model_checker.CheckResult`\\ s and
 :class:`~repro.engine.campaign.VerificationReport`\\ s are cached on disk
 and served back byte-identical on every later request, on every route
-(library, campaign engine, HTTP service; serial, pooled or distributed).
+(library, campaign engine, HTTP service; serial or pooled).
 
 Content addressing
 ==================
@@ -34,9 +34,12 @@ Record format and crash safety
 Segments reuse the journal's record framing — 4-byte length, 4-byte
 CRC32, pickled ``(key, value)`` body, ``flush`` + ``fsync`` per append —
 so every crash-safety property carries over: a crash mid-append leaves at
-worst a torn tail, which the next open truncates away; a corrupt record
-ends replay of its segment (every record *before* it is kept).  Duplicate
-keys are legal and last-written wins, which makes re-recording idempotent.
+worst a torn tail, which the next open truncates away.  A record damaged
+in place (a CRC mismatch, or a pickle that no longer loads) is skipped
+and counted as ``corrupt_records`` while every record before and after it
+is kept; only a record whose framing is lost ends its segment's replay
+(see :func:`~repro.engine.journal.iter_records`).  Duplicate keys are
+legal and last-written wins, which makes re-recording idempotent.
 
 The in-memory index holds the most recently used ``max_entries`` verdicts
 (LRU); when the on-disk record count grows past ``compact_factor`` times
@@ -147,6 +150,9 @@ class VerdictStore:
         #: Torn bytes truncated from segment tails on open (a nonzero
         #: value means a previous writer died mid-append).
         self.recovered_bytes = 0
+        #: Damaged records skipped on open (their bytes stay on disk until
+        #: the next compaction).
+        self.corrupt_records = 0
         if self.path is not None:
             self._open_disk()
 
@@ -174,12 +180,15 @@ class VerdictStore:
             data = seg.read_bytes()
             end = 0
             for key, value, end in iter_records(data):
-                self._store_in_index(key, value)
                 self._disk_records += 1
+                if key is None:
+                    self.corrupt_records += 1
+                else:
+                    self._store_in_index(key, value)
             if end < len(data):
-                # Torn or corrupt tail: truncate so the segment ends on a
-                # record boundary (only the *active* segment is appended
-                # to, but recovery is uniform).
+                # Framing lost: truncate so the segment ends on a record
+                # boundary (only the *active* segment is appended to, but
+                # recovery is uniform).
                 self.recovered_bytes += len(data) - end
                 with open(seg, "ab") as handle:
                     handle.truncate(end)
@@ -267,6 +276,7 @@ class VerdictStore:
                 "compactions": self.compactions,
                 "entries": len(self._index),
                 "disk_records": self._disk_records,
+                "corrupt_records": self.corrupt_records,
             }
 
     def get(self, spec: object):

@@ -14,6 +14,8 @@ without importing the library:
   /v1/campaigns/<id>/events`` streams NDJSON progress.  Campaigns are
   journal-backed: kill the server mid-run, restart it with the same
   ``--journal``, resubmit the same spec, and only the remainder runs.
+  Fresh campaign tasks run in the server process or on a worker pool on
+  the same machine (``--backend serial|pool``).
 * ``GET /v1/stats`` / ``GET /healthz`` — counters and liveness.
 
 Cross-cutting: per-client token-bucket rate limiting (429 +

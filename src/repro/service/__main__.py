@@ -5,16 +5,16 @@ Binds the verification service and serves until interrupted::
     python -m repro.service --port 8421 --store /var/lib/repro/store \\
         --journal /var/lib/repro/journals --backend serial
 
-``--backend pool`` fans campaigns out over a persistent in-process worker
-pool (``--workers``); ``--backend distributed`` binds a TCP coordinator at
-``--connect HOST:PORT`` and fans campaigns out to the worker daemons
-(launched separately with ``python -m repro.engine.distributed worker
---connect HOST:PORT``) that enroll.  Checks and explorations always run
-in the server process, on the backend's cache when it has one; only
-campaign task lists fan out.  ``--store`` makes verdicts durable and
-warm-servable across restarts; ``--journal`` makes in-flight campaigns
-resumable across restarts (resubmit the same spec after a crash and only
-the remainder is computed).
+``--backend pool`` fans campaigns out over a persistent worker pool on
+this machine (``--workers``); ``--backend serial``, the default, runs
+them in the server process.  Any other ``--backend`` value is a usage
+error (exit 2), as are the retired ``--connect`` and ``--min-workers``
+flags.  Checks and explorations always run in the server process, on the
+backend's cache when it has one; only campaign task lists fan out.
+``--store`` makes verdicts durable and warm-servable across restarts;
+``--journal`` makes in-flight campaigns resumable across restarts
+(resubmit the same spec after a crash and only the remainder is
+computed).
 
 The chosen HTTP endpoint is printed as ``service: listening on URL`` (and
 written to ``--port-file`` when given) so wrappers can discover an
@@ -29,13 +29,6 @@ from typing import List, Optional
 from .app import VerificationServer, VerificationService
 
 
-def _parse_endpoint(value: str):
-    host, _, port = value.rpartition(":")
-    if not host or not port.isdigit():
-        raise argparse.ArgumentTypeError(f"expected HOST:PORT, got {value!r}")
-    return host, int(port)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.service",
@@ -45,22 +38,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--port", type=int, default=8421, help="HTTP port (0 picks a free one)")
     parser.add_argument(
         "--backend",
-        choices=("serial", "pool", "distributed"),
+        choices=("serial", "pool"),
         default="serial",
         help="where fresh (uncached) campaign tasks run",
     )
     parser.add_argument(
         "--workers", type=int, default=None, help="worker processes for --backend pool"
-    )
-    parser.add_argument(
-        "--connect",
-        type=_parse_endpoint,
-        default=("127.0.0.1", 0),
-        metavar="HOST:PORT",
-        help="coordinator endpoint for --backend distributed (worker daemons dial this)",
-    )
-    parser.add_argument(
-        "--min-workers", type=int, default=1, help="daemons to wait for (--backend distributed)"
     )
     parser.add_argument("--store", default=None, metavar="PATH", help="verdict-store directory")
     parser.add_argument(
@@ -98,12 +81,6 @@ def build_service(args) -> VerificationService:
         from ..engine.pool import ExplorationPool
 
         pool = ExplorationPool(args.workers)
-    elif args.backend == "distributed":
-        from ..engine.distributed import DistributedBackend
-
-        host, port = args.connect
-        backend = DistributedBackend(host, port, min_workers=args.min_workers)
-        print(f"service: distributed coordinator on {backend.address}")
     else:
         # SerialBackend (not bare in-process calls) so campaign waves and
         # explorations share the process-persistent matcher cache.

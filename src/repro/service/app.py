@@ -3,8 +3,8 @@
 ROADMAP item 2's always-on story: the library stack already serves a
 (algorithm, model, grid, reduction, budget, seed) tuple checked
 once from disk at memcache speed (:mod:`repro.engine.store`), fans fresh
-work across pools and TCP fleets (:mod:`repro.engine.backend`), and
-survives coordinator crashes via the resume journal
+campaign work across a local process pool (:mod:`repro.engine.backend`),
+and survives server crashes via the resume journal
 (:mod:`repro.engine.journal`).  What consumers still had to do was import
 the library.  This module is the network boundary: a stdlib-only threaded
 HTTP server exposing those layers as JSON endpoints, so "is this
@@ -30,8 +30,8 @@ Endpoints
     The stream replays completed events first, then follows the live run
     until its terminal ``done``/``error`` event.
 ``GET /v1/stats``
-    Store hit/miss/coalesce counters, backend parallelism and wire stats,
-    rate-limiter counters, per-endpoint request counts.
+    Store hit/miss/coalesce/corrupt-record counters, backend kind and
+    parallelism, rate-limiter counters, per-endpoint request counts.
 ``GET /healthz``
     Liveness (never rate-limited).
 
@@ -57,8 +57,8 @@ Cross-cutting semantics
   journal under ``--journal``; a server killed mid-campaign and
   restarted on the same journal directory resumes a resubmitted campaign
   from the journaled verdicts (reported per task as ``resumed: true``)
-  and recomputes only the remainder — PR 7's kill/resume guarantee,
-  surfaced over HTTP.
+  and recomputes only the remainder — the journal's kill/resume
+  guarantee, surfaced over HTTP.
 """
 
 from __future__ import annotations
@@ -402,7 +402,6 @@ class VerificationService:
         with self._lock:
             campaigns = list(self.campaigns.values())
             requests = dict(self.requests)
-        backend_stats = getattr(self.backend, "stats", None)
         return {
             "service": {
                 "uptime_s": time.time() - self.started,
@@ -418,7 +417,6 @@ class VerificationService:
             "backend": {
                 "kind": self.backend_kind,
                 "parallelism": self.engine.workers,
-                "stats": dict(backend_stats) if isinstance(backend_stats, dict) else None,
             },
             "rate_limiter": self.limiter.stats,
         }

@@ -17,7 +17,7 @@ The execution machinery lives in the engine kernel
 (:mod:`repro.engine.campaign`): every campaign is a flat list of
 independent :class:`~repro.engine.campaign.CampaignTask` work items, run
 here serially by default.  The same task lists can be fanned across a
-process pool — with byte-identical reports — through
+process pool on the same machine — with byte-identical reports — through
 :class:`~repro.engine.campaign.ParallelCampaignEngine`, re-exported here;
 passing ``pool=`` (a persistent
 :class:`~repro.engine.pool.ExplorationPool`) to any campaign below runs
@@ -89,11 +89,10 @@ def _run_campaign(
     of its task), so ``pool=`` / ``backend=`` are purely throughput and
     cache-reuse decisions: pooled campaigns share the pool's long-lived
     workers — and their warm matcher caches — with every other workload on
-    the pool, and a ``backend`` (``SerialBackend`` / ``PoolBackend`` /
-    the TCP :class:`~repro.engine.distributed.DistributedBackend`) routes
-    the same task list wherever its workers live.  ``backend`` supersedes
-    ``pool``.  A backend's fan-out width is read live per wave (not frozen
-    here), so daemons that enroll mid-campaign widen subsequent waves.
+    the pool, and a ``backend`` (``SerialBackend`` / ``PoolBackend``)
+    routes the same task list to its workers.  ``backend`` supersedes
+    ``pool``, and the campaign's fan-out width is the backend's
+    ``parallelism``.
 
     ``journal`` (a :class:`~repro.engine.journal.CampaignJournal` or a
     path) makes the campaign durable and — with ``resume=True`` —

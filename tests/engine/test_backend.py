@@ -13,15 +13,14 @@ from repro.checking import check_terminating_exploration, enumerate_reachable, e
 from repro.analysis.scaling import round_complexity_sweep, state_space_sweep
 from repro.engine import (
     AlgorithmTransitionSystem,
-    DistributedBackend,
+    CampaignJournal,
+    CampaignTask,
     ExecutionBackend,
     ExplorationPool,
-    FallbackBackend,
     ParallelCampaignEngine,
     PoolBackend,
     SerialBackend,
     VerdictStore,
-    WorkerDaemon,
     backend_cache,
     exhaustive_check_tasks,
     explore,
@@ -48,26 +47,31 @@ def _assert_same_exploration(actual, expected):
     assert actual.edge_syms == expected.edge_syms
 
 
-@pytest.fixture(params=["serial", "pool", "distributed", "fallback"])
-def backend(request):
-    """Each backend implementation, freshly constructed.
+def _refuse_tasks(tasks):
+    raise AssertionError("a task list was shipped to the backend")
 
-    ``distributed`` is a TCP coordinator with one connected worker daemon;
-    ``fallback`` wraps a coordinator no daemon ever joins, so every task
-    list degrades onto its local serial half.
-    """
-    if request.param == "serial":
-        with SerialBackend() as made:
-            yield made
-    elif request.param == "pool":
-        with PoolBackend(workers=2) as made:
-            yield made
-    elif request.param == "distributed":
-        with DistributedBackend(min_workers=1, start_timeout=30) as made:
-            with WorkerDaemon(made.host, made.port, workers=1).start():
-                yield made
-    else:
-        with FallbackBackend(DistributedBackend(min_workers=1, start_timeout=0.2)) as made:
+
+#: Every backend configuration: the serial reference, a two-worker
+#: ``PoolBackend`` owning its pool, one wrapping a pool its caller owns,
+#: and a one-worker ``PoolBackend``, whose pool runs tasks in this process.
+BACKENDS = ["serial", "pool", "shared-pool", "inline-pool"]
+
+
+def make_backend(kind, shared_pool):
+    """A fresh backend of ``kind``; ``shared-pool`` wraps ``shared_pool``."""
+    if kind == "serial":
+        return SerialBackend()
+    if kind == "shared-pool":
+        return PoolBackend(shared_pool)
+    return PoolBackend(workers=2 if kind == "pool" else 1)
+
+
+@pytest.fixture(params=BACKENDS)
+def backend(request):
+    """Each backend configuration, freshly constructed."""
+    # The shared pool spawns nothing unless its backend ships work.
+    with ExplorationPool(workers=2) as shared_pool:
+        with make_backend(request.param, shared_pool) as made:
             yield made
 
 
@@ -102,6 +106,30 @@ class TestBackendContract:
         with pytest.raises(RuntimeError, match="closed"):
             with backend:
                 pass
+
+    @pytest.mark.parametrize("kind", BACKENDS[1:])
+    def test_closed_pool_backend_refuses_work(self, kind, algorithm1):
+        with ExplorationPool(workers=2) as shared_pool:
+            backend = make_backend(kind, shared_pool)
+            backend.close()
+            backend.close()  # idempotent
+            with pytest.raises(RuntimeError, match="closed"):
+                backend.run_tasks(grid_sweep_tasks(algorithm1, sizes=[(3, 3)]))
+            with pytest.raises(RuntimeError, match="closed"):
+                with backend:
+                    pass
+
+    def test_a_raising_task_fails_the_call(self, backend, algorithm1):
+        # No placeholder report stands in for a task that raised: the error
+        # reaches the caller, directly and through the campaign engine.
+        good = grid_sweep_tasks(algorithm1, sizes=[(3, 3)])
+        tasks = good + [CampaignTask("no_such_algorithm", 3, 3)]
+        with pytest.raises(KeyError, match="no_such_algorithm"):
+            backend.run_tasks(tasks)
+        with pytest.raises(KeyError, match="no_such_algorithm"):
+            ParallelCampaignEngine(backend=backend).run_tasks(algorithm1, tasks)
+        # ... and the backend stays usable afterwards.
+        assert backend.run_tasks(good) == [run_task(task) for task in good]
 
 
 # ---------------------------------------------------------------------------
@@ -171,6 +199,21 @@ class TestBackendExploration:
             check_terminating_exploration(algorithm1, grid, model="SSYNC")
         )
 
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            partial(check_terminating_exploration, model="FSYNC"),
+            partial(enumerate_reachable, model="FSYNC"),
+            partial(explore_state_space, model="FSYNC"),
+            partial(explore_sharded, model="FSYNC"),
+        ],
+        ids=["check", "enumerate", "state_space", "sharded"],
+    )
+    def test_explorations_spawn_no_workers(self, entry, algorithm1):
+        with PoolBackend(workers=2) as backend:
+            entry(algorithm1, Grid(3, 3), backend=backend)
+            assert not backend.pool.started
+
     def test_store_serves_explorations_handed_a_backend(self, backend, algorithm1):
         store = VerdictStore()
         grid = Grid(4, 4)
@@ -217,6 +260,39 @@ class TestBackendCampaigns:
             [(p.m, p.n, p.states, p.reduction) for p in baseline]
         )
 
+    def test_engine_reads_parallelism_once(self):
+        backend = SerialBackend()
+        engine = ParallelCampaignEngine(backend=backend)
+        backend.parallelism = 4
+        # Journal waves are sized at construction and stay that size.
+        assert engine.workers == 1
+
+    def test_journalled_campaign_commits_every_report(self, backend, algorithm1, tmp_path, monkeypatch):
+        path = tmp_path / "sweep.journal"
+        tasks = exhaustive_check_tasks(algorithm1, sizes=[(2, 3), (3, 3), (3, 4)], reduction="grid")
+        expected = [run_task(task) for task in tasks]
+        # chunksize=1: waves of ``parallelism`` tasks, so a multi-worker
+        # backend commits over more than one wave.
+        engine = ParallelCampaignEngine(backend=backend, chunksize=1)
+        assert engine.run_tasks(algorithm1, tasks, journal=path) == expected
+        with CampaignJournal(path) as journal:
+            assert len(journal) == len(tasks)
+        # A rerun on the same journal replays every verdict.
+        monkeypatch.setattr(backend, "run_tasks", _refuse_tasks)
+        assert engine.run_tasks(algorithm1, tasks, journal=path) == expected
+
+    def test_store_hits_never_reach_the_backend(self, backend, algorithm1, monkeypatch):
+        store = VerdictStore()
+        tasks = exhaustive_check_tasks(algorithm1, sizes=[(3, 3), (3, 4)])
+        engine = ParallelCampaignEngine(backend=backend, store=store)
+        recorded = engine.run_tasks(algorithm1, tasks)
+        monkeypatch.setattr(backend, "run_tasks", _refuse_tasks)
+        cached = engine.run_tasks(algorithm1, tasks)
+        assert [report.store_stats["outcome"] for report in recorded] == [MISS] * len(tasks)
+        assert [report.store_stats["outcome"] for report in cached] == [HIT] * len(tasks)
+        assert cached == recorded == [run_task(task) for task in tasks]
+        assert store.misses == len(tasks)
+
     def test_unregistered_algorithm_falls_back_in_process(self, backend):
         from tests.engine.test_pool import _adhoc_algorithm
 
@@ -252,6 +328,11 @@ class TestPoolBackend:
         with pytest.raises(RuntimeError, match="closed"):
             pool.map(abs, [-1, -2])
 
+    def test_empty_task_list_spawns_no_workers(self):
+        with PoolBackend(workers=2) as backend:
+            assert backend.run_tasks([]) == []
+            assert not backend.pool.started
+
     def test_pool_and_workers_are_mutually_exclusive(self):
         with ExplorationPool(workers=2) as pool:
             with pytest.raises(ValueError):
@@ -264,7 +345,7 @@ class TestPoolBackend:
         # share the same cache its registered workloads warm.
         assert backend_cache(SerialBackend()) is process_cache()
 
-    def test_distributed_backend_has_no_in_process_cache(self):
+    def test_other_backends_have_no_in_process_cache(self):
         class RemoteLike:  # duck-typed: no pool attribute, not serial
             parallelism = 2
 

@@ -4,13 +4,12 @@ Four promises under test:
 
 1. **Crash safety** — segments reuse the journal record format, so a
    writer killed mid-append leaves at worst a torn tail that the next
-   open truncates away; a corrupt record ends its segment's replay
-   without losing the records before it.
+   open truncates away, and a record damaged in place costs only itself.
 2. **Coalescing** — duplicate concurrent requests for one key trigger
    exactly one computation; the duplicates share the leader's result
    (or exception) and count on the ``coalesced`` counter.
 3. **Parity** — a verdict served from the store compares equal to a
-   freshly computed one, on every route (serial, pooled, distributed),
+   freshly computed one, on every route (serial, pooled),
    across the shared reduction-parity suite.
 4. **Bounds** — the in-memory index is LRU-bounded, and on-disk bloat
    triggers compaction that preserves the live entries.
@@ -18,7 +17,6 @@ Four promises under test:
 
 from __future__ import annotations
 
-import pickle
 import struct
 import threading
 import zlib
@@ -37,7 +35,7 @@ from repro.engine.campaign import (
     task_store_key,
     verify_one,
 )
-from repro.engine.journal import RECORD_HEADER, pack_record
+from repro.engine.journal import RECORD_HEADER, CampaignJournal, pack_record
 from repro.engine.matcher import MatcherCache
 from repro.engine.pool import ExplorationPool
 from repro.engine.store import COALESCED, HIT, MISS
@@ -45,6 +43,31 @@ from repro.engine.suites import reduction_parity_suite
 from repro.checking import check_terminating_exploration
 
 ALGORITHM = "fsync_phi2_l2_chir_k2"
+
+
+#: Each durable record file, opened on a fresh ``tmp_path`` layout.
+OPENERS = {
+    "store": lambda root: VerdictStore(root / "store"),
+    "journal": lambda root: CampaignJournal(root / "campaign.journal"),
+}
+
+
+def write_six(root, opener):
+    """Six ``key-i -> value-i`` records; returns the one file holding them."""
+    with OPENERS[opener](root) as written:
+        for i in range(1, 7):
+            written.put(f"key-{i}", f"value-{i}")
+    return root / "store" / "seg-0.log" if opener == "store" else root / "campaign.journal"
+
+
+def record_span(data, number):
+    """``(start, end)`` byte offsets of the ``number``-th record (1-based)."""
+    end = 0
+    for _ in range(number):
+        start = end
+        (length,) = struct.unpack_from("!I", data, start)
+        end = start + RECORD_HEADER.size + length
+    return start, end
 
 
 def scrubbed(exploration):
@@ -96,24 +119,152 @@ class TestDurability:
             assert recovered.get("key-2") == "value-2"
             assert segment.read_bytes() == intact  # tail gone, records kept
 
-    def test_crc_mismatch_ends_segment_replay(self, tmp_path):
+    @pytest.mark.parametrize("opener", sorted(OPENERS))
+    @pytest.mark.parametrize("damaged", [1, 3, 6], ids=["first", "middle", "last"])
+    def test_flipped_bit_costs_only_its_own_record(self, tmp_path, opener, damaged):
+        path = write_six(tmp_path, opener)
+        data = bytearray(path.read_bytes())
+        start, _ = record_span(data, damaged)
+        data[start + RECORD_HEADER.size + 2] ^= 0x01  # one bit inside the body
+        path.write_bytes(bytes(data))
+        with OPENERS[opener](tmp_path) as recovered:
+            assert len(recovered) == 5
+            for i in range(1, 7):
+                expected = None if i == damaged else f"value-{i}"
+                assert recovered.get(f"key-{i}") == expected
+            assert recovered.corrupt_records == 1
+            assert recovered.recovered_bytes == 0
+        assert path.read_bytes() == bytes(data)  # nothing truncated
+
+    @pytest.mark.parametrize("opener", sorted(OPENERS))
+    def test_unloadable_pickle_costs_only_its_own_record(self, tmp_path, opener):
+        path = write_six(tmp_path, opener)
+        data = path.read_bytes()
+        start, end = record_span(data, 3)
+        body = b"not a pickle"  # CRC-valid, but no longer unpickles
+        damaged = data[:start] + RECORD_HEADER.pack(len(body), zlib.crc32(body)) + body + data[end:]
+        path.write_bytes(damaged)
+        with OPENERS[opener](tmp_path) as recovered:
+            assert len(recovered) == 5
+            assert recovered.get("key-3") is None
+            assert recovered.get("key-4") == "value-4"
+            assert recovered.corrupt_records == 1
+            assert recovered.recovered_bytes == 0
+        assert path.read_bytes() == damaged
+
+    @pytest.mark.parametrize("opener", sorted(OPENERS))
+    def test_damage_without_a_valid_successor_truncates(self, tmp_path, opener):
+        # Records 3 and 4 both fail their CRC: nothing confirms that record
+        # 3's length field still frames the file, so replay stops there.
+        path = write_six(tmp_path, opener)
+        data = bytearray(path.read_bytes())
+        for number in (3, 4):
+            start, _ = record_span(data, number)
+            data[start + RECORD_HEADER.size + 2] ^= 0x01
+        path.write_bytes(bytes(data))
+        kept, _ = record_span(data, 3)
+        with OPENERS[opener](tmp_path) as recovered:
+            assert len(recovered) == 2
+            assert recovered.get("key-2") == "value-2"
+            assert recovered.get("key-5") is None
+            assert recovered.recovered_bytes == len(data) - kept
+        assert path.read_bytes() == bytes(data[:kept])
+
+    @pytest.mark.parametrize("opener", sorted(OPENERS))
+    def test_separated_damage_costs_only_the_damaged_records(self, tmp_path, opener):
+        path = write_six(tmp_path, opener)
+        data = bytearray(path.read_bytes())
+        for number in (2, 5):  # each is followed by an intact record
+            start, _ = record_span(data, number)
+            data[start + RECORD_HEADER.size + 2] ^= 0x01
+        path.write_bytes(bytes(data))
+        with OPENERS[opener](tmp_path) as recovered:
+            assert [recovered.get(f"key-{i}") for i in range(1, 7)] == [
+                "value-1", None, "value-3", "value-4", None, "value-6"
+            ]
+            assert recovered.corrupt_records == 2
+            assert recovered.recovered_bytes == 0
+        assert path.read_bytes() == bytes(data)
+
+    def test_damage_in_an_older_segment_leaves_the_active_one_appendable(self, tmp_path):
         path = tmp_path / "store"
-        with VerdictStore(path) as store:
-            store.put("key-1", "value-1")
-            store.put("key-2", "value-2")
-            store.put("key-3", "value-3")
-            segment = store._segments()[-1]
-        data = bytearray(segment.read_bytes())
-        # Corrupt one byte inside the *second* record's body.
-        (length_1,) = struct.unpack_from("!I", data, 0)
-        offset = RECORD_HEADER.size + length_1 + RECORD_HEADER.size + 2
-        data[offset] ^= 0xFF
-        segment.write_bytes(bytes(data))
-        with VerdictStore(path) as recovered:
-            assert recovered.get("key-1") == "value-1"  # before the corruption
-            assert recovered.get("key-2") is None  # the corrupt record
-            assert recovered.get("key-3") is None  # ... and everything after
-            assert recovered.recovered_bytes > 0
+        with VerdictStore(path, segment_records=3) as store:
+            for i in range(1, 7):
+                store.put(f"key-{i}", f"value-{i}")
+            older = store._segments()[0]
+        data = bytearray(older.read_bytes())
+        start, _ = record_span(data, 2)
+        data[start + RECORD_HEADER.size + 2] ^= 0x01
+        older.write_bytes(bytes(data))
+        with VerdictStore(path, segment_records=3) as recovered:
+            assert recovered.corrupt_records == 1
+            assert recovered.get("key-2") is None
+            assert recovered.get("key-6") == "value-6"
+            recovered.put("key-2", "rewritten")
+        assert older.read_bytes() == bytes(data)  # skipped, not truncated
+        with VerdictStore(path) as reopened:
+            assert reopened.get("key-2") == "rewritten"
+            assert len(reopened) == 6
+
+    @pytest.mark.parametrize("opener", sorted(OPENERS))
+    def test_flipped_length_field_truncates_at_its_record(self, tmp_path, opener):
+        # A damaged length field misframes everything after it: replay
+        # keeps the records before it and truncates from there on.
+        path = write_six(tmp_path, opener)
+        data = bytearray(path.read_bytes())
+        start, _ = record_span(data, 4)
+        data[start + 3] ^= 0x01  # lowest byte of record 4's length
+        path.write_bytes(bytes(data))
+        with OPENERS[opener](tmp_path) as recovered:
+            assert len(recovered) == 3
+            assert recovered.get("key-3") == "value-3"
+            assert recovered.recovered_bytes == len(data) - start
+        assert path.read_bytes() == bytes(data[:start])
+
+    @pytest.mark.parametrize("opener", sorted(OPENERS))
+    def test_skipped_record_can_be_written_again(self, tmp_path, opener):
+        path = write_six(tmp_path, opener)
+        data = bytearray(path.read_bytes())
+        start, _ = record_span(data, 3)
+        data[start + RECORD_HEADER.size + 2] ^= 0x01
+        path.write_bytes(bytes(data))
+        with OPENERS[opener](tmp_path) as recovered:
+            recovered.put("key-3", "rewritten")  # appended after key-6
+        with OPENERS[opener](tmp_path) as reopened:
+            assert len(reopened) == 6
+            assert reopened.get("key-3") == "rewritten"
+            assert reopened.get("key-6") == "value-6"
+            assert reopened.corrupt_records == 1  # the damaged bytes remain
+
+    def test_compaction_drops_damaged_records(self, tmp_path):
+        path = write_six(tmp_path, "store")
+        data = bytearray(path.read_bytes())
+        start, _ = record_span(data, 3)
+        data[start + RECORD_HEADER.size + 2] ^= 0x01
+        path.write_bytes(bytes(data))
+        # Seven records on disk after the next append, six of them live:
+        # past the 1.0 compaction factor, so that append compacts.
+        with VerdictStore(tmp_path / "store", compact_factor=1.0, segment_records=2) as store:
+            assert store.corrupt_records == 1
+            store.put("key-7", "value-7")
+            assert store.compactions == 1
+        with VerdictStore(tmp_path / "store") as reopened:
+            assert reopened.corrupt_records == 0
+            assert reopened.stats["disk_records"] == len(reopened) == 6
+            assert reopened.get("key-3") is None
+            assert [reopened.get(f"key-{i}") for i in (1, 2, 4, 5, 6, 7)] == [
+                f"value-{i}" for i in (1, 2, 4, 5, 6, 7)
+            ]
+
+    def test_corrupt_records_surface_in_stats(self, tmp_path):
+        path = write_six(tmp_path, "store")
+        data = bytearray(path.read_bytes())
+        start, _ = record_span(data, 2)
+        data[start + RECORD_HEADER.size + 2] ^= 0x01
+        path.write_bytes(bytes(data))
+        with VerdictStore(tmp_path / "store") as recovered:
+            assert recovered.stats["corrupt_records"] == 1
+            assert recovered.stats["entries"] == 5
 
     def test_kill_mid_append_then_reopen_and_continue(self, tmp_path):
         """A simulated kill -9 mid-append: reopen, recover, keep writing."""
@@ -419,23 +570,6 @@ class TestParity:
         defaulted = grid_sweep_tasks(algorithm, sizes=[(3, 3)])[0]
         assert task_store_key(explicit) == task_store_key(defaulted)
 
-    def test_distributed_route_serves_and_fills_the_store(self):
-        from repro.engine import DistributedBackend, WorkerDaemon
-
-        store = VerdictStore()
-        algorithm = get(ALGORITHM)
-        tasks = exhaustive_check_tasks(algorithm, sizes=[(3, 3), (3, 4)])
-        fresh = ParallelCampaignEngine(workers=1).run_tasks(algorithm, tasks)
-        with DistributedBackend(min_workers=1, start_timeout=30) as backend:
-            with WorkerDaemon(backend.host, backend.port, workers=1).start():
-                engine = ParallelCampaignEngine(backend=backend, store=store)
-                recorded = engine.run_tasks(algorithm, tasks)
-                cached = engine.run_tasks(algorithm, tasks)
-        assert all(report.store_stats["outcome"] == HIT for report in cached)
-        assert cached == recorded == fresh
-        # The second run never crossed the wire: hits short-circuit dispatch.
-        assert store.misses == len(tasks)
-
 
 # ---------------------------------------------------------------------------
 # Matcher-cache bound (satellite)
@@ -475,73 +609,3 @@ class TestMatcherCacheBound:
     def test_rejects_nonpositive_bound(self):
         with pytest.raises(ValueError):
             MatcherCache(max_entries=0)
-
-
-# ---------------------------------------------------------------------------
-# Frame compression (satellite)
-# ---------------------------------------------------------------------------
-class TestFrameCompression:
-    def test_large_bodies_compress_and_roundtrip(self):
-        from repro.engine.distributed import COMPRESS_THRESHOLD, decode_frame_body, encode_frame_info
-
-        payload = ("work", 7, "explore", [("row", i, "X" * 20) for i in range(500)])
-        frame, raw_bytes, wire_bytes, compressed = encode_frame_info(payload)
-        assert compressed
-        assert wire_bytes < raw_bytes
-        assert len(frame) == wire_bytes
-        assert raw_bytes - 1 >= COMPRESS_THRESHOLD
-        assert decode_frame_body(frame[8:]) == payload
-
-    def test_small_bodies_ship_raw(self):
-        from repro.engine.distributed import decode_frame_body, encode_frame_info
-
-        payload = ("heartbeat", 3)
-        frame, raw_bytes, wire_bytes, compressed = encode_frame_info(payload)
-        assert not compressed
-        assert wire_bytes == raw_bytes == len(frame)
-        assert decode_frame_body(frame[8:]) == payload
-
-    def test_incompressible_bodies_stay_raw(self):
-        import os as _os
-
-        from repro.engine.distributed import decode_frame_body, encode_frame_info
-
-        payload = _os.urandom(4096)  # already-high-entropy body
-        frame, _, _, compressed = encode_frame_info(payload)
-        assert not compressed
-        assert decode_frame_body(frame[8:]) == payload
-
-    def test_legacy_unflagged_frames_still_decode(self):
-        from repro.engine.distributed import decode_frame_body
-
-        body = pickle.dumps(("hello", {"pid": 1}), protocol=pickle.HIGHEST_PROTOCOL)
-        assert body[:1] == b"\x80"  # the disambiguating first byte
-        assert decode_frame_body(body) == ("hello", {"pid": 1})
-
-    def test_corrupt_compressed_body_raises_not_hangs(self):
-        from repro.engine.distributed import decode_frame_body, encode_frame_info
-
-        frame, _, _, compressed = encode_frame_info(list(range(2000)))
-        assert compressed
-        body = bytearray(frame[8:])
-        body[10] ^= 0xFF
-        with pytest.raises((zlib.error, pickle.UnpicklingError, EOFError, ValueError)):
-            decode_frame_body(bytes(body))
-
-    def test_frame_stats_record_compression_savings(self, monkeypatch):
-        from repro.engine import DistributedBackend, WorkerDaemon, run_task
-        from repro.engine import distributed as distributed_module
-
-        # Task frames are small; drop the threshold so the coordinator's
-        # work frames qualify (large frames clear the real 1 KiB bar on
-        # their own).
-        monkeypatch.setattr(distributed_module, "COMPRESS_THRESHOLD", 64)
-        algorithm = get(ALGORITHM)
-        tasks = exhaustive_check_tasks(algorithm, sizes=[(3, 3), (3, 4)], reduction="grid")
-        with DistributedBackend(min_workers=1, start_timeout=30) as backend:
-            with WorkerDaemon(backend.host, backend.port, workers=1).start():
-                reports = backend.run_tasks(tasks)
-                stats = backend.stats
-        assert reports == [run_task(task) for task in tasks]
-        assert stats["frames_compressed"] >= 1
-        assert stats["bytes_sent_raw"] > stats["bytes_sent"]  # savings were real

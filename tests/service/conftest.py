@@ -86,12 +86,10 @@ def harness(harness_factory):
     return harness_factory()
 
 
-#: ``python -m repro.service`` argv per ``--backend`` kind.  No worker
-#: daemon ever joins the distributed coordinator these tests bind.
+#: ``python -m repro.service`` argv per ``--backend`` kind.
 BACKEND_ARGV = {
     "serial": ["--backend", "serial"],
     "pool": ["--backend", "pool", "--workers", "2"],
-    "distributed": ["--backend", "distributed", "--connect", "127.0.0.1:0"],
 }
 
 

@@ -355,6 +355,23 @@ class TestCampaigns:
         status = await_campaign(harness, submitted["id"])
         assert status["state"] == "done" and status["completed"] == 2
 
+    def test_stats_count_damaged_store_records(self, tmp_path, harness_factory):
+        from repro.engine.journal import RECORD_HEADER
+        from repro.engine.store import VerdictStore
+
+        with VerdictStore(tmp_path / "damaged") as store:
+            for i in range(3):
+                store.put(f"key-{i}", f"value-{i}")
+        segment = tmp_path / "damaged" / "seg-0.log"
+        data = bytearray(segment.read_bytes())
+        data[RECORD_HEADER.size + 2] ^= 0x01  # one bit of the first record's body
+        segment.write_bytes(bytes(data))
+        served = harness_factory(store=VerdictStore(tmp_path / "damaged"))
+        code, stats, _ = served.get("/v1/stats")
+        assert code == 200
+        assert stats["store"]["corrupt_records"] == 1
+        assert stats["store"]["entries"] == 2
+
     def test_stats_counts_requests_and_campaigns(self, harness):
         harness.post("/v1/check", SPEC)
         _, submitted, _ = harness.post("/v1/campaigns", CAMPAIGN)
@@ -372,18 +389,23 @@ class TestCampaigns:
 # Server CLI
 # ---------------------------------------------------------------------------
 class TestServerCli:
-    def test_distributed_banner_names_the_bound_coordinator(self, capsys):
-        from repro.service.__main__ import build_parser, build_service
+    @pytest.mark.parametrize(
+        "argv,option",
+        [
+            (["--backend", "distributed"], "--backend"),
+            (["--connect", "127.0.0.1:7421"], "--connect"),
+            (["--min-workers", "2"], "--min-workers"),
+        ],
+        ids=["backend-distributed", "connect", "min-workers"],
+    )
+    def test_retired_distributed_spellings_exit_2(self, capsys, argv, option):
+        # A deployment script must not quietly get a server it did not ask for.
+        from repro.service.__main__ import build_parser
 
-        args = build_parser().parse_args(["--backend", "distributed", "--connect", "127.0.0.1:0"])
-        service = build_service(args)
-        try:
-            port = service.backend.port
-            out = capsys.readouterr().out
-        finally:
-            service.close()
-        assert port != 0
-        assert f"service: distributed coordinator on 127.0.0.1:{port}\n" in out
+        with pytest.raises(SystemExit) as exited:
+            build_parser().parse_args(argv)
+        assert exited.value.code == 2
+        assert option in capsys.readouterr().err
 
     def test_cold_import_leaves_numpy_out(self):
         # The library and the server are pure Python; numpy on the import
@@ -411,7 +433,6 @@ class TestBackendKinds:
     def assert_nothing_left_the_process(service):
         if service.pool is not None:
             assert not service.pool.started
-        assert getattr(service.backend, "workers_ever", 0) == 0
 
     def test_check_misses_and_hits_match_the_library(self, cli_harness):
         expected = library_verdict_json()
@@ -433,6 +454,28 @@ class TestBackendKinds:
             assert body["observability"]["store_stats"]["outcome"] == outcome
             assert canonical_json(body["verdict"]) == expected
         self.assert_nothing_left_the_process(cli_harness.service)
+
+    def test_stats_name_the_kind_and_its_parallelism(self, cli_harness):
+        kind = cli_harness.service.backend_kind
+        code, stats, _ = cli_harness.get("/v1/stats")
+        assert code == 200
+        assert stats["backend"] == {"kind": kind, "parallelism": {"serial": 1, "pool": 2}[kind]}
+
+    def test_campaign_reports_match_the_library(self, cli_harness):
+        from repro.verification import grid_sweep
+
+        expected = [
+            canonical_json(result_payload(report)["verdict"])
+            for report in grid_sweep(
+                registry.get(ALGORITHM), sizes=[tuple(size) for size in CAMPAIGN["sizes"]], model="FSYNC"
+            ).reports
+        ]
+        _, submitted, _ = cli_harness.post("/v1/campaigns", CAMPAIGN)
+        assert await_campaign(cli_harness, submitted["id"])["state"] == "done"
+        raw = cli_harness.get_raw(f"/v1/campaigns/{submitted['id']}/events")
+        tasks = [event for event in map(json.loads, raw.splitlines()) if event["event"] == "task"]
+        tasks.sort(key=lambda event: event["index"])
+        assert [canonical_json(event["report"]["verdict"]) for event in tasks] == expected
 
 
 # ---------------------------------------------------------------------------
