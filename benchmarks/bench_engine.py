@@ -13,14 +13,15 @@ machine-readable ledger, ``BENCH_engine.json`` at the repo root:
 * **cross-size cache reuse** — hit rates of one shared cache swept across
   a family of grid sizes (the matcher's keys are grid-size independent);
 * **pooled reuse** (PR 3 trajectory) — two consecutive small-grid checks on
-  one persistent :class:`~repro.engine.pool.ExplorationPool`; the second
-  check must hit the pool cache warmed by the first;
+  one persistent :class:`~repro.engine.backend.PoolBackend`; the second
+  check must hit the backend's coordinator cache warmed by the first;
 * **reduction quotients** (PR 4 trajectory) — the suite ASYNC case
   (:data:`repro.engine.suites.REDUCTION_BENCH_CASE`) checked unreduced
   and under ``reduction="grid"``: the verdicts must be byte-identical,
   and the quotient ratio and wall times land in the ledger;
-* **pooled campaigns** — one exhaustive sweep run through a persistent
-  two-worker pool; reports must be identical to the serial engine's;
+* **pooled campaigns** — one exhaustive sweep run through a two-worker
+  :class:`~repro.engine.backend.PoolBackend`; reports must be identical to
+  the serial engine's;
 * **verdict store** (PR 9 trajectory) — the same exhaustive sweep run
   twice against one on-disk :class:`~repro.engine.store.VerdictStore`:
   the cold pass computes and durably records every verdict, the warm pass
@@ -65,10 +66,10 @@ from repro.core.algorithm import Algorithm
 from repro.engine import (
     REDUCTION_BENCH_CASE,
     AlgorithmTransitionSystem,
-    ExplorationPool,
-    MatcherCache,
     ParallelCampaignEngine,
+    PoolBackend,
     SchedulerState,
+    SerialBackend,
     VerdictStore,
     exhaustive_check_tasks,
     explore,
@@ -229,8 +230,9 @@ def bench_fsync_4x4(repetitions: int) -> List[dict]:
     """The PR-2 trajectory: the 4x4 FSYNC exhaustive check, two ways.
 
     *cold* rebuilds the transition system and matcher per check (the public
-    default), *cached* threads one persistent :class:`MatcherCache` through
-    repeated checks (the campaign/sweep fast path).
+    default), *cached* threads one :class:`SerialBackend` — and so its
+    persistent matcher cache — through repeated checks (the campaign/sweep
+    fast path).
     """
     algorithm = get("fsync_phi2_l2_chir_k2")
     grid = Grid(4, 4)
@@ -241,15 +243,15 @@ def bench_fsync_4x4(repetitions: int) -> List[dict]:
         repetitions,
     )
 
-    cache = MatcherCache()
+    backend = SerialBackend()
 
     def cached_check() -> int:
         return check_terminating_exploration(
-            algorithm, grid, model="FSYNC", cache=cache
+            algorithm, grid, model="FSYNC", backend=backend
         ).states_explored
 
     cached_s, _ = _measure(cached_check, repetitions)
-    hit_rate = cache.stats.hit_rate
+    hit_rate = backend.cache.stats.hit_rate
     return [
         _case(f"{label} cold", cold_s, states),
         _case(f"{label} cached", cached_s, states, cache_hit_rate=hit_rate),
@@ -265,14 +267,15 @@ def bench_cross_size_cache() -> Tuple[List[dict], float]:
     """
     algorithm = get("fsync_phi2_l2_chir_k2")
     sizes = [(3, 3), (3, 4), (4, 3), (3, 5), (4, 4), (4, 5), (5, 5)]
-    cache = MatcherCache()
+    backend = SerialBackend()
+    cache = backend.cache
     rows: List[dict] = []
     final_rate = 0.0
     for m, n in sizes:
         grid = Grid(m, n)
         before = cache.stats.snapshot()
         start = time.perf_counter()
-        result = check_terminating_exploration(algorithm, grid, model="FSYNC", cache=cache)
+        result = check_terminating_exploration(algorithm, grid, model="FSYNC", backend=backend)
         wall = time.perf_counter() - start
         delta = cache.stats.delta_since(before)
         rows.append(
@@ -290,9 +293,9 @@ def bench_cross_size_cache() -> Tuple[List[dict], float]:
 def bench_pooled_reuse() -> Tuple[List[dict], float]:
     """The PR-3 trajectory: two consecutive checks on one persistent pool.
 
-    Both checks run in the calling process on the pool's persistent
-    coordinator cache, so the second one hits the patterns the first one
-    memoized.  Returns the row plus the second check's hit rate.
+    Both checks run in the calling process on the :class:`PoolBackend`'s
+    persistent coordinator cache, so the second one hits the patterns the
+    first one memoized.  Returns the row plus the second check's hit rate.
     """
     algorithm = get("fsync_phi2_l2_chir_k2")
     grid = Grid(3, 3)
@@ -301,9 +304,9 @@ def bench_pooled_reuse() -> Tuple[List[dict], float]:
     states = serial_check.states_explored
 
     start = time.perf_counter()
-    with ExplorationPool() as pool:
-        first = check_terminating_exploration(algorithm, grid, model="FSYNC", pool=pool)
-        second = check_terminating_exploration(algorithm, grid, model="FSYNC", pool=pool)
+    with PoolBackend() as backend:
+        first = check_terminating_exploration(algorithm, grid, model="FSYNC", backend=backend)
+        second = check_terminating_exploration(algorithm, grid, model="FSYNC", backend=backend)
     pooled_s = time.perf_counter() - start
     # RuntimeError, not assert: parity must hold even under ``python -O``,
     # or a diverging run could be recorded as a passing baseline.
@@ -366,18 +369,18 @@ def bench_pooled_sweep(workers: int = 2) -> List[dict]:
     """One exhaustive sweep on a persistent pool.
 
     Runs the :data:`SWEEP_SIZES` ``kind="check"`` task list through a
-    ``workers``-process :class:`ExplorationPool`; the reports must
-    reproduce the serial engine's exactly (enforced).
+    ``workers``-process :class:`PoolBackend`; the reports must reproduce
+    the serial engine's exactly (enforced).
     """
     algorithm = get("fsync_phi2_l2_chir_k2")
     tasks = exhaustive_check_tasks(algorithm, sizes=SWEEP_SIZES, reduction="grid")
     label = f"fsync_phi2_l2_chir_k2 exhaustive sweep x{len(tasks)} [FSYNC]"
-    serial_reports = ParallelCampaignEngine(workers=1).run_tasks(algorithm, tasks)
+    serial_reports = ParallelCampaignEngine().run_tasks(algorithm, tasks)
     states = sum(report.steps for report in serial_reports)
 
     start = time.perf_counter()
-    with ExplorationPool(workers=workers) as pool:
-        pooled_reports = ParallelCampaignEngine(pool=pool).run_tasks(algorithm, tasks)
+    with PoolBackend(workers=workers) as backend:
+        pooled_reports = ParallelCampaignEngine(backend=backend).run_tasks(algorithm, tasks)
     pooled_s = time.perf_counter() - start
 
     # RuntimeError, not assert: parity must hold even under ``python -O``,
@@ -398,11 +401,11 @@ def _store_sweep(store_path: Path) -> Tuple[int, int, float, float, dict]:
     """
     algorithm = get("fsync_phi2_l2_chir_k2")
     tasks = exhaustive_check_tasks(algorithm, sizes=SWEEP_SIZES, reduction="grid")
-    serial_reports = ParallelCampaignEngine(workers=1).run_tasks(algorithm, tasks)
+    serial_reports = ParallelCampaignEngine().run_tasks(algorithm, tasks)
     states = sum(report.steps for report in serial_reports)
 
     with VerdictStore(store_path) as store:
-        engine = ParallelCampaignEngine(workers=1, store=store)
+        engine = ParallelCampaignEngine(store=store)
         start = time.perf_counter()
         cold_reports = engine.run_tasks(algorithm, tasks)
         cold_s = time.perf_counter() - start

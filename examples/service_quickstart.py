@@ -2,7 +2,7 @@
 """Quickstart: the verification service, end to end, in one process.
 
 Starts the HTTP/JSON verification service on a free port (backed by a
-temporary verdict store + campaign journal), then drives it through
+temporary verdict store), then drives it through
 ``ServiceClient`` exactly as a remote consumer would:
 
 1. ``POST /v1/check``  — cold verdict, computed by the engine;
@@ -13,7 +13,7 @@ temporary verdict store + campaign journal), then drives it through
 
 For an always-on deployment use the server CLI instead::
 
-    python -m repro.service --port 8421 --store verdicts/ --journal journal/
+    python -m repro.service --port 8421 --store verdicts/
     python -m repro.service.client --url http://127.0.0.1:8421 check \\
         --algorithm fsync_phi2_l2_chir_k2 --grid 3x3 --model FSYNC
 
@@ -50,7 +50,7 @@ CAMPAIGN = {
 def main() -> int:
     with tempfile.TemporaryDirectory(prefix="service-quickstart-") as tmp:
         store = VerdictStore(Path(tmp) / "store")
-        service = VerificationService(store, journal_dir=Path(tmp) / "journal")
+        service = VerificationService(store)
         server, _thread = start_in_thread(service)
         client = ServiceClient(server.url)
         print(f"service listening on {server.url}\n")

@@ -14,13 +14,12 @@ from typing import TYPE_CHECKING, Iterable, List, Optional, Tuple
 from ..core.algorithm import Algorithm
 from ..core.errors import VerificationError
 from ..core.grid import Grid
-from ..engine.backend import backend_cache
+from ..engine.backend import SerialBackend
+from ..engine.campaign import CampaignTask, ParallelCampaignEngine
 from ..engine.explorer import explore_sharded
-from ..engine.matcher import MatcherCache
-from ..engine.pool import ExplorationPool, registered
 from ..engine.suites import scaling_suite
 from ..engine.symmetry import normalize_reduction
-from ..engine.walk import TieBreak, run_fsync
+from ..engine.walk import TieBreak
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..engine.backend import ExecutionBackend
@@ -49,27 +48,21 @@ class ScalingPoint:
 def round_complexity_sweep(
     algorithm: Algorithm,
     sizes: Optional[Iterable[Tuple[int, int]]] = None,
-    cache: Optional[MatcherCache] = None,
-    pool: Optional[ExplorationPool] = None,
     backend: Optional["ExecutionBackend"] = None,
     store: Optional["VerdictStore"] = None,
 ) -> List[ScalingPoint]:
     """Measure FSYNC rounds and moves over a family of grid sizes.
 
     The default size family is the shared :func:`repro.engine.suites.scaling_suite`.
-    One :class:`~repro.engine.matcher.MatcherCache` spans the whole sweep:
-    the matcher's keys are grid-size independent, so every size after the
-    first replays the interior patterns from the cache instead of
-    re-evaluating the guards.  The cache is, in order of preference, the
-    caller's ``cache``, the coordinator cache of the caller's ``pool`` (so
-    sweeps share warmth with every other workload threaded through that
-    :class:`~repro.engine.pool.ExplorationPool`), or a fresh one.
-
-    ``backend`` routes the sweep's bounded executions through an
-    :class:`~repro.engine.backend.ExecutionBackend` as ordinary walk
-    tasks — each point is a pure function of ``(algorithm, grid)`` under
-    the deterministic FSYNC schedule, so the measured steps/moves are
-    identical wherever the runs execute.
+    Each point is one FSYNC walk task run through
+    ``ParallelCampaignEngine(backend, store)``: a pure function of
+    ``(algorithm, grid)`` under the deterministic FSYNC schedule, so the
+    measured steps/moves are identical wherever the runs execute.  One
+    matcher cache — the backend's, or that of the
+    :class:`~repro.engine.backend.SerialBackend` the sweep gets when
+    ``backend`` is ``None`` — spans the whole sweep: the matcher's keys are
+    grid-size independent, so every size after the first replays the
+    interior patterns from the cache instead of re-evaluating the guards.
 
     ``store`` (a :class:`~repro.engine.store.VerdictStore`) memoizes each
     point's run as an ordinary walk verdict — sweeps re-run across
@@ -78,70 +71,26 @@ def round_complexity_sweep(
     """
     if sizes is None:
         sizes = scaling_suite(algorithm)
-    sizes = [(m, n) for m, n in sizes if algorithm.supports_grid(m, n)]
-    if backend is not None and registered(algorithm):
-        from ..engine.campaign import CampaignTask, ParallelCampaignEngine  # local import: layering
-
-        tasks = [
-            CampaignTask(algorithm=algorithm.name, m=m, n=n, model="FSYNC", tie_break=TieBreak.FIRST)
-            for m, n in sizes
-        ]
-        if store is not None:
-            # The engine's prefilter serves stored points and records fresh
-            # ones; only the remainder crosses the wire.
-            reports = ParallelCampaignEngine(backend=backend, store=store).run_tasks(algorithm, tasks)
-        else:
-            reports = backend.run_tasks(tasks)
-        for report in reports:
-            # The serial path propagates execution errors; a report whose
-            # run never executed (verify_one converts exceptions into
-            # ok=False reports whose reason is the formatted exception)
-            # must not become a silent (0, 0) data point skewing the fit.
-            # Definition-1 outcomes — the run executed but did not
-            # terminate/explore — are real measurements and recorded
-            # exactly as the serial path records them.
-            if not report.ok and not report.reason.startswith(
-                ("did not terminate", "terminated with")
-            ):
-                raise VerificationError(
-                    f"scaling sweep run failed on {report.m}x{report.n}: {report.reason}"
-                )
-        return [
-            ScalingPoint(
-                m=task.m, n=task.n, nodes=task.m * task.n, steps=report.steps, moves=report.moves
+    tasks = [
+        CampaignTask(algorithm=algorithm.name, m=m, n=n, model="FSYNC", tie_break=TieBreak.FIRST)
+        for m, n in sizes
+        if algorithm.supports_grid(m, n)
+    ]
+    reports = ParallelCampaignEngine(backend=backend, store=store).run_tasks(algorithm, tasks)
+    for report in reports:
+        # A report whose run never executed (verify_one converts exceptions
+        # into ok=False reports whose reason is the formatted exception)
+        # must not become a silent (0, 0) data point skewing the fit.
+        # Definition-1 outcomes — the run executed but did not
+        # terminate/explore — are real measurements and recorded as such.
+        if not report.ok and not report.reason.startswith(("did not terminate", "terminated with")):
+            raise VerificationError(
+                f"scaling sweep run failed on {report.m}x{report.n}: {report.reason}"
             )
-            for task, report in zip(tasks, reports)
-        ]
-    if cache is None:
-        cache = pool.cache if pool is not None else MatcherCache()
-    if store is not None and registered(algorithm):
-        from ..engine.campaign import verify_one  # local import: layering
-
-        points = []
-        for m, n in sizes:
-            report = verify_one(
-                algorithm, m, n, model="FSYNC", tie_break=TieBreak.FIRST, cache=cache, store=store
-            )
-            if not report.ok and not report.reason.startswith(
-                ("did not terminate", "terminated with")
-            ):
-                raise VerificationError(
-                    f"scaling sweep run failed on {m}x{n}: {report.reason}"
-                )
-            points.append(
-                ScalingPoint(m=m, n=n, nodes=m * n, steps=report.steps, moves=report.moves)
-            )
-        return points
-    points = []
-    for m, n in sizes:
-        grid = Grid(m, n)
-        result = run_fsync(
-            algorithm, grid, tie_break=TieBreak.FIRST, matcher=cache.matcher_for(algorithm, grid)
-        )
-        points.append(
-            ScalingPoint(m=m, n=n, nodes=m * n, steps=result.steps, moves=result.total_moves)
-        )
-    return points
+    return [
+        ScalingPoint(m=task.m, n=task.n, nodes=task.m * task.n, steps=report.steps, moves=report.moves)
+        for task, report in zip(tasks, reports)
+    ]
 
 
 @dataclass(frozen=True)
@@ -167,7 +116,6 @@ def state_space_sweep(
     sizes: Optional[Iterable[Tuple[int, int]]] = None,
     model: str = "FSYNC",
     max_states: int = 200_000,
-    pool: Optional[ExplorationPool] = None,
     reduction: Optional[str] = None,
     backend: Optional["ExecutionBackend"] = None,
     store: Optional["VerdictStore"] = None,
@@ -179,27 +127,20 @@ def state_space_sweep(
     on the points.
 
     Each size is explored exhaustively in this process, on one matcher
-    cache for the whole sweep: the coordinator cache of ``pool`` (a
-    persistent :class:`~repro.engine.pool.ExplorationPool`, so the sweep
-    shares warmth with every other workload threaded through it), else
-    the in-process cache of ``backend``, else a sweep-local one.  Every
-    size after the first benefits from the patterns already memoized; the
-    counts are identical either way (caching never changes exploration
-    results).  ``store`` memoizes each size's exploration in a
+    cache for the whole sweep: ``backend``'s (so the sweep shares warmth
+    with every other workload handed the same backend), else that of a
+    :class:`~repro.engine.backend.SerialBackend` living for the sweep.
+    Every size after the first benefits from the patterns already
+    memoized; the counts are identical either way (caching never changes
+    exploration results).  ``store`` memoizes each size's exploration in a
     :class:`~repro.engine.store.VerdictStore`, so repeated sweeps (and any
     other store consumer asking for the same exploration) skip the BFS.
     """
     if sizes is None:
         sizes = scaling_suite(algorithm)
     spec = normalize_reduction(reduction)
-    if pool is not None:
-        cache = pool.cache
-    elif backend is not None:
-        cache = backend_cache(backend)
-    else:
-        cache = None
-    if cache is None:
-        cache = MatcherCache()
+    if backend is None:
+        backend = SerialBackend()
     points = []
     for m, n in sizes:
         if not algorithm.supports_grid(m, n):
@@ -210,7 +151,7 @@ def state_space_sweep(
             model,
             reduction=spec,
             max_states=max_states,
-            cache=cache,
+            backend=backend,
             store=store,
         )
         stats = exploration.matcher_stats or {}

@@ -44,14 +44,14 @@ from typing import TYPE_CHECKING, Dict, List, Optional
 
 from ..core.algorithm import Algorithm
 from ..core.grid import Grid
-from ..engine.explorer import Exploration, explore_sharded, guaranteed_nodes, has_cycle
-from ..engine.matcher import MatcherCache
-from ..engine.pool import ExplorationPool
+from ..engine.explorer import explore_sharded, guaranteed_nodes, has_cycle
+from ..engine.pool import registered
 from ..engine.states import SchedulerState
 from ..engine.transition import AlgorithmTransitionSystem
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..engine.backend import ExecutionBackend
+    from ..engine.store import VerdictStore
 
 __all__ = ["CheckResult", "explore_state_space", "check_terminating_exploration", "enumerate_reachable"]
 
@@ -116,54 +116,15 @@ def successors(algorithm: Algorithm, grid: Grid, state: SchedulerState, model: s
     return AlgorithmTransitionSystem(algorithm, grid, model).successors(state)
 
 
-def _explore(
-    algorithm: Algorithm,
-    grid: Grid,
-    model: str,
-    *,
-    max_states: int,
-    start: Optional[SchedulerState] = None,
-    reduction: Optional[str],
-    cache: Optional[MatcherCache],
-    pool: Optional[ExplorationPool],
-    backend: Optional["ExecutionBackend"] = None,
-    store=None,
-) -> Exploration:
-    """Run one exploration in this process on the warmest cache at hand.
-
-    The cache is ``cache``, else the coordinator cache of ``pool`` (a
-    persistent :class:`~repro.engine.pool.ExplorationPool`), else the
-    in-process cache of ``backend``, else a fresh one; none of them
-    changes the result.  The call goes through this module's
-    ``explore_sharded`` global, so wrapping that name observes every
-    exploration the checker runs.
-    """
-    if cache is None and pool is not None:
-        cache = pool.cache
-    return explore_sharded(
-        algorithm,
-        grid,
-        model,
-        reduction=reduction,
-        max_states=max_states,
-        start=start,
-        cache=cache,
-        backend=backend,
-        store=store,
-    )
-
-
 def explore_state_space(
     algorithm: Algorithm,
     grid: Grid,
     model: str = "SSYNC",
     max_states: int = 200_000,
     start: Optional[SchedulerState] = None,
-    cache: Optional[MatcherCache] = None,
-    pool: Optional[ExplorationPool] = None,
     reduction: Optional[str] = None,
     backend: Optional["ExecutionBackend"] = None,
-    store=None,
+    store: Optional["VerdictStore"] = None,
 ) -> Dict[SchedulerState, List[SchedulerState]]:
     """Build the successor graph of all reachable scheduler states.
 
@@ -172,23 +133,19 @@ def explore_state_space(
     representative's successor list contains the representatives of its
     raw successors.
 
-    ``cache`` reuses snapshot/match memo tables across repeated checks;
-    ``pool`` (a persistent :class:`~repro.engine.pool.ExplorationPool`)
-    and ``backend`` lend their in-process cache when ``cache`` is not
-    given; ``store`` serves the exploration from a persistent
-    :class:`~repro.engine.store.VerdictStore` when it was computed before.
-    The exploration always runs in this process, and none of the four
-    changes the result.
+    ``backend`` lends its matcher cache, so repeated checks reuse the
+    snapshot/match memo tables; ``store`` serves the exploration from a
+    persistent :class:`~repro.engine.store.VerdictStore` when it was
+    computed before.  The exploration always runs in this process, and
+    neither changes the result.
     """
-    exploration = _explore(
+    exploration = explore_sharded(
         algorithm,
         grid,
         model,
         max_states=max_states,
         start=start,
         reduction=reduction,
-        cache=cache,
-        pool=pool,
         backend=backend,
         store=store,
     )
@@ -200,21 +157,17 @@ def enumerate_reachable(
     grid: Grid,
     model: str = "SSYNC",
     max_states: int = 200_000,
-    cache: Optional[MatcherCache] = None,
-    pool: Optional[ExplorationPool] = None,
     reduction: Optional[str] = None,
     backend: Optional["ExecutionBackend"] = None,
-    store=None,
+    store: Optional["VerdictStore"] = None,
 ) -> int:
     """Number of reachable canonical states (convenience wrapper)."""
-    return _explore(
+    return explore_sharded(
         algorithm,
         grid,
         model,
         max_states=max_states,
         reduction=reduction,
-        cache=cache,
-        pool=pool,
         backend=backend,
         store=store,
     ).num_states
@@ -225,11 +178,9 @@ def check_terminating_exploration(
     grid: Grid,
     model: str = "SSYNC",
     max_states: int = 200_000,
-    cache: Optional[MatcherCache] = None,
-    pool: Optional[ExplorationPool] = None,
     reduction: Optional[str] = None,
     backend: Optional["ExecutionBackend"] = None,
-    store=None,
+    store: Optional["VerdictStore"] = None,
 ) -> CheckResult:
     """Exhaustively decide Definition 1 over all scheduler behaviours.
 
@@ -238,8 +189,8 @@ def check_terminating_exploration(
     quotient cycle lifts to an infinite raw execution and vice versa, and
     coverage sets are mapped exactly through the collapsing witnesses; see
     :mod:`repro.engine.symmetry`).  The verdict is likewise identical with
-    and without ``cache``, ``pool`` or ``backend`` (they only lend a warm
-    matcher cache; the exploration runs in this process either way).
+    and without ``backend`` (it only lends a warm matcher cache; the
+    exploration runs in this process either way).
 
     ``store`` — a :class:`~repro.engine.store.VerdictStore` — caches the
     whole :class:`CheckResult` under a content key that includes the
@@ -248,25 +199,18 @@ def check_terminating_exploration(
     concurrent requests coalesce onto a single exploration.  Cached
     results are identical to computed ones.
     """
-    if store is not None:
-        from ..engine.pool import registered
+    def compute() -> CheckResult:
+        return _run_check(
+            algorithm, grid, model,
+            max_states=max_states, reduction=reduction, backend=backend, store=store,
+        )
+
+    if store is not None and registered(algorithm):
         from ..engine.spec import check_store_key
 
-        if registered(algorithm):
-            key = check_store_key(algorithm.name, grid.m, grid.n, model, reduction, max_states)
-            return store.fetch(
-                key,
-                lambda: _run_check(
-                    algorithm, grid, model,
-                    max_states=max_states, cache=cache, pool=pool, reduction=reduction,
-                    backend=backend, store=store,
-                ),
-            )
-    return _run_check(
-        algorithm, grid, model,
-        max_states=max_states, cache=cache, pool=pool, reduction=reduction,
-        backend=backend, store=store,
-    )
+        key = check_store_key(algorithm.name, grid.m, grid.n, model, reduction, max_states)
+        return store.fetch(key, compute)
+    return compute()
 
 
 def _run_check(
@@ -275,21 +219,21 @@ def _run_check(
     model: str,
     *,
     max_states: int,
-    cache: Optional[MatcherCache],
-    pool: Optional[ExplorationPool],
     reduction: Optional[str],
     backend: Optional["ExecutionBackend"],
-    store=None,
+    store: Optional["VerdictStore"],
 ) -> CheckResult:
-    """Compute one exhaustive check (the uncached body of the entry point)."""
-    exploration = _explore(
+    """Compute one exhaustive check (the uncached body of the entry point).
+
+    The exploration goes through this module's ``explore_sharded`` global,
+    so wrapping that name observes every exploration the checker runs.
+    """
+    exploration = explore_sharded(
         algorithm,
         grid,
         model,
         max_states=max_states,
         reduction=reduction,
-        cache=cache,
-        pool=pool,
         backend=backend,
         store=store,
     )

@@ -18,18 +18,17 @@ paper are implemented; every other layer consumes it:
   coverage analyses (the model checker's substrate), and
   :func:`explore_sharded`, the registry-level entry point that explores
   an ``(algorithm, grid, model)`` triple in the calling process;
-* :mod:`repro.engine.pool` — the persistent :class:`ExplorationPool`:
-  long-lived workers with surviving matcher caches, plus the
-  coordinator-side cache explorations run on;
+* :mod:`repro.engine.pool` — which algorithms can cross a process
+  boundary, and the default worker count;
 * :mod:`repro.engine.backend` — the :class:`ExecutionBackend` protocol
-  (serial or pooled execution of campaign task lists on one machine,
-  result-identical);
-* :mod:`repro.engine.journal` — the durable, resumable campaign verdict
-  journal (:class:`CampaignJournal`);
+  and its two implementations, :class:`SerialBackend` and
+  :class:`PoolBackend` (serial or pooled execution of campaign task
+  lists on one machine, result-identical; each owns the matcher cache
+  explorations handed it run on);
 * :mod:`repro.engine.store` — the persistent content-addressed
-  :class:`VerdictStore`: explorations, check results and campaign
-  reports cached on disk by content hash, with in-flight request
-  coalescing;
+  :class:`VerdictStore`, the one durable log: explorations, check results
+  and campaign reports cached on disk by content hash, with in-flight
+  request coalescing;
 * :mod:`repro.engine.spec` — work-item spec parsing/validation, the one
   spelling of every verdict-store key, and the canonical JSON wire forms
   the HTTP service (:mod:`repro.service`) exchanges;
@@ -38,8 +37,9 @@ paper are implemented; every other layer consumes it:
 * :mod:`repro.engine.campaign` — batched serial/parallel campaign runner.
 
 One rule governs execution: explorations run in the calling process on
-the backend's cache, and task lists fan out.  See ``docs/architecture.md``
-for the full layering diagram.
+the backend's cache, and task lists fan out.  Every entry point routes
+through exactly two arguments, ``backend=`` and ``store=``.  See
+``docs/architecture.md`` for the full layering diagram.
 """
 
 from .campaign import (
@@ -57,7 +57,7 @@ from .campaign import (
     task_store_key,
     verify_one,
 )
-from .backend import ExecutionBackend, PoolBackend, SerialBackend, backend_cache
+from .backend import ExecutionBackend, PoolBackend, SerialBackend
 from .explorer import (
     Exploration,
     explore,
@@ -66,9 +66,8 @@ from .explorer import (
     has_cycle,
     topological_order,
 )
-from .journal import CampaignJournal
 from .matcher import LocalMatcher, MatcherCache, MatcherStats
-from .pool import ExplorationPool, default_workers, process_cache
+from .pool import default_workers
 from .profile import PROFILE_ENV, KernelProfile, profiling_enabled
 from .spec import (
     CheckSpec,
@@ -139,17 +138,12 @@ __all__ = [
     "Exploration",
     "explore",
     "explore_sharded",
-    # pool
-    "ExplorationPool",
-    "default_workers",
-    "process_cache",
     # backends
     "ExecutionBackend",
     "SerialBackend",
     "PoolBackend",
-    "backend_cache",
+    "default_workers",
     # durability
-    "CampaignJournal",
     "VerdictStore",
     "has_cycle",
     "topological_order",

@@ -1,75 +1,84 @@
-"""Pluggable execution backends for campaign task lists.
+"""Execution backends: where campaign tasks run, and whose cache they warm.
 
 Every parallel consumer in the engine funnels its work through one
-picklable shape: :class:`~repro.engine.campaign.CampaignTask` work items
-executed by :func:`~repro.engine.campaign.run_task`, each a pure function
-of the task (algorithms travel by registry name, runs are driven by
-explicit seeds).
+picklable shape: :class:`~repro.engine.campaign.CampaignTask` work items,
+each a pure function of the task (algorithms travel by registry name,
+runs are driven by explicit seeds).
 
-An :class:`ExecutionBackend` is anything that can evaluate a task list and
-hand the reports back *in submission order*.  Two ship, both on one
-machine:
+An :class:`ExecutionBackend` evaluates a task list and hands the reports
+back *in submission order*, streamed as they complete.  Two ship, both on
+one machine:
 
-* :class:`SerialBackend` — in the calling process, on one persistent
-  :class:`~repro.engine.matcher.MatcherCache`;
-* :class:`PoolBackend` — on a (possibly shared) long-lived
-  :class:`~repro.engine.pool.ExplorationPool`.
+* :class:`SerialBackend` — in the calling process, on one
+  :class:`~repro.engine.matcher.MatcherCache` it owns for its lifetime;
+* :class:`PoolBackend` — on a local process pool it owns, plus a
+  coordinator cache for the work it runs in the calling process.
 
 Because tasks are pure functions of their payloads and every backend
 returns results in submission order, swapping the backend never changes a
-report: the campaign engine merges reports by task index, so the output is
-the one the serial engine produces.  (The only fields that may differ are
-the cache hit/miss counters, which are excluded from report equality for
-exactly this reason.)
+report.  (The only fields that may differ are the cache hit/miss
+counters, which are excluded from report equality for exactly this
+reason.)
 
 Explorations do not fan out.  A single exploration or check handed a
 backend runs the serial explorer in the calling process, on the backend's
-in-process cache when it has one (:func:`backend_cache`).
+:attr:`~ExecutionBackend.cache`.
 
-``backend=`` is accepted — and takes precedence over ``pool=`` /
-``workers=`` — on :class:`~repro.engine.campaign.ParallelCampaignEngine`,
-:func:`~repro.engine.explorer.explore_sharded`, the three
+``backend=`` and ``store=`` are the only routing arguments of the engine:
+:class:`~repro.engine.campaign.ParallelCampaignEngine`,
+:func:`~repro.engine.explorer.explore_sharded`, the
 :mod:`repro.checking` entry points, the :mod:`repro.verification`
-campaigns and the :mod:`repro.analysis.scaling` sweeps.
+campaigns and the :mod:`repro.analysis.scaling` sweeps all take them.
+``backend=None`` means a :class:`SerialBackend` that lives for that one
+call.  To share warm caches (or a pool) across calls, share the backend
+object.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Protocol, Sequence, runtime_checkable
+import threading
+from typing import Iterable, Iterator, List, Optional, Protocol, runtime_checkable
 
-from .campaign import CampaignTask, VerificationReport, run_task
+from .campaign import CampaignTask, VerificationReport, _run_task
 from .matcher import MatcherCache
-from .pool import ExplorationPool, process_cache
+from .pool import default_workers
 
-__all__ = [
-    "ExecutionBackend",
-    "SerialBackend",
-    "PoolBackend",
-    "backend_cache",
-]
+__all__ = ["ExecutionBackend", "SerialBackend", "PoolBackend"]
+
+#: Serializes process-pool construction across threads so the
+#: failed-spawn cleanup in :meth:`PoolBackend._ensure_pool` can attribute
+#: every newly appeared pool-worker child to *its* spawn —
+#: ``multiprocessing.active_children()`` is process-global and two pools
+#: spawning concurrently would otherwise reap each other's workers.
+_SPAWN_LOCK = threading.Lock()
 
 
 @runtime_checkable
 class ExecutionBackend(Protocol):
     """Where campaign tasks actually run.
 
-    Implementations promise that :meth:`run_tasks` returns one report per
+    Implementations promise that :meth:`imap` yields one report per
     submitted task, *in submission order*, each the value
     :func:`~repro.engine.campaign.run_task` produces for that task —
-    regardless of which worker evaluated it, in which order, or how many
-    times a failed attempt was retried.  That ordering contract is what
-    lets every consumer stay byte-identical to the serial engine.
+    regardless of which worker evaluated it.  That ordering contract is
+    what lets every consumer stay byte-identical to the serial engine.
     """
 
     #: How many tasks the backend can usefully evaluate concurrently.
     parallelism: int
+    #: The matcher cache work run in the calling process matches on.
+    cache: MatcherCache
 
-    def run_tasks(self, tasks: Sequence[CampaignTask]) -> List[VerificationReport]:
-        """Evaluate campaign tasks; reports come back in task order."""
+    def imap(self, tasks: Iterable[CampaignTask]) -> Iterator[VerificationReport]:
+        """Evaluate campaign tasks; reports stream back in task order."""
+        ...
+
+    def run_tasks(self, tasks: Iterable[CampaignTask]) -> List[VerificationReport]:
+        """:meth:`imap` collected into a list."""
         ...
 
     def close(self) -> None:
-        """Release workers/sockets; the backend cannot be used afterwards."""
+        """Release workers; the backend cannot be used afterwards."""
         ...
 
     def __enter__(self) -> "ExecutionBackend": ...
@@ -77,108 +86,140 @@ class ExecutionBackend(Protocol):
     def __exit__(self, exc_type, exc, tb) -> None: ...
 
 
-class SerialBackend:
-    """Evaluate everything in the calling process, on one persistent cache.
+class _Backend:
+    """Lifecycle shared by both backends."""
 
-    The reference implementation of the backend contract: tasks run
-    through the very worker function the parallel backends ship out
-    (:func:`~repro.engine.campaign.run_task`), so its results *are* the
-    parity baseline the other backends are tested against.  Matching runs
-    against this process's persistent
-    :func:`~repro.engine.pool.process_cache`, exactly as it would inside a
-    pool worker — the backend equivalent of a one-worker pool that stays
-    warm across workloads.
+    _closed = False
+
+    def run_tasks(self, tasks: Iterable[CampaignTask]) -> List[VerificationReport]:
+        return list(self.imap(tasks))
+
+    def _check_open(self) -> None:
+        if self._closed:
+            raise RuntimeError(f"{type(self).__name__} is closed")
+
+    def close(self) -> None:
+        self._closed = True
+
+    def __enter__(self):
+        self._check_open()
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        self.close()
+
+
+class SerialBackend(_Backend):
+    """Evaluate everything in the calling process, on one cache it owns.
+
+    The reference implementation of the backend contract: its results
+    *are* the parity baseline the pool is tested against.  Tasks stream
+    from a generator, so each report is handed on before the next task
+    starts.  :attr:`cache` lives as long as the backend, so every task and
+    exploration it runs starts as warm as the earlier ones left it.
     """
 
     def __init__(self) -> None:
         self.parallelism = 1
-        self._closed = False
+        self.cache = MatcherCache()
 
-    def run_tasks(self, tasks: Sequence[CampaignTask]) -> List[VerificationReport]:
+    def imap(self, tasks: Iterable[CampaignTask]) -> Iterator[VerificationReport]:
         self._check_open()
-        return [run_task(task) for task in tasks]
-
-    # -- lifecycle -----------------------------------------------------
-    def _check_open(self) -> None:
-        if self._closed:
-            raise RuntimeError(f"{type(self).__name__} is closed")
-
-    def close(self) -> None:
-        self._closed = True
-
-    def __enter__(self) -> "SerialBackend":
-        self._check_open()
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.close()
+        return (_run_task(task, self) for task in tasks)
 
 
-class PoolBackend:
-    """Evaluate on a persistent :class:`~repro.engine.pool.ExplorationPool`.
+#: The backend a pool worker process runs its tasks on (created on the
+#: worker's first task; per-process by construction).
+_WORKER: Optional[SerialBackend] = None
 
-    Wraps an existing pool (not closed with the backend — it may be shared
-    with other consumers) or owns a fresh one built from ``workers=``
-    (closed with the backend).  Tasks run on the pool's long-lived workers,
-    whose per-process matcher caches stay warm across workloads;
-    ``pool.map`` preserves submission order, which discharges the ordering
-    contract.
+
+def _work(task: CampaignTask) -> VerificationReport:
+    """The pool-worker entry point (module-level so it pickles by reference)."""
+    global _WORKER
+    if _WORKER is None:
+        _WORKER = SerialBackend()
+    return _run_task(task, _WORKER)
+
+
+class PoolBackend(_Backend):
+    """Evaluate on a local process pool this backend owns.
+
+    ``workers`` (at least 1; default: one per usable core, see
+    :func:`~repro.engine.pool.default_workers`) processes spawn lazily on
+    the first task list that fans out and serve every later one until
+    :meth:`close`; each worker's cache stays warm across task lists.
+    Results stream back through ``imap`` in submission order.
+
+    :attr:`cache` is the coordinator cache: explorations and checks handed
+    this backend run in the calling process on it, and so do the tasks it
+    runs inline — every task of a one-worker backend, which never spawns.
     """
 
-    def __init__(
-        self,
-        pool: Optional[ExplorationPool] = None,
-        *,
-        workers: Optional[int] = None,
-    ) -> None:
-        if pool is not None and workers is not None and workers != pool.workers:
-            raise ValueError("pass either an existing pool or a workers count, not both")
-        self._owns_pool = pool is None
-        self.pool = pool if pool is not None else ExplorationPool(workers=workers)
-        self._closed = False
+    def __init__(self, workers: Optional[int] = None) -> None:
+        workers = default_workers() if workers is None else workers
+        if workers < 1:
+            raise ValueError(f"PoolBackend needs at least 1 worker, got {workers}")
+        self.parallelism = workers
+        self.cache = MatcherCache()
+        self._pool = None
 
     @property
-    def parallelism(self) -> int:
-        return self.pool.workers
+    def started(self) -> bool:
+        """Whether worker processes have actually been spawned yet."""
+        return self._pool is not None
 
-    def run_tasks(self, tasks: Sequence[CampaignTask]) -> List[VerificationReport]:
+    def imap(self, tasks: Iterable[CampaignTask]) -> Iterator[VerificationReport]:
         self._check_open()
-        return self.pool.map(run_task, tasks, chunksize=4)
+        tasks = list(tasks)
+        if self.parallelism == 1 or not tasks:
+            return (_run_task(task, self) for task in tasks)
+        return self._ensure_pool().imap(_work, tasks)
 
-    # -- lifecycle -----------------------------------------------------
-    def _check_open(self) -> None:
-        if self._closed:
-            raise RuntimeError(f"{type(self).__name__} is closed")
+    def _ensure_pool(self):
+        import multiprocessing
+
+        # Platform-default start method, as elsewhere in the engine:
+        # everything shipped is picklable and workers re-import lazily,
+        # and forcing fork on macOS can deadlock threaded parents.
+        context = multiprocessing.get_context()
+        # Checked under the lock: concurrent campaigns (service threads)
+        # must not each spawn a pool.  A constructor that fails partway
+        # (say the (k+1)-th worker of k+n cannot spawn) raises without
+        # handing back the pool object, stranding the workers it did
+        # start.  Snapshot the live children first and reap any newcomers
+        # on failure, so a failed spawn leaks neither processes nor their
+        # pipes — and the backend stays cleanly closeable.  Only processes
+        # with a pool-worker name are candidates: active_children() is
+        # process-global, and a thread concurrently starting unrelated
+        # processes must not see them reaped.
+        with _SPAWN_LOCK:
+            if self._pool is None:
+                before = set(multiprocessing.active_children())
+                try:
+                    self._pool = context.Pool(processes=self.parallelism)
+                except BaseException:
+                    self._pool = None
+                    for process in multiprocessing.active_children():
+                        if process not in before and "PoolWorker" in (process.name or ""):
+                            process.terminate()
+                            process.join(timeout=5.0)
+                    raise
+            return self._pool
 
     def close(self) -> None:
+        """Shut the workers down; the backend cannot be used afterwards.
+
+        Idempotent, and safe whatever state spawning reached: a backend
+        whose worker spawn failed partway (see :meth:`_ensure_pool`) or
+        that never spawned closes without error, and ``__exit__`` never
+        masks an in-flight exception with a teardown failure.
+        """
         if self._closed:
             return
         self._closed = True
-        if self._owns_pool:
-            self.pool.close()
-
-    def __enter__(self) -> "PoolBackend":
-        self._check_open()
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.close()
-
-
-def backend_cache(backend) -> Optional[MatcherCache]:
-    """The in-process cache of ``backend``, when it has one.
-
-    Explorations handed a backend run in the calling process; routing them
-    onto the backend's own cache — the pool's coordinator cache for
-    :class:`PoolBackend`, this process's
-    :func:`~repro.engine.pool.process_cache` for :class:`SerialBackend`
-    (whose "worker" *is* this process) — keeps them as warm as the
-    backend's task lists.  Any other backend returns ``None`` and the
-    caller falls back to a fresh/explicit cache.
-    """
-    if isinstance(backend, SerialBackend):
-        return process_cache()
-    pool = getattr(backend, "pool", None)
-    if isinstance(pool, ExplorationPool):
-        return pool.cache
-    return None
+        pool, self._pool = self._pool, None
+        if pool is not None:
+            try:
+                pool.terminate()
+            finally:
+                pool.join()

@@ -1,4 +1,4 @@
-"""Campaign execution: verification work items, serial and parallel engines.
+"""Campaign execution: verification work items and the campaign engine.
 
 A verification campaign is a flat list of independent work items
 (:class:`CampaignTask`).  A ``"walk"`` task runs one bounded execution
@@ -7,12 +7,17 @@ Definition 1; a ``"check"`` task runs the exhaustive model checker
 (:mod:`repro.checking.model_checker`), by default under the grid quotient
 (``reduction="grid"``, see :mod:`repro.engine.symmetry`).  Because the
 items are independent and fully described by picklable primitives, the
-same list can be executed
+same list runs on any :mod:`repro.engine.backend` — in the calling
+process or fanned across a local process pool — through one route,
+:meth:`ParallelCampaignEngine.run_tasks`, with results returned in task
+order.  The routes therefore produce **identical** reports for identical
+task lists.  Every task runs the algorithm its own ``algorithm`` field
+names.
 
-* serially (:func:`execute_tasks` with an ``Algorithm`` in hand), or
-* fanned across a ``multiprocessing`` pool on the same machine
-  (:class:`ParallelCampaignEngine`), with results returned in task order —
-  so the two paths produce **identical** reports for identical task lists.
+Durability: an engine handed a :class:`~repro.engine.store.VerdictStore`
+serves the reports the store already holds and writes each fresh report to
+the store as soon as it completes, so a campaign killed mid-run and run
+again against the same store computes only the remainder.
 
 Determinism: every randomized run is driven by the explicit seed carried in
 its task (never by shared RNG state), so a campaign's outcome is a pure
@@ -25,21 +30,21 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from ..core.algorithm import Algorithm
 from ..core.errors import VerificationError
 from ..core.execution import ExecutionResult
 from ..core.grid import Grid
 from .matcher import LocalMatcher, MatcherCache
-from .pool import ExplorationPool, default_workers, process_cache, registered
+from .pool import registered
+from .store import HIT, MISS, VerdictStore
 from .suites import default_grid_suite
 from .symmetry import normalize_reduction
 from .walk import TieBreak, run_async, run_fsync, run_ssync
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (avoids a module cycle)
     from .backend import ExecutionBackend
-    from .store import VerdictStore
 
 __all__ = [
     "VerificationReport",
@@ -202,14 +207,15 @@ def verify_one(
     seed: Optional[int] = None,
     tie_break: str = TieBreak.ERROR,
     max_steps: Optional[int] = None,
-    cache: Optional[MatcherCache] = None,
-    store: Optional["VerdictStore"] = None,
+    backend: Optional["ExecutionBackend"] = None,
+    store: Optional[VerdictStore] = None,
 ) -> VerificationReport:
     """Check Definition 1 on one bounded execution.
 
-    ``cache`` (a :class:`~repro.engine.matcher.MatcherCache`) lets repeated
-    calls share snapshot/match memo tables — across seeds, models *and*
-    grid sizes; the run's own hit/miss delta is recorded on the report.
+    ``backend`` lends its :attr:`~repro.engine.backend.ExecutionBackend.cache`,
+    so repeated calls share snapshot/match memo tables — across seeds,
+    models *and* grid sizes; the run's own hit/miss delta is recorded on
+    the report.  The run itself always happens in this process.
 
     ``seed=None`` is normalized to ``0`` *before* the run, and the report
     records the normalized value: the seed on a
@@ -222,6 +228,7 @@ def verify_one(
     a cached report is the report of *exactly* this run.
     """
     seed = 0 if seed is None else seed
+    cache = backend.cache if backend is not None else None
     if store is not None and registered(algorithm):
         from .spec import walk_task_key  # local import: spec imports this module
 
@@ -290,8 +297,8 @@ def check_one(
     model: str = "FSYNC",
     reduction: Optional[str] = "grid",
     max_states: int = 200_000,
-    cache: Optional[MatcherCache] = None,
-    store: Optional["VerdictStore"] = None,
+    backend: Optional["ExecutionBackend"] = None,
+    store: Optional[VerdictStore] = None,
 ) -> VerificationReport:
     """Exhaustively model-check one ``(algorithm, grid, model)`` triple.
 
@@ -318,9 +325,9 @@ def check_one(
         key = check_task_key(algorithm.name, m, n, model, reduction, max_states)
         return store.fetch(
             key,
-            lambda: _run_check_one(algorithm, m, n, model, reduction, max_states, cache, store),
+            lambda: _run_check_one(algorithm, m, n, model, reduction, max_states, backend, store),
         )
-    return _run_check_one(algorithm, m, n, model, reduction, max_states, cache, store)
+    return _run_check_one(algorithm, m, n, model, reduction, max_states, backend, store)
 
 
 def _run_check_one(
@@ -330,8 +337,8 @@ def _run_check_one(
     model: str,
     reduction: Optional[str],
     max_states: int,
-    cache: Optional[MatcherCache],
-    store: Optional["VerdictStore"],
+    backend: Optional["ExecutionBackend"],
+    store: Optional[VerdictStore],
 ) -> VerificationReport:
     """The uncached body of :func:`check_one`."""
     from ..checking.model_checker import (  # local import: avoids a layering cycle
@@ -346,7 +353,7 @@ def _run_check_one(
             model=model,
             max_states=max_states,
             reduction=reduction,
-            cache=cache,
+            backend=backend,
             store=store,
         )
     except Exception as exc:  # noqa: BLE001 - reported, not swallowed
@@ -397,10 +404,10 @@ class CampaignTask:
     picklable primitives, so reduced exhaustive checks fan out across
     process pools like any other task).
 
-    The dataclass ``repr`` is part of every campaign id and journal key
+    The dataclass ``repr`` is part of every campaign id and task store key
     (:func:`~repro.engine.spec.campaign_id`), so adding or removing a field
     changes them: a campaign interrupted before such a change recomputes
-    on resume instead of replaying its journal.
+    when run again instead of being served from the store.
     """
 
     algorithm: str
@@ -418,19 +425,10 @@ class CampaignTask:
     max_states: int = 200_000
 
 
-def run_task(task: CampaignTask) -> VerificationReport:
-    """Execute one task, resolving its algorithm through the registry.
-
-    This is the worker entry point of the parallel engine; it must stay a
-    module-level function so ``multiprocessing`` can pickle it.  Matching
-    runs against the worker's persistent
-    :func:`~repro.engine.pool.process_cache`, so on a long-lived
-    :class:`~repro.engine.pool.ExplorationPool` each task starts as warm as
-    every earlier task on the same worker left it.
-    """
-    from ..algorithms import registry  # local import: avoids a layering cycle
-
-    algorithm = registry.get(task.algorithm)
+def _run_with(
+    algorithm: Algorithm, task: CampaignTask, backend: Optional["ExecutionBackend"]
+) -> VerificationReport:
+    """Run ``task`` with ``algorithm`` in this process, on ``backend``'s cache."""
     if task.kind == "check":
         return check_one(
             algorithm,
@@ -439,7 +437,7 @@ def run_task(task: CampaignTask) -> VerificationReport:
             model=task.model,
             reduction=task.reduction,
             max_states=task.max_states,
-            cache=process_cache(),
+            backend=backend,
         )
     return verify_one(
         algorithm,
@@ -449,8 +447,24 @@ def run_task(task: CampaignTask) -> VerificationReport:
         seed=task.seed,
         tie_break=task.tie_break,
         max_steps=task.max_steps,
-        cache=process_cache(),
+        backend=backend,
     )
+
+
+def _run_task(task: CampaignTask, backend: Optional["ExecutionBackend"]) -> VerificationReport:
+    """Run ``task`` with the registry's algorithm of that name, on ``backend``'s cache."""
+    from ..algorithms import registry  # local import: avoids a layering cycle
+
+    return _run_with(registry.get(task.algorithm), task, backend)
+
+
+def run_task(task: CampaignTask) -> VerificationReport:
+    """Execute one task, resolving its algorithm through the registry.
+
+    The reference value every backend must reproduce for ``task``: the run
+    matches on a fresh cache, in this process.
+    """
+    return _run_task(task, None)
 
 
 def task_store_key(task: CampaignTask) -> Tuple[object, ...]:
@@ -479,52 +493,16 @@ def task_store_key(task: CampaignTask) -> Tuple[object, ...]:
 def execute_tasks(
     algorithm: Algorithm,
     tasks: Iterable[CampaignTask],
-    cache: Optional[MatcherCache] = None,
-    store: Optional["VerdictStore"] = None,
+    backend: Optional["ExecutionBackend"] = None,
+    store: Optional[VerdictStore] = None,
 ) -> List[VerificationReport]:
-    """Run tasks serially against an in-hand algorithm object.
+    """Run ``tasks`` through ``ParallelCampaignEngine(backend, store)``.
 
-    Unlike :func:`run_task` this works for algorithms that are not in the
-    registry (ad-hoc/test algorithms); the results are identical to the
-    parallel path for registered ones because both routes call
-    :func:`verify_one` / :func:`check_one` per task kind.  One
-    :class:`MatcherCache` (``cache``, freshly created by default) is
-    shared across the whole task list, so every task after the first starts
-    warm on the patterns already seen — including at other grid sizes.
-    ``store`` forwards to :func:`verify_one` / :func:`check_one` per task,
-    so repeated task lists are served from the verdict store.
+    Works for algorithms that are not in the registry (ad-hoc/test
+    algorithms): those run in this process, and every task must name
+    ``algorithm``.
     """
-    cache = cache if cache is not None else MatcherCache()
-    reports = []
-    for task in tasks:
-        if task.kind == "check":
-            reports.append(
-                check_one(
-                    algorithm,
-                    task.m,
-                    task.n,
-                    model=task.model,
-                    reduction=task.reduction,
-                    max_states=task.max_states,
-                    cache=cache,
-                    store=store,
-                )
-            )
-        else:
-            reports.append(
-                verify_one(
-                    algorithm,
-                    task.m,
-                    task.n,
-                    model=task.model,
-                    seed=task.seed,
-                    tie_break=task.tie_break,
-                    max_steps=task.max_steps,
-                    cache=cache,
-                    store=store,
-                )
-            )
-    return reports
+    return ParallelCampaignEngine(backend=backend, store=store).run_tasks(algorithm, tasks)
 
 
 def grid_sweep_tasks(
@@ -604,223 +582,94 @@ def derive_seed(base: int, *coordinates) -> int:
 
 
 # ---------------------------------------------------------------------------
-# The parallel engine
+# The campaign engine
 # ---------------------------------------------------------------------------
 class ParallelCampaignEngine:
-    """Fans campaign work items across a ``multiprocessing`` pool.
-
-    Results come back in task order, and every run is driven purely by the
-    seed in its task, so ``workers=N`` produces reports identical to the
-    serial path.  Algorithms are shipped to workers by registry name;
-    unregistered (ad-hoc) algorithms fall back to in-process execution.
-
-    ``pool`` — a persistent :class:`~repro.engine.pool.ExplorationPool` —
-    makes the engine execute its task lists on those long-lived workers
-    instead of spawning an ephemeral pool per call: startup is amortised
-    across campaigns, and the workers' matcher caches stay warm from one
-    task list to the next.  ``workers`` defaults to the pool's worker
-    count, else to the affinity-aware
-    :func:`~repro.engine.pool.default_workers`.
+    """Runs campaign task lists on a backend, through the verdict store.
 
     ``backend`` — any :class:`~repro.engine.backend.ExecutionBackend` —
-    supersedes both: task lists go to ``backend.run_tasks`` verbatim, so
-    the same engine drives the serial and pooled execution paths, and
-    ``workers`` defaults to the backend's ``parallelism``.  Reports are
-    identical whichever backend runs them (every report is a pure function
-    of its task and results return in task order); unregistered ad-hoc
-    algorithms still fall back to in-process execution, since their rule
-    sets cannot cross a process boundary.
+    evaluates the tasks; ``None`` means a
+    :class:`~repro.engine.backend.SerialBackend` that lives for one
+    :meth:`run_tasks` call.  Reports are identical whichever backend runs
+    them: every report is a pure function of its task, and results come
+    back in task order.
+
+    ``store`` — a :class:`~repro.engine.store.VerdictStore`, consulted on
+    the coordinator (it holds locks and file handles, so it never crosses a
+    process boundary) — makes campaigns durable: stored reports are served
+    without reaching the backend, and each fresh report is written to the
+    store as soon as it completes, before it is handed on.  A campaign
+    killed mid-run and run again against the same store recomputes only
+    what it had not finished.
+
+    Every task runs the algorithm its own ``algorithm`` field names.
+    Registry algorithms travel to the backend by name; an unregistered
+    (ad-hoc) ``algorithm`` runs in this process on the backend's cache, is
+    never stored, and refuses tasks that name any other algorithm.
     """
 
     def __init__(
         self,
-        workers: Optional[int] = None,
-        chunksize: int = 4,
-        pool: Optional[ExplorationPool] = None,
         backend: Optional["ExecutionBackend"] = None,
-        store: Optional["VerdictStore"] = None,
+        store: Optional[VerdictStore] = None,
     ) -> None:
-        if workers is None:
-            if backend is not None:
-                workers = max(1, backend.parallelism)
-            else:
-                workers = pool.workers if pool is not None else default_workers()
-        self.workers = workers
-        self.chunksize = max(1, chunksize)
-        self.pool = pool
         self.backend = backend
-        #: A :class:`~repro.engine.store.VerdictStore` consulted *before*
-        #: dispatch: tasks whose reports are already stored never reach the
-        #: pool/backend at all, and fresh reports are recorded on the way
-        #: back.  The store lives on the coordinator (it holds locks and
-        #: file handles, so it never crosses a process boundary).
         self.store = store
 
     # -- execution -----------------------------------------------------
-    def run_tasks(
-        self,
-        algorithm: Algorithm,
-        tasks: Sequence[CampaignTask],
-        *,
-        journal=None,
-        resume: bool = True,
-        store: Optional["VerdictStore"] = None,
-    ) -> List[VerificationReport]:
-        """Execute ``tasks`` in task order, optionally journalled.
+    def iter_tasks(
+        self, algorithm: Algorithm, tasks: Sequence[CampaignTask]
+    ) -> Iterator[Tuple[int, VerificationReport]]:
+        """Yield ``(task index, report)`` as each report becomes available.
 
-        ``journal`` — a :class:`~repro.engine.journal.CampaignJournal` or a
-        path to open one at — makes the run *durable*: every completed
-        report is appended (and fsynced) to the journal before the call
-        returns, keyed by a content hash of its task.  With ``resume=True``
-        (the default) journaled verdicts are replayed instead of
-        re-executed, so a campaign killed mid-run and re-pointed at the
-        same journal finishes the remainder and returns reports identical
-        to an uninterrupted run's (every report is a pure function of its
-        task).  ``resume=False`` truncates a path-opened journal first.
-        A journal opened here is closed here; a passed-in instance stays
-        open (the caller owns its lifecycle).
-
-        ``store`` (defaulting to the engine's own) prefilters the list
-        against the verdict store: stored reports are returned directly
-        (annotated with ``store_stats``), only the remainder is dispatched,
-        and every fresh report is recorded before the call returns.
+        Reports the store already holds come first (their ``store_stats``
+        outcome is ``"hit"``); the remaining tasks then stream
+        through the backend in task order, each fresh report written to
+        the store before it is yielded.
         """
         tasks = list(tasks)
-        store = self.store if store is None else store
-        if store is not None and registered(algorithm):
-            from .store import HIT, MISS  # local import: keeps the store optional
-
-            keys = [task_store_key(task) for task in tasks]
-            results: List[Optional[VerificationReport]] = []
-            for key in keys:
-                cached = store.get(key)
-                results.append(store.annotate(cached, HIT) if cached is not None else None)
-            pending = [index for index, report in enumerate(results) if report is None]
-            if pending:
-                fresh = self._run_tasks(
-                    algorithm, [tasks[index] for index in pending], journal=journal, resume=resume
+        shippable = registered(algorithm)
+        if not shippable:
+            strays = sorted({task.algorithm for task in tasks} - {algorithm.name})
+            if strays:
+                raise ValueError(
+                    f"tasks name {strays}, but only {algorithm.name!r} can run here:"
+                    " an unregistered algorithm runs in this process"
                 )
-                for index, report in zip(pending, fresh):
-                    store.put(keys[index], report)
-                    results[index] = store.annotate(report, MISS)
-            return results  # type: ignore[return-value]
-        return self._run_tasks(algorithm, tasks, journal=journal, resume=resume)
-
-    def _run_tasks(
-        self,
-        algorithm: Algorithm,
-        tasks: List[CampaignTask],
-        *,
-        journal,
-        resume: bool,
-    ) -> List[VerificationReport]:
-        """Dispatch (store already consulted), optionally journalled."""
-        if journal is None:
-            return self._dispatch(algorithm, tasks)
-        from .journal import CampaignJournal  # local import: keeps import cheap
-
-        owned = not isinstance(journal, CampaignJournal)
-        jnl = CampaignJournal(journal, fresh=not resume) if owned else journal
-        try:
-            keys = [CampaignJournal.task_key(task) for task in tasks]
-            results: List[Optional[VerificationReport]] = [
-                jnl.get(key) if resume else None for key in keys
-            ]
-            pending = [index for index, report in enumerate(results) if report is None]
-            if pending:
-                self._run_journaled(algorithm, tasks, keys, results, pending, jnl)
-            return results  # type: ignore[return-value]
-        finally:
-            if owned:
-                jnl.close()
-
-    def _run_journaled(
-        self,
-        algorithm: Algorithm,
-        tasks: List[CampaignTask],
-        keys: List[str],
-        results: List[Optional[VerificationReport]],
-        pending: List[int],
-        jnl,
-    ) -> None:
-        """Execute the pending items, journalling each completed report.
-
-        Routing mirrors :meth:`_dispatch`, but execution is granular so
-        durability is too: serial runs journal per task, pooled runs
-        journal per result as ``imap`` streams them back, and backend runs
-        journal per wave of ``workers * chunksize`` items (a backend call
-        is all-or-nothing, so the wave is the durability quantum).
-        """
-
-        def commit(index: int, report: VerificationReport) -> None:
-            results[index] = report
-            jnl.put(keys[index], report)
-
-        if self.backend is not None and registered(algorithm):
-            wave = max(1, self.workers * self.chunksize)
-            for start in range(0, len(pending), wave):
-                ids = pending[start : start + wave]
-                for index, report in zip(ids, self.backend.run_tasks([tasks[i] for i in ids])):
-                    commit(index, report)
-            return
-        workers = min(self.workers, self.pool.workers) if self.pool is not None else self.workers
-        if workers <= 1 or len(pending) <= 1 or not registered(algorithm):
-            if self.pool is not None:
-                cache = self.pool.cache
-            elif self.backend is not None:
-                from .backend import backend_cache  # local import: module cycle
-
-                cache = backend_cache(self.backend)
+        store = self.store if shippable else None
+        keys = [task_store_key(task) for task in tasks] if store is not None else []
+        pending = []
+        for index in range(len(tasks)):
+            cached = store.get(keys[index]) if store is not None else None
+            if cached is None:
+                pending.append(index)
             else:
-                cache = MatcherCache()
-            for index in pending:
-                commit(index, execute_tasks(algorithm, [tasks[index]], cache=cache)[0])
+                yield index, store.annotate(cached, HIT)
+        if not pending:
             return
-        pending_tasks = [tasks[index] for index in pending]
-        if self.pool is not None:
-            reports = self.pool.imap(run_task, pending_tasks, chunksize=self.chunksize)
-            for index, report in zip(pending, reports):
-                commit(index, report)
-            return
-        import multiprocessing
+        backend = self.backend
+        if backend is None:
+            from .backend import SerialBackend  # local import: backend imports this module
 
-        context = multiprocessing.get_context()
-        with context.Pool(processes=min(self.workers, len(pending_tasks))) as pool:
-            reports = pool.imap(run_task, pending_tasks, chunksize=self.chunksize)
-            for index, report in zip(pending, reports):
-                commit(index, report)
+            backend = SerialBackend()
+        todo = [tasks[index] for index in pending]
+        if shippable:
+            reports = backend.imap(todo)
+        else:
+            reports = (_run_with(algorithm, task, backend) for task in todo)
+        for index, report in zip(pending, reports):
+            if store is not None:
+                store.put(keys[index], report)
+                report = store.annotate(report, MISS)
+            yield index, report
 
-    def _dispatch(self, algorithm: Algorithm, tasks: List[CampaignTask]) -> List[VerificationReport]:
-        if self.backend is not None and tasks and registered(algorithm):
-            # Even a single task ships: a pool backend's workers are not
-            # this process, and their caches are the ones worth warming.
-            return self.backend.run_tasks(tasks)
-        # A pool can never offer more parallelism than it has workers.
-        workers = min(self.workers, self.pool.workers) if self.pool is not None else self.workers
-        if workers <= 1 or len(tasks) <= 1 or not registered(algorithm):
-            # In-process fallback; on the pool's (or backend's) coordinator
-            # cache when the engine has one, so serially-routed campaigns
-            # stay as warm across calls as the workers would have been.
-            if self.pool is not None:
-                cache = self.pool.cache
-            elif self.backend is not None:
-                from .backend import backend_cache  # local import: module cycle
-
-                cache = backend_cache(self.backend)
-            else:
-                cache = None
-            return execute_tasks(algorithm, tasks, cache=cache)
-        if self.pool is not None:
-            return self.pool.map(run_task, tasks, chunksize=self.chunksize)
-        import multiprocessing
-
-        # The platform-default start method (fork on Linux, spawn on macOS/
-        # Windows) is the safe choice: tasks and run_task are picklable and
-        # re-import everything they need, so they are spawn-safe, and forcing
-        # fork on macOS can deadlock threaded parents.
-        context = multiprocessing.get_context()
-        with context.Pool(processes=min(self.workers, len(tasks))) as pool:
-            return pool.map(run_task, tasks, chunksize=self.chunksize)
+    def run_tasks(self, algorithm: Algorithm, tasks: Sequence[CampaignTask]) -> List[VerificationReport]:
+        """The reports of :meth:`iter_tasks`, in task order."""
+        tasks = list(tasks)
+        reports: List[Optional[VerificationReport]] = [None] * len(tasks)
+        for index, report in self.iter_tasks(algorithm, tasks):
+            reports[index] = report
+        return reports  # type: ignore[return-value]
 
     # -- campaign shapes (mirroring the serial entry points) ------------
     def grid_sweep(
@@ -830,14 +679,9 @@ class ParallelCampaignEngine:
         model: str = "FSYNC",
         seed: Optional[int] = None,
         tie_break: str = TieBreak.ERROR,
-        journal=None,
-        resume: bool = True,
     ) -> GridSweepReport:
         tasks = grid_sweep_tasks(algorithm, sizes=sizes, model=model, seed=seed, tie_break=tie_break)
-        return GridSweepReport(
-            algorithm=algorithm.name,
-            reports=self.run_tasks(algorithm, tasks, journal=journal, resume=resume),
-        )
+        return GridSweepReport(algorithm=algorithm.name, reports=self.run_tasks(algorithm, tasks))
 
     def stress_test(
         self,
@@ -846,14 +690,9 @@ class ParallelCampaignEngine:
         models: Sequence[str] = ("SSYNC", "ASYNC"),
         seeds: Sequence[int] = tuple(range(10)),
         tie_break: str = TieBreak.FIRST,
-        journal=None,
-        resume: bool = True,
     ) -> GridSweepReport:
         tasks = stress_test_tasks(algorithm, sizes=sizes, models=models, seeds=seeds, tie_break=tie_break)
-        return GridSweepReport(
-            algorithm=algorithm.name,
-            reports=self.run_tasks(algorithm, tasks, journal=journal, resume=resume),
-        )
+        return GridSweepReport(algorithm=algorithm.name, reports=self.run_tasks(algorithm, tasks))
 
     def exhaustive_sweep(
         self,
@@ -862,37 +701,25 @@ class ParallelCampaignEngine:
         model: str = "FSYNC",
         reduction: Optional[str] = "grid",
         max_states: int = 200_000,
-        journal=None,
-        resume: bool = True,
     ) -> GridSweepReport:
         """Exhaustive model checks over a family of grid sizes.
 
         Each task runs the full (reduced) state-space exploration; the
         reports carry the verdicts plus the quotient statistics.
-        ``journal``/``resume`` make the sweep durable and resumable — see
-        :meth:`run_tasks`.
         """
         tasks = exhaustive_check_tasks(
             algorithm, sizes=sizes, model=model, reduction=reduction, max_states=max_states,
         )
-        return GridSweepReport(
-            algorithm=algorithm.name,
-            reports=self.run_tasks(algorithm, tasks, journal=journal, resume=resume),
-        )
+        return GridSweepReport(algorithm=algorithm.name, reports=self.run_tasks(algorithm, tasks))
 
     def verify_algorithm(
         self,
         algorithm: Algorithm,
         sizes: Optional[Iterable[Tuple[int, int]]] = None,
         seeds: Sequence[int] = tuple(range(5)),
-        journal=None,
-        resume: bool = True,
     ) -> GridSweepReport:
         """The full campaign appropriate for an algorithm's claimed model."""
         tasks = grid_sweep_tasks(algorithm, sizes=sizes, model="FSYNC")
         if algorithm.synchrony == "ASYNC":
             tasks.extend(stress_test_tasks(algorithm, sizes=sizes, seeds=seeds))
-        return GridSweepReport(
-            algorithm=algorithm.name,
-            reports=self.run_tasks(algorithm, tasks, journal=journal, resume=resume),
-        )
+        return GridSweepReport(algorithm=algorithm.name, reports=self.run_tasks(algorithm, tasks))

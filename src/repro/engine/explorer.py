@@ -18,10 +18,11 @@ computed exactly by pushing guaranteed-node sets through the edge labels.
 :func:`explore_sharded` is the registry-level entry point the checking
 layer calls: it builds the
 :class:`~repro.engine.transition.AlgorithmTransitionSystem` for an
-``(algorithm, grid, model)`` triple on a warm matcher cache and explores
-it here, in the calling process.  That transition system is the only
-successor kernel.  No exploration is split across processes; parallelism
-lives one level up, in campaign task lists (:mod:`repro.engine.backend`).
+``(algorithm, grid, model)`` triple on the backend's matcher cache and
+explores it here, in the calling process.  That transition system is the
+only successor kernel.  No exploration is split across processes;
+parallelism lives one level up, in campaign task lists
+(:mod:`repro.engine.backend`).
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from typing import TYPE_CHECKING, Dict, FrozenSet, List, Optional
 from ..core.algorithm import Algorithm
 from ..core.errors import StateSpaceLimitExceeded
 from ..core.grid import Grid, Node
-from .matcher import MatcherCache
 from .profile import KernelProfile, profiling_enabled
 from .states import SchedulerState
 from .symmetry import GridSymmetry, canonicalize, grid_symmetries, normalize_reduction
@@ -272,7 +272,6 @@ def explore_sharded(
     reduction: Optional[str] = None,
     max_states: int = 200_000,
     start: Optional[SchedulerState] = None,
-    cache: Optional[MatcherCache] = None,
     backend: Optional["ExecutionBackend"] = None,
     store: Optional["VerdictStore"] = None,
 ) -> Exploration:
@@ -280,10 +279,9 @@ def explore_sharded(
 
     Builds the :class:`~repro.engine.transition.AlgorithmTransitionSystem`
     and runs :func:`explore` on it with the remaining keyword arguments.
-    Matching runs on ``cache`` when given, else on the in-process cache of
-    ``backend`` (:func:`~repro.engine.backend.backend_cache`), else on a
-    fresh matcher; none of them changes the result, only how warm the
-    exploration starts.  A backend never receives the exploration itself.
+    Matching runs on ``backend``'s cache, else on a fresh matcher; that
+    changes only how warm the exploration starts, never its result.  A
+    backend never receives the exploration itself.
 
     ``store`` serves the exploration from a
     :class:`~repro.engine.store.VerdictStore` when it was computed before
@@ -292,12 +290,7 @@ def explore_sharded(
     """
     if model not in MODELS:
         raise ValueError(f"unknown model {model!r}")
-    # Local import: the explorer sits below the backends in the layering.
-    from .backend import backend_cache
-
-    if cache is None and backend is not None:
-        cache = backend_cache(backend)
-    matcher = cache.matcher_for(algorithm, grid) if cache is not None else None
+    matcher = backend.cache.matcher_for(algorithm, grid) if backend is not None else None
     ts = AlgorithmTransitionSystem(algorithm, grid, model, matcher=matcher)
     return explore(ts, reduction=reduction, max_states=max_states, start=start, store=store)
 

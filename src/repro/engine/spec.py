@@ -40,7 +40,7 @@ from __future__ import annotations
 import dataclasses
 from typing import Dict, List, Optional, Tuple
 
-from .journal import content_key
+from .store import content_key
 from .symmetry import normalize_reduction
 from .walk import TieBreak
 
@@ -368,7 +368,7 @@ def parse_campaign(payload: object) -> Tuple[str, List[object]]:
     ``verify_algorithm`` — whose task lists are built by the *same*
     builders the library campaigns use, so an HTTP submission and a
     library call with equal parameters produce equal task lists (and so
-    equal store keys, journal keys and campaign ids).
+    equal store keys and campaign ids).
     """
     from .campaign import (  # local import: campaign imports this module
         exhaustive_check_tasks,
@@ -430,8 +430,8 @@ def campaign_id(algorithm: str, tasks) -> str:
     """The content-addressed id of a campaign submission.
 
     A hash of the resolved task list, so equal submissions — before or
-    after a server restart — map to the same id, the same journal file and
-    therefore the same resumable run.  16 hex chars: collision-safe for
+    after a server restart — map to the same id and the same task keys, so
+    a resubmission is served from the verdict store.  16 hex chars: collision-safe for
     any plausible number of campaigns, short enough for URLs and logs.
     """
     return content_key(("campaign", algorithm, tuple(tasks)))[:16]

@@ -1,24 +1,22 @@
-"""Persistent content-addressed verdict store with request coalescing.
+"""The verdict store: the one persistent, content-addressed cache of verdicts.
 
-ROADMAP item 2's "millions of users" bottleneck: every consumer pays full
-exploration cost even for an (algorithm, model, grid, reduction) tuple
-that has been checked a thousand times before.  A
-:class:`VerdictStore` is the memoization layer the resume journal
-(:mod:`repro.engine.journal`) seeded — the same content-hash keys and the
-same crash-safe record format, but *outliving* any single campaign:
-completed :class:`~repro.engine.explorer.Exploration`\\ s,
+A :class:`VerdictStore` caches completed
+:class:`~repro.engine.explorer.Exploration`\\ s,
 :class:`~repro.checking.model_checker.CheckResult`\\ s and
-:class:`~repro.engine.campaign.VerificationReport`\\ s are cached on disk
-and served back byte-identical on every later request, on every route
-(library, campaign engine, HTTP service; serial or pooled).
+:class:`~repro.engine.campaign.VerificationReport`\\ s on disk and serves
+them back byte-identical on every later request, on every route (library,
+campaign engine, HTTP service; serial or pooled).  It is also the
+durability layer of campaigns: the campaign engine writes each report to
+the store as soon as it completes, so a campaign killed mid-run and run
+again against the same store serves what it already finished and
+computes only the remainder.
 
 Content addressing
 ==================
-A verdict is keyed by :func:`~repro.engine.journal.content_key` — SHA-256
-over the ``repr`` of the *fully resolved* spec.  The spec is the same
-normalization that already makes work picklable (the key tuples of
-:mod:`repro.engine.spec`, :class:`~repro.engine.campaign.CampaignTask`
-dataclasses): registry
+A verdict is keyed by :func:`content_key` — SHA-256 over the ``repr`` of
+the *fully resolved* spec.  The spec is the same normalization that
+already makes work picklable (the key tuples of :mod:`repro.engine.spec`,
+:class:`~repro.engine.campaign.CampaignTask` dataclasses): registry
 algorithm name, grid shape, synchrony model and the **normalized**
 reduction (``"none"`` or ``"grid"``) — plus everything the result is a
 function of that is *not* part of the work's identity at first glance:
@@ -31,15 +29,19 @@ function of that is *not* part of the work's identity at first glance:
 
 Record format and crash safety
 ==============================
-Segments reuse the journal's record framing — 4-byte length, 4-byte
-CRC32, pickled ``(key, value)`` body, ``flush`` + ``fsync`` per append —
-so every crash-safety property carries over: a crash mid-append leaves at
-worst a torn tail, which the next open truncates away.  A record damaged
-in place (a CRC mismatch, or a pickle that no longer loads) is skipped
-and counted as ``corrupt_records`` while every record before and after it
-is kept; only a record whose framing is lost ends its segment's replay
-(see :func:`~repro.engine.journal.iter_records`).  Duplicate keys are
-legal and last-written wins, which makes re-recording idempotent.
+Segments are flat sequences of self-delimiting binary records::
+
+    +----------------+----------------+----------------------------------+
+    | length (4B !I) | crc32  (4B !I) | pickle((key, value)), length B   |
+    +----------------+----------------+----------------------------------+
+
+Appends are ``flush`` + ``fsync``, so a crash mid-append leaves at worst a
+torn tail, which the next open truncates away.  A record damaged in place
+(a CRC mismatch, or a pickle that no longer loads) is skipped and counted
+as ``corrupt_records`` while every record before and after it is kept;
+only a record whose framing is lost ends its segment's replay (see
+:func:`iter_records`).  Duplicate keys are legal and last-written wins,
+which makes re-recording idempotent.
 
 The in-memory index holds the most recently used ``max_entries`` verdicts
 (LRU); when the on-disk record count grows past ``compact_factor`` times
@@ -50,10 +52,10 @@ crash-safe by ordering — new segments are written and fsynced before old
 ones are unlinked, and last-write-wins replay makes a crash between the
 two steps harmless.
 
-Like the journal, a store directory has a **single writer** at a time
-(one coordinator process); any number of concurrent *readers* may open
-their own store on the directory.  Within the writing process the store
-is fully thread-safe.
+A store directory has a **single writer** at a time (one coordinator
+process); any number of concurrent *readers* may open their own store on
+the directory.  Within the writing process the store is fully
+thread-safe.
 
 Request coalescing
 ==================
@@ -73,18 +75,90 @@ returned objects, a ``compare=False`` observability field exactly like
 
 from __future__ import annotations
 
+import hashlib
 import os
+import pickle
 import re
+import struct
 import threading
+import zlib
 from collections import OrderedDict
 from pathlib import Path
 from time import perf_counter
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, Iterator, Optional, Tuple
 
-from .journal import content_key, iter_records, pack_record
 from .profile import profiling_enabled
 
-__all__ = ["VerdictStore", "content_key"]
+__all__ = ["VerdictStore", "RECORD_HEADER", "content_key", "iter_records", "pack_record"]
+
+# ---------------------------------------------------------------------------
+# The record codec
+# ---------------------------------------------------------------------------
+#: Record header: 4-byte big-endian body length + 4-byte CRC32 of the body.
+RECORD_HEADER = struct.Struct("!II")
+
+
+def content_key(spec: object) -> str:
+    """A stable content hash of a work-item spec.
+
+    SHA-256 over ``repr(spec)`` — dataclass reprs
+    (:class:`~repro.engine.campaign.CampaignTask`) and primitive tuples
+    (the store keys of :mod:`repro.engine.spec`) are both deterministic
+    functions of their field values, so equal specs key identically across
+    processes and runs.
+    """
+    return hashlib.sha256(repr(spec).encode("utf-8")).hexdigest()
+
+
+def pack_record(key: str, value: object) -> bytes:
+    """One self-delimiting ``(length, crc32, pickle((key, value)))`` record."""
+    body = pickle.dumps((key, value), protocol=pickle.HIGHEST_PROTOCOL)
+    return RECORD_HEADER.pack(len(body), zlib.crc32(body)) + body
+
+
+def _framed(data: bytes, offset: int) -> Optional[Tuple[bytes, bool]]:
+    """``(body, crc_ok)`` of the record at ``offset``; ``None`` if it is short."""
+    if offset + RECORD_HEADER.size > len(data):
+        return None
+    length, crc = RECORD_HEADER.unpack_from(data, offset)
+    start = offset + RECORD_HEADER.size
+    body = data[start : start + length]
+    if len(body) < length:
+        return None
+    return body, zlib.crc32(body) == crc
+
+
+def iter_records(data: bytes) -> Iterator[Tuple[Optional[str], object, int]]:
+    """Yield ``(key, value, end_offset)`` per record, skipping damaged ones.
+
+    A record whose body fails its CRC or no longer unpickles yields
+    ``(None, None, end_offset)`` instead, so the caller can count it and
+    read on.  Iteration stops where framing is lost: a short header, a
+    short body, or a CRC failure whose following bytes are neither EOF nor
+    a record that passes its CRC (the failing length field may be the
+    damaged part, so nothing after it can be located).  Everything from
+    that point on is a torn or corrupt tail the caller truncates away.
+    """
+    offset = 0
+    while True:
+        framed = _framed(data, offset)
+        if framed is None:
+            return  # EOF, or a torn tail: everything after is dropped
+        body, crc_ok = framed
+        end = offset + RECORD_HEADER.size + len(body)
+        if not crc_ok and end < len(data):
+            following = _framed(data, end)
+            if following is None or not following[1]:
+                return  # framing lost at this record
+        key = value = None
+        if crc_ok:
+            try:
+                key, value = pickle.loads(body)
+            except Exception:  # noqa: BLE001 - undecodable == damaged
+                pass
+        offset = end
+        yield key, value, end
+
 
 _MISSING = object()
 
@@ -112,7 +186,7 @@ class VerdictStore:
     ``path=None`` keeps the store purely in memory (the coalescing and
     LRU semantics are identical; nothing survives the process).  With a
     ``path`` the directory is created on demand and filled with
-    ``seg-<n>.log`` segment files in the journal record format.
+    ``seg-<n>.log`` segment files of :func:`pack_record` records.
 
     ``max_entries`` bounds the in-memory index (LRU eviction; evicted
     verdicts stay on disk until the next compaction and simply miss).

@@ -12,8 +12,9 @@ without importing the library:
   exhaustive sweep, …); returns a content-addressed campaign id.
   ``GET /v1/campaigns/<id>`` polls status; ``GET
   /v1/campaigns/<id>/events`` streams NDJSON progress.  Campaigns are
-  journal-backed: kill the server mid-run, restart it with the same
-  ``--journal``, resubmit the same spec, and only the remainder runs.
+  store-backed: each report is stored as it completes, so if the server
+  is killed mid-run, restart it on the same ``--store``, resubmit the
+  same spec, and only the remainder runs.
   Fresh campaign tasks run in the server process or on a worker pool on
   the same machine (``--backend serial|pool``).
 * ``GET /v1/stats`` / ``GET /healthz`` — counters and liveness.

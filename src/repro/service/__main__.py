@@ -2,19 +2,18 @@
 
 Binds the verification service and serves until interrupted::
 
-    python -m repro.service --port 8421 --store /var/lib/repro/store \\
-        --journal /var/lib/repro/journals --backend serial
+    python -m repro.service --port 8421 --store /var/lib/repro/store --backend serial
 
 ``--backend pool`` fans campaigns out over a persistent worker pool on
-this machine (``--workers``); ``--backend serial``, the default, runs
-them in the server process.  Any other ``--backend`` value is a usage
-error (exit 2), as are the retired ``--connect`` and ``--min-workers``
-flags.  Checks and explorations always run in the server process, on the
-backend's cache when it has one; only campaign task lists fan out.
-``--store`` makes verdicts durable and warm-servable across restarts;
-``--journal`` makes in-flight campaigns resumable across restarts
-(resubmit the same spec after a crash and only the remainder is
-computed).
+this machine (``--workers``, at least 1, accepted only with
+``--backend pool``); ``--backend serial``, the default, runs them in the
+server process.  Any other ``--backend`` value is a usage error (exit 2),
+as are the retired ``--connect``, ``--min-workers`` and journal flags.
+Checks and explorations always run in the server process, on the
+backend's cache; only campaign task lists fan out.  ``--store`` makes
+verdicts durable and warm-servable across restarts, and makes in-flight
+campaigns resumable: each campaign report is stored as it completes, so
+resubmitting the same spec after a crash computes only the remainder.
 
 The chosen HTTP endpoint is printed as ``service: listening on URL`` (and
 written to ``--port-file`` when given) so wrappers can discover an
@@ -27,6 +26,13 @@ import argparse
 from typing import List, Optional
 
 from .app import VerificationServer, VerificationService
+
+
+def _worker_count(text: str) -> int:
+    count = int(text)
+    if count < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {count}")
+    return count
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -43,14 +49,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="where fresh (uncached) campaign tasks run",
     )
     parser.add_argument(
-        "--workers", type=int, default=None, help="worker processes for --backend pool"
+        "--workers", type=_worker_count, default=None, help="worker processes for --backend pool"
     )
     parser.add_argument("--store", default=None, metavar="PATH", help="verdict-store directory")
     parser.add_argument(
         "--store-entries", type=int, default=100_000, help="in-memory verdict index bound"
-    )
-    parser.add_argument(
-        "--journal", default=None, metavar="PATH", help="campaign journal directory (enables resume)"
     )
     parser.add_argument(
         "--rate", type=float, default=None, help="per-client requests/second (unlimited if omitted)"
@@ -63,7 +66,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--wave-delay",
         type=float,
         default=0.0,
-        help=argparse.SUPPRESS,  # test hook: seconds to sleep between campaign waves
+        help=argparse.SUPPRESS,  # test hook: seconds to pause after each computed campaign task
     )
     parser.add_argument("--verbose", action="store_true", help="log every request")
     return parser
@@ -71,26 +74,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 def build_service(args) -> VerificationService:
     """Construct the service (store, backend, limiter) an argv asked for."""
-    from ..engine.backend import SerialBackend
+    from ..engine.backend import PoolBackend, SerialBackend
     from ..engine.store import VerdictStore
 
     store = VerdictStore(args.store, max_entries=args.store_entries) if args.store else None
-    pool = None
-    backend = None
-    if args.backend == "pool":
-        from ..engine.pool import ExplorationPool
-
-        pool = ExplorationPool(args.workers)
-    else:
-        # SerialBackend (not bare in-process calls) so campaign waves and
-        # explorations share the process-persistent matcher cache.
-        backend = SerialBackend()
+    # A SerialBackend (not bare in-process calls), so campaigns and
+    # explorations share one matcher cache for the server's lifetime.
+    backend = PoolBackend(workers=args.workers) if args.backend == "pool" else SerialBackend()
     return VerificationService(
         store,
-        pool=pool,
         backend=backend,
-        backend_kind=args.backend,
-        journal_dir=args.journal,
         rate=args.rate,
         burst=args.burst,
         wave_delay=args.wave_delay,
@@ -98,7 +91,10 @@ def build_service(args) -> VerificationService:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.workers is not None and args.backend != "pool":
+        parser.error("argument --workers: only valid with --backend pool")
     service = build_service(args)
     server = VerificationServer((args.host, args.port), service, verbose=args.verbose)
     host, port = server.server_address[:2]

@@ -1,14 +1,13 @@
 """Verification-as-a-service: the HTTP/JSON front end over the engine.
 
-ROADMAP item 2's always-on story: the library stack already serves a
-(algorithm, model, grid, reduction, budget, seed) tuple checked
-once from disk at memcache speed (:mod:`repro.engine.store`), fans fresh
-campaign work across a local process pool (:mod:`repro.engine.backend`),
-and survives server crashes via the resume journal
-(:mod:`repro.engine.journal`).  What consumers still had to do was import
-the library.  This module is the network boundary: a stdlib-only threaded
-HTTP server exposing those layers as JSON endpoints, so "is this
-algorithm correct on this grid" becomes one ``curl``.
+The library stack serves a (algorithm, model, grid, reduction, budget,
+seed) tuple checked once from disk at memcache speed
+(:mod:`repro.engine.store`), fans fresh campaign work across a local
+process pool (:mod:`repro.engine.backend`), and survives server crashes
+because every completed campaign report is in the store.  This module is
+the network boundary: a stdlib-only threaded HTTP server exposing those
+layers as JSON endpoints, so "is this algorithm correct on this grid"
+becomes one ``curl``.
 
 Endpoints
 =========
@@ -21,8 +20,8 @@ Endpoints
     cached under the library's exploration key.
 ``POST /v1/campaigns``
     Submit a task list or a named campaign shape.  Returns a
-    content-addressed campaign id — equal submissions map to the same id,
-    the same journal file, and therefore the same resumable run.
+    content-addressed campaign id — equal submissions map to the same id
+    and the same task store keys, and therefore the same resumable run.
 ``GET /v1/campaigns/<id>``
     Status snapshot (state, completed/total, resumed count, failures).
 ``GET /v1/campaigns/<id>/events``
@@ -52,13 +51,13 @@ Cross-cutting semantics
 * **Rate limiting.**  A per-client token bucket
   (:mod:`repro.service.rate_limit`) guards every ``/v1`` endpoint; a
   rejected request gets 429 plus a ``Retry-After`` header.
-* **Resume on restart.**  Campaign runs execute through
-  ``ParallelCampaignEngine.run_tasks(journal=...)`` with a per-campaign
-  journal under ``--journal``; a server killed mid-campaign and
-  restarted on the same journal directory resumes a resubmitted campaign
-  from the journaled verdicts (reported per task as ``resumed: true``)
-  and recomputes only the remainder — the journal's kill/resume
-  guarantee, surfaced over HTTP.
+* **Resume on restart.**  Campaign runs stream through
+  ``ParallelCampaignEngine.iter_tasks``, which writes each report to the
+  store as it completes; a server killed mid-campaign and restarted on
+  the same ``--store`` serves a resubmitted campaign's finished tasks from
+  the store (reported per task as ``resumed: true``) and recomputes only
+  the remainder.  Every task runs the algorithm its own ``algorithm``
+  field names.
 """
 
 from __future__ import annotations
@@ -68,13 +67,12 @@ import json
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..core.errors import StateSpaceLimitExceeded
 from ..core.grid import Grid
+from ..engine.backend import PoolBackend
 from ..engine.campaign import ParallelCampaignEngine
-from ..engine.journal import CampaignJournal
 from ..engine.spec import (
     SpecError,
     campaign_id,
@@ -84,7 +82,7 @@ from ..engine.spec import (
     parse_check_spec,
     result_payload,
 )
-from ..engine.store import VerdictStore
+from ..engine.store import HIT, VerdictStore
 from .rate_limit import TokenBucketLimiter
 
 __all__ = [
@@ -213,46 +211,30 @@ class VerificationService:
     """The framework-free core the HTTP handler dispatches into.
 
     ``store`` backs every check/explore/campaign request (may be ``None``
-    — the service still works, it just recomputes).  At most one of
-    ``pool`` / ``backend`` fans fresh campaign tasks out; both ``None``
-    runs them serially in-process.  Checks and explorations always run in
-    this process, on the pool's or backend's cache when it has one.  ``journal_dir`` enables durable, resumable
-    campaign runs.  ``wave_delay`` inserts a pause between campaign
-    dispatch waves — a deterministic throttle the kill/resume tests (and
-    nothing else) rely on.
+    — the service still works, it just recomputes and cannot resume).
+    ``backend`` runs fresh campaign tasks; ``None`` gives each request a
+    :class:`~repro.engine.backend.SerialBackend` of its own.  Checks and
+    explorations always run in this process, on the backend's cache.
+    ``wave_delay`` pauses after each freshly computed campaign task — a
+    deterministic throttle the kill/resume tests (and nothing else) rely
+    on.
     """
 
     def __init__(
         self,
         store: Optional[VerdictStore] = None,
         *,
-        pool=None,
         backend=None,
-        backend_kind: str = "serial",
-        journal_dir=None,
         rate: Optional[float] = None,
         burst: int = 20,
         wave_delay: float = 0.0,
         clock=time.monotonic,
     ) -> None:
-        if pool is not None and backend is not None:
-            raise ValueError("pass a pool or a backend, not both")
         self.store = store
-        self.pool = pool
         self.backend = backend
-        self.backend_kind = backend_kind
-        self.journal_dir = Path(journal_dir) if journal_dir is not None else None
-        if self.journal_dir is not None:
-            self.journal_dir.mkdir(parents=True, exist_ok=True)
         self.limiter = TokenBucketLimiter(rate, burst, clock=clock)
         self.wave_delay = wave_delay
-        # chunksize=1 keeps the dispatch wave at the backend's parallelism,
-        # which is the event-stream granularity (serial => one event per
-        # completed task).
-        self.engine = ParallelCampaignEngine(
-            pool=pool, backend=backend, store=store, chunksize=1,
-            workers=1 if pool is None and backend is None else None,
-        )
+        self.engine = ParallelCampaignEngine(backend=backend, store=store)
         self.campaigns: Dict[str, CampaignRun] = {}
         self._lock = threading.Lock()
         self.started = time.time()
@@ -279,7 +261,6 @@ class VerificationService:
             max_states=spec.max_states,
             reduction=spec.reduction,
             store=self.store,
-            pool=self.pool,
             backend=self.backend,
         )
         body = result_payload(result)
@@ -301,7 +282,6 @@ class VerificationService:
             spec.model,
             reduction=spec.reduction,
             max_states=spec.max_states,
-            cache=self.pool.cache if self.pool is not None else None,
             backend=self.backend,
             store=self.store,
         )
@@ -316,7 +296,7 @@ class VerificationService:
 
         Submission is idempotent by content: an id already registered —
         running or done — is returned as-is rather than re-executed (its
-        verdicts were journaled and stored the first time around).
+        verdicts were stored the first time around).
         """
         algorithm, tasks = parse_campaign(payload)
         run_id = campaign_id(algorithm, tasks)
@@ -333,44 +313,21 @@ class VerificationService:
         return run.status(), True
 
     def _execute_campaign(self, run: CampaignRun) -> None:
-        """Run one campaign wave-by-wave, journaling and publishing events."""
+        """Stream one campaign through the engine, publishing each report."""
         from ..algorithms import registry
 
-        journal = None
         try:
             algorithm = registry.get(run.algorithm)
-            results: List[Optional[object]] = [None] * len(run.tasks)
-            if self.journal_dir is not None:
-                journal = CampaignJournal(self.journal_dir / f"campaign-{run.id}.journal")
-                # Replay verdicts a previous (possibly killed) server
-                # already computed for this campaign id — the resume path.
-                for index, task in enumerate(run.tasks):
-                    cached = journal.get(CampaignJournal.task_key(task))
-                    if cached is not None:
-                        results[index] = cached
-                        run.record(index, cached, resumed=True)
-            pending = [index for index, report in enumerate(results) if report is None]
-            width = max(1, self.engine.workers)
-            for start in range(0, len(pending), width):
-                wave = pending[start : start + width]
-                reports = self.engine.run_tasks(
-                    algorithm,
-                    [run.tasks[index] for index in wave],
-                    journal=journal,
-                    resume=True,
-                    store=self.store,
-                )
-                for index, report in zip(wave, reports):
-                    results[index] = report
-                    run.record(index, report, resumed=False)
-                if self.wave_delay and start + width < len(pending):
+            for index, report in self.engine.iter_tasks(algorithm, run.tasks):
+                # Served from the store: a previous (possibly killed) run
+                # already computed it — the resume path.
+                resumed = (report.store_stats or {}).get("outcome") == HIT
+                run.record(index, report, resumed=resumed)
+                if self.wave_delay and not resumed:
                     time.sleep(self.wave_delay)
             run.finish()
         except BaseException as exc:  # noqa: BLE001 - published, not swallowed
             run.fail(exc)
-        finally:
-            if journal is not None:
-                journal.close()
 
     def campaign(self, run_id: str) -> Optional[CampaignRun]:
         with self._lock:
@@ -415,16 +372,14 @@ class VerificationService:
             },
             "store": self.store.stats if self.store is not None else None,
             "backend": {
-                "kind": self.backend_kind,
-                "parallelism": self.engine.workers,
+                "kind": "pool" if isinstance(self.backend, PoolBackend) else "serial",
+                "parallelism": self.backend.parallelism if self.backend is not None else 1,
             },
             "rate_limiter": self.limiter.stats,
         }
 
     def close(self) -> None:
         """Release the execution resources the service owns."""
-        if self.pool is not None:
-            self.pool.close()
         if self.backend is not None:
             self.backend.close()
         if self.store is not None:
@@ -564,7 +519,7 @@ class ServiceHandler(BaseHTTPRequestHandler):
             self._error(
                 404,
                 f"unknown campaign {run_id!r} (the registry is in-memory;"
-                " resubmit the spec to resume it from its journal)",
+                " resubmit the spec to resume it from the store)",
             )
             return
         if not streaming:

@@ -4,7 +4,7 @@ The CI gate (and ``make serve-smoke``) for the verification service.  It
 exercises the *deployed* shape — a real server subprocess, the real CLI
 client as subprocesses, real sockets — rather than in-process embedding:
 
-1. start ``python -m repro.service`` against a temp store + journal;
+1. start ``python -m repro.service`` against a temp ``--store``;
 2. ``client check`` a spec and assert the verdict is **byte-identical**
    (modulo the ``compare=False`` observability channels) to the serial
    engine run in this process;
@@ -12,7 +12,10 @@ client as subprocesses, real sockets — rather than in-process embedding:
    ``store_stats.outcome`` says HIT and ``/v1/stats`` counts ``hits >= 1``;
 4. submit a campaign, ``tail`` its NDJSON events, ``await`` it, fetch its
    status, and assert a resubmission is idempotent (same id, no rerun);
-5. assert a malformed spec comes back 400 naming the offending field.
+5. assert a malformed spec comes back 400 naming the offending field;
+6. restart the server on the same ``--store``, resubmit the campaign and
+   assert every task is served from the store (``resumed`` equals
+   ``total``).
 
 Exit 0 when all gates hold; exit 1 with a diagnostic on the first that
 does not.  Stdlib-only, no network beyond loopback.
@@ -91,29 +94,51 @@ def _local_verdict_json() -> str:
     return canonical_json(result_payload(result)["verdict"])
 
 
+def _start_server(tmp_path: Path, name: str) -> "subprocess.Popen[str]":
+    """A server subprocess on the smoke's ``--store``, publishing its port to ``name``."""
+    return subprocess.Popen(
+        [
+            sys.executable, "-m", "repro.service",
+            "--host", "127.0.0.1", "--port", "0",
+            "--store", str(tmp_path / "store"),
+            "--port-file", str(tmp_path / name),
+        ],
+        env=dict(os.environ),
+        stdout=subprocess.PIPE,
+        stderr=subprocess.STDOUT,
+        text=True,
+    )
+
+
+def _stop(server: "subprocess.Popen[str]") -> None:
+    if server.poll() is None:
+        server.terminate()
+        try:
+            server.wait(timeout=10)
+        except subprocess.TimeoutExpired:  # pragma: no cover - stuck server
+            server.kill()
+
+
+def _campaign_args() -> List[str]:
+    return [
+        "submit",
+        "--algorithm", ALGORITHM,
+        "--campaign", "grid_sweep",
+        "--sizes", "2x3,3x3",
+        "--model", "FSYNC",
+        "--reduction", REDUCTION,
+    ]
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     from ..engine.spec import canonical_json
 
-    print("service-smoke: starting server against a temp store/journal", flush=True)
+    print("service-smoke: starting server against a temp store", flush=True)
     with tempfile.TemporaryDirectory(prefix="service-smoke-") as tmp:
         tmp_path = Path(tmp)
-        port_file = tmp_path / "port"
-        env = dict(os.environ)
-        server = subprocess.Popen(
-            [
-                sys.executable, "-m", "repro.service",
-                "--host", "127.0.0.1", "--port", "0",
-                "--store", str(tmp_path / "store"),
-                "--journal", str(tmp_path / "journals"),
-                "--port-file", str(port_file),
-            ],
-            env=env,
-            stdout=subprocess.PIPE,
-            stderr=subprocess.STDOUT,
-            text=True,
-        )
+        server = _start_server(tmp_path, "port")
         try:
-            url = _wait_for_server(port_file, server)
+            url = _wait_for_server(tmp_path / "port", server)
             print(f"service-smoke: server healthy at {url}", flush=True)
 
             # -- gate 1: cold check, byte-identical to the serial engine --
@@ -145,15 +170,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             )
 
             # -- gate 3: campaign submit -> tail -> await -> fetch --------
-            submit = _client(
-                url, "submit",
-                "--algorithm", ALGORITHM,
-                "--campaign", "grid_sweep",
-                "--sizes", "2x3,3x3",
-                "--model", "FSYNC",
-                "--reduction", REDUCTION,
-                "--id-only",
-            )
+            submit = _client(url, *_campaign_args(), "--id-only")
             run_id = submit.stdout.strip()
             _require(bool(run_id), "submit --id-only printed no campaign id")
             events = [
@@ -174,14 +191,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                 status["state"] == "done" and status["completed"] == status["total"],
                 f"campaign status incomplete after await: {status}",
             )
-            resubmit = json.loads(_client(
-                url, "submit",
-                "--algorithm", ALGORITHM,
-                "--campaign", "grid_sweep",
-                "--sizes", "2x3,3x3",
-                "--model", "FSYNC",
-                "--reduction", REDUCTION,
-            ).stdout)
+            resubmit = json.loads(_client(url, *_campaign_args()).stdout)
             _require(
                 resubmit["id"] == run_id and resubmit["state"] == "done",
                 "resubmitting an identical campaign was not idempotent",
@@ -201,6 +211,25 @@ def main(argv: Optional[List[str]] = None) -> int:
                 f"400 for a bad model did not name the field: {bad.stderr.strip()}",
             )
             print("service-smoke: malformed spec rejected with the offending field named", flush=True)
+
+            # -- gate 5: a restart on the same --store resumes from it ----
+            _stop(server)
+            server = _start_server(tmp_path, "port-restarted")
+            url = _wait_for_server(tmp_path / "port-restarted", server)
+            _require(
+                _client(url, *_campaign_args(), "--id-only").stdout.strip() == run_id,
+                "the restarted server gave the resubmitted campaign a different id",
+            )
+            resumed = json.loads(_client(url, "await", run_id).stdout)
+            _require(
+                resumed["state"] == "done" and resumed["resumed"] == resumed["total"],
+                f"the restarted server recomputed stored campaign tasks: {resumed}",
+            )
+            print(
+                f"service-smoke: restarted server served all {resumed['total']} campaign"
+                " tasks from the store",
+                flush=True,
+            )
         except SmokeFailure as failure:
             server.terminate()
             output, _ = server.communicate(timeout=10)
@@ -209,12 +238,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                 print(f"--- server output ---\n{output}", file=sys.stderr, flush=True)
             return 1
         finally:
-            if server.poll() is None:
-                server.terminate()
-                try:
-                    server.wait(timeout=10)
-                except subprocess.TimeoutExpired:  # pragma: no cover - stuck server
-                    server.kill()
+            _stop(server)
     print("service-smoke: PASS", flush=True)
     return 0
 

@@ -1,4 +1,4 @@
-"""Tests for the pluggable execution backends and their lifecycles."""
+"""Tests for the execution backends, their caches and their lifecycles."""
 
 from __future__ import annotations
 
@@ -13,24 +13,22 @@ from repro.checking import check_terminating_exploration, enumerate_reachable, e
 from repro.analysis.scaling import round_complexity_sweep, state_space_sweep
 from repro.engine import (
     AlgorithmTransitionSystem,
-    CampaignJournal,
     CampaignTask,
     ExecutionBackend,
-    ExplorationPool,
     ParallelCampaignEngine,
     PoolBackend,
     SerialBackend,
     VerdictStore,
-    backend_cache,
     exhaustive_check_tasks,
     explore,
     explore_sharded,
     grid_sweep_tasks,
     run_task,
+    verify_one,
 )
 from repro.core import Grid
 from repro.core.errors import StateSpaceLimitExceeded
-from repro.engine.store import HIT, MISS
+from repro.engine.store import HIT, MISS, iter_records
 from repro.verification import exhaustive_sweep, grid_sweep, verify_algorithm
 
 
@@ -51,28 +49,32 @@ def _refuse_tasks(tasks):
     raise AssertionError("a task list was shipped to the backend")
 
 
+def _disk_records(path) -> int:
+    return sum(1 for seg in path.glob("seg-*.log") for _ in iter_records(seg.read_bytes()))
+
+
 #: Every backend configuration: the serial reference, a two-worker
-#: ``PoolBackend`` owning its pool, one wrapping a pool its caller owns,
-#: and a one-worker ``PoolBackend``, whose pool runs tasks in this process.
-BACKENDS = ["serial", "pool", "shared-pool", "inline-pool"]
+#: ``PoolBackend`` before and after its workers spawned, and a one-worker
+#: ``PoolBackend``, which runs tasks in this process on its own cache.
+BACKENDS = ["serial", "pool", "started-pool", "inline-pool"]
 
 
-def make_backend(kind, shared_pool):
-    """A fresh backend of ``kind``; ``shared-pool`` wraps ``shared_pool``."""
+def make_backend(kind):
+    """A fresh backend of ``kind``."""
     if kind == "serial":
         return SerialBackend()
-    if kind == "shared-pool":
-        return PoolBackend(shared_pool)
-    return PoolBackend(workers=2 if kind == "pool" else 1)
+    backend = PoolBackend(workers=1 if kind == "inline-pool" else 2)
+    if kind == "started-pool":
+        backend.run_tasks(grid_sweep_tasks(get("fsync_phi1_l2_chir_k3"), sizes=[(3, 3), (3, 4)]))
+        assert backend.started
+    return backend
 
 
 @pytest.fixture(params=BACKENDS)
 def backend(request):
     """Each backend configuration, freshly constructed."""
-    # The shared pool spawns nothing unless its backend ships work.
-    with ExplorationPool(workers=2) as shared_pool:
-        with make_backend(request.param, shared_pool) as made:
-            yield made
+    with make_backend(request.param) as made:
+        yield made
 
 
 # ---------------------------------------------------------------------------
@@ -89,12 +91,18 @@ class TestBackendContract:
         assert [(r.m, r.n) for r in reports] == [(t.m, t.n) for t in tasks]
         assert reports == [run_task(task) for task in tasks]
 
+    def test_imap_streams_reports_in_task_order(self, backend, algorithm1):
+        tasks = exhaustive_check_tasks(algorithm1, sizes=[(2, 3), (3, 3), (3, 4)])
+        stream = backend.imap(tasks)
+        assert next(stream) == run_task(tasks[0])
+        assert list(stream) == [run_task(task) for task in tasks[1:]]
+
     def test_empty_task_list(self, backend):
         assert backend.run_tasks([]) == []
 
     def test_check_tasks_match_serial_engine(self, backend, algorithm1):
         tasks = exhaustive_check_tasks(algorithm1, sizes=[(2, 3), (3, 3)], reduction="grid")
-        serial = ParallelCampaignEngine(workers=1).run_tasks(algorithm1, tasks)
+        serial = ParallelCampaignEngine().run_tasks(algorithm1, tasks)
         assert backend.run_tasks(tasks) == serial
 
     def test_closed_backend_refuses_work(self, algorithm1):
@@ -109,15 +117,15 @@ class TestBackendContract:
 
     @pytest.mark.parametrize("kind", BACKENDS[1:])
     def test_closed_pool_backend_refuses_work(self, kind, algorithm1):
-        with ExplorationPool(workers=2) as shared_pool:
-            backend = make_backend(kind, shared_pool)
-            backend.close()
-            backend.close()  # idempotent
-            with pytest.raises(RuntimeError, match="closed"):
-                backend.run_tasks(grid_sweep_tasks(algorithm1, sizes=[(3, 3)]))
-            with pytest.raises(RuntimeError, match="closed"):
-                with backend:
-                    pass
+        backend = make_backend(kind)
+        backend.close()
+        backend.close()  # idempotent
+        assert not backend.started
+        with pytest.raises(RuntimeError, match="closed"):
+            backend.run_tasks(grid_sweep_tasks(algorithm1, sizes=[(3, 3)]))
+        with pytest.raises(RuntimeError, match="closed"):
+            with backend:
+                pass
 
     def test_a_raising_task_fails_the_call(self, backend, algorithm1):
         # No placeholder report stands in for a task that raised: the error
@@ -130,6 +138,47 @@ class TestBackendContract:
             ParallelCampaignEngine(backend=backend).run_tasks(algorithm1, tasks)
         # ... and the backend stays usable afterwards.
         assert backend.run_tasks(good) == [run_task(task) for task in good]
+
+
+# ---------------------------------------------------------------------------
+# Each backend owns the cache in-process work matches on
+# ---------------------------------------------------------------------------
+class TestBackendCaches:
+    def test_serial_backend_owns_one_cache_for_its_lifetime(self, algorithm1):
+        backend = SerialBackend()
+        cache = backend.cache
+        first = check_terminating_exploration(algorithm1, Grid(3, 3), model="FSYNC", backend=backend)
+        (report,) = backend.run_tasks(grid_sweep_tasks(algorithm1, sizes=[(3, 3)]))
+        second = check_terminating_exploration(algorithm1, Grid(3, 3), model="FSYNC", backend=backend)
+        assert backend.cache is cache
+        assert first.matcher_stats["misses"] > 0
+        assert report.cache_hits > 0  # the task started warm on the same cache
+        assert second.matcher_stats["misses"] == 0
+        assert SerialBackend().cache is not cache  # never shared between backends
+
+    def test_no_backend_means_a_fresh_cache_per_call(self, algorithm1):
+        first = check_terminating_exploration(algorithm1, Grid(3, 3), model="FSYNC")
+        second = check_terminating_exploration(algorithm1, Grid(3, 3), model="FSYNC")
+        assert first.matcher_stats == second.matcher_stats
+        assert second.matcher_stats["misses"] > 0
+        reports = [grid_sweep(algorithm1, sizes=[(3, 3)]).reports[0] for _ in range(2)]
+        assert reports[0].cache_misses == reports[1].cache_misses > 0
+
+    def test_inline_pool_runs_tasks_on_its_coordinator_cache(self, algorithm1):
+        with PoolBackend(workers=1) as backend:
+            first = grid_sweep(algorithm1, sizes=[(3, 3), (4, 4)], backend=backend)
+            assert not backend.started  # one worker: everything ran here
+            assert backend.cache.stats_for(algorithm1).lookups > 0
+            second = grid_sweep(algorithm1, sizes=[(3, 3), (4, 4)], backend=backend)
+        assert second.reports == first.reports
+        assert all(report.cache_misses == 0 for report in second.reports)
+
+    def test_pooled_tasks_leave_the_coordinator_cache_alone(self, algorithm1):
+        tasks = grid_sweep_tasks(algorithm1, sizes=[(3, 3), (3, 4), (4, 4)])
+        with PoolBackend(workers=2) as backend:
+            assert backend.run_tasks(tasks) == [run_task(task) for task in tasks]
+            assert backend.started
+            assert backend.cache.stats.lookups == 0  # every task ran in a worker
 
 
 # ---------------------------------------------------------------------------
@@ -152,6 +201,7 @@ class TestBackendExploration:
         )
         graph = explore_state_space(algorithm1, grid, model="FSYNC", backend=backend)
         assert graph == explore_state_space(algorithm1, grid, model="FSYNC")
+        assert backend.cache.stats_for(algorithm1).lookups > 0
 
     @pytest.mark.parametrize(
         "name,m,n,model",
@@ -186,10 +236,8 @@ class TestBackendExploration:
         )
 
     def test_backend_never_receives_an_exploration(self, backend, algorithm1, monkeypatch):
-        def refuse(tasks):
-            raise AssertionError("an exploration was shipped to the backend")
-
-        monkeypatch.setattr(backend, "run_tasks", refuse)
+        monkeypatch.setattr(backend, "imap", _refuse_tasks)
+        monkeypatch.setattr(backend, "run_tasks", _refuse_tasks)
         grid = Grid(3, 4)
         _assert_same_exploration(
             explore_sharded(algorithm1, grid, "SSYNC", backend=backend),
@@ -212,7 +260,8 @@ class TestBackendExploration:
     def test_explorations_spawn_no_workers(self, entry, algorithm1):
         with PoolBackend(workers=2) as backend:
             entry(algorithm1, Grid(3, 3), backend=backend)
-            assert not backend.pool.started
+            assert not backend.started
+            assert backend.cache.stats_for(algorithm1).lookups > 0
 
     def test_store_serves_explorations_handed_a_backend(self, backend, algorithm1):
         store = VerdictStore()
@@ -231,11 +280,20 @@ class TestBackendExploration:
 # Campaign / verification / analysis layers
 # ---------------------------------------------------------------------------
 class TestBackendCampaigns:
-    def test_engine_backend_supersedes_pool(self, backend, algorithm1):
+    def test_engine_runs_task_lists_on_the_backend(self, backend, algorithm1, monkeypatch):
         engine = ParallelCampaignEngine(backend=backend)
         tasks = grid_sweep_tasks(algorithm1, sizes=[(3, 3), (4, 4)])
+        shipped = []
+        imap = backend.imap
+
+        def spy(batch):
+            batch = list(batch)
+            shipped.append(batch)
+            return imap(batch)
+
+        monkeypatch.setattr(backend, "imap", spy)
         assert engine.run_tasks(algorithm1, tasks) == [run_task(task) for task in tasks]
-        assert engine.workers == backend.parallelism
+        assert shipped == [tasks]
 
     def test_verification_campaigns_parity(self, backend, algorithm1):
         sizes = [(3, 3), (3, 4)]
@@ -260,38 +318,44 @@ class TestBackendCampaigns:
             [(p.m, p.n, p.states, p.reduction) for p in baseline]
         )
 
-    def test_engine_reads_parallelism_once(self):
-        backend = SerialBackend()
-        engine = ParallelCampaignEngine(backend=backend)
-        backend.parallelism = 4
-        # Journal waves are sized at construction and stay that size.
-        assert engine.workers == 1
-
-    def test_journalled_campaign_commits_every_report(self, backend, algorithm1, tmp_path, monkeypatch):
-        path = tmp_path / "sweep.journal"
+    def test_streamed_campaign_stores_every_report(self, backend, algorithm1, tmp_path, monkeypatch):
         tasks = exhaustive_check_tasks(algorithm1, sizes=[(2, 3), (3, 3), (3, 4)], reduction="grid")
         expected = [run_task(task) for task in tasks]
-        # chunksize=1: waves of ``parallelism`` tasks, so a multi-worker
-        # backend commits over more than one wave.
-        engine = ParallelCampaignEngine(backend=backend, chunksize=1)
-        assert engine.run_tasks(algorithm1, tasks, journal=path) == expected
-        with CampaignJournal(path) as journal:
-            assert len(journal) == len(tasks)
-        # A rerun on the same journal replays every verdict.
-        monkeypatch.setattr(backend, "run_tasks", _refuse_tasks)
-        assert engine.run_tasks(algorithm1, tasks, journal=path) == expected
+        with VerdictStore(tmp_path / "store") as store:
+            engine = ParallelCampaignEngine(backend=backend, store=store)
+            assert engine.run_tasks(algorithm1, tasks) == expected
+        assert _disk_records(tmp_path / "store") == len(tasks)
+        # A rerun against the same store serves every report from it.
+        monkeypatch.setattr(backend, "imap", _refuse_tasks)
+        with VerdictStore(tmp_path / "store") as store:
+            engine = ParallelCampaignEngine(backend=backend, store=store)
+            assert engine.run_tasks(algorithm1, tasks) == expected
 
     def test_store_hits_never_reach_the_backend(self, backend, algorithm1, monkeypatch):
         store = VerdictStore()
         tasks = exhaustive_check_tasks(algorithm1, sizes=[(3, 3), (3, 4)])
         engine = ParallelCampaignEngine(backend=backend, store=store)
         recorded = engine.run_tasks(algorithm1, tasks)
-        monkeypatch.setattr(backend, "run_tasks", _refuse_tasks)
+        monkeypatch.setattr(backend, "imap", _refuse_tasks)
         cached = engine.run_tasks(algorithm1, tasks)
         assert [report.store_stats["outcome"] for report in recorded] == [MISS] * len(tasks)
         assert [report.store_stats["outcome"] for report in cached] == [HIT] * len(tasks)
         assert cached == recorded == [run_task(task) for task in tasks]
         assert store.misses == len(tasks)
+
+    def test_each_task_runs_the_algorithm_it_names(self, backend, tmp_path):
+        # A task list naming B, handed to an engine run for A, runs B: B's
+        # report lands under B's task key, so B's own later lookup is a hit
+        # on B's verdict, never on A's.
+        a, b = get("fsync_phi2_l2_chir_k2"), get("fsync_phi1_l3_nochir_k4")
+        store = VerdictStore(tmp_path / "store")
+        engine = ParallelCampaignEngine(backend=backend, store=store)
+        (report,) = engine.run_tasks(a, grid_sweep_tasks(b, sizes=[(4, 5)]))
+        assert (report.algorithm, report.steps) == (b.name, 14)
+        served = verify_one(b, 4, 5, store=store)
+        assert served.store_stats["outcome"] == HIT
+        assert (served.algorithm, served.steps) == (b.name, 14)
+        assert served == verify_one(b, 4, 5)
 
     def test_unregistered_algorithm_falls_back_in_process(self, backend):
         from tests.engine.test_pool import _adhoc_algorithm
@@ -300,56 +364,44 @@ class TestBackendCampaigns:
         engine = ParallelCampaignEngine(backend=backend)
         tasks = grid_sweep_tasks(adhoc, sizes=[(1, 3)])
         # An unregistered rule set cannot cross a process boundary; the
-        # engine must fall back to in-process execution with the same
-        # reports the serial path produces.
-        assert engine.run_tasks(adhoc, tasks) == ParallelCampaignEngine(workers=1).run_tasks(
-            adhoc, tasks
+        # engine must run it in-process, on the backend's cache, with the
+        # same reports the serial path produces.
+        assert engine.run_tasks(adhoc, tasks) == ParallelCampaignEngine().run_tasks(adhoc, tasks)
+        assert backend.cache.stats_for(adhoc).lookups > 0
+
+    def test_unregistered_algorithm_refuses_tasks_naming_another(self, backend):
+        from tests.engine.test_pool import _adhoc_algorithm
+
+        adhoc = _adhoc_algorithm("adhoc_mismatch_test")
+        tasks = grid_sweep_tasks(adhoc, sizes=[(1, 3)]) + grid_sweep_tasks(
+            get("fsync_phi2_l2_chir_k2"), sizes=[(3, 3)]
         )
+        with pytest.raises(ValueError, match="fsync_phi2_l2_chir_k2"):
+            ParallelCampaignEngine(backend=backend).run_tasks(adhoc, tasks)
 
 
 # ---------------------------------------------------------------------------
 # PoolBackend specifics
 # ---------------------------------------------------------------------------
 class TestPoolBackend:
-    def test_shared_pool_is_not_closed_with_the_backend(self, algorithm1):
-        with ExplorationPool(workers=2) as pool:
-            with PoolBackend(pool) as backend:
-                assert backend.parallelism == 2
-                assert backend_cache(backend) is pool.cache
-            # The backend wrapped a shared pool: closing it must leave the
-            # pool usable for other consumers.
-            tasks = grid_sweep_tasks(algorithm1, sizes=[(3, 3), (3, 4)])
-            assert pool.map(run_task, tasks) == [run_task(task) for task in tasks]
-
-    def test_owned_pool_is_closed_with_the_backend(self):
+    def test_pool_is_closed_with_the_backend(self, algorithm1):
         backend = PoolBackend(workers=2)
-        pool = backend.pool
+        backend.run_tasks(grid_sweep_tasks(algorithm1, sizes=[(3, 3), (3, 4)]))
+        assert backend.started
         backend.close()
+        assert not backend.started
         with pytest.raises(RuntimeError, match="closed"):
-            pool.map(abs, [-1, -2])
+            backend.imap([])
 
     def test_empty_task_list_spawns_no_workers(self):
         with PoolBackend(workers=2) as backend:
             assert backend.run_tasks([]) == []
-            assert not backend.pool.started
+            assert not backend.started
 
-    def test_pool_and_workers_are_mutually_exclusive(self):
-        with ExplorationPool(workers=2) as pool:
-            with pytest.raises(ValueError):
-                PoolBackend(pool, workers=4)
-
-    def test_serial_backend_cache_is_the_process_cache(self):
-        from repro.engine import process_cache
-
-        # The serial backend's "worker" is this process, so fallbacks
-        # share the same cache its registered workloads warm.
-        assert backend_cache(SerialBackend()) is process_cache()
-
-    def test_other_backends_have_no_in_process_cache(self):
-        class RemoteLike:  # duck-typed: no pool attribute, not serial
-            parallelism = 2
-
-        assert backend_cache(RemoteLike()) is None
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_fewer_than_one_worker_is_refused(self, workers):
+        with pytest.raises(ValueError, match="at least 1 worker"):
+            PoolBackend(workers=workers)
 
 
 # ---------------------------------------------------------------------------
@@ -376,23 +428,23 @@ class _FailingPoolContext:
 
 
 class TestSpawnFailureSafety:
-    def test_pool_spawn_failure_leaks_nothing(self, monkeypatch):
+    def test_pool_spawn_failure_leaks_nothing(self, monkeypatch, algorithm1):
         failing = _FailingPoolContext(multiprocessing.get_context())
         monkeypatch.setattr(multiprocessing, "get_context", lambda *a, **k: failing)
-        pool = ExplorationPool(workers=2)
+        backend = PoolBackend(workers=2)
         with pytest.raises(RuntimeError, match="simulated worker spawn failure"):
-            pool.map(abs, [-1, -2])
+            backend.run_tasks(grid_sweep_tasks(algorithm1, sizes=[(3, 3), (3, 4)]))
         # The stranded child was reaped before the error propagated ...
         assert [p for p in failing.stranded if p.is_alive()] == []
-        assert not pool.started
-        # ... and the pool closes cleanly (idempotently) afterwards.
-        pool.close()
-        pool.close()
+        assert not backend.started
+        # ... and the backend closes cleanly (idempotently) afterwards.
+        backend.close()
+        backend.close()
 
-    def test_pool_exit_does_not_mask_spawn_failure(self, monkeypatch):
+    def test_pool_exit_does_not_mask_spawn_failure(self, monkeypatch, algorithm1):
         failing = _FailingPoolContext(multiprocessing.get_context())
         monkeypatch.setattr(multiprocessing, "get_context", lambda *a, **k: failing)
         with pytest.raises(RuntimeError, match="simulated worker spawn failure"):
-            with ExplorationPool(workers=2) as pool:
-                pool.map(abs, [-1, -2])
+            with PoolBackend(workers=2) as backend:
+                backend.run_tasks(grid_sweep_tasks(algorithm1, sizes=[(3, 3), (3, 4)]))
         assert [p for p in failing.stranded if p.is_alive()] == []

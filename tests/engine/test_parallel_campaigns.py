@@ -1,6 +1,8 @@
-"""Tests for the batched/parallel campaign engine."""
+"""Tests for the campaign engine: task lists, routing and serial parity."""
 
 from __future__ import annotations
+
+import pytest
 
 from repro.algorithms import get
 from repro.core import Algorithm, G, Synchrony, W, occ
@@ -8,12 +10,16 @@ from repro.core.rules import Guard, Rule
 from repro.engine import (
     CampaignTask,
     ParallelCampaignEngine,
+    PoolBackend,
+    VerdictStore,
     derive_seed,
     execute_tasks,
     grid_sweep_tasks,
     run_task,
     stress_test_tasks,
+    verify_one,
 )
+from repro.engine.store import HIT
 from repro.verification import grid_sweep, stress_test
 
 
@@ -39,10 +45,11 @@ class TestTaskLists:
 
 class TestParallelSerialParity:
     def test_grid_sweep_reports_identical_with_four_workers(self):
-        """Acceptance: workers=4 produces byte-identical reports to serial."""
+        """Acceptance: a four-worker pool produces byte-identical reports to serial."""
         algorithm = get("fsync_phi1_l2_chir_k3")
         serial = grid_sweep(algorithm)
-        parallel = ParallelCampaignEngine(workers=4).grid_sweep(algorithm)
+        with PoolBackend(workers=4) as backend:
+            parallel = ParallelCampaignEngine(backend=backend).grid_sweep(algorithm)
         assert parallel.reports == serial.reports
         assert [str(r) for r in parallel.reports] == [str(r) for r in serial.reports]
         assert parallel.ok == serial.ok
@@ -51,12 +58,15 @@ class TestParallelSerialParity:
         algorithm = get("async_phi2_l3_chir_k2")
         sizes = [(3, 4), (3, 5)]
         serial = stress_test(algorithm, sizes=sizes, seeds=(0, 1))
-        parallel = ParallelCampaignEngine(workers=4).stress_test(algorithm, sizes=sizes, seeds=(0, 1))
+        with PoolBackend(workers=4) as backend:
+            parallel = ParallelCampaignEngine(backend=backend).stress_test(
+                algorithm, sizes=sizes, seeds=(0, 1)
+            )
         assert parallel.reports == serial.reports
 
-    def test_single_worker_runs_in_process(self):
+    def test_no_backend_runs_in_process(self):
         algorithm = get("fsync_phi2_l2_chir_k2")
-        engine = ParallelCampaignEngine(workers=1)
+        engine = ParallelCampaignEngine()
         report = engine.grid_sweep(algorithm, sizes=[(3, 4)])
         assert report.ok and len(report.reports) == 1
 
@@ -77,14 +87,45 @@ class TestParallelSerialParity:
             min_m=1,
             min_n=3,
         )
-        engine = ParallelCampaignEngine(workers=4)
-        report = engine.grid_sweep(adhoc, sizes=[(1, 3)])
+        with PoolBackend(workers=4) as backend:
+            report = ParallelCampaignEngine(backend=backend).grid_sweep(adhoc, sizes=[(1, 3)])
+            assert not backend.started
         # The ad-hoc rule set is not a terminating explorer; what matters is
         # that the engine executed it in-process instead of failing to pickle.
         assert len(report.reports) == 1
         # ...and the result matches the serial path exactly.
         serial = execute_tasks(adhoc, grid_sweep_tasks(adhoc, sizes=[(1, 3)]))
         assert report.reports == serial
+
+
+class TestTasksRunTheAlgorithmTheyName:
+    """A task list handed to an engine run for another algorithm."""
+
+    A, B = "fsync_phi2_l2_chir_k2", "fsync_phi1_l3_nochir_k4"
+
+    def test_engine_files_the_named_algorithms_report_under_its_key(self, tmp_path):
+        a, b = get(self.A), get(self.B)
+        store = VerdictStore(tmp_path / "store")
+        (report,) = ParallelCampaignEngine(store=store).run_tasks(a, grid_sweep_tasks(b, sizes=[(4, 5)]))
+        assert (report.algorithm, report.steps) == (self.B, 14)
+        served = verify_one(b, 4, 5, store=store)
+        assert served.store_stats["outcome"] == HIT
+        assert (served.algorithm, served.steps) == (self.B, 14)
+        assert verify_one(a, 4, 5).steps == 17  # what A's run would have filed
+
+    def test_execute_tasks_runs_each_tasks_own_algorithm(self):
+        a, b = get(self.A), get(self.B)
+        tasks = grid_sweep_tasks(a, sizes=[(4, 5)]) + grid_sweep_tasks(b, sizes=[(4, 5)])
+        reports = execute_tasks(a, tasks)
+        assert [(r.algorithm, r.steps) for r in reports] == [(self.A, 17), (self.B, 14)]
+        assert reports == [run_task(task) for task in tasks]
+
+    def test_an_unregistered_algorithm_refuses_other_names(self):
+        from tests.engine.test_pool import _adhoc_algorithm
+
+        adhoc = _adhoc_algorithm("adhoc_named_elsewhere")
+        with pytest.raises(ValueError, match=self.B):
+            execute_tasks(adhoc, grid_sweep_tasks(get(self.B), sizes=[(4, 5)]))
 
 
 class TestSeedDerivation:

@@ -1,4 +1,4 @@
-"""Tests for the persistent pool, the matcher caches and the cache plumbing."""
+"""Tests for the backends' caches, the matcher caches and the cache plumbing."""
 
 from __future__ import annotations
 
@@ -13,9 +13,10 @@ from repro.core.errors import StateSpaceLimitExceeded
 from repro.core.rules import Guard, Rule
 from repro.engine import (
     AlgorithmTransitionSystem,
-    ExplorationPool,
     MatcherCache,
     ParallelCampaignEngine,
+    PoolBackend,
+    SerialBackend,
     default_workers,
     explore,
     explore_sharded,
@@ -58,19 +59,19 @@ def _assert_same_exploration(actual, expected):
 
 
 # ---------------------------------------------------------------------------
-# Explorations handed a pool run in-process on its cache
+# Explorations handed a pool backend run in-process on its cache
 # ---------------------------------------------------------------------------
 class TestPooledParity:
-    """Explorations handed a pool are byte-identical to serial ones."""
+    """Explorations handed a pool backend are byte-identical to serial ones."""
 
     def test_explorations_run_in_process_on_the_pool_cache(self):
         algorithm = get("fsync_phi2_l2_chir_k2")
         grid = Grid(4, 4)
         serial = _serial(algorithm, grid, "SSYNC")
-        with ExplorationPool(workers=2) as pool:
-            pooled = explore_state_space(algorithm, grid, model="SSYNC", pool=pool)
-            assert not pool.started  # no worker processes were ever spawned
-            assert pool.cache.stats_for(algorithm).lookups > 0
+        with PoolBackend(workers=2) as backend:
+            pooled = explore_state_space(algorithm, grid, model="SSYNC", backend=backend)
+            assert not backend.started  # no worker processes were ever spawned
+            assert backend.cache.stats_for(algorithm).lookups > 0
         assert pooled == serial.graph()
 
     def test_budget_trip_context_identical_through_the_pool(self):
@@ -78,10 +79,10 @@ class TestPooledParity:
         grid = Grid(8, 8)
         with pytest.raises(StateSpaceLimitExceeded) as serial_info:
             _serial(algorithm, grid, "SSYNC", max_states=100)
-        with ExplorationPool(workers=2) as pool:
+        with PoolBackend(workers=2) as backend:
             with pytest.raises(StateSpaceLimitExceeded) as pooled_info:
-                explore_state_space(algorithm, grid, model="SSYNC", max_states=100, pool=pool)
-            assert not pool.started
+                explore_state_space(algorithm, grid, model="SSYNC", max_states=100, backend=backend)
+            assert not backend.started
         serial, pooled = serial_info.value, pooled_info.value
         assert str(pooled) == str(serial)
         assert pooled.algorithm == serial.algorithm
@@ -90,15 +91,15 @@ class TestPooledParity:
         assert pooled.states_explored == serial.states_explored
         assert pooled.frontier_size == serial.frontier_size
 
-    def test_checking_entry_points_accept_pool(self):
+    def test_checking_entry_points_accept_a_pool_backend(self):
         algorithm = get("fsync_phi2_l2_chir_k2")
         grid = Grid(4, 4)
         serial_graph = explore_state_space(algorithm, grid, model="SSYNC")
         serial_check = check_terminating_exploration(algorithm, grid, model="SSYNC")
-        with ExplorationPool(workers=2) as pool:
-            assert explore_state_space(algorithm, grid, model="SSYNC", pool=pool) == serial_graph
-            assert enumerate_reachable(algorithm, grid, model="SSYNC", pool=pool) == len(serial_graph)
-            pooled_check = check_terminating_exploration(algorithm, grid, model="SSYNC", pool=pool)
+        with PoolBackend(workers=2) as backend:
+            assert explore_state_space(algorithm, grid, model="SSYNC", backend=backend) == serial_graph
+            assert enumerate_reachable(algorithm, grid, model="SSYNC", backend=backend) == len(serial_graph)
+            pooled_check = check_terminating_exploration(algorithm, grid, model="SSYNC", backend=backend)
         assert pooled_check == serial_check  # CheckResult equality ignores matcher_stats
         assert pooled_check.matcher_stats is not None
 
@@ -106,29 +107,29 @@ class TestPooledParity:
         adhoc = _adhoc_algorithm()
         grid = Grid(1, 3)
         serial = _serial(adhoc, grid, "FSYNC", max_states=500)
-        with ExplorationPool(workers=4) as pool:
-            pooled = explore_state_space(adhoc, grid, model="FSYNC", max_states=500, pool=pool)
-            assert not pool.started  # cannot cross the process boundary
-            assert pool.cache.stats_for(adhoc).lookups > 0  # ran on the pool's cache
+        with PoolBackend(workers=4) as backend:
+            pooled = explore_state_space(adhoc, grid, model="FSYNC", max_states=500, backend=backend)
+            assert not backend.started  # cannot cross the process boundary
+            assert backend.cache.stats_for(adhoc).lookups > 0  # ran on the pool's cache
         assert pooled == serial.graph()
 
-    def test_closed_pool_refuses_work(self):
-        pool = ExplorationPool(workers=2)
-        pool.close()
+    def test_closed_pool_backend_refuses_work(self):
+        backend = PoolBackend(workers=2)
+        backend.close()
         with pytest.raises(RuntimeError):
-            pool.map(abs, [-1, -2])
-        pool.close()  # idempotent
+            backend.run_tasks([])
+        backend.close()  # idempotent
 
 
 class TestPoolCachePersistence:
-    """Acceptance: the pool's cache survives across explorations."""
+    """Acceptance: the pool backend's cache survives across explorations."""
 
     def test_cross_exploration_reuse(self):
         algorithm = get("fsync_phi2_l2_chir_k2")
         grid = Grid(3, 3)
-        with ExplorationPool(workers=2) as pool:
-            first = check_terminating_exploration(algorithm, grid, model="FSYNC", pool=pool)
-            second = check_terminating_exploration(algorithm, grid, model="FSYNC", pool=pool)
+        with PoolBackend(workers=2) as backend:
+            first = check_terminating_exploration(algorithm, grid, model="FSYNC", backend=backend)
+            second = check_terminating_exploration(algorithm, grid, model="FSYNC", backend=backend)
         assert first.matcher_stats["misses"] > 0
         # The coordinator cache persists deterministically: the re-run pays
         # zero guard evaluations.
@@ -137,69 +138,65 @@ class TestPoolCachePersistence:
 
     def test_cache_reuse_spans_grid_sizes_and_models(self):
         algorithm = get("fsync_phi2_l2_chir_k2")
-        with ExplorationPool(workers=2) as pool:
-            check_terminating_exploration(algorithm, Grid(3, 3), model="FSYNC", pool=pool)
-            check_terminating_exploration(algorithm, Grid(3, 4), model="FSYNC", pool=pool)
-            third = check_terminating_exploration(algorithm, Grid(4, 4), model="SSYNC", pool=pool)
+        with PoolBackend(workers=2) as backend:
+            check_terminating_exploration(algorithm, Grid(3, 3), model="FSYNC", backend=backend)
+            check_terminating_exploration(algorithm, Grid(3, 4), model="FSYNC", backend=backend)
+            third = check_terminating_exploration(algorithm, Grid(4, 4), model="SSYNC", backend=backend)
         # Patterns learned at other sizes (and under FSYNC) serve the new
         # size/model: the matcher keys are grid-size and model independent.
         assert third.matcher_stats["hits"] > 0
 
 
 # ---------------------------------------------------------------------------
-# Campaigns on the pool
+# Campaigns on the pool backend
 # ---------------------------------------------------------------------------
 class TestCampaignsOnThePool:
     def test_engine_on_pool_reports_identical_to_serial(self):
         algorithm = get("fsync_phi1_l2_chir_k3")
         serial = grid_sweep(algorithm)
-        with ExplorationPool(workers=2) as pool:
-            pooled = ParallelCampaignEngine(pool=pool).grid_sweep(algorithm)
+        with PoolBackend(workers=2) as backend:
+            pooled = ParallelCampaignEngine(backend=backend).grid_sweep(algorithm)
         assert pooled.reports == serial.reports
         assert [str(r) for r in pooled.reports] == [str(r) for r in serial.reports]
 
-    def test_engine_defaults_to_pool_worker_count(self):
-        with ExplorationPool(workers=3) as pool:
-            assert ParallelCampaignEngine(pool=pool).workers == 3
-
-    def test_engine_workers_clamped_to_pool_capacity(self):
+    def test_one_worker_pool_runs_campaigns_in_process(self):
         algorithm = get("fsync_phi2_l2_chir_k2")
-        with ExplorationPool(workers=1) as pool:
-            engine = ParallelCampaignEngine(workers=4, pool=pool)
+        with PoolBackend(workers=1) as backend:
+            engine = ParallelCampaignEngine(backend=backend)
             report = engine.grid_sweep(algorithm, sizes=[(3, 3), (4, 4)])
-            assert not pool.started  # ran in-process, on the pool's cache
-            assert pool.cache.stats_for(algorithm).lookups > 0
+            assert not backend.started  # ran in-process, on the pool's cache
+            assert backend.cache.stats_for(algorithm).lookups > 0
         assert report.ok
 
-    def test_grid_sweep_accepts_pool(self):
+    def test_grid_sweep_accepts_a_pool_backend(self):
         algorithm = get("fsync_phi2_l2_chir_k2")
         sizes = [(3, 3), (3, 4), (4, 4)]
         serial = grid_sweep(algorithm, sizes=sizes)
-        with ExplorationPool(workers=2) as pool:
-            pooled = grid_sweep(algorithm, sizes=sizes, pool=pool)
+        with PoolBackend(workers=2) as backend:
+            pooled = grid_sweep(algorithm, sizes=sizes, backend=backend)
         assert pooled.reports == serial.reports
 
-    def test_serial_fallback_campaign_runs_on_the_pool_cache(self):
-        """A one-worker pool still gives campaigns persistent cache reuse."""
+    def test_serial_campaigns_share_the_backend_cache(self):
+        """A shared serial backend gives campaigns persistent cache reuse."""
         algorithm = get("fsync_phi2_l2_chir_k2")
         sizes = [(3, 3), (4, 4)]
-        with ExplorationPool(workers=1) as pool:
-            first = grid_sweep(algorithm, sizes=sizes, pool=pool)
-            assert pool.cache.stats_for(algorithm).lookups > 0
-            second = grid_sweep(algorithm, sizes=sizes, pool=pool)
+        with SerialBackend() as backend:
+            first = grid_sweep(algorithm, sizes=sizes, backend=backend)
+            assert backend.cache.stats_for(algorithm).lookups > 0
+            second = grid_sweep(algorithm, sizes=sizes, backend=backend)
         assert second.reports == first.reports
-        # The second campaign replays entirely from the coordinator cache.
+        # The second campaign replays entirely from the backend's cache.
         assert all(report.cache_misses == 0 for report in second.reports)
         assert sum(report.cache_hits for report in second.reports) > 0
 
     def test_pool_serves_campaigns_and_explorations_alike(self):
-        """One pool, interleaved workloads: both run and stay consistent."""
+        """One pool backend, interleaved workloads: both run and stay consistent."""
         algorithm = get("fsync_phi2_l2_chir_k2")
         grid = Grid(4, 4)
-        with ExplorationPool(workers=2) as pool:
-            exploration = explore_state_space(algorithm, grid, model="FSYNC", pool=pool)
-            report = grid_sweep(algorithm, sizes=[(3, 3), (4, 4)], pool=pool)
-            again = explore_state_space(algorithm, grid, model="FSYNC", pool=pool)
+        with PoolBackend(workers=2) as backend:
+            exploration = explore_state_space(algorithm, grid, model="FSYNC", backend=backend)
+            report = grid_sweep(algorithm, sizes=[(3, 3), (4, 4)], backend=backend)
+            again = explore_state_space(algorithm, grid, model="FSYNC", backend=backend)
         assert report.ok
         assert again == exploration
 
@@ -208,29 +205,29 @@ class TestCampaignsOnThePool:
 # Satellite regressions
 # ---------------------------------------------------------------------------
 class TestExploreShardedCache:
-    """explore_sharded must honour the caller's cache."""
+    """explore_sharded must honour the backend's cache."""
 
-    def test_unregistered_algorithm_runs_on_the_supplied_cache(self):
+    def test_unregistered_algorithm_runs_on_the_backend_cache(self):
         adhoc = _adhoc_algorithm("adhoc_fallback_cache")
         grid = Grid(1, 3)
-        cache = MatcherCache()
-        warm = explore_sharded(adhoc, grid, "FSYNC", max_states=500, cache=cache)
-        # The unregistered algorithm ran on the supplied cache, not a cold
+        backend = SerialBackend()
+        warm = explore_sharded(adhoc, grid, "FSYNC", max_states=500, backend=backend)
+        # The unregistered algorithm ran on the backend's cache, not a cold
         # ad-hoc matcher.
-        assert cache.stats_for(adhoc).lookups > 0
-        assert cache.entry_count() > 0
+        assert backend.cache.stats_for(adhoc).lookups > 0
+        assert backend.cache.entry_count() > 0
         _assert_same_exploration(warm, _serial(adhoc, grid, "FSYNC", max_states=500))
         # ...and a second run over the same cache starts warm.
-        rerun = explore_sharded(adhoc, grid, "FSYNC", max_states=500, cache=cache)
+        rerun = explore_sharded(adhoc, grid, "FSYNC", max_states=500, backend=backend)
         assert rerun.matcher_stats["misses"] == 0
         _assert_same_exploration(rerun, warm)
 
-    def test_registered_algorithm_uses_the_cache(self):
+    def test_registered_algorithm_uses_the_backend_cache(self):
         algorithm = get("fsync_phi2_l2_chir_k2")
         grid = Grid(3, 3)
-        cache = MatcherCache()
-        explore_sharded(algorithm, grid, "FSYNC", cache=cache)
-        warm = explore_sharded(algorithm, grid, "FSYNC", cache=cache)
+        backend = SerialBackend()
+        explore_sharded(algorithm, grid, "FSYNC", backend=backend)
+        warm = explore_sharded(algorithm, grid, "FSYNC", backend=backend)
         assert warm.matcher_stats["misses"] == 0
         _assert_same_exploration(warm, _serial(algorithm, grid, "FSYNC"))
 
@@ -317,24 +314,22 @@ class TestDefaultWorkers:
         assert default_workers() == expected
         assert default_workers() >= 1
 
-    def test_campaign_engine_default_matches(self):
-        assert ParallelCampaignEngine().workers == default_workers()
-
-    def test_exploration_pool_default_matches(self):
-        pool = ExplorationPool()
-        assert pool.workers == default_workers()
-        pool.close()
+    def test_backend_defaults_match(self):
+        with PoolBackend() as backend:
+            assert backend.parallelism == default_workers()
+        assert SerialBackend().parallelism == 1
 
 
 class TestMatcherCache:
     def test_cross_size_reuse_has_nonzero_hits(self):
         """Acceptance: a cache warmed at other sizes hits at a new size."""
         algorithm = get("fsync_phi2_l2_chir_k2")
-        cache = MatcherCache()
+        backend = SerialBackend()
+        cache = backend.cache
         for size in [(3, 3), (3, 4), (3, 5)]:
-            check_terminating_exploration(algorithm, Grid(*size), model="FSYNC", cache=cache)
+            check_terminating_exploration(algorithm, Grid(*size), model="FSYNC", backend=backend)
         before = cache.stats.snapshot()
-        result = check_terminating_exploration(algorithm, Grid(4, 4), model="FSYNC", cache=cache)
+        result = check_terminating_exploration(algorithm, Grid(4, 4), model="FSYNC", backend=backend)
         delta = cache.stats.delta_since(before)
         assert delta.hits > 0
         assert result.matcher_stats is not None
@@ -344,9 +339,9 @@ class TestMatcherCache:
         algorithm = get("async_phi2_l3_chir_k2")
         grid = Grid(3, 4)
         plain = check_terminating_exploration(algorithm, grid, model="ASYNC")
-        cache = MatcherCache()
-        cached = check_terminating_exploration(algorithm, grid, model="ASYNC", cache=cache)
-        recheck = check_terminating_exploration(algorithm, grid, model="ASYNC", cache=cache)
+        backend = SerialBackend()
+        cached = check_terminating_exploration(algorithm, grid, model="ASYNC", backend=backend)
+        recheck = check_terminating_exploration(algorithm, grid, model="ASYNC", backend=backend)
         for result in (cached, recheck):
             assert result.ok == plain.ok
             assert result.states_explored == plain.states_explored
@@ -367,9 +362,9 @@ class TestMatcherCache:
 
     def test_summary_surfaces_cache_stats(self):
         algorithm = get("fsync_phi2_l2_chir_k2")
-        cache = MatcherCache()
-        check_terminating_exploration(algorithm, Grid(3, 3), model="FSYNC", cache=cache)
-        result = check_terminating_exploration(algorithm, Grid(3, 3), model="FSYNC", cache=cache)
+        backend = SerialBackend()
+        check_terminating_exploration(algorithm, Grid(3, 3), model="FSYNC", backend=backend)
+        result = check_terminating_exploration(algorithm, Grid(3, 3), model="FSYNC", backend=backend)
         assert "match cache" in result.summary()
 
 

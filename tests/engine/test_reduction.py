@@ -17,9 +17,9 @@ from repro.core.errors import StateSpaceLimitExceeded
 from repro.engine import (
     AlgorithmTransitionSystem,
     CampaignTask,
-    ExplorationPool,
-    MatcherCache,
     ParallelCampaignEngine,
+    PoolBackend,
+    SerialBackend,
     check_one,
     execute_tasks,
     explore,
@@ -109,9 +109,9 @@ class TestRoutesAgreeOnTheQuotient:
         algorithm = get(name)
         grid = Grid(m, n)
         serial = _serial(algorithm, grid, model, reduction="grid")
-        cache = MatcherCache()
-        cold = explore_sharded(algorithm, grid, model, reduction="grid", cache=cache)
-        warm = explore_sharded(algorithm, grid, model, reduction="grid", cache=cache)
+        backend = SerialBackend()
+        cold = explore_sharded(algorithm, grid, model, reduction="grid", backend=backend)
+        warm = explore_sharded(algorithm, grid, model, reduction="grid", backend=backend)
         for other in (cold, warm):
             assert other.states == serial.states
             assert other.succ == serial.succ
@@ -186,11 +186,10 @@ class TestExhaustiveCheckCampaigns:
             for m, n in [(2, 3), (3, 3), (3, 4)]
         ]
         serial = execute_tasks(algorithm, tasks)
-        parallel = ParallelCampaignEngine(workers=2).run_tasks(algorithm, tasks)
+        with PoolBackend(workers=2) as backend:
+            parallel = ParallelCampaignEngine(backend=backend).run_tasks(algorithm, tasks)
+            assert backend.started  # the tasks crossed the process boundary
         assert parallel == serial
-        with ExplorationPool(workers=2) as pool:
-            pooled = ParallelCampaignEngine(pool=pool).run_tasks(algorithm, tasks)
-        assert pooled == serial
         assert all(report.reduction_stats is not None for report in serial)
         # Deterministic reduction stats survive the process boundary.
         assert [r.reduction_stats for r in parallel] == [r.reduction_stats for r in serial]

@@ -2,8 +2,8 @@
 
 Four promises under test:
 
-1. **Crash safety** — segments reuse the journal record format, so a
-   writer killed mid-append leaves at worst a torn tail that the next
+1. **Crash safety** — segments are flat sequences of CRC-framed records,
+   so a writer killed mid-append leaves at worst a torn tail that the next
    open truncates away, and a record damaged in place costs only itself.
 2. **Coalescing** — duplicate concurrent requests for one key trigger
    exactly one computation; the duplicates share the leader's result
@@ -27,7 +27,7 @@ import pytest
 
 from repro.algorithms import get
 from repro.core import Grid
-from repro.engine import VerdictStore, explore_sharded
+from repro.engine import PoolBackend, VerdictStore, explore_sharded
 from repro.engine.campaign import (
     ParallelCampaignEngine,
     exhaustive_check_tasks,
@@ -35,29 +35,20 @@ from repro.engine.campaign import (
     task_store_key,
     verify_one,
 )
-from repro.engine.journal import RECORD_HEADER, CampaignJournal, pack_record
 from repro.engine.matcher import MatcherCache
-from repro.engine.pool import ExplorationPool
-from repro.engine.store import COALESCED, HIT, MISS
+from repro.engine.store import COALESCED, HIT, MISS, RECORD_HEADER, pack_record
 from repro.engine.suites import reduction_parity_suite
 from repro.checking import check_terminating_exploration
 
 ALGORITHM = "fsync_phi2_l2_chir_k2"
 
 
-#: Each durable record file, opened on a fresh ``tmp_path`` layout.
-OPENERS = {
-    "store": lambda root: VerdictStore(root / "store"),
-    "journal": lambda root: CampaignJournal(root / "campaign.journal"),
-}
-
-
-def write_six(root, opener):
-    """Six ``key-i -> value-i`` records; returns the one file holding them."""
-    with OPENERS[opener](root) as written:
+def write_six(root):
+    """Six ``key-i -> value-i`` records in ``root/store``; returns their segment."""
+    with VerdictStore(root / "store") as written:
         for i in range(1, 7):
             written.put(f"key-{i}", f"value-{i}")
-    return root / "store" / "seg-0.log" if opener == "store" else root / "campaign.journal"
+    return root / "store" / "seg-0.log"
 
 
 def record_span(data, number):
@@ -119,15 +110,14 @@ class TestDurability:
             assert recovered.get("key-2") == "value-2"
             assert segment.read_bytes() == intact  # tail gone, records kept
 
-    @pytest.mark.parametrize("opener", sorted(OPENERS))
     @pytest.mark.parametrize("damaged", [1, 3, 6], ids=["first", "middle", "last"])
-    def test_flipped_bit_costs_only_its_own_record(self, tmp_path, opener, damaged):
-        path = write_six(tmp_path, opener)
+    def test_flipped_bit_costs_only_its_own_record(self, tmp_path, damaged):
+        path = write_six(tmp_path)
         data = bytearray(path.read_bytes())
         start, _ = record_span(data, damaged)
         data[start + RECORD_HEADER.size + 2] ^= 0x01  # one bit inside the body
         path.write_bytes(bytes(data))
-        with OPENERS[opener](tmp_path) as recovered:
+        with VerdictStore(tmp_path / "store") as recovered:
             assert len(recovered) == 5
             for i in range(1, 7):
                 expected = None if i == damaged else f"value-{i}"
@@ -136,15 +126,14 @@ class TestDurability:
             assert recovered.recovered_bytes == 0
         assert path.read_bytes() == bytes(data)  # nothing truncated
 
-    @pytest.mark.parametrize("opener", sorted(OPENERS))
-    def test_unloadable_pickle_costs_only_its_own_record(self, tmp_path, opener):
-        path = write_six(tmp_path, opener)
+    def test_unloadable_pickle_costs_only_its_own_record(self, tmp_path):
+        path = write_six(tmp_path)
         data = path.read_bytes()
         start, end = record_span(data, 3)
         body = b"not a pickle"  # CRC-valid, but no longer unpickles
         damaged = data[:start] + RECORD_HEADER.pack(len(body), zlib.crc32(body)) + body + data[end:]
         path.write_bytes(damaged)
-        with OPENERS[opener](tmp_path) as recovered:
+        with VerdictStore(tmp_path / "store") as recovered:
             assert len(recovered) == 5
             assert recovered.get("key-3") is None
             assert recovered.get("key-4") == "value-4"
@@ -152,33 +141,31 @@ class TestDurability:
             assert recovered.recovered_bytes == 0
         assert path.read_bytes() == damaged
 
-    @pytest.mark.parametrize("opener", sorted(OPENERS))
-    def test_damage_without_a_valid_successor_truncates(self, tmp_path, opener):
+    def test_damage_without_a_valid_successor_truncates(self, tmp_path):
         # Records 3 and 4 both fail their CRC: nothing confirms that record
         # 3's length field still frames the file, so replay stops there.
-        path = write_six(tmp_path, opener)
+        path = write_six(tmp_path)
         data = bytearray(path.read_bytes())
         for number in (3, 4):
             start, _ = record_span(data, number)
             data[start + RECORD_HEADER.size + 2] ^= 0x01
         path.write_bytes(bytes(data))
         kept, _ = record_span(data, 3)
-        with OPENERS[opener](tmp_path) as recovered:
+        with VerdictStore(tmp_path / "store") as recovered:
             assert len(recovered) == 2
             assert recovered.get("key-2") == "value-2"
             assert recovered.get("key-5") is None
             assert recovered.recovered_bytes == len(data) - kept
         assert path.read_bytes() == bytes(data[:kept])
 
-    @pytest.mark.parametrize("opener", sorted(OPENERS))
-    def test_separated_damage_costs_only_the_damaged_records(self, tmp_path, opener):
-        path = write_six(tmp_path, opener)
+    def test_separated_damage_costs_only_the_damaged_records(self, tmp_path):
+        path = write_six(tmp_path)
         data = bytearray(path.read_bytes())
         for number in (2, 5):  # each is followed by an intact record
             start, _ = record_span(data, number)
             data[start + RECORD_HEADER.size + 2] ^= 0x01
         path.write_bytes(bytes(data))
-        with OPENERS[opener](tmp_path) as recovered:
+        with VerdictStore(tmp_path / "store") as recovered:
             assert [recovered.get(f"key-{i}") for i in range(1, 7)] == [
                 "value-1", None, "value-3", "value-4", None, "value-6"
             ]
@@ -206,38 +193,36 @@ class TestDurability:
             assert reopened.get("key-2") == "rewritten"
             assert len(reopened) == 6
 
-    @pytest.mark.parametrize("opener", sorted(OPENERS))
-    def test_flipped_length_field_truncates_at_its_record(self, tmp_path, opener):
+    def test_flipped_length_field_truncates_at_its_record(self, tmp_path):
         # A damaged length field misframes everything after it: replay
         # keeps the records before it and truncates from there on.
-        path = write_six(tmp_path, opener)
+        path = write_six(tmp_path)
         data = bytearray(path.read_bytes())
         start, _ = record_span(data, 4)
         data[start + 3] ^= 0x01  # lowest byte of record 4's length
         path.write_bytes(bytes(data))
-        with OPENERS[opener](tmp_path) as recovered:
+        with VerdictStore(tmp_path / "store") as recovered:
             assert len(recovered) == 3
             assert recovered.get("key-3") == "value-3"
             assert recovered.recovered_bytes == len(data) - start
         assert path.read_bytes() == bytes(data[:start])
 
-    @pytest.mark.parametrize("opener", sorted(OPENERS))
-    def test_skipped_record_can_be_written_again(self, tmp_path, opener):
-        path = write_six(tmp_path, opener)
+    def test_skipped_record_can_be_written_again(self, tmp_path):
+        path = write_six(tmp_path)
         data = bytearray(path.read_bytes())
         start, _ = record_span(data, 3)
         data[start + RECORD_HEADER.size + 2] ^= 0x01
         path.write_bytes(bytes(data))
-        with OPENERS[opener](tmp_path) as recovered:
+        with VerdictStore(tmp_path / "store") as recovered:
             recovered.put("key-3", "rewritten")  # appended after key-6
-        with OPENERS[opener](tmp_path) as reopened:
+        with VerdictStore(tmp_path / "store") as reopened:
             assert len(reopened) == 6
             assert reopened.get("key-3") == "rewritten"
             assert reopened.get("key-6") == "value-6"
             assert reopened.corrupt_records == 1  # the damaged bytes remain
 
     def test_compaction_drops_damaged_records(self, tmp_path):
-        path = write_six(tmp_path, "store")
+        path = write_six(tmp_path)
         data = bytearray(path.read_bytes())
         start, _ = record_span(data, 3)
         data[start + RECORD_HEADER.size + 2] ^= 0x01
@@ -257,7 +242,7 @@ class TestDurability:
             ]
 
     def test_corrupt_records_surface_in_stats(self, tmp_path):
-        path = write_six(tmp_path, "store")
+        path = write_six(tmp_path)
         data = bytearray(path.read_bytes())
         start, _ = record_span(data, 2)
         data[start + RECORD_HEADER.size + 2] ^= 0x01
@@ -489,10 +474,10 @@ class TestParity:
     def test_exploration_parity_on_the_pool_route(self):
         store = VerdictStore()
         cases = [case for case in reduction_parity_suite() if case[3] != "ASYNC"][:6]
-        with ExplorationPool(workers=2) as pool:
+        with PoolBackend(workers=2) as backend:
             for name, m, n, model in cases:
                 algorithm, grid = get(name), Grid(m, n)
-                explore = partial(explore_sharded, algorithm, grid, model, reduction="grid", cache=pool.cache)
+                explore = partial(explore_sharded, algorithm, grid, model, reduction="grid", backend=backend)
                 fresh = explore()
                 recorded = explore(store=store)
                 cached = explore(store=store)
@@ -542,12 +527,12 @@ class TestParity:
         tasks = grid_sweep_tasks(algorithm, sizes=[(3, 3), (3, 4)]) + exhaustive_check_tasks(
             algorithm, sizes=[(3, 3)]
         )
-        fresh = ParallelCampaignEngine(workers=1).run_tasks(algorithm, tasks)
+        fresh = ParallelCampaignEngine().run_tasks(algorithm, tasks)
         with VerdictStore(tmp_path / "store") as store:
-            recorded = ParallelCampaignEngine(workers=1, store=store).run_tasks(algorithm, tasks)
+            recorded = ParallelCampaignEngine(store=store).run_tasks(algorithm, tasks)
         # A new process opening the same directory serves every report.
         with VerdictStore(tmp_path / "store") as reopened:
-            cached = ParallelCampaignEngine(workers=1, store=reopened).run_tasks(algorithm, tasks)
+            cached = ParallelCampaignEngine(store=reopened).run_tasks(algorithm, tasks)
             assert all(report.store_stats["outcome"] == HIT for report in cached)
             assert reopened.misses == 0
         assert cached == recorded == fresh
@@ -558,7 +543,7 @@ class TestParity:
         report = verify_one(algorithm, 3, 3, store=store)
         assert report.store_stats["outcome"] == MISS
         (task,) = grid_sweep_tasks(algorithm, sizes=[(3, 3)])
-        (engine_report,) = ParallelCampaignEngine(workers=1, store=store).run_tasks(
+        (engine_report,) = ParallelCampaignEngine(store=store).run_tasks(
             algorithm, [task]
         )
         assert engine_report.store_stats["outcome"] == HIT

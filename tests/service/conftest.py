@@ -54,8 +54,6 @@ class ServiceHarness:
 def make_harness(tmp_path=None, **service_kwargs) -> ServiceHarness:
     if "store" not in service_kwargs:
         service_kwargs["store"] = VerdictStore(tmp_path / "store") if tmp_path else VerdictStore()
-    if tmp_path is not None and "journal_dir" not in service_kwargs:
-        service_kwargs["journal_dir"] = tmp_path / "journals"
     store = service_kwargs.pop("store")
     service = VerificationService(store, **service_kwargs)
     server, _ = start_in_thread(service)
@@ -82,7 +80,7 @@ def harness_factory(tmp_path):
 
 @pytest.fixture
 def harness(harness_factory):
-    """A served :class:`VerificationService` over a fresh store + journal."""
+    """A served :class:`VerificationService` over a fresh on-disk store."""
     return harness_factory()
 
 
@@ -102,8 +100,10 @@ def cli_harness(request, tmp_path, capsys):
     service = build_service(build_parser().parse_args(argv))
     capsys.readouterr()  # drop the start-up banner
     server, _ = start_in_thread(service)
+    harness = ServiceHarness(service, server)
+    harness.kind = request.param
     try:
-        yield ServiceHarness(service, server)
+        yield harness
     finally:
         server.shutdown()
         service.close()

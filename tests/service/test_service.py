@@ -3,8 +3,8 @@
 The acceptance bar: a ``POST /v1/check`` verdict is byte-identical
 (modulo the ``compare=False`` observability channels) to
 ``check_terminating_exploration`` on both the cold and warm paths; a
-killed server restarted on the same journal resumes a resubmitted
-campaign without recomputing its completed tasks.
+killed server restarted on the same store resumes a resubmitted campaign
+without recomputing its completed tasks.
 """
 
 from __future__ import annotations
@@ -305,6 +305,29 @@ def await_campaign(harness, run_id, timeout=60.0):
     raise AssertionError(f"campaign {run_id} still running after {timeout}s")
 
 
+MISMATCH = {
+    "algorithm": "fsync_phi2_l2_chir_k2",
+    "tasks": [{"algorithm": "fsync_phi1_l3_nochir_k4", "m": 4, "n": 5}],
+}
+
+
+def assert_mismatched_task_runs_its_own_algorithm(harness) -> None:
+    """A task naming B in a campaign for A runs B, and files B's report under B's key."""
+    from repro.engine.campaign import verify_one
+
+    _, submitted, _ = harness.post("/v1/campaigns", MISMATCH)
+    assert await_campaign(harness, submitted["id"])["state"] == "done"
+    raw = harness.get_raw(f"/v1/campaigns/{submitted['id']}/events")
+    (task,) = [event for event in map(json.loads, raw.splitlines()) if event["event"] == "task"]
+    verdict = task["report"]["verdict"]
+    assert (verdict["algorithm"], verdict["steps"]) == ("fsync_phi1_l3_nochir_k4", 14)
+    served = verify_one(
+        registry.get("fsync_phi1_l3_nochir_k4"), 4, 5, store=harness.service.store
+    )
+    assert served.store_stats["outcome"] == "hit"
+    assert (served.algorithm, served.steps) == ("fsync_phi1_l3_nochir_k4", 14)
+
+
 class TestCampaigns:
     def test_submit_run_stream_and_idempotent_resubmit(self, harness):
         code, submitted, _ = harness.post("/v1/campaigns", CAMPAIGN)
@@ -356,8 +379,7 @@ class TestCampaigns:
         assert status["state"] == "done" and status["completed"] == 2
 
     def test_stats_count_damaged_store_records(self, tmp_path, harness_factory):
-        from repro.engine.journal import RECORD_HEADER
-        from repro.engine.store import VerdictStore
+        from repro.engine.store import RECORD_HEADER, VerdictStore
 
         with VerdictStore(tmp_path / "damaged") as store:
             for i in range(3):
@@ -371,6 +393,24 @@ class TestCampaigns:
         assert code == 200
         assert stats["store"]["corrupt_records"] == 1
         assert stats["store"]["entries"] == 2
+
+    def test_task_naming_another_algorithm_runs_that_algorithm(self, harness):
+        assert_mismatched_task_runs_its_own_algorithm(harness)
+
+    def test_restart_on_the_same_store_serves_the_campaign(self, tmp_path, harness_factory):
+        from repro.engine.store import VerdictStore
+
+        first = harness_factory(store=VerdictStore(tmp_path / "shared"))
+        _, submitted, _ = first.post("/v1/campaigns", CAMPAIGN)
+        assert await_campaign(first, submitted["id"])["resumed"] == 0
+        first.server.shutdown()
+        first.service.close()
+        second = harness_factory(store=VerdictStore(tmp_path / "shared"))
+        _, again, _ = second.post("/v1/campaigns", CAMPAIGN)
+        assert again["id"] == submitted["id"]
+        status = await_campaign(second, again["id"])
+        assert status["state"] == "done"
+        assert status["resumed"] == status["total"] == 2
 
     def test_stats_counts_requests_and_campaigns(self, harness):
         harness.post("/v1/check", SPEC)
@@ -390,22 +430,46 @@ class TestCampaigns:
 # ---------------------------------------------------------------------------
 class TestServerCli:
     @pytest.mark.parametrize(
-        "argv,option",
+        "flag,value",
         [
-            (["--backend", "distributed"], "--backend"),
-            (["--connect", "127.0.0.1:7421"], "--connect"),
-            (["--min-workers", "2"], "--min-workers"),
+            ("backend", "distributed"),
+            ("connect", "127.0.0.1:7421"),
+            ("min-workers", "2"),
+            ("journal", "journals/"),
         ],
-        ids=["backend-distributed", "connect", "min-workers"],
+        ids=["backend-distributed", "connect", "min-workers", "journal"],
     )
-    def test_retired_distributed_spellings_exit_2(self, capsys, argv, option):
+    def test_retired_flags_exit_2(self, capsys, flag, value):
         # A deployment script must not quietly get a server it did not ask for.
         from repro.service.__main__ import build_parser
 
+        option = f"--{flag}"
         with pytest.raises(SystemExit) as exited:
-            build_parser().parse_args(argv)
+            build_parser().parse_args([option, value])
         assert exited.value.code == 2
         assert option in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--backend", "pool", "--workers", "0"],
+            ["--backend", "pool", "--workers", "-3"],
+            ["--workers", "4"],
+            ["--backend", "serial", "--workers", "2"],
+        ],
+        ids=["pool-zero", "pool-negative", "no-backend", "serial-backend"],
+    )
+    def test_bad_worker_counts_exit_2_before_serving(self, capsys, argv, monkeypatch):
+        from repro.service import __main__ as cli
+
+        def refuse(args):
+            raise AssertionError("a service was built from a bad --workers")
+
+        monkeypatch.setattr(cli, "build_service", refuse)
+        with pytest.raises(SystemExit) as exited:
+            cli.main(argv)
+        assert exited.value.code == 2
+        assert "--workers" in capsys.readouterr().err
 
     def test_cold_import_leaves_numpy_out(self):
         # The library and the server are pure Python; numpy on the import
@@ -431,8 +495,7 @@ class TestBackendKinds:
 
     @staticmethod
     def assert_nothing_left_the_process(service):
-        if service.pool is not None:
-            assert not service.pool.started
+        assert not getattr(service.backend, "started", False)
 
     def test_check_misses_and_hits_match_the_library(self, cli_harness):
         expected = library_verdict_json()
@@ -456,10 +519,13 @@ class TestBackendKinds:
         self.assert_nothing_left_the_process(cli_harness.service)
 
     def test_stats_name_the_kind_and_its_parallelism(self, cli_harness):
-        kind = cli_harness.service.backend_kind
+        kind = cli_harness.kind
         code, stats, _ = cli_harness.get("/v1/stats")
         assert code == 200
         assert stats["backend"] == {"kind": kind, "parallelism": {"serial": 1, "pool": 2}[kind]}
+
+    def test_task_naming_another_algorithm_runs_that_algorithm(self, cli_harness):
+        assert_mismatched_task_runs_its_own_algorithm(cli_harness)
 
     def test_campaign_reports_match_the_library(self, cli_harness):
         from repro.verification import grid_sweep
@@ -479,7 +545,7 @@ class TestBackendKinds:
 
 
 # ---------------------------------------------------------------------------
-# Kill -9 the server mid-campaign; restart on the same journal; resume.
+# Kill -9 the server mid-campaign; restart on the same store; resume.
 # ---------------------------------------------------------------------------
 SLOW_CAMPAIGN = {
     "algorithm": ALGORITHM,
@@ -497,7 +563,7 @@ def start_server(tmp_path: Path, *extra: str) -> "subprocess.Popen[str]":
         [
             sys.executable, "-m", "repro.service",
             "--host", "127.0.0.1", "--port", "0",
-            "--journal", str(tmp_path / "journals"),
+            "--store", str(tmp_path / "store"),
             "--port-file", str(port_file),
             *extra,
         ],
@@ -531,9 +597,9 @@ def http_json(url, path, payload=None, timeout=60.0):
 
 
 class TestKillResume:
-    def test_killed_server_resumes_campaign_from_its_journal(self, tmp_path):
-        # Wave delay throttles the serial run to ~1 task per 0.4s so the
-        # kill lands mid-campaign deterministically.
+    def test_killed_server_resumes_campaign_from_its_store(self, tmp_path):
+        # The pause after each computed task throttles the serial run to
+        # ~1 task per 0.4s so the kill lands mid-campaign deterministically.
         first = start_server(tmp_path, "--wave-delay", "0.4")
         try:
             url = server_url(first)
@@ -568,7 +634,7 @@ class TestKillResume:
                 time.sleep(0.1)
             assert status["state"] == "done" and status["ok"] is True
             assert status["completed"] == status["total"] == 4
-            # The journaled verdicts were replayed, not recomputed.
+            # The stored verdicts were served, not recomputed.
             assert status["resumed"] >= completed_before_kill >= 1
             with urllib.request.urlopen(
                 url + f"/v1/campaigns/{run_id}/events", timeout=60

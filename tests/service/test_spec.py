@@ -21,7 +21,7 @@ from repro.engine.campaign import (
     grid_sweep_tasks,
     task_store_key,
 )
-from repro.engine.journal import content_key
+from repro.engine.store import content_key
 from repro.engine.explorer import explore_sharded
 from repro.engine.spec import (
     CheckSpec,
