@@ -62,7 +62,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.algorithms import get
 from repro.checking import check_terminating_exploration, explore_state_space
 from repro.core import Grid
-from repro.core.algorithm import Algorithm
+from repro.core.algorithm import Action, Algorithm, Match
+from repro.core.rules import CellKind, CellSpec, Guard, occ
+from repro.core.views import Symmetry, ball_offsets
 from repro.engine import (
     REDUCTION_BENCH_CASE,
     AlgorithmTransitionSystem,
@@ -104,12 +106,57 @@ STORE_WARM_SPEEDUP_FLOOR = 10.0
 
 # ---------------------------------------------------------------------------
 # The seed checker, reproduced verbatim (pre-engine implementation)
+#
+# It carries its own copy of the interpretive match chain it was measured
+# with (Algorithm.matches_for_robot -> Rule.matches -> Guard.matches ->
+# CellSpec.matches, re-reading the guard and applying the symmetry matrix
+# to every cell on every call), so the yardstick the smoke guard divides
+# by stays fixed when the library's matcher gets faster.
 # ---------------------------------------------------------------------------
+def _seed_cell_matches(spec: CellSpec, content) -> bool:
+    if spec.kind is CellKind.ANY:
+        return True
+    if spec.kind is CellKind.WALL:
+        return content is None
+    if spec.kind is CellKind.EMPTY:
+        return content == ()
+    if spec.kind is CellKind.FREE:
+        return content is None or content == ()
+    return content is not None and content == spec.colors
+
+
+def _seed_guard_matches(guard: Guard, snapshot, symmetry: Symmetry, center_default: CellSpec) -> bool:
+    explicit = guard.as_dict()
+    for offset in ball_offsets(guard.phi):
+        if offset == (0, 0):
+            spec = explicit.get(offset)
+            if spec is None:
+                spec = center_default if center_default is not None else guard.default
+        else:
+            spec = explicit.get(offset, guard.default)
+        if spec.kind is CellKind.ANY:
+            continue
+        if not _seed_cell_matches(spec, snapshot[symmetry.apply(offset)]):
+            return False
+    return True
+
+
+def _seed_matches_for_robot(algorithm: Algorithm, world, robot) -> List[Match]:
+    snapshot = world.snapshot(robot.pos, algorithm.phi)
+    result: List[Match] = []
+    for rule in algorithm.rules_for_color(robot.color):
+        for symmetry in algorithm.symmetries():
+            if _seed_guard_matches(rule.guard, snapshot, symmetry, occ(rule.self_color)):
+                action = Action(new_color=rule.new_color, world_move=rule.world_move(symmetry))
+                result.append(Match(rule=rule, symmetry=symmetry, action=action))
+    return result
+
+
 def _seed_enabled_choices(algorithm: Algorithm, grid: Grid, state: SchedulerState):
     world = world_from_state(grid, state)
     choices = []
     for index, robot in enumerate(world.robots):
-        actions = algorithm.distinct_actions(algorithm.matches_for_robot(world, robot))
+        actions = algorithm.distinct_actions(_seed_matches_for_robot(algorithm, world, robot))
         if actions:
             choices.append((index, actions))
     return choices

@@ -29,7 +29,7 @@ from .colors import Color
 from .errors import AlgorithmError
 from .grid import Grid, Node
 from .robot import Robot
-from .rules import Rule
+from .rules import GuardChecks, Rule
 from .views import Offset, Snapshot, Symmetry, symmetries_for
 from .world import World
 
@@ -194,6 +194,37 @@ class Algorithm:
     # ------------------------------------------------------------------
     # Matching engine
     # ------------------------------------------------------------------
+    def compiled_rules(self, color: Color) -> Tuple[Tuple[GuardChecks, Match], ...]:
+        """The rules for light ``color``, compiled once per allowed symmetry.
+
+        One ``(checks, match)`` entry per (rule, symmetry) pair, in rule
+        declaration order, then symmetry order: ``checks`` is the rule's
+        guard in world offsets (:meth:`Rule.checks`) and ``match`` the
+        :class:`Match` it yields, its :class:`Action` precomputed.  Built on
+        first use per color and kept on the instance (outside the compared
+        and hashed fields).
+        """
+        table = self.__dict__.get("_compiled_rules")
+        if table is None:
+            table = {}
+            object.__setattr__(self, "_compiled_rules", table)
+        entries = table.get(color)
+        if entries is None:
+            entries = tuple(
+                (
+                    rule.checks(symmetry),
+                    Match(
+                        rule=rule,
+                        symmetry=symmetry,
+                        action=Action(new_color=rule.new_color, world_move=rule.world_move(symmetry)),
+                    ),
+                )
+                for rule in self.rules_for_color(color)
+                for symmetry in self.symmetries()
+            )
+            table[color] = entries
+        return entries
+
     def matches_for_snapshot(self, snapshot: Snapshot, color: Color) -> List[Match]:
         """All (rule, symmetry) matches for a robot with light ``color``.
 
@@ -201,16 +232,7 @@ class Algorithm:
         order, then symmetry order) so that deterministic tie-breaking
         policies are reproducible.
         """
-        result: List[Match] = []
-        for rule in self.rules_for_color(color):
-            for symmetry in self.symmetries():
-                if rule.matches(snapshot, symmetry):
-                    action = Action(
-                        new_color=rule.new_color,
-                        world_move=rule.world_move(symmetry),
-                    )
-                    result.append(Match(rule=rule, symmetry=symmetry, action=action))
-        return result
+        return [match for checks, match in self.compiled_rules(color) if checks.holds(snapshot)]
 
     def matches_for_robot(self, world: World, robot: Robot) -> List[Match]:
         """All matches for ``robot`` in the current ``world``."""

@@ -44,6 +44,7 @@ __all__ = [
     "OFFSET_NAMES",
     "NAMED_OFFSETS",
     "Guard",
+    "GuardChecks",
     "Movement",
     "IDLE",
     "Rule",
@@ -126,6 +127,47 @@ def occ(*colors: Color) -> CellSpec:
     False
     """
     return CellSpec(CellKind.OCCUPIED, multiset(*colors))
+
+
+#: The radius-2 ball's offsets keyed by value.  D4 maps the ball onto
+#: itself, so compiled checks store these shared tuples rather than one
+#: fresh tuple per (rule, symmetry, cell).
+_BALL_OFFSETS: Dict[Offset, Offset] = {offset: offset for offset in ball_offsets(2)}
+
+
+class GuardChecks:
+    """A guard compiled for one view symmetry: its checks in world offsets.
+
+    ``free`` holds the world offsets that must be empty or off-grid (gray
+    cells).  ``exact`` pairs every other constrained world offset with the
+    one content it must hold: ``None`` (black, off-grid), ``()`` (white,
+    empty) or an exact light multiset.  ``ANY`` cells appear in neither.
+    :meth:`Guard.checks` builds these; :meth:`holds` is the only guard
+    evaluator.
+    """
+
+    __slots__ = ("free", "exact")
+
+    def __init__(
+        self,
+        free: Tuple[Offset, ...],
+        exact: Tuple[Tuple[Offset, CellContent], ...],
+    ) -> None:
+        self.free = free
+        self.exact = exact
+
+    def holds(self, snapshot: Snapshot) -> bool:
+        """Whether ``snapshot`` satisfies every check."""
+        for offset in self.free:
+            if snapshot[offset]:
+                return False
+        for offset, content in self.exact:
+            if snapshot[offset] != content:
+                return False
+        return True
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return f"GuardChecks(free={self.free!r}, exact={self.exact!r})"
 
 
 #: Compass-style names for the offsets of the radius-2 visibility ball.
@@ -251,6 +293,40 @@ class Guard:
     # ------------------------------------------------------------------
     # Matching
     # ------------------------------------------------------------------
+    def checks(self, symmetry: Symmetry, center_default: Optional[CellSpec] = None) -> GuardChecks:
+        """The guard compiled for ``symmetry``: world-frame checks on a snapshot.
+
+        The guard-frame offset ``o`` becomes a check on the snapshot cell at
+        the world offset ``symmetry(o)``.  ``center_default`` is the
+        constraint on the centre cell when the guard does not specify one
+        (see :meth:`matches`).  :meth:`Algorithm.compiled_rules
+        <repro.core.algorithm.Algorithm.compiled_rules>` keeps the result
+        per rule and symmetry, so matching compiles each guard once.
+        """
+        explicit = self.as_dict()
+        free = []
+        exact = []
+        for offset in ball_offsets(self.phi):
+            spec = explicit.get(offset)
+            if spec is None:
+                if offset == (0, 0) and center_default is not None:
+                    spec = center_default
+                else:
+                    spec = self.default
+            kind = spec.kind
+            if kind is CellKind.ANY:
+                continue
+            world = _BALL_OFFSETS[symmetry.apply(offset)]
+            if kind is CellKind.FREE:
+                free.append(world)
+            elif kind is CellKind.WALL:
+                exact.append((world, None))
+            elif kind is CellKind.EMPTY:
+                exact.append((world, ()))
+            else:
+                exact.append((world, spec.colors))
+        return GuardChecks(tuple(free), tuple(exact))
+
     def matches(
         self,
         snapshot: Snapshot,
@@ -270,19 +346,7 @@ class Guard:
         drawing only ``c_r`` at the centre when the robot is alone on its
         node.
         """
-        explicit = self.as_dict()
-        for offset in ball_offsets(self.phi):
-            if offset == (0, 0):
-                spec = explicit.get(offset)
-                if spec is None:
-                    spec = center_default if center_default is not None else self.default
-            else:
-                spec = explicit.get(offset, self.default)
-            if spec.kind is CellKind.ANY:
-                continue
-            if not spec.matches(snapshot[symmetry.apply(offset)]):
-                return False
-        return True
+        return self.checks(symmetry, center_default).holds(snapshot)
 
 
 @dataclass(frozen=True)
@@ -337,13 +401,17 @@ class Rule:
             return explicit
         return occ(self.self_color)
 
+    def checks(self, symmetry: Symmetry) -> GuardChecks:
+        """The guard compiled for ``symmetry``, centre defaulting to ``{self_color}``."""
+        return self.guard.checks(symmetry, occ(self.self_color))
+
     def matches(self, snapshot: Snapshot, symmetry: Symmetry) -> bool:
         """Whether the rule's guard matches ``snapshot`` under ``symmetry``.
 
         The observing robot's own color is *not* checked here (the caller
         filters rules by ``self_color`` first); only the cell contents are.
         """
-        return self.guard.matches(snapshot, symmetry, center_default=occ(self.self_color))
+        return self.checks(symmetry).holds(snapshot)
 
     def action_label(self) -> str:
         """Human-readable action, e.g. ``"G,->"`` or ``"W,Idle"``."""

@@ -38,8 +38,8 @@ from functools import lru_cache
 from typing import Iterable, Optional, Tuple
 
 from ..core.grid import Grid, Node
-from ..core.views import ALL_SYMMETRIES, Symmetry, symmetries_for
-from .states import AsyncRobotState, SchedulerState
+from ..core.views import ALL_SYMMETRIES, Symmetry, ball_offsets, symmetries_for
+from .states import AsyncRobotState, SchedulerState, _content_key
 
 __all__ = [
     "GridSymmetry",
@@ -50,15 +50,50 @@ __all__ = [
 ]
 
 
+class _Images(dict):
+    """A precomputed point table of one affine map of Z^2.
+
+    Holds the image of every point the map is built for; any other point
+    (a robot that walked off the grid, an offset outside the radius-2
+    ball) is mapped by the same arithmetic on lookup, without being
+    stored, so a shared table never grows.
+    """
+
+    __slots__ = ("_map",)
+
+    def __init__(self, a: int, b: int, c: int, d: int, ti: int, tj: int, points) -> None:
+        super().__init__()
+        self._map = (a, b, c, d, ti, tj)
+        for point in points:
+            self[point] = self.__missing__(point)
+
+    def __missing__(self, point: Tuple[int, int]) -> Tuple[int, int]:
+        a, b, c, d, ti, tj = self._map
+        i, j = point
+        return (a * i + b * j + ti, c * i + d * j + tj)
+
+
+#: The slots a pickled :class:`GridSymmetry` carries, in slot order: the
+#: defining fields plus the cached inverse once one was computed.
+_PICKLED_SLOTS = ("symmetry", "m", "n", "_ti", "_tj", "preserves_shape", "_inverse")
+
+
 class GridSymmetry:
     """A symmetry of the ``m x n`` grid induced by a D4 element.
 
     The node action is ``v -> sigma(v) + t`` where ``t`` translates the
     image of the ``[0, m) x [0, n)`` rectangle back onto itself; offsets
     (relative moves, snapshot cells) transform by the linear part alone.
+
+    Both actions are precomputed once, as a node table over the grid and
+    an offset table over the radius-2 ball, so :func:`canonicalize` maps a
+    record with dictionary lookups instead of matrix products.  The tables
+    are derived data: they never enter a pickle, which carries exactly the
+    defining fields (so store records keep their bytes) and rebuilds them
+    on load.
     """
 
-    __slots__ = ("symmetry", "m", "n", "_ti", "_tj", "preserves_shape", "_inverse")
+    __slots__ = _PICKLED_SLOTS + ("nodes", "offsets", "is_identity")
 
     def __init__(self, symmetry: Symmetry, m: int, n: int) -> None:
         self.symmetry = symmetry
@@ -73,23 +108,39 @@ class GridSymmetry:
         self._ti = -min_i
         self._tj = -min_j
         self.preserves_shape = (max_i - min_i == m - 1) and (max_j - min_j == n - 1)
+        self._build_tables()
+
+    def _build_tables(self) -> None:
+        s = self.symmetry
+        m, n = self.m, self.n
+        grid_nodes = [(i, j) for i in range(m) for j in range(n)] if self.preserves_shape else ()
+        #: Node -> image, for every grid node.
+        self.nodes = _Images(s.a, s.b, s.c, s.d, self._ti, self._tj, grid_nodes)
+        #: Offset -> image (linear part), for every radius-2 ball offset.
+        self.offsets = _Images(s.a, s.b, s.c, s.d, 0, 0, ball_offsets(2))
+        self.is_identity = s.matrix() == ((1, 0), (0, 1))
+
+    def __getstate__(self):
+        # The default slot-state form, minus the tables: byte-identical to
+        # the pickles of a GridSymmetry without them.
+        return (None, {name: getattr(self, name) for name in _PICKLED_SLOTS if hasattr(self, name)})
+
+    def __setstate__(self, state) -> None:
+        for name, value in state[1].items():
+            setattr(self, name, value)
+        self._build_tables()
 
     @property
     def name(self) -> str:
         return self.symmetry.name
 
-    @property
-    def is_identity(self) -> bool:
-        return self.symmetry.matrix() == ((1, 0), (0, 1))
-
     def node(self, node: Node) -> Node:
         """The image of a grid node."""
-        i, j = self.symmetry.apply(node)
-        return (i + self._ti, j + self._tj)
+        return self.nodes[node]
 
     def offset(self, offset: Tuple[int, int]) -> Tuple[int, int]:
         """The image of a relative offset (linear part only)."""
-        return self.symmetry.apply(offset)
+        return self.offsets[offset]
 
     def inverse(self) -> "GridSymmetry":
         """The inverse grid symmetry (D4 is a group, so it always exists).
@@ -157,17 +208,19 @@ def transform_state(state: SchedulerState, gs: GridSymmetry) -> SchedulerState:
     pending moves map through the linear part (a robot's local view rotates
     with the world around it); colors and phases are invariant.
     """
+    nodes = gs.nodes
+    offsets = gs.offsets
     records = []
     for record in state.robots:
         snapshot = record.snapshot
         if snapshot is not None:
-            snapshot = tuple(sorted((gs.offset(offset), content) for offset, content in snapshot))
+            snapshot = tuple(sorted([(offsets[offset], content) for offset, content in snapshot]))
         pending_move = record.pending_move
         if pending_move is not None:
-            pending_move = gs.offset(pending_move)
+            pending_move = offsets[pending_move]
         records.append(
             AsyncRobotState(
-                pos=gs.node(record.pos),
+                pos=nodes[record.pos],
                 color=record.color,
                 phase=record.phase,
                 snapshot=snapshot,
@@ -176,6 +229,70 @@ def transform_state(state: SchedulerState, gs: GridSymmetry) -> SchedulerState:
             )
         )
     return SchedulerState.from_records(records)
+
+
+#: The sort-key tail of a record with no snapshot and nothing pending.
+_BARE_TAIL = ((), "", (9, 9))
+
+
+class _Tail:
+    """The sort-key fields after ``(pos, color, phase)`` of one mapped record.
+
+    :meth:`SchedulerState.sort_key` orders a record by ``(pos, color,
+    phase, snapshot, pending_color, pending_move)``.  Comparisons of
+    candidate keys reach these tail fields only when everything before
+    them ties, so the snapshot and pending move are mapped then, once, and
+    never for a record a comparison settles earlier.  ``offsets`` is the
+    symmetry's offset table, or ``None`` for the state's own records,
+    whose key is taken as stored.
+    """
+
+    __slots__ = ("record", "offsets", "_key")
+
+    def __init__(self, record: AsyncRobotState, offsets) -> None:
+        self.record = record
+        self.offsets = offsets
+
+    def key(self):
+        try:
+            return self._key
+        except AttributeError:
+            pass
+        record = self.record
+        offsets = self.offsets
+        snapshot = record.snapshot or ()
+        pending_move = record.pending_move
+        if offsets is None:
+            cells = tuple([(offset, _content_key(content)) for offset, content in snapshot])
+        else:
+            cells = tuple(
+                sorted([(offsets[offset], _content_key(content)) for offset, content in snapshot])
+            )
+            if pending_move is not None:
+                pending_move = offsets[pending_move]
+        self._key = (
+            cells,
+            record.pending_color or "",
+            pending_move if pending_move is not None else (9, 9),
+        )
+        return self._key
+
+    def __eq__(self, other):
+        return self.key() == (other.key() if other.__class__ is _Tail else other)
+
+    def __lt__(self, other):
+        return self.key() < (other.key() if other.__class__ is _Tail else other)
+
+    def __gt__(self, other):
+        return self.key() > (other.key() if other.__class__ is _Tail else other)
+
+    __hash__ = None  # type: ignore[assignment]
+
+
+def _tail(record: AsyncRobotState, offsets):
+    if record.snapshot is None and record.pending_move is None and record.pending_color is None:
+        return _BARE_TAIL
+    return _Tail(record, offsets)
 
 
 def canonicalize(
@@ -187,23 +304,49 @@ def canonicalize(
     state is its own representative under the identity).  The representative
     is the orbit member with the smallest :meth:`SchedulerState.sort_key`,
     which is injective, so every member of an orbit canonicalises to the
-    same state regardless of enumeration order.
+    same state regardless of enumeration order; among symmetries that reach
+    it, the first in ``symmetries`` wins.
+
+    Candidates are compared without being built: each one's sort key is the
+    sorted list of its records' ``(g(pos), color, phase, tail)``, read from
+    the symmetry's node table, where the tail (:class:`_Tail`) maps a
+    snapshot or pending move only when a comparison reaches it.  A
+    candidate whose smallest mapped position exceeds the best key's first
+    position loses before its key is built.  Only the winning state is
+    built.
     """
-    best = state
-    best_key = state.sort_key()
+    robots = state.robots
+    if not robots:
+        return state, None
+    positions = [record.pos for record in robots]
+    best_first = positions[0]
+    best_key = None
     best_sym: Optional[GridSymmetry] = None
     for gs in symmetries:
         if gs.is_identity:
             continue
-        candidate = transform_state(state, gs)
-        key = candidate.sort_key()
+        nodes = gs.nodes
+        first = min([nodes[pos] for pos in positions])
+        if first > best_first:
+            continue
+        offsets = gs.offsets
+        key = [
+            (nodes[record.pos], record.color, record.phase, _tail(record, offsets))
+            for record in robots
+        ]
+        key.sort()
+        if best_key is None:
+            # The state's own key, in its stored record order.
+            best_key = [
+                (record.pos, record.color, record.phase, _tail(record, None)) for record in robots
+            ]
         if key < best_key:
-            best = candidate
             best_key = key
+            best_first = first
             best_sym = gs
     if best_sym is None:
-        return best, None
-    return best, best_sym.inverse()
+        return state, None
+    return transform_state(state, best_sym), best_sym.inverse()
 
 
 def normalize_reduction(reduction: Optional[str]) -> str:

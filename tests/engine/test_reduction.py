@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.algorithms import get
+from repro.algorithms import all_algorithms, get
 from repro.checking import check_terminating_exploration
 from repro.core import Grid
 from repro.core.errors import StateSpaceLimitExceeded
@@ -99,6 +99,39 @@ class TestVerdictParity:
         assert reduced.states_explored <= plain.states_explored
         assert reduced.reduction == "grid"
         assert plain.reduction == "none" and plain.reduction_stats is None
+
+
+#: Every registered algorithm under each of FSYNC, SSYNC and ASYNC on the
+#: grid one row and one column above its minimum (39 checks).  FSYNC rows
+#: fail under SSYNC and ASYNC there, which is where the quotient collapses
+#: orbits: the parity suite's own-model cases explore as many states
+#: reduced as unreduced.
+CROSS_MODEL_CASES = [
+    (name, algorithm.min_m + 1, algorithm.min_n + 1, model)
+    for name, algorithm in sorted(all_algorithms().items())
+    for model in ("FSYNC", "SSYNC", "ASYNC")
+]
+
+
+class TestCrossModelParity:
+    """Every cross-model case: the quotient reaches the unreduced verdict."""
+
+    @pytest.mark.parametrize("name,m,n,model", CROSS_MODEL_CASES)
+    def test_reduced_verdicts_match_unreduced(self, name, m, n, model):
+        algorithm = get(name)
+        grid = Grid(m, n)
+        plain = check_terminating_exploration(algorithm, grid, model=model, reduction="none")
+        reduced = check_terminating_exploration(algorithm, grid, model=model, reduction="grid")
+        assert (reduced.terminates, reduced.explores, reduced.ok) == (
+            plain.terminates,
+            plain.explores,
+            plain.ok,
+        )
+        assert reduced.counterexample == plain.counterexample
+        assert reduced.states_explored <= plain.states_explored
+
+    def test_case_list_covers_every_algorithm_in_every_model(self):
+        assert len(set(CROSS_MODEL_CASES)) == 3 * len(all_algorithms()) == 39
 
 
 class TestRoutesAgreeOnTheQuotient:

@@ -2,19 +2,28 @@
 
 from __future__ import annotations
 
+import pickle
+import shutil
+from pathlib import Path
+
 import pytest
 
 from repro.algorithms import all_algorithms, get
 from repro.checking import check_terminating_exploration, enumerate_reachable
 from repro.core import Algorithm, G, Grid, Synchrony, W, occ
 from repro.core.rules import Guard, Rule
+from repro.core.views import ROT180
 from repro.engine import (
     AlgorithmTransitionSystem,
+    VerdictStore,
     canonicalize,
+    explore_sharded,
     grid_symmetries,
+    guaranteed_nodes,
     initial_state,
     transform_state,
 )
+from repro.engine.symmetry import GridSymmetry
 
 FSYNC_NAMES = sorted(
     name for name, alg in all_algorithms().items() if alg.synchrony == "FSYNC"
@@ -166,3 +175,65 @@ class TestReductionSoundness:
         quotient = check_terminating_exploration(oscillator, grid, model="SSYNC", reduction="grid")
         assert not plain.terminates and not quotient.terminates
         assert not plain.ok and not quotient.ok
+
+
+#: ``pickle.dumps(GridSymmetry(ROT180, 3, 4))`` as written before the
+#: symmetry carried precomputed tables.  Verdict-store records hold edge
+#: witnesses in this form, so the bytes must not move.
+ROT180_3X4_PICKLE = bytes.fromhex(
+    "800495c5000000000000008c15726570726f2e656e67696e652e73796d6d65747279948c0c4772"
+    "696453796d6d657472799493942981944e7d94288c0873796d6d65747279948c10726570726f2e"
+    "636f72652e7669657773948c0853796d6d657472799493942981947d94288c046e616d65948c06"
+    "726f74313830948c0161944affffffff8c0162944b008c0163944b008c0164944affffffff7562"
+    "8c016d944b038c016e944b048c035f7469944b028c035f746a944b038c0f707265736572766573"
+    "5f73686170659488758694622e"
+)
+
+#: A verdict store holding one explore-route record,
+#: ``async_phi2_l3_nochir_k3`` 2x4 SSYNC under the grid quotient (8 states,
+#: five collapsed edges, a flipNS root witness), written before the
+#: symmetry carried precomputed tables.
+OLDER_STORE = Path(__file__).resolve().parent / "data" / "store_before_symmetry_tables"
+
+
+class TestStoreCompatibility:
+    def test_pickle_bytes_carry_no_tables(self):
+        gs = GridSymmetry(ROT180, 3, 4)
+        assert pickle.dumps(gs) == ROT180_3X4_PICKLE
+        assert len(ROT180_3X4_PICKLE) == 208
+        inverse = gs.inverse()
+        # The cached inverse rides along, as it always did; tables never do.
+        assert pickle.loads(pickle.dumps(gs))._inverse == inverse
+        assert b"nodes" not in pickle.dumps(gs) and b"offsets" not in pickle.dumps(gs)
+
+    def test_older_pickle_loads_and_maps_through_rebuilt_tables(self):
+        loaded = pickle.loads(ROT180_3X4_PICKLE)
+        fresh = GridSymmetry(ROT180, 3, 4)
+        assert loaded == fresh and hash(loaded) == hash(fresh)
+        for node in Grid(3, 4).nodes():
+            assert loaded.node(node) == fresh.node(node) == (2 - node[0], 3 - node[1])
+        assert loaded.node((-1, 0)) == (3, 3)  # off the grid, by the same arithmetic
+        for offset in ((1, 0), (0, 1), (1, 1), (0, -2)):
+            assert loaded.offset(offset) == (-offset[0], -offset[1])
+        assert not loaded.is_identity
+        assert loaded.inverse() == fresh
+
+    def test_older_explore_record_is_a_hit_with_working_witnesses(self, tmp_path):
+        shutil.copytree(OLDER_STORE, tmp_path / "store")
+        algorithm = get("async_phi2_l3_nochir_k3")
+        grid = Grid(2, 4)
+        store = VerdictStore(tmp_path / "store")
+        try:
+            stored = explore_sharded(algorithm, grid, "SSYNC", reduction="grid", store=store)
+        finally:
+            store.close()
+        assert stored.store_stats["outcome"] == "hit"
+        fresh = explore_sharded(algorithm, grid, "SSYNC", reduction="grid")
+        assert stored == fresh
+        assert stored.root_sym is not None and stored.root_sym.name == "flipNS"
+        witnesses = [h for row in stored.edge_syms for h in row if h is not None]
+        assert len(witnesses) == 5
+        for h in witnesses + [stored.root_sym]:
+            for node in grid.nodes():
+                assert h.node(node) == GridSymmetry(h.symmetry, 2, 4).node(node)
+        assert guaranteed_nodes(stored) == guaranteed_nodes(fresh)
