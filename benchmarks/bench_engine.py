@@ -422,12 +422,12 @@ def bench_pooled_sweep(workers: int = 2) -> List[dict]:
     algorithm = get("fsync_phi2_l2_chir_k2")
     tasks = exhaustive_check_tasks(algorithm, sizes=SWEEP_SIZES, reduction="grid")
     label = f"fsync_phi2_l2_chir_k2 exhaustive sweep x{len(tasks)} [FSYNC]"
-    serial_reports = ParallelCampaignEngine().run_tasks(algorithm, tasks)
+    serial_reports = ParallelCampaignEngine().run_tasks(tasks)
     states = sum(report.steps for report in serial_reports)
 
     start = time.perf_counter()
     with PoolBackend(workers=workers) as backend:
-        pooled_reports = ParallelCampaignEngine(backend=backend).run_tasks(algorithm, tasks)
+        pooled_reports = ParallelCampaignEngine(backend=backend).run_tasks(tasks)
     pooled_s = time.perf_counter() - start
 
     # RuntimeError, not assert: parity must hold even under ``python -O``,
@@ -448,16 +448,16 @@ def _store_sweep(store_path: Path) -> Tuple[int, int, float, float, dict]:
     """
     algorithm = get("fsync_phi2_l2_chir_k2")
     tasks = exhaustive_check_tasks(algorithm, sizes=SWEEP_SIZES, reduction="grid")
-    serial_reports = ParallelCampaignEngine().run_tasks(algorithm, tasks)
+    serial_reports = ParallelCampaignEngine().run_tasks(tasks)
     states = sum(report.steps for report in serial_reports)
 
     with VerdictStore(store_path) as store:
         engine = ParallelCampaignEngine(store=store)
         start = time.perf_counter()
-        cold_reports = engine.run_tasks(algorithm, tasks)
+        cold_reports = engine.run_tasks(tasks)
         cold_s = time.perf_counter() - start
         start = time.perf_counter()
-        warm_reports = engine.run_tasks(algorithm, tasks)
+        warm_reports = engine.run_tasks(tasks)
         warm_s = time.perf_counter() - start
         stats = store.stats
 

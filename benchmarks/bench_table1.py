@@ -3,8 +3,7 @@
 Run with ``pytest benchmarks/bench_table1.py --benchmark-only -s`` to see
 the regenerated table.  Each row benchmark times the verification of one
 Table 1 row (a grid-size sweep under the row's claimed synchrony model);
-``test_print_table1`` prints the full paper-versus-measured table, which is
-also recorded in EXPERIMENTS.md.
+``test_print_table1`` prints the full paper-versus-measured table.
 """
 
 from __future__ import annotations

@@ -80,7 +80,7 @@ def build_custom_algorithm() -> Algorithm:
         chirality=True,
         k=2,
         rules=rules,
-        initial_placement=lambda m, n: [((0, 0), G), ((0, 1), W)],
+        initial_placement=(((0, 0), G), ((0, 1), W)),
         min_m=2,
         min_n=3,
         description="User-defined 2-robot phi=1 sweep (FSYNC only, per Theorem 1)",

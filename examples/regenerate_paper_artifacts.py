@@ -7,8 +7,6 @@ Produces, on stdout:
    algorithms), and
 2. an ASCII gallery of the border-pivot figure for each algorithm.
 
-This is the script behind EXPERIMENTS.md.
-
 Usage::
 
     python examples/regenerate_paper_artifacts.py

@@ -30,7 +30,6 @@ from __future__ import annotations
 from ..core.algorithm import Algorithm, Synchrony
 from ..core.colors import G, W
 from ..core.rules import EMPTY, Guard, Rule, WALL, occ
-from ._base import placement
 
 __all__ = ["ALGORITHM", "build"]
 
@@ -75,7 +74,7 @@ def build() -> Algorithm:
         chirality=True,
         k=2,
         rules=rules,
-        initial_placement=placement(((0, 0), G), ((0, 1), W)),
+        initial_placement=(((0, 0), G), ((0, 1), W)),
         min_m=2,
         min_n=3,
         paper_section="4.2.1",

@@ -21,7 +21,6 @@ from __future__ import annotations
 from ..core.algorithm import Algorithm, Synchrony
 from ..core.colors import G, W
 from ..core.rules import EMPTY, Guard, Rule, WALL, occ
-from ._base import placement
 
 __all__ = ["ALGORITHM", "build"]
 
@@ -76,13 +75,13 @@ def build() -> Algorithm:
         chirality=False,
         k=3,
         rules=rules,
-        initial_placement=placement(((0, 0), G), ((0, 1), G), ((1, 0), W)),
+        initial_placement=(((0, 0), G), ((0, 1), G), ((1, 0), W)),
         min_m=2,
         # Reproduction note: the paper claims n >= 3, but on a 3-column grid
         # the W robot's view during the turn is reflection-symmetric (both
         # side walls are two cells away), so without a common chirality no
         # guard can tell east from west at that moment.  We therefore claim
-        # the encoding for n >= 4 and record the gap in EXPERIMENTS.md.
+        # the encoding for n >= 4; Table 1 notes the gap on this row.
         min_n=4,
         paper_section="4.2.2",
         description="Algorithm 2: FSYNC, phi=2, two colors, no chirality, three robots",

@@ -22,7 +22,6 @@ from __future__ import annotations
 from ..core.algorithm import Algorithm, Synchrony
 from ..core.colors import B, G, W
 from ..core.rules import EMPTY, Guard, Rule, WALL, occ
-from ._base import placement
 
 __all__ = ["ALGORITHM", "build"]
 
@@ -67,7 +66,7 @@ def build() -> Algorithm:
         chirality=False,
         k=4,
         rules=rules,
-        initial_placement=placement(((0, 0), G), ((0, 1), W), ((1, 0), B), ((1, 1), W)),
+        initial_placement=(((0, 0), G), ((0, 1), W), ((1, 0), B), ((1, 1), W)),
         min_m=2,
         min_n=3,
         paper_section="4.2.6",

@@ -23,7 +23,6 @@ from __future__ import annotations
 from ..core.algorithm import Algorithm, Synchrony
 from ..core.colors import B, G, W
 from ..core.rules import EMPTY, Guard, Rule, WALL, occ
-from ._base import placement
 
 __all__ = ["ALGORITHM", "build"]
 
@@ -67,13 +66,13 @@ def build() -> Algorithm:
         chirality=False,
         k=3,
         rules=rules,
-        initial_placement=placement(((0, 0), G), ((0, 1), W), ((1, 0), B)),
+        initial_placement=(((0, 0), G), ((0, 1), W), ((1, 0), B)),
         min_m=2,
         # Reproduction note: the paper claims n >= 3, but on a 3-column grid
         # the B robot's view while re-entering the border column is
         # reflection-symmetric (both side walls two cells away), so without a
-        # common chirality no guard can orient the move.  We claim n >= 4 and
-        # record the gap in EXPERIMENTS.md.
+        # common chirality no guard can orient the move.  We claim n >= 4;
+        # Table 1 notes the gap on this row.
         min_n=4,
         paper_section="4.3.2",
         description="Algorithm 7: ASYNC, phi=2, three colors, no chirality, three robots",

@@ -97,17 +97,12 @@ def replace_color_with_pair(
                 " the pair construction does not apply"
             )
 
-    removed_count = sum(1 for _node, color in source.placement(source.min_m, source.min_n) if color == removed)
-
-    def initial_placement(m: int, n: int):
-        placement = []
-        for node, color in source.initial_placement(m, n):
-            if color == removed:
-                placement.append((node, replacement))
-                placement.append((node, replacement))
-            else:
-                placement.append((node, color))
-        return placement
+    placement = []
+    for node, color in source.initial_placement:
+        if color == removed:
+            placement += [(node, replacement), (node, replacement)]
+        else:
+            placement.append((node, color))
 
     return Algorithm(
         name=name,
@@ -115,9 +110,9 @@ def replace_color_with_pair(
         phi=source.phi,
         colors=tuple(color for color in source.colors if color != removed),
         chirality=source.chirality,
-        k=source.k + removed_count,
+        k=len(placement),
         rules=tuple(_transform_rule(rule, removed, replacement) for rule in source.rules),
-        initial_placement=initial_placement,
+        initial_placement=tuple(placement),
         min_m=source.min_m,
         min_n=source.min_n,
         paper_section=paper_section,

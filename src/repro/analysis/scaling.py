@@ -72,11 +72,11 @@ def round_complexity_sweep(
     if sizes is None:
         sizes = scaling_suite(algorithm)
     tasks = [
-        CampaignTask(algorithm=algorithm.name, m=m, n=n, model="FSYNC", tie_break=TieBreak.FIRST)
+        CampaignTask(algorithm=algorithm, m=m, n=n, model="FSYNC", tie_break=TieBreak.FIRST)
         for m, n in sizes
         if algorithm.supports_grid(m, n)
     ]
-    reports = ParallelCampaignEngine(backend=backend, store=store).run_tasks(algorithm, tasks)
+    reports = ParallelCampaignEngine(backend=backend, store=store).run_tasks(tasks)
     for report in reports:
         # A report whose run never executed (verify_one converts exceptions
         # into ok=False reports whose reason is the formatted exception)

@@ -29,6 +29,17 @@ from ..verification import verify_algorithm
 
 __all__ = ["Table1Row", "build_table1", "render_table1", "PAPER_TABLE1"]
 
+#: Why a row without a registered algorithm is not reproduced (row 14).
+NOT_TRANSCRIBED = "not reproduced: rule table not transcribed (the paper text is unavailable here)"
+#: Algorithms claimed for n >= 4 because on 3 columns a robot's view during
+#: a turn is mirror-symmetric, so without chirality no guard can orient it
+#: (see the reproduction notes in their modules; the l1 row derives from
+#: Algorithm 2).
+MIRRORED_ON_3_COLUMNS = frozenset(
+    {"fsync_phi2_l2_nochir_k3", "fsync_phi2_l1_nochir_k4", "async_phi2_l3_nochir_k3"}
+)
+MIRRORED_NOTE = "a 3-column view is mirror-symmetric without chirality"
+
 
 #: The paper's Table 1, keyed by (synchrony, phi, ell, chirality):
 #: (lower bound, lower-bound source, upper bound, optimal?).
@@ -124,14 +135,16 @@ def build_table1(quick: bool = True, model_check_grid: Tuple[int, int] = (3, 4))
                     measured_k=None,
                     verified=None,
                     model_checked=None,
-                    note="not reproduced (see EXPERIMENTS.md)",
+                    note=NOT_TRANSCRIBED,
                 )
             )
             continue
         verified, model_checked = _check_row(algorithm, quick, model_check_grid)
         note = ""
-        if algorithm.min_n > 3:
-            note = f"verified for n >= {algorithm.min_n} (see EXPERIMENTS.md)"
+        if algorithm.name in MIRRORED_ON_3_COLUMNS:
+            note = f"verified for n >= {algorithm.min_n}: {MIRRORED_NOTE}"
+        elif algorithm.min_n > 3:
+            note = f"verified for n >= {algorithm.min_n}, the bound its encoding claims (paper: n >= 3)"
         rows.append(
             Table1Row(
                 synchrony=synchrony,

@@ -45,7 +45,6 @@ from typing import TYPE_CHECKING, Dict, List, Optional
 from ..core.algorithm import Algorithm
 from ..core.grid import Grid
 from ..engine.explorer import explore_sharded, guaranteed_nodes, has_cycle
-from ..engine.pool import registered
 from ..engine.states import SchedulerState
 from ..engine.transition import AlgorithmTransitionSystem
 
@@ -194,10 +193,11 @@ def check_terminating_exploration(
 
     ``store`` — a :class:`~repro.engine.store.VerdictStore` — caches the
     whole :class:`CheckResult` under a content key that includes the
-    normalized reduction *and* ``max_states`` (so a
-    budget-limited check can never answer for a roomier one); duplicate
-    concurrent requests coalesce onto a single exploration.  Cached
-    results are identical to computed ones.
+    algorithm's name and content digest (so an edited rule table is never
+    answered by its predecessor's verdict), the normalized reduction *and*
+    ``max_states`` (so a budget-limited check can never answer for a
+    roomier one); duplicate concurrent requests coalesce onto a single
+    exploration.  Cached results are identical to computed ones.
     """
     def compute() -> CheckResult:
         return _run_check(
@@ -205,10 +205,10 @@ def check_terminating_exploration(
             max_states=max_states, reduction=reduction, backend=backend, store=store,
         )
 
-    if store is not None and registered(algorithm):
+    if store is not None:
         from ..engine.spec import check_store_key
 
-        key = check_store_key(algorithm.name, grid.m, grid.n, model, reduction, max_states)
+        key = check_store_key(algorithm, grid.m, grid.n, model, reduction, max_states)
         return store.fetch(key, compute)
     return compute()
 

@@ -11,8 +11,14 @@ An :class:`Algorithm` bundles everything the paper fixes when it states
 * whether a common chirality is assumed,
 * the number of robots ``k``,
 * the rule set,
-* the initial configuration, given as a function of the grid size
-  (the paper anchors initial configurations at the northwest corner).
+* the initial configuration, a fixed tuple of ``(node, color)`` pairs
+  (the paper anchors every initial configuration at the northwest corner,
+  whatever the grid size).
+
+An :class:`Algorithm` is plain data: it pickles, compares by value, and
+its :attr:`~Algorithm.digest` names its content, so verdict-store keys
+and campaign tasks address an algorithm by what it does rather than by
+its name alone.
 
 The matching engine implements Section 2.2/2.4 semantics: a robot is
 *enabled* when some rule guard matches one of its views, i.e. matches its
@@ -22,8 +28,10 @@ which one is executed when several disagree is the scheduler's choice.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+import hashlib
+from dataclasses import dataclass, fields
+from functools import cached_property
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .colors import Color
 from .errors import AlgorithmError
@@ -34,6 +42,10 @@ from .views import Offset, Snapshot, Symmetry, symmetries_for
 from .world import World
 
 __all__ = ["Synchrony", "Action", "Match", "Algorithm"]
+
+#: Fields that document an algorithm without changing what it does; the
+#: content digest leaves them out.
+_UNDIGESTED = frozenset({"paper_section", "description", "optimal"})
 
 
 class Synchrony:
@@ -99,7 +111,12 @@ class Match:
 
 @dataclass(frozen=True)
 class Algorithm:
-    """A complete terminating-exploration algorithm specification."""
+    """A complete terminating-exploration algorithm specification.
+
+    ``initial_placement`` is the tuple of ``(node, color)`` pairs the robots
+    start on, one per robot; a callable is refused.  The compiled guard
+    tables are built on first use and never pickled.
+    """
 
     name: str
     synchrony: str
@@ -108,7 +125,7 @@ class Algorithm:
     chirality: bool
     k: int
     rules: Tuple[Rule, ...]
-    initial_placement: Callable[[int, int], Sequence[Tuple[Node, Color]]] = field(compare=False)
+    initial_placement: Tuple[Tuple[Node, Color], ...]
     min_m: int = 2
     min_n: int = 3
     paper_section: str = ""
@@ -141,6 +158,48 @@ class Algorithm:
                 raise AlgorithmError(
                     f"{self.name}: rule {rule.name} has phi={rule.phi}, expected {self.phi}"
                 )
+        if callable(self.initial_placement):
+            raise AlgorithmError(
+                f"{self.name}: initial_placement must be a tuple of (node, color) pairs,"
+                " not a callable"
+            )
+        placement = tuple((tuple(node), color) for node, color in self.initial_placement)
+        if len(placement) != self.k:
+            raise AlgorithmError(
+                f"{self.name}: initial_placement places {len(placement)} robots,"
+                f" expected k={self.k}"
+            )
+        for _node, color in placement:
+            if color not in self.colors:
+                raise AlgorithmError(
+                    f"{self.name}: initial_placement color {color!r} not in the algorithm palette"
+                )
+        object.__setattr__(self, "initial_placement", placement)
+
+    def __getstate__(self) -> Dict[str, object]:
+        # The digest travels with the fields: a pool worker unpickles one copy
+        # per task and looks its matcher tables up by digest.  The compiled
+        # guard tables stay behind and rebuild on first use.
+        state = {f.name: getattr(self, f.name) for f in fields(self)}
+        state["digest"] = self.digest
+        return state
+
+    def __repr__(self) -> str:
+        return f"Algorithm(name={self.name!r}, digest={self.digest!r})"
+
+    @cached_property
+    def digest(self) -> str:
+        """SHA-256 (hex) over every field but ``paper_section``, ``description`` and ``optimal``.
+
+        Two algorithms with equal rules, placement, palette, ``phi``,
+        chirality, synchrony, grid bounds and name share a digest; editing
+        any of them moves it.  Verdict-store keys, campaign task keys and
+        matcher caches are keyed by it.
+        """
+        content = tuple(
+            (f.name, getattr(self, f.name)) for f in fields(self) if f.name not in _UNDIGESTED
+        )
+        return hashlib.sha256(repr(content).encode("utf-8")).hexdigest()
 
     # ------------------------------------------------------------------
     # Derived properties
@@ -179,13 +238,7 @@ class Algorithm:
                 f"{self.name} requires m >= {self.min_m} and n >= {self.min_n},"
                 f" got {m}x{n}"
             )
-        placement = list(self.initial_placement(m, n))
-        if len(placement) != self.k:
-            raise AlgorithmError(
-                f"{self.name}: initial placement produced {len(placement)} robots,"
-                f" expected k={self.k}"
-            )
-        return placement
+        return list(self.initial_placement)
 
     def initial_world(self, grid: Grid) -> World:
         """A freshly initialised :class:`~repro.core.world.World`."""

@@ -16,30 +16,31 @@ paper are implemented; every other layer consumes it:
   unreduced);
 * :mod:`repro.engine.explorer` — frontier search, interning, cycle and
   coverage analyses (the model checker's substrate), and
-  :func:`explore_sharded`, the registry-level entry point that explores
+  :func:`explore_sharded`, the algorithm-level entry point that explores
   an ``(algorithm, grid, model)`` triple in the calling process;
-* :mod:`repro.engine.pool` — which algorithms can cross a process
-  boundary, and the default worker count;
 * :mod:`repro.engine.backend` — the :class:`ExecutionBackend` protocol
   and its two implementations, :class:`SerialBackend` and
   :class:`PoolBackend` (serial or pooled execution of campaign task
   lists on one machine, result-identical; each owns the matcher cache
-  explorations handed it run on);
+  explorations handed it run on), and the default worker count;
 * :mod:`repro.engine.store` — the persistent content-addressed
   :class:`VerdictStore`, the one durable log: explorations, check results
   and campaign reports cached on disk by content hash, with in-flight
   request coalescing;
 * :mod:`repro.engine.spec` — work-item spec parsing/validation, the one
-  spelling of every verdict-store key, and the canonical JSON wire forms
-  the HTTP service (:mod:`repro.service`) exchanges;
+  spelling of every verdict-store key (each names its algorithm by name
+  and content digest), and the canonical JSON wire forms the HTTP service
+  (:mod:`repro.service`) exchanges; the only engine module that resolves
+  registry names;
 * :mod:`repro.engine.walk` — the lazy single-path simulator;
 * :mod:`repro.engine.suites` — shared grid-size suites;
 * :mod:`repro.engine.campaign` — batched serial/parallel campaign runner.
 
 One rule governs execution: explorations run in the calling process on
-the backend's cache, and task lists fan out.  Every entry point routes
-through exactly two arguments, ``backend=`` and ``store=``.  See
-``docs/architecture.md`` for the full layering diagram.
+the backend's cache, and task lists fan out, each task carrying its
+algorithm by value.  Every entry point routes through exactly two
+arguments, ``backend=`` and ``store=``.  See ``docs/architecture.md`` for
+the full layering diagram.
 """
 
 from .campaign import (
@@ -57,7 +58,7 @@ from .campaign import (
     task_store_key,
     verify_one,
 )
-from .backend import ExecutionBackend, PoolBackend, SerialBackend
+from .backend import ExecutionBackend, PoolBackend, SerialBackend, default_workers
 from .explorer import (
     Exploration,
     explore,
@@ -67,7 +68,6 @@ from .explorer import (
     topological_order,
 )
 from .matcher import LocalMatcher, MatcherCache, MatcherStats
-from .pool import default_workers
 from .profile import PROFILE_ENV, KernelProfile, profiling_enabled
 from .spec import (
     CheckSpec,

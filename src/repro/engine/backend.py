@@ -2,8 +2,8 @@
 
 Every parallel consumer in the engine funnels its work through one
 picklable shape: :class:`~repro.engine.campaign.CampaignTask` work items,
-each a pure function of the task (algorithms travel by registry name,
-runs are driven by explicit seeds).
+each a pure function of the task (the algorithm travels by value, runs
+are driven by explicit seeds).
 
 An :class:`ExecutionBackend` evaluates a task list and hands the reports
 back *in submission order*, streamed as they complete.  Two ship, both on
@@ -36,14 +36,14 @@ object.
 
 from __future__ import annotations
 
+import os
 import threading
 from typing import Iterable, Iterator, List, Optional, Protocol, runtime_checkable
 
-from .campaign import CampaignTask, VerificationReport, _run_task
+from .campaign import CampaignTask, VerificationReport, run_task
 from .matcher import MatcherCache
-from .pool import default_workers
 
-__all__ = ["ExecutionBackend", "SerialBackend", "PoolBackend"]
+__all__ = ["ExecutionBackend", "SerialBackend", "PoolBackend", "default_workers"]
 
 #: Serializes process-pool construction across threads so the
 #: failed-spawn cleanup in :meth:`PoolBackend._ensure_pool` can attribute
@@ -51,6 +51,22 @@ __all__ = ["ExecutionBackend", "SerialBackend", "PoolBackend"]
 #: ``multiprocessing.active_children()`` is process-global and two pools
 #: spawning concurrently would otherwise reap each other's workers.
 _SPAWN_LOCK = threading.Lock()
+
+
+def default_workers() -> int:
+    """The default :class:`PoolBackend` width: one worker per *usable* core.
+
+    ``os.cpu_count()`` reports the machine's cores even when the process is
+    confined to fewer by a cgroup quota or CPU affinity mask (the normal
+    situation in containers), which oversubscribes the pool.  Prefer the
+    scheduling affinity of this process where the platform exposes it.
+    """
+    if hasattr(os, "sched_getaffinity"):
+        try:
+            return len(os.sched_getaffinity(0)) or 1
+        except OSError:  # pragma: no cover - platform quirk
+            pass
+    return os.cpu_count() or 1
 
 
 @runtime_checkable
@@ -125,7 +141,7 @@ class SerialBackend(_Backend):
 
     def imap(self, tasks: Iterable[CampaignTask]) -> Iterator[VerificationReport]:
         self._check_open()
-        return (_run_task(task, self) for task in tasks)
+        return (run_task(task, self) for task in tasks)
 
 
 #: The backend a pool worker process runs its tasks on (created on the
@@ -138,17 +154,18 @@ def _work(task: CampaignTask) -> VerificationReport:
     global _WORKER
     if _WORKER is None:
         _WORKER = SerialBackend()
-    return _run_task(task, _WORKER)
+    return run_task(task, _WORKER)
 
 
 class PoolBackend(_Backend):
     """Evaluate on a local process pool this backend owns.
 
     ``workers`` (at least 1; default: one per usable core, see
-    :func:`~repro.engine.pool.default_workers`) processes spawn lazily on
-    the first task list that fans out and serve every later one until
-    :meth:`close`; each worker's cache stays warm across task lists.
-    Results stream back through ``imap`` in submission order.
+    :func:`default_workers`) processes spawn lazily on the first task list
+    that fans out and serve every later one until :meth:`close`; each
+    worker's cache stays warm across task lists, and matches each
+    algorithm on the first copy of it the worker received.  Results stream
+    back through ``imap`` in submission order.
 
     :attr:`cache` is the coordinator cache: explorations and checks handed
     this backend run in the calling process on it, and so do the tasks it
@@ -172,14 +189,14 @@ class PoolBackend(_Backend):
         self._check_open()
         tasks = list(tasks)
         if self.parallelism == 1 or not tasks:
-            return (_run_task(task, self) for task in tasks)
+            return (run_task(task, self) for task in tasks)
         return self._ensure_pool().imap(_work, tasks)
 
     def _ensure_pool(self):
         import multiprocessing
 
         # Platform-default start method, as elsewhere in the engine:
-        # everything shipped is picklable and workers re-import lazily,
+        # everything shipped is picklable (algorithms included),
         # and forcing fork on macOS can deadlock threaded parents.
         context = multiprocessing.get_context()
         # Checked under the lock: concurrent campaigns (service threads)

@@ -5,14 +5,14 @@ A verification campaign is a flat list of independent work items
 through the walk engine (:mod:`repro.engine.walk`) and scores it against
 Definition 1; a ``"check"`` task runs the exhaustive model checker
 (:mod:`repro.checking.model_checker`), by default under the grid quotient
-(``reduction="grid"``, see :mod:`repro.engine.symmetry`).  Because the
-items are independent and fully described by picklable primitives, the
-same list runs on any :mod:`repro.engine.backend` — in the calling
-process or fanned across a local process pool — through one route,
+(``reduction="grid"``, see :mod:`repro.engine.symmetry`).  Each task
+carries its :class:`~repro.core.algorithm.Algorithm` by value (algorithms
+are plain, picklable data) next to picklable primitives, so the same list
+runs on any :mod:`repro.engine.backend` — in the calling process or
+fanned across a local process pool — through one route,
 :meth:`ParallelCampaignEngine.run_tasks`, with results returned in task
 order.  The routes therefore produce **identical** reports for identical
-task lists.  Every task runs the algorithm its own ``algorithm`` field
-names.
+task lists, registered and ad-hoc algorithms alike.
 
 Durability: an engine handed a :class:`~repro.engine.store.VerdictStore`
 serves the reports the store already holds and writes each fresh report to
@@ -37,7 +37,6 @@ from ..core.errors import VerificationError
 from ..core.execution import ExecutionResult
 from ..core.grid import Grid
 from .matcher import LocalMatcher, MatcherCache
-from .pool import registered
 from .store import HIT, MISS, VerdictStore
 from .suites import default_grid_suite
 from .symmetry import normalize_reduction
@@ -223,16 +222,16 @@ def verify_one(
     run, so re-running with ``seed=report.seed`` replays it exactly.
 
     ``store`` (a :class:`~repro.engine.store.VerdictStore`) memoizes the
-    report for registered algorithms, keyed by the normalized seed, the
-    tie-break policy and the step budget alongside the grid coordinates —
-    a cached report is the report of *exactly* this run.
+    report, keyed by the algorithm's name and content digest, the
+    normalized seed, the tie-break policy and the step budget alongside the
+    grid coordinates — a cached report is the report of *exactly* this run.
     """
     seed = 0 if seed is None else seed
     cache = backend.cache if backend is not None else None
-    if store is not None and registered(algorithm):
+    if store is not None:
         from .spec import walk_task_key  # local import: spec imports this module
 
-        key = walk_task_key(algorithm.name, m, n, model, seed, tie_break, max_steps)
+        key = walk_task_key(algorithm, m, n, model, seed, tie_break, max_steps)
         return store.fetch(
             key,
             lambda: _run_verify_one(algorithm, m, n, model, seed, tie_break, max_steps, cache),
@@ -313,16 +312,16 @@ def check_one(
     :class:`~repro.engine.transition.AlgorithmTransitionSystem`.
 
     ``store`` (a :class:`~repro.engine.store.VerdictStore`) memoizes the
-    report for registered algorithms — ``max_states`` is part of the key,
-    so a budget-tripped verdict never masquerades as a full one — and is
-    forwarded to the checker, which caches the underlying
+    report under the algorithm's name and content digest — ``max_states``
+    is part of the key, so a budget-tripped verdict never masquerades as a
+    full one — and is forwarded to the checker, which caches the underlying
     :class:`~repro.checking.model_checker.CheckResult` and exploration
     under their own keys.
     """
-    if store is not None and registered(algorithm):
+    if store is not None:
         from .spec import check_task_key  # local import: spec imports this module
 
-        key = check_task_key(algorithm.name, m, n, model, reduction, max_states)
+        key = check_task_key(algorithm, m, n, model, reduction, max_states)
         return store.fetch(
             key,
             lambda: _run_check_one(algorithm, m, n, model, reduction, max_states, backend, store),
@@ -396,21 +395,21 @@ def _run_check_one(
 class CampaignTask:
     """One independent, picklable verification work item.
 
-    ``algorithm`` is a registry name so the task can cross a process
-    boundary (rule sets carry lambdas and cannot be pickled).  ``kind``
-    selects the execution engine: ``"walk"`` runs one bounded execution
-    (driven by ``seed``/``tie_break``/``max_steps``), ``"check"`` runs the
-    exhaustive model checker (driven by ``reduction``/``max_states`` — both
-    picklable primitives, so reduced exhaustive checks fan out across
-    process pools like any other task).
+    ``algorithm`` is the :class:`~repro.core.algorithm.Algorithm` itself,
+    shipped by value to whichever process runs the task; anything else
+    raises ``TypeError``.  ``kind`` selects the execution engine:
+    ``"walk"`` runs one bounded execution (driven by
+    ``seed``/``tie_break``/``max_steps``), ``"check"`` runs the exhaustive
+    model checker (driven by ``reduction``/``max_states``).
 
-    The dataclass ``repr`` is part of every campaign id and task store key
+    The dataclass ``repr`` — the algorithm appears as its name and content
+    digest — is part of every campaign id
     (:func:`~repro.engine.spec.campaign_id`), so adding or removing a field
     changes them: a campaign interrupted before such a change recomputes
     when run again instead of being served from the store.
     """
 
-    algorithm: str
+    algorithm: Algorithm
     m: int
     n: int
     model: str = "FSYNC"
@@ -424,14 +423,22 @@ class CampaignTask:
     #: ``kind="check"`` only: the exploration state budget.
     max_states: int = 200_000
 
+    def __post_init__(self) -> None:
+        if not isinstance(self.algorithm, Algorithm):
+            raise TypeError(
+                f"CampaignTask.algorithm must be an Algorithm, got {type(self.algorithm).__name__}"
+            )
 
-def _run_with(
-    algorithm: Algorithm, task: CampaignTask, backend: Optional["ExecutionBackend"]
-) -> VerificationReport:
-    """Run ``task`` with ``algorithm`` in this process, on ``backend``'s cache."""
+
+def run_task(task: CampaignTask, backend: Optional["ExecutionBackend"] = None) -> VerificationReport:
+    """Execute one task in this process, on ``backend``'s cache.
+
+    With no backend the run matches on a fresh cache: that is the
+    reference value every backend must reproduce for ``task``.
+    """
     if task.kind == "check":
         return check_one(
-            algorithm,
+            task.algorithm,
             task.m,
             task.n,
             model=task.model,
@@ -440,7 +447,7 @@ def _run_with(
             backend=backend,
         )
     return verify_one(
-        algorithm,
+        task.algorithm,
         task.m,
         task.n,
         model=task.model,
@@ -449,22 +456,6 @@ def _run_with(
         max_steps=task.max_steps,
         backend=backend,
     )
-
-
-def _run_task(task: CampaignTask, backend: Optional["ExecutionBackend"]) -> VerificationReport:
-    """Run ``task`` with the registry's algorithm of that name, on ``backend``'s cache."""
-    from ..algorithms import registry  # local import: avoids a layering cycle
-
-    return _run_with(registry.get(task.algorithm), task, backend)
-
-
-def run_task(task: CampaignTask) -> VerificationReport:
-    """Execute one task, resolving its algorithm through the registry.
-
-    The reference value every backend must reproduce for ``task``: the run
-    matches on a fresh cache, in this process.
-    """
-    return _run_task(task, None)
 
 
 def task_store_key(task: CampaignTask) -> Tuple[object, ...]:
@@ -491,18 +482,12 @@ def task_store_key(task: CampaignTask) -> Tuple[object, ...]:
 
 
 def execute_tasks(
-    algorithm: Algorithm,
     tasks: Iterable[CampaignTask],
     backend: Optional["ExecutionBackend"] = None,
     store: Optional[VerdictStore] = None,
 ) -> List[VerificationReport]:
-    """Run ``tasks`` through ``ParallelCampaignEngine(backend, store)``.
-
-    Works for algorithms that are not in the registry (ad-hoc/test
-    algorithms): those run in this process, and every task must name
-    ``algorithm``.
-    """
-    return ParallelCampaignEngine(backend=backend, store=store).run_tasks(algorithm, tasks)
+    """Run ``tasks`` through ``ParallelCampaignEngine(backend, store)``."""
+    return ParallelCampaignEngine(backend=backend, store=store).run_tasks(tasks)
 
 
 def grid_sweep_tasks(
@@ -515,7 +500,7 @@ def grid_sweep_tasks(
     """The task list of a grid sweep (one run per supported size)."""
     sizes = list(sizes) if sizes is not None else default_grid_suite(algorithm)
     return [
-        CampaignTask(algorithm=algorithm.name, m=m, n=n, model=model, seed=seed, tie_break=tie_break)
+        CampaignTask(algorithm=algorithm, m=m, n=n, model=model, seed=seed, tie_break=tie_break)
         for m, n in sizes
         if algorithm.supports_grid(m, n)
     ]
@@ -531,7 +516,7 @@ def stress_test_tasks(
     """The task list of a randomized-scheduler stress campaign."""
     sizes = list(sizes) if sizes is not None else default_grid_suite(algorithm, max_side=7)
     return [
-        CampaignTask(algorithm=algorithm.name, m=m, n=n, model=model, seed=seed, tie_break=tie_break)
+        CampaignTask(algorithm=algorithm, m=m, n=n, model=model, seed=seed, tie_break=tie_break)
         for m, n in sizes
         if algorithm.supports_grid(m, n)
         for model in models
@@ -557,7 +542,7 @@ def exhaustive_check_tasks(
     sizes = list(sizes) if sizes is not None else default_grid_suite(algorithm, max_side=4)
     return [
         CampaignTask(
-            algorithm=algorithm.name,
+            algorithm=algorithm,
             m=m,
             n=n,
             model=model,
@@ -602,10 +587,8 @@ class ParallelCampaignEngine:
     killed mid-run and run again against the same store recomputes only
     what it had not finished.
 
-    Every task runs the algorithm its own ``algorithm`` field names.
-    Registry algorithms travel to the backend by name; an unregistered
-    (ad-hoc) ``algorithm`` runs in this process on the backend's cache, is
-    never stored, and refuses tasks that name any other algorithm.
+    Every task runs the algorithm it carries, registered or ad hoc, and
+    its report is stored under that algorithm's name and content digest.
     """
 
     def __init__(
@@ -617,9 +600,7 @@ class ParallelCampaignEngine:
         self.store = store
 
     # -- execution -----------------------------------------------------
-    def iter_tasks(
-        self, algorithm: Algorithm, tasks: Sequence[CampaignTask]
-    ) -> Iterator[Tuple[int, VerificationReport]]:
+    def iter_tasks(self, tasks: Sequence[CampaignTask]) -> Iterator[Tuple[int, VerificationReport]]:
         """Yield ``(task index, report)`` as each report becomes available.
 
         Reports the store already holds come first (their ``store_stats``
@@ -628,15 +609,7 @@ class ParallelCampaignEngine:
         the store before it is yielded.
         """
         tasks = list(tasks)
-        shippable = registered(algorithm)
-        if not shippable:
-            strays = sorted({task.algorithm for task in tasks} - {algorithm.name})
-            if strays:
-                raise ValueError(
-                    f"tasks name {strays}, but only {algorithm.name!r} can run here:"
-                    " an unregistered algorithm runs in this process"
-                )
-        store = self.store if shippable else None
+        store = self.store
         keys = [task_store_key(task) for task in tasks] if store is not None else []
         pending = []
         for index in range(len(tasks)):
@@ -652,22 +625,18 @@ class ParallelCampaignEngine:
             from .backend import SerialBackend  # local import: backend imports this module
 
             backend = SerialBackend()
-        todo = [tasks[index] for index in pending]
-        if shippable:
-            reports = backend.imap(todo)
-        else:
-            reports = (_run_with(algorithm, task, backend) for task in todo)
+        reports = backend.imap([tasks[index] for index in pending])
         for index, report in zip(pending, reports):
             if store is not None:
                 store.put(keys[index], report)
                 report = store.annotate(report, MISS)
             yield index, report
 
-    def run_tasks(self, algorithm: Algorithm, tasks: Sequence[CampaignTask]) -> List[VerificationReport]:
+    def run_tasks(self, tasks: Sequence[CampaignTask]) -> List[VerificationReport]:
         """The reports of :meth:`iter_tasks`, in task order."""
         tasks = list(tasks)
         reports: List[Optional[VerificationReport]] = [None] * len(tasks)
-        for index, report in self.iter_tasks(algorithm, tasks):
+        for index, report in self.iter_tasks(tasks):
             reports[index] = report
         return reports  # type: ignore[return-value]
 
@@ -681,7 +650,7 @@ class ParallelCampaignEngine:
         tie_break: str = TieBreak.ERROR,
     ) -> GridSweepReport:
         tasks = grid_sweep_tasks(algorithm, sizes=sizes, model=model, seed=seed, tie_break=tie_break)
-        return GridSweepReport(algorithm=algorithm.name, reports=self.run_tasks(algorithm, tasks))
+        return GridSweepReport(algorithm=algorithm.name, reports=self.run_tasks(tasks))
 
     def stress_test(
         self,
@@ -692,7 +661,7 @@ class ParallelCampaignEngine:
         tie_break: str = TieBreak.FIRST,
     ) -> GridSweepReport:
         tasks = stress_test_tasks(algorithm, sizes=sizes, models=models, seeds=seeds, tie_break=tie_break)
-        return GridSweepReport(algorithm=algorithm.name, reports=self.run_tasks(algorithm, tasks))
+        return GridSweepReport(algorithm=algorithm.name, reports=self.run_tasks(tasks))
 
     def exhaustive_sweep(
         self,
@@ -710,7 +679,7 @@ class ParallelCampaignEngine:
         tasks = exhaustive_check_tasks(
             algorithm, sizes=sizes, model=model, reduction=reduction, max_states=max_states,
         )
-        return GridSweepReport(algorithm=algorithm.name, reports=self.run_tasks(algorithm, tasks))
+        return GridSweepReport(algorithm=algorithm.name, reports=self.run_tasks(tasks))
 
     def verify_algorithm(
         self,
@@ -722,4 +691,4 @@ class ParallelCampaignEngine:
         tasks = grid_sweep_tasks(algorithm, sizes=sizes, model="FSYNC")
         if algorithm.synchrony == "ASYNC":
             tasks.extend(stress_test_tasks(algorithm, sizes=sizes, seeds=seeds))
-        return GridSweepReport(algorithm=algorithm.name, reports=self.run_tasks(algorithm, tasks))
+        return GridSweepReport(algorithm=algorithm.name, reports=self.run_tasks(tasks))

@@ -15,7 +15,7 @@ preserved by the quotient (a quotient cycle lifts to an infinite — hence,
 on a finite space, cyclic — raw execution and vice versa); coverage is
 computed exactly by pushing guaranteed-node sets through the edge labels.
 
-:func:`explore_sharded` is the registry-level entry point the checking
+:func:`explore_sharded` is the algorithm-level entry point the checking
 layer calls: it builds the
 :class:`~repro.engine.transition.AlgorithmTransitionSystem` for an
 ``(algorithm, grid, model)`` triple on the backend's matcher cache and
@@ -133,10 +133,11 @@ def explore(
     ``store`` — a :class:`~repro.engine.store.VerdictStore` — serves the
     exploration from the verdict cache (or records a miss) under
     :func:`~repro.engine.spec.explore_store_key`, the key every route
-    (library and HTTP) shares.  Only registered algorithms on a stock
-    :class:`~repro.engine.transition.AlgorithmTransitionSystem`, from the
-    default initial state, are cacheable; anything else computes as if no
-    store were given.
+    (library and HTTP) shares; it names the algorithm by name and content
+    digest.  Only a stock
+    :class:`~repro.engine.transition.AlgorithmTransitionSystem`, explored
+    from the default initial state, is cacheable; anything else computes
+    as if no store were given.
 
     Raises :class:`~repro.core.errors.StateSpaceLimitExceeded` — with the
     exploration context attached — as soon as more than ``max_states``
@@ -249,19 +250,14 @@ def _store_key(ts: TransitionSystem, reduction: Optional[str], max_states: int):
 
     Spelled by :func:`~repro.engine.spec.explore_store_key`, so the library
     and HTTP routes address the same store entries.  Custom transition
-    systems (anything but a plain :class:`AlgorithmTransitionSystem`) and
-    unregistered algorithms carry semantics the key cannot see and are
-    never cached.
+    systems (anything but a plain :class:`AlgorithmTransitionSystem`)
+    carry semantics the key cannot see and are never cached.
     """
-    # Local imports: the explorer sits below these modules in the layering.
-    from .pool import registered
-    from .spec import explore_store_key
+    from .spec import explore_store_key  # local import: spec sits above the explorer
 
-    if type(ts) is not AlgorithmTransitionSystem or not registered(ts.algorithm):
+    if type(ts) is not AlgorithmTransitionSystem:
         return None
-    return explore_store_key(
-        ts.algorithm.name, ts.grid.m, ts.grid.n, ts.model, reduction, max_states
-    )
+    return explore_store_key(ts.algorithm, ts.grid.m, ts.grid.n, ts.model, reduction, max_states)
 
 
 def explore_sharded(

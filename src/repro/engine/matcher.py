@@ -308,10 +308,15 @@ class MatcherCache:
     it through repeated checks (a grid sweep, a scaling run, a campaign) and
     every size after the first starts warm on all interior patterns.
 
-    Sharing is keyed on algorithm *identity*, not name, so two distinct
-    algorithm objects that happen to share a name never see each other's
-    entries.  The cache is designed for reuse within one process; the
-    parallel campaign engine keeps one per worker process instead of
+    Sharing is keyed on the algorithm's content
+    :attr:`~repro.core.algorithm.Algorithm.digest`, not its name or
+    identity: two algorithms that share a name but differ in content never
+    see each other's entries, while equal copies — such as the unpickled
+    copy every campaign task ships to a pool worker — share one set of
+    tables.  Matching runs on the *first* copy of each digest the cache
+    saw, so an algorithm's guards are compiled once per cache however many
+    copies arrive.  The cache is designed for reuse within one process;
+    the parallel campaign engine keeps one per worker process instead of
     shipping it across the boundary.
 
     ``max_entries`` bounds the total memo entries across all algorithms
@@ -330,27 +335,31 @@ class MatcherCache:
         if max_entries < 1:
             raise ValueError("max_entries must be positive")
         self.max_entries = max_entries
-        self._tables: Dict[int, Tuple[dict, dict, dict, dict]] = {}
-        self._keepalive: Dict[int, Algorithm] = {}
-        self._stats: Dict[int, MatcherStats] = {}
+        self._tables: Dict[str, Tuple[dict, dict, dict, dict]] = {}
+        self._first: Dict[str, Algorithm] = {}
+        self._stats: Dict[str, MatcherStats] = {}
 
-    def _register(self, algorithm: Algorithm) -> int:
-        """Pin ``algorithm`` (id() keys must not be recycled) and its stats."""
-        key = id(algorithm)
+    def _register(self, algorithm: Algorithm) -> str:
+        """Record the first copy of ``algorithm``'s digest and its stats."""
+        key = algorithm.digest
         if key not in self._stats:
-            self._keepalive[key] = algorithm
+            self._first[key] = algorithm
             self._stats[key] = MatcherStats()
         return key
 
     def matcher_for(self, algorithm: Algorithm, grid: Grid) -> LocalMatcher:
-        """A matcher for ``(algorithm, grid)`` backed by the shared tables."""
+        """A matcher for ``(algorithm, grid)`` backed by the shared tables.
+
+        The matcher runs on the first copy of ``algorithm``'s digest this
+        cache saw (equal in content), whose compiled guards are warm.
+        """
         key = self._register(algorithm)
         tables = self._tables.get(key)
         if tables is None:
             tables = ({}, {}, {}, {})
             self._tables[key] = tables
         self._trim()
-        return LocalMatcher(algorithm, grid, tables=tables, stats=self._stats[key])
+        return LocalMatcher(self._first[key], grid, tables=tables, stats=self._stats[key])
 
     def _trim(self) -> None:
         """Evict oldest-inserted entries until the cache fits its bound."""
@@ -391,5 +400,5 @@ class MatcherCache:
 
     def clear(self) -> None:
         self._tables.clear()
-        self._keepalive.clear()
+        self._first.clear()
         self._stats.clear()

@@ -9,7 +9,11 @@ service (:mod:`repro.service`) must address the same stored verdict — a
 route-dependent key would silently fork the cache and recompute work the
 store already holds.
 
-This module is therefore the single place store keys are spelled:
+This module is therefore the single place store keys are spelled.  Every
+key names its algorithm by ``(name, digest)`` — the registry name plus
+the SHA-256 of its content (:attr:`~repro.core.algorithm.Algorithm.digest`)
+— so an edited rule table never reads a verdict stored for its
+predecessor, and ad-hoc algorithms are stored like registered ones:
 
 * :func:`check_store_key` / :func:`explore_store_key` — the
   ``("check", ...)`` / ``("explore", ...)`` tuples of the checking entry
@@ -19,7 +23,9 @@ This module is therefore the single place store keys are spelled:
   tuples of campaign work items
   (:func:`repro.engine.campaign.task_store_key` delegates here).
 
-On top of the keys it owns the *wire* forms the HTTP service exchanges:
+On top of the keys it owns the *wire* forms the HTTP service exchanges.
+HTTP specs name registry algorithms only; this module is where the
+service resolves those names:
 
 * :func:`parse_check_spec` / :func:`parse_task` / :func:`parse_campaign`
   turn untrusted JSON payloads into validated specs, raising
@@ -40,6 +46,7 @@ from __future__ import annotations
 import dataclasses
 from typing import Dict, List, Optional, Tuple
 
+from ..core.algorithm import Algorithm
 from .store import content_key
 from .symmetry import normalize_reduction
 from .walk import TieBreak
@@ -81,7 +88,7 @@ class SpecError(ValueError):
 # Store keys — the one spelling every route shares
 # ---------------------------------------------------------------------------
 def check_store_key(
-    algorithm: str,
+    algorithm: Algorithm,
     m: int,
     n: int,
     model: str,
@@ -97,7 +104,8 @@ def check_store_key(
     """
     return (
         "check",
-        algorithm,
+        algorithm.name,
+        algorithm.digest,
         m,
         n,
         model,
@@ -107,7 +115,7 @@ def check_store_key(
 
 
 def explore_store_key(
-    algorithm: str,
+    algorithm: Algorithm,
     m: int,
     n: int,
     model: str,
@@ -116,7 +124,7 @@ def explore_store_key(
 ) -> Tuple[object, ...]:
     """The verdict-store spec of one exploration.
 
-    ``("explore", algorithm, m, n, model, reduction, max_states)``
+    ``("explore", name, digest, m, n, model, reduction, max_states)``
     — exactly the key :func:`repro.engine.explorer.explore` caches the
     :class:`~repro.engine.explorer.Exploration` under (it builds the key
     here), so an exploration cached by the library route is a warm hit for
@@ -124,7 +132,8 @@ def explore_store_key(
     """
     return (
         "explore",
-        algorithm,
+        algorithm.name,
+        algorithm.digest,
         m,
         n,
         model,
@@ -134,7 +143,7 @@ def explore_store_key(
 
 
 def walk_task_key(
-    algorithm: str,
+    algorithm: Algorithm,
     m: int,
     n: int,
     model: str,
@@ -151,7 +160,8 @@ def walk_task_key(
     return (
         "task",
         "walk",
-        algorithm,
+        algorithm.name,
+        algorithm.digest,
         m,
         n,
         model,
@@ -162,7 +172,7 @@ def walk_task_key(
 
 
 def check_task_key(
-    algorithm: str,
+    algorithm: Algorithm,
     m: int,
     n: int,
     model: str,
@@ -173,7 +183,8 @@ def check_task_key(
     return (
         "task",
         "check",
-        algorithm,
+        algorithm.name,
+        algorithm.digest,
         m,
         n,
         model,
@@ -204,13 +215,17 @@ def _int_field(payload: dict, name: str, default=_REQUIRED, minimum: Optional[in
     return value
 
 
-def _resolve_algorithm(payload: dict):
+def _registry() -> Dict[str, Algorithm]:
     from ..algorithms import registry  # local import: avoids a layering cycle
 
+    return registry.all_algorithms()
+
+
+def _resolve_algorithm(payload: dict) -> Algorithm:
     name = _field(payload, "algorithm")
     if not isinstance(name, str):
         raise SpecError("algorithm", f"'algorithm' must be a registry name, got {name!r}")
-    known = registry.all_algorithms()
+    known = _registry()
     if name not in known:
         raise SpecError(
             "algorithm",
@@ -248,7 +263,11 @@ def _grid_fields(payload: dict, algorithm) -> Tuple[int, int]:
 
 @dataclasses.dataclass(frozen=True)
 class CheckSpec:
-    """A validated ``/v1/check`` / ``/v1/explore`` request."""
+    """A validated ``/v1/check`` / ``/v1/explore`` request.
+
+    ``algorithm`` is a registry name; :meth:`resolve` returns the
+    registered :class:`~repro.core.algorithm.Algorithm` it names.
+    """
 
     algorithm: str
     m: int
@@ -257,14 +276,18 @@ class CheckSpec:
     reduction: str
     max_states: int
 
+    def resolve(self) -> Algorithm:
+        """The registered algorithm :attr:`algorithm` names."""
+        return _registry()[self.algorithm]
+
     def check_key(self) -> Tuple[object, ...]:
         return check_store_key(
-            self.algorithm, self.m, self.n, self.model, self.reduction, self.max_states,
+            self.resolve(), self.m, self.n, self.model, self.reduction, self.max_states,
         )
 
     def explore_key(self) -> Tuple[object, ...]:
         return explore_store_key(
-            self.algorithm, self.m, self.n, self.model, self.reduction, self.max_states,
+            self.resolve(), self.m, self.n, self.model, self.reduction, self.max_states,
         )
 
 
@@ -287,8 +310,8 @@ def parse_check_spec(payload: object, default_reduction: Optional[str] = "grid")
 def parse_task(payload: object, algorithm: Optional[str] = None):
     """Validate one campaign-task payload into a picklable ``CampaignTask``.
 
-    ``algorithm`` supplies the campaign-level default so task entries in a
-    ``{"tasks": [...]}`` submission may omit it.
+    ``algorithm`` (a registry name) supplies the campaign-level default so
+    task entries in a ``{"tasks": [...]}`` submission may omit it.
     """
     from .campaign import CampaignTask  # local import: campaign imports this module
 
@@ -304,7 +327,7 @@ def parse_task(payload: object, algorithm: Optional[str] = None):
         raise SpecError("kind", f"'kind' must be 'walk' or 'check', got {kind!r}")
     if kind == "check":
         return CampaignTask(
-            algorithm=resolved.name,
+            algorithm=resolved,
             m=m,
             n=n,
             model=model,
@@ -316,7 +339,7 @@ def parse_task(payload: object, algorithm: Optional[str] = None):
     if tie_break not in TieBreak.ALL:
         raise SpecError("tie_break", f"'tie_break' must be one of {TieBreak.ALL}, got {tie_break!r}")
     return CampaignTask(
-        algorithm=resolved.name,
+        algorithm=resolved,
         m=m,
         n=n,
         model=model,
@@ -359,8 +382,8 @@ def _seeds_field(payload: dict, default: Tuple[int, ...]) -> Tuple[int, ...]:
 CAMPAIGN_KINDS = ("grid_sweep", "stress_test", "exhaustive_sweep", "verify_algorithm", "tasks")
 
 
-def parse_campaign(payload: object) -> Tuple[str, List[object]]:
-    """Validate a campaign submission into ``(algorithm_name, task_list)``.
+def parse_campaign(payload: object) -> Tuple[Algorithm, List[object]]:
+    """Validate a campaign submission into ``(algorithm, task_list)``.
 
     The payload either carries an explicit ``"tasks"`` list (each entry a
     task payload for :func:`parse_task`) or names one of the campaign
@@ -383,7 +406,7 @@ def parse_campaign(payload: object) -> Tuple[str, List[object]]:
         entries = payload["tasks"]
         if not isinstance(entries, list) or not entries:
             raise SpecError("tasks", "'tasks' must be a non-empty list of task objects")
-        return algorithm.name, [parse_task(entry, algorithm.name) for entry in entries]
+        return algorithm, [parse_task(entry, algorithm.name) for entry in entries]
     kind = _field(payload, "campaign", "grid_sweep")
     if kind not in CAMPAIGN_KINDS:
         raise SpecError("campaign", f"'campaign' must be one of {CAMPAIGN_KINDS}, got {kind!r}")
@@ -423,18 +446,20 @@ def parse_campaign(payload: object) -> Tuple[str, List[object]]:
             )
     if not tasks:
         raise SpecError("sizes", "campaign resolved to zero tasks (no supported grid sizes)")
-    return algorithm.name, tasks
+    return algorithm, tasks
 
 
-def campaign_id(algorithm: str, tasks) -> str:
+def campaign_id(algorithm: Algorithm, tasks) -> str:
     """The content-addressed id of a campaign submission.
 
-    A hash of the resolved task list, so equal submissions — before or
-    after a server restart — map to the same id and the same task keys, so
-    a resubmission is served from the verdict store.  16 hex chars: collision-safe for
+    A hash of the campaign algorithm's name and digest and of the resolved
+    task list (each task's algorithm enters through its ``repr``, again as
+    name and digest), so equal submissions — before or after a server
+    restart — map to the same id and the same task keys, so a resubmission
+    is served from the verdict store.  16 hex chars: collision-safe for
     any plausible number of campaigns, short enough for URLs and logs.
     """
-    return content_key(("campaign", algorithm, tuple(tasks)))[:16]
+    return content_key(("campaign", algorithm.name, algorithm.digest, tuple(tasks)))[:16]
 
 
 # ---------------------------------------------------------------------------

@@ -14,12 +14,13 @@ computes only the remainder.
 Content addressing
 ==================
 A verdict is keyed by :func:`content_key` — SHA-256 over the ``repr`` of
-the *fully resolved* spec.  The spec is the same normalization that
-already makes work picklable (the key tuples of :mod:`repro.engine.spec`,
-:class:`~repro.engine.campaign.CampaignTask` dataclasses): registry
-algorithm name, grid shape, synchrony model and the **normalized**
-reduction (``"none"`` or ``"grid"``) — plus everything the result is a
-function of that is *not* part of the work's identity at first glance:
+the *fully resolved* spec (the key tuples of :mod:`repro.engine.spec`):
+the algorithm's name and content digest
+(:attr:`~repro.core.algorithm.Algorithm.digest`, so an edited rule table
+never reads its predecessor's verdict), grid shape, synchrony model and
+the **normalized** reduction (``"none"`` or ``"grid"``) — plus everything
+the result is a function of that is *not* part of the work's identity at
+first glance:
 
 * the **state budget** (``max_states``), so a verdict computed under a
   small budget can never masquerade as the verdict of a full exploration

@@ -42,10 +42,6 @@ def _greedy_pair() -> Algorithm:
         Rule("R7", W, Guard.build(1, E=occ(G), W=WALL, S=EMPTY), W, "S"),
         Rule("R8", G, Guard.build(1, N=occ(W), W=WALL, E=EMPTY), G, "E"),
     )
-
-    def placement(m: int, n: int):
-        return [((0, 0), G), ((0, 1), W)]
-
     return Algorithm(
         name="candidate_greedy_pair_phi1_k2",
         synchrony=Synchrony.SSYNC,
@@ -54,7 +50,7 @@ def _greedy_pair() -> Algorithm:
         chirality=True,
         k=2,
         rules=rules,
-        initial_placement=placement,
+        initial_placement=(((0, 0), G), ((0, 1), W)),
         min_m=2,
         min_n=3,
         paper_section="3 (candidate)",
@@ -70,10 +66,6 @@ def _chaser() -> Algorithm:
         Rule("R3", W, Guard.build(1, W=occ(G), E=EMPTY), W, "E"),
         Rule("R4", W, Guard.build(1, N=occ(G), S=EMPTY), W, "S"),
     )
-
-    def placement(m: int, n: int):
-        return [((0, 0), G), ((0, 1), W)]
-
     return Algorithm(
         name="candidate_chaser_phi1_k2",
         synchrony=Synchrony.SSYNC,
@@ -82,7 +74,7 @@ def _chaser() -> Algorithm:
         chirality=True,
         k=2,
         rules=rules,
-        initial_placement=placement,
+        initial_placement=(((0, 0), G), ((0, 1), W)),
         min_m=2,
         min_n=3,
         paper_section="3 (candidate)",

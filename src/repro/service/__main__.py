@@ -8,7 +8,9 @@ Binds the verification service and serves until interrupted::
 this machine (``--workers``, at least 1, accepted only with
 ``--backend pool``); ``--backend serial``, the default, runs them in the
 server process.  Any other ``--backend`` value is a usage error (exit 2),
-as are the retired ``--connect``, ``--min-workers`` and journal flags.
+as are the retired ``--connect``, ``--min-workers`` and journal flags, and
+so is a numeric flag out of range: ``--rate`` must be a positive finite
+number, ``--burst`` and ``--store-entries`` at least 1.
 Checks and explorations always run in the server process, on the
 backend's cache; only campaign task lists fan out.  ``--store`` makes
 verdicts durable and warm-servable across restarts, and makes in-flight
@@ -23,16 +25,24 @@ ephemeral ``--port 0`` binding.
 from __future__ import annotations
 
 import argparse
+import math
 from typing import List, Optional
 
 from .app import VerificationServer, VerificationService
 
 
-def _worker_count(text: str) -> int:
+def _at_least_one(text: str) -> int:
     count = int(text)
     if count < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {count}")
     return count
+
+
+def _rate(text: str) -> float:
+    rate = float(text)
+    if not (math.isfinite(rate) and rate > 0):
+        raise argparse.ArgumentTypeError(f"must be a positive finite number, got {text}")
+    return rate
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -49,16 +59,16 @@ def build_parser() -> argparse.ArgumentParser:
         help="where fresh (uncached) campaign tasks run",
     )
     parser.add_argument(
-        "--workers", type=_worker_count, default=None, help="worker processes for --backend pool"
+        "--workers", type=_at_least_one, default=None, help="worker processes for --backend pool"
     )
     parser.add_argument("--store", default=None, metavar="PATH", help="verdict-store directory")
     parser.add_argument(
-        "--store-entries", type=int, default=100_000, help="in-memory verdict index bound"
+        "--store-entries", type=_at_least_one, default=100_000, help="in-memory verdict index bound"
     )
     parser.add_argument(
-        "--rate", type=float, default=None, help="per-client requests/second (unlimited if omitted)"
+        "--rate", type=_rate, default=None, help="per-client requests/second (unlimited if omitted)"
     )
-    parser.add_argument("--burst", type=int, default=20, help="per-client burst size")
+    parser.add_argument("--burst", type=_at_least_one, default=20, help="per-client burst size")
     parser.add_argument(
         "--port-file", default=None, metavar="PATH", help="write the bound HTTP port to this file"
     )

@@ -56,8 +56,8 @@ Cross-cutting semantics
   store as it completes; a server killed mid-campaign and restarted on
   the same ``--store`` serves a resubmitted campaign's finished tasks from
   the store (reported per task as ``resumed: true``) and recomputes only
-  the remainder.  Every task runs the algorithm its own ``algorithm``
-  field names.
+  the remainder.  Every task carries the registry algorithm its
+  ``algorithm`` field names, resolved once at submission.
 """
 
 from __future__ import annotations
@@ -248,14 +248,12 @@ class VerificationService:
     # -- single-shot endpoints -------------------------------------------
     def check(self, payload: object) -> Dict[str, object]:
         """``POST /v1/check``: one exhaustive check through the store."""
-        from ..algorithms import registry
         from ..checking.model_checker import check_terminating_exploration
 
         spec = parse_check_spec(payload)
-        algorithm = registry.get(spec.algorithm)
         started = time.perf_counter()
         result = check_terminating_exploration(
-            algorithm,
+            spec.resolve(),
             Grid(spec.m, spec.n),
             model=spec.model,
             max_states=spec.max_states,
@@ -270,14 +268,12 @@ class VerificationService:
 
     def explore(self, payload: object) -> Dict[str, object]:
         """``POST /v1/explore``: one exploration, summary out."""
-        from ..algorithms import registry
         from ..engine.explorer import explore_sharded
 
         spec = parse_check_spec(payload)
-        algorithm = registry.get(spec.algorithm)
         started = time.perf_counter()
         exploration = explore_sharded(
-            algorithm,
+            spec.resolve(),
             Grid(spec.m, spec.n),
             spec.model,
             reduction=spec.reduction,
@@ -304,7 +300,7 @@ class VerificationService:
             existing = self.campaigns.get(run_id)
             if existing is not None and existing.state != "failed":
                 return existing.status(), False
-            run = CampaignRun(run_id, algorithm, tasks)
+            run = CampaignRun(run_id, algorithm.name, tasks)
             self.campaigns[run_id] = run
         thread = threading.Thread(
             target=self._execute_campaign, args=(run,), name=f"campaign-{run_id}", daemon=True
@@ -314,11 +310,8 @@ class VerificationService:
 
     def _execute_campaign(self, run: CampaignRun) -> None:
         """Stream one campaign through the engine, publishing each report."""
-        from ..algorithms import registry
-
         try:
-            algorithm = registry.get(run.algorithm)
-            for index, report in self.engine.iter_tasks(algorithm, run.tasks):
+            for index, report in self.engine.iter_tasks(run.tasks):
                 # Served from the store: a previous (possibly killed) run
                 # already computed it — the resume path.
                 resumed = (report.store_stats or {}).get("outcome") == HIT

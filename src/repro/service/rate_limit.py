@@ -54,7 +54,9 @@ class TokenBucketLimiter:
     ``rate`` is the sustained requests/second each client may issue;
     ``burst`` is the bucket capacity (how far a client may run ahead of
     the sustained rate).  ``rate=None`` disables limiting — every check
-    is allowed — so the service can expose one code path either way.
+    is allowed — so the service can expose one code path either way.  A
+    rate that is not a positive finite number (``nan``, ``inf``, ``0``) is
+    refused: ``nan`` would silently turn limiting off.
     """
 
     def __init__(
@@ -63,8 +65,8 @@ class TokenBucketLimiter:
         burst: int = 10,
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
-        if rate is not None and rate <= 0:
-            raise ValueError("rate must be positive (or None to disable)")
+        if rate is not None and not (math.isfinite(rate) and rate > 0):
+            raise ValueError(f"rate must be positive and finite (or None to disable), got {rate}")
         if burst < 1:
             raise ValueError("burst must be >= 1")
         self.rate = rate

@@ -90,7 +90,7 @@ def _run_campaign(
     completes.
     """
     engine = ParallelCampaignEngine(backend=backend, store=store)
-    return GridSweepReport(algorithm=algorithm.name, reports=engine.run_tasks(algorithm, tasks))
+    return GridSweepReport(algorithm=algorithm.name, reports=engine.run_tasks(tasks))
 
 
 def grid_sweep(

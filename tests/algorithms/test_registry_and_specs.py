@@ -2,9 +2,15 @@
 
 from __future__ import annotations
 
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
-from repro.algorithms import find, get, names, table1_rows
+from repro.algorithms import all_algorithms, find, get, names, table1_rows
 from repro.algorithms.derive import replace_color_with_pair
 from repro.core import B, G, W
 from repro.core.errors import AlgorithmError
@@ -52,6 +58,49 @@ class TestRegistry:
 
     def test_at_least_thirteen_rows_registered(self):
         assert len(table1_rows()) >= 13
+
+
+class TestAlgorithmsAreData:
+    """Registry algorithms are plain data: they pickle and carry a content digest."""
+
+    @pytest.mark.parametrize("name", [spec[0] for spec in EXPECTED_SPECS])
+    def test_pickle_round_trips_without_derived_tables(self, name):
+        algorithm = get(name)
+        for color in algorithm.colors:
+            algorithm.compiled_rules(color)  # build the derived tables first
+        data = pickle.dumps(algorithm)
+        assert b"GuardChecks" not in data and b"_compiled_rules" not in data
+        clone = pickle.loads(data)
+        assert clone == algorithm and clone is not algorithm
+        assert clone.digest == algorithm.digest
+        assert "_compiled_rules" not in vars(clone)
+
+    def test_digests_do_not_depend_on_the_hash_seed(self):
+        src = str(Path(__file__).resolve().parents[2] / "src")
+        probe = (
+            "from repro.algorithms import all_algorithms;"
+            " print(sorted((name, a.digest) for name, a in all_algorithms().items()))"
+        )
+        printed = {
+            subprocess.run(
+                [sys.executable, "-c", probe],
+                env=dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed),
+                capture_output=True,
+                text=True,
+                check=True,
+            ).stdout
+            for seed in ("0", "1", "4242")
+        }
+        here = sorted((name, a.digest) for name, a in all_algorithms().items())
+        assert printed == {f"{here}\n"}
+        assert len({digest for _, digest in here}) == len(here)
+
+    def test_one_digest_is_pinned(self):
+        # Verdict-store keys carry this digest: it may only move with the
+        # algorithm's rules, placement or parameters.
+        assert get("fsync_phi2_l2_chir_k2").digest == (
+            "37b8af3e62f92ebb7210383f840bd22bf6e076eb1b67ff9421c2e87554b090f9"
+        )
 
 
 @pytest.mark.parametrize("name,synchrony,phi,ell,chirality,k,optimal,section", EXPECTED_SPECS)

@@ -121,7 +121,7 @@ def random_table(rng: random.Random, phi: int, chirality: bool) -> Algorithm:
         chirality=chirality,
         k=1,
         rules=tuple(rules),
-        initial_placement=lambda m, n: [((0, 0), colors[0])],
+        initial_placement=(((0, 0), colors[0]),),
     )
 
 

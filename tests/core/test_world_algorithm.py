@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.core import (
@@ -34,7 +36,7 @@ def tiny_algorithm(chirality=True):
         chirality=chirality,
         k=2,
         rules=rules,
-        initial_placement=lambda m, n: [((0, 0), G), ((0, 1), W)],
+        initial_placement=(((0, 0), G), ((0, 1), W)),
         min_m=1,
         min_n=2,
     )
@@ -89,7 +91,7 @@ class TestAlgorithmValidation:
                 chirality=True,
                 k=1,
                 rules=(Rule("R1", W, Guard.build(1), W, None),),
-                initial_placement=lambda m, n: [((0, 0), G)],
+                initial_placement=(((0, 0), G),),
             )
 
     def test_duplicate_rule_names_rejected(self):
@@ -103,7 +105,7 @@ class TestAlgorithmValidation:
                 chirality=True,
                 k=1,
                 rules=(rule, rule),
-                initial_placement=lambda m, n: [((0, 0), G)],
+                initial_placement=(((0, 0), G),),
             )
 
     def test_phi_mismatch_rejected(self):
@@ -116,12 +118,13 @@ class TestAlgorithmValidation:
                 chirality=True,
                 k=1,
                 rules=(Rule("R1", G, Guard.build(1), G, None),),
-                initial_placement=lambda m, n: [((0, 0), G)],
+                initial_placement=(((0, 0), G),),
             )
 
     def test_placement_size_checked(self):
+        # Checked at construction: no grid is needed to see the mismatch.
         algorithm = tiny_algorithm()
-        with pytest.raises(AlgorithmError):
+        with pytest.raises(AlgorithmError, match="initial_placement places 1 robots, expected k=3"):
             Algorithm(
                 name="bad-k",
                 synchrony=Synchrony.FSYNC,
@@ -130,8 +133,39 @@ class TestAlgorithmValidation:
                 chirality=True,
                 k=3,
                 rules=algorithm.rules,
-                initial_placement=lambda m, n: [((0, 0), G)],
-            ).placement(3, 3)
+                initial_placement=(((0, 0), G),),
+            )
+
+    def test_callable_placement_refused(self):
+        # A placement is data; a function of the grid would not pickle.
+        with pytest.raises(AlgorithmError, match="initial_placement"):
+            dataclasses.replace(tiny_algorithm(), initial_placement=lambda m, n: [((0, 0), G), ((0, 1), W)])
+
+    def test_placement_color_must_be_in_palette(self):
+        with pytest.raises(AlgorithmError, match="initial_placement color"):
+            dataclasses.replace(tiny_algorithm(), initial_placement=(((0, 0), G), ((0, 1), "B")))
+
+    def test_placement_is_normalized_to_a_tuple(self):
+        algorithm = dataclasses.replace(tiny_algorithm(), initial_placement=[([0, 0], G), ((0, 1), W)])
+        assert algorithm.initial_placement == (((0, 0), G), ((0, 1), W))
+        assert algorithm == tiny_algorithm()
+        assert algorithm.placement(2, 3) == [((0, 0), G), ((0, 1), W)]
+
+    def test_digest_names_the_content(self):
+        algorithm = tiny_algorithm()
+        # Documentation fields leave the digest alone ...
+        relabelled = dataclasses.replace(algorithm, description="other words", optimal=True)
+        assert relabelled.digest == algorithm.digest
+        # ... every behavioural field moves it, the name included.
+        for change in (
+            {"rules": algorithm.rules[:1]},
+            {"initial_placement": (((0, 1), G), ((0, 0), W))},
+            {"chirality": False},
+            {"min_n": 3},
+            {"name": "tiny-renamed"},
+        ):
+            assert dataclasses.replace(algorithm, **change).digest != algorithm.digest, change
+        assert repr(algorithm) == f"Algorithm(name='tiny', digest='{algorithm.digest}')"
 
     def test_supports_grid(self):
         algorithm = tiny_algorithm()

@@ -27,7 +27,7 @@ from repro.engine import (
     verify_one,
 )
 from repro.core import Grid
-from repro.core.errors import StateSpaceLimitExceeded
+from repro.core.errors import GridError, StateSpaceLimitExceeded
 from repro.engine.store import HIT, MISS, iter_records
 from repro.verification import exhaustive_sweep, grid_sweep, verify_algorithm
 
@@ -102,7 +102,7 @@ class TestBackendContract:
 
     def test_check_tasks_match_serial_engine(self, backend, algorithm1):
         tasks = exhaustive_check_tasks(algorithm1, sizes=[(2, 3), (3, 3)], reduction="grid")
-        serial = ParallelCampaignEngine().run_tasks(algorithm1, tasks)
+        serial = ParallelCampaignEngine().run_tasks(tasks)
         assert backend.run_tasks(tasks) == serial
 
     def test_closed_backend_refuses_work(self, algorithm1):
@@ -131,11 +131,11 @@ class TestBackendContract:
         # No placeholder report stands in for a task that raised: the error
         # reaches the caller, directly and through the campaign engine.
         good = grid_sweep_tasks(algorithm1, sizes=[(3, 3)])
-        tasks = good + [CampaignTask("no_such_algorithm", 3, 3)]
-        with pytest.raises(KeyError, match="no_such_algorithm"):
+        tasks = good + [CampaignTask(algorithm1, 0, 3)]  # Grid(0, 3) raises
+        with pytest.raises(GridError, match="0x3"):
             backend.run_tasks(tasks)
-        with pytest.raises(KeyError, match="no_such_algorithm"):
-            ParallelCampaignEngine(backend=backend).run_tasks(algorithm1, tasks)
+        with pytest.raises(GridError, match="0x3"):
+            ParallelCampaignEngine(backend=backend).run_tasks(tasks)
         # ... and the backend stays usable afterwards.
         assert backend.run_tasks(good) == [run_task(task) for task in good]
 
@@ -292,7 +292,7 @@ class TestBackendCampaigns:
             return imap(batch)
 
         monkeypatch.setattr(backend, "imap", spy)
-        assert engine.run_tasks(algorithm1, tasks) == [run_task(task) for task in tasks]
+        assert engine.run_tasks(tasks) == [run_task(task) for task in tasks]
         assert shipped == [tasks]
 
     def test_verification_campaigns_parity(self, backend, algorithm1):
@@ -323,61 +323,58 @@ class TestBackendCampaigns:
         expected = [run_task(task) for task in tasks]
         with VerdictStore(tmp_path / "store") as store:
             engine = ParallelCampaignEngine(backend=backend, store=store)
-            assert engine.run_tasks(algorithm1, tasks) == expected
+            assert engine.run_tasks(tasks) == expected
         assert _disk_records(tmp_path / "store") == len(tasks)
         # A rerun against the same store serves every report from it.
         monkeypatch.setattr(backend, "imap", _refuse_tasks)
         with VerdictStore(tmp_path / "store") as store:
             engine = ParallelCampaignEngine(backend=backend, store=store)
-            assert engine.run_tasks(algorithm1, tasks) == expected
+            assert engine.run_tasks(tasks) == expected
 
     def test_store_hits_never_reach_the_backend(self, backend, algorithm1, monkeypatch):
         store = VerdictStore()
         tasks = exhaustive_check_tasks(algorithm1, sizes=[(3, 3), (3, 4)])
         engine = ParallelCampaignEngine(backend=backend, store=store)
-        recorded = engine.run_tasks(algorithm1, tasks)
+        recorded = engine.run_tasks(tasks)
         monkeypatch.setattr(backend, "imap", _refuse_tasks)
-        cached = engine.run_tasks(algorithm1, tasks)
+        cached = engine.run_tasks(tasks)
         assert [report.store_stats["outcome"] for report in recorded] == [MISS] * len(tasks)
         assert [report.store_stats["outcome"] for report in cached] == [HIT] * len(tasks)
         assert cached == recorded == [run_task(task) for task in tasks]
         assert store.misses == len(tasks)
 
     def test_each_task_runs_the_algorithm_it_names(self, backend, tmp_path):
-        # A task list naming B, handed to an engine run for A, runs B: B's
-        # report lands under B's task key, so B's own later lookup is a hit
-        # on B's verdict, never on A's.
-        a, b = get("fsync_phi2_l2_chir_k2"), get("fsync_phi1_l3_nochir_k4")
+        # A task carrying B runs B, and B's report lands under B's task
+        # key, so B's own later lookup is a hit on B's verdict, never on
+        # another algorithm's.
+        b = get("fsync_phi1_l3_nochir_k4")
         store = VerdictStore(tmp_path / "store")
         engine = ParallelCampaignEngine(backend=backend, store=store)
-        (report,) = engine.run_tasks(a, grid_sweep_tasks(b, sizes=[(4, 5)]))
+        (report,) = engine.run_tasks(grid_sweep_tasks(b, sizes=[(4, 5)]))
         assert (report.algorithm, report.steps) == (b.name, 14)
         served = verify_one(b, 4, 5, store=store)
         assert served.store_stats["outcome"] == HIT
         assert (served.algorithm, served.steps) == (b.name, 14)
         assert served == verify_one(b, 4, 5)
 
-    def test_unregistered_algorithm_falls_back_in_process(self, backend):
+    def test_an_adhoc_algorithm_runs_where_the_backend_runs_tasks(self, backend):
         from tests.engine.test_pool import _adhoc_algorithm
 
         adhoc = _adhoc_algorithm("adhoc_backend_test")
-        engine = ParallelCampaignEngine(backend=backend)
-        tasks = grid_sweep_tasks(adhoc, sizes=[(1, 3)])
-        # An unregistered rule set cannot cross a process boundary; the
-        # engine must run it in-process, on the backend's cache, with the
-        # same reports the serial path produces.
-        assert engine.run_tasks(adhoc, tasks) == ParallelCampaignEngine().run_tasks(adhoc, tasks)
-        assert backend.cache.stats_for(adhoc).lookups > 0
-
-    def test_unregistered_algorithm_refuses_tasks_naming_another(self, backend):
-        from tests.engine.test_pool import _adhoc_algorithm
-
-        adhoc = _adhoc_algorithm("adhoc_mismatch_test")
-        tasks = grid_sweep_tasks(adhoc, sizes=[(1, 3)]) + grid_sweep_tasks(
-            get("fsync_phi2_l2_chir_k2"), sizes=[(3, 3)]
+        registered = get("fsync_phi2_l2_chir_k2")
+        tasks = grid_sweep_tasks(adhoc, sizes=[(1, 3), (2, 4)]) + grid_sweep_tasks(
+            registered, sizes=[(3, 3)]
         )
-        with pytest.raises(ValueError, match="fsync_phi2_l2_chir_k2"):
-            ParallelCampaignEngine(backend=backend).run_tasks(adhoc, tasks)
+        # An ad-hoc rule table travels by value like a registered one: one
+        # task list mixes both, and every report equals the serial one.
+        assert ParallelCampaignEngine(backend=backend).run_tasks(tasks) == [
+            run_task(task) for task in tasks
+        ]
+        if backend.parallelism > 1:
+            assert backend.started  # the ad-hoc tasks ran on the workers
+            assert backend.cache.stats_for(adhoc).lookups == 0
+        else:
+            assert backend.cache.stats_for(adhoc).lookups > 0
 
 
 # ---------------------------------------------------------------------------

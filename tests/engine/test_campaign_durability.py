@@ -25,6 +25,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.core.errors import GridError
 from repro.engine import (
     CampaignTask,
     ParallelCampaignEngine,
@@ -47,8 +48,8 @@ def chaos_tasks(algorithm1):
 
 
 @pytest.fixture()
-def serial_reports(algorithm1, chaos_tasks):
-    return execute_tasks(algorithm1, chaos_tasks)
+def serial_reports(chaos_tasks):
+    return execute_tasks(chaos_tasks)
 
 
 def raw_records(path: Path) -> int:
@@ -152,27 +153,25 @@ def make_backend(route: str):
 
 
 class TestStoreBackedCampaigns:
-    def test_rerun_serves_stored_verdicts_instead_of_recomputing(
-        self, tmp_path, algorithm1, chaos_tasks, serial_reports
-    ):
+    def test_rerun_serves_stored_verdicts_instead_of_recomputing(self, tmp_path, chaos_tasks, serial_reports):
         with VerdictStore(tmp_path / "store") as store:
             engine = ParallelCampaignEngine(store=store)
-            assert engine.run_tasks(algorithm1, chaos_tasks) == serial_reports
+            assert engine.run_tasks(chaos_tasks) == serial_reports
             # Plant a sentinel verdict: if the rerun re-executed the task,
             # the recomputed report would replace it.
             sentinel = replace(serial_reports[1], reason="stored-sentinel")
             store.put(task_store_key(chaos_tasks[1]), sentinel)
         with VerdictStore(tmp_path / "store") as store:
-            rerun = ParallelCampaignEngine(store=store).run_tasks(algorithm1, chaos_tasks)
+            rerun = ParallelCampaignEngine(store=store).run_tasks(chaos_tasks)
         assert rerun[1].reason == "stored-sentinel"
         assert rerun[0] == serial_reports[0]
         assert [report.store_stats["outcome"] for report in rerun] == [HIT] * len(chaos_tasks)
 
-    def test_stored_reports_stream_before_the_remainder(self, algorithm1, chaos_tasks, serial_reports):
+    def test_stored_reports_stream_before_the_remainder(self, chaos_tasks, serial_reports):
         store = VerdictStore()
         engine = ParallelCampaignEngine(store=store)
-        engine.run_tasks(algorithm1, chaos_tasks[2:3])
-        streamed = list(engine.iter_tasks(algorithm1, chaos_tasks))
+        engine.run_tasks(chaos_tasks[2:3])
+        streamed = list(engine.iter_tasks(chaos_tasks))
         assert [index for index, _ in streamed] == [2, 0, 1, 3]
         assert [report.store_stats["outcome"] for _, report in streamed] == [HIT, MISS, MISS, MISS]
         assert [report for _, report in sorted(streamed, key=lambda pair: pair[0])] == serial_reports
@@ -188,18 +187,18 @@ class TestStoreBackedCampaigns:
     def test_a_raising_task_keeps_the_verdicts_committed_before_it(
         self, tmp_path, route, algorithm1, chaos_tasks, serial_reports
     ):
-        # Tasks resolve their algorithm by name, so an unknown one raises.
+        # A walk on a 0x3 grid raises: Grid refuses the shape.
         path = tmp_path / "store"
-        broken = chaos_tasks[:2] + [CampaignTask("no_such_algorithm", 3, 3)] + chaos_tasks[2:]
+        broken = chaos_tasks[:2] + [CampaignTask(algorithm1, 0, 3)] + chaos_tasks[2:]
         with make_backend(route) as backend:
             with VerdictStore(path) as store:
                 engine = ParallelCampaignEngine(backend=backend, store=store)
-                with pytest.raises(KeyError, match="no_such_algorithm"):
-                    engine.run_tasks(algorithm1, broken)
+                with pytest.raises(GridError, match="0x3"):
+                    engine.run_tasks(broken)
             assert raw_records(path) == 2  # both reports before the raise
             with VerdictStore(path) as store:
                 engine = ParallelCampaignEngine(backend=backend, store=store)
-                assert engine.run_tasks(algorithm1, chaos_tasks) == serial_reports
+                assert engine.run_tasks(chaos_tasks) == serial_reports
         assert raw_records(path) == len(chaos_tasks)  # only the remainder ran
 
     def test_campaign_entry_points_resume_from_the_store(self, tmp_path, algorithm1, serial_reports):

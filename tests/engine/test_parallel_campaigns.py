@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.algorithms import get
@@ -28,7 +33,7 @@ class TestTaskLists:
         algorithm = get("fsync_phi1_l2_chir_k3")
         tasks = grid_sweep_tasks(algorithm)
         assert tasks, "default suite must not be empty"
-        assert all(task.algorithm == algorithm.name for task in tasks)
+        assert all(task.algorithm is algorithm for task in tasks)
         assert all(algorithm.supports_grid(task.m, task.n) for task in tasks)
 
     def test_stress_tasks_enumerate_models_and_seeds(self):
@@ -37,10 +42,15 @@ class TestTaskLists:
         assert len(tasks) == 4  # 2 models x 2 seeds
         assert {task.model for task in tasks} == {"SSYNC", "ASYNC"}
 
-    def test_run_task_resolves_through_the_registry(self):
+    def test_run_task_runs_the_algorithm_the_task_carries(self):
         algorithm = get("fsync_phi2_l2_chir_k2")
-        report = run_task(CampaignTask(algorithm=algorithm.name, m=3, n=4))
+        report = run_task(CampaignTask(algorithm=algorithm, m=3, n=4))
         assert report.ok and report.algorithm == algorithm.name
+
+    @pytest.mark.parametrize("algorithm", ["fsync_phi2_l2_chir_k2", None, 7])
+    def test_a_task_refuses_anything_but_an_algorithm(self, algorithm):
+        with pytest.raises(TypeError, match="CampaignTask.algorithm must be an Algorithm"):
+            CampaignTask(algorithm=algorithm, m=3, n=4)
 
 
 class TestParallelSerialParity:
@@ -70,7 +80,7 @@ class TestParallelSerialParity:
         report = engine.grid_sweep(algorithm, sizes=[(3, 4)])
         assert report.ok and len(report.reports) == 1
 
-    def test_unregistered_algorithm_falls_back_to_serial(self):
+    def test_an_adhoc_algorithm_runs_on_the_pool_workers(self):
         rules = (
             Rule("R1", G, Guard.build(1, E=occ(W)), G, "E"),
             Rule("R2", W, Guard.build(1, W=occ(G)), W, None),
@@ -83,30 +93,30 @@ class TestParallelSerialParity:
             chirality=True,
             k=2,
             rules=rules,
-            initial_placement=lambda m, n: [((0, 0), G), ((0, 1), W)],
+            initial_placement=(((0, 0), G), ((0, 1), W)),
             min_m=1,
             min_n=3,
         )
+        sizes = [(1, 3), (1, 4), (2, 3)]
         with PoolBackend(workers=4) as backend:
-            report = ParallelCampaignEngine(backend=backend).grid_sweep(adhoc, sizes=[(1, 3)])
-            assert not backend.started
+            report = ParallelCampaignEngine(backend=backend).grid_sweep(adhoc, sizes=sizes)
+            assert backend.started  # the ad-hoc rule table crossed the process boundary
+            assert backend.cache.stats_for(adhoc).lookups == 0
         # The ad-hoc rule set is not a terminating explorer; what matters is
-        # that the engine executed it in-process instead of failing to pickle.
-        assert len(report.reports) == 1
-        # ...and the result matches the serial path exactly.
-        serial = execute_tasks(adhoc, grid_sweep_tasks(adhoc, sizes=[(1, 3)]))
-        assert report.reports == serial
+        # that the workers ran it with the serial path's reports exactly.
+        assert len(report.reports) == len(sizes)
+        assert report.reports == execute_tasks(grid_sweep_tasks(adhoc, sizes=sizes))
 
 
 class TestTasksRunTheAlgorithmTheyName:
-    """A task list handed to an engine run for another algorithm."""
+    """Each task runs the algorithm it carries, and is stored under it."""
 
     A, B = "fsync_phi2_l2_chir_k2", "fsync_phi1_l3_nochir_k4"
 
     def test_engine_files_the_named_algorithms_report_under_its_key(self, tmp_path):
         a, b = get(self.A), get(self.B)
         store = VerdictStore(tmp_path / "store")
-        (report,) = ParallelCampaignEngine(store=store).run_tasks(a, grid_sweep_tasks(b, sizes=[(4, 5)]))
+        (report,) = ParallelCampaignEngine(store=store).run_tasks(grid_sweep_tasks(b, sizes=[(4, 5)]))
         assert (report.algorithm, report.steps) == (self.B, 14)
         served = verify_one(b, 4, 5, store=store)
         assert served.store_stats["outcome"] == HIT
@@ -116,16 +126,46 @@ class TestTasksRunTheAlgorithmTheyName:
     def test_execute_tasks_runs_each_tasks_own_algorithm(self):
         a, b = get(self.A), get(self.B)
         tasks = grid_sweep_tasks(a, sizes=[(4, 5)]) + grid_sweep_tasks(b, sizes=[(4, 5)])
-        reports = execute_tasks(a, tasks)
+        reports = execute_tasks(tasks)
         assert [(r.algorithm, r.steps) for r in reports] == [(self.A, 17), (self.B, 14)]
         assert reports == [run_task(task) for task in tasks]
 
-    def test_an_unregistered_algorithm_refuses_other_names(self):
-        from tests.engine.test_pool import _adhoc_algorithm
 
-        adhoc = _adhoc_algorithm("adhoc_named_elsewhere")
-        with pytest.raises(ValueError, match=self.B):
-            execute_tasks(adhoc, grid_sweep_tasks(get(self.B), sizes=[(4, 5)]))
+#: An ad-hoc campaign on a two-worker pool through a store, in a fresh
+#: interpreter; prints whether the registry was ever imported.
+WITHOUT_REGISTRY = """
+import sys, tempfile
+from repro.core import Algorithm, G, Grid, W, occ
+from repro.core.rules import Guard, Rule
+from repro.checking import check_terminating_exploration
+from repro.engine import ParallelCampaignEngine, PoolBackend, VerdictStore, exhaustive_check_tasks
+
+adhoc = Algorithm(
+    name="adhoc", synchrony="FSYNC", phi=1, colors=(G, W), chirality=True, k=2,
+    rules=(Rule("R1", G, Guard.build(1, E=occ(W)), G, "E"), Rule("R2", W, Guard.build(1, W=occ(G)), W, None)),
+    initial_placement=(((0, 0), G), ((0, 1), W)), min_m=1, min_n=3,
+)
+with tempfile.TemporaryDirectory() as path, PoolBackend(workers=2) as backend, VerdictStore(path) as store:
+    reports = ParallelCampaignEngine(backend=backend, store=store).run_tasks(
+        exhaustive_check_tasks(adhoc, sizes=[(1, 3), (2, 3)])
+    )
+    check_terminating_exploration(adhoc, Grid(2, 4), model="SSYNC", store=store)
+print(len(reports), "repro.algorithms" in sys.modules)
+"""
+
+
+class TestLayering:
+    def test_the_engine_runs_without_the_registry(self):
+        src = Path(__file__).resolve().parents[2] / "src"
+        result = subprocess.run(
+            [sys.executable, "-c", WITHOUT_REGISTRY],
+            env=dict(os.environ, PYTHONPATH=str(src)),
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.split() == ["2", "False"]
 
 
 class TestSeedDerivation:

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import dataclasses
 import os
+import pickle
 
 import pytest
 
@@ -42,7 +44,7 @@ def _adhoc_algorithm(name="adhoc_pool_test"):
         chirality=True,
         k=2,
         rules=rules,
-        initial_placement=lambda m, n: [((0, 0), G), ((0, 1), W)],
+        initial_placement=(((0, 0), G), ((0, 1), W)),
         min_m=1,
         min_n=3,
     )
@@ -109,7 +111,7 @@ class TestPooledParity:
         serial = _serial(adhoc, grid, "FSYNC", max_states=500)
         with PoolBackend(workers=4) as backend:
             pooled = explore_state_space(adhoc, grid, model="FSYNC", max_states=500, backend=backend)
-            assert not backend.started  # cannot cross the process boundary
+            assert not backend.started  # explorations never fan out
             assert backend.cache.stats_for(adhoc).lookups > 0  # ran on the pool's cache
         assert pooled == serial.graph()
 
@@ -359,6 +361,22 @@ class TestMatcherCache:
         assert matcher_a._matches is matcher_b._matches  # same algorithm: shared tables
         assert matcher_a._matches is not matcher_c._matches  # different algorithm: isolated
         assert matcher_a.stats is matcher_b.stats
+
+    def test_tables_are_keyed_by_content_digest(self):
+        first = get("fsync_phi2_l2_chir_k2")
+        copy = pickle.loads(pickle.dumps(first))  # what a pool worker receives
+        cache = MatcherCache()
+        matcher = cache.matcher_for(first, Grid(3, 3))
+        twin = cache.matcher_for(copy, Grid(4, 4))
+        assert twin._matches is matcher._matches
+        assert cache.stats_for(copy) is cache.stats_for(first)
+        # Matching runs on the first copy seen, whose guards are compiled.
+        assert twin.algorithm is first
+        # The same name with another rule table never shares an entry.
+        edited = dataclasses.replace(first, rules=first.rules[:1])
+        other = cache.matcher_for(edited, Grid(3, 3))
+        assert other._matches is not matcher._matches
+        assert other.algorithm is edited
 
     def test_summary_surfaces_cache_stats(self):
         algorithm = get("fsync_phi2_l2_chir_k2")

@@ -14,11 +14,17 @@ The generator is bounded, not the seed list: a table whose unreduced
 exploration of any case exceeds :data:`STATE_CAP` states is redrawn from
 the same seeded stream, so every seed still yields a table and the whole
 set stays fast.
+
+The same tables also run as one campaign on a two-worker pool through a
+verdict store: algorithms travel to the workers by value, and every
+report, fresh or stored, must carry the serial unreduced verdict.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import random
+from functools import lru_cache
 from typing import Dict, Tuple
 
 import pytest
@@ -28,6 +34,8 @@ from repro.core import Algorithm, Grid
 from repro.core.errors import StateSpaceLimitExceeded
 from repro.core.rules import EMPTY, FREE, WALL, Guard, Rule, occ
 from repro.core.views import ball_offsets
+from repro.engine import CampaignTask, ParallelCampaignEngine, PoolBackend, VerdictStore
+from repro.engine.store import HIT, MISS
 
 SEEDS = range(200)
 CASES = ((2, 3, "FSYNC"), (2, 3, "SSYNC"), (2, 3, "ASYNC"), (3, 3, "FSYNC"), (3, 3, "SSYNC"))
@@ -39,6 +47,8 @@ STATE_CAP = 1500
 MAX_DRAWS = 20
 
 Case = Tuple[int, int, str]
+#: The grids of :data:`CASES`.
+GRIDS = sorted({(m, n) for m, n, _ in CASES})
 
 
 def random_cell(rng: random.Random, colors):
@@ -49,14 +59,15 @@ def random_cell(rng: random.Random, colors):
     return (EMPTY, WALL, FREE)[kind]
 
 
-def random_table(rng: random.Random, name: str) -> Algorithm:
-    """A random rule table: phi 1-2, 1-3 colors, either chirality, k 2-3, 1-5 rules.
+def random_table(rng: random.Random, name: str) -> Dict[Tuple[int, int], Algorithm]:
+    """One random rule table, as an :class:`Algorithm` per grid of :data:`GRIDS`.
 
-    Each rule constrains 0-3 random cells of the visibility ball (the rest
-    keep the guard default: no robot there) and picks a random new color
-    and move.  The initial placement puts the ``k`` robots on distinct
-    random nodes with random colors, seeded per grid so every call for
-    one grid returns the same placement.
+    phi 1-2, 1-3 colors, either chirality, k 2-3, 1-5 rules.  Each rule
+    constrains 0-3 random cells of the visibility ball (the rest keep the
+    guard default: no robot there) and picks a random new color and move.
+    The initial placement puts the ``k`` robots on distinct random nodes
+    with random colors, seeded per grid; each grid's :class:`Algorithm`
+    has the same rules and that grid's placement.
     """
     phi = rng.choice((1, 2))
     colors = PALETTE[: rng.randint(1, 3)]
@@ -80,9 +91,9 @@ def random_table(rng: random.Random, name: str) -> Algorithm:
     def placement(m: int, n: int):
         place = random.Random(placement_seed * 1000 + m * 10 + n)
         nodes = place.sample([(i, j) for i in range(m) for j in range(n)], k)
-        return [(node, place.choice(colors)) for node in nodes]
+        return tuple((node, place.choice(colors)) for node in nodes)
 
-    return Algorithm(
+    base = Algorithm(
         name=name,
         synchrony="ASYNC",
         phi=phi,
@@ -90,37 +101,68 @@ def random_table(rng: random.Random, name: str) -> Algorithm:
         chirality=chirality,
         k=k,
         rules=tuple(rules),
-        initial_placement=placement,
+        initial_placement=placement(*GRIDS[0]),
         min_m=2,
         min_n=3,
     )
+    return {grid: dataclasses.replace(base, initial_placement=placement(*grid)) for grid in GRIDS}
 
 
-def bounded_table(seed: int) -> Tuple[Algorithm, Dict[Case, CheckResult]]:
+@lru_cache(maxsize=None)
+def bounded_table(seed: int) -> Tuple[Dict[Tuple[int, int], Algorithm], Dict[Case, CheckResult]]:
     """The first table of ``seed``'s stream within :data:`STATE_CAP`, with its unreduced checks."""
     rng = random.Random(seed)
     for _ in range(MAX_DRAWS):
-        algorithm = random_table(rng, f"fuzz_{seed}")
+        tables = random_table(rng, f"fuzz_{seed}")
         try:
             plain = {
                 (m, n, model): check_terminating_exploration(
-                    algorithm, Grid(m, n), model=model, max_states=STATE_CAP, reduction="none"
+                    tables[m, n], Grid(m, n), model=model, max_states=STATE_CAP, reduction="none"
                 )
                 for m, n, model in CASES
             }
         except StateSpaceLimitExceeded:
             continue
-        return algorithm, plain
+        return tables, plain
     raise AssertionError(f"seed {seed}: no table within {STATE_CAP} states in {MAX_DRAWS} draws")
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_grid_quotient_matches_unreduced_on_random_tables(seed):
-    algorithm, plain = bounded_table(seed)
+    tables, plain = bounded_table(seed)
     for (m, n, model), unreduced in plain.items():
-        quotient = check_terminating_exploration(algorithm, Grid(m, n), model=model, reduction="grid")
+        quotient = check_terminating_exploration(tables[m, n], Grid(m, n), model=model, reduction="grid")
         case = f"{m}x{n} {model}"
         assert quotient.terminates == unreduced.terminates, case
         assert quotient.explores == unreduced.explores, case
         assert quotient.counterexample == unreduced.counterexample, case
         assert quotient.states_explored <= unreduced.states_explored, case
+
+
+def test_pool_and_store_reproduce_the_serial_unreduced_checks(tmp_path):
+    """Every seed, case and reduction as one campaign on two pool workers, through a store."""
+    tasks, expected = [], []
+    for seed in SEEDS:
+        tables, plain = bounded_table(seed)
+        for (m, n, model), unreduced in plain.items():
+            for reduction in ("none", "grid"):
+                tasks.append(
+                    CampaignTask(
+                        tables[m, n], m, n, model, kind="check", reduction=reduction, max_states=STATE_CAP
+                    )
+                )
+                expected.append(unreduced)
+    with PoolBackend(workers=2) as backend, VerdictStore(tmp_path / "store") as store:
+        engine = ParallelCampaignEngine(backend=backend, store=store)
+        reports = engine.run_tasks(tasks)
+        assert backend.started
+        rerun = engine.run_tasks(tasks)
+    for task, report, unreduced in zip(tasks, reports, expected):
+        case = f"{task.algorithm.name} {task.m}x{task.n} {task.model} {task.reduction}"
+        assert report.store_stats["outcome"] == MISS, case
+        assert report.ok == unreduced.ok, case
+        assert report.reason == (unreduced.counterexample or "ok"), case
+        if task.reduction == "none":
+            assert report.steps == unreduced.states_explored, case
+    assert [report.store_stats["outcome"] for report in rerun] == [HIT] * len(tasks)
+    assert rerun == reports

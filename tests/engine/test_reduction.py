@@ -209,7 +209,7 @@ class TestExhaustiveCheckCampaigns:
         algorithm = get("async_phi2_l2_chir_k3")
         tasks = [
             CampaignTask(
-                algorithm=algorithm.name,
+                algorithm=algorithm,
                 m=m,
                 n=n,
                 model="ASYNC",
@@ -218,9 +218,9 @@ class TestExhaustiveCheckCampaigns:
             )
             for m, n in [(2, 3), (3, 3), (3, 4)]
         ]
-        serial = execute_tasks(algorithm, tasks)
+        serial = execute_tasks(tasks)
         with PoolBackend(workers=2) as backend:
-            parallel = ParallelCampaignEngine(backend=backend).run_tasks(algorithm, tasks)
+            parallel = ParallelCampaignEngine(backend=backend).run_tasks(tasks)
             assert backend.started  # the tasks crossed the process boundary
         assert parallel == serial
         assert all(report.reduction_stats is not None for report in serial)
@@ -237,11 +237,11 @@ class TestExhaustiveCheckCampaigns:
     def test_mixed_walk_and_check_task_lists(self):
         algorithm = get("async_phi2_l3_chir_k2")
         tasks = [
-            CampaignTask(algorithm=algorithm.name, m=3, n=3, model="FSYNC", tie_break="first"),
+            CampaignTask(algorithm=algorithm, m=3, n=3, model="FSYNC", tie_break="first"),
             CampaignTask(
-                algorithm=algorithm.name, m=3, n=3, model="ASYNC", kind="check", reduction="grid"
+                algorithm=algorithm, m=3, n=3, model="ASYNC", kind="check", reduction="grid"
             ),
         ]
-        reports = execute_tasks(algorithm, tasks)
+        reports = execute_tasks(tasks)
         assert [r.kind for r in reports] == ["walk", "check"]
         assert reports[0].seed is not None and reports[1].seed is None

@@ -527,12 +527,12 @@ class TestParity:
         tasks = grid_sweep_tasks(algorithm, sizes=[(3, 3), (3, 4)]) + exhaustive_check_tasks(
             algorithm, sizes=[(3, 3)]
         )
-        fresh = ParallelCampaignEngine().run_tasks(algorithm, tasks)
+        fresh = ParallelCampaignEngine().run_tasks(tasks)
         with VerdictStore(tmp_path / "store") as store:
-            recorded = ParallelCampaignEngine(store=store).run_tasks(algorithm, tasks)
+            recorded = ParallelCampaignEngine(store=store).run_tasks(tasks)
         # A new process opening the same directory serves every report.
         with VerdictStore(tmp_path / "store") as reopened:
-            cached = ParallelCampaignEngine(store=reopened).run_tasks(algorithm, tasks)
+            cached = ParallelCampaignEngine(store=reopened).run_tasks(tasks)
             assert all(report.store_stats["outcome"] == HIT for report in cached)
             assert reopened.misses == 0
         assert cached == recorded == fresh
@@ -543,9 +543,7 @@ class TestParity:
         report = verify_one(algorithm, 3, 3, store=store)
         assert report.store_stats["outcome"] == MISS
         (task,) = grid_sweep_tasks(algorithm, sizes=[(3, 3)])
-        (engine_report,) = ParallelCampaignEngine(store=store).run_tasks(
-            algorithm, [task]
-        )
+        (engine_report,) = ParallelCampaignEngine(store=store).run_tasks([task])
         assert engine_report.store_stats["outcome"] == HIT
         assert engine_report == report
 
@@ -554,6 +552,49 @@ class TestParity:
         explicit = grid_sweep_tasks(algorithm, sizes=[(3, 3)], seed=0)[0]
         defaulted = grid_sweep_tasks(algorithm, sizes=[(3, 3)])[0]
         assert task_store_key(explicit) == task_store_key(defaulted)
+
+
+# ---------------------------------------------------------------------------
+# Content addressing: keys carry the algorithm's name and content digest
+# ---------------------------------------------------------------------------
+class TestContentAddressing:
+    def test_an_edited_rule_table_is_never_answered_by_its_predecessor(self, tmp_path, monkeypatch):
+        # A server restarted on an old store after a rule edit: the registry
+        # now ships the edited table under the same name.
+        from repro.algorithms import registry
+
+        original = get(ALGORITHM)
+        with VerdictStore(tmp_path / "store") as store:
+            first = check_terminating_exploration(original, Grid(3, 3), model="FSYNC", store=store)
+        assert (first.ok, first.states_explored) == (True, 7)
+
+        edited = replace(original, rules=original.rules[:1])
+        registry.all_algorithms()  # populate the registry before patching it
+        monkeypatch.setitem(registry._CACHE, ALGORITHM, edited)
+        with VerdictStore(tmp_path / "store") as reopened:
+            second = check_terminating_exploration(
+                registry.get(ALGORITHM), Grid(3, 3), model="FSYNC", store=reopened
+            )
+            assert second.store_stats["outcome"] == MISS
+            assert (second.ok, second.states_explored) == (False, 2)
+            assert second == check_terminating_exploration(edited, Grid(3, 3), model="FSYNC")
+            (report,) = ParallelCampaignEngine(store=reopened).run_tasks(
+                exhaustive_check_tasks(edited, sizes=[(3, 3)], reduction="none")
+            )
+            assert report.store_stats["outcome"] == MISS
+            assert (report.ok, report.steps) == (False, 2)
+
+    def test_an_adhoc_algorithm_is_stored_like_a_registered_one(self, tmp_path):
+        from tests.engine.test_pool import _adhoc_algorithm
+
+        adhoc = _adhoc_algorithm("adhoc_store_test")
+        outcomes = []
+        for _ in range(2):
+            with VerdictStore(tmp_path / "store") as store:
+                result = check_terminating_exploration(adhoc, Grid(1, 3), model="FSYNC", store=store)
+            outcomes.append(result.store_stats["outcome"])
+            assert result == check_terminating_exploration(adhoc, Grid(1, 3), model="FSYNC")
+        assert outcomes == [MISS, HIT]
 
 
 # ---------------------------------------------------------------------------

@@ -163,7 +163,7 @@ class TestReductionSoundness:
             chirality=True,
             k=2,
             rules=rules,
-            initial_placement=lambda m, n: [((0, 1), G), ((0, 2), W)],
+            initial_placement=(((0, 1), G), ((0, 2), W)),
             min_m=1,
             min_n=4,
         )

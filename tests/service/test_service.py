@@ -456,20 +456,41 @@ class TestServerCli:
             ["--backend", "pool", "--workers", "-3"],
             ["--workers", "4"],
             ["--backend", "serial", "--workers", "2"],
+            ["--rate", "nan"],
+            ["--rate", "inf"],
+            ["--rate", "-1"],
+            ["--rate", "0"],
+            ["--rate", "fast"],
+            ["--burst", "0"],
+            ["--burst", "-2"],
+            ["--store-entries", "0"],
+            ["--store-entries", "1e3"],
         ],
-        ids=["pool-zero", "pool-negative", "no-backend", "serial-backend"],
+        ids=[
+            "pool-zero", "pool-negative", "no-backend", "serial-backend",
+            "rate-nan", "rate-inf", "rate-negative", "rate-zero", "rate-text",
+            "burst-zero", "burst-negative", "store-entries-zero", "store-entries-float",
+        ],
     )
-    def test_bad_worker_counts_exit_2_before_serving(self, capsys, argv, monkeypatch):
+    def test_bad_numeric_flags_exit_2_before_serving(self, capsys, argv, monkeypatch):
         from repro.service import __main__ as cli
 
         def refuse(args):
-            raise AssertionError("a service was built from a bad --workers")
+            raise AssertionError(f"a service was built from a bad {argv}")
 
         monkeypatch.setattr(cli, "build_service", refuse)
+        flag = next(arg for arg in argv if arg.startswith("--") and arg != "--backend")
         with pytest.raises(SystemExit) as exited:
             cli.main(argv)
         assert exited.value.code == 2
-        assert "--workers" in capsys.readouterr().err
+        assert flag in capsys.readouterr().err
+
+    @pytest.mark.parametrize("rate", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_limiter_refuses_a_rate_that_is_not_positive_and_finite(self, rate):
+        from repro.service.rate_limit import TokenBucketLimiter
+
+        with pytest.raises(ValueError, match="positive and finite"):
+            TokenBucketLimiter(rate)
 
     def test_cold_import_leaves_numpy_out(self):
         # The library and the server are pure Python; numpy on the import

@@ -40,6 +40,9 @@ from repro.engine.spec import (
 from repro.engine.store import VerdictStore
 
 ALGORITHM = "fsync_phi2_l2_chir_k2"
+#: The registered algorithm ``ALGORITHM`` names; store keys address it by
+#: name and content digest.
+REGISTERED = registry.get(ALGORITHM)
 
 
 def spec_payload(**overrides):
@@ -73,32 +76,32 @@ class TestKeyIdentity:
 
     def test_key_builders_normalize_spec_spellings(self):
         """Spelling variants of one spec address one key."""
-        canonical = check_store_key(ALGORITHM, 3, 3, "FSYNC", "grid")
-        assert check_store_key(ALGORITHM, 3, 3, "FSYNC", " GRID ") == canonical
+        canonical = check_store_key(REGISTERED, 3, 3, "FSYNC", "grid")
+        assert check_store_key(REGISTERED, 3, 3, "FSYNC", " GRID ") == canonical
         assert parse_check_spec(spec_payload(reduction="Grid")).check_key() == canonical
-        unreduced = check_store_key(ALGORITHM, 3, 3, "FSYNC", "none")
-        assert check_store_key(ALGORITHM, 3, 3, "FSYNC", None) == unreduced
-        assert check_store_key(ALGORITHM, 3, 3, "FSYNC", "") == unreduced
+        unreduced = check_store_key(REGISTERED, 3, 3, "FSYNC", "none")
+        assert check_store_key(REGISTERED, 3, 3, "FSYNC", None) == unreduced
+        assert check_store_key(REGISTERED, 3, 3, "FSYNC", "") == unreduced
 
     def test_task_store_key_delegates_to_the_shared_builders(self):
-        walk = CampaignTask(algorithm=ALGORITHM, m=3, n=3, model="SSYNC", seed=7, tie_break="first")
+        walk = CampaignTask(algorithm=REGISTERED, m=3, n=3, model="SSYNC", seed=7, tie_break="first")
         assert task_store_key(walk) == walk_task_key(
-            ALGORITHM, 3, 3, "SSYNC", 7, "first", walk.max_steps
+            REGISTERED, 3, 3, "SSYNC", 7, "first", walk.max_steps
         )
         check = CampaignTask(
-            algorithm=ALGORITHM, m=3, n=3, model="FSYNC", kind="check", reduction="grid"
+            algorithm=REGISTERED, m=3, n=3, model="FSYNC", kind="check", reduction="grid"
         )
         assert task_store_key(check) == check_task_key(
-            ALGORITHM, 3, 3, "FSYNC", "grid", check.max_states
+            REGISTERED, 3, 3, "FSYNC", "grid", check.max_states
         )
 
     def test_walk_key_normalizes_default_seed_like_execution(self):
-        explicit = walk_task_key(ALGORITHM, 3, 3, "SSYNC", 0, "error", None)
-        assert walk_task_key(ALGORITHM, 3, 3, "SSYNC", None, "error", None) == explicit
+        explicit = walk_task_key(REGISTERED, 3, 3, "SSYNC", 0, "error", None)
+        assert walk_task_key(REGISTERED, 3, 3, "SSYNC", None, "error", None) == explicit
 
     def test_max_states_is_part_of_the_key(self):
-        roomy = check_store_key(ALGORITHM, 3, 3, "FSYNC", "grid", max_states=200_000)
-        tight = check_store_key(ALGORITHM, 3, 3, "FSYNC", "grid", max_states=50)
+        roomy = check_store_key(REGISTERED, 3, 3, "FSYNC", "grid", max_states=200_000)
+        tight = check_store_key(REGISTERED, 3, 3, "FSYNC", "grid", max_states=50)
         assert roomy != tight
 
 
@@ -111,25 +114,25 @@ def test_store_keys_and_campaign_id_are_pinned():
     """
     pinned = {
         "grid": (
-            "868e81be382c654e506e25058d951c1f40aa40a92a4d399afc82649cab6506cf",
-            "239fe770f5387a677f651b7904c64a00a658d57d9bd4bd92a875d9b08fc6aa37",
-            "882de20ffe38b2983ebdccee8fc567e1ef5a7d58aea7921f4f8df205bff8a086",
+            "c56bc739be2c8a78dbcd5a777899ca72dc5e3c2ee73f271632898ace338557b6",
+            "73cd0052ef262c104f2780c5072bbcd8bb3cb12382fd6a50b12dcfbe86e4fb2b",
+            "62f9dd921926c548d398e46b8b0c9799ca8d0e94641af6a59efc3638260aebc2",
         ),
         "none": (
-            "36527d347f1921425238c47c3d366eede2c6b01b61707a408a7f3a0a2473b4a0",
-            "f8a6c8867c7a76d84b98d1f3a0255f56c14d09878c4996752c54a35f423855f9",
-            "7d7c2feab60524a3d0e84ab93ffa0bf1e6a2a44a35e30cb55aad6b47893926d9",
+            "76dba66ae42e231e29da3c7a49cf95b6ac0fa94de6b73b4c4a43d7b8fb41e507",
+            "050d15ae0bd2f14e52f734a80c427ce378b32f059692651591184fcff0fe255c",
+            "ef4705217ce5a2851bc5191fb55d385f2e6ef115b0cc286b153e821a55afafe2",
         ),
     }
     for reduction, (check_key, explore_key, task_key) in pinned.items():
-        case = (ALGORITHM, 3, 3, "FSYNC", reduction)
+        case = (REGISTERED, 3, 3, "FSYNC", reduction)
         assert content_key(check_store_key(*case)) == check_key
         assert content_key(explore_store_key(*case)) == explore_key
         assert content_key(check_task_key(*case)) == task_key
     name, tasks = parse_campaign(
         {"algorithm": ALGORITHM, "campaign": "exhaustive_sweep", "sizes": [[3, 3], [3, 4]]}
     )
-    assert campaign_id(name, tasks) == "76d75bd8ccb73d23"
+    assert campaign_id(name, tasks) == "fc9ff762d932a8cc"
 
 
 # ---------------------------------------------------------------------------
@@ -198,7 +201,7 @@ class TestValidation:
 
     def test_task_entries_inherit_the_campaign_algorithm(self):
         task = parse_task({"m": 3, "n": 3, "kind": "check"}, ALGORITHM)
-        assert task.algorithm == ALGORITHM
+        assert task.algorithm is REGISTERED
         assert task.kind == "check"
 
 
@@ -209,10 +212,10 @@ class TestCampaigns:
     def test_named_campaign_matches_the_library_builder(self):
         """An HTTP grid_sweep resolves to the library's own task list."""
         algorithm = registry.get(ALGORITHM)
-        name, tasks = parse_campaign(
+        parsed, tasks = parse_campaign(
             {"algorithm": ALGORITHM, "campaign": "grid_sweep", "sizes": [[2, 3], [3, 3]]}
         )
-        assert name == ALGORITHM
+        assert parsed is algorithm
         assert tasks == grid_sweep_tasks(algorithm, sizes=[(2, 3), (3, 3)], model="FSYNC")
 
     def test_exhaustive_sweep_matches_the_library_builder(self):
@@ -233,11 +236,11 @@ class TestCampaigns:
         """Equal submissions (across processes/restarts) share one id."""
         _, tasks_a = parse_campaign({"algorithm": ALGORITHM, "sizes": [[2, 3], [3, 3]]})
         _, tasks_b = parse_campaign({"algorithm": ALGORITHM, "sizes": [[2, 3], [3, 3]]})
-        assert campaign_id(ALGORITHM, tasks_a) == campaign_id(ALGORITHM, tasks_b)
+        assert campaign_id(REGISTERED, tasks_a) == campaign_id(REGISTERED, tasks_b)
         _, other = parse_campaign({"algorithm": ALGORITHM, "sizes": [[3, 3]]})
-        assert campaign_id(ALGORITHM, other) != campaign_id(ALGORITHM, tasks_a)
-        assert campaign_id(ALGORITHM, tasks_a) == content_key(
-            ("campaign", ALGORITHM, tuple(tasks_a))
+        assert campaign_id(REGISTERED, other) != campaign_id(REGISTERED, tasks_a)
+        assert campaign_id(REGISTERED, tasks_a) == content_key(
+            ("campaign", ALGORITHM, REGISTERED.digest, tuple(tasks_a))
         )[:16]
 
 
