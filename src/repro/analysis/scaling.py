@@ -118,7 +118,6 @@ def state_space_sweep(
     max_states: int = 200_000,
     reduction: Optional[str] = None,
     backend: Optional["ExecutionBackend"] = None,
-    store: Optional["VerdictStore"] = None,
 ) -> List[StateSpacePoint]:
     """Measure reachable-state-space growth over a family of grid sizes.
 
@@ -132,9 +131,7 @@ def state_space_sweep(
     :class:`~repro.engine.backend.SerialBackend` living for the sweep.
     Every size after the first benefits from the patterns already
     memoized; the counts are identical either way (caching never changes
-    exploration results).  ``store`` memoizes each size's exploration in a
-    :class:`~repro.engine.store.VerdictStore`, so repeated sweeps (and any
-    other store consumer asking for the same exploration) skip the BFS.
+    exploration results).
     """
     if sizes is None:
         sizes = scaling_suite(algorithm)
@@ -152,7 +149,6 @@ def state_space_sweep(
             reduction=spec,
             max_states=max_states,
             backend=backend,
-            store=store,
         )
         stats = exploration.matcher_stats or {}
         points.append(

@@ -120,10 +120,8 @@ def explore_state_space(
     grid: Grid,
     model: str = "SSYNC",
     max_states: int = 200_000,
-    start: Optional[SchedulerState] = None,
     reduction: Optional[str] = None,
     backend: Optional["ExecutionBackend"] = None,
-    store: Optional["VerdictStore"] = None,
 ) -> Dict[SchedulerState, List[SchedulerState]]:
     """Build the successor graph of all reachable scheduler states.
 
@@ -133,20 +131,16 @@ def explore_state_space(
     raw successors.
 
     ``backend`` lends its matcher cache, so repeated checks reuse the
-    snapshot/match memo tables; ``store`` serves the exploration from a
-    persistent :class:`~repro.engine.store.VerdictStore` when it was
-    computed before.  The exploration always runs in this process, and
-    neither changes the result.
+    snapshot/match memo tables.  The exploration always runs in this
+    process, and the backend never changes the result.
     """
     exploration = explore_sharded(
         algorithm,
         grid,
         model,
         max_states=max_states,
-        start=start,
         reduction=reduction,
         backend=backend,
-        store=store,
     )
     return exploration.graph()
 
@@ -158,7 +152,6 @@ def enumerate_reachable(
     max_states: int = 200_000,
     reduction: Optional[str] = None,
     backend: Optional["ExecutionBackend"] = None,
-    store: Optional["VerdictStore"] = None,
 ) -> int:
     """Number of reachable canonical states (convenience wrapper)."""
     return explore_sharded(
@@ -168,7 +161,6 @@ def enumerate_reachable(
         max_states=max_states,
         reduction=reduction,
         backend=backend,
-        store=store,
     ).num_states
 
 
@@ -192,17 +184,18 @@ def check_terminating_exploration(
     exploration runs in this process either way).
 
     ``store`` — a :class:`~repro.engine.store.VerdictStore` — caches the
-    whole :class:`CheckResult` under a content key that includes the
-    algorithm's name and content digest (so an edited rule table is never
-    answered by its predecessor's verdict), the normalized reduction *and*
-    ``max_states`` (so a budget-limited check can never answer for a
+    :class:`CheckResult`, and only it, under a content key that includes
+    the algorithm's name and content digest (so an edited rule table is
+    never answered by its predecessor's verdict), the normalized reduction
+    *and* ``max_states`` (so a budget-limited check can never answer for a
     roomier one); duplicate concurrent requests coalesce onto a single
-    exploration.  Cached results are identical to computed ones.
+    exploration.  The exploration itself is transient.  Cached results are
+    identical to computed ones.
     """
     def compute() -> CheckResult:
         return _run_check(
             algorithm, grid, model,
-            max_states=max_states, reduction=reduction, backend=backend, store=store,
+            max_states=max_states, reduction=reduction, backend=backend,
         )
 
     if store is not None:
@@ -221,7 +214,6 @@ def _run_check(
     max_states: int,
     reduction: Optional[str],
     backend: Optional["ExecutionBackend"],
-    store: Optional["VerdictStore"],
 ) -> CheckResult:
     """Compute one exhaustive check (the uncached body of the entry point).
 
@@ -235,7 +227,6 @@ def _run_check(
         max_states=max_states,
         reduction=reduction,
         backend=backend,
-        store=store,
     )
     terminal_states = len(exploration.terminal_indices())
 

@@ -24,9 +24,9 @@ paper are implemented; every other layer consumes it:
   lists on one machine, result-identical; each owns the matcher cache
   explorations handed it run on), and the default worker count;
 * :mod:`repro.engine.store` — the persistent content-addressed
-  :class:`VerdictStore`, the one durable log: explorations, check results
-  and campaign reports cached on disk by content hash, with in-flight
-  request coalescing;
+  :class:`VerdictStore`, the one durable log: verdicts only (check
+  results and campaign reports, one record per request) cached on disk
+  by content hash, with in-flight request coalescing;
 * :mod:`repro.engine.spec` — work-item spec parsing/validation, the one
   spelling of every verdict-store key (each names its algorithm by name
   and content digest), and the canonical JSON wire forms the HTTP service
@@ -38,8 +38,9 @@ paper are implemented; every other layer consumes it:
 
 One rule governs execution: explorations run in the calling process on
 the backend's cache, and task lists fan out, each task carrying its
-algorithm by value.  Every entry point routes through exactly two
-arguments, ``backend=`` and ``store=``.  See ``docs/architecture.md`` for
+algorithm by value.  Every entry point routes through at most two
+arguments, ``backend=`` and ``store=``; explorations take ``backend=``
+only, since only verdicts are stored.  See ``docs/architecture.md`` for
 the full layering diagram.
 """
 
@@ -75,8 +76,6 @@ from .spec import (
     campaign_id,
     canonical_json,
     check_store_key,
-    explore_store_key,
-    exploration_payload,
     parse_campaign,
     parse_check_spec,
     parse_task,
@@ -182,8 +181,6 @@ __all__ = [
     "campaign_id",
     "canonical_json",
     "check_store_key",
-    "explore_store_key",
     "result_payload",
-    "exploration_payload",
     "task_store_key",
 ]

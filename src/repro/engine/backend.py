@@ -26,12 +26,15 @@ backend runs the serial explorer in the calling process, on the backend's
 
 ``backend=`` and ``store=`` are the only routing arguments of the engine:
 :class:`~repro.engine.campaign.ParallelCampaignEngine`,
-:func:`~repro.engine.explorer.explore_sharded`, the
-:mod:`repro.checking` entry points, the :mod:`repro.verification`
-campaigns and the :mod:`repro.analysis.scaling` sweeps all take them.
-``backend=None`` means a :class:`SerialBackend` that lives for that one
-call.  To share warm caches (or a pool) across calls, share the backend
-object.
+:func:`~repro.checking.check_terminating_exploration`, the
+:mod:`repro.verification` campaigns and
+:func:`~repro.analysis.scaling.round_complexity_sweep` take both.  The
+exploration functions (:func:`~repro.engine.explorer.explore_sharded`,
+``explore_state_space``, ``enumerate_reachable`` and
+:func:`~repro.analysis.scaling.state_space_sweep`) take ``backend=``
+only: explorations are never stored.  ``backend=None`` means a
+:class:`SerialBackend` that lives for that one call.  To share warm
+caches (or a pool) across calls, share the backend object.
 """
 
 from __future__ import annotations

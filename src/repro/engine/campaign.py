@@ -312,11 +312,9 @@ def check_one(
     :class:`~repro.engine.transition.AlgorithmTransitionSystem`.
 
     ``store`` (a :class:`~repro.engine.store.VerdictStore`) memoizes the
-    report under the algorithm's name and content digest — ``max_states``
-    is part of the key, so a budget-tripped verdict never masquerades as a
-    full one — and is forwarded to the checker, which caches the underlying
-    :class:`~repro.checking.model_checker.CheckResult` and exploration
-    under their own keys.
+    report, and only it, under :func:`~repro.engine.spec.check_task_key`:
+    the algorithm's name and content digest, with ``max_states`` in the
+    key, so a budget-tripped verdict never masquerades as a full one.
     """
     if store is not None:
         from .spec import check_task_key  # local import: spec imports this module
@@ -324,9 +322,9 @@ def check_one(
         key = check_task_key(algorithm, m, n, model, reduction, max_states)
         return store.fetch(
             key,
-            lambda: _run_check_one(algorithm, m, n, model, reduction, max_states, backend, store),
+            lambda: _run_check_one(algorithm, m, n, model, reduction, max_states, backend),
         )
-    return _run_check_one(algorithm, m, n, model, reduction, max_states, backend, store)
+    return _run_check_one(algorithm, m, n, model, reduction, max_states, backend)
 
 
 def _run_check_one(
@@ -337,7 +335,6 @@ def _run_check_one(
     reduction: Optional[str],
     max_states: int,
     backend: Optional["ExecutionBackend"],
-    store: Optional[VerdictStore],
 ) -> VerificationReport:
     """The uncached body of :func:`check_one`."""
     from ..checking.model_checker import (  # local import: avoids a layering cycle
@@ -353,7 +350,6 @@ def _run_check_one(
             max_states=max_states,
             reduction=reduction,
             backend=backend,
-            store=store,
         )
     except Exception as exc:  # noqa: BLE001 - reported, not swallowed
         return VerificationReport(
@@ -639,56 +635,3 @@ class ParallelCampaignEngine:
         for index, report in self.iter_tasks(tasks):
             reports[index] = report
         return reports  # type: ignore[return-value]
-
-    # -- campaign shapes (mirroring the serial entry points) ------------
-    def grid_sweep(
-        self,
-        algorithm: Algorithm,
-        sizes: Optional[Iterable[Tuple[int, int]]] = None,
-        model: str = "FSYNC",
-        seed: Optional[int] = None,
-        tie_break: str = TieBreak.ERROR,
-    ) -> GridSweepReport:
-        tasks = grid_sweep_tasks(algorithm, sizes=sizes, model=model, seed=seed, tie_break=tie_break)
-        return GridSweepReport(algorithm=algorithm.name, reports=self.run_tasks(tasks))
-
-    def stress_test(
-        self,
-        algorithm: Algorithm,
-        sizes: Optional[Iterable[Tuple[int, int]]] = None,
-        models: Sequence[str] = ("SSYNC", "ASYNC"),
-        seeds: Sequence[int] = tuple(range(10)),
-        tie_break: str = TieBreak.FIRST,
-    ) -> GridSweepReport:
-        tasks = stress_test_tasks(algorithm, sizes=sizes, models=models, seeds=seeds, tie_break=tie_break)
-        return GridSweepReport(algorithm=algorithm.name, reports=self.run_tasks(tasks))
-
-    def exhaustive_sweep(
-        self,
-        algorithm: Algorithm,
-        sizes: Optional[Iterable[Tuple[int, int]]] = None,
-        model: str = "FSYNC",
-        reduction: Optional[str] = "grid",
-        max_states: int = 200_000,
-    ) -> GridSweepReport:
-        """Exhaustive model checks over a family of grid sizes.
-
-        Each task runs the full (reduced) state-space exploration; the
-        reports carry the verdicts plus the quotient statistics.
-        """
-        tasks = exhaustive_check_tasks(
-            algorithm, sizes=sizes, model=model, reduction=reduction, max_states=max_states,
-        )
-        return GridSweepReport(algorithm=algorithm.name, reports=self.run_tasks(tasks))
-
-    def verify_algorithm(
-        self,
-        algorithm: Algorithm,
-        sizes: Optional[Iterable[Tuple[int, int]]] = None,
-        seeds: Sequence[int] = tuple(range(5)),
-    ) -> GridSweepReport:
-        """The full campaign appropriate for an algorithm's claimed model."""
-        tasks = grid_sweep_tasks(algorithm, sizes=sizes, model="FSYNC")
-        if algorithm.synchrony == "ASYNC":
-            tasks.extend(stress_test_tasks(algorithm, sizes=sizes, seeds=seeds))
-        return GridSweepReport(algorithm=algorithm.name, reports=self.run_tasks(tasks))

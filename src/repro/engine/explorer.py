@@ -42,7 +42,6 @@ from .transition import MODELS, AlgorithmTransitionSystem, TransitionSystem
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (avoids a module cycle)
     from .backend import ExecutionBackend
-    from .store import VerdictStore
 
 __all__ = [
     "Exploration",
@@ -92,16 +91,10 @@ class Exploration:
     #: ``None`` when not reduced.
     reduction_stats: Optional[Dict[str, Dict[str, float]]] = field(default=None)
     #: Opt-in per-phase wall-clock split (``REPRO_PROFILE=1``; see
-    #: :mod:`repro.engine.profile`) — ``{"kernel", "match_s",
-    #: "canonicalise_s", "dedup_s", "store_s", "total_s"}``.  Timing is
-    #: observability, not a result: excluded from equality.
-    profile: Optional[Dict[str, object]] = field(default=None, compare=False)
-    #: Verdict-store counters when the exploration was requested through a
-    #: :class:`~repro.engine.store.VerdictStore` — ``{"hits", "misses",
-    #: "coalesced", "outcome"}``.  Cache observability, not a result:
-    #: excluded from equality (a cached exploration is byte-identical to
-    #: a freshly computed one).
-    store_stats: Optional[Dict[str, object]] = field(default=None, compare=False)
+    #: :mod:`repro.engine.profile`) — ``{"match_s", "canonicalise_s",
+    #: "dedup_s", "total_s"}``.  Timing is observability, not a result:
+    #: excluded from equality.
+    profile: Optional[Dict[str, float]] = field(default=None, compare=False)
 
     @property
     def num_states(self) -> int:
@@ -121,43 +114,27 @@ def explore(
     *,
     reduction: Optional[str] = None,
     max_states: int = 200_000,
-    start: Optional[SchedulerState] = None,
-    store: Optional[object] = None,
 ) -> Exploration:
     """Build the (optionally reduced) reachable successor graph.
 
     ``reduction`` is ``"grid"`` for the grid-automorphism quotient or
     ``"none"`` (``None``) for the unreduced graph; see
-    :func:`~repro.engine.symmetry.normalize_reduction`.
-
-    ``store`` — a :class:`~repro.engine.store.VerdictStore` — serves the
-    exploration from the verdict cache (or records a miss) under
-    :func:`~repro.engine.spec.explore_store_key`, the key every route
-    (library and HTTP) shares; it names the algorithm by name and content
-    digest.  Only a stock
-    :class:`~repro.engine.transition.AlgorithmTransitionSystem`, explored
-    from the default initial state, is cacheable; anything else computes
-    as if no store were given.
+    :func:`~repro.engine.symmetry.normalize_reduction`.  The graph is
+    transient: nothing here caches it, only the verdicts computed from it
+    are stored (:mod:`repro.engine.store`).
 
     Raises :class:`~repro.core.errors.StateSpaceLimitExceeded` — with the
     exploration context attached — as soon as more than ``max_states``
     distinct states have been discovered.
     """
-    if store is not None and start is None:
-        cache_key = _store_key(ts, reduction, max_states)
-        if cache_key is not None:
-            return store.fetch(
-                cache_key, lambda: explore(ts, reduction=reduction, max_states=max_states)
-            )
-
     reduce = normalize_reduction(reduction) == "grid"
     symmetries = grid_symmetries(ts.grid, ts.algorithm.chirality) if reduce else ()
 
-    profile = KernelProfile("object") if profiling_enabled() else None
+    profile = KernelProfile() if profiling_enabled() else None
     matcher = getattr(ts, "matcher", None)
     stats_before = matcher.stats.snapshot() if matcher is not None else None
 
-    root_raw = start if start is not None else ts.initial()
+    root_raw = ts.initial()
     if reduce:
         root_state, root_sym = canonicalize(root_raw, symmetries)
     else:
@@ -245,21 +222,6 @@ def explore(
     )
 
 
-def _store_key(ts: TransitionSystem, reduction: Optional[str], max_states: int):
-    """The explore-route content key, or ``None`` when uncacheable.
-
-    Spelled by :func:`~repro.engine.spec.explore_store_key`, so the library
-    and HTTP routes address the same store entries.  Custom transition
-    systems (anything but a plain :class:`AlgorithmTransitionSystem`)
-    carry semantics the key cannot see and are never cached.
-    """
-    from .spec import explore_store_key  # local import: spec sits above the explorer
-
-    if type(ts) is not AlgorithmTransitionSystem:
-        return None
-    return explore_store_key(ts.algorithm, ts.grid.m, ts.grid.n, ts.model, reduction, max_states)
-
-
 def explore_sharded(
     algorithm: Algorithm,
     grid: Grid,
@@ -267,9 +229,7 @@ def explore_sharded(
     *,
     reduction: Optional[str] = None,
     max_states: int = 200_000,
-    start: Optional[SchedulerState] = None,
     backend: Optional["ExecutionBackend"] = None,
-    store: Optional["VerdictStore"] = None,
 ) -> Exploration:
     """Explore ``algorithm`` on ``grid`` under ``model`` in this process.
 
@@ -277,18 +237,14 @@ def explore_sharded(
     and runs :func:`explore` on it with the remaining keyword arguments.
     Matching runs on ``backend``'s cache, else on a fresh matcher; that
     changes only how warm the exploration starts, never its result.  A
-    backend never receives the exploration itself.
-
-    ``store`` serves the exploration from a
-    :class:`~repro.engine.store.VerdictStore` when it was computed before
-    (see :func:`explore`).  The name is historical: explorations are no
-    longer split across processes.
+    backend never receives the exploration itself.  The name is
+    historical: explorations are no longer split across processes.
     """
     if model not in MODELS:
         raise ValueError(f"unknown model {model!r}")
     matcher = backend.cache.matcher_for(algorithm, grid) if backend is not None else None
     ts = AlgorithmTransitionSystem(algorithm, grid, model, matcher=matcher)
-    return explore(ts, reduction=reduction, max_states=max_states, start=start, store=store)
+    return explore(ts, reduction=reduction, max_states=max_states)
 
 
 # ---------------------------------------------------------------------------

@@ -1,24 +1,35 @@
 """Work-item specs: parsing, validation, store keys and JSON wire forms.
 
-The verdict store (:mod:`repro.engine.store`) made one promise load-bearing
-across the whole stack: *equal specs produce equal content keys on every
-route*.  A check requested through the library
-(:func:`repro.checking.check_terminating_exploration`), through a campaign
-task (:func:`repro.engine.campaign.task_store_key`) and through the HTTP
-service (:mod:`repro.service`) must address the same stored verdict — a
-route-dependent key would silently fork the cache and recompute work the
-store already holds.
+The verdict store (:mod:`repro.engine.store`) holds verdicts under content
+keys, and two routes that compute the same verdict must spell its key the
+same way — a route-dependent key would silently fork the cache and
+recompute work the store already holds.  There are two key families, and
+each route uses exactly one of them:
 
-This module is therefore the single place store keys are spelled.  Every
-key names its algorithm by ``(name, digest)`` — the registry name plus
-the SHA-256 of its content (:attr:`~repro.core.algorithm.Algorithm.digest`)
-— so an edited rule table never reads a verdict stored for its
-predecessor, and ad-hoc algorithms are stored like registered ones:
+* ``("check", ...)`` keys hold
+  :class:`~repro.checking.model_checker.CheckResult` values.  The library
+  check (:func:`repro.checking.check_terminating_exploration`) and
+  ``POST /v1/check`` (:mod:`repro.service`) share them, so either route's
+  verdict is a hit for the other.
+* ``("task", ...)`` keys hold campaign
+  :class:`~repro.engine.campaign.VerificationReport` values.  Serial
+  :func:`~repro.engine.campaign.verify_one` /
+  :func:`~repro.engine.campaign.check_one` calls, the campaign engine
+  (:func:`repro.engine.campaign.task_store_key`) and
+  ``POST /v1/campaigns`` share them.
 
-* :func:`check_store_key` / :func:`explore_store_key` — the
-  ``("check", ...)`` / ``("explore", ...)`` tuples of the checking entry
-  points (:mod:`repro.checking.model_checker` and
-  :mod:`repro.engine.explorer` build their keys here);
+A campaign check task and a ``/v1/check`` request for the same spec store
+different values (a report and a check result) under different keys, so
+neither is a hit for the other.
+
+This module is the single place store keys are spelled.  Every key names
+its algorithm by ``(name, digest)`` — the registry name plus the SHA-256
+of its content (:attr:`~repro.core.algorithm.Algorithm.digest`) — so an
+edited rule table never reads a verdict stored for its predecessor, and
+ad-hoc algorithms are stored like registered ones:
+
+* :func:`check_store_key` — the ``("check", ...)`` tuple of the checking
+  entry point (:mod:`repro.checking.model_checker` builds its key here);
 * :func:`walk_task_key` / :func:`check_task_key` — the ``("task", ...)``
   tuples of campaign work items
   (:func:`repro.engine.campaign.task_store_key` delegates here).
@@ -55,7 +66,6 @@ __all__ = [
     "SpecError",
     "MODELS",
     "check_store_key",
-    "explore_store_key",
     "walk_task_key",
     "check_task_key",
     "parse_check_spec",
@@ -65,7 +75,6 @@ __all__ = [
     "canonical_json",
     "result_payload",
     "report_payload",
-    "exploration_payload",
 ]
 
 MODELS = ("FSYNC", "SSYNC", "ASYNC")
@@ -104,34 +113,6 @@ def check_store_key(
     """
     return (
         "check",
-        algorithm.name,
-        algorithm.digest,
-        m,
-        n,
-        model,
-        normalize_reduction(reduction),
-        max_states,
-    )
-
-
-def explore_store_key(
-    algorithm: Algorithm,
-    m: int,
-    n: int,
-    model: str,
-    reduction=None,
-    max_states: int = 200_000,
-) -> Tuple[object, ...]:
-    """The verdict-store spec of one exploration.
-
-    ``("explore", name, digest, m, n, model, reduction, max_states)``
-    — exactly the key :func:`repro.engine.explorer.explore` caches the
-    :class:`~repro.engine.explorer.Exploration` under (it builds the key
-    here), so an exploration cached by the library route is a warm hit for
-    ``POST /v1/explore`` and vice versa.
-    """
-    return (
-        "explore",
         algorithm.name,
         algorithm.digest,
         m,
@@ -263,7 +244,7 @@ def _grid_fields(payload: dict, algorithm) -> Tuple[int, int]:
 
 @dataclasses.dataclass(frozen=True)
 class CheckSpec:
-    """A validated ``/v1/check`` / ``/v1/explore`` request.
+    """A validated ``/v1/check`` request.
 
     ``algorithm`` is a registry name; :meth:`resolve` returns the
     registered :class:`~repro.core.algorithm.Algorithm` it names.
@@ -285,14 +266,9 @@ class CheckSpec:
             self.resolve(), self.m, self.n, self.model, self.reduction, self.max_states,
         )
 
-    def explore_key(self) -> Tuple[object, ...]:
-        return explore_store_key(
-            self.resolve(), self.m, self.n, self.model, self.reduction, self.max_states,
-        )
-
 
 def parse_check_spec(payload: object, default_reduction: Optional[str] = "grid") -> CheckSpec:
-    """Validate one check/explore spec payload (raises :class:`SpecError`)."""
+    """Validate one check spec payload (raises :class:`SpecError`)."""
     if not isinstance(payload, dict):
         raise SpecError("body", f"request body must be a JSON object, got {type(payload).__name__}")
     algorithm = _resolve_algorithm(payload)
@@ -494,28 +470,3 @@ def result_payload(result) -> Dict[str, object]:
 #: ``result_payload`` under the name campaign consumers expect.
 report_payload = result_payload
 
-
-def exploration_payload(exploration) -> Dict[str, object]:
-    """The JSON summary of an :class:`~repro.engine.explorer.Exploration`.
-
-    The graph itself (states, successor rows, witnesses) does not travel —
-    it can be millions of rows and its elements are not JSON values; the
-    summary carries the counts and specs a service client needs, with the
-    ``compare=False`` channels split out like :func:`result_payload`.
-    """
-    return {
-        "verdict": {
-            "model": exploration.model,
-            "reduction": exploration.reduction,
-            "reduced": exploration.reduced,
-            "num_states": exploration.num_states,
-            "terminal_states": len(exploration.terminal_indices()),
-            "root": exploration.root,
-        },
-        "observability": {
-            "matcher_stats": exploration.matcher_stats,
-            "reduction_stats": exploration.reduction_stats,
-            "store_stats": exploration.store_stats,
-            "profile": exploration.profile,
-        },
-    }

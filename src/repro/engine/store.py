@@ -1,15 +1,16 @@
 """The verdict store: the one persistent, content-addressed cache of verdicts.
 
-A :class:`VerdictStore` caches completed
-:class:`~repro.engine.explorer.Exploration`\\ s,
-:class:`~repro.checking.model_checker.CheckResult`\\ s and
-:class:`~repro.engine.campaign.VerificationReport`\\ s on disk and serves
-them back byte-identical on every later request, on every route (library,
-campaign engine, HTTP service; serial or pooled).  It is also the
-durability layer of campaigns: the campaign engine writes each report to
-the store as soon as it completes, so a campaign killed mid-run and run
-again against the same store serves what it already finished and
-computes only the remainder.
+A :class:`VerdictStore` holds verdicts only:
+:class:`~repro.checking.model_checker.CheckResult`\\ s (under the
+``("check", ...)`` keys) and campaign
+:class:`~repro.engine.campaign.VerificationReport`\\ s (under the
+``("task", ...)`` keys), on disk, served back byte-identical on every later
+request (library, campaign engine, HTTP service; serial or pooled).  Each
+request writes at most one record: the exploration graph behind a verdict
+is transient and never stored.  The store is also the durability layer of
+campaigns: the campaign engine writes each report to the store as soon as
+it completes, so a campaign killed mid-run and run again against the same
+store serves what it already finished and computes only the remainder.
 
 Content addressing
 ==================
@@ -84,11 +85,9 @@ import struct
 import threading
 import zlib
 from collections import OrderedDict
+from dataclasses import replace
 from pathlib import Path
-from time import perf_counter
 from typing import Callable, Dict, Iterator, Optional, Tuple
-
-from .profile import profiling_enabled
 
 __all__ = ["VerdictStore", "RECORD_HEADER", "content_key", "iter_records", "pack_record"]
 
@@ -424,29 +423,23 @@ class VerdictStore:
 
     # -- result annotation ----------------------------------------------
     def fetch(self, spec: object, compute: Callable[[], object]):
-        """``get_or_compute`` plus ``store_stats``/profile annotation.
+        """``get_or_compute`` plus ``store_stats`` annotation.
 
         The verdict is recorded *clean*; the returned object is a shallow
         ``dataclasses.replace`` copy carrying the counter snapshot in its
         ``store_stats`` field (``compare=False``, so cached and computed
-        results stay equal).  Under ``REPRO_PROFILE=1`` the lookup wall
-        time additionally lands in the profile's ``store_s`` phase when
-        the object carries one.
+        results stay equal).
         """
-        t0 = perf_counter()
         value, outcome = self.get_or_compute(spec, compute)
-        elapsed = perf_counter() - t0 if outcome != MISS else 0.0
-        return self.annotate(value, outcome, elapsed)
+        return self.annotate(value, outcome)
 
-    def annotate(self, value, outcome: str, elapsed: float = 0.0):
+    def annotate(self, value, outcome: str):
         """A copy of ``value`` carrying current counters in ``store_stats``.
 
         Values without a ``store_stats`` dataclass field pass through
         unchanged.  Used by :meth:`fetch` and by batch consumers (the
         campaign engine's prefilter) that hit the index directly.
         """
-        from dataclasses import replace
-
         fields = getattr(value, "__dataclass_fields__", None)
         if fields is None or "store_stats" not in fields:
             return value
@@ -457,13 +450,7 @@ class VerdictStore:
                 "coalesced": self.coalesced,
                 "outcome": outcome,
             }
-        changes = {"store_stats": stats}
-        if profiling_enabled() and "profile" in fields:
-            profile = dict(value.profile) if value.profile else {"kernel": "store"}
-            profile["store_s"] = profile.get("store_s", 0.0) + elapsed
-            profile["total_s"] = profile.get("total_s", 0.0) + elapsed
-            changes["profile"] = profile
-        return replace(value, **changes)
+        return replace(value, store_stats=stats)
 
     # -- lifecycle -------------------------------------------------------
     def close(self) -> None:

@@ -51,31 +51,29 @@ __all__ = [
 
 
 class _Images(dict):
-    """A precomputed point table of one affine map of Z^2.
+    """The point table of one affine map of Z^2, filled on lookup.
 
-    Holds the image of every point the map is built for; any other point
-    (a robot that walked off the grid, an offset outside the radius-2
-    ball) is mapped by the same arithmetic on lookup, without being
-    stored, so a shared table never grows.
+    The first lookup of a point computes its image by the map's arithmetic
+    and stores it, so later lookups are plain dictionary reads.  ``points``
+    are precomputed at construction.  A table holds only the points looked
+    up so far: its size follows the states explored, not the grid.
     """
 
     __slots__ = ("_map",)
 
-    def __init__(self, a: int, b: int, c: int, d: int, ti: int, tj: int, points) -> None:
+    def __init__(self, a: int, b: int, c: int, d: int, ti: int, tj: int, points=()) -> None:
         super().__init__()
         self._map = (a, b, c, d, ti, tj)
         for point in points:
-            self[point] = self.__missing__(point)
+            self.__missing__(point)
 
     def __missing__(self, point: Tuple[int, int]) -> Tuple[int, int]:
+        # Threads sharing a table may both miss a point; they store the
+        # same image, so the race needs no lock.
         a, b, c, d, ti, tj = self._map
         i, j = point
-        return (a * i + b * j + ti, c * i + d * j + tj)
-
-
-#: The slots a pickled :class:`GridSymmetry` carries, in slot order: the
-#: defining fields plus the cached inverse once one was computed.
-_PICKLED_SLOTS = ("symmetry", "m", "n", "_ti", "_tj", "preserves_shape", "_inverse")
+        image = self[point] = (a * i + b * j + ti, c * i + d * j + tj)
+        return image
 
 
 class GridSymmetry:
@@ -85,15 +83,17 @@ class GridSymmetry:
     image of the ``[0, m) x [0, n)`` rectangle back onto itself; offsets
     (relative moves, snapshot cells) transform by the linear part alone.
 
-    Both actions are precomputed once, as a node table over the grid and
-    an offset table over the radius-2 ball, so :func:`canonicalize` maps a
-    record with dictionary lookups instead of matrix products.  The tables
-    are derived data: they never enter a pickle, which carries exactly the
-    defining fields (so store records keep their bytes) and rebuilds them
-    on load.
+    Both actions are point tables, so :func:`canonicalize` maps a record
+    with dictionary lookups instead of matrix products: the offset table
+    is precomputed over the radius-2 ball, and the node table fills in as
+    positions are looked up, so a symmetry of a huge grid costs nothing
+    until states are explored on it.
     """
 
-    __slots__ = _PICKLED_SLOTS + ("nodes", "offsets", "is_identity")
+    __slots__ = (
+        "symmetry", "m", "n", "_ti", "_tj", "preserves_shape", "_inverse",
+        "nodes", "offsets", "is_identity",
+    )
 
     def __init__(self, symmetry: Symmetry, m: int, n: int) -> None:
         self.symmetry = symmetry
@@ -108,27 +108,12 @@ class GridSymmetry:
         self._ti = -min_i
         self._tj = -min_j
         self.preserves_shape = (max_i - min_i == m - 1) and (max_j - min_j == n - 1)
-        self._build_tables()
-
-    def _build_tables(self) -> None:
-        s = self.symmetry
-        m, n = self.m, self.n
-        grid_nodes = [(i, j) for i in range(m) for j in range(n)] if self.preserves_shape else ()
-        #: Node -> image, for every grid node.
-        self.nodes = _Images(s.a, s.b, s.c, s.d, self._ti, self._tj, grid_nodes)
-        #: Offset -> image (linear part), for every radius-2 ball offset.
-        self.offsets = _Images(s.a, s.b, s.c, s.d, 0, 0, ball_offsets(2))
-        self.is_identity = s.matrix() == ((1, 0), (0, 1))
-
-    def __getstate__(self):
-        # The default slot-state form, minus the tables: byte-identical to
-        # the pickles of a GridSymmetry without them.
-        return (None, {name: getattr(self, name) for name in _PICKLED_SLOTS if hasattr(self, name)})
-
-    def __setstate__(self, state) -> None:
-        for name, value in state[1].items():
-            setattr(self, name, value)
-        self._build_tables()
+        a, b, c, d = symmetry.a, symmetry.b, symmetry.c, symmetry.d
+        #: Node -> image, filled on lookup.
+        self.nodes = _Images(a, b, c, d, self._ti, self._tj)
+        #: Offset -> image (linear part), precomputed over the radius-2 ball.
+        self.offsets = _Images(a, b, c, d, 0, 0, ball_offsets(2))
+        self.is_identity = symmetry.matrix() == ((1, 0), (0, 1))
 
     @property
     def name(self) -> str:
@@ -164,8 +149,7 @@ class GridSymmetry:
 
     def __eq__(self, other: object) -> bool:
         # Value equality on the defining triple: a GridSymmetry is a pure
-        # function of (symmetry, m, n), and edge witnesses must compare
-        # equal after a pickle round-trip through the verdict store.
+        # function of (symmetry, m, n), whichever instance built it.
         if not isinstance(other, GridSymmetry):
             return NotImplemented
         return (self.symmetry, self.m, self.n) == (other.symmetry, other.m, other.n)

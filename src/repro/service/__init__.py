@@ -5,8 +5,8 @@ behind a small, stdlib-only HTTP API so verification can be driven from
 anything that speaks JSON — CI jobs, shell scripts, other machines —
 without importing the library:
 
-* ``POST /v1/check`` / ``POST /v1/explore`` — one exhaustive check or
-  exploration summary.  Both are store-backed: a warm hit is served
+* ``POST /v1/check`` — one exhaustive check.  Store-backed: a miss
+  stores exactly one record, the verdict, and a warm hit is served
   without touching the engine and carries its ``store_stats`` channel.
 * ``POST /v1/campaigns`` — submit a batch (grid sweep, stress test,
   exhaustive sweep, …); returns a content-addressed campaign id.

@@ -14,10 +14,8 @@ Endpoints
 ``POST /v1/check``
     One exhaustive check.  Spec in, verdict out; store-backed, so a warm
     hit returns without touching the engine (the response's
-    ``observability.store_stats.outcome`` says which happened).
-``POST /v1/explore``
-    One exploration; returns the graph *summary* (state/terminal counts),
-    cached under the library's exploration key.
+    ``observability.store_stats.outcome`` says which happened).  A miss
+    writes exactly one store record, the verdict.
 ``POST /v1/campaigns``
     Submit a task list or a named campaign shape.  Returns a
     content-addressed campaign id — equal submissions map to the same id
@@ -41,7 +39,8 @@ Cross-cutting semantics
   their verdict-store keys with — so an HTTP check and a library
   ``check_terminating_exploration`` of the same spec address the same
   stored verdict, byte-identical modulo the ``compare=False``
-  observability channels.
+  observability channels.  Campaign tasks share the library's task keys
+  instead (``verify_one``/``check_one`` and the campaign engine).
 * **Validation.**  Malformed specs are 400s whose body names the
   offending field (:class:`~repro.engine.spec.SpecError`); a body that
   is not one JSON object (undecodable, too deeply nested, an integer
@@ -77,7 +76,6 @@ from ..engine.spec import (
     SpecError,
     campaign_id,
     canonical_json,
-    exploration_payload,
     parse_campaign,
     parse_check_spec,
     result_payload,
@@ -210,11 +208,11 @@ class CampaignRun:
 class VerificationService:
     """The framework-free core the HTTP handler dispatches into.
 
-    ``store`` backs every check/explore/campaign request (may be ``None``
-    — the service still works, it just recomputes and cannot resume).
+    ``store`` backs every check/campaign request (may be ``None`` — the
+    service still works, it just recomputes and cannot resume).
     ``backend`` runs fresh campaign tasks; ``None`` gives each request a
-    :class:`~repro.engine.backend.SerialBackend` of its own.  Checks and
-    explorations always run in this process, on the backend's cache.
+    :class:`~repro.engine.backend.SerialBackend` of its own.  Checks
+    always run in this process, on the backend's cache.
     ``wave_delay`` pauses after each freshly computed campaign task — a
     deterministic throttle the kill/resume tests (and nothing else) rely
     on.
@@ -262,26 +260,6 @@ class VerificationService:
             backend=self.backend,
         )
         body = result_payload(result)
-        body["spec"] = dataclasses.asdict(spec)
-        body["elapsed_s"] = time.perf_counter() - started
-        return body
-
-    def explore(self, payload: object) -> Dict[str, object]:
-        """``POST /v1/explore``: one exploration, summary out."""
-        from ..engine.explorer import explore_sharded
-
-        spec = parse_check_spec(payload)
-        started = time.perf_counter()
-        exploration = explore_sharded(
-            spec.resolve(),
-            Grid(spec.m, spec.n),
-            spec.model,
-            reduction=spec.reduction,
-            max_states=spec.max_states,
-            backend=self.backend,
-            store=self.store,
-        )
-        body = exploration_payload(exploration)
         body["spec"] = dataclasses.asdict(spec)
         body["elapsed_s"] = time.perf_counter() - started
         return body
@@ -456,7 +434,7 @@ class ServiceHandler(BaseHTTPRequestHandler):
     # -- routing ----------------------------------------------------------
     def do_POST(self) -> None:  # noqa: N802 - stdlib casing
         path = self.path.split("?", 1)[0].rstrip("/")
-        if path not in ("/v1/check", "/v1/explore", "/v1/campaigns"):
+        if path not in ("/v1/check", "/v1/campaigns"):
             self._error(404, f"unknown endpoint {path!r}")
             return
         self.service.count_request(f"POST {path}")
@@ -466,8 +444,6 @@ class ServiceHandler(BaseHTTPRequestHandler):
             payload = self._read_payload()
             if path == "/v1/check":
                 self._send_json(200, self.service.check(payload))
-            elif path == "/v1/explore":
-                self._send_json(200, self.service.explore(payload))
             else:
                 status, created = self.service.submit_campaign(payload)
                 self._send_json(202 if created else 200, status)

@@ -11,7 +11,6 @@ codes chosen for scripting::
 Subcommands::
 
     check    POST /v1/check      one exhaustive check, verdict to stdout
-    explore  POST /v1/explore    one exploration summary
     submit   POST /v1/campaigns  submit a campaign, print its id/status
     await    GET  /v1/campaigns/<id>      poll until the run completes
     tail     GET  /v1/campaigns/<id>/events  stream NDJSON progress
@@ -116,9 +115,6 @@ class ServiceClient:
     def check(self, spec: dict) -> dict:
         return self.request("/v1/check", spec)
 
-    def explore(self, spec: dict) -> dict:
-        return self.request("/v1/explore", spec)
-
     def submit(self, spec: dict) -> dict:
         return self.request("/v1/campaigns", spec)
 
@@ -178,14 +174,6 @@ def _parse_sizes(value: str) -> List[List[int]]:
     return [list(_parse_grid(part)) for part in value.split(",") if part.strip()]
 
 
-def _spec_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--algorithm", required=True, help="registry algorithm name")
-    parser.add_argument("--grid", type=_parse_grid, default=(3, 3), metavar="MxN", help="grid size")
-    parser.add_argument("--model", default="FSYNC", help="FSYNC | SSYNC | ASYNC")
-    parser.add_argument("--reduction", default="grid", help="grid | none")
-    parser.add_argument("--max-states", type=int, default=200_000, help="state budget")
-
-
 def _check_spec(args) -> Dict[str, object]:
     return {
         "algorithm": args.algorithm,
@@ -209,10 +197,11 @@ def build_parser() -> argparse.ArgumentParser:
     commands = parser.add_subparsers(dest="command", required=True)
 
     check = commands.add_parser("check", help="one exhaustive check (exit 0 ok, 1 failed)")
-    _spec_arguments(check)
-
-    explore = commands.add_parser("explore", help="one exploration summary")
-    _spec_arguments(explore)
+    check.add_argument("--algorithm", required=True, help="registry algorithm name")
+    check.add_argument("--grid", type=_parse_grid, default=(3, 3), metavar="MxN", help="grid size")
+    check.add_argument("--model", default="FSYNC", help="FSYNC | SSYNC | ASYNC")
+    check.add_argument("--reduction", default="grid", help="grid | none")
+    check.add_argument("--max-states", type=int, default=200_000, help="state budget")
 
     submit = commands.add_parser("submit", help="submit a campaign, print id/status")
     submit.add_argument("--spec", default=None, help="raw JSON campaign spec ('-' reads stdin)")
@@ -284,9 +273,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             body = client.check(_check_spec(args))
             _print(body)
             return EXIT_OK if body["verdict"]["ok"] else EXIT_VERDICT_FAILED
-        if args.command == "explore":
-            _print(client.explore(_check_spec(args)))
-            return EXIT_OK
         if args.command == "submit":
             status = client.submit(_submit_spec(args))
             if args.id_only:

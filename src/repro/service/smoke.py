@@ -9,7 +9,9 @@ client as subprocesses, real sockets — rather than in-process embedding:
    (modulo the ``compare=False`` observability channels) to the serial
    engine run in this process;
 3. re-run the same check and assert it was a warm hit — the response's
-   ``store_stats.outcome`` says HIT and ``/v1/stats`` counts ``hits >= 1``;
+   ``store_stats.outcome`` says HIT — and that the store holds one record
+   per computed check: ``/v1/stats`` reports exactly ``hits == 1``,
+   ``misses == 1`` and ``disk_records == 1``;
 4. submit a campaign, ``tail`` its NDJSON events, ``await`` it, fetch its
    status, and assert a resubmission is idempotent (same id, no rerun);
 5. assert a malformed spec comes back 400 naming the offending field;
@@ -159,15 +161,14 @@ def main(argv: Optional[List[str]] = None) -> int:
             )
             outcome = warm["observability"]["store_stats"]["outcome"]
             _require(outcome == "hit", f"expected a warm store hit, got outcome {outcome!r}")
-            stats = json.loads(_client(url, "stats").stdout)
+            store = json.loads(_client(url, "stats").stdout)["store"]
+            counters = {key: store[key] for key in ("hits", "misses", "disk_records")}
             _require(
-                stats["store"]["hits"] >= 1,
-                f"/v1/stats reports no store hits after a warm re-run: {stats['store']}",
+                counters == {"hits": 1, "misses": 1, "disk_records": 1},
+                "/v1/stats after one cold and one warm check should report one hit,"
+                f" one miss and one stored record: {store}",
             )
-            print(
-                f"service-smoke: warm hit served from the store (hits={stats['store']['hits']})",
-                flush=True,
-            )
+            print(f"service-smoke: warm hit served from the store ({counters})", flush=True)
 
             # -- gate 3: campaign submit -> tail -> await -> fetch --------
             submit = _client(url, *_campaign_args(), "--id-only")

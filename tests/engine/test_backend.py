@@ -263,17 +263,21 @@ class TestBackendExploration:
             assert not backend.started
             assert backend.cache.stats_for(algorithm1).lookups > 0
 
-    def test_store_serves_explorations_handed_a_backend(self, backend, algorithm1):
+    def test_store_serves_checks_handed_a_backend(self, backend, algorithm1):
         store = VerdictStore()
         grid = Grid(4, 4)
-        explore = partial(explore_sharded, algorithm1, grid, "FSYNC", reduction="grid", backend=backend)
-        recorded = explore(store=store)
-        cached = explore(store=store)
+        check = partial(
+            check_terminating_exploration, algorithm1, grid, model="FSYNC", reduction="grid",
+            backend=backend,
+        )
+        recorded = check(store=store)
+        cached = check(store=store)
         assert recorded.store_stats["outcome"] == MISS
         assert cached.store_stats["outcome"] == HIT
-        expected = _serial_exploration(algorithm1, grid, "FSYNC", reduction="grid")
-        _assert_same_exploration(recorded, expected)
-        _assert_same_exploration(cached, expected)
+        expected = check_terminating_exploration(algorithm1, grid, model="FSYNC", reduction="grid")
+        assert recorded == cached == expected
+        assert recorded.reduction_stats == cached.reduction_stats == expected.reduction_stats
+        assert len(store) == 1
 
 
 # ---------------------------------------------------------------------------

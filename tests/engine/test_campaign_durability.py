@@ -178,8 +178,7 @@ class TestStoreBackedCampaigns:
 
     def test_pooled_store_backed_sweep_matches_serial(self, tmp_path, algorithm1, serial_reports):
         with VerdictStore(tmp_path / "store") as store, PoolBackend(workers=2) as backend:
-            engine = ParallelCampaignEngine(backend=backend, store=store)
-            swept = engine.exhaustive_sweep(algorithm1, sizes=SIZES, reduction="grid")
+            swept = exhaustive_sweep(algorithm1, sizes=SIZES, reduction="grid", backend=backend, store=store)
         assert swept.reports == serial_reports
         assert raw_records(tmp_path / "store") == len(SIZES)
 

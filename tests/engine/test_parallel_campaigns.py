@@ -59,7 +59,7 @@ class TestParallelSerialParity:
         algorithm = get("fsync_phi1_l2_chir_k3")
         serial = grid_sweep(algorithm)
         with PoolBackend(workers=4) as backend:
-            parallel = ParallelCampaignEngine(backend=backend).grid_sweep(algorithm)
+            parallel = grid_sweep(algorithm, backend=backend)
         assert parallel.reports == serial.reports
         assert [str(r) for r in parallel.reports] == [str(r) for r in serial.reports]
         assert parallel.ok == serial.ok
@@ -69,15 +69,12 @@ class TestParallelSerialParity:
         sizes = [(3, 4), (3, 5)]
         serial = stress_test(algorithm, sizes=sizes, seeds=(0, 1))
         with PoolBackend(workers=4) as backend:
-            parallel = ParallelCampaignEngine(backend=backend).stress_test(
-                algorithm, sizes=sizes, seeds=(0, 1)
-            )
+            parallel = stress_test(algorithm, sizes=sizes, seeds=(0, 1), backend=backend)
         assert parallel.reports == serial.reports
 
     def test_no_backend_runs_in_process(self):
         algorithm = get("fsync_phi2_l2_chir_k2")
-        engine = ParallelCampaignEngine()
-        report = engine.grid_sweep(algorithm, sizes=[(3, 4)])
+        report = grid_sweep(algorithm, sizes=[(3, 4)])
         assert report.ok and len(report.reports) == 1
 
     def test_an_adhoc_algorithm_runs_on_the_pool_workers(self):
@@ -99,7 +96,7 @@ class TestParallelSerialParity:
         )
         sizes = [(1, 3), (1, 4), (2, 3)]
         with PoolBackend(workers=4) as backend:
-            report = ParallelCampaignEngine(backend=backend).grid_sweep(adhoc, sizes=sizes)
+            report = grid_sweep(adhoc, sizes=sizes, backend=backend)
             assert backend.started  # the ad-hoc rule table crossed the process boundary
             assert backend.cache.stats_for(adhoc).lookups == 0
         # The ad-hoc rule set is not a terminating explorer; what matters is

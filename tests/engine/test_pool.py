@@ -16,7 +16,6 @@ from repro.core.rules import Guard, Rule
 from repro.engine import (
     AlgorithmTransitionSystem,
     MatcherCache,
-    ParallelCampaignEngine,
     PoolBackend,
     SerialBackend,
     default_workers,
@@ -157,15 +156,14 @@ class TestCampaignsOnThePool:
         algorithm = get("fsync_phi1_l2_chir_k3")
         serial = grid_sweep(algorithm)
         with PoolBackend(workers=2) as backend:
-            pooled = ParallelCampaignEngine(backend=backend).grid_sweep(algorithm)
+            pooled = grid_sweep(algorithm, backend=backend)
         assert pooled.reports == serial.reports
         assert [str(r) for r in pooled.reports] == [str(r) for r in serial.reports]
 
     def test_one_worker_pool_runs_campaigns_in_process(self):
         algorithm = get("fsync_phi2_l2_chir_k2")
         with PoolBackend(workers=1) as backend:
-            engine = ParallelCampaignEngine(backend=backend)
-            report = engine.grid_sweep(algorithm, sizes=[(3, 3), (4, 4)])
+            report = grid_sweep(algorithm, sizes=[(3, 3), (4, 4)], backend=backend)
             assert not backend.started  # ran in-process, on the pool's cache
             assert backend.cache.stats_for(algorithm).lookups > 0
         assert report.ok

@@ -10,7 +10,8 @@ Four promises under test:
    (or exception) and count on the ``coalesced`` counter.
 3. **Parity** — a verdict served from the store compares equal to a
    freshly computed one, on every route (serial, pooled),
-   across the shared reduction-parity suite.
+   across the shared reduction-parity suite, and each request stores
+   exactly one record: its verdict.
 4. **Bounds** — the in-memory index is LRU-bounded, and on-disk bloat
    triggers compaction that preserves the live entries.
 """
@@ -27,18 +28,22 @@ import pytest
 
 from repro.algorithms import get
 from repro.core import Grid
-from repro.engine import PoolBackend, VerdictStore, explore_sharded
+from repro.engine import PoolBackend, SerialBackend, VerdictStore
 from repro.engine.campaign import (
+    CampaignTask,
     ParallelCampaignEngine,
+    VerificationReport,
+    check_one,
     exhaustive_check_tasks,
     grid_sweep_tasks,
     task_store_key,
     verify_one,
 )
 from repro.engine.matcher import MatcherCache
-from repro.engine.store import COALESCED, HIT, MISS, RECORD_HEADER, pack_record
+from repro.engine.spec import check_store_key
+from repro.engine.store import COALESCED, HIT, MISS, RECORD_HEADER, iter_records, pack_record
 from repro.engine.suites import reduction_parity_suite
-from repro.checking import check_terminating_exploration
+from repro.checking import CheckResult, check_terminating_exploration
 
 ALGORITHM = "fsync_phi2_l2_chir_k2"
 
@@ -59,16 +64,6 @@ def record_span(data, number):
         (length,) = struct.unpack_from("!I", data, start)
         end = start + RECORD_HEADER.size + length
     return start, end
-
-
-def scrubbed(exploration):
-    """An exploration with every observability-only field cleared.
-
-    ``matcher_stats`` participates in equality (warmth is deterministic
-    per route) but differs between a cold run and a cache-served copy of
-    an earlier run, so parity tests compare the verdict-bearing rest.
-    """
-    return replace(exploration, matcher_stats=None, store_stats=None)
 
 
 # ---------------------------------------------------------------------------
@@ -415,27 +410,28 @@ class TestCoalescing:
         assert store.get_or_compute("key", lambda: "retried") == ("retried", MISS)
 
     def test_concurrent_explorations_coalesce_to_one(self, monkeypatch):
-        """Two racing ``explore_sharded(store=...)`` calls, one exploration."""
-        from repro.engine import explorer as explorer_module
+        """Two racing ``check_terminating_exploration(store=...)`` calls, one exploration."""
+        from repro.checking import model_checker
 
-        explore = explorer_module.explore
+        explore_sharded = model_checker.explore_sharded
         started, release = threading.Event(), threading.Event()
         calls = []
 
-        def gated_explore(ts, **kwargs):
-            if kwargs.get("store") is None:  # the computation behind the store
-                calls.append(1)
-                started.set()
-                assert release.wait(timeout=60)
-            return explore(ts, **kwargs)
+        def gated_explore(*args, **kwargs):
+            calls.append(1)
+            started.set()
+            assert release.wait(timeout=60)
+            return explore_sharded(*args, **kwargs)
 
-        monkeypatch.setattr(explorer_module, "explore", gated_explore)
+        monkeypatch.setattr(model_checker, "explore_sharded", gated_explore)
         store = VerdictStore()
         algorithm, grid = get(ALGORITHM), Grid(3, 3)
         results = {}
 
         def request(slot):
-            results[slot] = explore_sharded(algorithm, grid, "FSYNC", reduction="grid", store=store)
+            results[slot] = check_terminating_exploration(
+                algorithm, grid, model="FSYNC", reduction="grid", store=store
+            )
 
         leader = threading.Thread(target=request, args=("leader",))
         leader.start()
@@ -451,38 +447,47 @@ class TestCoalescing:
         leader.join(timeout=60)
         follower.join(timeout=60)
         assert len(calls) == 1  # exactly one exploration ran
-        assert scrubbed(results["leader"]) == scrubbed(results["follower"])
+        assert results["leader"] == results["follower"]
         outcomes = {results[slot].store_stats["outcome"] for slot in results}
         assert outcomes == {MISS, COALESCED}
+        assert len(store) == 1
 
 
 # ---------------------------------------------------------------------------
 # Cached-vs-computed parity
 # ---------------------------------------------------------------------------
 class TestParity:
-    def test_exploration_parity_across_the_reduction_suite_serial(self):
+    def test_check_parity_across_the_reduction_suite_serial(self):
         store = VerdictStore()
-        for name, m, n, model in reduction_parity_suite():
-            algorithm, grid = get(name), Grid(m, n)
-            fresh = explore_sharded(algorithm, grid, model, reduction="grid")
-            recorded = explore_sharded(algorithm, grid, model, reduction="grid", store=store)
-            cached = explore_sharded(algorithm, grid, model, reduction="grid", store=store)
+        cases = reduction_parity_suite()
+        for name, m, n, model in cases:
+            check = partial(
+                check_terminating_exploration, get(name), Grid(m, n), model=model, reduction="grid"
+            )
+            fresh = check()
+            recorded = check(store=store)
+            cached = check(store=store)
             assert recorded.store_stats["outcome"] == MISS
             assert cached.store_stats["outcome"] == HIT
-            assert scrubbed(cached) == scrubbed(recorded) == scrubbed(fresh)
+            assert cached == recorded == fresh
+            assert cached.reduction_stats == recorded.reduction_stats == fresh.reduction_stats
+        assert len(store) == len(cases)  # one record per check
 
-    def test_exploration_parity_on_the_pool_route(self):
+    def test_check_parity_on_the_pool_route(self):
         store = VerdictStore()
         cases = [case for case in reduction_parity_suite() if case[3] != "ASYNC"][:6]
         with PoolBackend(workers=2) as backend:
             for name, m, n, model in cases:
-                algorithm, grid = get(name), Grid(m, n)
-                explore = partial(explore_sharded, algorithm, grid, model, reduction="grid", backend=backend)
-                fresh = explore()
-                recorded = explore(store=store)
-                cached = explore(store=store)
+                check = partial(
+                    check_terminating_exploration, get(name), Grid(m, n),
+                    model=model, reduction="grid", backend=backend,
+                )
+                fresh = check()
+                recorded = check(store=store)
+                cached = check(store=store)
                 assert cached.store_stats["outcome"] == HIT
-                assert scrubbed(cached) == scrubbed(recorded) == scrubbed(fresh)
+                assert cached == recorded == fresh
+                assert cached.reduction_stats == recorded.reduction_stats == fresh.reduction_stats
 
     def test_check_result_parity_and_cross_entry_point_sharing(self, tmp_path):
         store = VerdictStore(tmp_path / "store")
@@ -491,10 +496,6 @@ class TestParity:
         recorded = check_terminating_exploration(
             algorithm, grid, model="FSYNC", reduction="grid", store=store
         )
-        # The check cached its inner exploration under the explore key,
-        # so the explorer route hits without ever having explored.
-        exploration = explore_sharded(algorithm, grid, "FSYNC", reduction="grid", store=store)
-        assert exploration.store_stats["outcome"] == HIT
         cached = check_terminating_exploration(
             algorithm, grid, model="FSYNC", reduction="grid", store=store
         )
@@ -552,6 +553,51 @@ class TestParity:
         explicit = grid_sweep_tasks(algorithm, sizes=[(3, 3)], seed=0)[0]
         defaulted = grid_sweep_tasks(algorithm, sizes=[(3, 3)])[0]
         assert task_store_key(explicit) == task_store_key(defaulted)
+
+
+# ---------------------------------------------------------------------------
+# One record per request: the store holds verdicts only
+# ---------------------------------------------------------------------------
+def run_route(route, algorithm, store):
+    """Make one request on ``route``; return the keys it should store, one per verdict."""
+    with (PoolBackend(workers=2) if route.startswith("pool-") else SerialBackend()) as backend:
+        if route.endswith("check"):
+            check_terminating_exploration(
+                algorithm, Grid(3, 3), model="FSYNC", reduction="grid", backend=backend, store=store
+            )
+            return [check_store_key(algorithm, 3, 3, "FSYNC", "grid")]
+        if route == "check_one":
+            check_one(algorithm, 3, 3, backend=backend, store=store)
+            return [task_store_key(CampaignTask(algorithm, 3, 3, kind="check"))]
+        if route == "verify_one":
+            verify_one(algorithm, 3, 3, backend=backend, store=store)
+            return [task_store_key(CampaignTask(algorithm, 3, 3))]
+        sizes = [(3, 3), (3, 4)]
+        tasks = grid_sweep_tasks(algorithm, sizes=sizes) + exhaustive_check_tasks(algorithm, sizes=sizes)
+        ParallelCampaignEngine(backend=backend, store=store).run_tasks(tasks)
+        return [task_store_key(task) for task in tasks]
+
+
+class TestOneRecordPerRequest:
+    @pytest.mark.parametrize(
+        "route", ["check", "pool-check", "check_one", "verify_one", "campaign", "pool-campaign"]
+    )
+    def test_each_request_stores_its_verdict_and_nothing_else(self, tmp_path, route):
+        algorithm = get(ALGORITHM)
+        with VerdictStore(tmp_path / "store") as store:
+            keys = run_route(route, algorithm, store)
+            counts = (len(store), store.stats["misses"], store.stats["disk_records"])
+            assert counts == (len(keys),) * 3
+            assert all(key in store for key in keys)
+            run_route(route, algorithm, store)  # the repeat is served and stores nothing
+            assert (store.stats["hits"], store.stats["disk_records"]) == (len(keys), len(keys))
+        values = [
+            value
+            for segment in (tmp_path / "store").glob("seg-*.log")
+            for _, value, _ in iter_records(segment.read_bytes())
+        ]
+        assert len(values) == len(keys)
+        assert all(isinstance(value, (CheckResult, VerificationReport)) for value in values)
 
 
 # ---------------------------------------------------------------------------

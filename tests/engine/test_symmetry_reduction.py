@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import pickle
+import random
 import shutil
+import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -11,19 +14,18 @@ import pytest
 from repro.algorithms import all_algorithms, get
 from repro.checking import check_terminating_exploration, enumerate_reachable
 from repro.core import Algorithm, G, Grid, Synchrony, W, occ
+from repro.core.errors import StateSpaceLimitExceeded
 from repro.core.rules import Guard, Rule
-from repro.core.views import ROT180
 from repro.engine import (
     AlgorithmTransitionSystem,
     VerdictStore,
     canonicalize,
-    explore_sharded,
     grid_symmetries,
-    guaranteed_nodes,
     initial_state,
+    parse_check_spec,
     transform_state,
 )
-from repro.engine.symmetry import GridSymmetry
+from repro.engine.symmetry import GridSymmetry, _grid_symmetries_cached
 
 FSYNC_NAMES = sorted(
     name for name, alg in all_algorithms().items() if alg.synchrony == "FSYNC"
@@ -79,6 +81,90 @@ class TestGridSymmetries:
         looked = ts.successors(state)[0]
         for gs in grid_symmetries(grid, chirality=True):
             assert transform_state(transform_state(looked, gs), gs.inverse()) == looked
+
+    def test_node_tables_fill_on_lookup(self):
+        _grid_symmetries_cached.cache_clear()  # tables other tests filled
+        group = grid_symmetries(Grid(1000, 1000), True)
+        assert [len(gs.nodes) for gs in group] == [0] * len(group)
+        for gs in group:
+            gs.node((1, 2))
+            gs.node((1, 2))  # a second lookup reads the stored image
+            gs.node((-3, 0))  # off the grid too
+        assert [len(gs.nodes) for gs in group] == [2] * len(group)
+        assert [gs.node((0, 0)) for gs in group] == [(0, 0), (999, 0), (999, 999), (0, 999)]
+
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 4), (2, 3), (3, 3), (4, 5), (5, 5)], ids=str)
+    @pytest.mark.parametrize("chirality", [True, False], ids=["chirality", "no-chirality"])
+    def test_lazy_tables_agree_with_the_symmetry(self, shape, chirality):
+        grid = Grid(*shape)
+        _grid_symmetries_cached.cache_clear()  # tables other tests filled
+        group = grid_symmetries(grid, chirality)
+        points = list(grid.nodes()) + [(-1, 0), shape, (0, -2)]
+        for gs in group:
+            # One translation carries the linear image onto the table's.
+            shifts = {
+                tuple(a - b for a, b in zip(gs.node(point), gs.symmetry.apply(point)))
+                for point in points
+            }
+            assert len(shifts) == 1
+            assert set(gs.nodes) == set(points)  # exactly the points looked up
+            assert {gs.node(node) for node in grid.nodes()} == set(grid.nodes())
+            assert all(gs.inverse().node(gs.node(point)) == point for point in points)
+
+    def test_threads_filling_one_table_agree(self):
+        """Concurrent service requests share the memoized group's tables."""
+        grid = Grid(40, 40)
+        _grid_symmetries_cached.cache_clear()
+        group = grid_symmetries(grid, False)
+        nodes = list(grid.nodes())
+        expected = [{node: GridSymmetry(gs.symmetry, 40, 40).node(node) for node in nodes} for gs in group]
+        seen = []
+
+        def fill(seed):
+            order = random.Random(seed).sample(nodes, len(nodes))
+            seen.append([{node: gs.node(node) for node in order} for gs in group])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=fill, args=(seed,)) for seed in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert seen == [expected] * len(threads)
+        assert [dict(gs.nodes) for gs in group] == expected
+
+    def test_a_grid_symmetry_pickles_by_its_slots(self):
+        gs = grid_symmetries(Grid(3, 4), False)[1]
+        gs.node((1, 2))
+        loaded = pickle.loads(pickle.dumps(gs))
+        assert loaded == gs and hash(loaded) == hash(gs) and loaded.name == gs.name
+        assert loaded.is_identity == gs.is_identity
+        for node in Grid(3, 4).nodes():
+            assert loaded.node(node) == gs.node(node)
+        assert loaded.offset((1, 0)) == gs.offset((1, 0))
+        assert loaded.inverse() == gs.inverse()
+
+    @pytest.mark.parametrize("model", ["FSYNC", "SSYNC", "ASYNC"])
+    def test_a_tiny_budget_on_a_huge_grid_trips_with_tiny_tables(self, model):
+        """The ``POST /v1/check`` path: table memory follows the states explored."""
+        spec = parse_check_spec(
+            {"algorithm": "fsync_phi2_l2_chir_k2", "m": 1000, "n": 1000, "model": model, "max_states": 10}
+        )
+        assert spec.reduction == "grid"
+        algorithm, grid = spec.resolve(), Grid(spec.m, spec.n)
+        _grid_symmetries_cached.cache_clear()
+        with pytest.raises(StateSpaceLimitExceeded):
+            check_terminating_exploration(
+                algorithm, grid, model=spec.model, reduction=spec.reduction,
+                max_states=spec.max_states,
+            )
+        group = grid_symmetries(grid, algorithm.chirality)
+        assert sum(len(gs.nodes) + len(gs.inverse().nodes) for gs in group) < 1000
 
     def test_canonicalize_is_orbit_invariant(self):
         algorithm = get("fsync_phi2_l2_chir_k2")
@@ -177,63 +263,26 @@ class TestReductionSoundness:
         assert not plain.ok and not quotient.ok
 
 
-#: ``pickle.dumps(GridSymmetry(ROT180, 3, 4))`` as written before the
-#: symmetry carried precomputed tables.  Verdict-store records hold edge
-#: witnesses in this form, so the bytes must not move.
-ROT180_3X4_PICKLE = bytes.fromhex(
-    "800495c5000000000000008c15726570726f2e656e67696e652e73796d6d65747279948c0c4772"
-    "696453796d6d657472799493942981944e7d94288c0873796d6d65747279948c10726570726f2e"
-    "636f72652e7669657773948c0853796d6d657472799493942981947d94288c046e616d65948c06"
-    "726f74313830948c0161944affffffff8c0162944b008c0163944b008c0164944affffffff7562"
-    "8c016d944b038c016e944b048c035f7469944b028c035f746a944b038c0f707265736572766573"
-    "5f73686170659488758694622e"
-)
-
-#: A verdict store holding one explore-route record,
-#: ``async_phi2_l3_nochir_k3`` 2x4 SSYNC under the grid quotient (8 states,
-#: five collapsed edges, a flipNS root witness), written before the
-#: symmetry carried precomputed tables.
+#: A verdict store holding one record of the retired exploration tier,
+#: ``async_phi2_l3_nochir_k3`` 2x4 SSYNC under the grid quotient (an
+#: ``Exploration`` whose edge witnesses are ``GridSymmetry`` pickles),
+#: written before the symmetry carried precomputed tables.  Explorations
+#: are no longer stored; such a record must still replay and never answer
+#: a check.
 OLDER_STORE = Path(__file__).resolve().parent / "data" / "store_before_symmetry_tables"
 
 
 class TestStoreCompatibility:
-    def test_pickle_bytes_carry_no_tables(self):
-        gs = GridSymmetry(ROT180, 3, 4)
-        assert pickle.dumps(gs) == ROT180_3X4_PICKLE
-        assert len(ROT180_3X4_PICKLE) == 208
-        inverse = gs.inverse()
-        # The cached inverse rides along, as it always did; tables never do.
-        assert pickle.loads(pickle.dumps(gs))._inverse == inverse
-        assert b"nodes" not in pickle.dumps(gs) and b"offsets" not in pickle.dumps(gs)
-
-    def test_older_pickle_loads_and_maps_through_rebuilt_tables(self):
-        loaded = pickle.loads(ROT180_3X4_PICKLE)
-        fresh = GridSymmetry(ROT180, 3, 4)
-        assert loaded == fresh and hash(loaded) == hash(fresh)
-        for node in Grid(3, 4).nodes():
-            assert loaded.node(node) == fresh.node(node) == (2 - node[0], 3 - node[1])
-        assert loaded.node((-1, 0)) == (3, 3)  # off the grid, by the same arithmetic
-        for offset in ((1, 0), (0, 1), (1, 1), (0, -2)):
-            assert loaded.offset(offset) == (-offset[0], -offset[1])
-        assert not loaded.is_identity
-        assert loaded.inverse() == fresh
-
-    def test_older_explore_record_is_a_hit_with_working_witnesses(self, tmp_path):
+    def test_older_explore_record_replays_and_the_check_is_a_miss(self, tmp_path):
         shutil.copytree(OLDER_STORE, tmp_path / "store")
         algorithm = get("async_phi2_l3_nochir_k3")
         grid = Grid(2, 4)
-        store = VerdictStore(tmp_path / "store")
-        try:
-            stored = explore_sharded(algorithm, grid, "SSYNC", reduction="grid", store=store)
-        finally:
-            store.close()
-        assert stored.store_stats["outcome"] == "hit"
-        fresh = explore_sharded(algorithm, grid, "SSYNC", reduction="grid")
+        with VerdictStore(tmp_path / "store") as store:
+            assert (len(store), store.corrupt_records) == (1, 0)
+            stored = check_terminating_exploration(
+                algorithm, grid, model="SSYNC", reduction="grid", store=store
+            )
+        assert stored.store_stats["outcome"] == "miss"
+        fresh = check_terminating_exploration(algorithm, grid, model="SSYNC", reduction="grid")
         assert stored == fresh
-        assert stored.root_sym is not None and stored.root_sym.name == "flipNS"
-        witnesses = [h for row in stored.edge_syms for h in row if h is not None]
-        assert len(witnesses) == 5
-        for h in witnesses + [stored.root_sym]:
-            for node in grid.nodes():
-                assert h.node(node) == GridSymmetry(h.symmetry, 2, 4).node(node)
-        assert guaranteed_nodes(stored) == guaranteed_nodes(fresh)
+        assert stored.reduction_stats == fresh.reduction_stats

@@ -101,10 +101,13 @@ class TestUtilityCommands:
         assert run_cli(harness, "stats") == EXIT_OK
         assert "store" in json.loads(capsys.readouterr().out)
 
-    def test_explore_prints_the_summary(self, harness, capsys):
+    def test_the_retired_explore_subcommand_exits_two(self, harness, capsys):
         argv = ["explore", "--algorithm", ALGORITHM, "--grid", "3x3", "--reduction", "grid"]
-        assert run_cli(harness, *argv) == EXIT_OK
-        assert json.loads(capsys.readouterr().out)["verdict"]["num_states"] > 0
+        with pytest.raises(SystemExit) as excinfo:
+            run_cli(harness, *argv)
+        assert excinfo.value.code == EXIT_REJECTED
+        assert "explore" in capsys.readouterr().err
+        assert harness.service.requests == {}  # nothing reached the server
 
     def test_bad_grid_spelling_is_an_argparse_error(self, harness):
         with pytest.raises(SystemExit) as excinfo:

@@ -25,8 +25,7 @@ import pytest
 from repro.algorithms import registry
 from repro.checking.model_checker import check_terminating_exploration
 from repro.core.grid import Grid
-from repro.engine.explorer import explore_sharded
-from repro.engine.spec import canonical_json, exploration_payload, result_payload
+from repro.engine.spec import canonical_json, result_payload
 
 ALGORITHM = "fsync_phi2_l2_chir_k2"
 SPEC = {"algorithm": ALGORITHM, "m": 3, "n": 3, "model": "FSYNC", "reduction": "grid"}
@@ -91,25 +90,36 @@ class TestCheck:
         )
         assert result.store_stats["outcome"] == "hit"
 
-    def test_budget_trip_is_a_422_naming_max_states(self, harness):
-        code, body, _ = harness.post("/v1/check", dict(SPEC, max_states=2))
+    @pytest.mark.parametrize(
+        "overrides", [{"max_states": 2}, {"m": 1000, "n": 1000, "max_states": 10}], ids=["3x3", "1000x1000"]
+    )
+    def test_budget_trip_is_a_422_naming_max_states(self, harness, overrides):
+        code, body, _ = harness.post("/v1/check", dict(SPEC, **overrides))
         assert code == 422
         assert body["error"]["field"] == "max_states"
 
+    def test_a_check_stores_one_record(self, harness):
+        """A cold check moves misses and disk records by one; a warm one only hits."""
 
-class TestExplore:
-    def test_explore_summarizes_and_caches(self, harness):
-        code, cold, _ = harness.post("/v1/explore", SPEC)
-        assert code == 200
-        assert cold["verdict"]["num_states"] > 0
-        assert cold["verdict"]["terminal_states"] >= 1
-        code, warm, _ = harness.post("/v1/explore", SPEC)
-        assert warm["observability"]["store_stats"]["outcome"] == "hit"
-        assert warm["verdict"] == cold["verdict"]
+        def counters():
+            code, stats, _ = harness.get("/v1/stats")
+            assert code == 200
+            return {key: stats["store"][key] for key in ("hits", "misses", "disk_records")}
+
+        before = counters()
+        harness.post("/v1/check", SPEC)
+        cold = counters()
+        assert {key: cold[key] - before[key] for key in cold} == {
+            "hits": 0, "misses": 1, "disk_records": 1,
+        }
+        harness.post("/v1/check", SPEC)
+        warm = counters()
+        assert {key: warm[key] - cold[key] for key in warm} == {
+            "hits": 1, "misses": 0, "disk_records": 0,
+        }
 
 
 class TestValidationAndErrors:
-    @pytest.mark.parametrize("path", ["/v1/check", "/v1/explore"])
     @pytest.mark.parametrize(
         ("payload", "field"),
         [
@@ -121,8 +131,8 @@ class TestValidationAndErrors:
             *[(dict(SPEC, reduction=retired), "reduction") for retired in RETIRED_REDUCTIONS],
         ],
     )
-    def test_bad_specs_are_400s_naming_the_field(self, harness, path, payload, field):
-        code, body, _ = harness.post(path, payload)
+    def test_bad_specs_are_400s_naming_the_field(self, harness, payload, field):
+        code, body, _ = harness.post("/v1/check", payload)
         assert code == 400
         assert body["error"]["field"] == field
 
@@ -147,7 +157,7 @@ class TestValidationAndErrors:
         assert code == 400
         assert body["error"]["field"] == "reduction"
 
-    @pytest.mark.parametrize("path", ["/v1/check", "/v1/explore", "/v1/campaigns"])
+    @pytest.mark.parametrize("path", ["/v1/check", "/v1/campaigns"])
     @pytest.mark.parametrize(
         "body",
         [
@@ -205,6 +215,12 @@ class TestValidationAndErrors:
         assert code == 404
         code, _, _ = harness.get("/v1/campaigns/ffffffffffffffff")
         assert code == 404
+
+    def test_the_retired_explore_endpoint_is_a_404_naming_the_path(self, harness):
+        code, body, _ = harness.post("/v1/explore", SPEC)
+        assert code == 404
+        assert "/v1/explore" in body["error"]["message"]
+        assert harness.service.store.stats["disk_records"] == 0
 
 
 # ---------------------------------------------------------------------------
@@ -509,7 +525,7 @@ class TestServerCli:
 
 
 class TestBackendKinds:
-    """Every ``--backend`` answers checks and explorations in the server.
+    """Every ``--backend`` answers checks in the server.
 
     Only campaigns fan out; a single-shot miss never waits for a worker.
     """
@@ -522,18 +538,6 @@ class TestBackendKinds:
         expected = library_verdict_json()
         for outcome in ("miss", "hit"):
             code, body, _ = cli_harness.post("/v1/check", SPEC, timeout=30)
-            assert code == 200
-            assert body["observability"]["store_stats"]["outcome"] == outcome
-            assert canonical_json(body["verdict"]) == expected
-        self.assert_nothing_left_the_process(cli_harness.service)
-
-    def test_explore_misses_and_hits_match_the_library(self, cli_harness):
-        exploration = explore_sharded(
-            registry.get(ALGORITHM), Grid(SPEC["m"], SPEC["n"]), SPEC["model"], reduction=SPEC["reduction"]
-        )
-        expected = canonical_json(exploration_payload(exploration)["verdict"])
-        for outcome in ("miss", "hit"):
-            code, body, _ = cli_harness.post("/v1/explore", SPEC, timeout=30)
             assert code == 200
             assert body["observability"]["store_stats"]["outcome"] == outcome
             assert canonical_json(body["verdict"]) == expected

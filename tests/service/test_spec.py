@@ -22,7 +22,6 @@ from repro.engine.campaign import (
     task_store_key,
 )
 from repro.engine.store import content_key
-from repro.engine.explorer import explore_sharded
 from repro.engine.spec import (
     CheckSpec,
     SpecError,
@@ -30,7 +29,6 @@ from repro.engine.spec import (
     canonical_json,
     check_store_key,
     check_task_key,
-    explore_store_key,
     parse_campaign,
     parse_check_spec,
     parse_task,
@@ -66,13 +64,6 @@ class TestKeyIdentity:
         spec = parse_check_spec(spec_payload())
         assert store.get(spec.check_key()) is not None
         assert store.stats["hits"] == 1
-
-    def test_parsed_explore_key_is_a_store_hit_for_the_library_route(self):
-        store = VerdictStore()
-        algorithm = registry.get(ALGORITHM)
-        explore_sharded(algorithm, Grid(3, 3), "FSYNC", reduction="grid", store=store)
-        spec = parse_check_spec(spec_payload())
-        assert store.get(spec.explore_key()) is not None
 
     def test_key_builders_normalize_spec_spellings(self):
         """Spelling variants of one spec address one key."""
@@ -115,19 +106,16 @@ def test_store_keys_and_campaign_id_are_pinned():
     pinned = {
         "grid": (
             "c56bc739be2c8a78dbcd5a777899ca72dc5e3c2ee73f271632898ace338557b6",
-            "73cd0052ef262c104f2780c5072bbcd8bb3cb12382fd6a50b12dcfbe86e4fb2b",
             "62f9dd921926c548d398e46b8b0c9799ca8d0e94641af6a59efc3638260aebc2",
         ),
         "none": (
             "76dba66ae42e231e29da3c7a49cf95b6ac0fa94de6b73b4c4a43d7b8fb41e507",
-            "050d15ae0bd2f14e52f734a80c427ce378b32f059692651591184fcff0fe255c",
             "ef4705217ce5a2851bc5191fb55d385f2e6ef115b0cc286b153e821a55afafe2",
         ),
     }
-    for reduction, (check_key, explore_key, task_key) in pinned.items():
+    for reduction, (check_key, task_key) in pinned.items():
         case = (REGISTERED, 3, 3, "FSYNC", reduction)
         assert content_key(check_store_key(*case)) == check_key
-        assert content_key(explore_store_key(*case)) == explore_key
         assert content_key(check_task_key(*case)) == task_key
     name, tasks = parse_campaign(
         {"algorithm": ALGORITHM, "campaign": "exhaustive_sweep", "sizes": [[3, 3], [3, 4]]}
