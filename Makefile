@@ -1,33 +1,27 @@
 # Convenience targets for the repro library.
 #
-#   make verify      - lint, tier-1 test suite, then the smoke-benchmark
-#                      guard (fails if the 3x3 FSYNC check regresses >3x
-#                      against the BENCH_engine.json baseline)
+#   make verify      - lint, then the tier-1 test suite
 #   make test        - tier-1 test suite only
-#   make smoke       - smoke-benchmark guard only (CI uploads its output)
 #   make lint        - ruff over the whole tree (config in pyproject.toml)
 #   make serve-smoke - verification-service end-to-end smoke: real server
 #                      subprocess + CLI client; verdict byte-parity with
 #                      the serial engine, warm store hits, campaign
 #                      submit/tail/await (CI's service-smoke)
-#   make bench       - full engine benchmark; rewrites BENCH_engine.json
-#                      (seed-vs-engine, cold-vs-cached, cross-size cache
-#                      reuse, pooled reuse, reduction quotients, pooled
-#                      campaigns, verdict-store warm hits, HTTP service
-#                      warm-hit latency)
+#   make bench       - perfbench's cold end-to-end workloads (table1, suite,
+#                      service), untraced, each for BENCHMARK.json's
+#                      run_seconds; prints their JSON lines, keeps them in
+#                      bench.jsonl, and fails if a run reports an
+#                      incorrect result (the nightly job uploads the file)
 
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: verify test smoke lint serve-smoke bench
+.PHONY: verify test lint serve-smoke bench
 
 test:
 	$(PYTHON) -m pytest -x -q
 
-smoke:
-	$(PYTHON) benchmarks/bench_engine.py --smoke
-
-verify: lint test smoke
+verify: lint test
 
 lint:
 	ruff check .
@@ -36,4 +30,11 @@ serve-smoke:
 	$(PYTHON) -m repro.service.smoke
 
 bench:
-	$(PYTHON) benchmarks/bench_engine.py
+	rm -f bench.jsonl
+	seconds=$$($(PYTHON) -c "import json; print(json.load(open('BENCHMARK.json'))['run_seconds'])"); \
+	for workload in table1 suite service; do \
+		$(PYTHON) perfbench/run.py --workload $$workload --seed 0 \
+			--seconds $$seconds --trace 0 >> bench.jsonl || exit 1; \
+	done
+	cat bench.jsonl
+	! grep -q '"correct": false' bench.jsonl

@@ -11,9 +11,10 @@ The library provides
 * the Look-Compute-Move grid simulation substrate (``repro.core``) for the
   FSYNC, SSYNC and ASYNC synchrony models, with myopic luminous robots and
   the rotation/reflection view semantics of the paper;
-* the unified transition-system kernel (``repro.engine``): one
-  authoritative implementation of the successor semantics consumed by the
-  simulator, the model checker (with grid-symmetry reduction) and the
+* the execution engine (``repro.engine``): the transition-system kernel
+  the model checker explores (with grid-symmetry reduction), the
+  single-path walk the simulator runs (a second implementation of the same
+  semantics, kept equal to the kernel by a differential test) and the
   parallel campaign engine — see ``docs/architecture.md``;
 * executable encodings of the paper's fourteen terminating-exploration
   algorithms (``repro.algorithms``);

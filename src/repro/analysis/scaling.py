@@ -2,8 +2,8 @@
 
 The paper does not plot running times, but every algorithm visibly takes
 Theta(m * n) robot moves.  This module measures steps and moves over a
-family of grid sizes and fits the leading coefficient, which the scaling
-benchmark (``benchmarks/bench_scaling.py``) reports as a table.
+family of grid sizes and fits the leading coefficient
+(:func:`fit_linear_in_nodes`).
 """
 
 from __future__ import annotations

@@ -19,11 +19,16 @@ enumerated exactly:
     intersection over its successors, plus the nodes occupied in the
     state itself).
 
-Successor generation is delegated to the unified transition-system kernel
-(:class:`repro.engine.transition.AlgorithmTransitionSystem`) — the same
-semantics the simulator walks, and the only successor kernel — and the
-frontier search, state interning and graph analyses live in
-:mod:`repro.engine.explorer`.
+Successor generation is delegated to the transition-system kernel
+(:class:`repro.engine.transition.AlgorithmTransitionSystem`), the only
+successor kernel; the frontier search, state interning and graph analyses
+live in :mod:`repro.engine.explorer`.  The simulator's walk
+(:mod:`repro.engine.walk`) implements the same semantics separately, and a
+differential test on random rule tables keeps the two equal.  Like the
+walk, a check fails closed on a robot outside the grid: a reachable move
+off the grid raises :class:`~repro.core.errors.IllegalMoveError`, and an
+initial placement off the grid raises
+:class:`~repro.core.errors.ConfigurationError`.
 
 ``reduction="grid"`` quotients the search by the grid automorphisms the
 algorithm cannot distinguish (rotations, plus reflections for

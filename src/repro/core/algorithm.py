@@ -34,7 +34,7 @@ from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .colors import Color
-from .errors import AlgorithmError
+from .errors import AlgorithmError, ConfigurationError
 from .grid import Grid, Node
 from .robot import Robot
 from .rules import GuardChecks, Rule
@@ -232,12 +232,23 @@ class Algorithm:
     # World construction
     # ------------------------------------------------------------------
     def placement(self, m: int, n: int) -> List[Tuple[Node, Color]]:
-        """The initial ``(node, color)`` placement for an ``m x n`` grid."""
+        """The initial ``(node, color)`` placement for an ``m x n`` grid.
+
+        The walk and the exhaustive kernel both start here, so a robot
+        placed outside the grid raises :class:`ConfigurationError` on
+        either route.
+        """
         if not self.supports_grid(m, n):
             raise AlgorithmError(
                 f"{self.name} requires m >= {self.min_m} and n >= {self.min_n},"
                 f" got {m}x{n}"
             )
+        for (i, j), _color in self.initial_placement:
+            if not (0 <= i < m and 0 <= j < n):
+                raise ConfigurationError(
+                    f"{self.name}: initial placement puts a robot at {(i, j)},"
+                    f" outside the {m}x{n} grid"
+                )
         return list(self.initial_placement)
 
     def initial_world(self, grid: Grid) -> World:

@@ -1,10 +1,11 @@
 """The Look-Compute-Move execution entry points.
 
-The actual engines live in :mod:`repro.engine.walk` — the lazy single-path
-side of the unified transition-system kernel — so that the simulator, the
-exhaustive model checker and the campaign runner all share one
-implementation of the FSYNC/SSYNC/ASYNC semantics.  This module remains the
-stable public import path:
+The actual engines live in :mod:`repro.engine.walk`, the lazy single-path
+walk that the campaign runner's walk tasks run too.  The walk implements
+the FSYNC/SSYNC/ASYNC semantics on its own; the exhaustive model checker
+explores a second implementation, the kernel in
+:mod:`repro.engine.transition`, and a differential test keeps the two
+equal.  This module remains the stable public import path:
 
 * :func:`run_fsync` — every robot executes a full cycle at every instant;
 * :func:`run_ssync` — a scheduler-selected non-empty subset of the robots

@@ -1,7 +1,11 @@
-"""The unified transition-system kernel.
+"""The execution engine: the transition-system kernel, the walk and campaigns.
 
-``repro.engine`` is the one place the Look-Compute-Move semantics of the
-paper are implemented; every other layer consumes it:
+``repro.engine`` implements the Look-Compute-Move semantics of the paper
+twice.  The kernel (:mod:`repro.engine.transition`) generates every
+successor for exhaustive checks; the walk (:mod:`repro.engine.walk`)
+re-implements the semantics to follow one scheduled path.  A differential
+test on random rule tables keeps the two equal.  Every other layer
+consumes the modules below:
 
 * :mod:`repro.engine.states` — canonical, hashable scheduler states;
 * :mod:`repro.engine.matcher` — memoized snapshot/rule-match computation;
@@ -32,7 +36,9 @@ paper are implemented; every other layer consumes it:
   and content digest), and the canonical JSON wire forms the HTTP service
   (:mod:`repro.service`) exchanges; the only engine module that resolves
   registry names;
-* :mod:`repro.engine.walk` — the lazy single-path simulator;
+* :mod:`repro.engine.walk` — the lazy single-path simulator, the second
+  implementation of the semantics (over a ``World``, independent of the
+  kernel);
 * :mod:`repro.engine.suites` — shared grid-size suites;
 * :mod:`repro.engine.campaign` — batched serial/parallel campaign runner.
 

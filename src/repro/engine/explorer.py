@@ -1,6 +1,6 @@
 """Frontier-based exploration of a transition system's state space.
 
-The explorer is the checking half of the engine kernel: starting from the
+The explorer searches the kernel's state space: starting from the
 transition system's initial state it discovers every reachable canonical
 state with a breadth-first frontier, interning states into dense integer
 indices (so the graph algorithms below run on plain int lists instead of

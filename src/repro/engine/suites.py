@@ -19,9 +19,9 @@ __all__ = [
     "REDUCTION_BENCH_CASE",
 ]
 
-#: The suite ASYNC case the reduction benchmark and the ``make verify``
-#: smoke guard key on: several robots overlap Look/Compute/Move phases on
-#: this grid, and ``"grid"`` must reach the unreduced verdict on it.
+#: An ASYNC case of the parity suite where several robots overlap their
+#: Look/Compute/Move phases; ``"grid"`` must reach the unreduced verdict on
+#: it.
 REDUCTION_BENCH_CASE: Tuple[str, int, int, str] = ("async_phi2_l2_nochir_k4", 4, 4, "ASYNC")
 
 
@@ -55,9 +55,8 @@ def reduction_parity_suite() -> List[Tuple[str, int, int, str]]:
     milliseconds), plus a slightly larger ASYNC case per ASYNC-designed
     algorithm — the regime where several robots hold overlapping
     Look/Compute/Move phases — and :data:`REDUCTION_BENCH_CASE`.  The
-    parity tests, the exploration-shape table and the reduction benchmark
-    all draw from this list, so "the suite" means the same thing
-    everywhere.
+    parity tests and the exploration-shape table both draw from this
+    list, so "the suite" means the same thing everywhere.
     """
     from ..algorithms import all_algorithms  # local import: avoids a layering cycle
 

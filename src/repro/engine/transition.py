@@ -1,17 +1,22 @@
-"""The unified transition-system kernel.
+"""The transition-system kernel: every successor, over state records.
 
-This module holds the *single* authoritative implementation of the paper's
-Look-Compute-Move successor semantics for all three synchrony models.  It
-is consumed by
+This module implements the paper's Look-Compute-Move successor semantics
+for all three synchrony models over canonical scheduler states
+(:mod:`repro.engine.states`).  The model checker
+(:mod:`repro.checking.model_checker` via :mod:`repro.engine.explorer`)
+runs a frontier search over every transition it generates, and
+:mod:`repro.impossibility.refuter` searches it too.
 
-* the simulator (:mod:`repro.engine.walk`) — a lazy single-path walk that
-  lets a scheduler policy pick one transition at a time;
-* the model checker (:mod:`repro.checking.model_checker` via
-  :mod:`repro.engine.explorer`) — a frontier search over every transition;
-* the campaign runner (:mod:`repro.engine.campaign`) — batched multi-seed
-  execution of the walk.
+It is one of two implementations of those semantics.  The walk
+(:mod:`repro.engine.walk`), which the simulator and the campaign runner's
+walk tasks run, re-implements them over a :class:`~repro.core.world.World`
+to follow one scheduled path, and never calls this module.  Keeping the
+walk independent lets it check the kernel, and the differential test in
+``tests/engine/test_quotient_fuzz.py`` keeps the two equal: on random
+rule tables, seeded walks must stay within each table's exhaustive
+verdict.
 
-Semantics notes (shared by all consumers):
+Semantics notes (shared by both implementations):
 
 * **FSYNC** branches over every combination of per-robot action choices
   (ties between distinct enabled actions are resolved by the scheduler,
@@ -24,6 +29,9 @@ Semantics notes (shared by all consumers):
   which is the paper's "intermediate configuration".  A Look by a robot
   that is not enabled leads to a no-op Compute, so such Looks are pruned;
   this does not remove any reachable configuration.
+* A move off the grid raises :class:`~repro.core.errors.IllegalMoveError`,
+  as :meth:`~repro.core.world.World.move` does in the walk, so no state
+  with a robot outside the grid is ever explored.
 """
 
 from __future__ import annotations
@@ -32,6 +40,7 @@ from itertools import combinations, product
 from typing import List, Optional, Protocol, Sequence, Tuple, runtime_checkable
 
 from ..core.algorithm import Algorithm
+from ..core.errors import IllegalMoveError
 from ..core.grid import Grid
 from .matcher import LocalMatcher
 from .states import AsyncRobotState, SchedulerState, freeze_snapshot, initial_state
@@ -112,18 +121,32 @@ class AlgorithmTransitionSystem:
                 choices.append((index, actions))
         return choices
 
-    @staticmethod
+    def _off_grid(self, origin, destination) -> IllegalMoveError:
+        """The error for a move leaving the grid (the walk raises the same type)."""
+        grid = self.grid
+        return IllegalMoveError(
+            f"{self.algorithm.name} [{self.model}]: a robot attempts to move from {origin}"
+            f" to {destination}, outside the {grid.m}x{grid.n} grid"
+        )
+
     def _apply_synchronous(
+        self,
         state: SchedulerState,
         moves: Sequence[Tuple[int, Optional[str], Optional[Tuple[int, int]]]],
     ) -> SchedulerState:
-        """Apply simultaneous (index, new_color, world_move) updates to a state."""
+        """Apply simultaneous (index, new_color, world_move) updates to a state.
+
+        Raises :class:`IllegalMoveError` when a move leaves the grid.
+        """
+        m, n = self.grid.m, self.grid.n
         records = list(state.robots)
         for index, new_color, world_move in moves:
             record = records[index]
             pos = record.pos
             if world_move is not None:
                 pos = (pos[0] + world_move[0], pos[1] + world_move[1])
+                if not (0 <= pos[0] < m and 0 <= pos[1] < n):
+                    raise self._off_grid(record.pos, pos)
             records[index] = AsyncRobotState(pos=pos, color=new_color if new_color else record.color)
         return SchedulerState.from_records(records)
 
@@ -205,6 +228,8 @@ class AlgorithmTransitionSystem:
                 pos = record.pos
                 if record.pending_move is not None:
                     pos = (pos[0] + record.pending_move[0], pos[1] + record.pending_move[1])
+                    if not (0 <= pos[0] < self.grid.m and 0 <= pos[1] < self.grid.n):
+                        raise self._off_grid(record.pos, pos)
                 updated = list(records)
                 updated[index] = AsyncRobotState(pos=pos, color=record.color)
                 successors.append(SchedulerState.from_records(updated))

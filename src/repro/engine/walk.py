@@ -1,10 +1,16 @@
 """The Look-Compute-Move execution engine: a lazy single-path walk.
 
-This is the simulation half of the engine kernel: where the explorer
-(:mod:`repro.engine.explorer`) branches over *every* scheduler choice, the
-walk follows *one* path through the very same transition semantics, letting
-a pluggable scheduler policy (:mod:`repro.core.scheduler`) and a tie-break
-policy resolve the nondeterminism one step at a time:
+Where the explorer (:mod:`repro.engine.explorer`) branches over *every*
+scheduler choice of the kernel (:mod:`repro.engine.transition`), the walk
+follows *one* path, letting a pluggable scheduler policy
+(:mod:`repro.core.scheduler`) and a tie-break policy resolve the
+nondeterminism one step at a time.  It does not call the kernel: it
+re-implements the same semantics over a mutable
+:class:`~repro.core.world.World` with robot identities, which keeps a walk
+an independent check of the kernel.  The differential test in
+``tests/engine/test_quotient_fuzz.py`` keeps the two equal: on random
+rule tables, seeded walks must stay within each table's exhaustive
+verdict.  The engines:
 
 * :func:`run_fsync` — every robot executes a full cycle at every instant;
 * :func:`run_ssync` — a scheduler-selected non-empty subset of the robots

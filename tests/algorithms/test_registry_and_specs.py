@@ -14,6 +14,7 @@ from repro.algorithms import all_algorithms, find, get, names, table1_rows
 from repro.algorithms.derive import replace_color_with_pair
 from repro.core import B, G, W
 from repro.core.errors import AlgorithmError
+from repro.core.rules import CellKind
 
 #: (name, synchrony, phi, ell, chirality, k, optimal, paper section)
 EXPECTED_SPECS = [
@@ -128,6 +129,18 @@ class TestTable1Metadata:
     def test_color_count_is_ell(self, name, synchrony, phi, ell, chirality, k, optimal, section):
         algorithm = get(name)
         assert len(algorithm.colors) == ell
+
+    def test_every_move_requires_its_destination_to_exist(
+        self, name, synchrony, phi, ell, chirality, k, optimal, section
+    ):
+        # A moving rule's guard pins its target cell to EMPTY or OCCUPIED, so
+        # no rule can move a robot off the grid and the kernel's off-grid
+        # IllegalMoveError never fires on a registered algorithm.
+        algorithm = get(name)
+        for rule in algorithm.rules:
+            if rule.move is not None:
+                target = rule.guard.spec_at(rule.move_offset()).kind
+                assert target in (CellKind.EMPTY, CellKind.OCCUPIED), (rule.name, target)
 
 
 class TestDerivation:

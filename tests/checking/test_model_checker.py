@@ -9,8 +9,9 @@ from repro.checking import check_terminating_exploration, enumerate_reachable, i
 from repro.checking.model_checker import successors
 from repro.checking.states import SchedulerState, world_from_state
 from repro.core import Algorithm, G, Grid, Synchrony, W, occ
-from repro.core.errors import StateSpaceLimitExceeded
+from repro.core.errors import ConfigurationError, IllegalMoveError, StateSpaceLimitExceeded
 from repro.core.rules import Guard, Rule
+from repro.engine import check_one, run_fsync, verify_one
 
 ASYNC_NAMES = [
     "async_phi2_l3_chir_k2",
@@ -42,6 +43,20 @@ def oscillator() -> Algorithm:
         initial_placement=(((0, 1), G), ((0, 2), W)),
         min_m=1,
         min_n=4,
+    )
+
+
+def wanderer(node=(0, 0)) -> Algorithm:
+    """One robot that may always step in any direction, off the grid included."""
+    return Algorithm(
+        name="wanderer",
+        synchrony=Synchrony.FSYNC,
+        phi=1,
+        colors=(G,),
+        chirality=True,
+        k=1,
+        rules=(Rule("east", G, Guard.build(1), G, "E"),),
+        initial_placement=((node, G),),
     )
 
 
@@ -133,3 +148,33 @@ class TestExhaustiveChecks:
     def test_enumerate_reachable_counts_states(self):
         count = enumerate_reachable(get("async_phi2_l3_chir_k2"), Grid(3, 4), model="SSYNC")
         assert count > 5
+
+
+class TestOffGridRobotsFailClosed:
+    """The check raises the walk's error where the walk leaves the grid."""
+
+    @pytest.mark.parametrize("reduction", ["none", "grid"])
+    @pytest.mark.parametrize("model", ["FSYNC", "SSYNC", "ASYNC"])
+    def test_a_move_off_the_grid_raises(self, model, reduction):
+        with pytest.raises(IllegalMoveError, match="outside the 2x3 grid"):
+            check_terminating_exploration(wanderer(), Grid(2, 3), model=model, reduction=reduction)
+
+    @pytest.mark.parametrize("reduction", ["none", "grid"])
+    @pytest.mark.parametrize("model", ["FSYNC", "SSYNC", "ASYNC"])
+    def test_a_placement_off_the_grid_raises(self, model, reduction):
+        with pytest.raises(ConfigurationError, match=r"\(5, 5\), outside the 2x3 grid"):
+            check_terminating_exploration(wanderer((5, 5)), Grid(2, 3), model=model, reduction=reduction)
+
+    def test_the_walk_raises_the_same_errors(self):
+        with pytest.raises(IllegalMoveError):
+            run_fsync(wanderer(), Grid(2, 3), tie_break="first")
+        with pytest.raises(ConfigurationError):
+            run_fsync(wanderer((5, 5)), Grid(2, 3))
+
+    @pytest.mark.parametrize("model", ["FSYNC", "SSYNC", "ASYNC"])
+    def test_campaign_reports_name_the_same_error(self, model):
+        for node, error in (((0, 0), "IllegalMoveError: "), ((5, 5), "ConfigurationError: ")):
+            checked = check_one(wanderer(node), 2, 3, model=model)
+            walked = verify_one(wanderer(node), 2, 3, model=model, tie_break="first")
+            assert not checked.ok and checked.reason.startswith(error)
+            assert not walked.ok and walked.reason.startswith(error)

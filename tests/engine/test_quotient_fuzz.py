@@ -2,8 +2,8 @@
 
 The parity suite only runs the registry's thirteen hand-designed
 algorithms.  Random rule tables fail in many more ways: they loop
-forever, stall with nodes unvisited, stack robots and move them off in
-lockstep.  Each seed below draws one table
+forever, stall with nodes unvisited, stack robots and move them in
+lockstep, or move them off the grid.  Each seed below draws one table
 and checks it unreduced and under ``reduction="grid"`` on 2x3 (FSYNC,
 SSYNC, ASYNC) and 3x3 (FSYNC, SSYNC); the quotient must reproduce the
 termination verdict, the coverage verdict and the counterexample text
@@ -15,9 +15,21 @@ exploration of any case exceeds :data:`STATE_CAP` states is redrawn from
 the same seeded stream, so every seed still yields a table and the whole
 set stays fast.
 
+Many tables move a robot off the grid.  The exhaustive check then fails
+closed with :class:`IllegalMoveError`, as the walk does, so a case's
+unreduced outcome is either a verdict or that error, and every other
+route must reproduce it.  Under ``grid`` the error names coordinates in
+the representative's frame, so only its type is compared.
+
 The same tables also run as one campaign on a two-worker pool through a
 verdict store: algorithms travel to the workers by value, and every
-report, fresh or stored, must carry the serial unreduced verdict.
+report, fresh or stored, must carry the serial unreduced outcome.
+
+Last, the walk (:mod:`repro.engine.walk`, over a ``World``) and the
+kernel (:mod:`repro.engine.transition`, over records) implement the
+Look-Compute-Move semantics separately.  Seeded random walks on every
+table must stay within the check's verdict, which keeps the two equal on
+tables that fail in all the ways above.
 """
 
 from __future__ import annotations
@@ -25,16 +37,16 @@ from __future__ import annotations
 import dataclasses
 import random
 from functools import lru_cache
-from typing import Dict, Tuple
+from typing import Dict, Tuple, Union
 
 import pytest
 
 from repro.checking import CheckResult, check_terminating_exploration
 from repro.core import Algorithm, Grid
-from repro.core.errors import StateSpaceLimitExceeded
+from repro.core.errors import IllegalMoveError, StateSpaceLimitExceeded
 from repro.core.rules import EMPTY, FREE, WALL, Guard, Rule, occ
 from repro.core.views import ball_offsets
-from repro.engine import CampaignTask, ParallelCampaignEngine, PoolBackend, VerdictStore
+from repro.engine import CampaignTask, ParallelCampaignEngine, PoolBackend, VerdictStore, run
 from repro.engine.store import HIT, MISS
 
 SEEDS = range(200)
@@ -47,8 +59,12 @@ STATE_CAP = 1500
 MAX_DRAWS = 20
 
 Case = Tuple[int, int, str]
+#: A check's verdict, or the error it raised because a robot left the grid.
+Outcome = Union[CheckResult, IllegalMoveError]
 #: The grids of :data:`CASES`.
 GRIDS = sorted({(m, n) for m, n, _ in CASES})
+#: Random-walk seeds per table and case in the walk-vs-kernel test.
+WALK_SEEDS = range(3)
 
 
 def random_cell(rng: random.Random, colors):
@@ -108,17 +124,23 @@ def random_table(rng: random.Random, name: str) -> Dict[Tuple[int, int], Algorit
     return {grid: dataclasses.replace(base, initial_placement=placement(*grid)) for grid in GRIDS}
 
 
+def outcome(algorithm: Algorithm, m: int, n: int, model: str, **kwargs) -> Outcome:
+    """The check's verdict, or the :class:`IllegalMoveError` it raises."""
+    try:
+        return check_terminating_exploration(algorithm, Grid(m, n), model=model, **kwargs)
+    except IllegalMoveError as error:
+        return error
+
+
 @lru_cache(maxsize=None)
-def bounded_table(seed: int) -> Tuple[Dict[Tuple[int, int], Algorithm], Dict[Case, CheckResult]]:
-    """The first table of ``seed``'s stream within :data:`STATE_CAP`, with its unreduced checks."""
+def bounded_table(seed: int) -> Tuple[Dict[Tuple[int, int], Algorithm], Dict[Case, Outcome]]:
+    """The first table of ``seed``'s stream within :data:`STATE_CAP`, with its unreduced outcomes."""
     rng = random.Random(seed)
     for _ in range(MAX_DRAWS):
         tables = random_table(rng, f"fuzz_{seed}")
         try:
             plain = {
-                (m, n, model): check_terminating_exploration(
-                    tables[m, n], Grid(m, n), model=model, max_states=STATE_CAP, reduction="none"
-                )
+                (m, n, model): outcome(tables[m, n], m, n, model, max_states=STATE_CAP, reduction="none")
                 for m, n, model in CASES
             }
         except StateSpaceLimitExceeded:
@@ -131,8 +153,11 @@ def bounded_table(seed: int) -> Tuple[Dict[Tuple[int, int], Algorithm], Dict[Cas
 def test_grid_quotient_matches_unreduced_on_random_tables(seed):
     tables, plain = bounded_table(seed)
     for (m, n, model), unreduced in plain.items():
-        quotient = check_terminating_exploration(tables[m, n], Grid(m, n), model=model, reduction="grid")
+        quotient = outcome(tables[m, n], m, n, model, reduction="grid")
         case = f"{m}x{n} {model}"
+        if isinstance(unreduced, IllegalMoveError):
+            assert isinstance(quotient, IllegalMoveError), case
+            continue
         assert quotient.terminates == unreduced.terminates, case
         assert quotient.explores == unreduced.explores, case
         assert quotient.counterexample == unreduced.counterexample, case
@@ -160,9 +185,43 @@ def test_pool_and_store_reproduce_the_serial_unreduced_checks(tmp_path):
     for task, report, unreduced in zip(tasks, reports, expected):
         case = f"{task.algorithm.name} {task.m}x{task.n} {task.model} {task.reduction}"
         assert report.store_stats["outcome"] == MISS, case
+        if isinstance(unreduced, IllegalMoveError):
+            assert not report.ok and report.reason.startswith("IllegalMoveError: "), case
+            if task.reduction == "none":
+                assert report.reason == f"IllegalMoveError: {unreduced}", case
+            continue
         assert report.ok == unreduced.ok, case
         assert report.reason == (unreduced.counterexample or "ok"), case
         if task.reduction == "none":
             assert report.steps == unreduced.states_explored, case
     assert [report.store_stats["outcome"] for report in rerun] == [HIT] * len(tasks)
     assert rerun == reports
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_random_walks_stay_within_the_checked_verdict(seed):
+    """The walk and the kernel agree on every table and case.
+
+    A walk follows one path of the graph the check explores.  So a walk
+    that leaves the grid means the check fails closed too, a passing
+    check means the walk is a terminating exploration, and a walk that
+    runs :data:`STATE_CAP` steps passes through more states than the
+    check reached, so it repeated one and the check reports a cycle.
+    """
+    tables, plain = bounded_table(seed)
+    for (m, n, model), unreduced in plain.items():
+        if isinstance(unreduced, IllegalMoveError):
+            continue  # the check failed closed, whatever a walk does
+        for walk_seed in WALK_SEEDS:
+            case = f"{m}x{n} {model} walk seed {walk_seed}"
+            try:
+                walk = run(
+                    tables[m, n], Grid(m, n), model,
+                    tie_break="random", seed=walk_seed, max_steps=STATE_CAP, record_trace=False,
+                )
+            except IllegalMoveError as error:
+                pytest.fail(f"{case}: the walk raised {error!r}, the check did not")
+            if unreduced.ok:
+                assert walk.is_terminating_exploration, case
+            if walk.termination_reason == "max_steps":
+                assert not unreduced.terminates, case
