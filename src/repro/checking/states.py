@@ -13,7 +13,6 @@ from ..engine.states import (
     SchedulerState,
     freeze_snapshot,
     initial_state,
-    thaw_snapshot,
     world_from_state,
 )
 
@@ -24,5 +23,4 @@ __all__ = [
     "initial_state",
     "world_from_state",
     "freeze_snapshot",
-    "thaw_snapshot",
 ]

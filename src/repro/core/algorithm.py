@@ -87,10 +87,6 @@ class Action:
     new_color: Color
     world_move: Optional[Offset]
 
-    @property
-    def is_idle(self) -> bool:
-        return self.world_move is None
-
     def __str__(self) -> str:
         if self.world_move is None:
             return f"({self.new_color}, Idle)"

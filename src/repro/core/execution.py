@@ -1,15 +1,21 @@
 """Execution traces and results.
 
 An execution of the paper (Section 2.3) is a maximal sequence of
-configurations.  The simulator additionally records *events* (which robot
-executed which rule under which symmetry) and the set of visited nodes,
-because the terminating exploration property is about node coverage and
-termination together.
+configurations.  A walk records only its initial configuration and its
+*events* (which robot executed which rule under which symmetry, and how
+its position and light changed).  The result derives the rest from those
+two on demand: the configuration trace, the final configuration and the
+set of visited nodes, which the terminating exploration property needs
+because it is about node coverage and termination together.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import groupby
+from operator import attrgetter
 from typing import List, Optional, Set
 
 from .configuration import Configuration
@@ -24,7 +30,9 @@ class Event:
 
     ``time`` counts FSYNC/SSYNC rounds or ASYNC atomic steps; ``phase`` is
     ``"cycle"`` for the synchronous models and one of ``"look"``,
-    ``"compute"``, ``"move"`` for ASYNC.
+    ``"compute"``, ``"move"`` for ASYNC.  Every event turns one robot's
+    ``(old_pos, old_color)`` into ``(new_pos, new_color)``, so the events
+    of a run replay its configurations.
     """
 
     time: int
@@ -48,16 +56,18 @@ class Event:
 
 @dataclass
 class ExecutionResult:
-    """The outcome of one simulated execution."""
+    """The outcome of one simulated execution: ``initial`` plus ``events``.
+
+    :attr:`trace`, :attr:`final` and :attr:`visited` are derived from
+    those two when first read, so a run whose caller only asks for the
+    verdict builds one configuration, the initial one.
+    """
 
     algorithm_name: str
     model: str
     grid: Grid
     initial: Configuration
-    final: Configuration
-    trace: List[Configuration]
     events: List[Event]
-    visited: Set[Node]
     steps: int
     terminated: bool
     termination_reason: str
@@ -67,6 +77,42 @@ class ExecutionResult:
     seed: Optional[int] = None
     #: The tie-break policy the run was executed under.
     tie_break: Optional[str] = None
+
+    # ------------------------------------------------------------------
+    # Derived from the events
+    # ------------------------------------------------------------------
+    @cached_property
+    def trace(self) -> List[Configuration]:
+        """The configurations of the execution, starting at :attr:`initial`.
+
+        Replays :attr:`events` one ``time`` at a time (one FSYNC/SSYNC
+        round or one ASYNC step) and appends the configuration after each
+        group that changed it.
+        """
+        pairs = Counter((node, color) for node, colors in self.initial for color in colors)
+        trace = [self.initial]
+        for _time, group in groupby(self.events, key=attrgetter("time")):
+            for event in group:
+                pairs[event.old_pos, event.old_color] -= 1
+                pairs[event.new_pos, event.new_color] += 1
+            configuration = Configuration.from_pairs(
+                (node, (color,) * count) for (node, color), count in pairs.items()
+            )
+            if configuration != trace[-1]:
+                trace.append(configuration)
+        return trace
+
+    @property
+    def final(self) -> Configuration:
+        """The configuration after every event."""
+        return self.trace[-1]
+
+    @cached_property
+    def visited(self) -> Set[Node]:
+        """Every node some robot stood on: the initial nodes and each event's ``new_pos``."""
+        visited = set(self.initial.occupied_nodes())
+        visited.update(event.new_pos for event in self.events)
+        return visited
 
     # ------------------------------------------------------------------
     # Terminating-exploration predicate (Definition 1)

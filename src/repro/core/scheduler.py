@@ -70,7 +70,12 @@ class SsyncScheduler:
 
 @dataclass
 class FullActivation(SsyncScheduler):
-    """Activate every enabled robot: the FSYNC scheduler seen as an SSYNC one."""
+    """Activate every enabled robot: the FSYNC scheduler seen as an SSYNC one.
+
+    FSYNC runs as SSYNC under this scheduler: :func:`~repro.core.simulator.run_fsync`
+    is the SSYNC walk with a ``FullActivation``, and the kernel's FSYNC
+    successors are its SSYNC successors on the full enabled set.
+    """
 
     def select(self, round_index: int, enabled: Sequence[int]) -> List[int]:
         return list(enabled)

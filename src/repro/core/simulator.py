@@ -7,7 +7,8 @@ explores a second implementation, the kernel in
 :mod:`repro.engine.transition`, and a differential test keeps the two
 equal.  This module remains the stable public import path:
 
-* :func:`run_fsync` — every robot executes a full cycle at every instant;
+* :func:`run_fsync` — every robot executes a full cycle at every instant
+  (SSYNC under :class:`~repro.core.scheduler.FullActivation`);
 * :func:`run_ssync` — a scheduler-selected non-empty subset of the robots
   executes a full synchronous cycle at every instant;
 * :func:`run_async` — Look, Compute and Move phases of different robots

@@ -9,9 +9,9 @@ consumes the modules below:
 
 * :mod:`repro.engine.states` — canonical, hashable scheduler states;
 * :mod:`repro.engine.matcher` — memoized snapshot/rule-match computation;
-* :mod:`repro.engine.transition` — the :class:`TransitionSystem` protocol
-  and :class:`AlgorithmTransitionSystem`, the FSYNC/SSYNC/ASYNC successor
-  generator and the only successor kernel every exploration runs on;
+* :mod:`repro.engine.transition` — :class:`AlgorithmTransitionSystem`,
+  the FSYNC/SSYNC/ASYNC successor generator and the only successor kernel
+  every exploration runs on;
 * :mod:`repro.engine.profile` — opt-in (``REPRO_PROFILE=1``) per-phase
   wall-clock split attached to ``Exploration.profile``;
 * :mod:`repro.engine.symmetry` — the grid-automorphism group (rotations
@@ -56,7 +56,6 @@ from .campaign import (
     ParallelCampaignEngine,
     VerificationReport,
     check_one,
-    derive_seed,
     execute_tasks,
     exhaustive_check_tasks,
     grid_sweep_tasks,
@@ -94,7 +93,6 @@ from .states import (
     SchedulerState,
     freeze_snapshot,
     initial_state,
-    thaw_snapshot,
     world_from_state,
 )
 from .suites import (
@@ -110,7 +108,7 @@ from .symmetry import (
     normalize_reduction,
     transform_state,
 )
-from .transition import MODELS, AlgorithmTransitionSystem, TransitionSystem
+from .transition import MODELS, AlgorithmTransitionSystem
 from .walk import TieBreak, default_step_budget, run, run_async, run_fsync, run_ssync
 
 __all__ = [
@@ -121,13 +119,11 @@ __all__ = [
     "initial_state",
     "world_from_state",
     "freeze_snapshot",
-    "thaw_snapshot",
     # matcher / transition
     "LocalMatcher",
     "MatcherCache",
     "MatcherStats",
     "MODELS",
-    "TransitionSystem",
     "AlgorithmTransitionSystem",
     # symmetry
     "GridSymmetry",
@@ -176,7 +172,6 @@ __all__ = [
     "grid_sweep_tasks",
     "stress_test_tasks",
     "exhaustive_check_tasks",
-    "derive_seed",
     "ParallelCampaignEngine",
     # specs / wire forms
     "SpecError",

@@ -21,14 +21,11 @@ again against the same store computes only the remainder.
 
 Determinism: every randomized run is driven by the explicit seed carried in
 its task (never by shared RNG state), so a campaign's outcome is a pure
-function of its task list.  :func:`derive_seed` turns a base seed plus any
-hashable coordinates into a stable per-task seed for callers that want many
-distinct-but-reproducible seeds without enumerating them by hand.
+function of its task list.
 """
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -56,7 +53,6 @@ __all__ = [
     "grid_sweep_tasks",
     "stress_test_tasks",
     "exhaustive_check_tasks",
-    "derive_seed",
     "task_store_key",
     "ParallelCampaignEngine",
 ]
@@ -307,15 +303,17 @@ def check_one(
     delta and the quotient statistics all land on a
     :class:`VerificationReport` with ``kind="check"``, so exhaustive checks
     ride the same serial/parallel campaign machinery as bounded walks.  A
-    tripped state budget (or any other failure) is reported, not raised.
-    The exploration runs on the one successor kernel,
-    :class:`~repro.engine.transition.AlgorithmTransitionSystem`.
+    tripped state budget (or any other failure of the check) is reported,
+    not raised; argument errors, such as an unknown ``reduction``, raise
+    :class:`ValueError`.  The exploration runs on the one successor
+    kernel, :class:`~repro.engine.transition.AlgorithmTransitionSystem`.
 
     ``store`` (a :class:`~repro.engine.store.VerdictStore`) memoizes the
     report, and only it, under :func:`~repro.engine.spec.check_task_key`:
     the algorithm's name and content digest, with ``max_states`` in the
     key, so a budget-tripped verdict never masquerades as a full one.
     """
+    reduction = normalize_reduction(reduction)
     if store is not None:
         from .spec import check_task_key  # local import: spec imports this module
 
@@ -332,11 +330,11 @@ def _run_check_one(
     m: int,
     n: int,
     model: str,
-    reduction: Optional[str],
+    reduction: str,
     max_states: int,
     backend: Optional["ExecutionBackend"],
 ) -> VerificationReport:
-    """The uncached body of :func:`check_one`."""
+    """The uncached body of :func:`check_one` (``reduction`` already normalized)."""
     from ..checking.model_checker import (  # local import: avoids a layering cycle
         check_terminating_exploration,
     )
@@ -363,7 +361,7 @@ def _run_check_one(
             moves=0,
             reason=f"{type(exc).__name__}: {exc}",
             kind="check",
-            reduction=normalize_reduction(reduction),
+            reduction=reduction,
         )
     stats = result.matcher_stats
     return VerificationReport(
@@ -396,7 +394,9 @@ class CampaignTask:
     raises ``TypeError``.  ``kind`` selects the execution engine:
     ``"walk"`` runs one bounded execution (driven by
     ``seed``/``tie_break``/``max_steps``), ``"check"`` runs the exhaustive
-    model checker (driven by ``reduction``/``max_states``).
+    model checker (driven by ``reduction``/``max_states``).  Any other
+    ``kind``, and a check's unknown ``reduction``, raise
+    :class:`ValueError` at construction.
 
     The dataclass ``repr`` — the algorithm appears as its name and content
     digest — is part of every campaign id
@@ -424,6 +424,12 @@ class CampaignTask:
             raise TypeError(
                 f"CampaignTask.algorithm must be an Algorithm, got {type(self.algorithm).__name__}"
             )
+        if self.kind not in ("walk", "check"):
+            raise ValueError(f"CampaignTask.kind must be 'walk' or 'check', got {self.kind!r}")
+        if self.kind == "check":
+            # Validated only: the field keeps its spelling, because the
+            # task repr is part of campaign ids.
+            normalize_reduction(self.reduction)
 
 
 def run_task(task: CampaignTask, backend: Optional["ExecutionBackend"] = None) -> VerificationReport:
@@ -549,17 +555,6 @@ def exhaustive_check_tasks(
         for m, n in sizes
         if algorithm.supports_grid(m, n)
     ]
-
-
-def derive_seed(base: int, *coordinates) -> int:
-    """A stable 63-bit seed derived from a base seed and any coordinates.
-
-    Pure function of its arguments (SHA-256 over their repr), so campaigns
-    that need one distinct seed per ``(grid, model, run)`` cell stay fully
-    reproducible without enumerating seeds by hand.
-    """
-    digest = hashlib.sha256(repr((base,) + coordinates).encode("utf-8")).digest()
-    return int.from_bytes(digest[:8], "big") >> 1
 
 
 # ---------------------------------------------------------------------------

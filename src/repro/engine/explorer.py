@@ -38,7 +38,7 @@ from ..core.grid import Grid, Node
 from .profile import KernelProfile, profiling_enabled
 from .states import SchedulerState
 from .symmetry import GridSymmetry, canonicalize, grid_symmetries, normalize_reduction
-from .transition import MODELS, AlgorithmTransitionSystem, TransitionSystem
+from .transition import MODELS, AlgorithmTransitionSystem
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (avoids a module cycle)
     from .backend import ExecutionBackend
@@ -110,7 +110,7 @@ class Exploration:
 
 
 def explore(
-    ts: TransitionSystem,
+    ts: AlgorithmTransitionSystem,
     *,
     reduction: Optional[str] = None,
     max_states: int = 200_000,

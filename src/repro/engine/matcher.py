@@ -255,10 +255,6 @@ class LocalMatcher:
             self.stats.hits += 1
         return cached
 
-    def matches_for_snapshot(self, snapshot: Snapshot, color: str) -> Tuple[Match, ...]:
-        """Matches against a live snapshot dictionary (memoized via freezing)."""
-        return self.matches_for_frozen(tuple(sorted(snapshot.items())), color)
-
     def enabled(self, robots: Iterable, center: Node, color: str) -> bool:
         """Whether some rule matches some view of a robot at ``center``."""
         return bool(self.matches(robots, center, color))
@@ -397,8 +393,3 @@ class MatcherCache:
     def entry_count(self) -> int:
         """Total number of memoized entries across all algorithms and tables."""
         return sum(len(table) for tables in self._tables.values() for table in tables)
-
-    def clear(self) -> None:
-        self._tables.clear()
-        self._first.clear()
-        self._stats.clear()

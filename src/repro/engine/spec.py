@@ -42,7 +42,7 @@ service resolves those names:
   turn untrusted JSON payloads into validated specs, raising
   :class:`SpecError` with the offending **field named** (the service maps
   that to a 400 whose body tells the client what to fix);
-* :func:`result_payload` / :func:`report_payload` split a result dataclass
+* :func:`result_payload` splits a result dataclass
   into its ``verdict`` (the ``compare=True`` fields — a pure function of
   the spec, byte-identical however the work was routed or cached) and its
   ``observability`` (the ``compare=False`` channels: ``store_stats``,
@@ -57,7 +57,7 @@ from __future__ import annotations
 import dataclasses
 from typing import Dict, List, Optional, Tuple
 
-from ..core.algorithm import Algorithm
+from ..core.algorithm import Algorithm, Synchrony
 from .store import content_key
 from .symmetry import normalize_reduction
 from .walk import TieBreak
@@ -74,10 +74,9 @@ __all__ = [
     "campaign_id",
     "canonical_json",
     "result_payload",
-    "report_payload",
 ]
 
-MODELS = ("FSYNC", "SSYNC", "ASYNC")
+MODELS = Synchrony.ORDER
 
 _REQUIRED = object()
 
@@ -465,8 +464,3 @@ def result_payload(result) -> Dict[str, object]:
         (verdict if field.compare else observability)[field.name] = value
     verdict["ok"] = result.ok
     return {"verdict": verdict, "observability": observability}
-
-
-#: ``result_payload`` under the name campaign consumers expect.
-report_payload = result_payload
-

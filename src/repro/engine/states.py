@@ -38,7 +38,6 @@ __all__ = [
     "initial_state",
     "world_from_state",
     "freeze_snapshot",
-    "thaw_snapshot",
 ]
 
 #: Frozen snapshot: sorted tuple of (offset, content) pairs; content is None
@@ -182,9 +181,6 @@ class SchedulerState:
     def occupied_nodes(self) -> Tuple[Node, ...]:
         return tuple(sorted({robot.pos for robot in self.robots}))
 
-    def positions_and_colors(self) -> Tuple[Tuple[Node, str], ...]:
-        return tuple(sorted((robot.pos, robot.color) for robot in self.robots))
-
     def all_idle(self) -> bool:
         return all(robot.phase == "idle" for robot in self.robots)
 
@@ -233,8 +229,3 @@ def world_from_state(grid: Grid, state: SchedulerState) -> World:
 def freeze_snapshot(snapshot) -> FrozenSnapshot:
     """Canonicalise a snapshot dictionary into a hashable tuple."""
     return tuple(sorted(snapshot.items()))
-
-
-def thaw_snapshot(frozen: FrozenSnapshot):
-    """Inverse of :func:`freeze_snapshot`."""
-    return dict(frozen)

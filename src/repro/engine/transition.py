@@ -18,12 +18,14 @@ verdict.
 
 Semantics notes (shared by both implementations):
 
-* **FSYNC** branches over every combination of per-robot action choices
-  (ties between distinct enabled actions are resolved by the scheduler,
-  hence adversarially).
-* **SSYNC** additionally branches over every non-empty subset of *enabled*
-  robots; activating a disabled robot is a no-op, so restricting to enabled
+* **SSYNC** branches over every non-empty subset of *enabled* robots and
+  every combination of their action choices (ties between distinct
+  enabled actions are resolved by the scheduler, hence adversarially);
+  activating a disabled robot is a no-op, so restricting to enabled
   robots loses no behaviours.
+* **FSYNC** is SSYNC with every enabled robot activated, the
+  :class:`~repro.core.scheduler.FullActivation` schedule: it runs through
+  the same successor function, on the full enabled set only.
 * **ASYNC** exposes three atomic steps per cycle (Look / Compute / Move);
   the color change decided during Compute becomes visible before the Move,
   which is the paper's "intermediate configuration".  A Look by a robot
@@ -37,36 +39,18 @@ Semantics notes (shared by both implementations):
 from __future__ import annotations
 
 from itertools import combinations, product
-from typing import List, Optional, Protocol, Sequence, Tuple, runtime_checkable
+from typing import List, Optional, Sequence, Tuple
 
-from ..core.algorithm import Algorithm
+from ..core.algorithm import Algorithm, Synchrony
 from ..core.errors import IllegalMoveError
 from ..core.grid import Grid
 from .matcher import LocalMatcher
 from .states import AsyncRobotState, SchedulerState, freeze_snapshot, initial_state
 
-__all__ = ["MODELS", "TransitionSystem", "AlgorithmTransitionSystem"]
+__all__ = ["MODELS", "AlgorithmTransitionSystem"]
 
 #: The synchrony models the kernel implements.
-MODELS = ("FSYNC", "SSYNC", "ASYNC")
-
-
-@runtime_checkable
-class TransitionSystem(Protocol):
-    """What every engine consumer needs from a transition system.
-
-    ``initial()`` is the canonical start state; ``successors(state)`` is the
-    complete list of states one scheduler step can reach.  A state with no
-    successors is terminal.
-    """
-
-    algorithm: Algorithm
-    grid: Grid
-    model: str
-
-    def initial(self) -> SchedulerState: ...
-
-    def successors(self, state: SchedulerState) -> List[SchedulerState]: ...
+MODELS = Synchrony.ORDER
 
 
 class AlgorithmTransitionSystem:
@@ -88,24 +72,14 @@ class AlgorithmTransitionSystem:
         self.grid = grid
         self.model = model
         self.matcher = matcher if matcher is not None else LocalMatcher(algorithm, grid)
-        self._expand = {
-            "FSYNC": self._successors_fsync,
-            "SSYNC": self._successors_ssync,
-            "ASYNC": self._successors_async,
-        }[model]
+        self._expand = self._successors_async if model == "ASYNC" else self._successors_synchronous
 
-    # ------------------------------------------------------------------
-    # TransitionSystem protocol
-    # ------------------------------------------------------------------
     def initial(self) -> SchedulerState:
         return initial_state(self.algorithm, self.grid)
 
     def successors(self, state: SchedulerState) -> List[SchedulerState]:
         """All scheduler-reachable successor states of ``state``."""
         return self._expand(state)
-
-    def is_terminal(self, state: SchedulerState) -> bool:
-        return not self._expand(state)
 
     # ------------------------------------------------------------------
     # Shared helpers
@@ -153,32 +127,23 @@ class AlgorithmTransitionSystem:
     # ------------------------------------------------------------------
     # FSYNC / SSYNC
     # ------------------------------------------------------------------
-    def _successors_fsync(self, state: SchedulerState) -> List[SchedulerState]:
-        choices = self._enabled_choices(state)
-        if not choices:
-            return []
-        successors = []
-        for combo in product(*[actions for _, actions in choices]):
-            moves = [
-                (index, action.new_color, action.world_move)
-                for (index, _), action in zip(choices, combo)
-            ]
-            successors.append(self._apply_synchronous(state, moves))
-        return successors
+    def _successors_synchronous(self, state: SchedulerState) -> List[SchedulerState]:
+        """One successor per activation set and per choice of actions in it.
 
-    def _successors_ssync(self, state: SchedulerState) -> List[SchedulerState]:
+        SSYNC activates every non-empty subset of the enabled robots,
+        smallest first; FSYNC only the full enabled set.
+        """
         choices = self._enabled_choices(state)
         if not choices:
             return []
+        smallest = len(choices) if self.model == "FSYNC" else 1
         successors = []
-        indices = [index for index, _ in choices]
-        by_index = dict(choices)
-        for size in range(1, len(indices) + 1):
-            for subset in combinations(indices, size):
-                for combo in product(*[by_index[index] for index in subset]):
+        for size in range(smallest, len(choices) + 1):
+            for subset in combinations(choices, size):
+                for combo in product(*[actions for _, actions in subset]):
                     moves = [
                         (index, action.new_color, action.world_move)
-                        for index, action in zip(subset, combo)
+                        for (index, _), action in zip(subset, combo)
                     ]
                     successors.append(self._apply_synchronous(state, moves))
         return successors

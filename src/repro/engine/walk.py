@@ -12,7 +12,10 @@ an independent check of the kernel.  The differential test in
 rule tables, seeded walks must stay within each table's exhaustive
 verdict.  The engines:
 
-* :func:`run_fsync` — every robot executes a full cycle at every instant;
+* :func:`run_fsync` — every robot executes a full cycle at every instant.
+  That is SSYNC with every enabled robot activated (activating a disabled
+  robot is a no-op), so FSYNC runs through the SSYNC loop under the
+  :class:`~repro.core.scheduler.FullActivation` scheduler;
 * :func:`run_ssync` — a scheduler-selected non-empty subset of the robots
   executes a full synchronous cycle at every instant;
 * :func:`run_async` — Look, Compute and Move phases of different robots
@@ -20,6 +23,11 @@ verdict.  The engines:
   visible *before* the corresponding Move, which is exactly the
   "intermediate configuration" the paper reasons about for its ASYNC
   algorithms.
+
+A walk records its initial configuration and its events, nothing else:
+the :class:`~repro.core.execution.ExecutionResult` derives the trace, the
+final configuration and the visited nodes from those two, so a campaign
+walk that reads only the verdict builds one configuration.
 
 Nondeterministic rule/view selection (Section 2.2: "one combination of a
 view and a rule is selected by the scheduler") is resolved by a tie-break
@@ -37,7 +45,7 @@ that run many executions of the same algorithm (campaigns, scaling sweeps)
 can pass ``matcher=`` explicitly — typically obtained from a
 :class:`~repro.engine.matcher.MatcherCache` — to start every run warm.
 
-The synchronous engines step through a *batched* fast path: each round the
+The synchronous loop steps through a *batched* fast path: each round the
 matcher builds one neighbourhood index for the whole configuration and
 evaluates every robot's matches in a single pass
 (:meth:`~repro.engine.matcher.LocalMatcher.batched_matches`), and those
@@ -49,19 +57,25 @@ check-then-execute loop would make.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..core.algorithm import Action, Algorithm, Match
+from ..core.algorithm import Algorithm, Match
 from ..core.configuration import Configuration
 from ..core.errors import AmbiguousActionError, SimulationError
 from ..core.execution import Event, ExecutionResult
-from ..core.grid import Grid, Node
+from ..core.grid import Grid
 from ..core.robot import Robot
-from ..core.scheduler import AsyncScheduler, RandomAsync, RandomSubset, SsyncScheduler
-from ..core.views import Snapshot
+from ..core.scheduler import (
+    AsyncScheduler,
+    FullActivation,
+    RandomAsync,
+    RandomSubset,
+    SsyncScheduler,
+)
 from ..core.world import World
 from .matcher import LocalMatcher
+from .states import FrozenSnapshot, freeze_snapshot
 
 __all__ = [
     "TieBreak",
@@ -121,57 +135,29 @@ def _resolve(
     )
 
 
-def _visit(visited: Set[Node], world: World) -> None:
-    for robot in world.robots:
-        visited.add(robot.pos)
-
-
-@dataclass(slots=True)
-class _Recorder:
-    """Shared bookkeeping between the three execution engines."""
-
-    algorithm: Algorithm
-    world: World
-    model: str
-    record_trace: bool
-    seed: Optional[int] = None
-    tie_break: Optional[str] = None
-    trace: List[Configuration] = field(default_factory=list)
-    events: List[Event] = field(default_factory=list)
-    visited: Set[Node] = field(default_factory=set)
-    initial: Configuration = field(init=False)
-
-    def __post_init__(self) -> None:
-        _visit(self.visited, self.world)
-        self.initial = self.world.configuration()
-        if self.record_trace:
-            self.trace.append(self.initial)
-
-    def snapshot_config(self) -> None:
-        if self.record_trace:
-            config = self.world.configuration()
-            if not self.trace or self.trace[-1] != config:
-                self.trace.append(config)
-
-    def result(self, steps: int, terminated: bool, reason: str) -> ExecutionResult:
-        final = self.world.configuration()
-        if self.record_trace and (not self.trace or self.trace[-1] != final):
-            self.trace.append(final)
-        return ExecutionResult(
-            algorithm_name=self.algorithm.name,
-            model=self.model,
-            grid=self.world.grid,
-            initial=self.initial,
-            final=final,
-            trace=self.trace,
-            events=self.events,
-            visited=self.visited,
-            steps=steps,
-            terminated=terminated,
-            termination_reason=reason,
-            seed=self.seed,
-            tie_break=self.tie_break,
-        )
+def _result(
+    algorithm: Algorithm,
+    grid: Grid,
+    model: str,
+    initial: Configuration,
+    events: List[Event],
+    steps: int,
+    terminated: bool,
+    seed: int,
+    tie_break: str,
+) -> ExecutionResult:
+    return ExecutionResult(
+        algorithm_name=algorithm.name,
+        model=model,
+        grid=grid,
+        initial=initial,
+        events=events,
+        steps=steps,
+        terminated=terminated,
+        termination_reason="terminal" if terminated else "max_steps",
+        seed=seed,
+        tie_break=tie_break,
+    )
 
 
 def _enabled_robots(matcher: LocalMatcher, world: World) -> List[Robot]:
@@ -183,7 +169,7 @@ def _enabled_robots(matcher: LocalMatcher, world: World) -> List[Robot]:
 def _round_matches(matcher: LocalMatcher, world: World) -> List[Tuple[Robot, Tuple[Match, ...]]]:
     """``(robot, matches)`` for every *enabled* robot, via one batched pass.
 
-    This is the synchronous engines' per-round fast path: the matcher builds
+    This is the synchronous loop's per-round fast path: the matcher builds
     the neighbourhood index once for the whole configuration, and the
     returned matches are reused for the round execution instead of being
     recomputed per activated robot.
@@ -196,7 +182,8 @@ def _round_matches(matcher: LocalMatcher, world: World) -> List[Tuple[Robot, Tup
 # ---------------------------------------------------------------------------
 def _synchronous_round(
     algorithm: Algorithm,
-    recorder: _Recorder,
+    world: World,
+    events: List[Event],
     active: Sequence[Tuple[Robot, Tuple[Match, ...]]],
     round_index: int,
     tie_break: str,
@@ -208,7 +195,6 @@ def _synchronous_round(
     matches were computed against it in one batched pass — and their color
     changes and movements are applied simultaneously afterwards.
     """
-    world = recorder.world
     decisions: List[Tuple[Robot, Match]] = [
         (robot, _resolve(algorithm, matches, tie_break, rng)) for robot, matches in active
     ]
@@ -218,7 +204,7 @@ def _synchronous_round(
         world.set_color(robot.rid, match.action.new_color)
     for robot, match in decisions:
         new_pos = world.move(robot.rid, match.action.world_move)
-        recorder.events.append(
+        events.append(
             Event(
                 time=round_index,
                 rid=robot.rid,
@@ -231,8 +217,43 @@ def _synchronous_round(
                 new_color=match.action.new_color,
             )
         )
-    _visit(recorder.visited, world)
-    recorder.snapshot_config()
+
+
+def _run_synchronous(
+    algorithm: Algorithm,
+    grid: Grid,
+    model: str,
+    scheduler: SsyncScheduler,
+    max_steps: Optional[int],
+    tie_break: str,
+    seed: int,
+    matcher: Optional[LocalMatcher],
+) -> ExecutionResult:
+    """The FSYNC/SSYNC loop: each round ``scheduler`` activates some enabled robots."""
+    TieBreak.validate(tie_break)
+    rng = random.Random(seed)
+    matcher = matcher if matcher is not None else LocalMatcher(algorithm, grid)
+    world = algorithm.initial_world(grid)
+    initial = world.configuration()
+    events: List[Event] = []
+    budget = max_steps if max_steps is not None else default_step_budget(grid, algorithm.k, model)
+
+    steps = budget
+    for round_index in range(budget):
+        enabled = _round_matches(matcher, world)
+        if not enabled:
+            steps = round_index
+            break
+        # checked_select returns rids sorted, so the activated robots act
+        # in rid order: that order fixes the order in which tie-break
+        # randomness is consumed and events land.
+        chosen = scheduler.checked_select(round_index, [robot.rid for robot, _ in enabled])
+        by_rid = {robot.rid: (robot, matches) for robot, matches in enabled}
+        _synchronous_round(
+            algorithm, world, events, [by_rid[rid] for rid in chosen], round_index, tie_break, rng
+        )
+    terminated = steps < budget or not _round_matches(matcher, world)
+    return _result(algorithm, grid, model, initial, events, steps, terminated, seed, tie_break)
 
 
 def run_fsync(
@@ -241,30 +262,19 @@ def run_fsync(
     max_steps: Optional[int] = None,
     tie_break: str = TieBreak.ERROR,
     seed: int = 0,
-    record_trace: bool = True,
     matcher: Optional[LocalMatcher] = None,
 ) -> ExecutionResult:
     """Simulate the algorithm under the fully synchronous scheduler.
 
-    ``matcher`` may be supplied (typically from a shared
+    FSYNC is SSYNC under :class:`~repro.core.scheduler.FullActivation`:
+    the run is :func:`run_ssync`'s loop with every enabled robot activated
+    each round.  ``matcher`` may be supplied (typically from a shared
     :class:`~repro.engine.matcher.MatcherCache`) to reuse snapshot/match
     memo tables across runs; by default each run gets a private one.
     """
-    TieBreak.validate(tie_break)
-    rng = random.Random(seed)
-    matcher = matcher if matcher is not None else LocalMatcher(algorithm, grid)
-    world = algorithm.initial_world(grid)
-    recorder = _Recorder(algorithm, world, "FSYNC", record_trace, seed=seed, tie_break=tie_break)
-    budget = max_steps if max_steps is not None else default_step_budget(grid, algorithm.k, "FSYNC")
-
-    for round_index in range(budget):
-        enabled = _round_matches(matcher, world)
-        if not enabled:
-            return recorder.result(round_index, True, "terminal")
-        _synchronous_round(algorithm, recorder, enabled, round_index, tie_break, rng)
-    terminated = not _round_matches(matcher, world)
-    reason = "terminal" if terminated else "max_steps"
-    return recorder.result(budget, terminated, reason)
+    return _run_synchronous(
+        algorithm, grid, "FSYNC", FullActivation(), max_steps, tie_break, seed, matcher
+    )
 
 
 def run_ssync(
@@ -274,32 +284,11 @@ def run_ssync(
     max_steps: Optional[int] = None,
     tie_break: str = TieBreak.FIRST,
     seed: int = 0,
-    record_trace: bool = True,
     matcher: Optional[LocalMatcher] = None,
 ) -> ExecutionResult:
     """Simulate the algorithm under a semi-synchronous scheduler."""
-    TieBreak.validate(tie_break)
-    rng = random.Random(seed)
     scheduler = scheduler if scheduler is not None else RandomSubset(seed=seed)
-    matcher = matcher if matcher is not None else LocalMatcher(algorithm, grid)
-    world = algorithm.initial_world(grid)
-    recorder = _Recorder(algorithm, world, "SSYNC", record_trace, seed=seed, tie_break=tie_break)
-    budget = max_steps if max_steps is not None else default_step_budget(grid, algorithm.k, "SSYNC")
-
-    for round_index in range(budget):
-        enabled = _round_matches(matcher, world)
-        if not enabled:
-            return recorder.result(round_index, True, "terminal")
-        chosen = scheduler.checked_select(round_index, [robot.rid for robot, _ in enabled])
-        by_rid = {robot.rid: (robot, matches) for robot, matches in enabled}
-        # Preserve the scheduler's activation order exactly (it fixes the
-        # order in which tie-break randomness is consumed and events land).
-        _synchronous_round(
-            algorithm, recorder, [by_rid[rid] for rid in chosen], round_index, tie_break, rng
-        )
-    terminated = not _round_matches(matcher, world)
-    reason = "terminal" if terminated else "max_steps"
-    return recorder.result(budget, terminated, reason)
+    return _run_synchronous(algorithm, grid, "SSYNC", scheduler, max_steps, tie_break, seed, matcher)
 
 
 # ---------------------------------------------------------------------------
@@ -310,10 +299,8 @@ class _AsyncRobotState:
     """Per-robot cycle state in the ASYNC engine."""
 
     phase: str = "idle"  # "idle" -> "looked" -> "computed" -> "idle"
-    snapshot: Optional[Snapshot] = None
-    pending: Optional[Action] = None
-    pending_rule: Optional[str] = None
-    pending_symmetry: Optional[str] = None
+    snapshot: Optional[FrozenSnapshot] = None
+    pending: Optional[Match] = None
 
 
 def run_async(
@@ -323,7 +310,6 @@ def run_async(
     max_steps: Optional[int] = None,
     tie_break: str = TieBreak.FIRST,
     seed: int = 0,
-    record_trace: bool = True,
     matcher: Optional[LocalMatcher] = None,
 ) -> ExecutionResult:
     """Simulate the algorithm under an asynchronous scheduler.
@@ -337,21 +323,24 @@ def run_async(
       the pending movement;
     * ``move`` — the robot performs the recorded movement.
 
-    A robot that is not enabled at Look time is not offered a Look step:
-    its whole cycle would be a no-op and skipping it does not change the
-    set of reachable configurations (it only avoids unbounded stuttering in
-    bounded simulations).
+    The snapshot is stored frozen and matched at Compute the way the
+    kernel matches its stored snapshots.  A robot that is not enabled at
+    Look time is not offered a Look step: its whole cycle would be a no-op
+    and skipping it does not change the set of reachable configurations
+    (it only avoids unbounded stuttering in bounded simulations).
     """
     TieBreak.validate(tie_break)
     rng = random.Random(seed)
     scheduler = scheduler if scheduler is not None else RandomAsync(seed=seed)
     matcher = matcher if matcher is not None else LocalMatcher(algorithm, grid)
     world = algorithm.initial_world(grid)
-    recorder = _Recorder(algorithm, world, "ASYNC", record_trace, seed=seed, tie_break=tie_break)
+    initial = world.configuration()
+    events: List[Event] = []
     budget = max_steps if max_steps is not None else default_step_budget(grid, algorithm.k, "ASYNC")
 
     states: Dict[int, _AsyncRobotState] = {robot.rid: _AsyncRobotState() for robot in world.robots}
 
+    steps = budget
     for step_index in range(budget):
         candidates: List[Tuple[int, str]] = []
         for robot in world.robots:
@@ -363,16 +352,17 @@ def run_async(
             elif matcher.enabled(world.robots, robot.pos, robot.color):
                 candidates.append((robot.rid, "look"))
         if not candidates:
-            return recorder.result(step_index, True, "terminal")
+            steps = step_index
+            break
 
         rid, phase = scheduler.checked_choose(step_index, candidates)
         robot = world.robot(rid)
         state = states[rid]
 
         if phase == "look":
-            state.snapshot = matcher.snapshot(world.robots, robot.pos)
+            state.snapshot = freeze_snapshot(matcher.snapshot(world.robots, robot.pos))
             state.phase = "looked"
-            recorder.events.append(
+            events.append(
                 Event(
                     time=step_index,
                     rid=rid,
@@ -386,19 +376,16 @@ def run_async(
                 )
             )
         elif phase == "compute":
-            assert state.snapshot is not None
-            matches = matcher.matches_for_snapshot(state.snapshot, robot.color)
+            matches = matcher.matches_for_frozen(state.snapshot, robot.color)
+            state.snapshot = None
             if not matches:
                 state.phase = "idle"
-                state.snapshot = None
             else:
                 match = _resolve(algorithm, matches, tie_break, rng)
                 world.set_color(rid, match.action.new_color)
-                state.pending = match.action
-                state.pending_rule = match.rule.name
-                state.pending_symmetry = match.symmetry.name
+                state.pending = match
                 state.phase = "computed"
-                recorder.events.append(
+                events.append(
                     Event(
                         time=step_index,
                         rid=rid,
@@ -411,17 +398,16 @@ def run_async(
                         new_color=match.action.new_color,
                     )
                 )
-                recorder.snapshot_config()
         elif phase == "move":
-            assert state.pending is not None
-            new_pos = world.move(rid, state.pending.world_move)
-            recorder.events.append(
+            match = state.pending
+            new_pos = world.move(rid, match.action.world_move)
+            events.append(
                 Event(
                     time=step_index,
                     rid=rid,
                     phase="move",
-                    rule=state.pending_rule,
-                    symmetry=state.pending_symmetry,
+                    rule=match.rule.name,
+                    symmetry=match.symmetry.name,
                     old_pos=robot.pos,
                     new_pos=new_pos,
                     old_color=robot.color,
@@ -429,20 +415,16 @@ def run_async(
                 )
             )
             state.phase = "idle"
-            state.snapshot = None
             state.pending = None
-            state.pending_rule = None
-            state.pending_symmetry = None
-            _visit(recorder.visited, world)
-            recorder.snapshot_config()
         else:  # pragma: no cover - defensive
             raise SimulationError(f"unknown ASYNC phase {phase!r}")
 
     # Budget exhausted: terminal only if every robot is idle and disabled.
-    all_idle = all(state.phase == "idle" for state in states.values())
-    terminated = all_idle and not _enabled_robots(matcher, world)
-    reason = "terminal" if terminated else "max_steps"
-    return recorder.result(budget, terminated, reason)
+    terminated = steps < budget or (
+        all(state.phase == "idle" for state in states.values())
+        and not _enabled_robots(matcher, world)
+    )
+    return _result(algorithm, grid, "ASYNC", initial, events, steps, terminated, seed, tie_break)
 
 
 def run(

@@ -33,7 +33,6 @@ from .app import (
     ServiceHandler,
     VerificationServer,
     VerificationService,
-    build_server,
     start_in_thread,
 )
 from .client import ClientError, ServiceClient
@@ -48,6 +47,5 @@ __all__ = [
     "TokenBucketLimiter",
     "VerificationServer",
     "VerificationService",
-    "build_server",
     "start_in_thread",
 ]

@@ -88,7 +88,6 @@ __all__ = [
     "VerificationService",
     "VerificationServer",
     "ServiceHandler",
-    "build_server",
     "start_in_thread",
 ]
 
@@ -533,18 +532,6 @@ class VerificationServer(ThreadingHTTPServer):
     def url(self) -> str:
         host, port = self.server_address[:2]
         return f"http://{host}:{port}"
-
-
-def build_server(
-    host: str = "127.0.0.1",
-    port: int = 0,
-    service: Optional[VerificationService] = None,
-    **service_kwargs,
-) -> VerificationServer:
-    """Bind a :class:`VerificationServer` (``port=0`` picks a free port)."""
-    if service is None:
-        service = VerificationService(**service_kwargs)
-    return VerificationServer((host, port), service)
 
 
 def start_in_thread(

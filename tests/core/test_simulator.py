@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.algorithms import get
+from repro.algorithms import get, names
 from repro.core import (
     FullActivation,
     Grid,
@@ -21,6 +21,8 @@ from repro.core import (
 )
 from repro.core.errors import SchedulerError, SimulationError
 from repro.core.scheduler import SsyncScheduler
+from repro.core.world import World
+from repro.engine import default_grid_suite, verify_one
 
 
 class TestFsyncEngine:
@@ -50,11 +52,6 @@ class TestFsyncEngine:
     def test_invalid_tie_break_rejected(self, algorithm1):
         with pytest.raises(SimulationError):
             run_fsync(algorithm1, Grid(3, 4), tie_break="whatever")
-
-    def test_record_trace_false_still_reports_result(self, algorithm1):
-        result = run_fsync(algorithm1, Grid(3, 4), record_trace=False)
-        assert result.is_terminating_exploration
-        assert len(result.trace) <= 1 + 1
 
 
 class TestSsyncEngine:
@@ -115,6 +112,48 @@ class TestAsyncEngine:
             and any(colors == ("W",) for _node, colors in config)
         ]
         assert intermediates, "expected the B-recolored intermediate configuration in the trace"
+
+
+class TestEventsFirstResult:
+    """A result holds ``initial`` and ``events``; trace, final and visited derive from them."""
+
+    @pytest.mark.parametrize("model", ["FSYNC", "SSYNC", "ASYNC"])
+    def test_a_campaign_walk_builds_one_configuration(self, model, monkeypatch):
+        built = []
+        configuration = World.configuration
+
+        def counted(world):
+            built.append(world)
+            return configuration(world)
+
+        monkeypatch.setattr(World, "configuration", counted)
+        report = verify_one(get("async_phi2_l3_chir_k2"), 4, 5, model=model, tie_break="first")
+        assert report.ok and report.steps > 1
+        assert len(built) == 1
+
+    @pytest.mark.parametrize("model", ["FSYNC", "SSYNC", "ASYNC"])
+    @pytest.mark.parametrize("name", names())
+    def test_trace_final_and_visited_agree(self, name, model):
+        algorithm = get(name)
+        m0, n0 = algorithm.min_m, algorithm.min_n
+        for m, n in ((m0, n0), (m0 + 1, n0 + 1)):
+            result = run(algorithm, Grid(m, n), model, tie_break="random", seed=0)
+            trace = result.trace
+            assert trace[0] == result.initial and trace[-1] == result.final
+            assert all(before != after for before, after in zip(trace, trace[1:]))
+            assert all(config.robot_count == algorithm.k for config in trace)
+            assert result.visited == {node for config in trace for node in config.occupied_nodes()}
+
+    @pytest.mark.parametrize("name", names())
+    def test_fsync_is_ssync_under_full_activation(self, name):
+        algorithm = get(name)
+        for m, n in default_grid_suite(algorithm, max_side=7):
+            fsync = run_fsync(algorithm, Grid(m, n), tie_break="random", seed=1)
+            ssync = run_ssync(
+                algorithm, Grid(m, n), scheduler=FullActivation(), tie_break="random", seed=1
+            )
+            assert fsync.events == ssync.events
+            assert fsync.trace == ssync.trace
 
 
 class TestDispatcher:

@@ -14,7 +14,6 @@ from repro.engine import (
     AlgorithmTransitionSystem,
     AsyncRobotState,
     LocalMatcher,
-    TransitionSystem,
     default_grid_suite,
     explore,
     initial_state,
@@ -26,10 +25,6 @@ from repro.verification import campaigns
 
 
 class TestTransitionSystem:
-    def test_algorithm_transition_system_satisfies_protocol(self):
-        ts = AlgorithmTransitionSystem(get("fsync_phi2_l2_chir_k2"), Grid(3, 4), "FSYNC")
-        assert isinstance(ts, TransitionSystem)
-
     def test_unknown_model_rejected(self):
         with pytest.raises(ValueError):
             AlgorithmTransitionSystem(get("fsync_phi2_l2_chir_k2"), Grid(3, 4), "HSYNC")

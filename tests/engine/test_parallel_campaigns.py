@@ -17,7 +17,7 @@ from repro.engine import (
     ParallelCampaignEngine,
     PoolBackend,
     VerdictStore,
-    derive_seed,
+    check_one,
     execute_tasks,
     grid_sweep_tasks,
     run_task,
@@ -51,6 +51,18 @@ class TestTaskLists:
     def test_a_task_refuses_anything_but_an_algorithm(self, algorithm):
         with pytest.raises(TypeError, match="CampaignTask.algorithm must be an Algorithm"):
             CampaignTask(algorithm=algorithm, m=3, n=4)
+
+    def test_a_task_refuses_an_unknown_kind(self, algorithm1):
+        with pytest.raises(ValueError, match="kind"):
+            CampaignTask(algorithm1, 3, 3, kind="bogus")
+
+    def test_a_bad_check_reduction_raises_before_any_check_runs(self, algorithm1):
+        with pytest.raises(ValueError, match="reduction"):
+            CampaignTask(algorithm1, 3, 3, kind="check", reduction="bogus")
+        with pytest.raises(ValueError, match="reduction") as raised:
+            check_one(algorithm1, 3, 3, reduction="bogus")
+        # Raised up front, not from inside the handler that reports failed checks.
+        assert raised.value.__context__ is None
 
 
 class TestParallelSerialParity:
@@ -163,21 +175,3 @@ class TestLayering:
         )
         assert result.returncode == 0, result.stderr
         assert result.stdout.split() == ["2", "False"]
-
-
-class TestSeedDerivation:
-    def test_derive_seed_is_deterministic(self):
-        assert derive_seed(0, 3, 4, "SSYNC") == derive_seed(0, 3, 4, "SSYNC")
-
-    def test_derive_seed_separates_coordinates(self):
-        seeds = {
-            derive_seed(0, m, n, model)
-            for m in (3, 4)
-            for n in (4, 5)
-            for model in ("SSYNC", "ASYNC")
-        }
-        assert len(seeds) == 8
-
-    def test_derive_seed_fits_in_63_bits(self):
-        for base in range(5):
-            assert 0 <= derive_seed(base, "x") < 2**63

@@ -217,7 +217,7 @@ def test_random_walks_stay_within_the_checked_verdict(seed):
             try:
                 walk = run(
                     tables[m, n], Grid(m, n), model,
-                    tie_break="random", seed=walk_seed, max_steps=STATE_CAP, record_trace=False,
+                    tie_break="random", seed=walk_seed, max_steps=STATE_CAP,
                 )
             except IllegalMoveError as error:
                 pytest.fail(f"{case}: the walk raised {error!r}, the check did not")
