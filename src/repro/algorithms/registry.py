@@ -44,10 +44,10 @@ def _discover() -> Dict[str, Algorithm]:
     return found
 
 
-def all_algorithms(refresh: bool = False) -> Dict[str, Algorithm]:
+def all_algorithms() -> Dict[str, Algorithm]:
     """All registered algorithms, keyed by name."""
     global _CACHE
-    if _CACHE is None or refresh:
+    if _CACHE is None:
         _CACHE = _discover()
     return dict(_CACHE)
 

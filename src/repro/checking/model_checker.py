@@ -235,7 +235,7 @@ def _run_check(
     )
     terminal_states = len(exploration.terminal_indices())
 
-    if has_cycle(exploration.succ):
+    if has_cycle(exploration):
         return CheckResult(
             algorithm=algorithm.name,
             model=model,

@@ -18,8 +18,9 @@ consumes the modules below:
   and, for chirality-free algorithms, reflections) and its quotient, the
   only state-space reduction (``reduction="grid"``; ``"none"`` explores
   unreduced);
-* :mod:`repro.engine.explorer` — frontier search, interning, cycle and
-  coverage analyses (the model checker's substrate), and
+* :mod:`repro.engine.explorer` — frontier search, interning, and one
+  Tarjan pass whose components serve the cycle and coverage analyses (the
+  model checker's and the Theorem 1 refuter's substrate), and
   :func:`explore_sharded`, the algorithm-level entry point that explores
   an ``(algorithm, grid, model)`` triple in the calling process;
 * :mod:`repro.engine.backend` — the :class:`ExecutionBackend` protocol
@@ -71,7 +72,6 @@ from .explorer import (
     explore_sharded,
     guaranteed_nodes,
     has_cycle,
-    topological_order,
 )
 from .matcher import LocalMatcher, MatcherCache, MatcherStats
 from .profile import PROFILE_ENV, KernelProfile, profiling_enabled
@@ -147,7 +147,6 @@ __all__ = [
     # durability
     "VerdictStore",
     "has_cycle",
-    "topological_order",
     "guaranteed_nodes",
     # walk
     "TieBreak",

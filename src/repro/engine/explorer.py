@@ -3,7 +3,7 @@
 The explorer searches the kernel's state space: starting from the
 transition system's initial state it discovers every reachable canonical
 state with a breadth-first frontier, interning states into dense integer
-indices (so the graph algorithms below run on plain int lists instead of
+indices (so the graph analyses below run on plain int lists instead of
 re-hashing dataclasses), and optionally quotienting the search by the grid
 automorphisms the algorithm cannot distinguish (``reduction="grid"``; see
 :mod:`repro.engine.symmetry`).
@@ -14,6 +14,13 @@ representative's coordinates back to the raw successor's.  Termination is
 preserved by the quotient (a quotient cycle lifts to an infinite — hence,
 on a finite space, cyclic — raw execution and vice versa); coverage is
 computed exactly by pushing guaranteed-node sets through the edge labels.
+
+Both verdict analyses read one iterative Tarjan pass (R. Tarjan, SIAM J.
+Comput. 1972) kept on the :class:`Exploration`: its strongly connected
+components, successors first.  :func:`has_cycle` asks whether one holds a
+cycle, and :func:`guaranteed_nodes` solves the coverage equations in that
+order, cycles included, which the Theorem 1 refuter
+(:mod:`repro.impossibility.refuter`) reads.
 
 :func:`explore_sharded` is the algorithm-level entry point the checking
 layer calls: it builds the
@@ -29,6 +36,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 from time import perf_counter
 from typing import TYPE_CHECKING, Dict, FrozenSet, List, Optional
 
@@ -48,7 +56,6 @@ __all__ = [
     "explore",
     "explore_sharded",
     "has_cycle",
-    "topological_order",
     "guaranteed_nodes",
 ]
 
@@ -59,15 +66,11 @@ class Exploration:
 
     #: Synchrony model the graph was built under.
     model: str
-    #: Whether the graph is the grid-automorphism quotient.
-    reduced: bool
-    #: Index -> canonical state (orbit representatives when ``reduced``).
+    #: Index -> canonical state (orbit representatives under ``"grid"``).
     states: List[SchedulerState]
-    #: Canonical state -> index (the interning table).
-    index: Dict[SchedulerState, int]
     #: Index -> successor indices.
     succ: List[List[int]]
-    #: When ``reduced``: per-edge witness ``h`` with ``raw = h(rep)``, a
+    #: Under ``"grid"``: per-edge witness ``h`` with ``raw = h(rep)``, a
     #: :class:`~repro.engine.symmetry.GridSymmetry` (``None`` entries mean
     #: the identity).  ``None`` when not reduced.
     edge_syms: Optional[List[List[Optional[GridSymmetry]]]]
@@ -81,8 +84,8 @@ class Exploration:
     #: snapshot/match memo layer.  ``None`` when the transition system
     #: does not expose a matcher.
     matcher_stats: Optional[Dict[str, float]] = field(default=None)
-    #: The reduction the graph was built under: ``"grid"`` when
-    #: ``reduced``, else ``"none"``.
+    #: The reduction the graph was built under: ``"grid"`` for the
+    #: grid-automorphism quotient, else ``"none"``.
     reduction: str = field(default="none")
     #: Quotient statistics of this exploration,
     #: ``{"grid": {"group_order", "orbit_collapses"}}``, where
@@ -107,6 +110,46 @@ class Exploration:
         """The state-keyed successor mapping (backward-compatible shape)."""
         states = self.states
         return {states[i]: [states[j] for j in children] for i, children in enumerate(self.succ)}
+
+    @cached_property
+    def components(self) -> List[List[int]]:
+        """The strongly connected components of :attr:`succ`, successors first.
+
+        One iterative Tarjan pass from the root (which reaches every
+        state), run on first read: a component is emitted only after every
+        component it reaches.  An emitted state is renumbered ``done``, above
+        every ``low`` link, which spares Tarjan's on-stack flags.
+        """
+        succ = self.succ
+        done = len(succ) + 1
+        number = [0] * len(succ)  # DFS number; 0 = not yet reached
+        low = [0] * len(succ)
+        number[self.root] = low[self.root] = counter = 1
+        stack, path = [self.root], [(self.root, iter(succ[self.root]))]
+        components: List[List[int]] = []
+        while path:
+            state, children = path[-1]
+            for child in children:
+                if not number[child]:
+                    counter += 1
+                    number[child] = low[child] = counter
+                    stack.append(child)
+                    path.append((child, iter(succ[child])))
+                    break
+                if number[child] < low[state]:
+                    low[state] = number[child]
+            else:
+                path.pop()
+                if path and low[state] < low[path[-1][0]]:
+                    low[path[-1][0]] = low[state]
+                if low[state] == number[state]:
+                    component = [stack.pop()]
+                    while component[-1] != state:
+                        component.append(stack.pop())
+                    for member in component:
+                        number[member] = done
+                    components.append(component)
+        return components
 
 
 def explore(
@@ -202,9 +245,7 @@ def explore(
 
     return Exploration(
         model=ts.model,
-        reduced=reduce,
         states=states,
-        index=index,
         succ=succ,
         edge_syms=edge_syms,
         root=0,
@@ -250,87 +291,65 @@ def explore_sharded(
 # ---------------------------------------------------------------------------
 # Graph analyses (over the interned int graph)
 # ---------------------------------------------------------------------------
-def has_cycle(succ: List[List[int]]) -> bool:
-    """Iterative three-color DFS cycle detection."""
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color = [WHITE] * len(succ)
-    for root in range(len(succ)):
-        if color[root] != WHITE:
-            continue
-        stack = [(root, 0)]
-        color[root] = GRAY
-        while stack:
-            state, child_index = stack[-1]
-            children = succ[state]
-            if child_index < len(children):
-                stack[-1] = (state, child_index + 1)
-                child = children[child_index]
-                if color[child] == GRAY:
-                    return True
-                if color[child] == WHITE:
-                    color[child] = GRAY
-                    stack.append((child, 0))
-            else:
-                color[state] = BLACK
-                stack.pop()
-    return False
-
-
-def topological_order(succ: List[List[int]]) -> List[int]:
-    """Reverse-postorder DFS: children appear before parents (valid for DAGs)."""
-    visited = [False] * len(succ)
-    order: List[int] = []
-    for root in range(len(succ)):
-        if visited[root]:
-            continue
-        stack = [(root, 0)]
-        visited[root] = True
-        while stack:
-            state, child_index = stack[-1]
-            children = succ[state]
-            if child_index < len(children):
-                stack[-1] = (state, child_index + 1)
-                child = children[child_index]
-                if not visited[child]:
-                    visited[child] = True
-                    stack.append((child, 0))
-            else:
-                order.append(state)
-                stack.pop()
-    return order
+def has_cycle(exploration: Exploration) -> bool:
+    """Whether some execution runs forever: a component of two states or a self-loop."""
+    succ = exploration.succ
+    return any(
+        len(component) > 1 or component[0] in succ[component[0]]
+        for component in exploration.components
+    )
 
 
 def guaranteed_nodes(exploration: Exploration) -> List[FrozenSet[Node]]:
-    """The nodes *guaranteed* to be visited from each state, for acyclic graphs.
+    """The nodes visited on every maximal execution from each state.
 
-    Backward fixpoint over the DAG: a terminal state guarantees exactly its
-    occupied nodes; an inner state guarantees its occupied nodes plus the
-    intersection of its successors' guarantees.  Across symmetry-collapsed
-    edges the successor's guarantee is mapped through the edge label first
-    (``raw = h(rep)`` implies ``guaranteed(raw) = h(guaranteed(rep))``).
+    A terminal state guarantees exactly its occupied nodes; any other state
+    guarantees its occupied nodes plus the intersection of its successors'
+    guarantees.  Across symmetry-collapsed edges the successor's guarantee is
+    mapped through the edge label first (``raw = h(rep)`` implies
+    ``guaranteed(raw) = h(guaranteed(rep))``).
+
+    Components are solved successors first, so on an acyclic graph this is
+    one backward pass.  Inside a component with a cycle the equations take
+    their least solution, iterated up from the occupied nodes: an execution
+    that cycles forever visits only what the cycle occupies.
     """
     states = exploration.states
     succ = exploration.succ
     edge_syms = exploration.edge_syms
-    result: List[Optional[FrozenSet[Node]]] = [None] * len(states)
-    for current in topological_order(succ):  # children before parents
+    result: List[FrozenSet[Node]] = [frozenset()] * len(states)
+
+    def solve(current: int) -> FrozenSet[Node]:
         occupied = frozenset(states[current].occupied_nodes())
         children = succ[current]
         if not children:
-            result[current] = occupied
+            return occupied
+        syms = edge_syms[current] if edge_syms is not None else (None,) * len(children)
+        common: Optional[FrozenSet[Node]] = None
+        for child, h in zip(children, syms):
+            guarantee = result[child]
+            if h is not None:
+                guarantee = frozenset(h.node(node) for node in guarantee)
+            common = guarantee if common is None else common & guarantee
+        return occupied | common
+
+    for component in exploration.components:
+        if len(component) == 1 and component[0] not in succ[component[0]]:
+            result[component[0]] = solve(component[0])
             continue
-        syms = edge_syms[current] if edge_syms is not None else None
-
-        def mapped(position: int) -> FrozenSet[Node]:
-            guarantee = result[children[position]]
-            assert guarantee is not None  # children precede parents in the order
-            h = syms[position] if syms is not None else None
-            if h is None:
-                return guarantee
-            return frozenset(h.node(node) for node in guarantee)
-
-        common = mapped(0)
-        for position in range(1, len(children)):
-            common = common & mapped(position)
-        result[current] = occupied | common
-    return result  # type: ignore[return-value]
+        # The least solution: seed every state with its occupied nodes, then
+        # re-solve the parents of each state whose guarantee grew.
+        parents: Dict[int, List[int]] = {current: [] for current in component}
+        for current in component:
+            result[current] = frozenset(states[current].occupied_nodes())
+            for child in succ[current]:
+                if child in parents:
+                    parents[child].append(current)
+        pending = set(component)
+        while pending:
+            current = pending.pop()
+            guarantee = solve(current)
+            if guarantee != result[current]:
+                result[current] = guarantee
+                pending.update(parents[current])
+    return result

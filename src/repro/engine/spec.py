@@ -221,8 +221,8 @@ def _model_field(payload: dict, default: str = "FSYNC") -> str:
     return model.upper()
 
 
-def _reduction_field(payload: dict, default: Optional[str] = "grid") -> str:
-    reduction = _field(payload, "reduction", default)
+def _reduction_field(payload: dict) -> str:
+    reduction = _field(payload, "reduction", "grid")
     try:
         return normalize_reduction(reduction)
     except (TypeError, ValueError) as exc:
@@ -266,7 +266,7 @@ class CheckSpec:
         )
 
 
-def parse_check_spec(payload: object, default_reduction: Optional[str] = "grid") -> CheckSpec:
+def parse_check_spec(payload: object) -> CheckSpec:
     """Validate one check spec payload (raises :class:`SpecError`)."""
     if not isinstance(payload, dict):
         raise SpecError("body", f"request body must be a JSON object, got {type(payload).__name__}")
@@ -277,7 +277,7 @@ def parse_check_spec(payload: object, default_reduction: Optional[str] = "grid")
         m=m,
         n=n,
         model=_model_field(payload),
-        reduction=_reduction_field(payload, default_reduction),
+        reduction=_reduction_field(payload),
         max_states=_int_field(payload, "max_states", 200_000, minimum=1),
     )
 
@@ -307,7 +307,7 @@ def parse_task(payload: object, algorithm: Optional[str] = None):
             n=n,
             model=model,
             kind="check",
-            reduction=_reduction_field(payload, "grid"),
+            reduction=_reduction_field(payload),
             max_states=_int_field(payload, "max_states", 200_000, minimum=1),
         )
     tie_break = _field(payload, "tie_break", TieBreak.ERROR)
@@ -346,10 +346,10 @@ def _seeds_field(payload: dict, default: Tuple[int, ...]) -> Tuple[int, ...]:
     seeds = _field(payload, "seeds", None)
     if seeds is None:
         return default
-    if not isinstance(seeds, (list, tuple)) or not all(
+    if not isinstance(seeds, (list, tuple)) or not seeds or not all(
         isinstance(seed, int) and not isinstance(seed, bool) for seed in seeds
     ):
-        raise SpecError("seeds", f"'seeds' must be a list of integers, got {seeds!r}")
+        raise SpecError("seeds", f"'seeds' must be a non-empty list of integers, got {seeds!r}")
     return tuple(seeds)
 
 
@@ -395,10 +395,10 @@ def parse_campaign(payload: object) -> Tuple[Algorithm, List[object]]:
         )
     elif kind == "stress_test":
         models = _field(payload, "models", ["SSYNC", "ASYNC"])
-        if not isinstance(models, (list, tuple)) or not all(
+        if not isinstance(models, (list, tuple)) or not models or not all(
             isinstance(model, str) and model.upper() in MODELS for model in models
         ):
-            raise SpecError("models", f"'models' must be a list drawn from {MODELS}, got {models!r}")
+            raise SpecError("models", f"'models' must be a non-empty list drawn from {MODELS}, got {models!r}")
         tasks = stress_test_tasks(
             algorithm,
             sizes=sizes,
@@ -410,7 +410,7 @@ def parse_campaign(payload: object) -> Tuple[Algorithm, List[object]]:
             algorithm,
             sizes=sizes,
             model=_model_field(payload),
-            reduction=_reduction_field(payload, "grid"),
+            reduction=_reduction_field(payload),
             max_states=_int_field(payload, "max_states", 200_000, minimum=1),
         )
     else:  # verify_algorithm

@@ -4,8 +4,9 @@ This module implements the paper's Look-Compute-Move successor semantics
 for all three synchrony models over canonical scheduler states
 (:mod:`repro.engine.states`).  The model checker
 (:mod:`repro.checking.model_checker` via :mod:`repro.engine.explorer`)
-runs a frontier search over every transition it generates, and
-:mod:`repro.impossibility.refuter` searches it too.
+runs a frontier search over every transition it generates, and the
+Theorem 1 refuter (:mod:`repro.impossibility.refuter`) reads that same
+exploration instead of searching on its own.
 
 It is one of two implementations of those semantics.  The walk
 (:mod:`repro.engine.walk`), which the simulator and the campaign runner's

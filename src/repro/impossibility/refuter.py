@@ -10,17 +10,21 @@ decidable exactly.
 
 The adversary controls every source of nondeterminism (which robots are
 activated, and which matching view/rule is executed when several apply),
-so "the adversary can forever prevent node ``v`` from being visited" is a
-plain reachability question on the scheduler-state graph restricted to
-states in which ``v`` is unoccupied:
+so it can keep node ``v`` unvisited forever exactly when some maximal
+execution never occupies ``v``:
 
-* if the adversary can reach a **terminal** state without ever occupying
-  ``v``, exploration fails (the run ends with ``v`` unvisited);
-* if the adversary can reach a **cycle** without ever occupying ``v``,
-  exploration fails as well (the run can be prolonged forever while
-  keeping ``v`` unvisited — this is the confinement argument of the
-  paper's proof, where the two robots are made to oscillate between two
-  pairs of nodes).
+* it **ends in a terminal** configuration with ``v`` unvisited, or
+* it runs forever around a **cycle** without visiting ``v`` — the
+  confinement argument of the paper's proof, where the two robots are made
+  to oscillate between two pairs of nodes.
+
+That is the complement of the checker's coverage analysis, so the refuter
+runs no search of its own: it explores as the checker does
+(:func:`~repro.engine.explorer.explore_sharded` under the grid quotient),
+and ``v`` is avoidable exactly when the initial state's guaranteed set
+(:func:`~repro.engine.explorer.guaranteed_nodes`, cycles included) lacks
+it.  Like the check, it raises :class:`~repro.core.errors.IllegalMoveError`
+when a robot can leave the grid.
 
 :func:`refute_terminating_exploration` searches for such a node and
 returns a witness; it is used by :mod:`repro.impossibility.theorem1` to
@@ -32,13 +36,11 @@ phi = 1 ASYNC algorithm.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Iterable, Optional
 
 from ..core.algorithm import Algorithm
-from ..core.errors import StateSpaceLimitExceeded
 from ..core.grid import Grid, Node
-from ..engine.states import SchedulerState, initial_state
-from ..engine.transition import AlgorithmTransitionSystem
+from ..engine.explorer import Exploration, explore_sharded, guaranteed_nodes
 
 __all__ = ["AdversaryWitness", "adversary_prevents_node", "refute_terminating_exploration"]
 
@@ -76,76 +78,11 @@ def adversary_prevents_node(
 ) -> Optional[AdversaryWitness]:
     """Decide whether the adversary can keep ``node`` unvisited forever.
 
-    Returns a witness if it can, ``None`` otherwise.  The initial
-    configuration must not already occupy ``node`` (otherwise the node is
-    trivially visited and ``None`` is returned).
+    Returns a witness if it can, ``None`` otherwise (in particular when
+    the initial configuration already occupies ``node``).  A node outside
+    the grid raises :class:`~repro.core.errors.GridError`.
     """
-    root = initial_state(algorithm, grid)
-    if node in root.occupied_nodes():
-        return None
-
-    # One transition system for the whole search, so the kernel's
-    # snapshot/match memoization is shared across every expansion.
-    ts = AlgorithmTransitionSystem(algorithm, grid, model)
-
-    graph: Dict[SchedulerState, List[SchedulerState]] = {}
-    on_path: Set[SchedulerState] = set()
-    found: Optional[str] = None
-
-    # Iterative DFS looking for a terminal state or a cycle within the
-    # restricted (node never occupied) graph.
-    visited: Set[SchedulerState] = set()
-    stack: List[Tuple[SchedulerState, int]] = [(root, 0)]
-    on_path.add(root)
-    visited.add(root)
-    # A state is terminal for the adversary if the *unrestricted* system has
-    # no successor (no robot enabled); restricted-away successors do not
-    # count as termination.
-    while stack and found is None:
-        state, child_index = stack[-1]
-        if state not in graph:
-            unrestricted = ts.successors(state)
-            if not unrestricted:
-                found = "terminal"
-                break
-            if len(graph) >= max_states:
-                raise StateSpaceLimitExceeded(
-                    f"{algorithm.name} on {grid.m}x{grid.n} [{model}]: state budget of"
-                    f" {max_states} exceeded while refuting node {node}",
-                    algorithm=algorithm.name,
-                    model=model,
-                    max_states=max_states,
-                    states_explored=len(graph),
-                )
-            graph[state] = [
-                nxt for nxt in unrestricted if node not in nxt.occupied_nodes()
-            ]
-        children = graph[state]
-        if child_index < len(children):
-            stack[-1] = (state, child_index + 1)
-            child = children[child_index]
-            if child in on_path:
-                found = "cycle"
-                break
-            if child not in visited:
-                visited.add(child)
-                on_path.add(child)
-                stack.append((child, 0))
-        else:
-            on_path.discard(state)
-            stack.pop()
-
-    if found is None:
-        return None
-    return AdversaryWitness(
-        algorithm=algorithm.name,
-        model=model,
-        m=grid.m,
-        n=grid.n,
-        node=node,
-        kind=found,
-        states_explored=len(visited),
-    )
+    return _first_avoidable(algorithm, grid, (grid.require(node),), model, max_states)
 
 
 def refute_terminating_exploration(
@@ -157,16 +94,63 @@ def refute_terminating_exploration(
     """Find some node the adversary can keep unvisited forever, if any.
 
     Nodes are tried from the centre of the grid outward (inner nodes are
-    the ones the proof of Theorem 1 confines the robots away from), so a
-    witness is usually found quickly when one exists.
+    the ones the proof of Theorem 1 confines the robots away from), and
+    the first avoidable one is the witness.
     """
     center = ((grid.m - 1) / 2.0, (grid.n - 1) / 2.0)
     nodes = sorted(
         grid.nodes(),
         key=lambda node: abs(node[0] - center[0]) + abs(node[1] - center[1]),
     )
+    return _first_avoidable(algorithm, grid, nodes, model, max_states)
+
+
+def _first_avoidable(
+    algorithm: Algorithm, grid: Grid, nodes: Iterable[Node], model: str, max_states: int
+) -> Optional[AdversaryWitness]:
+    """The witness for the first of ``nodes`` the initial state does not guarantee."""
+    exploration = explore_sharded(algorithm, grid, model, reduction="grid", max_states=max_states)
+    guaranteed = guaranteed_nodes(exploration)[exploration.root]
+    if exploration.root_sym is not None:
+        guaranteed = frozenset(exploration.root_sym.node(node) for node in guaranteed)
     for node in nodes:
-        witness = adversary_prevents_node(algorithm, grid, node, model=model, max_states=max_states)
-        if witness is not None:
-            return witness
+        if node not in guaranteed:
+            return AdversaryWitness(
+                algorithm=algorithm.name,
+                model=model,
+                m=grid.m,
+                n=grid.n,
+                node=node,
+                kind="terminal" if _ends_unvisited(exploration, node) else "cycle",
+                states_explored=exploration.num_states,
+            )
     return None
+
+
+def _ends_unvisited(exploration: Exploration, node: Node) -> bool:
+    """Whether some execution that never occupies ``node`` reaches a terminal state.
+
+    A search over ``(state, node)`` pairs, the node written in that state's
+    coordinates: each edge witness ``h`` (``raw = h(rep)``) carries it into
+    the successor's frame by ``h``'s inverse.
+    """
+    states, succ, edge_syms = exploration.states, exploration.succ, exploration.edge_syms
+    assert edge_syms is not None  # the refuter always explores the quotient
+
+    def pull(h, target: Node) -> Node:
+        return target if h is None else h.inverse().node(target)
+
+    pending = [(exploration.root, pull(exploration.root_sym, node))]
+    seen = set(pending)
+    while pending:
+        current, target = pending.pop()
+        if target in states[current].occupied_nodes():
+            continue
+        if not succ[current]:
+            return True
+        for child, h in zip(succ[current], edge_syms[current]):
+            pair = (child, pull(h, target))
+            if pair not in seen:
+                seen.add(pair)
+                pending.append(pair)
+    return False

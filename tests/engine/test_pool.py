@@ -53,8 +53,7 @@ def _assert_same_exploration(actual, expected):
     assert actual.num_states == expected.num_states
     assert actual.states == expected.states  # same states in the same interned order
     assert actual.succ == expected.succ
-    assert actual.index == expected.index
-    assert actual.reduced == expected.reduced
+    assert actual.reduction == expected.reduction
     assert actual.edge_syms == expected.edge_syms
     assert actual.root_sym is expected.root_sym
 

@@ -25,29 +25,37 @@ The same tables also run as one campaign on a two-worker pool through a
 verdict store: algorithms travel to the workers by value, and every
 report, fresh or stored, must carry the serial unreduced outcome.
 
-Last, the walk (:mod:`repro.engine.walk`, over a ``World``) and the
+The walk (:mod:`repro.engine.walk`, over a ``World``) and the
 kernel (:mod:`repro.engine.transition`, over records) implement the
 Look-Compute-Move semantics separately.  Seeded random walks on every
 table must stay within the check's verdict, which keeps the two equal on
 tables that fail in all the ways above.
+
+Last, the Theorem 1 refuter reads its answer off the quotient's coverage
+analysis, cycles included.  On every table and case it must name the
+node, and the kind of execution that avoids it, that a brute-force
+search of the unreduced graph finds.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import random
+from collections import defaultdict
 from functools import lru_cache
-from typing import Dict, Tuple, Union
+from typing import Dict, Optional, Tuple, Union
 
 import pytest
 
-from repro.checking import CheckResult, check_terminating_exploration
+from repro.checking import CheckResult, check_terminating_exploration, explore_state_space
 from repro.core import Algorithm, Grid
 from repro.core.errors import IllegalMoveError, StateSpaceLimitExceeded
 from repro.core.rules import EMPTY, FREE, WALL, Guard, Rule, occ
 from repro.core.views import ball_offsets
 from repro.engine import CampaignTask, ParallelCampaignEngine, PoolBackend, VerdictStore, run
+from repro.engine.states import initial_state
 from repro.engine.store import HIT, MISS
+from repro.impossibility import refute_terminating_exploration
 
 SEEDS = range(200)
 CASES = ((2, 3, "FSYNC"), (2, 3, "SSYNC"), (2, 3, "ASYNC"), (3, 3, "FSYNC"), (3, 3, "SSYNC"))
@@ -225,3 +233,64 @@ def test_random_walks_stay_within_the_checked_verdict(seed):
                 assert walk.is_terminating_exploration, case
             if walk.termination_reason == "max_steps":
                 assert not unreduced.terminates, case
+
+
+def avoiding_execution(graph, root, node) -> Optional[str]:
+    """How an execution that never occupies ``node`` can end, by brute force.
+
+    ``"terminal"`` when one reaches a state without successors, else
+    ``"cycle"`` when one can run forever, else ``None``.  ``graph`` is
+    the unreduced state-keyed successor graph.
+    """
+    if node in root.occupied_nodes():
+        return None
+    reached, pending = {root}, [root]
+    while pending:
+        for child in graph[pending.pop()]:
+            if child not in reached and node not in child.occupied_nodes():
+                reached.add(child)
+                pending.append(child)
+    if any(not graph[state] for state in reached):
+        return "terminal"
+    # Kahn's peeling: a state left over has a successor left over, so
+    # the states left over contain a cycle.
+    waiting = {state: 0 for state in reached}
+    parents = defaultdict(list)
+    for state in reached:
+        for child in graph[state]:
+            if child in reached:
+                waiting[state] += 1
+                parents[child].append(state)
+    ready = [state for state, count in waiting.items() if not count]
+    peeled = 0
+    while ready:
+        peeled += 1
+        for parent in parents[ready.pop()]:
+            waiting[parent] -= 1
+            if not waiting[parent]:
+                ready.append(parent)
+    return "cycle" if peeled < len(reached) else None
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_refuter_matches_a_brute_force_on_the_unreduced_graph(seed):
+    """The refuter's witness is the first avoidable node, centre outward."""
+    tables, plain = bounded_table(seed)
+    for (m, n, model), unreduced in plain.items():
+        algorithm, grid = tables[m, n], Grid(m, n)
+        case = f"{m}x{n} {model}"
+        if isinstance(unreduced, IllegalMoveError):
+            with pytest.raises(IllegalMoveError):
+                refute_terminating_exploration(algorithm, grid, model=model)
+            continue
+        graph = explore_state_space(algorithm, grid, model=model, max_states=STATE_CAP, reduction="none")
+        root = initial_state(algorithm, grid)
+        centre = ((m - 1) / 2, (n - 1) / 2)
+        expected = None
+        for node in sorted(grid.nodes(), key=lambda v: abs(v[0] - centre[0]) + abs(v[1] - centre[1])):
+            kind = avoiding_execution(graph, root, node)
+            if kind is not None:
+                expected = (node, kind)
+                break
+        witness = refute_terminating_exploration(algorithm, grid, model=model)
+        assert (witness and (witness.node, witness.kind)) == expected, case

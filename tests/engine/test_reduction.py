@@ -148,8 +148,6 @@ class TestRoutesAgreeOnTheQuotient:
         for other in (cold, warm):
             assert other.states == serial.states
             assert other.succ == serial.succ
-            assert other.index == serial.index
-            assert other.reduced == serial.reduced
             assert other.edge_syms == serial.edge_syms
             assert other.root_sym == serial.root_sym
             assert other.reduction == serial.reduction

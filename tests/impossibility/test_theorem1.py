@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from repro.algorithms import get
 from repro.core import Grid
+from repro.core.errors import GridError
 from repro.impossibility import (
     adversary_prevents_node,
     candidate_two_robot_algorithms,
@@ -40,6 +43,14 @@ class TestRefuter:
         algorithm = get("fsync_phi1_l3_chir_k2")
         assert adversary_prevents_node(algorithm, Grid(3, 4), (0, 0), model="SSYNC") is None
 
+    @pytest.mark.parametrize("node", [(10, 10), (-1, 0), (3, 0), (0, 4)])
+    def test_node_outside_the_grid_raises(self, node):
+        # A node the robots cannot reach is no evidence against an
+        # algorithm: it must not be reported as "never visited".
+        algorithm = get("async_phi1_l3_chir_k3")
+        with pytest.raises(GridError, match=re.escape(str(node))):
+            adversary_prevents_node(algorithm, Grid(3, 4), node, model="SSYNC")
+
     def test_witness_mentions_a_never_visited_node(self):
         algorithm = candidate_two_robot_algorithms()["candidate_chaser_phi1_k2"]
         witness = refute_terminating_exploration(algorithm, Grid(3, 3), model="SSYNC")
@@ -60,6 +71,13 @@ class TestDemonstration:
         assert report.control_survives
         text = str(report)
         assert "Theorem 1" in text and "adversary" in text
+
+    def test_demonstration_in_the_proofs_regime(self):
+        # The proof's grids have at least nine inner nodes: m, n >= 9.
+        report = demonstrate_theorem1(9, 9)
+        assert set(report.witnesses) == set(candidate_two_robot_algorithms())
+        assert report.all_candidates_refuted
+        assert report.control_survives
 
     def test_grid_inner_node_premise(self):
         # The proof's premise: grids with m, n >= 9 contain at least nine inner

@@ -157,6 +157,13 @@ class TestValidationAndErrors:
         assert code == 400
         assert body["error"]["field"] == "reduction"
 
+    @pytest.mark.parametrize("field", ["seeds", "models"])
+    def test_empty_seeds_or_models_are_400s_naming_the_field(self, harness, field):
+        payload = {"algorithm": "async_phi2_l3_chir_k2", "campaign": "stress_test", field: []}
+        code, body, _ = harness.post("/v1/campaigns", payload)
+        assert code == 400
+        assert body["error"]["field"] == field
+
     @pytest.mark.parametrize("path", ["/v1/check", "/v1/campaigns"])
     @pytest.mark.parametrize(
         "body",

@@ -187,6 +187,21 @@ class TestValidation:
             parse_campaign(payload)
         assert excinfo.value.field == field
 
+    @pytest.mark.parametrize(
+        ("payload", "field"),
+        [
+            ({"campaign": "stress_test", "seeds": []}, "seeds"),
+            ({"campaign": "stress_test", "models": []}, "models"),
+            ({"campaign": "verify_algorithm", "seeds": []}, "seeds"),
+        ],
+    )
+    def test_empty_seeds_or_models_name_their_field(self, payload, field):
+        # An empty list resolves to zero tasks; the error must name the
+        # empty field, not "sizes".
+        with pytest.raises(SpecError) as excinfo:
+            parse_campaign({"algorithm": "async_phi2_l3_chir_k2", **payload})
+        assert excinfo.value.field == field
+
     def test_task_entries_inherit_the_campaign_algorithm(self):
         task = parse_task({"m": 3, "n": 3, "kind": "check"}, ALGORITHM)
         assert task.algorithm is REGISTERED
