@@ -51,7 +51,6 @@ from ..core.algorithm import Algorithm
 from ..core.grid import Grid
 from ..engine.explorer import explore_sharded, guaranteed_nodes, has_cycle
 from ..engine.states import SchedulerState
-from ..engine.transition import AlgorithmTransitionSystem
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..engine.backend import ExecutionBackend
@@ -107,17 +106,6 @@ class CheckResult:
             f"{self.algorithm} on {self.m}x{self.n} [{self.model}]: {status}"
             f" ({self.states_explored} states, {self.terminal_states} terminal{reduced}{cache})"
         )
-
-
-def successors(algorithm: Algorithm, grid: Grid, state: SchedulerState, model: str) -> List[SchedulerState]:
-    """All scheduler-reachable successor states of ``state`` under ``model``.
-
-    Convenience wrapper constructing a fresh transition system; callers that
-    expand many states should build one
-    :class:`~repro.engine.transition.AlgorithmTransitionSystem` and reuse it
-    so the snapshot/match memoization pays off.
-    """
-    return AlgorithmTransitionSystem(algorithm, grid, model).successors(state)
 
 
 def explore_state_space(

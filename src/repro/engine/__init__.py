@@ -23,18 +23,20 @@ consumes the modules below:
   model checker's and the Theorem 1 refuter's substrate), and
   :func:`explore_sharded`, the algorithm-level entry point that explores
   an ``(algorithm, grid, model)`` triple in the calling process;
-* :mod:`repro.engine.backend` — the :class:`ExecutionBackend` protocol
-  and its two implementations, :class:`SerialBackend` and
+* :mod:`repro.engine.backend` — :class:`ExecutionBackend`, the one base
+  class, and its subclasses :class:`SerialBackend` and
   :class:`PoolBackend` (serial or pooled execution of campaign task
   lists on one machine, result-identical; each owns the matcher cache
   explorations handed it run on), and the default worker count;
 * :mod:`repro.engine.store` — the persistent content-addressed
   :class:`VerdictStore`, the one durable log: verdicts only (check
   results and campaign reports, one record per request) cached on disk
-  by content hash, with in-flight request coalescing;
-* :mod:`repro.engine.spec` — work-item spec parsing/validation, the one
-  spelling of every verdict-store key (each names its algorithm by name
-  and content digest), and the canonical JSON wire forms the HTTP service
+  by content hash, with in-flight request coalescing; its two writers
+  are the checker's ``store=`` and :meth:`ParallelCampaignEngine.iter_tasks`;
+* :mod:`repro.engine.spec` — work-item spec parsing/validation, one key
+  builder per store key family (:func:`check_store_key`,
+  :func:`task_store_key`; each key names its algorithm by name and
+  content digest), and the canonical JSON wire forms the HTTP service
   (:mod:`repro.service`) exchanges; the only engine module that resolves
   registry names;
 * :mod:`repro.engine.walk` — the lazy single-path simulator, the second
@@ -46,9 +48,9 @@ consumes the modules below:
 One rule governs execution: explorations run in the calling process on
 the backend's cache, and task lists fan out, each task carrying its
 algorithm by value.  Every entry point routes through at most two
-arguments, ``backend=`` and ``store=``; explorations take ``backend=``
-only, since only verdicts are stored.  See ``docs/architecture.md`` for
-the full layering diagram.
+arguments, ``backend=`` and ``store=``; explorations and single tasks
+(:func:`verify_one`, :func:`check_one`) take ``backend=`` only.  See
+``docs/architecture.md`` for the full layering diagram.
 """
 
 from .campaign import (
@@ -57,12 +59,10 @@ from .campaign import (
     ParallelCampaignEngine,
     VerificationReport,
     check_one,
-    execute_tasks,
     exhaustive_check_tasks,
     grid_sweep_tasks,
     run_task,
     stress_test_tasks,
-    task_store_key,
     verify_one,
 )
 from .backend import ExecutionBackend, PoolBackend, SerialBackend, default_workers
@@ -85,6 +85,7 @@ from .spec import (
     parse_check_spec,
     parse_task,
     result_payload,
+    task_store_key,
 )
 from .store import VerdictStore
 from .states import (
@@ -167,7 +168,6 @@ __all__ = [
     "verify_one",
     "check_one",
     "run_task",
-    "execute_tasks",
     "grid_sweep_tasks",
     "stress_test_tasks",
     "exhaustive_check_tasks",

@@ -6,8 +6,9 @@ each a pure function of the task (the algorithm travels by value, runs
 are driven by explicit seeds).
 
 An :class:`ExecutionBackend` evaluates a task list and hands the reports
-back *in submission order*, streamed as they complete.  Two ship, both on
-one machine:
+back *in submission order*, streamed as they complete.  The base class
+holds the lifecycle and runs tasks in the calling process; two backends
+build on it, both on one machine:
 
 * :class:`SerialBackend` — in the calling process, on one
   :class:`~repro.engine.matcher.MatcherCache` it owns for its lifetime;
@@ -29,19 +30,20 @@ backend runs the serial explorer in the calling process, on the backend's
 :func:`~repro.checking.check_terminating_exploration`, the
 :mod:`repro.verification` campaigns and
 :func:`~repro.analysis.scaling.round_complexity_sweep` take both.  The
-exploration functions (:func:`~repro.engine.explorer.explore_sharded`,
-``explore_state_space``, ``enumerate_reachable`` and
-:func:`~repro.analysis.scaling.state_space_sweep`) take ``backend=``
-only: explorations are never stored.  ``backend=None`` means a
-:class:`SerialBackend` that lives for that one call.  To share warm
-caches (or a pool) across calls, share the backend object.
+single-task functions (:func:`~repro.engine.campaign.verify_one`,
+:func:`~repro.engine.campaign.check_one`) and the exploration functions
+(:func:`~repro.engine.explorer.explore_sharded`, ``explore_state_space``,
+``enumerate_reachable`` and :func:`~repro.analysis.scaling.state_space_sweep`)
+take ``backend=`` only.  ``backend=None`` means a :class:`SerialBackend`
+that lives for that one call.  To share warm caches (or a pool) across
+calls, share the backend object.
 """
 
 from __future__ import annotations
 
 import os
 import threading
-from typing import Iterable, Iterator, List, Optional, Protocol, runtime_checkable
+from typing import Iterable, Iterator, List, Optional
 
 from .campaign import CampaignTask, VerificationReport, run_task
 from .matcher import MatcherCache
@@ -72,45 +74,32 @@ def default_workers() -> int:
     return os.cpu_count() or 1
 
 
-@runtime_checkable
-class ExecutionBackend(Protocol):
-    """Where campaign tasks actually run.
+class ExecutionBackend:
+    """Where campaign tasks run: the lifecycle, and tasks run in this process.
 
-    Implementations promise that :meth:`imap` yields one report per
-    submitted task, *in submission order*, each the value
-    :func:`~repro.engine.campaign.run_task` produces for that task —
-    regardless of which worker evaluated it.  That ordering contract is
-    what lets every consumer stay byte-identical to the serial engine.
+    :meth:`imap` yields one report per submitted task, *in submission
+    order*, each the value :func:`~repro.engine.campaign.run_task`
+    produces for that task — regardless of which worker evaluated it.
+    That ordering contract is what lets every consumer stay
+    byte-identical to the serial engine.  Here every task runs in the
+    calling process, on :attr:`cache`, streamed from a generator so each
+    report is handed on before the next task starts; a subclass sets
+    :attr:`cache` and may run tasks elsewhere.
     """
 
     #: How many tasks the backend can usefully evaluate concurrently.
-    parallelism: int
+    parallelism = 1
     #: The matcher cache work run in the calling process matches on.
     cache: MatcherCache
+    _closed = False
 
     def imap(self, tasks: Iterable[CampaignTask]) -> Iterator[VerificationReport]:
         """Evaluate campaign tasks; reports stream back in task order."""
-        ...
+        self._check_open()
+        return (run_task(task, self) for task in tasks)
 
     def run_tasks(self, tasks: Iterable[CampaignTask]) -> List[VerificationReport]:
         """:meth:`imap` collected into a list."""
-        ...
-
-    def close(self) -> None:
-        """Release workers; the backend cannot be used afterwards."""
-        ...
-
-    def __enter__(self) -> "ExecutionBackend": ...
-
-    def __exit__(self, exc_type, exc, tb) -> None: ...
-
-
-class _Backend:
-    """Lifecycle shared by both backends."""
-
-    _closed = False
-
-    def run_tasks(self, tasks: Iterable[CampaignTask]) -> List[VerificationReport]:
         return list(self.imap(tasks))
 
     def _check_open(self) -> None:
@@ -118,9 +107,10 @@ class _Backend:
             raise RuntimeError(f"{type(self).__name__} is closed")
 
     def close(self) -> None:
+        """Release workers; the backend cannot be used afterwards."""
         self._closed = True
 
-    def __enter__(self):
+    def __enter__(self) -> "ExecutionBackend":
         self._check_open()
         return self
 
@@ -128,23 +118,17 @@ class _Backend:
         self.close()
 
 
-class SerialBackend(_Backend):
+class SerialBackend(ExecutionBackend):
     """Evaluate everything in the calling process, on one cache it owns.
 
     The reference implementation of the backend contract: its results
-    *are* the parity baseline the pool is tested against.  Tasks stream
-    from a generator, so each report is handed on before the next task
-    starts.  :attr:`cache` lives as long as the backend, so every task and
-    exploration it runs starts as warm as the earlier ones left it.
+    *are* the parity baseline the pool is tested against.  :attr:`cache`
+    lives as long as the backend, so every task and exploration it runs
+    starts as warm as the earlier ones left it.
     """
 
     def __init__(self) -> None:
-        self.parallelism = 1
         self.cache = MatcherCache()
-
-    def imap(self, tasks: Iterable[CampaignTask]) -> Iterator[VerificationReport]:
-        self._check_open()
-        return (run_task(task, self) for task in tasks)
 
 
 #: The backend a pool worker process runs its tasks on (created on the
@@ -160,7 +144,7 @@ def _work(task: CampaignTask) -> VerificationReport:
     return run_task(task, _WORKER)
 
 
-class PoolBackend(_Backend):
+class PoolBackend(ExecutionBackend):
     """Evaluate on a local process pool this backend owns.
 
     ``workers`` (at least 1; default: one per usable core, see
@@ -192,7 +176,7 @@ class PoolBackend(_Backend):
         self._check_open()
         tasks = list(tasks)
         if self.parallelism == 1 or not tasks:
-            return (run_task(task, self) for task in tasks)
+            return super().imap(tasks)
         return self._ensure_pool().imap(_work, tasks)
 
     def _ensure_pool(self):

@@ -16,8 +16,11 @@ task lists, registered and ad-hoc algorithms alike.
 
 Durability: an engine handed a :class:`~repro.engine.store.VerdictStore`
 serves the reports the store already holds and writes each fresh report to
-the store as soon as it completes, so a campaign killed mid-run and run
-again against the same store computes only the remainder.
+the store as soon as it completes, under
+:func:`~repro.engine.spec.task_store_key`, so a campaign killed mid-run and
+run again against the same store computes only the remainder.  The engine
+is the only route by which a task report reaches the store: a single
+:func:`verify_one` or :func:`check_one` call computes and returns.
 
 Determinism: every randomized run is driven by the explicit seed carried in
 its task (never by shared RNG state), so a campaign's outcome is a pure
@@ -33,7 +36,8 @@ from ..core.algorithm import Algorithm
 from ..core.errors import VerificationError
 from ..core.execution import ExecutionResult
 from ..core.grid import Grid
-from .matcher import LocalMatcher, MatcherCache
+from .matcher import LocalMatcher
+from .spec import task_store_key
 from .store import HIT, MISS, VerdictStore
 from .suites import default_grid_suite
 from .symmetry import normalize_reduction
@@ -49,11 +53,10 @@ __all__ = [
     "verify_one",
     "check_one",
     "run_task",
-    "execute_tasks",
     "grid_sweep_tasks",
     "stress_test_tasks",
     "exhaustive_check_tasks",
-    "task_store_key",
+    "shape_sizes",
     "ParallelCampaignEngine",
 ]
 
@@ -203,7 +206,6 @@ def verify_one(
     tie_break: str = TieBreak.ERROR,
     max_steps: Optional[int] = None,
     backend: Optional["ExecutionBackend"] = None,
-    store: Optional[VerdictStore] = None,
 ) -> VerificationReport:
     """Check Definition 1 on one bounded execution.
 
@@ -216,38 +218,10 @@ def verify_one(
     records the normalized value: the seed on a
     :class:`VerificationReport` is always the seed that actually drove the
     run, so re-running with ``seed=report.seed`` replays it exactly.
-
-    ``store`` (a :class:`~repro.engine.store.VerdictStore`) memoizes the
-    report, keyed by the algorithm's name and content digest, the
-    normalized seed, the tie-break policy and the step budget alongside the
-    grid coordinates — a cached report is the report of *exactly* this run.
     """
     seed = 0 if seed is None else seed
-    cache = backend.cache if backend is not None else None
-    if store is not None:
-        from .spec import walk_task_key  # local import: spec imports this module
-
-        key = walk_task_key(algorithm, m, n, model, seed, tie_break, max_steps)
-        return store.fetch(
-            key,
-            lambda: _run_verify_one(algorithm, m, n, model, seed, tie_break, max_steps, cache),
-        )
-    return _run_verify_one(algorithm, m, n, model, seed, tie_break, max_steps, cache)
-
-
-def _run_verify_one(
-    algorithm: Algorithm,
-    m: int,
-    n: int,
-    model: str,
-    seed: int,
-    tie_break: str,
-    max_steps: Optional[int],
-    cache: Optional[MatcherCache],
-) -> VerificationReport:
-    """The uncached body of :func:`verify_one` (seed already normalized)."""
     grid = Grid(m, n)
-    matcher = cache.matcher_for(algorithm, grid) if cache is not None else None
+    matcher = backend.cache.matcher_for(algorithm, grid) if backend is not None else None
     stats_before = matcher.stats.snapshot() if matcher is not None else None
     try:
         result = _execute(algorithm, grid, model, seed, tie_break, max_steps, matcher=matcher)
@@ -293,7 +267,6 @@ def check_one(
     reduction: Optional[str] = "grid",
     max_states: int = 200_000,
     backend: Optional["ExecutionBackend"] = None,
-    store: Optional[VerdictStore] = None,
 ) -> VerificationReport:
     """Exhaustively model-check one ``(algorithm, grid, model)`` triple.
 
@@ -307,38 +280,12 @@ def check_one(
     not raised; argument errors, such as an unknown ``reduction``, raise
     :class:`ValueError`.  The exploration runs on the one successor
     kernel, :class:`~repro.engine.transition.AlgorithmTransitionSystem`.
-
-    ``store`` (a :class:`~repro.engine.store.VerdictStore`) memoizes the
-    report, and only it, under :func:`~repro.engine.spec.check_task_key`:
-    the algorithm's name and content digest, with ``max_states`` in the
-    key, so a budget-tripped verdict never masquerades as a full one.
     """
-    reduction = normalize_reduction(reduction)
-    if store is not None:
-        from .spec import check_task_key  # local import: spec imports this module
-
-        key = check_task_key(algorithm, m, n, model, reduction, max_states)
-        return store.fetch(
-            key,
-            lambda: _run_check_one(algorithm, m, n, model, reduction, max_states, backend),
-        )
-    return _run_check_one(algorithm, m, n, model, reduction, max_states, backend)
-
-
-def _run_check_one(
-    algorithm: Algorithm,
-    m: int,
-    n: int,
-    model: str,
-    reduction: str,
-    max_states: int,
-    backend: Optional["ExecutionBackend"],
-) -> VerificationReport:
-    """The uncached body of :func:`check_one` (``reduction`` already normalized)."""
     from ..checking.model_checker import (  # local import: avoids a layering cycle
         check_terminating_exploration,
     )
 
+    reduction = normalize_reduction(reduction)
     grid = Grid(m, n)
     try:
         result = check_terminating_exploration(
@@ -460,36 +407,22 @@ def run_task(task: CampaignTask, backend: Optional["ExecutionBackend"] = None) -
     )
 
 
-def task_store_key(task: CampaignTask) -> Tuple[object, ...]:
-    """The verdict-store spec of a task — shared by every execution route.
+#: ``max_side`` of each campaign shape's default size family.
+_DEFAULT_MAX_SIDE = {"grid_sweep": 9, "stress_test": 7, "exhaustive_sweep": 4}
 
-    :func:`verify_one` / :func:`check_one` build the identical tuples from
-    their arguments (and the HTTP service builds them from request
-    payloads), so a report cached by any route is a hit for every other —
-    the tuple spellings live in :mod:`repro.engine.spec`.  Normalizations
-    mirror execution: a walk's ``seed=None`` runs as ``0``, a check's
-    reduction spec resolves through its canonical spelling.
+
+def shape_sizes(
+    kind: str, algorithm: Algorithm, sizes: Optional[Iterable[Tuple[int, int]]] = None
+) -> List[Tuple[int, int]]:
+    """The grid sizes campaign shape ``kind`` runs ``algorithm`` on.
+
+    The entries of ``sizes`` the algorithm supports, in order and with
+    duplicates kept; ``None`` means the shape's default family,
+    ``default_grid_suite(algorithm, max_side)``.
     """
-    from .spec import check_task_key, walk_task_key  # local import: spec imports this module
-
-    if task.kind == "check":
-        return check_task_key(
-            task.algorithm, task.m, task.n, task.model,
-            task.reduction, task.max_states,
-        )
-    return walk_task_key(
-        task.algorithm, task.m, task.n, task.model,
-        task.seed, task.tie_break, task.max_steps,
-    )
-
-
-def execute_tasks(
-    tasks: Iterable[CampaignTask],
-    backend: Optional["ExecutionBackend"] = None,
-    store: Optional[VerdictStore] = None,
-) -> List[VerificationReport]:
-    """Run ``tasks`` through ``ParallelCampaignEngine(backend, store)``."""
-    return ParallelCampaignEngine(backend=backend, store=store).run_tasks(tasks)
+    if sizes is None:
+        sizes = default_grid_suite(algorithm, _DEFAULT_MAX_SIDE[kind])
+    return [(m, n) for m, n in sizes if algorithm.supports_grid(m, n)]
 
 
 def grid_sweep_tasks(
@@ -500,11 +433,9 @@ def grid_sweep_tasks(
     tie_break: str = TieBreak.ERROR,
 ) -> List[CampaignTask]:
     """The task list of a grid sweep (one run per supported size)."""
-    sizes = list(sizes) if sizes is not None else default_grid_suite(algorithm)
     return [
         CampaignTask(algorithm=algorithm, m=m, n=n, model=model, seed=seed, tie_break=tie_break)
-        for m, n in sizes
-        if algorithm.supports_grid(m, n)
+        for m, n in shape_sizes("grid_sweep", algorithm, sizes)
     ]
 
 
@@ -516,11 +447,9 @@ def stress_test_tasks(
     tie_break: str = TieBreak.FIRST,
 ) -> List[CampaignTask]:
     """The task list of a randomized-scheduler stress campaign."""
-    sizes = list(sizes) if sizes is not None else default_grid_suite(algorithm, max_side=7)
     return [
         CampaignTask(algorithm=algorithm, m=m, n=n, model=model, seed=seed, tie_break=tie_break)
-        for m, n in sizes
-        if algorithm.supports_grid(m, n)
+        for m, n in shape_sizes("stress_test", algorithm, sizes)
         for model in models
         for seed in seeds
     ]
@@ -541,7 +470,6 @@ def exhaustive_check_tasks(
     exponentially with the grid, so sweeping them across the walk-campaign
     suite would be a budget trip, not a campaign.
     """
-    sizes = list(sizes) if sizes is not None else default_grid_suite(algorithm, max_side=4)
     return [
         CampaignTask(
             algorithm=algorithm,
@@ -552,8 +480,7 @@ def exhaustive_check_tasks(
             reduction=reduction,
             max_states=max_states,
         )
-        for m, n in sizes
-        if algorithm.supports_grid(m, n)
+        for m, n in shape_sizes("exhaustive_sweep", algorithm, sizes)
     ]
 
 
@@ -574,9 +501,10 @@ class ParallelCampaignEngine:
     the coordinator (it holds locks and file handles, so it never crosses a
     process boundary) — makes campaigns durable: stored reports are served
     without reaching the backend, and each fresh report is written to the
-    store as soon as it completes, before it is handed on.  A campaign
-    killed mid-run and run again against the same store recomputes only
-    what it had not finished.
+    store under :func:`~repro.engine.spec.task_store_key` as soon as it
+    completes, before it is handed on.  A campaign killed mid-run and run
+    again against the same store recomputes only what it had not finished.
+    No other code writes task reports to a store.
 
     Every task runs the algorithm it carries, registered or ad hoc, and
     its report is stored under that algorithm's name and content digest.

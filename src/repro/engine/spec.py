@@ -1,38 +1,26 @@
 """Work-item specs: parsing, validation, store keys and JSON wire forms.
 
 The verdict store (:mod:`repro.engine.store`) holds verdicts under content
-keys, and two routes that compute the same verdict must spell its key the
-same way — a route-dependent key would silently fork the cache and
-recompute work the store already holds.  There are two key families, and
-each route uses exactly one of them:
+keys, and it has two writers, one per key family.  This module builds both
+families' keys, one function each:
 
-* ``("check", ...)`` keys hold
-  :class:`~repro.checking.model_checker.CheckResult` values.  The library
-  check (:func:`repro.checking.check_terminating_exploration`) and
-  ``POST /v1/check`` (:mod:`repro.service`) share them, so either route's
+* :func:`check_store_key` — the ``("check", ...)`` key of a
+  :class:`~repro.checking.model_checker.CheckResult`.  Its writer is
+  :func:`repro.checking.check_terminating_exploration` (``store=``), which
+  ``POST /v1/check`` (:mod:`repro.service`) calls too, so either route's
   verdict is a hit for the other.
-* ``("task", ...)`` keys hold campaign
-  :class:`~repro.engine.campaign.VerificationReport` values.  Serial
-  :func:`~repro.engine.campaign.verify_one` /
-  :func:`~repro.engine.campaign.check_one` calls, the campaign engine
-  (:func:`repro.engine.campaign.task_store_key`) and
-  ``POST /v1/campaigns`` share them.
+* :func:`task_store_key` — the ``("task", ...)`` key of a campaign
+  :class:`~repro.engine.campaign.VerificationReport`.  Its writer is
+  :meth:`repro.engine.campaign.ParallelCampaignEngine.iter_tasks`, which
+  every library campaign and ``POST /v1/campaigns`` run through.
 
 A campaign check task and a ``/v1/check`` request for the same spec store
 different values (a report and a check result) under different keys, so
-neither is a hit for the other.
-
-This module is the single place store keys are spelled.  Every key names
-its algorithm by ``(name, digest)`` — the registry name plus the SHA-256
-of its content (:attr:`~repro.core.algorithm.Algorithm.digest`) — so an
-edited rule table never reads a verdict stored for its predecessor, and
-ad-hoc algorithms are stored like registered ones:
-
-* :func:`check_store_key` — the ``("check", ...)`` tuple of the checking
-  entry point (:mod:`repro.checking.model_checker` builds its key here);
-* :func:`walk_task_key` / :func:`check_task_key` — the ``("task", ...)``
-  tuples of campaign work items
-  (:func:`repro.engine.campaign.task_store_key` delegates here).
+neither is a hit for the other.  Every key names its algorithm by
+``(name, digest)`` — the registry name plus the SHA-256 of its content
+(:attr:`~repro.core.algorithm.Algorithm.digest`) — so an edited rule table
+never reads a verdict stored for its predecessor, and ad-hoc algorithms are
+stored like registered ones.
 
 On top of the keys it owns the *wire* forms the HTTP service exchanges.
 HTTP specs name registry algorithms only; this module is where the
@@ -55,19 +43,21 @@ service resolves those names:
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from ..core.algorithm import Algorithm, Synchrony
 from .store import content_key
 from .symmetry import normalize_reduction
 from .walk import TieBreak
 
+if TYPE_CHECKING:  # pragma: no cover - typing only (campaign imports this module)
+    from .campaign import CampaignTask
+
 __all__ = [
     "SpecError",
     "MODELS",
     "check_store_key",
-    "walk_task_key",
-    "check_task_key",
+    "task_store_key",
     "parse_check_spec",
     "parse_task",
     "parse_campaign",
@@ -93,7 +83,7 @@ class SpecError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# Store keys — the one spelling every route shares
+# Store keys — one builder per key family
 # ---------------------------------------------------------------------------
 def check_store_key(
     algorithm: Algorithm,
@@ -105,10 +95,8 @@ def check_store_key(
 ) -> Tuple[object, ...]:
     """The verdict-store spec of one exhaustive check.
 
-    Identical to the key :func:`repro.checking.check_terminating_exploration`
-    stores its :class:`~repro.checking.model_checker.CheckResult` under —
-    that function builds its key here.  ``max_states`` is part of the key
-    so a budget-limited check can never answer for a roomier one.
+    ``max_states`` is part of the key so a budget-limited check can never
+    answer for a roomier one.
     """
     return (
         "check",
@@ -122,55 +110,19 @@ def check_store_key(
     )
 
 
-def walk_task_key(
-    algorithm: Algorithm,
-    m: int,
-    n: int,
-    model: str,
-    seed: Optional[int],
-    tie_break: str,
-    max_steps: Optional[int],
-) -> Tuple[object, ...]:
-    """The verdict-store spec of one bounded-walk campaign task.
+def task_store_key(task: "CampaignTask") -> Tuple[object, ...]:
+    """The verdict-store spec of one campaign task.
 
-    Mirrors execution: ``seed=None`` runs as ``0``
+    Normalizations mirror execution: a walk's ``seed=None`` runs as ``0``
     (:func:`repro.engine.campaign.verify_one` normalizes before running),
-    so both spellings address the verdict of the run that actually happens.
+    so both spellings address the verdict of the run that actually happens,
+    and a check's reduction resolves through its canonical spelling.
     """
-    return (
-        "task",
-        "walk",
-        algorithm.name,
-        algorithm.digest,
-        m,
-        n,
-        model,
-        0 if seed is None else seed,
-        tie_break,
-        max_steps,
-    )
-
-
-def check_task_key(
-    algorithm: Algorithm,
-    m: int,
-    n: int,
-    model: str,
-    reduction=None,
-    max_states: int = 200_000,
-) -> Tuple[object, ...]:
-    """The verdict-store spec of one exhaustive-check campaign task."""
-    return (
-        "task",
-        "check",
-        algorithm.name,
-        algorithm.digest,
-        m,
-        n,
-        model,
-        normalize_reduction(reduction),
-        max_states,
-    )
+    algorithm = task.algorithm
+    head = ("task", task.kind, algorithm.name, algorithm.digest, task.m, task.n, task.model)
+    if task.kind == "check":
+        return head + (normalize_reduction(task.reduction), task.max_states)
+    return head + (0 if task.seed is None else task.seed, task.tie_break, task.max_steps)
 
 
 # ---------------------------------------------------------------------------
@@ -356,6 +308,18 @@ def _seeds_field(payload: dict, default: Tuple[int, ...]) -> Tuple[int, ...]:
 #: Campaign shapes a ``POST /v1/campaigns`` payload may name.
 CAMPAIGN_KINDS = ("grid_sweep", "stress_test", "exhaustive_sweep", "verify_algorithm", "tasks")
 
+#: The most tasks one campaign submission may resolve to.  Sizes, models
+#: and seeds multiply, and duplicates are allowed, so a small body could
+#: otherwise ask for billions of tasks.
+MAX_CAMPAIGN_TASKS = 10_000
+
+
+def _bound_task_count(count: int) -> None:
+    if count > MAX_CAMPAIGN_TASKS:
+        raise SpecError(
+            "tasks", f"campaign resolves to {count} tasks; at most {MAX_CAMPAIGN_TASKS} are allowed"
+        )
+
 
 def parse_campaign(payload: object) -> Tuple[Algorithm, List[object]]:
     """Validate a campaign submission into ``(algorithm, task_list)``.
@@ -366,11 +330,14 @@ def parse_campaign(payload: object) -> Tuple[Algorithm, List[object]]:
     ``verify_algorithm`` — whose task lists are built by the *same*
     builders the library campaigns use, so an HTTP submission and a
     library call with equal parameters produce equal task lists (and so
-    equal store keys and campaign ids).
+    equal store keys and campaign ids).  The task count is computed
+    before any task is built, and more than :data:`MAX_CAMPAIGN_TASKS`
+    raise :class:`SpecError` naming ``tasks``.
     """
     from .campaign import (  # local import: campaign imports this module
         exhaustive_check_tasks,
         grid_sweep_tasks,
+        shape_sizes,
         stress_test_tasks,
     )
 
@@ -381,44 +348,42 @@ def parse_campaign(payload: object) -> Tuple[Algorithm, List[object]]:
         entries = payload["tasks"]
         if not isinstance(entries, list) or not entries:
             raise SpecError("tasks", "'tasks' must be a non-empty list of task objects")
+        _bound_task_count(len(entries))
         return algorithm, [parse_task(entry, algorithm.name) for entry in entries]
     kind = _field(payload, "campaign", "grid_sweep")
     if kind not in CAMPAIGN_KINDS:
         raise SpecError("campaign", f"'campaign' must be one of {CAMPAIGN_KINDS}, got {kind!r}")
     sizes = _sizes_field(payload)
     if kind == "grid_sweep":
-        tasks = grid_sweep_tasks(
-            algorithm,
-            sizes=sizes,
-            model=_model_field(payload),
-            seed=_int_field(payload, "seed", None),
-        )
+        model, seed = _model_field(payload), _int_field(payload, "seed", None)
+        _bound_task_count(len(shape_sizes(kind, algorithm, sizes)))
+        tasks = grid_sweep_tasks(algorithm, sizes=sizes, model=model, seed=seed)
     elif kind == "stress_test":
         models = _field(payload, "models", ["SSYNC", "ASYNC"])
         if not isinstance(models, (list, tuple)) or not models or not all(
             isinstance(model, str) and model.upper() in MODELS for model in models
         ):
             raise SpecError("models", f"'models' must be a non-empty list drawn from {MODELS}, got {models!r}")
-        tasks = stress_test_tasks(
-            algorithm,
-            sizes=sizes,
-            models=tuple(model.upper() for model in models),
-            seeds=_seeds_field(payload, tuple(range(10))),
-        )
+        models = tuple(model.upper() for model in models)
+        seeds = _seeds_field(payload, tuple(range(10)))
+        _bound_task_count(len(shape_sizes(kind, algorithm, sizes)) * len(models) * len(seeds))
+        tasks = stress_test_tasks(algorithm, sizes=sizes, models=models, seeds=seeds)
     elif kind == "exhaustive_sweep":
+        model, reduction = _model_field(payload), _reduction_field(payload)
+        max_states = _int_field(payload, "max_states", 200_000, minimum=1)
+        _bound_task_count(len(shape_sizes(kind, algorithm, sizes)))
         tasks = exhaustive_check_tasks(
-            algorithm,
-            sizes=sizes,
-            model=_model_field(payload),
-            reduction=_reduction_field(payload),
-            max_states=_int_field(payload, "max_states", 200_000, minimum=1),
+            algorithm, sizes=sizes, model=model, reduction=reduction, max_states=max_states,
         )
-    else:  # verify_algorithm
-        tasks = grid_sweep_tasks(algorithm, sizes=sizes, model="FSYNC")
+    else:  # verify_algorithm: the FSYNC sweep, plus SSYNC and ASYNC stress runs if ASYNC
+        count, seeds = len(shape_sizes("grid_sweep", algorithm, sizes)), None
         if algorithm.synchrony == "ASYNC":
-            tasks.extend(
-                stress_test_tasks(algorithm, sizes=sizes, seeds=_seeds_field(payload, tuple(range(5))))
-            )
+            seeds = _seeds_field(payload, tuple(range(5)))
+            count += len(shape_sizes("stress_test", algorithm, sizes)) * 2 * len(seeds)
+        _bound_task_count(count)
+        tasks = grid_sweep_tasks(algorithm, sizes=sizes, model="FSYNC")
+        if seeds is not None:
+            tasks.extend(stress_test_tasks(algorithm, sizes=sizes, seeds=seeds))
     if not tasks:
         raise SpecError("sizes", "campaign resolved to zero tasks (no supported grid sizes)")
     return algorithm, tasks

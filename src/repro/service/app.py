@@ -39,8 +39,8 @@ Cross-cutting semantics
   their verdict-store keys with — so an HTTP check and a library
   ``check_terminating_exploration`` of the same spec address the same
   stored verdict, byte-identical modulo the ``compare=False``
-  observability channels.  Campaign tasks share the library's task keys
-  instead (``verify_one``/``check_one`` and the campaign engine).
+  observability channels.  Campaign tasks share the library campaigns'
+  task keys instead: both run through the campaign engine.
 * **Validation.**  Malformed specs are 400s whose body names the
   offending field (:class:`~repro.engine.spec.SpecError`); a body that
   is not one JSON object (undecodable, too deeply nested, an integer
@@ -192,6 +192,11 @@ class CampaignRun:
                 "events_location": f"/v1/campaigns/{self.id}/events",
             }
 
+    def terminal_event(self) -> Dict[str, object]:
+        """The ``done`` or ``error`` event a finished run ended with."""
+        with self._cond:
+            return self._events[-1]
+
     def wait_events(self, since: int, timeout: float) -> Tuple[List[Dict[str, object]], bool]:
         """``(events beyond since, run-is-terminal)`` after at most ``timeout``."""
         deadline = time.monotonic() + timeout
@@ -315,11 +320,9 @@ class VerificationService:
                 return
             if terminal and not events:
                 # Subscribed past the end of a finished run: re-send the
-                # terminal snapshot so the stream still closes cleanly.
-                yield {"event": "done", "seq": cursor, **{
-                    key: value for key, value in run.status().items()
-                    if key in ("ok", "completed", "total", "resumed", "failures", "state")
-                }}
+                # event it ended with (``done``, or ``error`` for a failed
+                # run) so the stream still closes cleanly.
+                yield run.terminal_event()
                 return
             if not events:
                 yield {"event": "ping", "seq": cursor}

@@ -9,14 +9,12 @@ from .campaigns import (
     grid_sweep,
     stress_test,
     verify_algorithm,
-    verify_terminating_exploration,
 )
 
 __all__ = [
     "VerificationReport",
     "GridSweepReport",
     "ParallelCampaignEngine",
-    "verify_terminating_exploration",
     "verify_algorithm",
     "grid_sweep",
     "stress_test",

@@ -1,24 +1,20 @@
 """Simulation-based verification of the terminating exploration property.
 
 The paper proves each algorithm correct with pencil and paper; this module
-replaces the proofs with three executable checks of increasing strength:
+replaces the proofs with campaigns of executable checks:
 
-1. :func:`verify_terminating_exploration` — one bounded execution under a
-   given scheduler must terminate with full node coverage (Definition 1);
-2. :func:`grid_sweep` — the same check over a family of grid sizes
-   (both parities of ``m`` and ``n``, small and rectangular extremes);
-3. :func:`stress_test` — for the SSYNC/ASYNC algorithms, many randomized
-   scheduler seeds per grid, exercising adversarial-ish interleavings.
+1. :func:`grid_sweep` — one bounded execution per grid size of a family
+   (both parities of ``m`` and ``n``, small and rectangular extremes)
+   must terminate with full node coverage (Definition 1);
+2. :func:`stress_test` — for the SSYNC/ASYNC algorithms, many randomized
+   scheduler seeds per grid, exercising adversarial-ish interleavings;
+3. :func:`exhaustive_sweep` — exhaustive model checks on small grids.
 
-Exhaustive exploration of *all* scheduler behaviours on small grids is the
-job of :mod:`repro.checking`; the campaigns here scale to larger grids.
-
-The execution machinery lives in the engine kernel
-(:mod:`repro.engine.campaign`): every campaign is a flat list of
-independent :class:`~repro.engine.campaign.CampaignTask` work items run
-through :class:`~repro.engine.campaign.ParallelCampaignEngine`,
-re-exported here.  Each campaign below takes the engine's two routing
-arguments: ``backend`` (serial by default, or a
+Every campaign builds a flat list of independent
+:class:`~repro.engine.campaign.CampaignTask` work items and runs it through
+:class:`~repro.engine.campaign.ParallelCampaignEngine` (re-exported here),
+the one writer of task reports to a store.  Each campaign takes the
+engine's two routing arguments: ``backend`` (serial by default, or a
 :class:`~repro.engine.backend.PoolBackend` fanning the tasks across local
 worker processes — with byte-identical reports) and ``store`` (a
 :class:`~repro.engine.store.VerdictStore` that serves finished reports
@@ -28,19 +24,17 @@ again against the same store resumes it).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence, Tuple
 
 from ..core.algorithm import Algorithm
 from ..core.simulator import TieBreak
 from ..engine.campaign import (
-    CampaignTask,
     GridSweepReport,
     ParallelCampaignEngine,
     VerificationReport,
     exhaustive_check_tasks,
     grid_sweep_tasks,
     stress_test_tasks,
-    verify_one,
 )
 from ..engine.suites import default_grid_suite
 
@@ -52,45 +46,12 @@ __all__ = [
     "VerificationReport",
     "GridSweepReport",
     "ParallelCampaignEngine",
-    "verify_terminating_exploration",
     "verify_algorithm",
     "grid_sweep",
     "stress_test",
     "exhaustive_sweep",
     "default_grid_suite",
 ]
-
-
-def verify_terminating_exploration(
-    algorithm: Algorithm,
-    m: int,
-    n: int,
-    model: str = "FSYNC",
-    seed: Optional[int] = None,
-    tie_break: str = TieBreak.ERROR,
-    max_steps: Optional[int] = None,
-) -> VerificationReport:
-    """Check Definition 1 on one bounded execution."""
-    return verify_one(algorithm, m, n, model=model, seed=seed, tie_break=tie_break, max_steps=max_steps)
-
-
-def _run_campaign(
-    algorithm: Algorithm,
-    tasks: List[CampaignTask],
-    backend: Optional["ExecutionBackend"],
-    store: Optional["VerdictStore"],
-) -> GridSweepReport:
-    """Run a task list through ``ParallelCampaignEngine(backend, store)``.
-
-    Every backend produces byte-identical reports (every run is a pure
-    function of its task), so ``backend`` is purely a throughput and
-    cache-reuse decision.  ``store`` memoizes every report by task
-    content — across campaigns, processes and runs of the program: stored
-    reports never reach the backend, and each fresh one is recorded as it
-    completes.
-    """
-    engine = ParallelCampaignEngine(backend=backend, store=store)
-    return GridSweepReport(algorithm=algorithm.name, reports=engine.run_tasks(tasks))
 
 
 def grid_sweep(
@@ -104,7 +65,8 @@ def grid_sweep(
 ) -> GridSweepReport:
     """Verify terminating exploration over a family of grid sizes."""
     tasks = grid_sweep_tasks(algorithm, sizes=sizes, model=model, seed=seed, tie_break=tie_break)
-    return _run_campaign(algorithm, tasks, backend, store)
+    reports = ParallelCampaignEngine(backend=backend, store=store).run_tasks(tasks)
+    return GridSweepReport(algorithm=algorithm.name, reports=reports)
 
 
 def stress_test(
@@ -118,7 +80,8 @@ def stress_test(
 ) -> GridSweepReport:
     """Randomized-scheduler campaign for the SSYNC/ASYNC algorithms."""
     tasks = stress_test_tasks(algorithm, sizes=sizes, models=models, seeds=seeds, tie_break=tie_break)
-    return _run_campaign(algorithm, tasks, backend, store)
+    reports = ParallelCampaignEngine(backend=backend, store=store).run_tasks(tasks)
+    return GridSweepReport(algorithm=algorithm.name, reports=reports)
 
 
 def exhaustive_sweep(
@@ -144,7 +107,8 @@ def exhaustive_sweep(
     tasks = exhaustive_check_tasks(
         algorithm, sizes=sizes, model=model, reduction=reduction, max_states=max_states,
     )
-    return _run_campaign(algorithm, tasks, backend, store)
+    reports = ParallelCampaignEngine(backend=backend, store=store).run_tasks(tasks)
+    return GridSweepReport(algorithm=algorithm.name, reports=reports)
 
 
 def verify_algorithm(

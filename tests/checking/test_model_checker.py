@@ -6,12 +6,11 @@ import pytest
 
 from repro.algorithms import get
 from repro.checking import check_terminating_exploration, enumerate_reachable, initial_state
-from repro.checking.model_checker import successors
 from repro.checking.states import SchedulerState, world_from_state
 from repro.core import Algorithm, G, Grid, Synchrony, W, occ
 from repro.core.errors import ConfigurationError, IllegalMoveError, StateSpaceLimitExceeded
 from repro.core.rules import Guard, Rule
-from repro.engine import check_one, run_fsync, verify_one
+from repro.engine import AlgorithmTransitionSystem, check_one, run_fsync, verify_one
 
 ASYNC_NAMES = [
     "async_phi2_l3_chir_k2",
@@ -79,21 +78,21 @@ class TestSuccessors:
         algorithm = get("fsync_phi2_l2_chir_k2")
         grid = Grid(3, 4)
         state = initial_state(algorithm, grid)
-        assert len(successors(algorithm, grid, state, "FSYNC")) == 1
+        assert len(AlgorithmTransitionSystem(algorithm, grid, "FSYNC").successors(state)) == 1
 
     def test_ssync_branches_over_subsets(self):
         algorithm = get("fsync_phi2_l2_chir_k2")
         grid = Grid(3, 4)
         state = initial_state(algorithm, grid)
         # Two enabled robots -> three non-empty subsets.
-        assert len(successors(algorithm, grid, state, "SSYNC")) == 3
+        assert len(AlgorithmTransitionSystem(algorithm, grid, "SSYNC").successors(state)) == 3
 
     def test_async_offers_looks_only_to_enabled_robots(self):
         algorithm = get("async_phi2_l3_chir_k2")
         grid = Grid(3, 4)
         state = initial_state(algorithm, grid)
         # Only the W robot is enabled initially, so exactly one Look step.
-        assert len(successors(algorithm, grid, state, "ASYNC")) == 1
+        assert len(AlgorithmTransitionSystem(algorithm, grid, "ASYNC").successors(state)) == 1
 
     def test_terminal_states_have_no_successors(self):
         from repro.checking.states import AsyncRobotState
@@ -105,7 +104,7 @@ class TestSuccessors:
         state = SchedulerState.from_records(
             [AsyncRobotState(pos=(2, 1), color="G"), AsyncRobotState(pos=(2, 2), color="W")]
         )
-        assert successors(algorithm, grid, state, "SSYNC") == []
+        assert AlgorithmTransitionSystem(algorithm, grid, "SSYNC").successors(state) == []
 
 
 class TestExhaustiveChecks:

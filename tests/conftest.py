@@ -6,8 +6,7 @@ import signal
 
 import pytest
 
-from repro import core
-from repro.algorithms import all_algorithms, get
+from repro.algorithms import get
 
 #: Wall-clock bound for any single test in the suite.
 HANG_GUARD_SECONDS = 120
@@ -32,44 +31,7 @@ def hang_guard():
         signal.signal(signal.SIGALRM, previous)
 
 
-@pytest.fixture(scope="session")
-def algorithms():
-    """All registered algorithms keyed by name."""
-    return all_algorithms()
-
-
-@pytest.fixture(scope="session")
-def fsync_algorithms(algorithms):
-    """The eight FSYNC rows of Table 1."""
-    return [a for a in algorithms.values() if a.synchrony == "FSYNC"]
-
-
-@pytest.fixture(scope="session")
-def async_algorithms(algorithms):
-    """The SSYNC/ASYNC rows of Table 1."""
-    return [a for a in algorithms.values() if a.synchrony == "ASYNC"]
-
-
-@pytest.fixture
-def small_grid():
-    return core.Grid(3, 4)
-
-
 @pytest.fixture
 def algorithm1():
     """Algorithm 1 of the paper (the quickstart algorithm)."""
     return get("fsync_phi2_l2_chir_k2")
-
-
-def pytest_addoption(parser):
-    parser.addoption(
-        "--thorough",
-        action="store_true",
-        default=False,
-        help="run the larger verification sweeps (slower)",
-    )
-
-
-@pytest.fixture(scope="session")
-def thorough(request):
-    return request.config.getoption("--thorough")

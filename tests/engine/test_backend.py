@@ -355,7 +355,7 @@ class TestBackendCampaigns:
         engine = ParallelCampaignEngine(backend=backend, store=store)
         (report,) = engine.run_tasks(grid_sweep_tasks(b, sizes=[(4, 5)]))
         assert (report.algorithm, report.steps) == (b.name, 14)
-        served = verify_one(b, 4, 5, store=store)
+        (served,) = engine.run_tasks([CampaignTask(b, 4, 5)])
         assert served.store_stats["outcome"] == HIT
         assert (served.algorithm, served.steps) == (b.name, 14)
         assert served == verify_one(b, 4, 5)

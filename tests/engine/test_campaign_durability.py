@@ -32,7 +32,6 @@ from repro.engine import (
     PoolBackend,
     SerialBackend,
     VerdictStore,
-    execute_tasks,
     exhaustive_check_tasks,
     task_store_key,
 )
@@ -49,7 +48,7 @@ def chaos_tasks(algorithm1):
 
 @pytest.fixture()
 def serial_reports(chaos_tasks):
-    return execute_tasks(chaos_tasks)
+    return ParallelCampaignEngine().run_tasks(chaos_tasks)
 
 
 def raw_records(path: Path) -> int:

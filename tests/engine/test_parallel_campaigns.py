@@ -18,7 +18,6 @@ from repro.engine import (
     PoolBackend,
     VerdictStore,
     check_one,
-    execute_tasks,
     grid_sweep_tasks,
     run_task,
     stress_test_tasks,
@@ -114,7 +113,7 @@ class TestParallelSerialParity:
         # The ad-hoc rule set is not a terminating explorer; what matters is
         # that the workers ran it with the serial path's reports exactly.
         assert len(report.reports) == len(sizes)
-        assert report.reports == execute_tasks(grid_sweep_tasks(adhoc, sizes=sizes))
+        assert report.reports == ParallelCampaignEngine().run_tasks(grid_sweep_tasks(adhoc, sizes=sizes))
 
 
 class TestTasksRunTheAlgorithmTheyName:
@@ -127,15 +126,15 @@ class TestTasksRunTheAlgorithmTheyName:
         store = VerdictStore(tmp_path / "store")
         (report,) = ParallelCampaignEngine(store=store).run_tasks(grid_sweep_tasks(b, sizes=[(4, 5)]))
         assert (report.algorithm, report.steps) == (self.B, 14)
-        served = verify_one(b, 4, 5, store=store)
+        (served,) = ParallelCampaignEngine(store=store).run_tasks([CampaignTask(b, 4, 5)])
         assert served.store_stats["outcome"] == HIT
         assert (served.algorithm, served.steps) == (self.B, 14)
         assert verify_one(a, 4, 5).steps == 17  # what A's run would have filed
 
-    def test_execute_tasks_runs_each_tasks_own_algorithm(self):
+    def test_engine_runs_each_tasks_own_algorithm(self):
         a, b = get(self.A), get(self.B)
         tasks = grid_sweep_tasks(a, sizes=[(4, 5)]) + grid_sweep_tasks(b, sizes=[(4, 5)])
-        reports = execute_tasks(tasks)
+        reports = ParallelCampaignEngine().run_tasks(tasks)
         assert [(r.algorithm, r.steps) for r in reports] == [(self.A, 17), (self.B, 14)]
         assert reports == [run_task(task) for task in tasks]
 

@@ -21,7 +21,6 @@ from repro.engine import (
     PoolBackend,
     SerialBackend,
     check_one,
-    execute_tasks,
     explore,
     explore_sharded,
     normalize_reduction,
@@ -216,7 +215,7 @@ class TestExhaustiveCheckCampaigns:
             )
             for m, n in [(2, 3), (3, 3), (3, 4)]
         ]
-        serial = execute_tasks(tasks)
+        serial = ParallelCampaignEngine().run_tasks(tasks)
         with PoolBackend(workers=2) as backend:
             parallel = ParallelCampaignEngine(backend=backend).run_tasks(tasks)
             assert backend.started  # the tasks crossed the process boundary
@@ -240,6 +239,6 @@ class TestExhaustiveCheckCampaigns:
                 algorithm=algorithm, m=3, n=3, model="ASYNC", kind="check", reduction="grid"
             ),
         ]
-        reports = execute_tasks(tasks)
+        reports = ParallelCampaignEngine().run_tasks(tasks)
         assert [r.kind for r in reports] == ["walk", "check"]
         assert reports[0].seed is not None and reports[1].seed is None

@@ -33,14 +33,11 @@ from repro.engine.campaign import (
     CampaignTask,
     ParallelCampaignEngine,
     VerificationReport,
-    check_one,
     exhaustive_check_tasks,
     grid_sweep_tasks,
-    task_store_key,
-    verify_one,
 )
 from repro.engine.matcher import MatcherCache
-from repro.engine.spec import check_store_key
+from repro.engine.spec import check_store_key, task_store_key
 from repro.engine.store import COALESCED, HIT, MISS, RECORD_HEADER, iter_records, pack_record
 from repro.engine.suites import reduction_parity_suite
 from repro.checking import CheckResult, check_terminating_exploration
@@ -504,7 +501,6 @@ class TestParity:
 
     def test_budget_tripped_verdicts_never_alias_full_ones(self):
         from repro.core.errors import StateSpaceLimitExceeded
-        from repro.engine.campaign import check_one
 
         store = VerdictStore()
         algorithm, grid = get(ALGORITHM), Grid(3, 3)
@@ -513,15 +509,17 @@ class TestParity:
                 algorithm, grid, model="FSYNC", reduction="grid", max_states=2, store=store
             )
         assert len(store) == 0  # a tripped budget records nothing
-        # check_one converts the trip into a failed report — cached under a
-        # key that carries max_states, so it can never answer for the full
+        # A check task converts the trip into a failed report — cached under
+        # a key that carries max_states, so it can never answer for the full
         # check, which runs (and passes) as its own miss.
-        starved = check_one(algorithm, 3, 3, max_states=2, store=store)
+        engine = ParallelCampaignEngine(store=store)
+        starved_task = CampaignTask(algorithm, 3, 3, kind="check", max_states=2)
+        (starved,) = engine.run_tasks([starved_task])
         assert not starved.ok
-        full = check_one(algorithm, 3, 3, store=store)
+        (full,) = engine.run_tasks([CampaignTask(algorithm, 3, 3, kind="check")])
         assert full.ok
         assert full.store_stats["outcome"] == MISS
-        assert check_one(algorithm, 3, 3, max_states=2, store=store) == starved
+        assert engine.run_tasks([starved_task]) == [starved]
 
     def test_report_parity_on_disk_across_sessions(self, tmp_path):
         algorithm = get(ALGORITHM)
@@ -537,16 +535,6 @@ class TestParity:
             assert all(report.store_stats["outcome"] == HIT for report in cached)
             assert reopened.misses == 0
         assert cached == recorded == fresh
-
-    def test_serial_and_engine_routes_share_store_entries(self):
-        store = VerdictStore()
-        algorithm = get(ALGORITHM)
-        report = verify_one(algorithm, 3, 3, store=store)
-        assert report.store_stats["outcome"] == MISS
-        (task,) = grid_sweep_tasks(algorithm, sizes=[(3, 3)])
-        (engine_report,) = ParallelCampaignEngine(store=store).run_tasks([task])
-        assert engine_report.store_stats["outcome"] == HIT
-        assert engine_report == report
 
     def test_walk_keys_normalize_the_default_seed(self):
         algorithm = get(ALGORITHM)
@@ -566,12 +554,6 @@ def run_route(route, algorithm, store):
                 algorithm, Grid(3, 3), model="FSYNC", reduction="grid", backend=backend, store=store
             )
             return [check_store_key(algorithm, 3, 3, "FSYNC", "grid")]
-        if route == "check_one":
-            check_one(algorithm, 3, 3, backend=backend, store=store)
-            return [task_store_key(CampaignTask(algorithm, 3, 3, kind="check"))]
-        if route == "verify_one":
-            verify_one(algorithm, 3, 3, backend=backend, store=store)
-            return [task_store_key(CampaignTask(algorithm, 3, 3))]
         sizes = [(3, 3), (3, 4)]
         tasks = grid_sweep_tasks(algorithm, sizes=sizes) + exhaustive_check_tasks(algorithm, sizes=sizes)
         ParallelCampaignEngine(backend=backend, store=store).run_tasks(tasks)
@@ -580,7 +562,7 @@ def run_route(route, algorithm, store):
 
 class TestOneRecordPerRequest:
     @pytest.mark.parametrize(
-        "route", ["check", "pool-check", "check_one", "verify_one", "campaign", "pool-campaign"]
+        "route", ["check", "pool-check", "campaign", "pool-campaign"]
     )
     def test_each_request_stores_its_verdict_and_nothing_else(self, tmp_path, route):
         algorithm = get(ALGORITHM)

@@ -10,6 +10,7 @@ which only works when handler threads share this process's module state).
 from __future__ import annotations
 
 import json
+import time
 import urllib.error
 import urllib.request
 
@@ -82,6 +83,36 @@ def harness_factory(tmp_path):
 def harness(harness_factory):
     """A served :class:`VerificationService` over a fresh on-disk store."""
     return harness_factory()
+
+
+class FailAfterFirstReport:
+    """Wraps a campaign engine so that every run raises after its first report."""
+
+    def __init__(self, engine) -> None:
+        self.engine = engine
+
+    def iter_tasks(self, tasks):
+        yield next(iter(self.engine.iter_tasks(tasks)))
+        raise RuntimeError("engine failed after its first report")
+
+
+@pytest.fixture
+def failed_campaign(harness, monkeypatch):
+    """The id of a two-task campaign whose engine raised after one report.
+
+    Its event log is ``task`` then ``error``; the run's state is
+    ``failed``.
+    """
+    monkeypatch.setattr(harness.service, "engine", FailAfterFirstReport(harness.service.engine))
+    _, submitted, _ = harness.post(
+        "/v1/campaigns",
+        {"algorithm": "fsync_phi2_l2_chir_k2", "campaign": "grid_sweep", "sizes": [[2, 3], [3, 3]]},
+    )
+    deadline = time.monotonic() + 60.0
+    while harness.get(f"/v1/campaigns/{submitted['id']}")[1]["state"] == "running":
+        assert time.monotonic() < deadline, "campaign still running after 60s"
+        time.sleep(0.02)
+    return submitted["id"]
 
 
 #: ``python -m repro.service`` argv per ``--backend`` kind.

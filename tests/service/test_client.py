@@ -90,6 +90,12 @@ class TestCampaignWorkflow:
         assert run_cli(harness, "submit", "--spec", "{nope") == EXIT_REJECTED
         assert "valid JSON" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("since", ["0", "2"])
+    def test_tail_of_a_failed_run_exits_three_from_any_cursor(self, harness, failed_campaign, capsys, since):
+        assert run_cli(harness, "tail", failed_campaign, "--since", since) == EXIT_UNAVAILABLE
+        events = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        assert events[-1]["event"] == "error"
+
     def test_await_unknown_campaign_exits_two(self, harness, capsys):
         assert run_cli(harness, "await", "feedfacefeedface") == EXIT_REJECTED
 

@@ -336,7 +336,7 @@ MISMATCH = {
 
 def assert_mismatched_task_runs_its_own_algorithm(harness) -> None:
     """A task naming B in a campaign for A runs B, and files B's report under B's key."""
-    from repro.engine.campaign import verify_one
+    from repro.engine.campaign import CampaignTask, ParallelCampaignEngine
 
     _, submitted, _ = harness.post("/v1/campaigns", MISMATCH)
     assert await_campaign(harness, submitted["id"])["state"] == "done"
@@ -344,9 +344,8 @@ def assert_mismatched_task_runs_its_own_algorithm(harness) -> None:
     (task,) = [event for event in map(json.loads, raw.splitlines()) if event["event"] == "task"]
     verdict = task["report"]["verdict"]
     assert (verdict["algorithm"], verdict["steps"]) == ("fsync_phi1_l3_nochir_k4", 14)
-    served = verify_one(
-        registry.get("fsync_phi1_l3_nochir_k4"), 4, 5, store=harness.service.store
-    )
+    lookup = CampaignTask(registry.get("fsync_phi1_l3_nochir_k4"), 4, 5)
+    (served,) = ParallelCampaignEngine(store=harness.service.store).run_tasks([lookup])
     assert served.store_stats["outcome"] == "hit"
     assert (served.algorithm, served.steps) == ("fsync_phi1_l3_nochir_k4", 14)
 
@@ -388,6 +387,19 @@ class TestCampaigns:
         raw = harness.get_raw(f"/v1/campaigns/{submitted['id']}/events?since=999")
         events = [json.loads(line) for line in raw.splitlines() if line.strip()]
         assert events and events[-1]["event"] == "done"
+
+    @pytest.mark.parametrize("since", [2, 999])
+    def test_late_subscriber_to_failed_run_gets_its_error(self, harness, failed_campaign, since):
+        # Subscribed at or past the end of a run that failed: the stream
+        # closes on the event the run ended with, not on a "done".
+        status = harness.get(f"/v1/campaigns/{failed_campaign}")[1]
+        assert (status["state"], status["events"]) == ("failed", 2)
+        raw = harness.get_raw(f"/v1/campaigns/{failed_campaign}/events?since={since}")
+        events = [json.loads(line) for line in raw.splitlines() if line.strip()]
+        assert [event["event"] for event in events] == ["error"]
+        assert events[0]["error"] == status["error"] == (
+            "RuntimeError: engine failed after its first report"
+        )
 
     def test_explicit_task_list_campaign(self, harness):
         payload = {

@@ -19,21 +19,21 @@ from repro.engine.campaign import (
     CampaignTask,
     exhaustive_check_tasks,
     grid_sweep_tasks,
-    task_store_key,
+    stress_test_tasks,
 )
 from repro.engine.store import content_key
 from repro.engine.spec import (
+    MAX_CAMPAIGN_TASKS,
     CheckSpec,
     SpecError,
     campaign_id,
     canonical_json,
     check_store_key,
-    check_task_key,
     parse_campaign,
     parse_check_spec,
     parse_task,
     result_payload,
-    walk_task_key,
+    task_store_key,
 )
 from repro.engine.store import VerdictStore
 
@@ -74,21 +74,9 @@ class TestKeyIdentity:
         assert check_store_key(REGISTERED, 3, 3, "FSYNC", None) == unreduced
         assert check_store_key(REGISTERED, 3, 3, "FSYNC", "") == unreduced
 
-    def test_task_store_key_delegates_to_the_shared_builders(self):
-        walk = CampaignTask(algorithm=REGISTERED, m=3, n=3, model="SSYNC", seed=7, tie_break="first")
-        assert task_store_key(walk) == walk_task_key(
-            REGISTERED, 3, 3, "SSYNC", 7, "first", walk.max_steps
-        )
-        check = CampaignTask(
-            algorithm=REGISTERED, m=3, n=3, model="FSYNC", kind="check", reduction="grid"
-        )
-        assert task_store_key(check) == check_task_key(
-            REGISTERED, 3, 3, "FSYNC", "grid", check.max_states
-        )
-
     def test_walk_key_normalizes_default_seed_like_execution(self):
-        explicit = walk_task_key(REGISTERED, 3, 3, "SSYNC", 0, "error", None)
-        assert walk_task_key(REGISTERED, 3, 3, "SSYNC", None, "error", None) == explicit
+        explicit = task_store_key(CampaignTask(REGISTERED, 3, 3, "SSYNC", seed=0))
+        assert task_store_key(CampaignTask(REGISTERED, 3, 3, "SSYNC", seed=None)) == explicit
 
     def test_max_states_is_part_of_the_key(self):
         roomy = check_store_key(REGISTERED, 3, 3, "FSYNC", "grid", max_states=200_000)
@@ -97,7 +85,7 @@ class TestKeyIdentity:
 
 
 def test_store_keys_and_campaign_id_are_pinned():
-    """Full keys of one spec under both reductions, and one campaign id.
+    """Full keys of one spec under both reductions, a walk task, and one campaign id.
 
     Warm verdict stores and campaign journals are addressed by these
     hashes, so they may only move in a change that means to orphan every
@@ -116,7 +104,12 @@ def test_store_keys_and_campaign_id_are_pinned():
     for reduction, (check_key, task_key) in pinned.items():
         case = (REGISTERED, 3, 3, "FSYNC", reduction)
         assert content_key(check_store_key(*case)) == check_key
-        assert content_key(check_task_key(*case)) == task_key
+        check = CampaignTask(REGISTERED, 3, 3, "FSYNC", kind="check", reduction=reduction)
+        assert content_key(task_store_key(check)) == task_key
+    walk = CampaignTask(REGISTERED, 3, 3, "SSYNC", seed=7, tie_break="first", max_steps=50)
+    assert content_key(task_store_key(walk)) == (
+        "75ba37ccfaf347d0f2468072e87477f98d439c628314407742187594fb8b97dc"
+    )
     name, tasks = parse_campaign(
         {"algorithm": ALGORITHM, "campaign": "exhaustive_sweep", "sizes": [[3, 3], [3, 4]]}
     )
@@ -201,6 +194,25 @@ class TestValidation:
         with pytest.raises(SpecError) as excinfo:
             parse_campaign({"algorithm": "async_phi2_l3_chir_k2", **payload})
         assert excinfo.value.field == field
+
+    def test_campaigns_past_the_task_bound_are_refused_naming_tasks(self):
+        # 51 sizes x 2 models x 100 seeds = 10,200 tasks, and 10,001 entries:
+        # both are refused before any task is built.
+        stress = {"campaign": "stress_test", "sizes": [[3, 4]] * 51, "seeds": list(range(100))}
+        listed = {"tasks": [{"m": 3, "n": 3}] * (MAX_CAMPAIGN_TASKS + 1)}
+        for payload in (stress, listed):
+            with pytest.raises(SpecError, match="10,?[0-9]{3} tasks") as excinfo:
+                parse_campaign({"algorithm": ALGORITHM, **payload})
+            assert excinfo.value.field == "tasks"
+
+    def test_the_bound_counts_the_default_sizes_like_the_builder(self):
+        sizes = len(stress_test_tasks(REGISTERED, models=("SSYNC",), seeds=(0,)))
+        seeds = MAX_CAMPAIGN_TASKS // (2 * sizes)
+        payload = {"algorithm": ALGORITHM, "campaign": "stress_test", "seeds": list(range(seeds))}
+        _, tasks = parse_campaign(payload)
+        assert len(tasks) == 2 * sizes * seeds
+        with pytest.raises(SpecError, match="tasks"):
+            parse_campaign({**payload, "seeds": list(range(seeds + 1))})
 
     def test_task_entries_inherit_the_campaign_algorithm(self):
         task = parse_task({"m": 3, "n": 3, "kind": "check"}, ALGORITHM)

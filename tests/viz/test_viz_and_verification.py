@@ -7,12 +7,8 @@ import pytest
 from repro.algorithms import get
 from repro.core import Configuration, Grid, run_fsync
 from repro.core.errors import VerificationError
-from repro.verification import (
-    grid_sweep,
-    stress_test,
-    verify_algorithm,
-    verify_terminating_exploration,
-)
+from repro.engine import verify_one
+from repro.verification import grid_sweep, stress_test, verify_algorithm
 from repro.viz import render_configuration, render_trace, render_world
 from repro.viz.figures import FigureFrame, find_index, find_subtrace, render_figure_sequence
 
@@ -64,13 +60,11 @@ class TestFigureHelpers:
 
 class TestVerificationCampaigns:
     def test_single_verification_report(self):
-        report = verify_terminating_exploration(get("fsync_phi2_l2_chir_k2"), 4, 5)
+        report = verify_one(get("fsync_phi2_l2_chir_k2"), 4, 5)
         assert report.ok and report.reason == "ok"
 
     def test_failed_verification_reports_reason(self):
-        report = verify_terminating_exploration(
-            get("fsync_phi2_l2_chir_k2"), 6, 7, max_steps=2
-        )
+        report = verify_one(get("fsync_phi2_l2_chir_k2"), 6, 7, max_steps=2)
         assert not report.ok and "terminate" in report.reason
 
     def test_grid_sweep_and_raise_on_failure(self):
