@@ -17,7 +17,8 @@ enumerated exactly:
     eventually occupied — computed by a backward fixpoint over the DAG
     (the set of nodes *guaranteed* to be visited from a state is the
     intersection over its successors, plus the nodes occupied in the
-    state itself).
+    state itself), one integer bitmask per state with a bit per node;
+    only the initial state's mask is decoded back to nodes.
 
 Successor generation is delegated to the transition-system kernel
 (:class:`repro.engine.transition.AlgorithmTransitionSystem`), the only
@@ -49,7 +50,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional
 
 from ..core.algorithm import Algorithm
 from ..core.grid import Grid
-from ..engine.explorer import explore_sharded, guaranteed_nodes, has_cycle
+from ..engine.explorer import explore_sharded, guaranteed_nodes, has_cycle, root_guarantee
 from ..engine.states import SchedulerState
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -240,12 +241,8 @@ def _run_check(
         )
 
     all_nodes = frozenset(grid.nodes())
-    guaranteed = guaranteed_nodes(exploration)
-    guaranteed_root = guaranteed[exploration.root]
-    if exploration.root_sym is not None:
-        # Map the canonical root's guarantee back into the raw initial
-        # state's coordinates so counterexamples name the actual nodes.
-        guaranteed_root = frozenset(exploration.root_sym.node(node) for node in guaranteed_root)
+    # The raw initial state's guarantee, so counterexamples name its nodes.
+    guaranteed_root = root_guarantee(exploration, guaranteed_nodes(exploration))
 
     explores = guaranteed_root == all_nodes
     counterexample = None

@@ -9,7 +9,7 @@ sees positions and colors, exactly as in the paper.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Tuple
 
 from .colors import Color, validate_color
@@ -35,12 +35,16 @@ class Robot:
         validate_color(self.color)
 
     def moved_to(self, pos: Node) -> "Robot":
-        """A copy of this robot relocated to ``pos``."""
-        return replace(self, pos=pos)
+        """A copy of this robot relocated to ``pos``.
+
+        Built directly rather than through :func:`dataclasses.replace`,
+        which costs about twice as much; ``__post_init__`` still runs.
+        """
+        return Robot(self.rid, pos, self.color)
 
     def recolored(self, color: Color) -> "Robot":
-        """A copy of this robot with its light set to ``color``."""
-        return replace(self, color=color)
+        """A copy of this robot with its light set to ``color`` (validated)."""
+        return Robot(self.rid, self.pos, color)
 
     def key(self) -> Tuple[int, Node, Color]:
         """A hashable summary ``(rid, pos, color)``."""

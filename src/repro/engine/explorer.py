@@ -13,14 +13,17 @@ representative and the edge is labelled with the witness ``h`` mapping the
 representative's coordinates back to the raw successor's.  Termination is
 preserved by the quotient (a quotient cycle lifts to an infinite — hence,
 on a finite space, cyclic — raw execution and vice versa); coverage is
-computed exactly by pushing guaranteed-node sets through the edge labels.
+computed exactly by pushing guaranteed-node bitmasks through the edge
+labels' bit permutations (:meth:`~repro.engine.symmetry.GridSymmetry.mask`).
 
 Both verdict analyses read one iterative Tarjan pass (R. Tarjan, SIAM J.
 Comput. 1972) kept on the :class:`Exploration`: its strongly connected
 components, successors first.  :func:`has_cycle` asks whether one holds a
 cycle, and :func:`guaranteed_nodes` solves the coverage equations in that
-order, cycles included, which the Theorem 1 refuter
-(:mod:`repro.impossibility.refuter`) reads.
+order, cycles included, on integer node bitmasks (node ``(i, j)`` is bit
+``i * n + j``).  Its two readers, the checker and the Theorem 1 refuter
+(:mod:`repro.impossibility.refuter`), decode only the root's mask back to
+nodes, through :func:`root_guarantee`.
 
 :func:`explore_sharded` is the algorithm-level entry point the checking
 layer calls: it builds the
@@ -57,6 +60,8 @@ __all__ = [
     "explore_sharded",
     "has_cycle",
     "guaranteed_nodes",
+    "mask_nodes",
+    "root_guarantee",
 ]
 
 
@@ -66,6 +71,9 @@ class Exploration:
 
     #: Synchrony model the graph was built under.
     model: str
+    #: The grid explored; node ``(i, j)`` is bit ``i * grid.n + j`` of the
+    #: masks :func:`guaranteed_nodes` returns.
+    grid: Grid
     #: Index -> canonical state (orbit representatives under ``"grid"``).
     states: List[SchedulerState]
     #: Index -> successor indices.
@@ -245,6 +253,7 @@ def explore(
 
     return Exploration(
         model=ts.model,
+        grid=ts.grid,
         states=states,
         succ=succ,
         edge_syms=edge_syms,
@@ -300,14 +309,16 @@ def has_cycle(exploration: Exploration) -> bool:
     )
 
 
-def guaranteed_nodes(exploration: Exploration) -> List[FrozenSet[Node]]:
-    """The nodes visited on every maximal execution from each state.
+def guaranteed_nodes(exploration: Exploration) -> List[int]:
+    """The nodes visited on every maximal execution from each state, as bitmasks.
 
-    A terminal state guarantees exactly its occupied nodes; any other state
-    guarantees its occupied nodes plus the intersection of its successors'
-    guarantees.  Across symmetry-collapsed edges the successor's guarantee is
-    mapped through the edge label first (``raw = h(rep)`` implies
-    ``guaranteed(raw) = h(guaranteed(rep))``).
+    Node ``(i, j)`` is bit ``i * n + j`` of a mask, ``n`` the grid's column
+    count.  A terminal state guarantees exactly its occupied nodes; any
+    other state guarantees its occupied nodes plus the intersection of its
+    successors' guarantees: an OR of its occupancy with the AND of theirs.
+    Across symmetry-collapsed edges the successor's guarantee is mapped
+    through the edge label's bit permutation first (``raw = h(rep)``
+    implies ``guaranteed(raw) = h(guaranteed(rep))``).
 
     Components are solved successors first, so on an acyclic graph this is
     one backward pass.  Inside a component with a cycle the equations take
@@ -317,21 +328,28 @@ def guaranteed_nodes(exploration: Exploration) -> List[FrozenSet[Node]]:
     states = exploration.states
     succ = exploration.succ
     edge_syms = exploration.edge_syms
-    result: List[FrozenSet[Node]] = [frozenset()] * len(states)
+    n = exploration.grid.n
+    result = [0] * len(states)
 
-    def solve(current: int) -> FrozenSet[Node]:
-        occupied = frozenset(states[current].occupied_nodes())
+    def occupancy(current: int) -> int:
+        mask = 0
+        for record in states[current].robots:
+            i, j = record.pos
+            mask |= 1 << (i * n + j)
+        return mask
+
+    def solve(current: int) -> int:
         children = succ[current]
         if not children:
-            return occupied
-        syms = edge_syms[current] if edge_syms is not None else (None,) * len(children)
-        common: Optional[FrozenSet[Node]] = None
-        for child, h in zip(children, syms):
-            guarantee = result[child]
-            if h is not None:
-                guarantee = frozenset(h.node(node) for node in guarantee)
-            common = guarantee if common is None else common & guarantee
-        return occupied | common
+            return occupancy(current)
+        common = -1  # every bit: the identity of AND
+        if edge_syms is None:
+            for child in children:
+                common &= result[child]
+        else:
+            for child, h in zip(children, edge_syms[current]):
+                common &= result[child] if h is None else h.mask(result[child])
+        return occupancy(current) | common
 
     for component in exploration.components:
         if len(component) == 1 and component[0] not in succ[component[0]]:
@@ -341,7 +359,7 @@ def guaranteed_nodes(exploration: Exploration) -> List[FrozenSet[Node]]:
         # re-solve the parents of each state whose guarantee grew.
         parents: Dict[int, List[int]] = {current: [] for current in component}
         for current in component:
-            result[current] = frozenset(states[current].occupied_nodes())
+            result[current] = occupancy(current)
             for child in succ[current]:
                 if child in parents:
                     parents[child].append(current)
@@ -353,3 +371,22 @@ def guaranteed_nodes(exploration: Exploration) -> List[FrozenSet[Node]]:
                 result[current] = guarantee
                 pending.update(parents[current])
     return result
+
+
+def mask_nodes(mask: int, grid: Grid) -> FrozenSet[Node]:
+    """The nodes whose bits are set in ``mask`` (node ``(i, j)`` is bit ``i * n + j``)."""
+    bits = bin(mask)[:1:-1]  # bit 0 first
+    return frozenset(divmod(index, grid.n) for index, bit in enumerate(bits) if bit == "1")
+
+
+def root_guarantee(exploration: Exploration, guaranteed: List[int]) -> FrozenSet[Node]:
+    """The root's entry of :func:`guaranteed_nodes`, as nodes of the raw initial state.
+
+    Under the quotient the root is the initial state's representative, so
+    its mask goes through :attr:`Exploration.root_sym` first: coverage
+    counterexamples then name the nodes the raw initial state misses.
+    """
+    mask = guaranteed[exploration.root]
+    if exploration.root_sym is not None:
+        mask = exploration.root_sym.mask(mask)
+    return mask_nodes(mask, exploration.grid)

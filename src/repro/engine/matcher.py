@@ -9,15 +9,20 @@ and during a simulation or state-space exploration the same local patterns
 recur constantly (a robot sweeping an empty row sees the same neighbourhood
 at every column).
 
-:class:`LocalMatcher` memoizes three layers on that observation, keyed on
+:class:`LocalMatcher` memoizes five tables on that observation, keyed on
 a *translation-invariant* neighbourhood description (phi-capped boundary
 distances plus relative robot offsets), so the sweeping robot above really
 does hit the cache at every interior column:
 
-* ``(walls, relative neighbourhood) -> snapshot``  (snapshot construction),
+* ``(walls, relative neighbourhood) -> frozen snapshot``  (snapshot
+  construction; the ASYNC Look stores this tuple as it is),
 * ``(color, walls, relative neighbourhood) -> matches``  (rule evaluation),
+* ``(color, walls, relative neighbourhood) -> distinct actions``  (the
+  synchronous kernel's branching),
 * ``(color, frozen snapshot) -> matches``  (re-evaluation of stored ASYNC
-  snapshots during Compute).
+  snapshots during Compute),
+* ``(color, frozen snapshot) -> distinct actions``  (the ASYNC Compute
+  step's branching).
 
 Because the keys are translation invariant *and* cap boundary distances at
 ``phi``, they do not mention the grid dimensions at all: the entries are
@@ -26,17 +31,26 @@ exploits this to share one set of memo tables (plus hit/miss statistics)
 between matchers for the same algorithm at different grid sizes — which is
 what lets a grid sweep or a scaling run pay the rule-evaluation cost once
 for every interior pattern instead of once per size.
+
+A robot's key is read off a per-node table of its grid
+(:class:`NodeTable`): the node's capped wall distances and a map from
+every grid position within distance ``phi`` to its offset, so building a
+key costs one dictionary probe per robot.  The tables fill on lookup and
+are shared per ``(phi, m, n)``, like the grid symmetries' node tables
+(:mod:`repro.engine.symmetry`).
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..core.algorithm import Action, Algorithm, Match
 from ..core.grid import Grid, Node
-from ..core.views import Snapshot, ball_offsets
+from ..core.views import Offset, Snapshot, ball_offsets
+from .states import FrozenSnapshot
 
-__all__ = ["LocalMatcher", "MatcherStats", "MatcherCache"]
+__all__ = ["LocalMatcher", "MatcherStats", "MatcherCache", "NodeTable", "node_table"]
 
 #: A canonical, *position-independent* description of a robot's local
 #: neighbourhood: the wall pattern (its distances to the four grid
@@ -45,6 +59,50 @@ __all__ = ["LocalMatcher", "MatcherStats", "MatcherCache"]
 #: neighbourhoods coincide up to translation share one key — this is what
 #: lets a robot sweeping an empty row hit the cache at every column.
 LocalKey = Tuple[Tuple[int, int, int, int], Tuple[Tuple[Node, str], ...]]
+
+
+class NodeTable(dict):
+    """Node -> ``(walls, ball)`` for one ``(phi, m, n)``, filled on lookup.
+
+    ``walls`` are the node's distances to the four grid boundaries, each
+    capped at ``phi``; ``ball`` maps every grid position within distance
+    ``phi`` of the node to its offset from the node.  The first lookup of a
+    node builds its entry, so a table holds only the nodes looked up so
+    far: its size follows the states explored, not the grid.
+    """
+
+    __slots__ = ("phi", "m", "n")
+
+    def __init__(self, phi: int, m: int, n: int) -> None:
+        super().__init__()
+        self.phi = phi
+        self.m = m
+        self.n = n
+
+    def __missing__(self, node: Node) -> Tuple[Tuple[int, int, int, int], Dict[Node, Offset]]:
+        # Threads sharing a table may both miss a node; they store equal
+        # entries, so the race needs no lock.
+        phi, m, n = self.phi, self.m, self.n
+        i, j = node
+        walls = (min(i, phi), min(m - 1 - i, phi), min(j, phi), min(n - 1 - j, phi))
+        ball = {}
+        for offset in ball_offsets(phi):
+            position = (i + offset[0], j + offset[1])
+            if 0 <= position[0] < m and 0 <= position[1] < n:
+                ball[position] = offset
+        entry = self[node] = (walls, ball)
+        return entry
+
+
+@lru_cache(maxsize=256)
+def node_table(phi: int, m: int, n: int) -> NodeTable:
+    """The shared :class:`NodeTable` of radius ``phi`` on the ``m x n`` grid."""
+    return NodeTable(phi, m, n)
+
+
+def _new_tables() -> Tuple[dict, dict, dict, dict, dict]:
+    """One empty set of the five memo tables (see the module docstring)."""
+    return ({}, {}, {}, {}, {})
 
 
 class MatcherStats:
@@ -111,17 +169,21 @@ class LocalMatcher:
     :class:`MatcherCache` may instead hand several matchers for the same
     algorithm *shared* tables (see :meth:`MatcherCache.matcher_for`), which
     is safe because the keys never mention absolute positions or the grid
-    shape.  ``stats`` counts hits and misses across all three table layers.
+    shape.  ``stats`` counts hits and misses across all five table layers.
+    ``nodes`` is the grid's shared :class:`NodeTable` for the algorithm's
+    ``phi``.
     """
 
     __slots__ = (
         "algorithm",
         "grid",
         "stats",
+        "nodes",
         "_snapshots",
         "_matches",
         "_actions",
         "_frozen_matches",
+        "_frozen_actions",
     )
 
     def __init__(
@@ -129,19 +191,16 @@ class LocalMatcher:
         algorithm: Algorithm,
         grid: Grid,
         *,
-        tables: Optional[Tuple[dict, dict, dict, dict]] = None,
+        tables: Optional[Tuple[dict, dict, dict, dict, dict]] = None,
         stats: Optional[MatcherStats] = None,
     ) -> None:
         self.algorithm = algorithm
         self.grid = grid
         self.stats = stats if stats is not None else MatcherStats()
+        self.nodes = node_table(algorithm.phi, grid.m, grid.n)
         if tables is None:
-            self._snapshots: Dict[LocalKey, Snapshot] = {}
-            self._matches: Dict[Tuple[str, LocalKey], Tuple[Match, ...]] = {}
-            self._actions: Dict[Tuple[str, LocalKey], Tuple[Action, ...]] = {}
-            self._frozen_matches: Dict[tuple, Tuple[Match, ...]] = {}
-        else:
-            self._snapshots, self._matches, self._actions, self._frozen_matches = tables
+            tables = _new_tables()
+        self._snapshots, self._matches, self._actions, self._frozen_matches, self._frozen_actions = tables
 
     # ------------------------------------------------------------------
     # Local neighbourhood keys
@@ -151,42 +210,33 @@ class LocalMatcher:
 
         ``robots`` is any iterable of objects with ``pos`` and ``color``
         attributes (live :class:`~repro.core.robot.Robot` instances or the
-        frozen records of a canonical state).  The key is translation
-        invariant: only boundary distances capped at ``phi`` and *relative*
-        robot offsets enter it, so identical local patterns at different
-        grid positions — or on different grids — share one cache entry.
+        frozen records of a canonical state), all on the grid.  The key is
+        translation invariant: only boundary distances capped at ``phi`` and
+        *relative* robot offsets enter it, so identical local patterns at
+        different grid positions — or on different grids — share one cache
+        entry.  Both come from ``center``'s :class:`NodeTable` entry, so
+        each robot costs one dictionary probe.
         """
-        phi = self.algorithm.phi
-        ci, cj = center
-        near = []
-        for robot in robots:
-            pos = robot.pos
-            di = pos[0] - ci
-            dj = pos[1] - cj
-            if abs(di) + abs(dj) <= phi:
-                near.append(((di, dj), robot.color))
+        walls, ball = self.nodes[center]
+        offset_of = ball.get
+        near = [(offset, robot.color) for robot in robots if (offset := offset_of(robot.pos)) is not None]
         near.sort()
-        return (self._walls(center), tuple(near))
-
-    def _walls(self, center: Node) -> Tuple[int, int, int, int]:
-        phi = self.algorithm.phi
-        ci, cj = center
-        grid = self.grid
-        return (
-            min(ci, phi),
-            min(grid.m - 1 - ci, phi),
-            min(cj, phi),
-            min(grid.n - 1 - cj, phi),
-        )
+        return (walls, tuple(near))
 
     # ------------------------------------------------------------------
     # Snapshots
     # ------------------------------------------------------------------
     def snapshot(self, robots: Iterable, center: Node) -> Snapshot:
-        """The (shared, do-not-mutate) snapshot a robot at ``center`` takes."""
-        return self._snapshot_for(self.local_key(robots, center))
+        """The snapshot a robot at ``center`` takes, as a fresh dictionary."""
+        return dict(self.frozen_snapshot_for_key(self.local_key(robots, center)))
 
-    def _snapshot_for(self, key: LocalKey) -> Snapshot:
+    def frozen_snapshot_for_key(self, key: LocalKey) -> FrozenSnapshot:
+        """The (shared) frozen snapshot of an already-computed local key.
+
+        Equal to :func:`~repro.engine.states.freeze_snapshot` of the
+        snapshot dictionary: cells come out in :func:`ball_offsets` order,
+        which is sorted.  The ASYNC Look stores it as it is.
+        """
         snapshot = self._snapshots.get(key)
         if snapshot is None:
             self.stats.misses += 1
@@ -194,16 +244,16 @@ class LocalMatcher:
             per_cell: Dict[Node, list] = {}
             for offset, color in near:  # near is sorted, so color lists come out sorted
                 per_cell.setdefault(offset, []).append(color)
-            snapshot = {}
+            cells = []
             for offset in ball_offsets(self.algorithm.phi):
                 di, dj = offset
                 # The cell exists iff the (phi-capped) boundary distances
                 # admit it; |di|, |dj| <= phi, so the caps lose nothing.
                 if di < -north or di > south or dj < -west or dj > east:
-                    snapshot[offset] = None
+                    cells.append((offset, None))
                 else:
-                    snapshot[offset] = tuple(per_cell.get(offset, ()))
-            self._snapshots[key] = snapshot
+                    cells.append((offset, tuple(per_cell.get(offset, ()))))
+            snapshot = self._snapshots[key] = tuple(cells)
         else:
             self.stats.hits += 1
         return snapshot
@@ -216,12 +266,13 @@ class LocalMatcher:
         return self.matches_for_key(self.local_key(robots, center), color)
 
     def matches_for_key(self, key: LocalKey, color: str) -> Tuple[Match, ...]:
-        """Matches for an already-computed local key (the batched fast path)."""
+        """Matches for an already-computed local key."""
         cache_key = (color, key)
         cached = self._matches.get(cache_key)
         if cached is None:
             self.stats.misses += 1
-            cached = tuple(self.algorithm.matches_for_snapshot(self._snapshot_for(key), color))
+            snapshot = dict(self.frozen_snapshot_for_key(key))
+            cached = tuple(self.algorithm.matches_for_snapshot(snapshot, color))
             self._matches[cache_key] = cached
         else:
             self.stats.hits += 1
@@ -243,7 +294,7 @@ class LocalMatcher:
             self.stats.hits += 1
         return cached
 
-    def matches_for_frozen(self, frozen, color: str) -> Tuple[Match, ...]:
+    def matches_for_frozen(self, frozen: FrozenSnapshot, color: str) -> Tuple[Match, ...]:
         """Matches against a stored (frozen) ASYNC snapshot."""
         cache_key = (color, frozen)
         cached = self._frozen_matches.get(cache_key)
@@ -255,41 +306,32 @@ class LocalMatcher:
             self.stats.hits += 1
         return cached
 
-    def enabled(self, robots: Iterable, center: Node, color: str) -> bool:
-        """Whether some rule matches some view of a robot at ``center``."""
-        return bool(self.matches(robots, center, color))
+    def actions_for_frozen(self, frozen: FrozenSnapshot, color: str) -> Tuple[Action, ...]:
+        """Distinct actions against a stored (frozen) ASYNC snapshot: the Compute step's choices."""
+        cache_key = (color, frozen)
+        cached = self._frozen_actions.get(cache_key)
+        if cached is None:
+            self.stats.misses += 1
+            cached = tuple(self.algorithm.distinct_actions(self.matches_for_frozen(frozen, color)))
+            self._frozen_actions[cache_key] = cached
+        else:
+            self.stats.hits += 1
+        return cached
 
     # ------------------------------------------------------------------
-    # Batched matching (the synchronous-round fast path)
+    # Batched matching (one synchronous round)
     # ------------------------------------------------------------------
     def batched_matches(self, robots: Sequence) -> List[Tuple[object, Tuple[Match, ...]]]:
         """``(robot, matches)`` for every robot, in one pass.
 
-        Builds the position index (``node -> colors``) **once** for the whole
-        configuration and derives every robot's local key by probing only the
-        ``O(phi^2)`` ball offsets, instead of rebuilding a per-robot
-        neighbourhood list by scanning all robots for each robot.  The keys —
-        and therefore the matches — are identical to per-robot
-        :meth:`matches` calls; the synchronous walk engines use this to
-        evaluate a whole round in one sweep.
+        Each robot's key reads its walls and ball from the node table, so a
+        round costs one probe per pair of robots; the keys — and therefore
+        the matches — are identical to per-robot :meth:`matches` calls.  The
+        synchronous walk evaluates a whole round with this one call.
         """
-        by_pos: Dict[Node, List[str]] = {}
-        for robot in robots:
-            by_pos.setdefault(robot.pos, []).append(robot.color)
-        for colors in by_pos.values():
-            colors.sort()
-        offsets = ball_offsets(self.algorithm.phi)
-        result: List[Tuple[object, Tuple[Match, ...]]] = []
-        for robot in robots:
-            ci, cj = robot.pos
-            near = []
-            for di, dj in offsets:  # offsets are sorted, so near comes out sorted
-                cell = by_pos.get((ci + di, cj + dj))
-                if cell:
-                    near.extend(((di, dj), color) for color in cell)
-            key = (self._walls(robot.pos), tuple(near))
-            result.append((robot, self.matches_for_key(key, robot.color)))
-        return result
+        local_key = self.local_key
+        matches_for_key = self.matches_for_key
+        return [(robot, matches_for_key(local_key(robots, robot.pos), robot.color)) for robot in robots]
 
 
 class MatcherCache:
@@ -331,7 +373,7 @@ class MatcherCache:
         if max_entries < 1:
             raise ValueError("max_entries must be positive")
         self.max_entries = max_entries
-        self._tables: Dict[str, Tuple[dict, dict, dict, dict]] = {}
+        self._tables: Dict[str, Tuple[dict, dict, dict, dict, dict]] = {}
         self._first: Dict[str, Algorithm] = {}
         self._stats: Dict[str, MatcherStats] = {}
 
@@ -352,8 +394,7 @@ class MatcherCache:
         key = self._register(algorithm)
         tables = self._tables.get(key)
         if tables is None:
-            tables = ({}, {}, {}, {})
-            self._tables[key] = tables
+            tables = self._tables[key] = _new_tables()
         self._trim()
         return LocalMatcher(self._first[key], grid, tables=tables, stats=self._stats[key])
 

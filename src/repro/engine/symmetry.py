@@ -24,7 +24,8 @@ Coverage accounting across collapsed edges needs the witnessing symmetry:
 if a raw successor ``u`` canonicalises to representative ``r`` via
 ``r = g(u)``, then the set of nodes guaranteed to be visited from ``u`` is
 ``h(guaranteed(r))`` with ``h = g^-1``.  :func:`canonicalize` returns that
-``h`` so the explorer can label the quotient edge with it.
+``h`` so the explorer can label the quotient edge with it, and
+:meth:`GridSymmetry.mask` maps a node bitmask through it.
 
 The quotient is the only state-space reduction: ``reduction="grid"``
 selects it on every exploration entry point and ``"none"`` (the default of
@@ -76,6 +77,36 @@ class _Images(dict):
         return image
 
 
+class _MaskBytes(dict):
+    """The bit permutation of one grid symmetry, by mask byte, filled on lookup.
+
+    Node ``(i, j)`` is bit ``i * n + j`` of a mask.  The key
+    ``position << 8 | byte`` stands for the value ``byte`` at byte
+    ``position`` of a mask; its entry is the mask of those nodes' images.
+    A table holds only the bytes looked up so far.
+    """
+
+    __slots__ = ("_nodes", "_n")
+
+    def __init__(self, nodes: _Images, n: int) -> None:
+        super().__init__()
+        self._nodes = nodes
+        self._n = n
+
+    def __missing__(self, key: int) -> int:
+        # Threads sharing a table may both miss a byte; they store the same
+        # image, so the race needs no lock.
+        nodes, n = self._nodes, self._n
+        first = (key >> 8) * 8
+        image = 0
+        for bit in range(8):
+            if key >> bit & 1:
+                i, j = nodes[divmod(first + bit, n)]
+                image |= 1 << (i * n + j)
+        self[key] = image
+        return image
+
+
 class GridSymmetry:
     """A symmetry of the ``m x n`` grid induced by a D4 element.
 
@@ -87,12 +118,13 @@ class GridSymmetry:
     with dictionary lookups instead of matrix products: the offset table
     is precomputed over the radius-2 ball, and the node table fills in as
     positions are looked up, so a symmetry of a huge grid costs nothing
-    until states are explored on it.
+    until states are explored on it.  The bit permutation that maps node
+    bitmasks (:meth:`mask`) fills in the same way, a byte at a time.
     """
 
     __slots__ = (
         "symmetry", "m", "n", "_ti", "_tj", "preserves_shape", "_inverse",
-        "nodes", "offsets", "is_identity",
+        "nodes", "offsets", "is_identity", "_mask_bytes",
     )
 
     def __init__(self, symmetry: Symmetry, m: int, n: int) -> None:
@@ -114,6 +146,7 @@ class GridSymmetry:
         #: Offset -> image (linear part), precomputed over the radius-2 ball.
         self.offsets = _Images(a, b, c, d, 0, 0, ball_offsets(2))
         self.is_identity = symmetry.matrix() == ((1, 0), (0, 1))
+        self._mask_bytes = _MaskBytes(self.nodes, n)
 
     @property
     def name(self) -> str:
@@ -126,6 +159,21 @@ class GridSymmetry:
     def offset(self, offset: Tuple[int, int]) -> Tuple[int, int]:
         """The image of a relative offset (linear part only)."""
         return self.offsets[offset]
+
+    def mask(self, mask: int) -> int:
+        """The image of a node bitmask, node ``(i, j)`` being bit ``i * n + j``.
+
+        The symmetry preserves the grid's shape, so the image uses the same
+        numbering.  Each non-zero byte of ``mask`` costs one table lookup.
+        """
+        table = self._mask_bytes
+        image = 0
+        key = 0
+        for byte in mask.to_bytes((self.m * self.n + 7) // 8, "little"):
+            if byte:
+                image |= table[key | byte]
+            key += 256
+        return image
 
     def inverse(self) -> "GridSymmetry":
         """The inverse grid symmetry (D4 is a group, so it always exists).

@@ -46,7 +46,7 @@ from ..core.algorithm import Algorithm, Synchrony
 from ..core.errors import IllegalMoveError
 from ..core.grid import Grid
 from .matcher import LocalMatcher
-from .states import AsyncRobotState, SchedulerState, freeze_snapshot, initial_state
+from .states import AsyncRobotState, SchedulerState, initial_state
 
 __all__ = ["MODELS", "AlgorithmTransitionSystem"]
 
@@ -155,26 +155,25 @@ class AlgorithmTransitionSystem:
     def _successors_async(self, state: SchedulerState) -> List[SchedulerState]:
         records = state.robots
         matcher = self.matcher
-        algorithm = self.algorithm
         successors: List[SchedulerState] = []
         for index, record in enumerate(records):
             if record.phase == "idle":
                 # Offer a Look only to enabled robots: a disabled robot's
                 # cycle is a no-op and pruning it does not change reachable
-                # configurations.
-                if not matcher.matches(records, record.pos, record.color):
+                # configurations.  One key serves the test and the Look.
+                key = matcher.local_key(records, record.pos)
+                if not matcher.matches_for_key(key, record.color):
                     continue
                 updated = list(records)
                 updated[index] = AsyncRobotState(
                     pos=record.pos,
                     color=record.color,
                     phase="looked",
-                    snapshot=freeze_snapshot(matcher.snapshot(records, record.pos)),
+                    snapshot=matcher.frozen_snapshot_for_key(key),
                 )
                 successors.append(SchedulerState.from_records(updated))
             elif record.phase == "looked":
-                matches = matcher.matches_for_frozen(record.snapshot, record.color)
-                actions = algorithm.distinct_actions(matches)
+                actions = matcher.actions_for_frozen(record.snapshot, record.color)
                 if not actions:
                     updated = list(records)
                     updated[index] = AsyncRobotState(pos=record.pos, color=record.color)

@@ -45,13 +45,12 @@ that run many executions of the same algorithm (campaigns, scaling sweeps)
 can pass ``matcher=`` explicitly — typically obtained from a
 :class:`~repro.engine.matcher.MatcherCache` — to start every run warm.
 
-The synchronous loop steps through a *batched* fast path: each round the
-matcher builds one neighbourhood index for the whole configuration and
-evaluates every robot's matches in a single pass
-(:meth:`~repro.engine.matcher.LocalMatcher.batched_matches`), and those
-matches drive both the enabled-set test and the round execution — one
-matcher pass per round instead of the two per-robot passes the naive
-check-then-execute loop would make.
+The synchronous loop evaluates every robot's matches once per round, in
+one call (:meth:`~repro.engine.matcher.LocalMatcher.batched_matches`,
+each key read off the matcher's node table), and those matches drive
+both the enabled-set test and the round execution — one matcher pass per
+round instead of the two per-robot passes the naive check-then-execute
+loop would make.
 """
 
 from __future__ import annotations
@@ -60,7 +59,7 @@ import random
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..core.algorithm import Algorithm, Match
+from ..core.algorithm import Action, Algorithm, Match
 from ..core.configuration import Configuration
 from ..core.errors import AmbiguousActionError, SimulationError
 from ..core.execution import Event, ExecutionResult
@@ -74,8 +73,8 @@ from ..core.scheduler import (
     SsyncScheduler,
 )
 from ..core.world import World
-from .matcher import LocalMatcher
-from .states import FrozenSnapshot, freeze_snapshot
+from .matcher import LocalKey, LocalMatcher
+from .states import FrozenSnapshot
 
 __all__ = [
     "TieBreak",
@@ -120,11 +119,14 @@ def default_step_budget(grid: Grid, k: int, model: str) -> int:
 def _resolve(
     algorithm: Algorithm,
     matches: Sequence[Match],
+    actions: Sequence[Action],
     tie_break: str,
     rng: random.Random,
 ) -> Match:
-    """Pick the match to execute among a non-empty list of matches."""
-    actions = algorithm.distinct_actions(matches)
+    """Pick the match to execute among a non-empty list of matches.
+
+    ``actions`` are the matches' distinct actions.
+    """
     if len(actions) == 1 or tie_break == TieBreak.FIRST:
         return matches[0]
     if tie_break == TieBreak.RANDOM:
@@ -169,10 +171,9 @@ def _enabled_robots(matcher: LocalMatcher, world: World) -> List[Robot]:
 def _round_matches(matcher: LocalMatcher, world: World) -> List[Tuple[Robot, Tuple[Match, ...]]]:
     """``(robot, matches)`` for every *enabled* robot, via one batched pass.
 
-    This is the synchronous loop's per-round fast path: the matcher builds
-    the neighbourhood index once for the whole configuration, and the
-    returned matches are reused for the round execution instead of being
-    recomputed per activated robot.
+    This is the synchronous loop's per-round pass: the returned matches
+    are reused for the round execution instead of being recomputed per
+    activated robot.
     """
     return [(robot, matches) for robot, matches in matcher.batched_matches(world.robots) if matches]
 
@@ -196,7 +197,8 @@ def _synchronous_round(
     changes and movements are applied simultaneously afterwards.
     """
     decisions: List[Tuple[Robot, Match]] = [
-        (robot, _resolve(algorithm, matches, tie_break, rng)) for robot, matches in active
+        (robot, _resolve(algorithm, matches, algorithm.distinct_actions(matches), tie_break, rng))
+        for robot, matches in active
     ]
 
     # Apply all color changes and movements simultaneously.
@@ -324,7 +326,9 @@ def run_async(
     * ``move`` — the robot performs the recorded movement.
 
     The snapshot is stored frozen and matched at Compute the way the
-    kernel matches its stored snapshots.  A robot that is not enabled at
+    kernel matches its stored snapshots: the Look reuses the key the
+    enabled test computed, and both steps read the matcher's frozen
+    snapshot and frozen action memos.  A robot that is not enabled at
     Look time is not offered a Look step: its whole cycle would be a no-op
     and skipping it does not change the set of reachable configurations
     (it only avoids unbounded stuttering in bounded simulations).
@@ -343,14 +347,20 @@ def run_async(
     steps = budget
     for step_index in range(budget):
         candidates: List[Tuple[int, str]] = []
-        for robot in world.robots:
+        # The key of each robot offered a Look, for its snapshot.
+        looks: Dict[int, LocalKey] = {}
+        robots = world.robots
+        for robot in robots:
             state = states[robot.rid]
             if state.phase == "looked":
                 candidates.append((robot.rid, "compute"))
             elif state.phase == "computed":
                 candidates.append((robot.rid, "move"))
-            elif matcher.enabled(world.robots, robot.pos, robot.color):
-                candidates.append((robot.rid, "look"))
+            else:
+                key = matcher.local_key(robots, robot.pos)
+                if matcher.matches_for_key(key, robot.color):
+                    candidates.append((robot.rid, "look"))
+                    looks[robot.rid] = key
         if not candidates:
             steps = step_index
             break
@@ -360,7 +370,7 @@ def run_async(
         state = states[rid]
 
         if phase == "look":
-            state.snapshot = freeze_snapshot(matcher.snapshot(world.robots, robot.pos))
+            state.snapshot = matcher.frozen_snapshot_for_key(looks[rid])
             state.phase = "looked"
             events.append(
                 Event(
@@ -376,12 +386,13 @@ def run_async(
                 )
             )
         elif phase == "compute":
-            matches = matcher.matches_for_frozen(state.snapshot, robot.color)
-            state.snapshot = None
+            snapshot, state.snapshot = state.snapshot, None
+            matches = matcher.matches_for_frozen(snapshot, robot.color)
             if not matches:
                 state.phase = "idle"
             else:
-                match = _resolve(algorithm, matches, tie_break, rng)
+                actions = matcher.actions_for_frozen(snapshot, robot.color)
+                match = _resolve(algorithm, matches, actions, tie_break, rng)
                 world.set_color(rid, match.action.new_color)
                 state.pending = match
                 state.phase = "computed"

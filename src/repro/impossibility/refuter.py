@@ -40,7 +40,7 @@ from typing import Iterable, Optional
 
 from ..core.algorithm import Algorithm
 from ..core.grid import Grid, Node
-from ..engine.explorer import Exploration, explore_sharded, guaranteed_nodes
+from ..engine.explorer import Exploration, explore_sharded, guaranteed_nodes, root_guarantee
 
 __all__ = ["AdversaryWitness", "adversary_prevents_node", "refute_terminating_exploration"]
 
@@ -110,9 +110,7 @@ def _first_avoidable(
 ) -> Optional[AdversaryWitness]:
     """The witness for the first of ``nodes`` the initial state does not guarantee."""
     exploration = explore_sharded(algorithm, grid, model, reduction="grid", max_states=max_states)
-    guaranteed = guaranteed_nodes(exploration)[exploration.root]
-    if exploration.root_sym is not None:
-        guaranteed = frozenset(exploration.root_sym.node(node) for node in guaranteed)
+    guaranteed = root_guarantee(exploration, guaranteed_nodes(exploration))
     for node in nodes:
         if node not in guaranteed:
             return AdversaryWitness(

@@ -31,6 +31,12 @@ Look-Compute-Move semantics separately.  Seeded random walks on every
 table must stay within the check's verdict, which keeps the two equal on
 tables that fail in all the ways above.
 
+The coverage analysis runs on integer node bitmasks.  On every table
+and case, unreduced and under the quotient, each state's mask must decode
+to the guarantee the frozenset fixpoint it replaced computes
+(:func:`reference_guarantees`, kept here as the reference), cyclic
+components included; so must the suite's largest case.
+
 Last, the Theorem 1 refuter reads its answer off the quotient's coverage
 analysis, cycles included.  On every table and case it must name the
 node, and the kind of execution that avoids it, that a brute-force
@@ -43,16 +49,19 @@ import dataclasses
 import random
 from collections import defaultdict
 from functools import lru_cache
-from typing import Dict, Optional, Tuple, Union
+from typing import Dict, FrozenSet, List, Optional, Tuple, Union
 
 import pytest
 
+from repro.algorithms import get
 from repro.checking import CheckResult, check_terminating_exploration, explore_state_space
 from repro.core import Algorithm, Grid
 from repro.core.errors import IllegalMoveError, StateSpaceLimitExceeded
+from repro.core.grid import Node
 from repro.core.rules import EMPTY, FREE, WALL, Guard, Rule, occ
 from repro.core.views import ball_offsets
 from repro.engine import CampaignTask, ParallelCampaignEngine, PoolBackend, VerdictStore, run
+from repro.engine.explorer import Exploration, explore_sharded, guaranteed_nodes, has_cycle, mask_nodes
 from repro.engine.states import initial_state
 from repro.engine.store import HIT, MISS
 from repro.impossibility import refute_terminating_exploration
@@ -233,6 +242,90 @@ def test_random_walks_stay_within_the_checked_verdict(seed):
                 assert walk.is_terminating_exploration, case
             if walk.termination_reason == "max_steps":
                 assert not unreduced.terminates, case
+
+
+def reference_guarantees(exploration: Exploration) -> List[FrozenSet[Node]]:
+    """The coverage fixpoint on frozensets of nodes: the reference for the bitmask pass.
+
+    A terminal state guarantees its occupied nodes, any other state those
+    plus the intersection of its successors' guarantees, each mapped
+    through its edge witness node by node.  Components are solved
+    successors first; a cyclic one takes the least solution by a worklist
+    seeded with the occupied nodes.
+    """
+    states, succ, edge_syms = exploration.states, exploration.succ, exploration.edge_syms
+    result: List[FrozenSet[Node]] = [frozenset()] * len(states)
+
+    def solve(current: int) -> FrozenSet[Node]:
+        occupied = frozenset(states[current].occupied_nodes())
+        children = succ[current]
+        if not children:
+            return occupied
+        syms = edge_syms[current] if edge_syms is not None else (None,) * len(children)
+        common: Optional[FrozenSet[Node]] = None
+        for child, h in zip(children, syms):
+            guarantee = result[child]
+            if h is not None:
+                guarantee = frozenset(h.node(node) for node in guarantee)
+            common = guarantee if common is None else common & guarantee
+        return occupied | common
+
+    for component in exploration.components:
+        if len(component) == 1 and component[0] not in succ[component[0]]:
+            result[component[0]] = solve(component[0])
+            continue
+        parents: Dict[int, List[int]] = {current: [] for current in component}
+        for current in component:
+            result[current] = frozenset(states[current].occupied_nodes())
+            for child in succ[current]:
+                if child in parents:
+                    parents[child].append(current)
+        pending = set(component)
+        while pending:
+            current = pending.pop()
+            guarantee = solve(current)
+            if guarantee != result[current]:
+                result[current] = guarantee
+                pending.update(parents[current])
+    return result
+
+
+def coverage_matches_the_reference(algorithm: Algorithm, grid: Grid, model: str, reduction: str) -> bool:
+    """Assert every state's decoded mask equals the reference; return whether the graph is cyclic."""
+    exploration = explore_sharded(algorithm, grid, model, reduction=reduction)
+    expected = reference_guarantees(exploration)
+    decoded = [mask_nodes(mask, grid) for mask in guaranteed_nodes(exploration)]
+    assert decoded == expected, f"{algorithm.name} {grid.m}x{grid.n} {model} {reduction}"
+    return has_cycle(exploration)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_integer_coverage_decodes_to_the_frozenset_fixpoint(seed):
+    tables, plain = bounded_table(seed)
+    for (m, n, model), unreduced in plain.items():
+        if isinstance(unreduced, IllegalMoveError):
+            continue
+        for reduction in ("none", "grid"):
+            cyclic = coverage_matches_the_reference(tables[m, n], Grid(m, n), model, reduction)
+            assert cyclic == (not unreduced.terminates)
+
+
+def test_the_fuzz_tables_exercise_cyclic_components():
+    """The coverage comparison above reaches the least-fixpoint branch."""
+    outcomes = [
+        outcome
+        for seed in SEEDS
+        for outcome in bounded_table(seed)[1].values()
+        if not isinstance(outcome, IllegalMoveError)
+    ]
+    cyclic = sum(not outcome.terminates for outcome in outcomes)
+    assert 0 < cyclic < len(outcomes)
+
+
+@pytest.mark.parametrize("reduction", ["none", "grid"])
+def test_integer_coverage_on_the_largest_suite_case(reduction):
+    cyclic = coverage_matches_the_reference(get("async_phi2_l2_nochir_k4"), Grid(12, 11), "ASYNC", reduction)
+    assert not cyclic
 
 
 def avoiding_execution(graph, root, node) -> Optional[str]:

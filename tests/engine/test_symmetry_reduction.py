@@ -18,6 +18,7 @@ from repro.core.errors import StateSpaceLimitExceeded
 from repro.core.rules import Guard, Rule
 from repro.engine import (
     AlgorithmTransitionSystem,
+    LocalMatcher,
     VerdictStore,
     canonicalize,
     grid_symmetries,
@@ -25,6 +26,8 @@ from repro.engine import (
     parse_check_spec,
     transform_state,
 )
+from repro.engine.explorer import mask_nodes
+from repro.engine.matcher import node_table
 from repro.engine.symmetry import GridSymmetry, _grid_symmetries_cached
 
 FSYNC_NAMES = sorted(
@@ -111,6 +114,19 @@ class TestGridSymmetries:
             assert {gs.node(node) for node in grid.nodes()} == set(grid.nodes())
             assert all(gs.inverse().node(gs.node(point)) == point for point in points)
 
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 9), (2, 3), (3, 3), (4, 5), (5, 5), (12, 11)], ids=str)
+    def test_bit_permutation_maps_masks_node_by_node(self, shape):
+        grid = Grid(*shape)
+        nodes = list(grid.nodes())
+        rng = random.Random(shape[0] * 100 + shape[1])
+        samples = [set(), set(nodes)]
+        samples += [set(rng.sample(nodes, rng.randint(1, len(nodes)))) for _ in range(20)]
+        for gs in grid_symmetries(grid, chirality=False):
+            for sample in samples:
+                mask = sum(1 << (i * grid.n + j) for i, j in sample)
+                assert mask_nodes(gs.mask(mask), grid) == {gs.node(node) for node in sample}
+                assert gs.inverse().mask(gs.mask(mask)) == mask
+
     def test_threads_filling_one_table_agree(self):
         """Concurrent service requests share the memoized group's tables."""
         grid = Grid(40, 40)
@@ -141,7 +157,9 @@ class TestGridSymmetries:
     def test_a_grid_symmetry_pickles_by_its_slots(self):
         gs = grid_symmetries(Grid(3, 4), False)[1]
         gs.node((1, 2))
+        mask = gs.mask(0b1011_0011_1011)
         loaded = pickle.loads(pickle.dumps(gs))
+        assert loaded.mask(0b1011_0011_1011) == mask
         assert loaded == gs and hash(loaded) == hash(gs) and loaded.name == gs.name
         assert loaded.is_identity == gs.is_identity
         for node in Grid(3, 4).nodes():
@@ -158,6 +176,7 @@ class TestGridSymmetries:
         assert spec.reduction == "grid"
         algorithm, grid = spec.resolve(), Grid(spec.m, spec.n)
         _grid_symmetries_cached.cache_clear()
+        node_table.cache_clear()
         with pytest.raises(StateSpaceLimitExceeded):
             check_terminating_exploration(
                 algorithm, grid, model=spec.model, reduction=spec.reduction,
@@ -165,6 +184,7 @@ class TestGridSymmetries:
             )
         group = grid_symmetries(grid, algorithm.chirality)
         assert sum(len(gs.nodes) + len(gs.inverse().nodes) for gs in group) < 1000
+        assert 0 < len(LocalMatcher(algorithm, grid).nodes) < 1000
 
     def test_canonicalize_is_orbit_invariant(self):
         algorithm = get("fsync_phi2_l2_chir_k2")
