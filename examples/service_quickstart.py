@@ -104,6 +104,7 @@ def main() -> int:
             )
         finally:
             server.shutdown()
+            server.server_close()
             service.close()
     return 0
 

@@ -87,10 +87,11 @@ class World:
     # Mutation (used by the simulator)
     # ------------------------------------------------------------------
     def set_color(self, rid: int, color: Color) -> None:
-        """Change the light of robot ``rid``."""
+        """Change the light of robot ``rid``; an unchanged light keeps the robot."""
         for index, robot in enumerate(self.robots):
             if robot.rid == rid:
-                self.robots[index] = robot.recolored(color)
+                if robot.color != color:
+                    self.robots[index] = robot.recolored(color)
                 return
         raise KeyError(f"no robot with id {rid}")
 

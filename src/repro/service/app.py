@@ -63,9 +63,11 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import queue
+import sys
 import threading
 import time
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http.server import BaseHTTPRequestHandler, HTTPServer
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..core.errors import StateSpaceLimitExceeded
@@ -368,10 +370,15 @@ class ServiceHandler(BaseHTTPRequestHandler):
     HTTP/1.0 framing on purpose: the event stream is delimited by
     connection close, so no chunked-encoding machinery is needed on
     either side (the stdlib client reads lines until EOF).
+
+    Writes are buffered: the status line, headers and body of a response
+    leave in one send when ``handle_one_request`` flushes.  The event
+    stream flushes its headers and then every event itself.
     """
 
     server_version = "repro-verification-service"
     protocol_version = "HTTP/1.0"
+    wbufsize = -1
 
     @property
     def service(self) -> VerificationService:
@@ -453,8 +460,8 @@ class ServiceHandler(BaseHTTPRequestHandler):
             self._error(400, str(exc), field=exc.field)
         except StateSpaceLimitExceeded as exc:
             self._error(422, f"state budget tripped: {exc}", field="max_states")
-        except BrokenPipeError:  # pragma: no cover - client went away
-            pass
+        except ConnectionError:
+            raise  # the client hung up: no 500 to write (see handle_error)
         except Exception as exc:  # noqa: BLE001 - boundary: never kill the thread
             self._error(500, f"{type(exc).__name__}: {exc}")
 
@@ -507,34 +514,102 @@ class ServiceHandler(BaseHTTPRequestHandler):
         self.send_response(200)
         self.send_header("Content-Type", "application/x-ndjson")
         self.end_headers()
-        try:
-            for event in self.service.iter_campaign_events(run, since):
-                self.wfile.write((canonical_json(event) + "\n").encode("utf-8"))
-                self.wfile.flush()
-        except (BrokenPipeError, ConnectionResetError):  # pragma: no cover - client went away
-            pass
+        # A subscriber gets the headers now, not with the first event.
+        self.wfile.flush()
+        for event in self.service.iter_campaign_events(run, since):
+            self.wfile.write((canonical_json(event) + "\n").encode("utf-8"))
+            self.wfile.flush()
 
 
-class VerificationServer(ThreadingHTTPServer):
-    """A threaded HTTP server bound to one :class:`VerificationService`.
+class VerificationServer(HTTPServer):
+    """An HTTP server bound to one :class:`VerificationService`.
 
-    Thread-per-request is exactly what the store's singleflight wants:
+    Every connection is served on a handler thread of its own, so
     concurrent requests for one uncached spec rendezvous inside
-    ``VerdictStore.get_or_compute`` and trigger a single exploration.
+    ``VerdictStore.get_or_compute`` and trigger a single exploration, and
+    an open event stream never holds up a check.  A handler thread that
+    finishes its connection parks as idle instead of exiting; the accept
+    loop hands the next connection to an idle thread and starts a new
+    daemon thread only when none is idle.  Starting a thread costs the
+    server more CPU than a store hit's whole library path, so reuse is
+    the point.  There is deliberately no cap: a bounded pool would let
+    long-lived event streams starve checks.
+
+    :meth:`server_close` wakes the idle threads so they exit; a thread
+    busy on a connection exits when that connection ends.
     """
 
-    daemon_threads = True
     allow_reuse_address = True
 
     def __init__(self, address: Tuple[str, int], service: VerificationService, verbose: bool = False):
         super().__init__(address, ServiceHandler)
         self.service = service
         self.verbose = verbose
+        #: Every handler thread this server started, busy or idle.
+        self.handler_threads: List[threading.Thread] = []
+        self._connections: "queue.SimpleQueue[Tuple[object, object]]" = queue.SimpleQueue()
+        self._lock = threading.Lock()
+        self._idle = 0
+        self._closed = False
 
     @property
     def url(self) -> str:
         host, port = self.server_address[:2]
         return f"http://{host}:{port}"
+
+    @property
+    def idle_threads(self) -> int:
+        """Handler threads parked, waiting for a connection."""
+        return self._idle
+
+    def process_request(self, request, client_address) -> None:
+        """Hand the connection to an idle handler thread, or start one."""
+        with self._lock:
+            if self._idle:
+                self._idle -= 1
+                self._connections.put((request, client_address))
+                return
+        thread = threading.Thread(
+            target=self._serve_connections,
+            args=(request, client_address),
+            name="verification-handler",
+            daemon=True,
+        )
+        thread.start()
+        with self._lock:
+            self.handler_threads.append(thread)
+
+    def _serve_connections(self, request, client_address) -> None:
+        """Serve one connection, then park for the next until the server closes."""
+        while request is not None:
+            try:
+                self.finish_request(request, client_address)
+            except Exception:  # noqa: BLE001 - boundary: reported, the thread lives on
+                self.handle_error(request, client_address)
+            finally:
+                self.shutdown_request(request)
+            with self._lock:
+                if self._closed:
+                    return
+                self._idle += 1
+            request, client_address = self._connections.get()
+
+    def handle_error(self, request, client_address) -> None:
+        """Print the traceback, unless the client merely hung up."""
+        if not isinstance(sys.exc_info()[1], ConnectionError):
+            super().handle_error(request, client_address)
+
+    def server_close(self) -> None:
+        """Close the listening socket and let every idle handler thread exit.
+
+        Safe to call more than once.
+        """
+        super().server_close()
+        with self._lock:
+            self._closed = True
+            idle, self._idle = self._idle, 0
+        for _ in range(idle):
+            self._connections.put((None, None))
 
 
 def start_in_thread(
@@ -543,8 +618,10 @@ def start_in_thread(
     """Serve ``service`` on a daemon thread; returns ``(server, thread)``.
 
     The in-process embedding tests and benchmarks use — real sockets, no
-    subprocess.  ``server.shutdown()`` stops the loop; ``service.close()``
-    is still the caller's job.
+    subprocess.  ``server.shutdown()`` stops the loop.  Then
+    ``server.server_close()`` and ``service.close()`` are the caller's
+    job: an unclosed server leaks its listening socket, and its idle
+    handler threads stay parked.
     """
     server = VerificationServer((host, port), service)
     thread = threading.Thread(target=server.serve_forever, name="verification-server", daemon=True)

@@ -59,6 +59,17 @@ class TestWorld:
         world.set_color(0, W)
         assert world.robot(0).pos == (0, 1) and world.robot(0).color == W
 
+    def test_set_color_to_the_same_light_keeps_the_robot(self):
+        world = World.from_placement(Grid(2, 3), [((0, 0), G), ((0, 1), W)])
+        robot = world.robot(0)
+        world.set_color(0, G)
+        assert world.robot(0) is robot
+        with pytest.raises(ValueError, match="invalid color"):
+            world.set_color(0, "")
+        assert world.robot(0) is robot
+        with pytest.raises(KeyError):
+            world.set_color(7, G)
+
     def test_illegal_move_raises(self):
         world = World.from_placement(Grid(2, 2), [((0, 0), G)])
         with pytest.raises(IllegalMoveError):

@@ -76,6 +76,7 @@ def harness_factory(tmp_path):
     finally:
         for h in built:
             h.server.shutdown()
+            h.server.server_close()
             h.service.close()
 
 
@@ -137,4 +138,5 @@ def cli_harness(request, tmp_path, capsys):
         yield harness
     finally:
         server.shutdown()
+        server.server_close()
         service.close()

@@ -439,6 +439,7 @@ class TestCampaigns:
         _, submitted, _ = first.post("/v1/campaigns", CAMPAIGN)
         assert await_campaign(first, submitted["id"])["resumed"] == 0
         first.server.shutdown()
+        first.server.server_close()
         first.service.close()
         second = harness_factory(store=VerdictStore(tmp_path / "shared"))
         _, again, _ = second.post("/v1/campaigns", CAMPAIGN)
@@ -664,6 +665,7 @@ class TestKillResume:
         finally:
             if first.poll() is None:
                 first.kill()
+            first.stdout.close()
 
         second = start_server(tmp_path)
         try:
@@ -695,3 +697,4 @@ class TestKillResume:
                 second.wait(timeout=15)
             except subprocess.TimeoutExpired:
                 second.kill()
+            second.stdout.close()
