@@ -43,7 +43,7 @@ CAMPAIGN = {
     "campaign": "grid_sweep",
     "algorithm": "fsync_phi2_l2_chir_k2",
     "sizes": [[2, 3], [2, 4], [3, 3]],
-    "models": ["FSYNC"],
+    "model": "FSYNC",
 }
 
 

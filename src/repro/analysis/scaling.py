@@ -12,18 +12,16 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, List, Optional, Tuple
 
 from ..core.algorithm import Algorithm
-from ..core.errors import VerificationError
 from ..core.grid import Grid
 from ..engine.backend import SerialBackend
-from ..engine.campaign import CampaignTask, ParallelCampaignEngine
 from ..engine.explorer import explore_sharded
+from ..engine.matcher import MatcherCache
 from ..engine.suites import scaling_suite
 from ..engine.symmetry import normalize_reduction
-from ..engine.walk import TieBreak
+from ..engine.walk import TieBreak, run_fsync
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..engine.backend import ExecutionBackend
-    from ..engine.store import VerdictStore
 
 __all__ = [
     "ScalingPoint",
@@ -48,49 +46,33 @@ class ScalingPoint:
 def round_complexity_sweep(
     algorithm: Algorithm,
     sizes: Optional[Iterable[Tuple[int, int]]] = None,
-    backend: Optional["ExecutionBackend"] = None,
-    store: Optional["VerdictStore"] = None,
 ) -> List[ScalingPoint]:
     """Measure FSYNC rounds and moves over a family of grid sizes.
 
     The default size family is the shared :func:`repro.engine.suites.scaling_suite`.
-    Each point is one FSYNC walk task run through
-    ``ParallelCampaignEngine(backend, store)``: a pure function of
-    ``(algorithm, grid)`` under the deterministic FSYNC schedule, so the
-    measured steps/moves are identical wherever the runs execute.  One
-    matcher cache — the backend's, or that of the
-    :class:`~repro.engine.backend.SerialBackend` the sweep gets when
-    ``backend`` is ``None`` — spans the whole sweep: the matcher's keys are
-    grid-size independent, so every size after the first replays the
-    interior patterns from the cache instead of re-evaluating the guards.
-
-    ``store`` (a :class:`~repro.engine.store.VerdictStore`) memoizes each
-    point's run as an ordinary walk verdict — sweeps re-run across
-    sessions are served from disk; the fitted slope is unchanged because
-    stored reports equal computed ones.
+    Each point is one FSYNC walk (:func:`~repro.engine.walk.run_fsync`,
+    ties broken by the first match): a pure function of ``(algorithm,
+    grid)`` under the deterministic FSYNC schedule.  The sweep measures
+    and does not verify, so it runs the walk directly, with no store; a
+    walk that raises (say, a robot leaving the grid) raises here.  One
+    :class:`~repro.engine.matcher.MatcherCache` spans the whole sweep: the
+    matcher's keys are grid-size independent, so every size after the
+    first replays the interior patterns from the cache instead of
+    re-evaluating the guards.
     """
     if sizes is None:
         sizes = scaling_suite(algorithm)
-    tasks = [
-        CampaignTask(algorithm=algorithm, m=m, n=n, model="FSYNC", tie_break=TieBreak.FIRST)
-        for m, n in sizes
-        if algorithm.supports_grid(m, n)
-    ]
-    reports = ParallelCampaignEngine(backend=backend, store=store).run_tasks(tasks)
-    for report in reports:
-        # A report whose run never executed (verify_one converts exceptions
-        # into ok=False reports whose reason is the formatted exception)
-        # must not become a silent (0, 0) data point skewing the fit.
-        # Definition-1 outcomes — the run executed but did not
-        # terminate/explore — are real measurements and recorded as such.
-        if not report.ok and not report.reason.startswith(("did not terminate", "terminated with")):
-            raise VerificationError(
-                f"scaling sweep run failed on {report.m}x{report.n}: {report.reason}"
-            )
-    return [
-        ScalingPoint(m=task.m, n=task.n, nodes=task.m * task.n, steps=report.steps, moves=report.moves)
-        for task, report in zip(tasks, reports)
-    ]
+    cache = MatcherCache()
+    points = []
+    for m, n in sizes:
+        if not algorithm.supports_grid(m, n):
+            continue
+        grid = Grid(m, n)
+        result = run_fsync(
+            algorithm, grid, tie_break=TieBreak.FIRST, matcher=cache.matcher_for(algorithm, grid)
+        )
+        points.append(ScalingPoint(m=m, n=n, nodes=m * n, steps=result.steps, moves=result.total_moves))
+    return points
 
 
 @dataclass(frozen=True)

@@ -1,19 +1,5 @@
 """Exhaustive model checking of terminating exploration on small grids."""
 
-from .model_checker import (
-    CheckResult,
-    check_terminating_exploration,
-    enumerate_reachable,
-    explore_state_space,
-)
-from .states import AsyncRobotState, SchedulerState, initial_state
+from .model_checker import CheckResult, check_terminating_exploration
 
-__all__ = [
-    "CheckResult",
-    "check_terminating_exploration",
-    "enumerate_reachable",
-    "explore_state_space",
-    "SchedulerState",
-    "AsyncRobotState",
-    "initial_state",
-]
+__all__ = ["CheckResult", "check_terminating_exploration"]

@@ -3,22 +3,20 @@
 The paper's correctness arguments quantify over *every* fair schedule and
 every choice the scheduler makes when several rules or views match.  On a
 small grid the reachable state space of that game is finite, so it can be
-enumerated exactly:
+enumerated exactly.  :func:`check_terminating_exploration` has
+:func:`~repro.engine.explorer.explore_sharded` build the successor graph of
+canonical states (:mod:`repro.engine.states`) under FSYNC, SSYNC or ASYNC
+semantics, branching over every scheduler choice, and then decides the two
+halves of Definition 1 over *all* executions:
 
-* :func:`explore_state_space` builds the successor graph of canonical
-  states (:mod:`repro.engine.states`) under FSYNC, SSYNC or ASYNC
-  semantics, branching over every scheduler choice;
-* :func:`check_terminating_exploration` then decides the two halves of
-  Definition 1 over *all* executions:
-
-  - **termination**: the successor graph contains no reachable cycle
-    (every execution is finite), and
-  - **coverage**: along every maximal execution, every grid node is
-    eventually occupied — computed by a backward fixpoint over the DAG
-    (the set of nodes *guaranteed* to be visited from a state is the
-    intersection over its successors, plus the nodes occupied in the
-    state itself), one integer bitmask per state with a bit per node;
-    only the initial state's mask is decoded back to nodes.
+* **termination**: the successor graph contains no reachable cycle
+  (every execution is finite), and
+* **coverage**: along every maximal execution, every grid node is
+  eventually occupied — computed by a backward fixpoint over the DAG
+  (the set of nodes *guaranteed* to be visited from a state is the
+  intersection over its successors, plus the nodes occupied in the
+  state itself), one integer bitmask per state with a bit per node;
+  only the initial state's mask is decoded back to nodes.
 
 Successor generation is delegated to the transition-system kernel
 (:class:`repro.engine.transition.AlgorithmTransitionSystem`), the only
@@ -46,18 +44,17 @@ algorithms (Table 1, SSYNC/ASYNC rows) on small grids.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, Optional
 
 from ..core.algorithm import Algorithm
 from ..core.grid import Grid
 from ..engine.explorer import explore_sharded, guaranteed_nodes, has_cycle, root_guarantee
-from ..engine.states import SchedulerState
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..engine.backend import ExecutionBackend
     from ..engine.store import VerdictStore
 
-__all__ = ["CheckResult", "explore_state_space", "check_terminating_exploration", "enumerate_reachable"]
+__all__ = ["CheckResult", "check_terminating_exploration"]
 
 
 @dataclass
@@ -107,55 +104,6 @@ class CheckResult:
             f"{self.algorithm} on {self.m}x{self.n} [{self.model}]: {status}"
             f" ({self.states_explored} states, {self.terminal_states} terminal{reduced}{cache})"
         )
-
-
-def explore_state_space(
-    algorithm: Algorithm,
-    grid: Grid,
-    model: str = "SSYNC",
-    max_states: int = 200_000,
-    reduction: Optional[str] = None,
-    backend: Optional["ExecutionBackend"] = None,
-) -> Dict[SchedulerState, List[SchedulerState]]:
-    """Build the successor graph of all reachable scheduler states.
-
-    With ``reduction="grid"`` the returned graph is the quotient by the
-    grid automorphisms: states are orbit representatives, and a
-    representative's successor list contains the representatives of its
-    raw successors.
-
-    ``backend`` lends its matcher cache, so repeated checks reuse the
-    snapshot/match memo tables.  The exploration always runs in this
-    process, and the backend never changes the result.
-    """
-    exploration = explore_sharded(
-        algorithm,
-        grid,
-        model,
-        max_states=max_states,
-        reduction=reduction,
-        backend=backend,
-    )
-    return exploration.graph()
-
-
-def enumerate_reachable(
-    algorithm: Algorithm,
-    grid: Grid,
-    model: str = "SSYNC",
-    max_states: int = 200_000,
-    reduction: Optional[str] = None,
-    backend: Optional["ExecutionBackend"] = None,
-) -> int:
-    """Number of reachable canonical states (convenience wrapper)."""
-    return explore_sharded(
-        algorithm,
-        grid,
-        model,
-        max_states=max_states,
-        reduction=reduction,
-        backend=backend,
-    ).num_states
 
 
 def check_terminating_exploration(
@@ -211,8 +159,11 @@ def _run_check(
 ) -> CheckResult:
     """Compute one exhaustive check (the uncached body of the entry point).
 
-    The exploration goes through this module's ``explore_sharded`` global,
-    so wrapping that name observes every exploration the checker runs.
+    The exploration and both analyses go through this module's
+    ``explore_sharded``, ``has_cycle`` and ``guaranteed_nodes`` globals,
+    in that order, so wrapping those names observes every exploration and
+    analysis the checker runs.  Coverage is solved only when the graph
+    terminates.
     """
     exploration = explore_sharded(
         algorithm,
@@ -222,41 +173,25 @@ def _run_check(
         reduction=reduction,
         backend=backend,
     )
-    terminal_states = len(exploration.terminal_indices())
-
-    if has_cycle(exploration):
-        return CheckResult(
-            algorithm=algorithm.name,
-            model=model,
-            m=grid.m,
-            n=grid.n,
-            states_explored=exploration.num_states,
-            terminal_states=terminal_states,
-            terminates=False,
-            explores=False,
-            counterexample="a scheduler can drive the system into an infinite execution (cycle reached)",
-            matcher_stats=exploration.matcher_stats,
-            reduction=exploration.reduction,
-            reduction_stats=exploration.reduction_stats,
+    terminates = not has_cycle(exploration)
+    explores = False
+    counterexample = "a scheduler can drive the system into an infinite execution (cycle reached)"
+    if terminates:
+        # The raw initial state's guarantee, so counterexamples name its nodes.
+        guaranteed = root_guarantee(exploration, guaranteed_nodes(exploration))
+        missing = sorted(set(grid.nodes()) - guaranteed)
+        explores = not missing
+        counterexample = (
+            f"a scheduler can keep nodes {missing} unvisited on some execution" if missing else None
         )
-
-    all_nodes = frozenset(grid.nodes())
-    # The raw initial state's guarantee, so counterexamples name its nodes.
-    guaranteed_root = root_guarantee(exploration, guaranteed_nodes(exploration))
-
-    explores = guaranteed_root == all_nodes
-    counterexample = None
-    if not explores:
-        missing = sorted(all_nodes - guaranteed_root)
-        counterexample = f"a scheduler can keep nodes {missing} unvisited on some execution"
     return CheckResult(
         algorithm=algorithm.name,
         model=model,
         m=grid.m,
         n=grid.n,
         states_explored=exploration.num_states,
-        terminal_states=terminal_states,
-        terminates=True,
+        terminal_states=len(exploration.terminal_indices()),
+        terminates=terminates,
         explores=explores,
         counterexample=counterexample,
         matcher_stats=exploration.matcher_stats,

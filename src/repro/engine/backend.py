@@ -27,16 +27,15 @@ backend runs the serial explorer in the calling process, on the backend's
 
 ``backend=`` and ``store=`` are the only routing arguments of the engine:
 :class:`~repro.engine.campaign.ParallelCampaignEngine`,
-:func:`~repro.checking.check_terminating_exploration`, the
-:mod:`repro.verification` campaigns and
-:func:`~repro.analysis.scaling.round_complexity_sweep` take both.  The
-single-task functions (:func:`~repro.engine.campaign.verify_one`,
+:func:`~repro.checking.check_terminating_exploration` and the
+:mod:`repro.verification` campaigns take both.  The single-task functions
+(:func:`~repro.engine.campaign.verify_one`,
 :func:`~repro.engine.campaign.check_one`) and the exploration functions
-(:func:`~repro.engine.explorer.explore_sharded`, ``explore_state_space``,
-``enumerate_reachable`` and :func:`~repro.analysis.scaling.state_space_sweep`)
-take ``backend=`` only.  ``backend=None`` means a :class:`SerialBackend`
-that lives for that one call.  To share warm caches (or a pool) across
-calls, share the backend object.
+(:func:`~repro.engine.explorer.explore_sharded` and
+:func:`~repro.analysis.scaling.state_space_sweep`) take ``backend=``
+only.  ``backend=None`` means a :class:`SerialBackend` that lives for
+that one call.  To share warm caches (or a pool) across calls, share the
+backend object.
 """
 
 from __future__ import annotations

@@ -10,11 +10,14 @@ automorphisms the algorithm cannot distinguish (``reduction="grid"``; see
 
 Under the quotient, every raw successor is replaced by its orbit
 representative and the edge is labelled with the witness ``h`` mapping the
-representative's coordinates back to the raw successor's.  Termination is
-preserved by the quotient (a quotient cycle lifts to an infinite — hence,
-on a finite space, cyclic — raw execution and vice versa); coverage is
-computed exactly by pushing guaranteed-node bitmasks through the edge
-labels' bit permutations (:meth:`~repro.engine.symmetry.GridSymmetry.mask`).
+representative's coordinates back to the raw successor's.  The graph has
+one shape under both reductions: every edge carries a label, ``None``
+standing for the identity, so unreduced every label is ``None``.
+Termination is preserved by the quotient (a quotient cycle lifts to an
+infinite — hence, on a finite space, cyclic — raw execution and vice
+versa); coverage is computed exactly by pushing guaranteed-node bitmasks
+through the edge labels' bit permutations
+(:meth:`~repro.engine.symmetry.GridSymmetry.mask`).
 
 Both verdict analyses read one iterative Tarjan pass (R. Tarjan, SIAM J.
 Comput. 1972) kept on the :class:`Exploration`: its strongly connected
@@ -78,10 +81,10 @@ class Exploration:
     states: List[SchedulerState]
     #: Index -> successor indices.
     succ: List[List[int]]
-    #: Under ``"grid"``: per-edge witness ``h`` with ``raw = h(rep)``, a
-    #: :class:`~repro.engine.symmetry.GridSymmetry` (``None`` entries mean
-    #: the identity).  ``None`` when not reduced.
-    edge_syms: Optional[List[List[Optional[GridSymmetry]]]]
+    #: Index -> one witness ``h`` per edge of :attr:`succ`, with
+    #: ``raw = h(rep)``: a :class:`~repro.engine.symmetry.GridSymmetry`, or
+    #: ``None`` for the identity.  Every entry is ``None`` when not reduced.
+    edge_syms: List[List[Optional[GridSymmetry]]]
     #: Index of the (canonicalised) initial state.
     root: int
     #: Witness mapping the canonical root back to the raw initial state
@@ -90,8 +93,10 @@ class Exploration:
     #: Matcher cache counters accumulated *during this exploration* —
     #: ``{"hits", "misses", "hit_rate"}`` — observability for the
     #: snapshot/match memo layer.  ``None`` when the transition system
-    #: does not expose a matcher.
-    matcher_stats: Optional[Dict[str, float]] = field(default=None)
+    #: does not expose a matcher.  They depend on how warm the matcher
+    #: was, so they are excluded from equality: two explorations of one
+    #: spec compare equal however warm it was.
+    matcher_stats: Optional[Dict[str, float]] = field(default=None, compare=False)
     #: The reduction the graph was built under: ``"grid"`` for the
     #: grid-automorphism quotient, else ``"none"``.
     reduction: str = field(default="none")
@@ -113,11 +118,6 @@ class Exploration:
 
     def terminal_indices(self) -> List[int]:
         return [i for i, children in enumerate(self.succ) if not children]
-
-    def graph(self) -> Dict[SchedulerState, List[SchedulerState]]:
-        """The state-keyed successor mapping (backward-compatible shape)."""
-        states = self.states
-        return {states[i]: [states[j] for j in children] for i, children in enumerate(self.succ)}
 
     @cached_property
     def components(self) -> List[List[int]]:
@@ -195,7 +195,7 @@ def explore(
     states: List[SchedulerState] = [root_state]
     index: Dict[SchedulerState, int] = {root_state: 0}
     succ: List[List[int]] = []
-    edge_syms: Optional[List[List[Optional[GridSymmetry]]]] = [] if reduce else None
+    edge_syms: List[List[Optional[GridSymmetry]]] = []
     frontier = deque([0])
 
     while frontier:
@@ -242,14 +242,11 @@ def explore(
                 states.append(rep)
                 frontier.append(child)
             row.append(child)
-            if reduce:
-                row_syms.append(h)
+            row_syms.append(h)
             if profile is not None:
                 profile.dedup_s += perf_counter() - t1
         succ.append(row)
-        if reduce:
-            assert edge_syms is not None
-            edge_syms.append(row_syms)
+        edge_syms.append(row_syms)
 
     return Exploration(
         model=ts.model,
@@ -343,12 +340,8 @@ def guaranteed_nodes(exploration: Exploration) -> List[int]:
         if not children:
             return occupancy(current)
         common = -1  # every bit: the identity of AND
-        if edge_syms is None:
-            for child in children:
-                common &= result[child]
-        else:
-            for child, h in zip(children, edge_syms[current]):
-                common &= result[child] if h is None else h.mask(result[child])
+        for child, h in zip(children, edge_syms[current]):
+            common &= result[child] if h is None else h.mask(result[child])
         return occupancy(current) | common
 
     for component in exploration.components:

@@ -15,10 +15,8 @@ identified, which keeps the reachable state space small.  States hash on
 first use and cache the value (:meth:`SchedulerState.__hash__`), because
 the explorer keys every frontier and graph lookup on them.
 
-This module used to live at :mod:`repro.checking.states`; it moved into the
-engine layer so that the simulator, the model checker and the campaign
-runner can all share it without layering cycles.  The old import path keeps
-working as a re-export.
+The module sits in the engine layer so that the simulator, the model
+checker and the campaign runner can all share it without layering cycles.
 """
 
 from __future__ import annotations
@@ -134,30 +132,6 @@ class AsyncRobotState:
             return cached
 
 
-def _content_key(content):
-    """A totally ordered encoding of a snapshot cell (walls sort before multisets)."""
-    return (0,) if content is None else (1,) + content
-
-
-def _record_sort_key(record: AsyncRobotState):
-    """A total order on records valid *across* states.
-
-    :meth:`AsyncRobotState.key` is only guaranteed comparable between robots
-    of the same state (where off-grid cells line up); canonical-representative
-    selection under grid symmetries compares records of *different* states,
-    where a raw snapshot cell may be ``None`` in one and a multiset in the
-    other.  This key encodes cell contents injectively and comparably.
-    """
-    return (
-        record.pos,
-        record.color,
-        record.phase,
-        tuple((offset, _content_key(content)) for offset, content in (record.snapshot or ())),
-        record.pending_color or "",
-        record.pending_move if record.pending_move is not None else (9, 9),
-    )
-
-
 @dataclass(frozen=True)
 class SchedulerState:
     """A canonical state of the whole system under a given synchrony model.
@@ -185,8 +159,18 @@ class SchedulerState:
         return all(robot.phase == "idle" for robot in self.robots)
 
     def sort_key(self):
-        """An injective, totally ordered key (used to pick orbit representatives)."""
-        return tuple(_record_sort_key(robot) for robot in self.robots)
+        """An injective, totally ordered key (used to pick orbit representatives).
+
+        The records' :meth:`AsyncRobotState.key` tuples, compared across
+        states of one grid.  A snapshot cell is ``None`` off the grid and a
+        colour tuple on it, and the two are never compared: comparison
+        reaches two snapshots only when the records tie on position, colour
+        and phase ``"looked"``, so both snapshots were taken at that one
+        position and their off-grid cells coincide.  A grid symmetry maps a
+        snapshot together with its position, so this holds for mapped
+        records too.
+        """
+        return tuple(robot.key() for robot in self.robots)
 
     def __hash__(self) -> int:
         try:

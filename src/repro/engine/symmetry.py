@@ -40,7 +40,7 @@ from typing import Iterable, Optional, Tuple
 
 from ..core.grid import Grid, Node
 from ..core.views import ALL_SYMMETRIES, Symmetry, ball_offsets, symmetries_for
-from .states import AsyncRobotState, SchedulerState, _content_key
+from .states import AsyncRobotState, SchedulerState
 
 __all__ = [
     "GridSymmetry",
@@ -276,7 +276,9 @@ class _Tail:
     them ties, so the snapshot and pending move are mapped then, once, and
     never for a record a comparison settles earlier.  ``offsets`` is the
     symmetry's offset table, or ``None`` for the state's own records,
-    whose key is taken as stored.
+    whose key is taken as stored.  Snapshot cells are compared raw; see
+    :meth:`SchedulerState.sort_key` for why an off-grid cell never meets
+    an on-grid one.
     """
 
     __slots__ = ("record", "offsets", "_key")
@@ -295,11 +297,9 @@ class _Tail:
         snapshot = record.snapshot or ()
         pending_move = record.pending_move
         if offsets is None:
-            cells = tuple([(offset, _content_key(content)) for offset, content in snapshot])
+            cells = snapshot
         else:
-            cells = tuple(
-                sorted([(offsets[offset], _content_key(content)) for offset, content in snapshot])
-            )
+            cells = tuple(sorted([(offsets[offset], content) for offset, content in snapshot]))
             if pending_move is not None:
                 pending_move = offsets[pending_move]
         self._key = (

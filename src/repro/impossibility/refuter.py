@@ -133,7 +133,6 @@ def _ends_unvisited(exploration: Exploration, node: Node) -> bool:
     the successor's frame by ``h``'s inverse.
     """
     states, succ, edge_syms = exploration.states, exploration.succ, exploration.edge_syms
-    assert edge_syms is not None  # the refuter always explores the quotient
 
     def pull(h, target: Node) -> Node:
         return target if h is None else h.inverse().node(target)

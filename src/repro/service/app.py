@@ -99,6 +99,11 @@ MAX_BODY_BYTES = 1 << 20
 #: Seconds an idle event stream waits before emitting a keepalive ping.
 EVENT_PING_INTERVAL = 15.0
 
+#: Seconds a socket read may block while a request is being read.  A
+#: client that stalls mid-request loses its connection instead of pinning
+#: a handler thread; once the request is read, nothing has a deadline.
+REQUEST_READ_TIMEOUT_S = 30.0
+
 
 class CampaignRun:
     """One submitted campaign: tasks, per-task events, final reports."""
@@ -374,11 +379,18 @@ class ServiceHandler(BaseHTTPRequestHandler):
     Writes are buffered: the status line, headers and body of a response
     leave in one send when ``handle_one_request`` flushes.  The event
     stream flushes its headers and then every event itself.
+
+    Only reading the request has a deadline: ``timeout`` bounds every read
+    of the request line, headers and body, and each handler lifts it once
+    the request is read, so computing, writing and event streams run
+    without one.  A read that times out ends the connection with no
+    reply; ``handle_one_request`` logs it as a timed-out request.
     """
 
     server_version = "repro-verification-service"
     protocol_version = "HTTP/1.0"
     wbufsize = -1
+    timeout = REQUEST_READ_TIMEOUT_S
 
     @property
     def service(self) -> VerificationService:
@@ -451,6 +463,7 @@ class ServiceHandler(BaseHTTPRequestHandler):
             return
         try:
             payload = self._read_payload()
+            self.connection.settimeout(None)
             if path == "/v1/check":
                 self._send_json(200, self.service.check(payload))
             else:
@@ -460,12 +473,13 @@ class ServiceHandler(BaseHTTPRequestHandler):
             self._error(400, str(exc), field=exc.field)
         except StateSpaceLimitExceeded as exc:
             self._error(422, f"state budget tripped: {exc}", field="max_states")
-        except ConnectionError:
-            raise  # the client hung up: no 500 to write (see handle_error)
+        except (ConnectionError, TimeoutError):
+            raise  # the client hung up or stalled: no 500 to write (see handle_error)
         except Exception as exc:  # noqa: BLE001 - boundary: never kill the thread
             self._error(500, f"{type(exc).__name__}: {exc}")
 
     def do_GET(self) -> None:  # noqa: N802 - stdlib casing
+        self.connection.settimeout(None)
         path, _, query = self.path.partition("?")
         path = path.rstrip("/") or "/"
         if path == "/healthz":

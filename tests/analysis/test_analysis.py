@@ -15,7 +15,9 @@ from repro.analysis import (
 )
 from repro.analysis.scaling import fit_linear_in_nodes
 from repro.analysis.table1 import PAPER_TABLE1
-from repro.core import Grid, run_fsync
+from repro.core import Algorithm, G, Grid, Synchrony, run_fsync
+from repro.core.errors import IllegalMoveError
+from repro.core.rules import Guard, Rule
 
 
 class TestMetrics:
@@ -74,6 +76,21 @@ class TestScaling:
         algorithm = get("fsync_phi2_l2_nochir_k3")  # requires n >= 4 in this encoding
         points = round_complexity_sweep(algorithm, sizes=[(3, 3), (4, 5)])
         assert [(p.m, p.n) for p in points] == [(4, 5)]
+
+    def test_a_walk_that_leaves_the_grid_raises_its_own_error(self):
+        # One robot whose only rule steps it forward from anywhere.
+        runaway = Algorithm(
+            name="runaway",
+            synchrony=Synchrony.FSYNC,
+            phi=1,
+            colors=(G,),
+            chirality=True,
+            k=1,
+            rules=(Rule("east", G, Guard.build(1), G, "E"),),
+            initial_placement=(((0, 0), G),),
+        )
+        with pytest.raises(IllegalMoveError, match="outside the 2x3 grid"):
+            round_complexity_sweep(runaway, sizes=[(2, 3)])
 
 
 class TestTable1:

@@ -5,12 +5,12 @@ from __future__ import annotations
 import pytest
 
 from repro.algorithms import get
-from repro.checking import check_terminating_exploration, enumerate_reachable, initial_state
-from repro.checking.states import SchedulerState, world_from_state
+from repro.checking import check_terminating_exploration
 from repro.core import Algorithm, G, Grid, Synchrony, W, occ
 from repro.core.errors import ConfigurationError, IllegalMoveError, StateSpaceLimitExceeded
 from repro.core.rules import Guard, Rule
-from repro.engine import AlgorithmTransitionSystem, check_one, run_fsync, verify_one
+from repro.engine import AlgorithmTransitionSystem, check_one, explore_sharded, run_fsync, verify_one
+from repro.engine.states import AsyncRobotState, SchedulerState, initial_state, world_from_state
 
 ASYNC_NAMES = [
     "async_phi2_l3_chir_k2",
@@ -95,8 +95,6 @@ class TestSuccessors:
         assert len(AlgorithmTransitionSystem(algorithm, grid, "ASYNC").successors(state)) == 1
 
     def test_terminal_states_have_no_successors(self):
-        from repro.checking.states import AsyncRobotState
-
         algorithm = get("async_phi2_l3_chir_k2")
         grid = Grid(3, 3)
         # The paper's odd-m terminal configuration: G and W adjacent in the
@@ -145,7 +143,7 @@ class TestExhaustiveChecks:
             check_terminating_exploration(algorithm, Grid(4, 6), model="ASYNC", max_states=10)
 
     def test_enumerate_reachable_counts_states(self):
-        count = enumerate_reachable(get("async_phi2_l3_chir_k2"), Grid(3, 4), model="SSYNC")
+        count = explore_sharded(get("async_phi2_l3_chir_k2"), Grid(3, 4), "SSYNC").num_states
         assert count > 5
 
 

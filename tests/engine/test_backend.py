@@ -9,8 +9,8 @@ from functools import partial
 import pytest
 
 from repro.algorithms import get
-from repro.checking import check_terminating_exploration, enumerate_reachable, explore_state_space
-from repro.analysis.scaling import round_complexity_sweep, state_space_sweep
+from repro.checking import check_terminating_exploration
+from repro.analysis.scaling import state_space_sweep
 from repro.engine import (
     AlgorithmTransitionSystem,
     CampaignTask,
@@ -34,14 +34,6 @@ from repro.verification import exhaustive_sweep, grid_sweep, verify_algorithm
 
 def _serial_exploration(algorithm, grid, model, **kwargs):
     return explore(AlgorithmTransitionSystem(algorithm, grid, model), **kwargs)
-
-
-def _assert_same_exploration(actual, expected):
-    assert actual.num_states == expected.num_states
-    assert actual.states == expected.states
-    assert actual.succ == expected.succ
-    assert actual.reduction == expected.reduction
-    assert actual.edge_syms == expected.edge_syms
 
 
 def _refuse_tasks(tasks):
@@ -189,18 +181,26 @@ class TestBackendExploration:
         grid = Grid(4, 4)
         expected = _serial_exploration(algorithm1, grid, "FSYNC", reduction=reduction)
         actual = explore_sharded(algorithm1, grid, "FSYNC", reduction=reduction, backend=backend)
-        _assert_same_exploration(actual, expected)
+        assert actual == expected
 
     def test_checking_entry_points_accept_backend(self, backend, algorithm1):
         grid = Grid(3, 3)
         check = check_terminating_exploration(algorithm1, grid, model="FSYNC", backend=backend)
         assert check == check_terminating_exploration(algorithm1, grid, model="FSYNC")
-        assert enumerate_reachable(algorithm1, grid, model="FSYNC", backend=backend) == (
-            enumerate_reachable(algorithm1, grid, model="FSYNC")
-        )
-        graph = explore_state_space(algorithm1, grid, model="FSYNC", backend=backend)
-        assert graph == explore_state_space(algorithm1, grid, model="FSYNC")
+        exploration = explore_sharded(algorithm1, grid, "FSYNC", backend=backend)
+        serial = explore_sharded(algorithm1, grid, "FSYNC")
+        assert exploration.num_states == serial.num_states
+        assert exploration == serial
         assert backend.cache.stats_for(algorithm1).lookups > 0
+
+    @pytest.mark.parametrize("reduction", ["none", "grid"])
+    def test_explorations_compare_equal_however_warm_the_matcher(self, algorithm1, reduction):
+        backend = SerialBackend()
+        cold = explore_sharded(algorithm1, Grid(4, 4), "SSYNC", reduction=reduction, backend=backend)
+        warm = explore_sharded(algorithm1, Grid(4, 4), "SSYNC", reduction=reduction, backend=backend)
+        assert cold.matcher_stats != warm.matcher_stats
+        assert warm.matcher_stats["misses"] == 0
+        assert warm == cold
 
     @pytest.mark.parametrize(
         "name,m,n,model",
@@ -238,9 +238,8 @@ class TestBackendExploration:
         monkeypatch.setattr(backend, "imap", _refuse_tasks)
         monkeypatch.setattr(backend, "run_tasks", _refuse_tasks)
         grid = Grid(3, 4)
-        _assert_same_exploration(
-            explore_sharded(algorithm1, grid, "SSYNC", backend=backend),
-            _serial_exploration(algorithm1, grid, "SSYNC"),
+        assert explore_sharded(algorithm1, grid, "SSYNC", backend=backend) == (
+            _serial_exploration(algorithm1, grid, "SSYNC")
         )
         assert check_terminating_exploration(algorithm1, grid, model="SSYNC", backend=backend) == (
             check_terminating_exploration(algorithm1, grid, model="SSYNC")
@@ -250,11 +249,9 @@ class TestBackendExploration:
         "entry",
         [
             partial(check_terminating_exploration, model="FSYNC"),
-            partial(enumerate_reachable, model="FSYNC"),
-            partial(explore_state_space, model="FSYNC"),
             partial(explore_sharded, model="FSYNC"),
         ],
-        ids=["check", "enumerate", "state_space", "sharded"],
+        ids=["check", "sharded"],
     )
     def test_explorations_spawn_no_workers(self, entry, algorithm1):
         with PoolBackend(workers=2) as backend:
@@ -312,9 +309,6 @@ class TestBackendCampaigns:
 
     def test_scaling_sweeps_parity(self, backend, algorithm1):
         sizes = [(3, 3), (3, 4), (4, 4)]
-        assert round_complexity_sweep(algorithm1, sizes=sizes, backend=backend) == (
-            round_complexity_sweep(algorithm1, sizes=sizes)
-        )
         baseline = state_space_sweep(algorithm1, sizes=sizes, reduction="grid")
         routed = state_space_sweep(algorithm1, sizes=sizes, reduction="grid", backend=backend)
         assert [(p.m, p.n, p.states, p.reduction) for p in routed] == (
@@ -351,11 +345,11 @@ class TestBackendCampaigns:
         # key, so B's own later lookup is a hit on B's verdict, never on
         # another algorithm's.
         b = get("fsync_phi1_l3_nochir_k4")
-        store = VerdictStore(tmp_path / "store")
-        engine = ParallelCampaignEngine(backend=backend, store=store)
-        (report,) = engine.run_tasks(grid_sweep_tasks(b, sizes=[(4, 5)]))
-        assert (report.algorithm, report.steps) == (b.name, 14)
-        (served,) = engine.run_tasks([CampaignTask(b, 4, 5)])
+        with VerdictStore(tmp_path / "store") as store:
+            engine = ParallelCampaignEngine(backend=backend, store=store)
+            (report,) = engine.run_tasks(grid_sweep_tasks(b, sizes=[(4, 5)]))
+            assert (report.algorithm, report.steps) == (b.name, 14)
+            (served,) = engine.run_tasks([CampaignTask(b, 4, 5)])
         assert served.store_stats["outcome"] == HIT
         assert (served.algorithm, served.steps) == (b.name, 14)
         assert served == verify_one(b, 4, 5)

@@ -7,7 +7,7 @@ import pickle
 import pytest
 
 from repro.algorithms import get
-from repro.checking import check_terminating_exploration, explore_state_space
+from repro.checking import check_terminating_exploration
 from repro.core import Grid, TieBreak, run_fsync, run_ssync
 from repro.core.errors import StateSpaceLimitExceeded
 from repro.engine import (
@@ -16,6 +16,7 @@ from repro.engine import (
     LocalMatcher,
     default_grid_suite,
     explore,
+    explore_sharded,
     initial_state,
     scaling_suite,
 )
@@ -40,9 +41,7 @@ class TestTransitionSystem:
         algorithm = get("async_phi2_l3_chir_k2")
         grid = Grid(3, 4)
         exploration = explore(AlgorithmTransitionSystem(algorithm, grid, "SSYNC"))
-        graph = explore_state_space(algorithm, grid, model="SSYNC")
-        assert exploration.num_states == len(graph)
-        assert set(exploration.graph()) == set(graph)
+        assert explore_sharded(algorithm, grid, "SSYNC") == exploration
 
 
 class TestLocalMatcher:

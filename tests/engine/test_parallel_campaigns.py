@@ -123,10 +123,10 @@ class TestTasksRunTheAlgorithmTheyName:
 
     def test_engine_files_the_named_algorithms_report_under_its_key(self, tmp_path):
         a, b = get(self.A), get(self.B)
-        store = VerdictStore(tmp_path / "store")
-        (report,) = ParallelCampaignEngine(store=store).run_tasks(grid_sweep_tasks(b, sizes=[(4, 5)]))
-        assert (report.algorithm, report.steps) == (self.B, 14)
-        (served,) = ParallelCampaignEngine(store=store).run_tasks([CampaignTask(b, 4, 5)])
+        with VerdictStore(tmp_path / "store") as store:
+            (report,) = ParallelCampaignEngine(store=store).run_tasks(grid_sweep_tasks(b, sizes=[(4, 5)]))
+            assert (report.algorithm, report.steps) == (self.B, 14)
+            (served,) = ParallelCampaignEngine(store=store).run_tasks([CampaignTask(b, 4, 5)])
         assert served.store_stats["outcome"] == HIT
         assert (served.algorithm, served.steps) == (self.B, 14)
         assert verify_one(a, 4, 5).steps == 17  # what A's run would have filed

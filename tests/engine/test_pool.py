@@ -9,7 +9,7 @@ import pickle
 import pytest
 
 from repro.algorithms import get
-from repro.checking import check_terminating_exploration, enumerate_reachable, explore_state_space
+from repro.checking import check_terminating_exploration
 from repro.core import Algorithm, G, Grid, Synchrony, W, occ
 from repro.core.errors import StateSpaceLimitExceeded
 from repro.core.rules import Guard, Rule
@@ -49,15 +49,6 @@ def _adhoc_algorithm(name="adhoc_pool_test"):
     )
 
 
-def _assert_same_exploration(actual, expected):
-    assert actual.num_states == expected.num_states
-    assert actual.states == expected.states  # same states in the same interned order
-    assert actual.succ == expected.succ
-    assert actual.reduction == expected.reduction
-    assert actual.edge_syms == expected.edge_syms
-    assert actual.root_sym is expected.root_sym
-
-
 # ---------------------------------------------------------------------------
 # Explorations handed a pool backend run in-process on its cache
 # ---------------------------------------------------------------------------
@@ -69,10 +60,10 @@ class TestPooledParity:
         grid = Grid(4, 4)
         serial = _serial(algorithm, grid, "SSYNC")
         with PoolBackend(workers=2) as backend:
-            pooled = explore_state_space(algorithm, grid, model="SSYNC", backend=backend)
+            pooled = explore_sharded(algorithm, grid, "SSYNC", backend=backend)
             assert not backend.started  # no worker processes were ever spawned
             assert backend.cache.stats_for(algorithm).lookups > 0
-        assert pooled == serial.graph()
+        assert pooled == serial
 
     def test_budget_trip_context_identical_through_the_pool(self):
         algorithm = get("fsync_phi2_l2_nochir_k3")
@@ -81,7 +72,7 @@ class TestPooledParity:
             _serial(algorithm, grid, "SSYNC", max_states=100)
         with PoolBackend(workers=2) as backend:
             with pytest.raises(StateSpaceLimitExceeded) as pooled_info:
-                explore_state_space(algorithm, grid, model="SSYNC", max_states=100, backend=backend)
+                explore_sharded(algorithm, grid, "SSYNC", max_states=100, backend=backend)
             assert not backend.started
         serial, pooled = serial_info.value, pooled_info.value
         assert str(pooled) == str(serial)
@@ -94,11 +85,12 @@ class TestPooledParity:
     def test_checking_entry_points_accept_a_pool_backend(self):
         algorithm = get("fsync_phi2_l2_chir_k2")
         grid = Grid(4, 4)
-        serial_graph = explore_state_space(algorithm, grid, model="SSYNC")
+        serial = explore_sharded(algorithm, grid, "SSYNC")
         serial_check = check_terminating_exploration(algorithm, grid, model="SSYNC")
         with PoolBackend(workers=2) as backend:
-            assert explore_state_space(algorithm, grid, model="SSYNC", backend=backend) == serial_graph
-            assert enumerate_reachable(algorithm, grid, model="SSYNC", backend=backend) == len(serial_graph)
+            pooled = explore_sharded(algorithm, grid, "SSYNC", backend=backend)
+            assert pooled == serial
+            assert pooled.num_states == serial.num_states
             pooled_check = check_terminating_exploration(algorithm, grid, model="SSYNC", backend=backend)
         assert pooled_check == serial_check  # CheckResult equality ignores matcher_stats
         assert pooled_check.matcher_stats is not None
@@ -108,10 +100,10 @@ class TestPooledParity:
         grid = Grid(1, 3)
         serial = _serial(adhoc, grid, "FSYNC", max_states=500)
         with PoolBackend(workers=4) as backend:
-            pooled = explore_state_space(adhoc, grid, model="FSYNC", max_states=500, backend=backend)
+            pooled = explore_sharded(adhoc, grid, "FSYNC", max_states=500, backend=backend)
             assert not backend.started  # explorations never fan out
             assert backend.cache.stats_for(adhoc).lookups > 0  # ran on the pool's cache
-        assert pooled == serial.graph()
+        assert pooled == serial
 
     def test_closed_pool_backend_refuses_work(self):
         backend = PoolBackend(workers=2)
@@ -193,9 +185,9 @@ class TestCampaignsOnThePool:
         algorithm = get("fsync_phi2_l2_chir_k2")
         grid = Grid(4, 4)
         with PoolBackend(workers=2) as backend:
-            exploration = explore_state_space(algorithm, grid, model="FSYNC", backend=backend)
+            exploration = explore_sharded(algorithm, grid, "FSYNC", backend=backend)
             report = grid_sweep(algorithm, sizes=[(3, 3), (4, 4)], backend=backend)
-            again = explore_state_space(algorithm, grid, model="FSYNC", backend=backend)
+            again = explore_sharded(algorithm, grid, "FSYNC", backend=backend)
         assert report.ok
         assert again == exploration
 
@@ -215,11 +207,11 @@ class TestExploreShardedCache:
         # ad-hoc matcher.
         assert backend.cache.stats_for(adhoc).lookups > 0
         assert backend.cache.entry_count() > 0
-        _assert_same_exploration(warm, _serial(adhoc, grid, "FSYNC", max_states=500))
+        assert warm == _serial(adhoc, grid, "FSYNC", max_states=500)
         # ...and a second run over the same cache starts warm.
         rerun = explore_sharded(adhoc, grid, "FSYNC", max_states=500, backend=backend)
         assert rerun.matcher_stats["misses"] == 0
-        _assert_same_exploration(rerun, warm)
+        assert rerun == warm
 
     def test_registered_algorithm_uses_the_backend_cache(self):
         algorithm = get("fsync_phi2_l2_chir_k2")
@@ -228,7 +220,7 @@ class TestExploreShardedCache:
         explore_sharded(algorithm, grid, "FSYNC", backend=backend)
         warm = explore_sharded(algorithm, grid, "FSYNC", backend=backend)
         assert warm.matcher_stats["misses"] == 0
-        _assert_same_exploration(warm, _serial(algorithm, grid, "FSYNC"))
+        assert warm == _serial(algorithm, grid, "FSYNC")
 
     @pytest.mark.parametrize(
         "name,m,n,model",
@@ -241,9 +233,8 @@ class TestExploreShardedCache:
     def test_matches_the_serial_explorer(self, name, m, n, model, reduction):
         algorithm = get(name)
         grid = Grid(m, n)
-        _assert_same_exploration(
-            explore_sharded(algorithm, grid, model, reduction=reduction),
-            _serial(algorithm, grid, model, reduction=reduction),
+        assert explore_sharded(algorithm, grid, model, reduction=reduction) == (
+            _serial(algorithm, grid, model, reduction=reduction)
         )
 
 

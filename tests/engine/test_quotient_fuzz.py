@@ -54,7 +54,7 @@ from typing import Dict, FrozenSet, List, Optional, Tuple, Union
 import pytest
 
 from repro.algorithms import get
-from repro.checking import CheckResult, check_terminating_exploration, explore_state_space
+from repro.checking import CheckResult, check_terminating_exploration
 from repro.core import Algorithm, Grid
 from repro.core.errors import IllegalMoveError, StateSpaceLimitExceeded
 from repro.core.grid import Node
@@ -261,9 +261,8 @@ def reference_guarantees(exploration: Exploration) -> List[FrozenSet[Node]]:
         children = succ[current]
         if not children:
             return occupied
-        syms = edge_syms[current] if edge_syms is not None else (None,) * len(children)
         common: Optional[FrozenSet[Node]] = None
-        for child, h in zip(children, syms):
+        for child, h in zip(children, edge_syms[current]):
             guarantee = result[child]
             if h is not None:
                 guarantee = frozenset(h.node(node) for node in guarantee)
@@ -376,7 +375,9 @@ def test_refuter_matches_a_brute_force_on_the_unreduced_graph(seed):
             with pytest.raises(IllegalMoveError):
                 refute_terminating_exploration(algorithm, grid, model=model)
             continue
-        graph = explore_state_space(algorithm, grid, model=model, max_states=STATE_CAP, reduction="none")
+        exploration = explore_sharded(algorithm, grid, model, max_states=STATE_CAP, reduction="none")
+        states = exploration.states
+        graph = {states[i]: [states[j] for j in children] for i, children in enumerate(exploration.succ)}
         root = initial_state(algorithm, grid)
         centre = ((m - 1) / 2, (n - 1) / 2)
         expected = None

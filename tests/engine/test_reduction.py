@@ -133,6 +133,19 @@ class TestCrossModelParity:
         assert len(set(CROSS_MODEL_CASES)) == 3 * len(all_algorithms()) == 39
 
 
+class TestOneGraphShape:
+    """Both reductions build one graph shape: one edge witness per edge."""
+
+    @pytest.mark.parametrize("model", ["FSYNC", "SSYNC", "ASYNC"])
+    def test_unreduced_edges_carry_identity_witnesses(self, model):
+        exploration = explore_sharded(get("async_phi2_l3_chir_k2"), Grid(3, 4), model)
+        assert exploration.reduction == "none"
+        assert sum(len(row) for row in exploration.succ) > 0
+        assert len(exploration.edge_syms) == len(exploration.succ)
+        for row, syms in zip(exploration.succ, exploration.edge_syms):
+            assert syms == [None] * len(row)
+
+
 class TestRoutesAgreeOnTheQuotient:
     """Cold and warm explorations of one quotient are identical."""
 

@@ -253,7 +253,10 @@ class TestDurability:
         record = pack_record("casualty", "lost")
         store._file.write(record[: len(record) // 2])
         store._file.flush()
-        del store  # never closed — the handle just goes away
+        # The process never finishes the record; only its handle goes away,
+        # as the OS closes a killed process's files.  The torn tail stays.
+        store._file.close()
+        del store
 
         with VerdictStore(path) as recovered:
             assert recovered.recovered_bytes == len(record) // 2
@@ -487,15 +490,15 @@ class TestParity:
                 assert cached.reduction_stats == recorded.reduction_stats == fresh.reduction_stats
 
     def test_check_result_parity_and_cross_entry_point_sharing(self, tmp_path):
-        store = VerdictStore(tmp_path / "store")
         algorithm, grid = get(ALGORITHM), Grid(3, 3)
         fresh = check_terminating_exploration(algorithm, grid, model="FSYNC", reduction="grid")
-        recorded = check_terminating_exploration(
-            algorithm, grid, model="FSYNC", reduction="grid", store=store
-        )
-        cached = check_terminating_exploration(
-            algorithm, grid, model="FSYNC", reduction="grid", store=store
-        )
+        with VerdictStore(tmp_path / "store") as store:
+            recorded = check_terminating_exploration(
+                algorithm, grid, model="FSYNC", reduction="grid", store=store
+            )
+            cached = check_terminating_exploration(
+                algorithm, grid, model="FSYNC", reduction="grid", store=store
+            )
         assert cached.store_stats["outcome"] == HIT
         assert replace(cached, store_stats=None) == replace(recorded, store_stats=None) == fresh
 

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from repro.algorithms import all_algorithms, get
-from repro.checking import check_terminating_exploration, enumerate_reachable
+from repro.checking import check_terminating_exploration
 from repro.core import Algorithm, G, Grid, Synchrony, W, occ
 from repro.core.errors import StateSpaceLimitExceeded
 from repro.core.rules import Guard, Rule
@@ -26,7 +26,7 @@ from repro.engine import (
     parse_check_spec,
     transform_state,
 )
-from repro.engine.explorer import mask_nodes
+from repro.engine.explorer import explore_sharded, mask_nodes
 from repro.engine.matcher import node_table
 from repro.engine.symmetry import GridSymmetry, _grid_symmetries_cached
 
@@ -206,8 +206,8 @@ class TestReductionSoundness:
         """Satellite: reduced <= unreduced, identical verdicts, per FSYNC algorithm."""
         algorithm = get(name)
         grid = small_square(algorithm)
-        full = enumerate_reachable(algorithm, grid, model="FSYNC")
-        reduced = enumerate_reachable(algorithm, grid, model="FSYNC", reduction="grid")
+        full = explore_sharded(algorithm, grid, "FSYNC").num_states
+        reduced = explore_sharded(algorithm, grid, "FSYNC", reduction="grid").num_states
         assert reduced <= full
         plain = check_terminating_exploration(algorithm, grid, model="FSYNC")
         quotient = check_terminating_exploration(
@@ -232,8 +232,8 @@ class TestReductionSoundness:
         """Acceptance: symmetric pairs where the quotient is strictly smaller."""
         algorithm = get(name)
         grid = Grid(m, n)
-        full = enumerate_reachable(algorithm, grid, model=model)
-        reduced = enumerate_reachable(algorithm, grid, model=model, reduction="grid")
+        full = explore_sharded(algorithm, grid, model).num_states
+        reduced = explore_sharded(algorithm, grid, model, reduction="grid").num_states
         assert reduced < full
         plain = check_terminating_exploration(algorithm, grid, model=model)
         quotient = check_terminating_exploration(algorithm, grid, model=model, reduction="grid")
@@ -274,8 +274,8 @@ class TestReductionSoundness:
             min_n=4,
         )
         grid = Grid(1, 4)
-        full = enumerate_reachable(oscillator, grid, model="SSYNC")
-        reduced = enumerate_reachable(oscillator, grid, model="SSYNC", reduction="grid")
+        full = explore_sharded(oscillator, grid, "SSYNC").num_states
+        reduced = explore_sharded(oscillator, grid, "SSYNC", reduction="grid").num_states
         assert reduced < full  # the ping-pong orbit folds onto itself
         plain = check_terminating_exploration(oscillator, grid, model="SSYNC")
         quotient = check_terminating_exploration(oscillator, grid, model="SSYNC", reduction="grid")

@@ -186,3 +186,42 @@ class TestHandlerThreads:
         assert stats["service"]["requests"]["POST /v1/check"] == 400
         store = stats["store"]
         assert store["hits"] + store["misses"] + store["coalesced"] == 400
+
+
+class TestRequestReadDeadline:
+    """Only reading a request has a deadline; a stalled client frees its thread."""
+
+    @pytest.fixture(autouse=True)
+    def short_deadline(self, monkeypatch):
+        from repro.service.app import ServiceHandler
+
+        monkeypatch.setattr(ServiceHandler, "timeout", 0.5)
+
+    def test_a_stalled_body_frees_its_handler_thread(self, harness):
+        host, port = harness.server.server_address[:2]
+        head = (
+            f"POST /v1/check HTTP/1.0\r\nHost: {host}\r\n"
+            "Content-Type: application/json\r\nContent-Length: 100\r\n\r\n"
+        )
+        with socket.create_connection((host, port), timeout=10) as sock:
+            sock.sendall(head.encode("latin-1") + b'{"al')
+            # The client holds its end open; the deadline alone frees the thread.
+            wait_until(lambda: harness.server.idle_threads == 1, timeout=5)
+            # The connection was closed without a reply.
+            assert sock.recv(1024) == b""
+        assert len(harness.server.handler_threads) == 1
+
+    def test_an_event_stream_outlives_the_deadline(self, gated):
+        harness, run_id, gate = gated
+        stream = open_stream(harness, run_id, timeout=30)
+        try:
+            time.sleep(2.0)  # four read deadlines with no event
+            assert harness.get(f"/v1/campaigns/{run_id}")[1]["completed"] == 0
+        finally:
+            gate.release.set()
+            events = drain(stream)
+        assert [event["event"] for event in events] == ["task", "task", "done"]
+
+    def test_a_check_still_answers(self, harness):
+        code, body, _ = harness.post("/v1/check", SPEC)
+        assert code == 200 and body["verdict"]["ok"] is True
