@@ -12,11 +12,22 @@
 #                      run_seconds; prints their JSON lines, keeps them in
 #                      bench.jsonl, and fails if a run reports an
 #                      incorrect result (the nightly job uploads the file)
+#   make bench-pairs - alternating parent-vs-change pairs of one workload
+#                      (tools/bench_pairs.py): PARENT (default HEAD, so the
+#                      change is the uncommitted work), WORKLOAD (suite),
+#                      PAIRS (10), SEED (0); each run lasts BENCHMARK.json's
+#                      run_seconds.  Prints each end-to-end metric's medians,
+#                      quartiles and pairs won, and fails on an incorrect run
 
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: verify test lint serve-smoke bench
+.PHONY: verify test lint serve-smoke bench bench-pairs
+
+PARENT ?= HEAD
+WORKLOAD ?= suite
+PAIRS ?= 10
+SEED ?= 0
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -38,3 +49,7 @@ bench:
 	done
 	cat bench.jsonl
 	! grep -q '"correct": false' bench.jsonl
+
+bench-pairs:
+	$(PYTHON) tools/bench_pairs.py --parent $(PARENT) --workload $(WORKLOAD) \
+		--pairs $(PAIRS) --seed $(SEED)

@@ -57,6 +57,9 @@ __all__ = [
     "stress_test_tasks",
     "exhaustive_check_tasks",
     "shape_sizes",
+    "STRESS_MODELS",
+    "STRESS_SEEDS",
+    "VERIFY_SEEDS",
     "ParallelCampaignEngine",
 ]
 
@@ -410,6 +413,15 @@ def run_task(task: CampaignTask, backend: Optional["ExecutionBackend"] = None) -
 #: ``max_side`` of each campaign shape's default size family.
 _DEFAULT_MAX_SIDE = {"grid_sweep": 9, "stress_test": 7, "exhaustive_sweep": 4}
 
+#: The models a stress campaign runs by default.
+STRESS_MODELS = ("SSYNC", "ASYNC")
+
+#: The scheduler seeds a stress campaign runs by default.
+STRESS_SEEDS = tuple(range(10))
+
+#: The stress seeds ``verify_algorithm`` gives an ASYNC algorithm by default.
+VERIFY_SEEDS = tuple(range(5))
+
 
 def shape_sizes(
     kind: str, algorithm: Algorithm, sizes: Optional[Iterable[Tuple[int, int]]] = None
@@ -442,8 +454,8 @@ def grid_sweep_tasks(
 def stress_test_tasks(
     algorithm: Algorithm,
     sizes: Optional[Iterable[Tuple[int, int]]] = None,
-    models: Sequence[str] = ("SSYNC", "ASYNC"),
-    seeds: Sequence[int] = tuple(range(10)),
+    models: Sequence[str] = STRESS_MODELS,
+    seeds: Sequence[int] = STRESS_SEEDS,
     tie_break: str = TieBreak.FIRST,
 ) -> List[CampaignTask]:
     """The task list of a randomized-scheduler stress campaign."""

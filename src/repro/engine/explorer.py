@@ -4,7 +4,7 @@ The explorer searches the kernel's state space: starting from the
 transition system's initial state it discovers every reachable canonical
 state with a breadth-first frontier, interning states into dense integer
 indices (so the graph analyses below run on plain int lists instead of
-re-hashing dataclasses), and optionally quotienting the search by the grid
+re-hashing states), and optionally quotienting the search by the grid
 automorphisms the algorithm cannot distinguish (``reduction="grid"``; see
 :mod:`repro.engine.symmetry`).
 
@@ -330,7 +330,7 @@ def guaranteed_nodes(exploration: Exploration) -> List[int]:
 
     def occupancy(current: int) -> int:
         mask = 0
-        for record in states[current].robots:
+        for record in states[current]:
             i, j = record.pos
             mask |= 1 << (i * n + j)
         return mask

@@ -335,6 +335,9 @@ def parse_campaign(payload: object) -> Tuple[Algorithm, List[object]]:
     raise :class:`SpecError` naming ``tasks``.
     """
     from .campaign import (  # local import: campaign imports this module
+        STRESS_MODELS,
+        STRESS_SEEDS,
+        VERIFY_SEEDS,
         exhaustive_check_tasks,
         grid_sweep_tasks,
         shape_sizes,
@@ -359,13 +362,13 @@ def parse_campaign(payload: object) -> Tuple[Algorithm, List[object]]:
         _bound_task_count(len(shape_sizes(kind, algorithm, sizes)))
         tasks = grid_sweep_tasks(algorithm, sizes=sizes, model=model, seed=seed)
     elif kind == "stress_test":
-        models = _field(payload, "models", ["SSYNC", "ASYNC"])
+        models = _field(payload, "models", STRESS_MODELS)
         if not isinstance(models, (list, tuple)) or not models or not all(
             isinstance(model, str) and model.upper() in MODELS for model in models
         ):
             raise SpecError("models", f"'models' must be a non-empty list drawn from {MODELS}, got {models!r}")
         models = tuple(model.upper() for model in models)
-        seeds = _seeds_field(payload, tuple(range(10)))
+        seeds = _seeds_field(payload, STRESS_SEEDS)
         _bound_task_count(len(shape_sizes(kind, algorithm, sizes)) * len(models) * len(seeds))
         tasks = stress_test_tasks(algorithm, sizes=sizes, models=models, seeds=seeds)
     elif kind == "exhaustive_sweep":
@@ -378,8 +381,8 @@ def parse_campaign(payload: object) -> Tuple[Algorithm, List[object]]:
     else:  # verify_algorithm: the FSYNC sweep, plus SSYNC and ASYNC stress runs if ASYNC
         count, seeds = len(shape_sizes("grid_sweep", algorithm, sizes)), None
         if algorithm.synchrony == "ASYNC":
-            seeds = _seeds_field(payload, tuple(range(5)))
-            count += len(shape_sizes("stress_test", algorithm, sizes)) * 2 * len(seeds)
+            seeds = _seeds_field(payload, VERIFY_SEEDS)
+            count += len(shape_sizes("stress_test", algorithm, sizes)) * len(STRESS_MODELS) * len(seeds)
         _bound_task_count(count)
         tasks = grid_sweep_tasks(algorithm, sizes=sizes, model="FSYNC")
         if seeds is not None:

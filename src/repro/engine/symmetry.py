@@ -25,7 +25,10 @@ if a raw successor ``u`` canonicalises to representative ``r`` via
 ``r = g(u)``, then the set of nodes guaranteed to be visited from ``u`` is
 ``h(guaranteed(r))`` with ``h = g^-1``.  :func:`canonicalize` returns that
 ``h`` so the explorer can label the quotient edge with it, and
-:meth:`GridSymmetry.mask` maps a node bitmask through it.
+:meth:`GridSymmetry.mask` maps a node bitmask through it.  Records and
+states are tuples laid out in sort order (:mod:`repro.engine.states`), so
+the canonicaliser reads record fields by index, orders candidates by tuple
+comparison and builds only the winning state, with ``states.build``.
 
 The quotient is the only state-space reduction: ``reduction="grid"``
 selects it on every exploration entry point and ``"none"`` (the default of
@@ -40,7 +43,7 @@ from typing import Iterable, Optional, Tuple
 
 from ..core.grid import Grid, Node
 from ..core.views import ALL_SYMMETRIES, Symmetry, ball_offsets, symmetries_for
-from .states import AsyncRobotState, SchedulerState
+from .states import IDLE_TAIL, NO_MOVE, AsyncRobotState, SchedulerState, build
 
 __all__ = [
     "GridSymmetry",
@@ -243,42 +246,28 @@ def transform_state(state: SchedulerState, gs: GridSymmetry) -> SchedulerState:
     nodes = gs.nodes
     offsets = gs.offsets
     records = []
-    for record in state.robots:
-        snapshot = record.snapshot
-        if snapshot is not None:
+    for pos, color, phase, snapshot, pending_color, pending_move in state:
+        if snapshot:
             snapshot = tuple(sorted([(offsets[offset], content) for offset, content in snapshot]))
-        pending_move = record.pending_move
-        if pending_move is not None:
+        if pending_move != NO_MOVE:
             pending_move = offsets[pending_move]
         records.append(
-            AsyncRobotState(
-                pos=nodes[record.pos],
-                color=record.color,
-                phase=record.phase,
-                snapshot=snapshot,
-                pending_color=record.pending_color,
-                pending_move=pending_move,
-            )
+            build(AsyncRobotState, (nodes[pos], color, phase, snapshot, pending_color, pending_move))
         )
-    return SchedulerState.from_records(records)
-
-
-#: The sort-key tail of a record with no snapshot and nothing pending.
-_BARE_TAIL = ((), "", (9, 9))
+    records.sort()
+    return build(SchedulerState, records)
 
 
 class _Tail:
-    """The sort-key fields after ``(pos, color, phase)`` of one mapped record.
+    """The last three fields of one mapped record, mapped when first compared.
 
-    :meth:`SchedulerState.sort_key` orders a record by ``(pos, color,
-    phase, snapshot, pending_color, pending_move)``.  Comparisons of
-    candidate keys reach these tail fields only when everything before
-    them ties, so the snapshot and pending move are mapped then, once, and
-    never for a record a comparison settles earlier.  ``offsets`` is the
-    symmetry's offset table, or ``None`` for the state's own records,
-    whose key is taken as stored.  Snapshot cells are compared raw; see
-    :meth:`SchedulerState.sort_key` for why an off-grid cell never meets
-    an on-grid one.
+    A record sorts by ``(pos, color, phase, snapshot, pending_color,
+    pending_move)``.  Comparisons of candidate keys reach these tail fields
+    only when everything before them ties, so the snapshot and pending move
+    are mapped then, once, and never for a record a comparison settles
+    earlier.  ``offsets`` is the symmetry's offset table.  Snapshot cells
+    are compared raw; see :meth:`SchedulerState.sort_key` for why an
+    off-grid cell never meets an on-grid one.
     """
 
     __slots__ = ("record", "offsets", "_key")
@@ -292,21 +281,12 @@ class _Tail:
             return self._key
         except AttributeError:
             pass
-        record = self.record
+        _, _, _, snapshot, pending_color, pending_move = self.record
         offsets = self.offsets
-        snapshot = record.snapshot or ()
-        pending_move = record.pending_move
-        if offsets is None:
-            cells = snapshot
-        else:
-            cells = tuple(sorted([(offsets[offset], content) for offset, content in snapshot]))
-            if pending_move is not None:
-                pending_move = offsets[pending_move]
-        self._key = (
-            cells,
-            record.pending_color or "",
-            pending_move if pending_move is not None else (9, 9),
-        )
+        cells = tuple(sorted([(offsets[offset], content) for offset, content in snapshot]))
+        if pending_move != NO_MOVE:
+            pending_move = offsets[pending_move]
+        self._key = (cells, pending_color, pending_move)
         return self._key
 
     def __eq__(self, other):
@@ -322,9 +302,9 @@ class _Tail:
 
 
 def _tail(record: AsyncRobotState, offsets):
-    if record.snapshot is None and record.pending_move is None and record.pending_color is None:
-        return _BARE_TAIL
-    return _Tail(record, offsets)
+    if record[3] or record[4] or record[5] != NO_MOVE:
+        return _Tail(record, offsets)
+    return IDLE_TAIL
 
 
 def canonicalize(
@@ -340,17 +320,17 @@ def canonicalize(
     it, the first in ``symmetries`` wins.
 
     Candidates are compared without being built: each one's sort key is the
-    sorted list of its records' ``(g(pos), color, phase, tail)``, read from
-    the symmetry's node table, where the tail (:class:`_Tail`) maps a
-    snapshot or pending move only when a comparison reaches it.  A
-    candidate whose smallest mapped position exceeds the best key's first
-    position loses before its key is built.  Only the winning state is
-    built.
+    sorted list of its records' ``(g(pos), color, phase, tail)``, read by
+    index from the records and from the symmetry's node table, where the
+    tail (:class:`_Tail`) maps a snapshot or pending move only when a
+    comparison reaches it.  The state's own records enter as ``(pos,
+    color, phase, record[3:])``.  A candidate whose smallest mapped
+    position exceeds the best key's first position loses before its key is
+    built.  Only the winning state is built.
     """
-    robots = state.robots
-    if not robots:
+    if not state:
         return state, None
-    positions = [record.pos for record in robots]
+    positions = [record[0] for record in state]
     best_first = positions[0]
     best_key = None
     best_sym: Optional[GridSymmetry] = None
@@ -362,16 +342,11 @@ def canonicalize(
         if first > best_first:
             continue
         offsets = gs.offsets
-        key = [
-            (nodes[record.pos], record.color, record.phase, _tail(record, offsets))
-            for record in robots
-        ]
+        key = [(nodes[record[0]], record[1], record[2], _tail(record, offsets)) for record in state]
         key.sort()
         if best_key is None:
             # The state's own key, in its stored record order.
-            best_key = [
-                (record.pos, record.color, record.phase, _tail(record, None)) for record in robots
-            ]
+            best_key = [(record[0], record[1], record[2], record[3:]) for record in state]
         if key < best_key:
             best_key = key
             best_first = first

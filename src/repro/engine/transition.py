@@ -6,7 +6,10 @@ for all three synchrony models over canonical scheduler states
 (:mod:`repro.checking.model_checker` via :mod:`repro.engine.explorer`)
 runs a frontier search over every transition it generates, and the
 Theorem 1 refuter (:mod:`repro.impossibility.refuter`) reads that same
-exploration instead of searching on its own.
+exploration instead of searching on its own.  Records and states are
+tuples: the kernel reads a record's fields by index and builds records and
+states with :data:`~repro.engine.states.build` from fields already in tuple
+form, so no successor runs a Python-level constructor.
 
 It is one of two implementations of those semantics.  The walk
 (:mod:`repro.engine.walk`), which the simulator and the campaign runner's
@@ -46,7 +49,7 @@ from ..core.algorithm import Algorithm, Synchrony
 from ..core.errors import IllegalMoveError
 from ..core.grid import Grid
 from .matcher import LocalMatcher
-from .states import AsyncRobotState, SchedulerState, initial_state
+from .states import IDLE_TAIL, NO_MOVE, AsyncRobotState, SchedulerState, build, initial_state
 
 __all__ = ["MODELS", "AlgorithmTransitionSystem"]
 
@@ -87,11 +90,10 @@ class AlgorithmTransitionSystem:
     # ------------------------------------------------------------------
     def _enabled_choices(self, state: SchedulerState):
         """Per-robot distinct actions in a configuration-only state."""
-        records = state.robots
         matcher = self.matcher
         choices = []
-        for index, record in enumerate(records):
-            actions = matcher.actions(records, record.pos, record.color)
+        for index, record in enumerate(state):
+            actions = matcher.actions(state, record[0], record[1])
             if actions:
                 choices.append((index, actions))
         return choices
@@ -114,16 +116,17 @@ class AlgorithmTransitionSystem:
         Raises :class:`IllegalMoveError` when a move leaves the grid.
         """
         m, n = self.grid.m, self.grid.n
-        records = list(state.robots)
+        records = list(state)
         for index, new_color, world_move in moves:
             record = records[index]
-            pos = record.pos
+            pos = record[0]
             if world_move is not None:
                 pos = (pos[0] + world_move[0], pos[1] + world_move[1])
                 if not (0 <= pos[0] < m and 0 <= pos[1] < n):
-                    raise self._off_grid(record.pos, pos)
-            records[index] = AsyncRobotState(pos=pos, color=new_color if new_color else record.color)
-        return SchedulerState.from_records(records)
+                    raise self._off_grid(record[0], pos)
+            records[index] = build(AsyncRobotState, (pos, new_color or record[1], "idle") + IDLE_TAIL)
+        records.sort()
+        return build(SchedulerState, records)
 
     # ------------------------------------------------------------------
     # FSYNC / SSYNC
@@ -153,49 +156,41 @@ class AlgorithmTransitionSystem:
     # ASYNC
     # ------------------------------------------------------------------
     def _successors_async(self, state: SchedulerState) -> List[SchedulerState]:
-        records = state.robots
         matcher = self.matcher
+        m, n = self.grid.m, self.grid.n
         successors: List[SchedulerState] = []
-        for index, record in enumerate(records):
-            if record.phase == "idle":
+        for index, (pos, color, phase, snapshot, _, pending_move) in enumerate(state):
+            if phase == "idle":
                 # Offer a Look only to enabled robots: a disabled robot's
                 # cycle is a no-op and pruning it does not change reachable
                 # configurations.  One key serves the test and the Look.
-                key = matcher.local_key(records, record.pos)
-                if not matcher.matches_for_key(key, record.color):
+                key = matcher.local_key(state, pos)
+                if not matcher.matches_for_key(key, color):
                     continue
-                updated = list(records)
-                updated[index] = AsyncRobotState(
-                    pos=record.pos,
-                    color=record.color,
-                    phase="looked",
-                    snapshot=matcher.frozen_snapshot_for_key(key),
-                )
-                successors.append(SchedulerState.from_records(updated))
-            elif record.phase == "looked":
-                actions = matcher.actions_for_frozen(record.snapshot, record.color)
-                if not actions:
-                    updated = list(records)
-                    updated[index] = AsyncRobotState(pos=record.pos, color=record.color)
-                    successors.append(SchedulerState.from_records(updated))
-                    continue
-                for action in actions:
-                    updated = list(records)
-                    updated[index] = AsyncRobotState(
-                        pos=record.pos,
-                        color=action.new_color,
-                        phase="computed",
-                        pending_color=action.new_color,
-                        pending_move=action.world_move,
-                    )
-                    successors.append(SchedulerState.from_records(updated))
-            elif record.phase == "computed":
-                pos = record.pos
-                if record.pending_move is not None:
-                    pos = (pos[0] + record.pending_move[0], pos[1] + record.pending_move[1])
-                    if not (0 <= pos[0] < self.grid.m and 0 <= pos[1] < self.grid.n):
-                        raise self._off_grid(record.pos, pos)
-                updated = list(records)
-                updated[index] = AsyncRobotState(pos=pos, color=record.color)
-                successors.append(SchedulerState.from_records(updated))
+                frozen = matcher.frozen_snapshot_for_key(key)
+                records = [build(AsyncRobotState, (pos, color, "looked", frozen, "", NO_MOVE))]
+            elif phase == "looked":
+                actions = matcher.actions_for_frozen(snapshot, color)
+                if actions:
+                    records = [
+                        build(AsyncRobotState, (
+                            pos, action.new_color, "computed", (), action.new_color,
+                            action.world_move or NO_MOVE,
+                        ))
+                        for action in actions
+                    ]
+                else:  # the Compute matched nothing: back to idle
+                    records = [build(AsyncRobotState, (pos, color, "idle") + IDLE_TAIL)]
+            else:  # "computed": the Move
+                destination = pos
+                if pending_move != NO_MOVE:
+                    destination = (pos[0] + pending_move[0], pos[1] + pending_move[1])
+                    if not (0 <= destination[0] < m and 0 <= destination[1] < n):
+                        raise self._off_grid(pos, destination)
+                records = [build(AsyncRobotState, (destination, color, "idle") + IDLE_TAIL)]
+            for record in records:
+                updated = list(state)
+                updated[index] = record
+                updated.sort()
+                successors.append(build(SchedulerState, updated))
         return successors

@@ -29,6 +29,9 @@ from typing import TYPE_CHECKING, Iterable, Optional, Sequence, Tuple
 from ..core.algorithm import Algorithm
 from ..core.simulator import TieBreak
 from ..engine.campaign import (
+    STRESS_MODELS,
+    STRESS_SEEDS,
+    VERIFY_SEEDS,
     GridSweepReport,
     ParallelCampaignEngine,
     VerificationReport,
@@ -72,8 +75,8 @@ def grid_sweep(
 def stress_test(
     algorithm: Algorithm,
     sizes: Optional[Iterable[Tuple[int, int]]] = None,
-    models: Sequence[str] = ("SSYNC", "ASYNC"),
-    seeds: Sequence[int] = tuple(range(10)),
+    models: Sequence[str] = STRESS_MODELS,
+    seeds: Sequence[int] = STRESS_SEEDS,
     tie_break: str = TieBreak.FIRST,
     backend: Optional["ExecutionBackend"] = None,
     store: Optional["VerdictStore"] = None,
@@ -114,7 +117,7 @@ def exhaustive_sweep(
 def verify_algorithm(
     algorithm: Algorithm,
     sizes: Optional[Iterable[Tuple[int, int]]] = None,
-    seeds: Sequence[int] = tuple(range(5)),
+    seeds: Sequence[int] = VERIFY_SEEDS,
     backend: Optional["ExecutionBackend"] = None,
     store: Optional["VerdictStore"] = None,
 ) -> GridSweepReport:

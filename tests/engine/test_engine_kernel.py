@@ -1,8 +1,6 @@
-"""Tests for the engine kernel: matching, walk seeding, limits, suites, profiling, state caching."""
+"""Tests for the engine kernel: matching, walk seeding, limits, suites, profiling."""
 
 from __future__ import annotations
-
-import pickle
 
 import pytest
 
@@ -12,7 +10,6 @@ from repro.core import Grid, TieBreak, run_fsync, run_ssync
 from repro.core.errors import StateSpaceLimitExceeded
 from repro.engine import (
     AlgorithmTransitionSystem,
-    AsyncRobotState,
     LocalMatcher,
     default_grid_suite,
     explore,
@@ -165,42 +162,3 @@ class TestProfileHook:
         monkeypatch.delenv(PROFILE_ENV)
         plain = _object_exploration(algorithm, grid, "FSYNC")
         assert profiled == plain
-
-
-# ---------------------------------------------------------------------------
-# AsyncRobotState sort-key/hash caching (satellite)
-# ---------------------------------------------------------------------------
-class TestAsyncRobotStateCaching:
-    def test_key_and_hash_are_cached(self):
-        record = AsyncRobotState(pos=(1, 2), color="B")
-        assert record.key() is record.key()
-        assert hash(record) == hash(record)
-        assert record._hash == hash(record)
-
-    def test_still_frozen(self):
-        from dataclasses import FrozenInstanceError
-
-        record = AsyncRobotState(pos=(1, 2), color="B")
-        with pytest.raises(FrozenInstanceError):
-            record.pos = (0, 0)
-        with pytest.raises(FrozenInstanceError):
-            del record.color
-
-    def test_pickle_drops_caches(self):
-        record = AsyncRobotState(
-            pos=(1, 2), color="B", phase="computed", pending_color="W", pending_move=(0, 1)
-        )
-        record.key(), hash(record)  # populate both caches
-        clone = pickle.loads(pickle.dumps(record))
-        assert clone == record
-        assert not hasattr(clone, "_key") and not hasattr(clone, "_hash")
-        assert clone.key() == record.key()
-        assert hash(clone) == hash(record)
-
-    def test_equality_semantics_preserved(self):
-        a = AsyncRobotState(pos=(1, 2), color="B")
-        b = AsyncRobotState(pos=(1, 2), color="B")
-        c = AsyncRobotState(pos=(1, 2), color="W")
-        assert a == b and hash(a) == hash(b)
-        assert a != c
-        assert a.__eq__(object()) is NotImplemented

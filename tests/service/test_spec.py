@@ -15,8 +15,11 @@ import pytest
 from repro.algorithms import registry
 from repro.core.grid import Grid
 from repro.checking.model_checker import check_terminating_exploration
+from repro import verification
+from repro.engine import spec as spec_module
 from repro.engine.campaign import (
     CampaignTask,
+    ParallelCampaignEngine,
     exhaustive_check_tasks,
     grid_sweep_tasks,
     stress_test_tasks,
@@ -246,6 +249,26 @@ class TestCampaigns:
         assert tasks == exhaustive_check_tasks(
             algorithm, sizes=[(3, 3)], model="FSYNC", reduction="grid"
         )
+
+    @pytest.mark.parametrize("shape", ["stress_test", "verify_algorithm"])
+    def test_default_shapes_match_the_library_calls(self, shape, monkeypatch):
+        """With no seeds or models, the HTTP shape builds and counts the library call's tasks."""
+        name = "async_phi2_l3_chir_k2"
+        algorithm = registry.get(name)
+        library = []
+
+        def capture(engine, tasks):
+            library.extend(tasks)
+            return []
+
+        monkeypatch.setattr(ParallelCampaignEngine, "run_tasks", capture)
+        getattr(verification, shape)(algorithm)
+        counted = []
+        monkeypatch.setattr(spec_module, "_bound_task_count", counted.append)
+        parsed, tasks = parse_campaign({"algorithm": name, "campaign": shape})
+        assert tasks == library
+        assert campaign_id(parsed, tasks) == campaign_id(algorithm, library)
+        assert counted == [len(tasks)]
 
     def test_campaign_id_is_content_addressed(self):
         """Equal submissions (across processes/restarts) share one id."""
